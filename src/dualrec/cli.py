@@ -3,9 +3,9 @@
 Data flows through files: ``ingest`` and ``synth`` write store files,
 ``reliability`` scores a store, the ``pretrain-*``/``train`` commands
 write checkpoints, ``evaluate``/``predict`` read them back. All
-randomness funnels through ``--seed`` flags; ``--deterministic`` forces
-single-threaded execution so repeated runs are byte-identical. Logs go
-to standard error, data to files or standard output.
+randomness funnels through ``--seed`` flags, so repeated runs are
+byte-identical. Logs go to standard error, data to files or standard
+output.
 """
 
 import argparse
@@ -46,13 +46,6 @@ def _epoch_logger(phase, epoch, loss, seconds):
     log.info("%s epoch %d: loss=%.6f (%.3fs)", phase, epoch, loss, seconds)
 
 
-def _resolve_threads(args) -> int:
-    threads = getattr(args, "threads", 1)
-    if getattr(args, "deterministic", False):
-        return 1
-    return max(1, threads)
-
-
 def cmd_ingest(args) -> int:
     if not os.path.exists(args.input):
         raise CliError("input-not-found", f"input not found: {args.input}")
@@ -78,7 +71,7 @@ def cmd_reliability(args) -> int:
     try:
         breakdowns = reliability_mod.score_store(
             store, alpha=args.alpha, fallback_max=args.fallback_helpful_max,
-            threads=_resolve_threads(args),
+            threads=1 if args.deterministic else max(1, args.threads),
         )
     except ValueError as exc:
         raise CliError("bad-args", str(exc)) from exc
@@ -278,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=12)
         p.add_argument("--lr", type=float, default=0.001)
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--deterministic", action="store_true",
-                       help="byte-reproducible runs (training is single-threaded already)")
 
     p = sub.add_parser("ingest", help="parse line-delimited reviews into a store file")
     p.add_argument("--input", required=True, help="line-delimited review JSON")
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide by the product's max helpful votes (vote-less datasets)")
     p.add_argument("--store-out", help="also write a store with reliability attached")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true", help="score on one thread")
     p.set_defaults(handler=cmd_reliability)
 
     p = sub.add_parser("pretrain-mf", help="train the linear branch")
@@ -336,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a fused model on a store")

@@ -12,14 +12,13 @@ frozen.
 """
 
 import copy
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import AdamState, TrainingDivergedError, adam_step
+from .training import fit, head_forward, mean_abs_error, val_mae
 from .mf_model import MfParams
 from .mlp_model import MlpParams
 
@@ -139,8 +138,7 @@ def _forward_batch(model: FusionModel, idx_u, idx_p):
     theta_mf, rating, joint = mf_model._embedding_batch(model.mf, idx_u, idx_p)
     theta_mlp, mlp_cache = mlp_model._forward_batch(model.mlp, idx_u, idx_p)
     concat = np.concatenate([theta_mf, theta_mlp], axis=1)
-    hidden = concat @ model.concat_w.T  # (batch, p)
-    raw = MAX_RATING * (hidden @ model.reg_w + model.reg_b)
+    hidden, raw = head_forward(concat, model.concat_w.T, model.reg_w, model.reg_b)
     cache = {
         "rating": rating,
         "joint": joint,
@@ -263,62 +261,33 @@ def train_fusion(
 
     The input model is left untouched. With ``freeze_branches`` only the
     fused head (concat weights plus regression) trains. Early stopping
-    mirrors the branch trainers: validation MAE with ``hyper.patience``.
+    mirrors the branch trainers: with a ``val_store``, training stops
+    once validation MAE has not improved for ``hyper.patience`` epochs,
+    and the returned model has the weights of the best validation epoch.
     """
     if not store.omega:
         raise ValueError("store has no ratings to train on")
     model = model.copy()
     model.global_mean = store.global_mean_raw()
 
-    pairs = sorted(store.omega)
-    idx_u = np.array([p[0] for p in pairs], dtype=np.intp)
-    idx_p = np.array([p[1] for p in pairs], dtype=np.intp)
-    raw = np.array([store.raw_ratings[p] for p in pairs], dtype=np.float64)
-
-    val_points = None
-    if val_store and val_store.omega:
-        vpairs = sorted(val_store.omega)
-        val_points = (
-            np.array([p[0] for p in vpairs], dtype=np.intp),
-            np.array([p[1] for p in vpairs], dtype=np.intp),
-            np.array([val_store.raw_ratings[p] for p in vpairs], dtype=np.float64),
-        )
-
+    idx_u, idx_p, _, raw = store.rated_arrays
     weights = _param_dict(model, freeze_branches)
-    reg_b_arr = np.array([model.reg_b])
-    weights["reg_b"] = reg_b_arr
-    state = AdamState(lr=hyper.lr)
-    rng = np.random.default_rng(hyper.seed)
-    n = idx_u.size
-    best_val = np.inf
-    stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            preds, cache = _forward_batch(model, idx_u[batch], idx_p[batch])
-            grads = _grads_batch(model, cache, np.sign(preds - raw[batch]), freeze_branches)
-            adam_step(weights, grads, state)
-            model.reg_b = float(reg_b_arr[0])
-        preds, _ = _forward_batch(model, idx_u, idx_p)
-        loss = float(np.mean(np.abs(preds - raw)))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"fusion training diverged at epoch {epoch}: loss={loss}")
-        if on_epoch is not None:
-            on_epoch("fusion", epoch, loss, time.perf_counter() - started)
-        if val_points is not None and hyper.patience:
-            vu, vp, vraw = val_points
-            vpreds, _ = _forward_batch(model, vu, vp)
-            val = float(np.mean(np.abs(vpreds - vraw)))
-            if val < best_val - 1e-12:
-                best_val = val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= hyper.patience:
-                    break
+    reg_b = np.array([model.reg_b])
+    weights["reg_b"] = reg_b
+
+    def batch_grads(batch):
+        preds, cache = _forward_batch(model, idx_u[batch], idx_p[batch])
+        return _grads_batch(model, cache, np.sign(preds - raw[batch]), freeze_branches)
+
+    def predict(bu, bp):
+        return _forward_batch(model, bu, bp)[0]
+
+    def sync():
+        model.reg_b = float(reg_b[0])
+
+    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
+        idx_u.size, hyper, np.random.default_rng(hyper.seed), "fusion",
+        val_loss=val_mae(predict, val_store), on_epoch=on_epoch, sync=sync)
     return model
 
 

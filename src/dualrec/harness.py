@@ -178,6 +178,19 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     )
 
 
+# JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.
+_JSON_KEYS = {
+    "data": {"store": "store_path", "synthetic": "synthetic"},
+    "model": {name: name for name in (
+        "latent_dim", "tower", "reg_lambda", "gamma", "batch_size", "epochs_mf",
+        "epochs_mlp", "epochs_fusion", "lr", "seed", "patience", "pretrain",
+        "freeze_branches", "init_tables_from_factors",
+    )},
+    "reliability": {"alpha": "rel_alpha", "fallback_max": "rel_fallback_max"},
+    "eval": {"cutoffs": "cutoffs", "threshold": "relevance_threshold"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one pipeline run needs, loadable from nested JSON."""
@@ -206,37 +219,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        data = doc.get("data", {})
-        synthetic = None
-        if "synthetic" in data:
-            synthetic = SyntheticSpec(**data["synthetic"])
-        split_spec = SplitSpec(**doc.get("split", {}))
-        model = doc.get("model", {})
-        rel = doc.get("reliability", {})
-        ev = doc.get("eval", {})
-        return cls(
-            store_path=data.get("store"),
-            synthetic=synthetic,
-            split=split_spec,
-            latent_dim=model.get("latent_dim", 8),
-            tower=tuple(model.get("tower", (16, 8))),
-            reg_lambda=model.get("reg_lambda", 0.1),
-            gamma=model.get("gamma", 0.5),
-            batch_size=model.get("batch_size", 512),
-            epochs_mf=model.get("epochs_mf", 12),
-            epochs_mlp=model.get("epochs_mlp", 12),
-            epochs_fusion=model.get("epochs_fusion", 12),
-            lr=model.get("lr", 0.001),
-            seed=model.get("seed", 0),
-            patience=model.get("patience", 3),
-            pretrain=model.get("pretrain", True),
-            freeze_branches=model.get("freeze_branches", False),
-            init_tables_from_factors=model.get("init_tables_from_factors", False),
-            rel_alpha=rel.get("alpha", 0.5),
-            rel_fallback_max=rel.get("fallback_max", False),
-            cutoffs=tuple(ev.get("cutoffs", (5, 10))),
-            relevance_threshold=ev.get("threshold", 3.0),
-        )
+        """Config from the nested JSON layout; absent keys keep their defaults."""
+        kwargs = {}
+        for section, keys in _JSON_KEYS.items():
+            values = doc.get(section, {})
+            kwargs.update({name: values[key] for key, name in keys.items() if key in values})
+        if "synthetic" in kwargs:
+            kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
+        kwargs["split"] = SplitSpec(**doc.get("split", {}))
+        for name in ("tower", "cutoffs"):
+            if name in kwargs:
+                kwargs[name] = tuple(kwargs[name])
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -281,11 +275,11 @@ def evaluate_model(
     threshold: float = 3.0,
 ) -> EvalReport:
     """Score the fused model on every rated pair of the test store."""
-    pairs = sorted(test_store.omega)
-    preds = predict_batch(model, pairs)
+    idx_u, idx_p, _, raw = test_store.rated_arrays
+    pairs = list(zip(idx_u.tolist(), idx_p.tolist()))
     users: dict = {}
-    for (i, j), pred in zip(pairs, preds):
-        users.setdefault(i, []).append((j, pred, float(test_store.raw_ratings[(i, j)])))
+    for (i, j), pred, truth in zip(pairs, predict_batch(model, pairs), raw.tolist()):
+        users.setdefault(i, []).append((j, pred, truth))
     return evaluate_predictions(users, cutoffs=cutoffs, threshold=threshold)
 
 

@@ -19,10 +19,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 __all__ = [
     "ReviewRecord",
     "ParseResult",
     "TimelineEntry",
+    "PairArrays",
     "InteractionStore",
     "parse_reviews",
     "normalize_rating",
@@ -80,6 +83,29 @@ class TimelineEntry(NamedTuple):
     unix_time: int
 
 
+class PairArrays(NamedTuple):
+    """Column arrays of one sparse matrix's pairs in sorted-pair order."""
+
+    idx_u: np.ndarray
+    idx_p: np.ndarray
+    values: np.ndarray  # normalized rating, or reliability score
+    raw: np.ndarray  # raw 1..5 rating of the pair
+
+
+def _sorted_pair_arrays(values: dict, raw_ratings: dict) -> PairArrays:
+    pairs = sorted(values)
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    out = PairArrays(
+        idx[:, 0].copy(),
+        idx[:, 1].copy(),
+        np.array([values[p] for p in pairs], dtype=np.float64),
+        np.array([raw_ratings[p] for p in pairs], dtype=np.float64),
+    )
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class InteractionStore:
     """Sparse rating matrix, reliability matrix and review timelines.
@@ -125,6 +151,16 @@ class InteractionStore:
     @cached_property
     def product_index(self) -> dict:
         return {key: idx for idx, key in enumerate(self.product_ids)}
+
+    @cached_property
+    def rated_arrays(self) -> PairArrays:
+        """Rated pairs as index and value columns, built once per store."""
+        return _sorted_pair_arrays(self.ratings, self.raw_ratings)
+
+    @cached_property
+    def scored_arrays(self) -> PairArrays:
+        """Reliability pairs as index and value columns, built once per store."""
+        return _sorted_pair_arrays(self.reliability, self.raw_ratings)
 
     def global_mean_raw(self) -> float:
         """Mean raw rating over all observed pairs."""

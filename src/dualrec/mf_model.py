@@ -16,14 +16,15 @@ raw ratings, factors frozen.
 """
 
 import copy
-import time
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import AdamState, TrainingDivergedError, adam_step, sigmoid, truncated_svd
+from .linalg import sigmoid, truncated_svd
+from .training import fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
     "MfParams",
@@ -132,23 +133,6 @@ def svd_init(store: InteractionStore, latent_dim: int):
     return (w, z), (e, f)
 
 
-def _pair_arrays(keys, values: dict):
-    pairs = sorted(keys)
-    idx_u = np.array([p[0] for p in pairs], dtype=np.intp)
-    idx_p = np.array([p[1] for p in pairs], dtype=np.intp)
-    vals = np.array([values[p] for p in pairs])
-    return idx_u, idx_p, vals
-
-
-def _counts(keys, n_users: int, n_products: int):
-    by_user = np.zeros(n_users)
-    by_prod = np.zeros(n_products)
-    for i, j in keys:
-        by_user[i] += 1
-        by_prod[j] += 1
-    return by_user, by_prod
-
-
 def _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets):
     """Squared-error data term and the per-pair residual coefficient.
 
@@ -173,20 +157,15 @@ def _scatter_cols(n_cols: int, latent_dim: int, idx, contrib):
 
 def rating_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
     """Rating objective over the observed ratings."""
-    idx_u, idx_p, vals = _pair_arrays(store.omega, store.ratings)
-    term, _ = _sq_data_term(params.user_rating, params.prod_rating, idx_u, idx_p, vals)
-    n_u, n_p = _counts(store.omega, params.n_users, params.n_products)
-    reg = np.sum(n_u * np.sum(params.user_rating**2, axis=0)) + np.sum(
-        n_p * np.sum(params.prod_rating**2, axis=0)
+    return _pair_loss_value(
+        params.user_rating, params.prod_rating, *store.rated_arrays[:3], reg_lambda
     )
-    return term + reg_lambda * float(reg)
 
 
 def rating_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
     """Rating objective value plus gradients for its two factor blocks."""
-    idx_u, idx_p, vals = _pair_arrays(store.omega, store.ratings)
     loss, grads = _pair_loss_grads(
-        params.user_rating, params.prod_rating, idx_u, idx_p, vals, reg_lambda
+        params.user_rating, params.prod_rating, *store.rated_arrays[:3], reg_lambda
     )
     return loss, {"user_rating": grads[0], "prod_rating": grads[1]}
 
@@ -226,19 +205,14 @@ def _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda, chunk=4096
 
 def reliability_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
     """Reliability-only objective over the scored pairs."""
-    idx_u, idx_p, vals = _pair_arrays(store.psi, store.reliability)
-    term, _ = _sq_data_term(params.user_joint, params.prod_rel, idx_u, idx_p, vals)
-    n_u, n_p = _counts(store.psi, params.n_users, params.n_products)
-    reg = np.sum(n_u * np.sum(params.user_joint**2, axis=0)) + np.sum(
-        n_p * np.sum(params.prod_rel**2, axis=0)
+    return _pair_loss_value(
+        params.user_joint, params.prod_rel, *store.scored_arrays[:3], reg_lambda
     )
-    return term + reg_lambda * float(reg)
 
 
 def reliability_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    idx_u, idx_p, vals = _pair_arrays(store.psi, store.reliability)
     loss, grads = _pair_loss_grads(
-        params.user_joint, params.prod_rel, idx_u, idx_p, vals, reg_lambda
+        params.user_joint, params.prod_rel, *store.scored_arrays[:3], reg_lambda
     )
     return loss, {"user_joint": grads[0], "prod_rel": grads[1]}
 
@@ -250,139 +224,61 @@ def joint_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> 
     it appears in, so the shared user factors are weighted by their
     rating count plus their reliability count.
     """
-    return _joint_loss_grads(params, store, reg_lambda, want_grads=False)[0]
+    return _pair_loss_value(
+        params.user_joint, params.prod_joint, *store.rated_arrays[:3], reg_lambda
+    ) + reliability_loss(params, store, reg_lambda)
 
 
 def joint_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    loss, grads = _joint_loss_grads(params, store, reg_lambda, want_grads=True)
-    return loss, grads
-
-
-def _joint_loss_grads(params, store, reg_lambda, want_grads):
-    r_u, r_p, r_vals = _pair_arrays(store.omega, store.ratings)
-    s_u, s_p, s_vals = _pair_arrays(store.psi, store.reliability)
-    if not want_grads:
-        return (
-            _pair_loss_value(params.user_joint, params.prod_joint, r_u, r_p, r_vals, reg_lambda)
-            + _pair_loss_value(params.user_joint, params.prod_rel, s_u, s_p, s_vals, reg_lambda)
-        ), None
     loss_r, (de_r, dz) = _pair_loss_grads(
-        params.user_joint, params.prod_joint, r_u, r_p, r_vals, reg_lambda
+        params.user_joint, params.prod_joint, *store.rated_arrays[:3], reg_lambda
     )
-    loss_s, (de_s, df) = _pair_loss_grads(
-        params.user_joint, params.prod_rel, s_u, s_p, s_vals, reg_lambda
-    )
-    return loss_r + loss_s, {"user_joint": de_r + de_s, "prod_joint": dz, "prod_rel": df}
+    loss_s, rel = reliability_loss_grads(params, store, reg_lambda)
+    grads = {"user_joint": de_r + rel["user_joint"], "prod_joint": dz, "prod_rel": rel["prod_rel"]}
+    return loss_r + loss_s, grads
 
 
-def _epoch_batches(n: int, batch_size: int, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _fit_factors(params: MfParams, terms, hyper, rng, phase, val_store, on_epoch):
+    """Mini-batch Adam over a sum of squared pair terms, in place.
 
+    ``terms`` lists (user factor name, product factor name, PairArrays);
+    each epoch permutes the pairs of all terms together. Validation MAE
+    reads the first term's factors.
+    """
+    weights = {}
+    for u_name, v_name, _ in terms:
+        weights[u_name] = getattr(params, u_name)
+        weights[v_name] = getattr(params, v_name)
+    kinds = np.concatenate([np.full(a.idx_u.size, t) for t, (_, _, a) in enumerate(terms)])
+    all_u = np.concatenate([a.idx_u for _, _, a in terms])
+    all_p = np.concatenate([a.idx_p for _, _, a in terms])
+    all_vals = np.concatenate([a.values for _, _, a in terms])
 
-def _check_finite(loss: float, phase: str, epoch: int):
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(
-            f"{phase} training diverged at epoch {epoch}: loss={loss}"
+    def batch_grads(batch):
+        grads = {}
+        for t, (u_name, v_name, _) in enumerate(terms):
+            rows = batch[kinds[batch] == t]
+            _, (du, dv) = _pair_loss_grads(
+                weights[u_name], weights[v_name],
+                all_u[rows], all_p[rows], all_vals[rows], hyper.reg_lambda,
+            )
+            for name, g in ((u_name, du), (v_name, dv)):
+                grads[name] = grads[name] + g if name in grads else g
+        return grads
+
+    def full_loss():
+        return sum(
+            _pair_loss_value(weights[u], weights[v], *a[:3], hyper.reg_lambda)
+            for u, v, a in terms
         )
 
+    u_mat, v_mat = weights[terms[0][0]], weights[terms[0][1]]
 
-def _train_pair_factors(u_mat, v_mat, names, idx_u, idx_p, targets, hyper, rng,
-                        evaluate_val=None, on_epoch=None, phase=""):
-    """Mini-batch Adam over one squared pair objective, in place."""
-    params = {names[0]: u_mat, names[1]: v_mat}
-    state = AdamState(lr=hyper.lr)
-    n = idx_u.size
-    best_val = np.inf
-    stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        if n:
-            for batch in _epoch_batches(n, hyper.batch_size, rng):
-                _, (du, dv) = _pair_loss_grads(
-                    u_mat, v_mat, idx_u[batch], idx_p[batch], targets[batch],
-                    hyper.reg_lambda,
-                )
-                adam_step(params, {names[0]: du, names[1]: dv}, state)
-        loss = _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, hyper.reg_lambda)
-        _check_finite(loss, phase, epoch)
-        if on_epoch is not None:
-            on_epoch(phase, epoch, loss, time.perf_counter() - started)
-        if evaluate_val is not None and hyper.patience:
-            val = evaluate_val()
-            if val < best_val - 1e-12:
-                best_val = val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= hyper.patience:
-                    break
+    def predict(idx_u, idx_p):
+        return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p]))
 
-
-def _train_joint_factors(params, store, hyper, rng, evaluate_val=None, on_epoch=None):
-    """Mini-batch Adam over the joint objective, in place."""
-    r_u, r_p, r_vals = _pair_arrays(store.omega, store.ratings)
-    s_u, s_p, s_vals = _pair_arrays(store.psi, store.reliability)
-    kinds = np.concatenate([np.zeros(r_u.size, dtype=bool), np.ones(s_u.size, dtype=bool)])
-    all_u = np.concatenate([r_u, s_u])
-    all_p = np.concatenate([r_p, s_p])
-    all_vals = np.concatenate([r_vals, s_vals])
-    mats = {
-        "user_joint": params.user_joint,
-        "prod_joint": params.prod_joint,
-        "prod_rel": params.prod_rel,
-    }
-    state = AdamState(lr=hyper.lr)
-    n = all_u.size
-    best_val = np.inf
-    stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        if n:
-            for batch in _epoch_batches(n, hyper.batch_size, rng):
-                rel_rows = kinds[batch]
-                grads = {
-                    "user_joint": np.zeros_like(params.user_joint),
-                    "prod_joint": np.zeros_like(params.prod_joint),
-                    "prod_rel": np.zeros_like(params.prod_rel),
-                }
-                rate = batch[~rel_rows]
-                if rate.size:
-                    _, (de, dz) = _pair_loss_grads(
-                        params.user_joint, params.prod_joint,
-                        all_u[rate], all_p[rate], all_vals[rate], hyper.reg_lambda,
-                    )
-                    grads["user_joint"] += de
-                    grads["prod_joint"] += dz
-                rel = batch[rel_rows]
-                if rel.size:
-                    _, (de, df) = _pair_loss_grads(
-                        params.user_joint, params.prod_rel,
-                        all_u[rel], all_p[rel], all_vals[rel], hyper.reg_lambda,
-                    )
-                    grads["user_joint"] += de
-                    grads["prod_rel"] += df
-                adam_step(mats, grads, state)
-        loss = _pair_loss_value(
-            params.user_joint, params.prod_joint, r_u, r_p, r_vals, hyper.reg_lambda
-        ) + _pair_loss_value(
-            params.user_joint, params.prod_rel, s_u, s_p, s_vals, hyper.reg_lambda
-        )
-        _check_finite(loss, "mf-joint", epoch)
-        if on_epoch is not None:
-            on_epoch("mf-joint", epoch, loss, time.perf_counter() - started)
-        if evaluate_val is not None and hyper.patience:
-            val = evaluate_val()
-            if val < best_val - 1e-12:
-                best_val = val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= hyper.patience:
-                    break
+    fit(weights, batch_grads, full_loss, all_u.size, hyper, rng, phase,
+        val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
 
 
 def _embedding_batch(params: MfParams, idx_u, idx_p):
@@ -392,73 +288,46 @@ def _embedding_batch(params: MfParams, idx_u, idx_p):
     return rating @ params.proj_rating.T + joint @ params.proj_joint.T, rating, joint
 
 
-def _head_forward(params: MfParams, theta):
-    hidden = theta @ params.head  # (batch, p)
-    return hidden, MAX_RATING * (hidden @ params.reg_w + params.reg_b)
+def _predict_batch(params: MfParams, idx_u, idx_p):
+    theta, _, _ = _embedding_batch(params, idx_u, idx_p)
+    return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
 
 
-def _train_head(params: MfParams, store, hyper, rng, evaluate_val=None, on_epoch=None):
+def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
     """MAE head training with frozen factors."""
-    idx_u, idx_p, _ = _pair_arrays(store.omega, store.ratings)
-    raw = np.array([store.raw_ratings[p] for p in sorted(store.omega)], dtype=np.float64)
+    idx_u, idx_p, _, raw = store.rated_arrays
+    reg_b = np.array([params.reg_b])
     weights = {
         "proj_rating": params.proj_rating,
         "proj_joint": params.proj_joint,
         "head": params.head,
         "reg_w": params.reg_w,
-        "reg_b": np.array([params.reg_b]),
+        "reg_b": reg_b,
     }
-    state = AdamState(lr=hyper.lr)
-    n = idx_u.size
-    best_val = np.inf
-    stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        for batch in _epoch_batches(n, hyper.batch_size, rng):
-            bu, bp, target = idx_u[batch], idx_p[batch], raw[batch]
-            theta, rating, joint = _embedding_batch(params, bu, bp)
-            hidden, preds = _head_forward(params, theta)
-            sign = np.sign(preds - target) * MAX_RATING
-            d_hidden = sign[:, None] * params.reg_w[None, :]
-            d_theta = d_hidden @ params.head.T
-            grads = {
-                "proj_rating": d_theta.T @ rating,
-                "proj_joint": d_theta.T @ joint,
-                "head": theta.T @ d_hidden,
-                "reg_w": hidden.T @ sign,
-                "reg_b": np.array([np.sum(sign)]),
-            }
-            adam_step(weights, grads, state)
-            params.reg_b = float(weights["reg_b"][0])
-        theta, _, _ = _embedding_batch(params, idx_u, idx_p)
-        _, preds = _head_forward(params, theta)
-        loss = float(np.mean(np.abs(preds - raw)))
-        _check_finite(loss, "mf-head", epoch)
-        if on_epoch is not None:
-            on_epoch("mf-head", epoch, loss, time.perf_counter() - started)
-        if evaluate_val is not None and hyper.patience:
-            val = evaluate_val()
-            if val < best_val - 1e-12:
-                best_val = val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= hyper.patience:
-                    break
 
+    def batch_grads(batch):
+        bu, bp, target = idx_u[batch], idx_p[batch], raw[batch]
+        theta, rating, joint = _embedding_batch(params, bu, bp)
+        hidden, preds = head_forward(theta, params.head, params.reg_w, params.reg_b)
+        sign = np.sign(preds - target) * MAX_RATING
+        d_hidden = sign[:, None] * params.reg_w[None, :]
+        d_theta = d_hidden @ params.head.T
+        return {
+            "proj_rating": d_theta.T @ rating,
+            "proj_joint": d_theta.T @ joint,
+            "head": theta.T @ d_hidden,
+            "reg_w": hidden.T @ sign,
+            "reg_b": np.array([np.sum(sign)]),
+        }
 
-def _val_mae_factors(u_mat, v_mat, store: InteractionStore):
-    if not store.omega:
-        return None
-    idx_u, idx_p, _ = _pair_arrays(store.omega, store.ratings)
-    raw = np.array([store.raw_ratings[p] for p in sorted(store.omega)], dtype=np.float64)
+    predict = functools.partial(_predict_batch, params)
 
-    def evaluate():
-        dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
-        return float(np.mean(np.abs(MAX_RATING * sigmoid(dots) - raw)))
+    def sync():
+        params.reg_b = float(reg_b[0])
 
-    return evaluate
+    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
+        idx_u.size, hyper, rng, "mf-head", val_loss=val_mae(predict, val_store),
+        on_epoch=on_epoch, sync=sync)
 
 
 def train_mf(
@@ -472,7 +341,8 @@ def train_mf(
     Runs the rating objective, then the joint objective, then the MAE
     head, each with mini-batch Adam. With a ``val_store``, any phase
     stops early once its validation MAE has not improved for
-    ``hyper.patience`` consecutive epochs. Deterministic for a fixed
+    ``hyper.patience`` consecutive epochs, and each phase ends on the
+    weights of its best validation epoch. Deterministic for a fixed
     seed. Raises :class:`TrainingDivergedError` on NaN/inf losses.
     """
     if not store.omega:
@@ -493,31 +363,12 @@ def train_mf(
         reg_b=0.0,
     )
 
-    idx_u, idx_p, vals = _pair_arrays(store.omega, store.ratings)
-    val = _val_mae_factors(params.user_rating, params.prod_rating, val_store) if val_store else None
-    _train_pair_factors(
-        params.user_rating, params.prod_rating, ("user_rating", "prod_rating"),
-        idx_u, idx_p, vals, hyper, rng, evaluate_val=val, on_epoch=on_epoch,
-        phase="mf-rating",
-    )
-
-    val = _val_mae_factors(params.user_joint, params.prod_joint, val_store) if val_store else None
-    _train_joint_factors(params, store, hyper, rng, evaluate_val=val, on_epoch=on_epoch)
-
-    val_head = None
-    if val_store and val_store.omega:
-        vu, vp, _ = _pair_arrays(val_store.omega, val_store.ratings)
-        vraw = np.array(
-            [val_store.raw_ratings[pair] for pair in sorted(val_store.omega)],
-            dtype=np.float64,
-        )
-
-        def val_head():
-            theta, _, _ = _embedding_batch(params, vu, vp)
-            _, preds = _head_forward(params, theta)
-            return float(np.mean(np.abs(preds - vraw)))
-
-    _train_head(params, store, hyper, rng, evaluate_val=val_head, on_epoch=on_epoch)
+    rated, scored = store.rated_arrays, store.scored_arrays
+    _fit_factors(params, [("user_rating", "prod_rating", rated)],
+                 hyper, rng, "mf-rating", val_store, on_epoch)
+    _fit_factors(params, [("user_joint", "prod_joint", rated), ("user_joint", "prod_rel", scored)],
+                 hyper, rng, "mf-joint", val_store, on_epoch)
+    _fit_head(params, store, hyper, rng, val_store, on_epoch)
     return params
 
 
@@ -532,7 +383,7 @@ def mf_embedding(params: MfParams, i: int, j: int) -> np.ndarray:
 def mf_predict(params: MfParams, i: int, j: int) -> float:
     """Raw-scale rating prediction from the linear branch's own head."""
     theta = mf_embedding(params, i, j)
-    _, pred = _head_forward(params, theta[None, :])
+    _, pred = head_forward(theta[None, :], params.head, params.reg_w, params.reg_b)
     return float(pred[0])
 
 

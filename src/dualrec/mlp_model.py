@@ -12,14 +12,14 @@ rows a batch looked up.
 """
 
 import copy
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import AdamState, TrainingDivergedError, adam_step, relu
+from .linalg import relu
+from .training import fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
     "MlpParams",
@@ -204,11 +204,6 @@ def _backward_from_theta(params: MlpParams, cache: dict, d_theta, grads: dict) -
     np.add.at(grads["prod_rel_emb"], cache["idx_p"], d_prod)
 
 
-def _head_forward(params: MlpParams, theta):
-    hidden = theta @ params.head
-    return hidden, MAX_RATING * (hidden @ params.reg_w + params.reg_b)
-
-
 def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
     """Gradients of sum(d_raw * raw_prediction) for every parameter."""
     theta = cache["hidden"][-1]
@@ -244,7 +239,7 @@ def mlp_embedding(params: MlpParams, i: int, j: int) -> np.ndarray:
 def mlp_predict(params: MlpParams, i: int, j: int) -> float:
     """Raw-scale rating prediction from the branch's own head."""
     theta = mlp_embedding(params, i, j)
-    _, pred = _head_forward(params, theta[None, :])
+    _, pred = head_forward(theta[None, :], params.head, params.reg_w, params.reg_b)
     return float(pred[0])
 
 
@@ -287,7 +282,9 @@ def train_mlp(
     """Train the whole branch with mini-batch Adam on raw-scale MAE.
 
     Per-example gradients are summed, not averaged, within a batch.
-    Optional early stopping on validation MAE with ``hyper.patience``.
+    With a ``val_store``, training stops once validation MAE has not
+    improved for ``hyper.patience`` epochs, and the returned weights are
+    those of the best validation epoch.
     """
     if not store.omega:
         raise ValueError("store has no ratings to train on")
@@ -304,59 +301,26 @@ def train_mlp(
         params.user_rel_emb = e.T.copy()
         params.prod_rel_emb = f.T.copy()
 
-    pairs = sorted(store.omega)
-    idx_u = np.array([p[0] for p in pairs], dtype=np.intp)
-    idx_p = np.array([p[1] for p in pairs], dtype=np.intp)
-    raw = np.array([store.raw_ratings[p] for p in pairs], dtype=np.float64)
-
-    val_points = None
-    if val_store and val_store.omega:
-        vpairs = sorted(val_store.omega)
-        val_points = (
-            np.array([p[0] for p in vpairs], dtype=np.intp),
-            np.array([p[1] for p in vpairs], dtype=np.intp),
-            np.array([val_store.raw_ratings[p] for p in vpairs], dtype=np.float64),
-        )
-
+    idx_u, idx_p, _, raw = store.rated_arrays
     weights = _param_dict(params)
-    reg_b_arr = np.array([params.reg_b])
-    weights["reg_b"] = reg_b_arr
-    state = AdamState(lr=hyper.lr)
-    rng = np.random.default_rng(hyper.seed)
-    n = idx_u.size
-    best_val = np.inf
-    stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            bu, bp, target = idx_u[batch], idx_p[batch], raw[batch]
-            _, cache = _forward_batch(params, bu, bp)
-            _, preds = _head_forward(params, cache["hidden"][-1])
-            grads = _backward_batch(params, cache, np.sign(preds - target))
-            adam_step(weights, grads, state)
-            params.reg_b = float(reg_b_arr[0])
-        _, cache = _forward_batch(params, idx_u, idx_p)
-        _, preds = _head_forward(params, cache["hidden"][-1])
-        loss = float(np.mean(np.abs(preds - raw)))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"mlp training diverged at epoch {epoch}: loss={loss}")
-        if on_epoch is not None:
-            on_epoch("mlp", epoch, loss, time.perf_counter() - started)
-        if val_points is not None and hyper.patience:
-            vu, vp, vraw = val_points
-            _, vcache = _forward_batch(params, vu, vp)
-            _, vpreds = _head_forward(params, vcache["hidden"][-1])
-            val = float(np.mean(np.abs(vpreds - vraw)))
-            if val < best_val - 1e-12:
-                best_val = val
-                stall = 0
-            else:
-                stall += 1
-                if stall >= hyper.patience:
-                    break
+    reg_b = np.array([params.reg_b])
+    weights["reg_b"] = reg_b
+
+    def batch_grads(batch):
+        _, cache = _forward_batch(params, idx_u[batch], idx_p[batch])
+        _, preds = head_forward(cache["hidden"][-1], params.head, params.reg_w, params.reg_b)
+        return _backward_batch(params, cache, np.sign(preds - raw[batch]))
+
+    def predict(bu, bp):
+        theta, _ = _forward_batch(params, bu, bp)
+        return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
+
+    def sync():
+        params.reg_b = float(reg_b[0])
+
+    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
+        idx_u.size, hyper, np.random.default_rng(hyper.seed), "mlp",
+        val_loss=val_mae(predict, val_store), on_epoch=on_epoch, sync=sync)
     return params
 
 

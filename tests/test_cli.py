@@ -146,12 +146,11 @@ def run_pipeline(tmp_path, seed="7", epochs="2"):
         ["reliability", "--store", str(store), "--out", str(tmp_path / "rel.tsv"),
          "--store-out", str(scored)],
         ["pretrain-mf", "--store", str(scored), "--out", str(mf), "--k", "3",
-         "--p", "2", "--epochs", epochs, "--seed", seed, "--deterministic"],
+         "--p", "2", "--epochs", epochs, "--seed", seed],
         ["pretrain-mlp", "--store", str(scored), "--out", str(mlp), "--k", "3",
-         "--tower", "6,2", "--epochs", epochs, "--seed", seed, "--deterministic"],
+         "--tower", "6,2", "--epochs", epochs, "--seed", seed],
         ["train", "--store", str(scored), "--mf", str(mf), "--mlp", str(mlp),
-         "--gamma", "0.5", "--epochs", epochs, "--seed", seed, "--out", str(fused),
-         "--deterministic"],
+         "--gamma", "0.5", "--epochs", epochs, "--seed", seed, "--out", str(fused)],
         ["evaluate", "--store", str(scored), "--model", str(fused),
          "--out", str(report), "--tsv", str(tsv)],
     ]

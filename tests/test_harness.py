@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -212,6 +213,35 @@ class TestConfigParsing:
         assert config.gamma == 0.25
         assert config.cutoffs == (3, 7)
         assert config.relevance_threshold == 4
+
+    def test_empty_document_gives_the_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
+    def test_every_key_lands_in_its_field(self):
+        synthetic = {"n_users": 9, "n_products": 8, "true_rank": 2,
+                     "observation_density": 0.4, "noise_std": 0.1, "seed": 5}
+        split_doc = {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25,
+                     "folds": 3, "seed": 4}
+        model = {"latent_dim": 5, "tower": [10, 4], "reg_lambda": 0.2, "gamma": 0.7,
+                 "batch_size": 64, "epochs_mf": 2, "epochs_mlp": 3, "epochs_fusion": 4,
+                 "lr": 0.01, "seed": 9, "patience": 6, "pretrain": False,
+                 "freeze_branches": True, "init_tables_from_factors": True}
+        doc = {
+            "data": {"store": "s.json", "synthetic": synthetic},
+            "split": split_doc,
+            "model": model,
+            "reliability": {"alpha": 0.3, "fallback_max": True},
+            "eval": {"cutoffs": [2, 4], "threshold": 3.5},
+        }
+        expected = ExperimentConfig(
+            store_path="s.json", synthetic=SyntheticSpec(**synthetic),
+            split=SplitSpec(**split_doc), rel_alpha=0.3, rel_fallback_max=True,
+            cutoffs=(2, 4), relevance_threshold=3.5, **{**model, "tower": (10, 4)},
+        )
+        defaults = ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
+        assert ExperimentConfig.from_dict(doc) == expected
 
     def test_config_requires_data_source(self):
         config = ExperimentConfig(store_path=None, synthetic=None)

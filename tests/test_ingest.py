@@ -211,6 +211,29 @@ class TestRestrict:
             restrict(tiny_store, [(99, 99)])
 
 
+class TestPairArrays:
+    def test_rated_arrays_follow_sorted_pairs(self, tiny_store):
+        idx_u, idx_p, values, raw = tiny_store.rated_arrays
+        pairs = sorted(tiny_store.omega)
+        assert list(zip(idx_u.tolist(), idx_p.tolist())) == pairs
+        assert values.tolist() == [tiny_store.ratings[p] for p in pairs]
+        assert raw.tolist() == [tiny_store.raw_ratings[p] for p in pairs]
+
+    def test_scored_arrays_follow_sorted_reliability_pairs(self, tiny_store):
+        assert tiny_store.scored_arrays.idx_u.shape == (0,)
+        scores = {(2, 0): 0.25, (0, 0): 0.75}
+        idx_u, idx_p, values, raw = with_reliability(tiny_store, scores).scored_arrays
+        assert list(zip(idx_u.tolist(), idx_p.tolist())) == [(0, 0), (2, 0)]
+        assert values.tolist() == [0.75, 0.25]
+        assert raw.tolist() == [5.0, 1.0]
+
+    def test_built_once_and_read_only(self, tiny_store):
+        arrays = tiny_store.rated_arrays
+        assert tiny_store.rated_arrays is arrays
+        with pytest.raises(ValueError):
+            arrays.raw[0] = 0.0
+
+
 class TestRecordValidation:
     def test_rating_range_enforced(self):
         with pytest.raises(ValueError):
