@@ -152,6 +152,8 @@ def cmd_train(args) -> int:
         config.lr = args.lr
     if args.seed is not None:
         config.seed = args.seed
+    if args.freeze_branches:
+        config.freeze_branches = True
 
     try:
         if args.mf and args.mlp:
@@ -163,7 +165,7 @@ def cmd_train(args) -> int:
                     batch_size=config.batch_size, epochs=config.epochs_fusion,
                     lr=config.lr, seed=config.seed, patience=config.patience,
                 ),
-                val_store=val_store, freeze_branches=args.freeze_branches,
+                val_store=val_store, freeze_branches=config.freeze_branches,
                 on_epoch=_epoch_logger,
             )
         elif args.mf or args.mlp:

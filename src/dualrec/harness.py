@@ -10,7 +10,7 @@ be checked against ground truth.
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -219,7 +219,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Config from the nested JSON layout; absent keys keep their defaults."""
+        """Config from the nested JSON layout; absent keys keep their defaults.
+
+        An unknown section or key raises ValueError naming it, so a typo
+        cannot silently fall back to the default.
+        """
+        split_keys = {f.name for f in fields(SplitSpec)}
+        for section, values in doc.items():
+            keys = split_keys if section == "split" else _JSON_KEYS.get(section)
+            if keys is None:
+                raise ValueError(f"unknown config section {section!r}")
+            unknown = sorted(set(values) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown key(s) in config section {section!r}: "
+                                 f"{', '.join(unknown)}")
         kwargs = {}
         for section, keys in _JSON_KEYS.items():
             values = doc.get(section, {})

@@ -7,11 +7,14 @@ dumps: one object per line with at least ``reviewerID``, ``asin``,
 skipped, counted and reported with their line number -- but strict about
 the fields it does accept.
 
-The :class:`InteractionStore` built from parsed records holds the rating
-and reliability matrices in sparse dict form together with per-product
-review timelines, plus the string<->index maps needed to get back to the
-original keys. Stores are immutable once built and safe to share across
-threads.
+The :class:`InteractionStore` built from parsed records keeps the
+deduplicated entry rows ``(i, j, raw, helpful_yes, votes_total,
+unix_time)`` in input order as its record, the rating and reliability
+matrices in sparse dict form, and the string<->index maps needed to get
+back to the original keys. Per-product review timelines are a lazy view
+of the entry rows, built only when the reliability stage asks for them.
+Every store operation is linear in the number of entries. Stores are
+immutable once built and safe to share across threads.
 """
 
 import json
@@ -108,14 +111,16 @@ def _sorted_pair_arrays(values: dict, raw_ratings: dict) -> PairArrays:
 
 @dataclass(frozen=True)
 class InteractionStore:
-    """Sparse rating matrix, reliability matrix and review timelines.
+    """Entry rows, sparse rating and reliability matrices, index maps.
 
+    ``entries`` is the record: one ``(i, j, raw, helpful_yes,
+    votes_total, unix_time)`` row per rated pair, in deduplicated input
+    order, which fixes timeline tie-breaks and the on-disk layout.
     ``ratings`` maps (user_idx, product_idx) to the normalized rating in
     (0, 1]; ``raw_ratings`` keeps the original 1..5 value so downstream
     error metrics never re-derive it. ``reliability`` is independent of
     ``ratings``: its key set (``psi``) may be empty or any subset of the
-    rated pairs. ``entry_pairs`` preserves the deduplicated input order,
-    which fixes timeline tie-breaks and the on-disk layout.
+    rated pairs. ``timelines`` is derived from ``entries`` on first use.
     """
 
     user_ids: tuple[str, ...]
@@ -123,8 +128,7 @@ class InteractionStore:
     raw_ratings: dict
     ratings: dict
     reliability: dict
-    timelines: dict
-    entry_pairs: tuple
+    entries: tuple
 
     @property
     def n_users(self) -> int:
@@ -151,6 +155,15 @@ class InteractionStore:
     @cached_property
     def product_index(self) -> dict:
         return {key: idx for idx, key in enumerate(self.product_ids)}
+
+    @cached_property
+    def timelines(self) -> dict:
+        """Product index -> its reviews ordered by (unix_time, entry position)."""
+        by_product: dict = {}
+        for pos, (i, j, _, yes, total, when) in enumerate(self.entries):
+            by_product.setdefault(j, []).append((when, pos, TimelineEntry(i, yes, total, when)))
+        # (when, pos) is unique, so the sort never compares the entries
+        return {j: tuple(row[2] for row in sorted(rows)) for j, rows in by_product.items()}
 
     @cached_property
     def rated_arrays(self) -> PairArrays:
@@ -189,7 +202,8 @@ def _clean_line(obj: dict) -> ReviewRecord:
     overall = obj.get("overall")
     if not isinstance(overall, (int, float)) or isinstance(overall, bool):
         raise ValueError("missing or non-numeric overall")
-    if float(overall) != int(overall) or not 1 <= overall <= MAX_RATING:
+    # range first: int() of an infinite value raises OverflowError
+    if not 1 <= overall <= MAX_RATING or float(overall) != int(overall):
         raise ValueError(f"overall must be an integer in [1, {MAX_RATING}]")
 
     helpful = obj.get("helpful", [0, 0])
@@ -251,46 +265,50 @@ def _make_store(user_ids, product_ids, entries, reliability) -> InteractionStore
 
     ``entries`` is a sequence of (i, j, raw, helpful_yes, votes_total,
     unix_time) in input order; raw ratings may be non-integral for
-    synthetic data. Reliability keys must be rated pairs.
+    synthetic data. Every pair must lie inside the index maps and appear
+    once. Reliability keys must be rated pairs.
     """
+    n_users, n_products = len(user_ids), len(product_ids)
     raw: dict = {}
     norm: dict = {}
-    pairs = []
-    by_product: dict = {}
-    for pos, (i, j, raw_rating, yes, total, when) in enumerate(entries):
+    rows = []
+    for pos, row in enumerate(entries):
+        if not isinstance(row, (list, tuple)) or len(row) != 6:
+            raise ValueError(f"entry {pos}: expected 6 fields, got {row!r}")
+        i, j, raw_rating, yes, total, when = row
         pair = (int(i), int(j))
+        if not (0 <= pair[0] < n_users and 0 <= pair[1] < n_products):
+            raise ValueError(f"entry {pos}: pair {pair} outside the {n_users} x {n_products} store")
+        if pair in raw:
+            raise ValueError(f"entry {pos}: duplicate pair {pair}")
         # keep ints as ints so integer ratings survive JSON round-trips
-        raw[pair] = raw_rating if isinstance(raw_rating, int) else float(raw_rating)
+        value = raw_rating if isinstance(raw_rating, int) else float(raw_rating)
+        raw[pair] = value
         norm[pair] = raw_rating / MAX_RATING
-        pairs.append(pair)
-        by_product.setdefault(pair[1], []).append(
-            (when, pos, TimelineEntry(pair[0], int(yes), int(total), int(when)))
-        )
-
-    timelines = {}
-    for j, rows in by_product.items():
-        rows.sort(key=lambda row: (row[0], row[1]))
-        timelines[j] = tuple(row[2] for row in rows)
-
-    rel = {}
-    for pair, value in reliability.items():
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in raw:
-            raise ValueError(f"reliability key {pair} is not a rated pair")
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"reliability score {value} outside [0, 1]")
-        rel[pair] = value
+        rows.append((pair[0], pair[1], value, int(yes), int(total), int(when)))
 
     return InteractionStore(
         user_ids=tuple(user_ids),
         product_ids=tuple(product_ids),
         raw_ratings=raw,
         ratings=norm,
-        reliability=rel,
-        timelines=timelines,
-        entry_pairs=tuple(pairs),
+        reliability=_checked_reliability(reliability, raw),
+        entries=tuple(rows),
     )
+
+
+def _checked_reliability(reliability: dict, raw_ratings: dict) -> dict:
+    """Reliability map with int pairs and float scores in [0, 1] on rated pairs."""
+    rel = {}
+    for pair, value in reliability.items():
+        pair = (int(pair[0]), int(pair[1]))
+        if pair not in raw_ratings:
+            raise ValueError(f"reliability key {pair} is not a rated pair")
+        value = float(value)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"reliability score {value} outside [0, 1]")
+        rel[pair] = value
+    return rel
 
 
 def build_store(records: list[ReviewRecord], reliability: dict | None = None) -> InteractionStore:
@@ -333,16 +351,7 @@ def build_store(records: list[ReviewRecord], reliability: dict | None = None) ->
 
 def with_reliability(store: InteractionStore, reliability: dict) -> InteractionStore:
     """Return a copy of the store with the reliability matrix replaced."""
-    rel = {}
-    for pair, value in reliability.items():
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in store.raw_ratings:
-            raise ValueError(f"reliability key {pair} is not a rated pair")
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"reliability score {value} outside [0, 1]")
-        rel[pair] = value
-    return replace(store, reliability=rel)
+    return replace(store, reliability=_checked_reliability(reliability, store.raw_ratings))
 
 
 def restrict(store: InteractionStore, pairs) -> InteractionStore:
@@ -352,31 +361,16 @@ def restrict(store: InteractionStore, pairs) -> InteractionStore:
     the full store stay aligned; only the sparse contents shrink.
     """
     keep = set(pairs)
-    unknown = keep - set(store.raw_ratings)
+    unknown = keep - store.raw_ratings.keys()
     if unknown:
         raise ValueError(f"{len(unknown)} pairs are not rated in this store")
-    entries = []
-    for pair in store.entry_pairs:
-        if pair not in keep:
-            continue
-        entry = next(e for e in store.timelines[pair[1]] if e.user == pair[0])
-        entries.append(
-            (pair[0], pair[1], store.raw_ratings[pair], entry.helpful_yes,
-             entry.votes_total, entry.unix_time)
-        )
+    entries = [row for row in store.entries if (row[0], row[1]) in keep]
     rel = {pair: v for pair, v in store.reliability.items() if pair in keep}
     return _make_store(store.user_ids, store.product_ids, entries, rel)
 
 
 def save_store(store: InteractionStore, path) -> None:
     """Write the store as canonical JSON (stable bytes for a given store)."""
-    entries = []
-    for pair in store.entry_pairs:
-        entry = next(e for e in store.timelines[pair[1]] if e.user == pair[0])
-        entries.append(
-            [pair[0], pair[1], store.raw_ratings[pair], entry.helpful_yes,
-             entry.votes_total, entry.unix_time]
-        )
     doc = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
@@ -384,11 +378,13 @@ def save_store(store: InteractionStore, path) -> None:
         "n_products": store.n_products,
         "users": list(store.user_ids),
         "products": list(store.product_ids),
-        "entries": entries,
+        "entries": store.entries,
         "reliability": [[i, j, v] for (i, j), v in sorted(store.reliability.items())],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        # json.dumps uses the C encoder; json.dump streams through the
+        # pure-Python one. Both write the same bytes.
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -396,11 +392,14 @@ def load_store(path) -> InteractionStore:
     """Read a store written by :func:`save_store`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != STORE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{path}: not a {STORE_FORMAT} file")
     if doc.get("version") != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version {doc.get('version')}")
     if len(doc["users"]) != doc["n_users"] or len(doc["products"]) != doc["n_products"]:
         raise ValueError(f"{path}: dimension counts do not match index maps")
-    reliability = {(int(i), int(j)): float(v) for i, j, v in doc.get("reliability", [])}
-    return _make_store(doc["users"], doc["products"], doc["entries"], reliability)
+    try:
+        reliability = {(int(i), int(j)): float(v) for i, j, v in doc.get("reliability", [])}
+        return _make_store(doc["users"], doc["products"], doc["entries"], reliability)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"{path}: malformed store: {exc}") from exc

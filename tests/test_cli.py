@@ -70,6 +70,27 @@ class TestBasics:
         assert "config not found" in err
         assert "config-not-found" in err
 
+    def test_train_config_with_unknown_key_is_bad_config(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        main(["synth", "--users", "10", "--products", "8", "--out", str(store)])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"epoch_mf": 1}}))
+        code = main(["train", "--store", str(store), "--config", str(config),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad-config" in err and "epoch_mf" in err
+
+    def test_train_freeze_branches_without_checkpoints(self, tmp_path):
+        store = tmp_path / "store.json"
+        main(["synth", "--users", "12", "--products", "10", "--seed", "4",
+              "--out", str(store)])
+        plain, frozen = tmp_path / "plain.ckpt", tmp_path / "frozen.ckpt"
+        argv = ["train", "--store", str(store), "--epochs", "1", "--seed", "4", "--out"]
+        assert main(argv + [str(plain)]) == 0
+        assert main(argv + [str(frozen), "--freeze-branches"]) == 0
+        assert plain.read_bytes() != frozen.read_bytes()
+
 
 class TestIngest:
     def test_ingest_writes_store(self, tmp_path, reviews_file):
@@ -90,6 +111,17 @@ class TestIngest:
         code = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "s.json")])
         assert code == 1
+
+    def test_store_with_out_of_range_entry_is_bad_store(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[5, 7, 4, 0, 0, 1]],
+            "reliability": [],
+        }))
+        code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        assert "bad-store" in capsys.readouterr().err
 
     def test_input_file_not_mutated(self, tmp_path, reviews_file):
         before = reviews_file.read_bytes()

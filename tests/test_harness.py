@@ -243,6 +243,15 @@ class TestConfigParsing:
             assert getattr(expected, f.name) != getattr(defaults, f.name), f.name
         assert ExperimentConfig.from_dict(doc) == expected
 
+    @pytest.mark.parametrize("doc,name", [
+        ({"model": {"epoch_mf": 1}}, "epoch_mf"),
+        ({"split": {"train_fraction": 0.5}}, "train_fraction"),
+        ({"modle": {"epochs_mf": 1}}, "modle"),
+    ])
+    def test_unknown_section_or_key_rejected(self, doc, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_dict(doc)
+
     def test_config_requires_data_source(self):
         config = ExperimentConfig(store_path=None, synthetic=None)
         with pytest.raises(ValueError):

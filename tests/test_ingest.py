@@ -1,4 +1,6 @@
 import json
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,13 @@ class TestParse:
         result = parse_reviews([line(), "{oops", line(overall=3.5), line(user="")])
         assert len(result.records) == 1
         assert [w.split(":")[0] for w in result.warnings] == ["line 2", "line 3", "line 4"]
+
+    @pytest.mark.parametrize("overall", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_overall_skipped(self, overall):
+        bad = line().replace('"overall": 3.0', f'"overall": {overall}')
+        result = parse_reviews([line(), bad])
+        assert len(result.records) == 1
+        assert result.warnings == ["line 2: overall must be an integer in [1, 5]"]
 
     def test_unreadable_stream_is_fatal(self):
         def boom():
@@ -190,6 +199,55 @@ class TestRoundTrip:
         save_store(load_store(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_bytes_are_pinned(self, tmp_path):
+        # int and float raw ratings, a re-review that moves its pair to the
+        # later input position, and reliability scores
+        store = store_from([
+            ("alice", "p1", 5, 3, 5, 100),
+            ("bob", "p1", 2.5, 1, 1, 200),
+            ("alice", "p2", 4, 0, 0, 110),
+            ("carol", "p2", 1, 0, 2, 90),
+            ("alice", "p1", 3, 2, 4, 150),
+        ])
+        store = with_reliability(store, {(0, 0): 0.25, (1, 0): 1 / 3, (2, 1): 1.0})
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        assert path.read_bytes() == (
+            b'{"format":"dualrec-store","version":1,"n_users":3,"n_products":2,'
+            b'"users":["alice","bob","carol"],"products":["p1","p2"],'
+            b'"entries":[[1,0,2.5,1,1,200],[0,1,4,0,0,110],[2,1,1,0,2,90],[0,0,3,2,4,150]],'
+            b'"reliability":[[0,0,0.25],[1,0,0.3333333333333333],[2,1,1.0]]}\n'
+        )
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 0, 5, 0, 0]],
+        [[0, 0, 5, 0, 0, 1, 2]],
+        [7],
+        [[5, 7, 5, 0, 0, 1]],
+        [[0, -1, 5, 0, 0, 1]],
+        [[0, 0, 5, 0, 0, 1], [0, 0, 3, 0, 0, 2]],
+    ], ids=["five-fields", "seven-fields", "not-a-row", "outside", "negative", "duplicate"])
+    def test_load_rejects_malformed_entries(self, tmp_path, entries):
+        doc = {"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+               "users": ["u"], "products": ["p"], "entries": entries, "reliability": []}
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"entry {len(entries) - 1}:"):
+            load_store(path)
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,'
+        ' "users": ["u"], "products": ["p"], "entries": [[null, 0, 5, 0, 0, 1]]}',
+        '{"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,'
+        ' "users": ["u"], "products": ["p"], "entries": [[0, 0, "5", 0, 0, 1]]}',
+    ], ids=["not-an-object", "null-index", "string-rating"])
+    def test_load_rejects_wrongly_typed_fields(self, tmp_path, text):
+        path = tmp_path / "store.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_store(path)
+
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -209,6 +267,28 @@ class TestRestrict:
     def test_unknown_pair_rejected(self, tiny_store):
         with pytest.raises(ValueError):
             restrict(tiny_store, [(99, 99)])
+
+
+def test_store_io_is_linear_in_one_products_reviews(tmp_path):
+    """save + load + restrict of a one-product store grows about 4x from N
+    to 4N reviews; scanning the product's timeline per entry grows it
+    about 16x."""
+
+    def one_product(n):
+        return store_from([(f"u{i}", "p", 1 + i % 5, i % 3, 3, i // 2) for i in range(n)])
+
+    def seconds(store):
+        half = [(i, 0) for i in range(0, store.n_users, 2)]
+        path = tmp_path / "store.json"
+        started = time.perf_counter()
+        save_store(store, path)
+        restrict(load_store(path), half)
+        return time.perf_counter() - started
+
+    small, large = one_product(1000), one_product(4000)
+    ratios = [seconds(large) / seconds(small) for _ in range(5)]
+    ratio = statistics.median(ratios)
+    assert ratio <= 8.0, f"4x the reviews took {ratio:.2f}x the time (all: {ratios})"
 
 
 class TestPairArrays:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,11 +120,7 @@ class TestLossValues:
             value = sigmoid(float(params.user_rating[:, i] @ params.prod_rating[:, j]))
             ratings[(i, j)] = value
             raws[(i, j)] = 5 * value
-        fitted = type(store)(
-            user_ids=store.user_ids, product_ids=store.product_ids,
-            raw_ratings=raws, ratings=ratings, reliability=store.reliability,
-            timelines=store.timelines, entry_pairs=store.entry_pairs,
-        )
+        fitted = replace(store, raw_ratings=raws, ratings=ratings)
         assert rating_loss(params, fitted, 0.0) < 1e-24
 
     def test_zero_factors_predict_half(self, tiny_store):
@@ -176,11 +173,7 @@ class TestLossValues:
             ratings[(i, j)] = fit
             raws[(i, j)] = 5 * fit
             rel[(i, j)] = sigmoid(float(params.user_joint[:, i] @ params.prod_rel[:, j]))
-        fitted = type(store)(
-            user_ids=store.user_ids, product_ids=store.product_ids,
-            raw_ratings=raws, ratings=ratings, reliability=rel,
-            timelines=store.timelines, entry_pairs=store.entry_pairs,
-        )
+        fitted = replace(store, raw_ratings=raws, ratings=ratings, reliability=rel)
         assert joint_loss(params, fitted, 0.0) == 0.0
 
     def test_joint_with_empty_psi_reduces_to_rating_form(self):
