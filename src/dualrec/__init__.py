@@ -41,6 +41,7 @@ from .ingest import (
 )
 from .linalg import (
     AdamState,
+    PairMatrix,
     TrainingDivergedError,
     adam_step,
     finite_diff_grad,

@@ -9,6 +9,7 @@ identical bytes.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -44,24 +45,64 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
             fh.write(payload)
 
 
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+    )
+
+
+def _checked_header(path, raw: bytes) -> dict:
+    """Decoded JSON header, checked for the fields the reader relies on."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+        raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from exc
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("kind"), str)
+        and isinstance(header.get("meta"), dict)
+        and isinstance(header.get("sections"), list)
+    ):
+        raise ValueError(f"{path}: checkpoint header needs a kind, a meta object and sections")
+    for entry in header["sections"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_shape(entry.get("shape"))):
+            raise ValueError(f"{path}: bad checkpoint section entry {entry!r}")
+    return header
+
+
 def load_sections(path):
-    """Read a container; returns (kind, meta, dict name -> array)."""
+    """Read a container; returns (kind, meta, dict name -> array).
+
+    Raises ValueError for anything but one complete container: a wrong
+    magic or version, a short fixed header, a header that is not a JSON
+    object with a kind, a meta object and (name, shape) sections, a
+    truncated section, or bytes after the last section.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a dualrec checkpoint")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["sections"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * 8)
-            if len(data) != count * 8:
-                raise ValueError(f"{path}: truncated section {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(data, dtype="<f8").astype(
-                np.float64
-            ).reshape(shape)
+        blob = memoryview(fh.read())
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path}: not a dualrec checkpoint")
+    start = len(MAGIC) + struct.calcsize("<IQ")
+    if len(blob) < start:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    offset = start + header_len
+    if len(blob) < offset:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    header = _checked_header(path, bytes(blob[start:offset]))
+    arrays = {}
+    for entry in header["sections"]:
+        shape = tuple(entry["shape"])
+        end = offset + 8 * math.prod(shape)
+        if len(blob) < end:
+            raise ValueError(f"{path}: truncated section {entry['name']!r}")
+        arrays[entry["name"]] = np.frombuffer(blob[offset:end], dtype="<f8").astype(
+            np.float64
+        ).reshape(shape)
+        offset = end
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last section")
     return header["kind"], header["meta"], arrays

@@ -157,7 +157,8 @@ def cmd_train(args) -> int:
 
     try:
         if args.mf and args.mlp:
-            branches = (mf_model.load_mf(args.mf), mlp_model.load_mlp(args.mlp))
+            branches = (_load_model(mf_model.load_mf, args.mf),
+                        _load_model(mlp_model.load_mlp, args.mlp))
             model = fusion_mod.init_fusion(*branches, config.gamma)
             model = fusion_mod.train_fusion(
                 model, store,
@@ -178,18 +179,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_fusion(path) -> fusion_mod.FusionModel:
+def _load_model(load, path):
+    """Run a checkpoint loader, mapping its failures to CLI categories."""
     if not os.path.exists(path):
         raise CliError("input-not-found", f"model not found: {path}")
     try:
-        return fusion_mod.load_fusion(path)
+        return load(path)
     except ValueError as exc:
         raise CliError("bad-store", f"cannot read model {path}: {exc}") from exc
+    except KeyError as exc:  # a well-formed container without a section or meta key
+        raise CliError("bad-store", f"cannot read model {path}: missing {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
     store = _load_store(args.store)
-    model = _load_fusion(args.model)
+    model = _load_model(fusion_mod.load_fusion, args.model)
     cutoffs = tuple(int(c) for c in args.cutoffs.split(",") if c)
     report = harness.evaluate_model(model, store, cutoffs=cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,7 +206,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     store = _load_store(args.store)
-    model = _load_fusion(args.model)
+    model = _load_model(fusion_mod.load_fusion, args.model)
     if not os.path.exists(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
     keys = []

@@ -265,7 +265,9 @@ def _make_store(user_ids, product_ids, entries, reliability) -> InteractionStore
 
     ``entries`` is a sequence of (i, j, raw, helpful_yes, votes_total,
     unix_time) in input order; raw ratings may be non-integral for
-    synthetic data. Every pair must lie inside the index maps and appear
+    synthetic data but must lie in (0, 5]. Indices, vote counts and times
+    must be integers, vote counts non-negative with helpful_yes <=
+    votes_total. Every pair must lie inside the index maps and appear
     once. Reliability keys must be rated pairs.
     """
     n_users, n_products = len(user_ids), len(product_ids)
@@ -276,16 +278,24 @@ def _make_store(user_ids, product_ids, entries, reliability) -> InteractionStore
         if not isinstance(row, (list, tuple)) or len(row) != 6:
             raise ValueError(f"entry {pos}: expected 6 fields, got {row!r}")
         i, j, raw_rating, yes, total, when = row
-        pair = (int(i), int(j))
-        if not (0 <= pair[0] < n_users and 0 <= pair[1] < n_products):
+        # exact type tests: fast, and they leave out bool
+        if not (type(i) is int and type(j) is int and type(yes) is int
+                and type(total) is int and type(when) is int):
+            raise ValueError(f"entry {pos}: index, vote or time field is not an integer: {row!r}")
+        if not (type(raw_rating) in (int, float) and 0 < raw_rating <= MAX_RATING):
+            raise ValueError(
+                f"entry {pos}: raw rating must be a number in (0, {MAX_RATING}], got {raw_rating!r}"
+            )
+        if not 0 <= yes <= total:
+            raise ValueError(f"entry {pos}: need 0 <= helpful_yes <= votes_total, got {row!r}")
+        pair = (i, j)
+        if not (0 <= i < n_users and 0 <= j < n_products):
             raise ValueError(f"entry {pos}: pair {pair} outside the {n_users} x {n_products} store")
         if pair in raw:
             raise ValueError(f"entry {pos}: duplicate pair {pair}")
-        # keep ints as ints so integer ratings survive JSON round-trips
-        value = raw_rating if isinstance(raw_rating, int) else float(raw_rating)
-        raw[pair] = value
+        raw[pair] = raw_rating
         norm[pair] = raw_rating / MAX_RATING
-        rows.append((pair[0], pair[1], value, int(yes), int(total), int(when)))
+        rows.append((i, j, raw_rating, yes, total, when))
 
     return InteractionStore(
         user_ids=tuple(user_ids),

@@ -1,7 +1,8 @@
-"""Dense numerical kernels shared by the factor and neural models.
+"""Numerical kernels shared by the factor and neural models.
 
-Everything operates on plain float64 numpy arrays: truncated SVD, a
-numerically stable sigmoid, ReLU, a minimal Adam optimizer over named
+Everything operates on plain float64 numpy arrays: a randomized
+truncated SVD that takes a dense matrix or a sparse :class:`PairMatrix`,
+a numerically stable sigmoid, ReLU, a minimal Adam optimizer over named
 parameter dicts, and a central-difference gradient estimator used to
 cross-check analytic gradients.
 """
@@ -13,6 +14,7 @@ import numpy as np
 __all__ = [
     "TrainingDivergedError",
     "as_matrix",
+    "PairMatrix",
     "truncated_svd",
     "sigmoid",
     "sigmoid_grad",
@@ -42,24 +44,90 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+class PairMatrix:
+    """Sparse n x m matrix held as (row, col, value) triplets.
+
+    Absent pairs are zero and repeated pairs add up. Supports the two
+    products a randomized SVD needs, ``a @ block`` against a dense 2-D
+    block and ``a.T``, each in time linear in the number of triplets.
+    """
+
+    def __init__(self, rows, cols, values, shape):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        if not self.rows.shape == self.cols.shape == self.values.shape or self.rows.ndim != 1:
+            raise ValueError("rows, cols and values must be 1-D arrays of one length")
+        if self.rows.size and not (
+            0 <= self.rows.min() and self.rows.max() < self.shape[0]
+            and 0 <= self.cols.min() and self.cols.max() < self.shape[1]
+        ):
+            raise ValueError(f"pair index outside the {self.shape[0]}x{self.shape[1]} matrix")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("matrix contains non-finite entries")
+
+    @property
+    def T(self) -> "PairMatrix":
+        return PairMatrix(self.cols, self.rows, self.values, self.shape[::-1])
+
+    def __matmul__(self, block) -> np.ndarray:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {block.shape}")
+        out = np.empty((self.shape[0], block.shape[1]))
+        for k in range(block.shape[1]):
+            out[:, k] = np.bincount(
+                self.rows, weights=self.values * block[self.cols, k], minlength=self.shape[0]
+            )
+        return out
+
+
+# Randomized SVD settings: extra test vectors beyond the rank, and
+# subspace iterations (scikit-learn ``randomized_svd``'s defaults).
+_OVERSAMPLES = 10
+_POWER_ITERS = 7
+
+
 def truncated_svd(a, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-`rank` singular triplet of a dense matrix.
+    """Top-`rank` singular triplets of a dense matrix or a PairMatrix.
 
     Returns (u, s, vt) with u of shape (n, rank), s non-negative and
-    non-increasing, vt of shape (rank, m). Uses the full LAPACK SVD,
-    which is exact and plenty fast at the scales this library targets.
+    non-increasing, vt of shape (rank, m). Randomized range finder with
+    subspace iteration (Halko, Martinsson & Tropp 2011, algorithms 4.4
+    and 5.1): ``min(rank + 10, n, m)`` Gaussian test vectors, 7 power
+    iterations re-orthonormalized after every product, then a small
+    dense SVD of the projected block. The matrix is touched only through
+    ``a @ x`` and ``a.T @ y``, so a PairMatrix is never densified. The
+    test vectors come from a private fixed-seed generator, so the result
+    is deterministic and no caller's random stream moves. When
+    ``rank + 10 >= min(n, m)`` the range is the whole space and the
+    result is the exact SVD up to rounding. Each singular pair's sign is
+    fixed so that the largest-magnitude entry of its u column is positive.
     """
-    a = as_matrix(a)
-    if not 1 <= rank <= min(a.shape):
-        raise ValueError(f"rank must be in [1, {min(a.shape)}], got {rank}")
+    if not isinstance(a, PairMatrix):
+        a = as_matrix(a)
+    n, m = a.shape
+    if not 1 <= rank <= min(n, m):
+        raise ValueError(f"rank must be in [1, {min(n, m)}], got {rank}")
+    width = min(rank + _OVERSAMPLES, n, m)
+    a_t = a.T
+    test = np.random.default_rng(0).standard_normal((m, width))
+    q, _ = np.linalg.qr(a @ test)
+    for _ in range(_POWER_ITERS):
+        z, _ = np.linalg.qr(a_t @ q)
+        q, _ = np.linalg.qr(a @ z)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        small_u, s, vt = np.linalg.svd((a_t @ q).T, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix "
+            f"SVD did not converge on a {n}x{m} matrix "
             f"(LAPACK hit its internal iteration limit)"
         ) from exc
-    return u[:, :rank], s[:rank], vt[:rank, :]
+    u = (q @ small_u)[:, :rank]
+    vt = vt[:rank]
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(rank)] < 0, -1.0, 1.0)
+    return u * signs, s[:rank], vt * signs[:, None]
 
 
 def sigmoid(x):

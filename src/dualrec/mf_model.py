@@ -6,7 +6,7 @@ shares one user matrix between the ratings and the reliability scores,
 fitting sigmoid(e_i . z_j) to ratings and sigmoid(e_i . f_j) to
 reliability simultaneously. Both use squared error over the observed
 entries plus count-weighted L2 regularization, minimized with mini-batch
-Adam from an SVD warm start.
+Adam from an SVD warm start computed over the observed pairs only.
 
 On top of the trained factors sits a small head: two KxK projections mix
 the elementwise products of the rating-branch and joint-branch factors
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import sigmoid, truncated_svd
+from .linalg import PairMatrix, sigmoid, truncated_svd
 from .training import fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
@@ -107,29 +107,24 @@ class MfHyperparams:
             raise ValueError("reg_lambda must be >= 0")
 
 
-def _dense(store: InteractionStore, values: dict) -> np.ndarray:
-    """Zero-filled dense matrix of the given sparse values."""
-    out = np.zeros((store.n_users, store.n_products))
-    for (i, j), v in values.items():
-        out[i, j] = v
-    return out
-
-
 def svd_init(store: InteractionStore, latent_dim: int):
     """SVD warm starts for both factor models.
 
-    Missing entries are treated as zero for the decomposition only.
+    Missing entries are treated as zero for the decomposition only; the
+    observed pairs go to :func:`truncated_svd` as a sparse
+    :class:`PairMatrix`, so no users x products array is built.
     Returns ((W, Z), (E, F)): W = (U sqrt(S))^T and Z = sqrt(S) V^T from
     the rating matrix, and the same recipe on the reliability matrix.
     """
+    shape = (store.n_users, store.n_products)
 
-    def decompose(dense):
-        u, s, vt = truncated_svd(dense, latent_dim)
+    def decompose(pairs):
+        u, s, vt = truncated_svd(PairMatrix(*pairs[:3], shape), latent_dim)
         root = np.sqrt(s)
         return (u * root).T, root[:, None] * vt
 
-    w, z = decompose(_dense(store, store.ratings))
-    e, f = decompose(_dense(store, store.reliability))
+    w, z = decompose(store.rated_arrays)
+    e, f = decompose(store.scored_arrays)
     return (w, z), (e, f)
 
 

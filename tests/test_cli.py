@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dualrec.checkpoint import save_sections
 from dualrec.cli import main
 from dualrec.ingest import load_store
 
@@ -239,6 +240,22 @@ class TestPipeline:
         assert len(summary) == 3
         assert (out_dir / "report_50.txt").exists()
         assert (out_dir / "report_70.txt").exists()
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_bytes(b"DUALREC\x00" + bytes(7)),  # 15 bytes: no fixed header
+        lambda path: save_sections(path, "fusion", {}, [("w", [1.0])]),  # no model sections
+    ], ids=["truncated", "missing-sections"])
+    def test_malformed_checkpoint_is_bad_store(self, tmp_path, reviews_file, capsys, write):
+        store = tmp_path / "store.json"
+        model = tmp_path / "fused.ckpt"
+        assert main(["ingest", "--input", str(reviews_file), "--out", str(store)]) == 0
+        write(model)
+        capsys.readouterr()
+        code = main(["evaluate", "--store", str(store), "--model", str(model),
+                     "--out", str(tmp_path / "report.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad-store" in err and "Traceback" not in err
 
 
 class TestDeterminismAndSmoke:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import (
     ReviewRecord,
     build_store,
@@ -233,6 +234,32 @@ class TestRoundTrip:
         path = tmp_path / "store.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"entry {len(entries) - 1}:"):
+            load_store(path)
+
+    def test_non_integral_synthetic_ratings_round_trip(self, tmp_path):
+        store = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4, quantize=False)).store
+        assert any(v != int(v) for v in store.raw_ratings.values())
+        path = tmp_path / "store.json"
+        save_store(store, path)
+        assert load_store(path).raw_ratings == store.raw_ratings
+
+    @pytest.mark.parametrize("row", [
+        [0.7, 0, 3, 0, 0, 1],
+        [0, True, 3, 0, 0, 1],
+        [0, 0, 9, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, True, 0, 0, 1],
+        [0, 0, 3, -1, 2, 1],
+        [0, 0, 3, 0, -2, 1],
+        [0, 0, 3, 5, 2, 1],
+    ], ids=["float-index", "bool-index", "rating-above-five", "rating-zero", "bool-rating",
+            "negative-helpful", "negative-total", "helpful-above-total"])
+    def test_load_rejects_wrong_values(self, tmp_path, row):
+        doc = {"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+               "users": ["u"], "products": ["p"], "entries": [row], "reliability": []}
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="entry 0:"):
             load_store(path)
 
     @pytest.mark.parametrize("text", [

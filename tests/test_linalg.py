@@ -5,6 +5,7 @@ import pytest
 
 from dualrec.linalg import (
     AdamState,
+    PairMatrix,
     adam_step,
     as_matrix,
     finite_diff_grad,
@@ -57,6 +58,68 @@ class TestTruncatedSvd:
     def test_as_matrix_requires_2d(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros(3))
+
+
+class TestPairMatrix:
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.rows = rng.integers(0, 6, 20)
+        self.cols = rng.integers(0, 4, 20)
+        self.values = rng.normal(size=20)
+        self.dense = np.zeros((6, 4))
+        np.add.at(self.dense, (self.rows, self.cols), self.values)  # repeats add up
+        self.a = PairMatrix(self.rows, self.cols, self.values, (6, 4))
+
+    def test_products_equal_dense(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(4, 3)), rng.normal(size=(6, 5))
+        np.testing.assert_allclose(self.a @ x, self.dense @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(self.a.T @ y, self.dense.T @ y, rtol=1e-12, atol=1e-12)
+        assert self.a.T.shape == (4, 6)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            PairMatrix([0, 6], [0, 0], [1.0, 1.0], (6, 4))
+        with pytest.raises(ValueError):
+            PairMatrix([0], [0], [np.inf], (6, 4))
+        with pytest.raises(ValueError):
+            self.a @ np.zeros((6, 2))
+
+    def test_svd_matches_dense_input(self):
+        u, s, vt = truncated_svd(self.a, 2)
+        du, ds, dvt = truncated_svd(self.dense, 2)
+        np.testing.assert_allclose(s, ds, rtol=1e-12)
+        np.testing.assert_allclose(u, du, atol=1e-12)
+        np.testing.assert_allclose(vt, dvt, atol=1e-12)
+
+
+class TestRandomizedSvd:
+    def test_gapped_low_rank_plus_noise_matches_lapack(self):
+        # rank-5 signal with singular values 100..20 plus noise of norm ~1:
+        # 15 test vectors in a 300 x 200 matrix, so the range is sampled
+        rng = np.random.default_rng(4)
+        left, _ = np.linalg.qr(rng.normal(size=(300, 5)))
+        right, _ = np.linalg.qr(rng.normal(size=(200, 5)))
+        a = (left * [100.0, 80.0, 60.0, 40.0, 20.0]) @ right.T
+        a += rng.normal(scale=0.03, size=a.shape)
+        u, s, vt = truncated_svd(a, 5)
+        eu, es, evt = np.linalg.svd(a, full_matrices=False)
+        np.testing.assert_allclose(s, es[:5], rtol=1e-10)
+        np.testing.assert_allclose(u @ u.T, eu[:, :5] @ eu[:, :5].T, atol=1e-10)
+        np.testing.assert_allclose(vt.T @ vt, evt[:5].T @ evt[:5], atol=1e-10)
+
+    def test_does_not_touch_global_random_state(self):
+        np.random.seed(3)
+        expected = np.random.random()
+        np.random.seed(3)
+        truncated_svd(np.arange(12.0).reshape(4, 3), 1)
+        assert np.random.random() == expected
+
+    def test_sign_convention(self):
+        a = -np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
+        u, s, vt = truncated_svd(a, 1)
+        assert u[np.argmax(np.abs(u[:, 0])), 0] > 0
+        np.testing.assert_allclose(u * s @ vt, a, atol=1e-12)
 
 
 class TestSigmoid:

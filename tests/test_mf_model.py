@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,32 @@ class TestSvdInit:
         (w, z), _ = svd_init(store, 2)
         err = np.abs(w.T @ z - target) / np.abs(target)
         assert float(err.max()) < 1e-6
+
+    def test_repeat_calls_are_byte_identical(self):
+        store = random_store(np.random.default_rng(9), 30, 25, density=0.3)
+        first, second = svd_init(store, 4), svd_init(store, 4)
+        for a, b in zip([*first[0], *first[1]], [*second[0], *second[1]]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_dense_users_by_products_matrix(self):
+        # 3,000 x 3,000 store with 4,000 ratings: a dense float64 copy
+        # alone would take 72 MB
+        rng = np.random.default_rng(10)
+        flat = rng.choice(3000 * 3000, size=4000, replace=False)
+        entries = [(int(k // 3000), int(k % 3000), int(rng.integers(1, 6)), 0, 0, t)
+                   for t, k in enumerate(flat)]
+        rel = {(i, j): 0.5 for i, j, *_ in entries[::2]}
+        from dualrec.ingest import _make_store
+
+        store = _make_store([f"u{i}" for i in range(3000)], [f"p{j}" for j in range(3000)],
+                            entries, rel)
+        tracemalloc.start()
+        try:
+            svd_init(store, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"svd_init peak {peak / 2**20:.1f} MiB"
 
 
 class TestLossValues:
