@@ -29,7 +29,7 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
     entries = []
     payloads = []
     for name, array in sections:
-        arr = np.ascontiguousarray(array, dtype="<f8")
+        arr = np.asarray(array, dtype="<f8")  # keeps 0-d; tobytes() is C order
         entries.append({"name": name, "shape": list(arr.shape)})
         payloads.append(arr.tobytes())
     header = json.dumps(

@@ -71,7 +71,7 @@ def cmd_reliability(args) -> int:
     try:
         breakdowns = reliability_mod.score_store(
             store, alpha=args.alpha, fallback_max=args.fallback_helpful_max,
-            threads=1 if args.deterministic else max(1, args.threads),
+            threads=max(1, args.threads),
         )
     except ValueError as exc:
         raise CliError("bad-args", str(exc)) from exc
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide by the product's max helpful votes (vote-less datasets)")
     p.add_argument("--store-out", help="also write a store with reliability attached")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true", help="score on one thread")
     p.set_defaults(handler=cmd_reliability)
 
     p = sub.add_parser("pretrain-mf", help="train the linear branch")

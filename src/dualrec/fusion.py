@@ -43,7 +43,7 @@ class FusionModel:
     mlp: MlpParams
     concat_w: np.ndarray  # p x (K + p), left block reads the MF embedding
     reg_w: np.ndarray  # p
-    reg_b: float
+    reg_b: np.ndarray  # (1,)
     gamma: float
     global_mean: float = 3.0  # raw-scale fallback for unknown indices
 
@@ -121,7 +121,7 @@ def init_fusion_random(
         proj_joint=rng.normal(0.0, scale, (k, k)),
         head=rng.normal(0.0, scale, (k, p)),
         reg_w=rng.normal(0.0, scale, p),
-        reg_b=0.0,
+        reg_b=np.zeros(1),
     )
     mlp = mlp_model.init_mlp(n_users, n_products, k, tower_widths, seed + 1, scale)
     return FusionModel(
@@ -129,7 +129,7 @@ def init_fusion_random(
         mlp=mlp,
         concat_w=rng.normal(0.0, scale, (p, k + p)),
         reg_w=rng.normal(0.0, scale, p),
-        reg_b=0.0,
+        reg_b=np.zeros(1),
         gamma=gamma,
     )
 
@@ -180,25 +180,23 @@ def predict_batch(model: FusionModel, pairs) -> list[float]:
     return [min(max(v, MIN_RATING), float(MAX_RATING)) for v in out]
 
 
+# Branch parameters the fused forward pass never reads: each branch's own
+# head, which the fused head bypasses, and the reliability-only factors.
+_UNREAD = ("head", "reg_w", "reg_b", "prod_rel")
+
+
+def _branch_entries(prefix: str, table: dict) -> dict:
+    """``prefix + name`` -> array for the branch entries the fused forward pass reads."""
+    return {prefix + name: a for name, a in table.items() if name not in _UNREAD}
+
+
 def _param_dict(model: FusionModel, freeze_branches: bool) -> dict:
-    out = {
-        "concat_w": model.concat_w,
-        "reg_w": model.reg_w,
-    }
-    if freeze_branches:
-        return out
-    out.update(
-        {
-            "mf/user_rating": model.mf.user_rating,
-            "mf/prod_rating": model.mf.prod_rating,
-            "mf/user_joint": model.mf.user_joint,
-            "mf/prod_joint": model.mf.prod_joint,
-            "mf/proj_rating": model.mf.proj_rating,
-            "mf/proj_joint": model.mf.proj_joint,
-        }
-    )
-    for name, arr in mlp_model._param_dict(model.mlp).items():
-        out[f"mlp/{name}"] = arr
+    """The arrays fine-tuning trains: the fused head, and unless the
+    branches are frozen, every branch parameter the forward pass reads."""
+    out = {"concat_w": model.concat_w, "reg_w": model.reg_w, "reg_b": model.reg_b}
+    if not freeze_branches:
+        out.update(_branch_entries("mf/", mf_model.param_dict(model.mf)))
+        out.update(_branch_entries("mlp/", mlp_model.param_dict(model.mlp)))
     return out
 
 
@@ -216,36 +214,26 @@ def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) 
     d_concat = d_hidden @ model.concat_w
     k = model.latent_dim
     d_theta_mf = d_concat[:, :k]
-    d_theta_mlp = d_concat[:, k:]
 
     mf = model.mf
-    rating, joint = cache["rating"], cache["joint"]
-    grads["mf/proj_rating"] = d_theta_mf.T @ rating
-    grads["mf/proj_joint"] = d_theta_mf.T @ joint
+    idx_u, idx_p = cache["idx_u"], cache["idx_p"]
     d_rating = d_theta_mf @ mf.proj_rating
     d_joint = d_theta_mf @ mf.proj_joint
-    idx_u, idx_p = cache["idx_u"], cache["idx_p"]
-    for name, mat, other, d_prod in (
-        ("mf/user_rating", mf.user_rating, mf.prod_rating, d_rating),
-        ("mf/user_joint", mf.user_joint, mf.prod_joint, d_joint),
-    ):
-        g = np.zeros((mat.shape[1], mat.shape[0]))
-        np.add.at(g, idx_u, d_prod * other[:, idx_p].T)
-        grads[name] = g.T
-    for name, mat, other, d_prod in (
-        ("mf/prod_rating", mf.prod_rating, mf.user_rating, d_rating),
-        ("mf/prod_joint", mf.prod_joint, mf.user_joint, d_joint),
-    ):
-        g = np.zeros((mat.shape[1], mat.shape[0]))
-        np.add.at(g, idx_p, d_prod * other[:, idx_u].T)
-        grads[name] = g.T
+    mf_grads = {
+        "proj_rating": d_theta_mf.T @ cache["rating"],
+        "proj_joint": d_theta_mf.T @ cache["joint"],
+    }
+    for user, prod, d_prod in (("user_rating", "prod_rating", d_rating),
+                               ("user_joint", "prod_joint", d_joint)):
+        u_cols = getattr(mf, user)[:, idx_u].T
+        v_cols = getattr(mf, prod)[:, idx_p].T
+        mf_grads[user] = mf_model._scatter_cols(mf.n_users, k, idx_u, d_prod * v_cols)
+        mf_grads[prod] = mf_model._scatter_cols(mf.n_products, k, idx_p, d_prod * u_cols)
+    grads.update(_branch_entries("mf/", mf_grads))
 
     mlp_grads = mlp_model._zero_grads(model.mlp)
-    mlp_model._backward_from_theta(model.mlp, cache["mlp_cache"], d_theta_mlp, mlp_grads)
-    for name, arr in mlp_grads.items():
-        if name in ("head", "reg_w", "reg_b"):
-            continue  # the branch's own head is bypassed by the fused head
-        grads[f"mlp/{name}"] = arr
+    mlp_model._backward_from_theta(model.mlp, cache["mlp_cache"], d_concat[:, k:], mlp_grads)
+    grads.update(_branch_entries("mlp/", mlp_grads))
     return grads
 
 
@@ -271,9 +259,6 @@ def train_fusion(
     model.global_mean = store.global_mean_raw()
 
     idx_u, idx_p, _, raw = store.rated_arrays
-    weights = _param_dict(model, freeze_branches)
-    reg_b = np.array([model.reg_b])
-    weights["reg_b"] = reg_b
 
     def batch_grads(batch):
         preds, cache = _forward_batch(model, idx_u[batch], idx_p[batch])
@@ -282,23 +267,17 @@ def train_fusion(
     def predict(bu, bp):
         return _forward_batch(model, bu, bp)[0]
 
-    def sync():
-        model.reg_b = float(reg_b[0])
-
-    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
-        idx_u.size, hyper, np.random.default_rng(hyper.seed), "fusion",
-        val_loss=val_mae(predict, val_store), on_epoch=on_epoch, sync=sync)
+    fit(_param_dict(model, freeze_branches), batch_grads,
+        lambda: mean_abs_error(predict, store.rated_arrays), idx_u.size, hyper,
+        np.random.default_rng(hyper.seed), "fusion", val_loss=val_mae(predict, val_store),
+        on_epoch=on_epoch)
     return model
 
 
 def save_fusion(model: FusionModel, path) -> None:
-    sections = mf_model.mf_sections(model.mf, prefix="mf/")
-    sections += mlp_model.mlp_sections(model.mlp, prefix="mlp/")
-    sections += [
-        ("concat_w", model.concat_w),
-        ("reg_w", model.reg_w),
-        ("reg_b", np.array([model.reg_b])),
-    ]
+    sections = [("mf/" + name, a) for name, a in mf_model.param_dict(model.mf).items()]
+    sections += [("mlp/" + name, a) for name, a in mlp_model.param_dict(model.mlp).items()]
+    sections += [("concat_w", model.concat_w), ("reg_w", model.reg_w), ("reg_b", model.reg_b)]
     meta = {
         "n_users": model.mf.n_users,
         "n_products": model.mf.n_products,
@@ -320,7 +299,7 @@ def load_fusion(path) -> FusionModel:
         mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), prefix="mlp/"),
         concat_w=arrays["concat_w"],
         reg_w=arrays["reg_w"],
-        reg_b=float(arrays["reg_b"][0]),
+        reg_b=arrays["reg_b"],
         gamma=float(meta["gamma"]),
         global_mean=float(meta["global_mean"]),
     )

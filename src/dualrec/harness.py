@@ -23,7 +23,7 @@ from .fusion import (
     predict_batch,
     train_fusion,
 )
-from .ingest import MAX_RATING, InteractionStore, load_store, restrict
+from .ingest import MAX_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
 from .metrics import EvalReport, evaluate_predictions
 from .mf_model import MfHyperparams, train_mf
@@ -149,20 +149,12 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     raw = np.clip(MAX_RATING * norm, 1.0, float(MAX_RATING))
     rel = sigmoid(ru @ rv.T)
 
-    entries = []
-    rel_map = {}
-    when = 0
-    for i in range(n):
-        for j in range(m):
-            if not mask[i, j]:
-                continue
-            value = int(np.rint(raw[i, j])) if spec.quantize else float(raw[i, j])
-            entries.append((i, j, value, 0, 0, when))
-            rel_map[(i, j)] = float(rel[i, j])
-            when += 1
-
-    from .ingest import _make_store
-
+    rows, cols = np.nonzero(mask)  # row-major: the k-th observed pair gets time k
+    observed = raw[rows, cols]
+    values = (np.rint(observed).astype(int) if spec.quantize else observed).tolist()
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    entries = [(i, j, value, 0, 0, when) for when, ((i, j), value) in enumerate(zip(pairs, values))]
+    rel_map = dict(zip(pairs, rel[rows, cols].tolist()))
     store = _make_store(
         [f"u{i}" for i in range(n)],
         [f"p{j}" for j in range(m)],

@@ -17,7 +17,7 @@ raw ratings, factors frozen.
 
 import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .training import fit, head_forward, mean_abs_error, val_mae
 __all__ = [
     "MfParams",
     "MfHyperparams",
+    "param_dict",
     "svd_init",
     "rating_loss",
     "rating_loss_grads",
@@ -53,7 +54,8 @@ class MfParams:
     K x m). ``user_rating``/``prod_rating`` come from the rating
     objective; ``user_joint``/``prod_joint``/``prod_rel`` from the joint
     objective, where ``user_joint`` is the shared user matrix and
-    ``prod_rel`` only ever meets the reliability data.
+    ``prod_rel`` only ever meets the reliability data. The field order is
+    the checkpoint section order.
     """
 
     user_rating: np.ndarray
@@ -65,7 +67,7 @@ class MfParams:
     proj_joint: np.ndarray  # K x K mixer for the joint-branch product
     head: np.ndarray  # K x p output projection
     reg_w: np.ndarray  # p regression weights
-    reg_b: float
+    reg_b: np.ndarray  # (1,) regression bias
 
     @property
     def latent_dim(self) -> int:
@@ -105,6 +107,11 @@ class MfHyperparams:
             raise ValueError("latent_dim must be >= 1")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be >= 0")
+
+
+def param_dict(params: MfParams) -> dict:
+    """Name -> array of every parameter, in checkpoint section order."""
+    return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
 def svd_init(store: InteractionStore, latent_dim: int):
@@ -289,16 +296,10 @@ def _predict_batch(params: MfParams, idx_u, idx_p):
 
 
 def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
-    """MAE head training with frozen factors."""
+    """MAE head training with frozen factors (the ``user_*``/``prod_*`` tables)."""
     idx_u, idx_p, _, raw = store.rated_arrays
-    reg_b = np.array([params.reg_b])
-    weights = {
-        "proj_rating": params.proj_rating,
-        "proj_joint": params.proj_joint,
-        "head": params.head,
-        "reg_w": params.reg_w,
-        "reg_b": reg_b,
-    }
+    weights = {name: w for name, w in param_dict(params).items()
+               if not name.startswith(("user_", "prod_"))}
 
     def batch_grads(batch):
         bu, bp, target = idx_u[batch], idx_p[batch], raw[batch]
@@ -316,13 +317,9 @@ def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
         }
 
     predict = functools.partial(_predict_batch, params)
-
-    def sync():
-        params.reg_b = float(reg_b[0])
-
     fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
         idx_u.size, hyper, rng, "mf-head", val_loss=val_mae(predict, val_store),
-        on_epoch=on_epoch, sync=sync)
+        on_epoch=on_epoch)
 
 
 def train_mf(
@@ -355,7 +352,7 @@ def train_mf(
         proj_joint=rng.normal(0.0, hyper.init_scale, (k, k)),
         head=rng.normal(0.0, hyper.init_scale, (k, p)),
         reg_w=rng.normal(0.0, hyper.init_scale, p),
-        reg_b=0.0,
+        reg_b=np.zeros(1),
     )
 
     rated, scored = store.rated_arrays, store.scored_arrays
@@ -400,22 +397,8 @@ def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.
     return np.clip(MAX_RATING * sigmoid(dots), 1.0, float(MAX_RATING))
 
 
-_SECTION_ORDER = [
-    "user_rating", "prod_rating", "user_joint", "prod_joint", "prod_rel",
-    "proj_rating", "proj_joint", "head", "reg_w",
-]
-
-
-def mf_sections(params: MfParams, prefix: str = ""):
-    """(name, array) list in the documented checkpoint order."""
-    out = [(prefix + name, getattr(params, name)) for name in _SECTION_ORDER]
-    out.append((prefix + "reg_b", np.array([params.reg_b])))
-    return out
-
-
 def params_from_sections(arrays: dict, prefix: str = "") -> MfParams:
-    fields = {name: arrays[prefix + name] for name in _SECTION_ORDER}
-    return MfParams(reg_b=float(arrays[prefix + "reg_b"][0]), **fields)
+    return MfParams(**{f.name: arrays[prefix + f.name] for f in fields(MfParams)})
 
 
 def save_mf(params: MfParams, path) -> None:
@@ -425,7 +408,7 @@ def save_mf(params: MfParams, path) -> None:
         "latent_dim": params.latent_dim,
         "predictive_dim": params.predictive_dim,
     }
-    checkpoint.save_sections(path, "mf", meta, mf_sections(params))
+    checkpoint.save_sections(path, "mf", meta, param_dict(params).items())
 
 
 def load_mf(path) -> MfParams:

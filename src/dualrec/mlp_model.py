@@ -12,7 +12,7 @@ rows a batch looked up.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .training import fit, head_forward, mean_abs_error, val_mae
 __all__ = [
     "MlpParams",
     "MlpHyperparams",
+    "param_dict",
     "init_mlp",
     "fusion_layer",
     "mlp_embedding",
@@ -37,7 +38,11 @@ __all__ = [
 
 @dataclass
 class MlpParams:
-    """All parameters of the non-linear branch (embedding rows are rows)."""
+    """All parameters of the non-linear branch (embedding rows are rows).
+
+    The field order is the checkpoint section order, with the tower
+    interleaved per layer: ``tower_w_0``, ``tower_b_0``, ``tower_w_1``, ...
+    """
 
     user_rating_emb: np.ndarray  # n x K
     user_rel_emb: np.ndarray  # n x K
@@ -51,7 +56,7 @@ class MlpParams:
     tower_b: list  # layer l: T_l
     head: np.ndarray  # p x p output projection
     reg_w: np.ndarray  # p regression weights
-    reg_b: float
+    reg_b: np.ndarray  # (1,) regression bias
 
     @property
     def latent_dim(self) -> int:
@@ -129,7 +134,7 @@ def init_mlp(
         tower_b=[np.zeros(w) for w in widths],
         head=rng.normal(0.0, scale, (p, p)),
         reg_w=rng.normal(0.0, scale, p),
-        reg_b=0.0,
+        reg_b=np.zeros(1),
     )
 
 
@@ -160,24 +165,20 @@ def _forward_batch(params: MlpParams, idx_u, idx_p):
     return hidden[-1], cache
 
 
+def param_dict(params: MlpParams) -> dict:
+    """Name -> array of every parameter, in checkpoint section order."""
+    out = {}
+    for f in fields(params):
+        if f.name == "tower_w":
+            for l, (w, b) in enumerate(zip(params.tower_w, params.tower_b)):
+                out[f"tower_w_{l}"], out[f"tower_b_{l}"] = w, b
+        elif f.name != "tower_b":
+            out[f.name] = getattr(params, f.name)
+    return out
+
+
 def _zero_grads(params: MlpParams) -> dict:
-    grads = {
-        "user_rating_emb": np.zeros_like(params.user_rating_emb),
-        "user_rel_emb": np.zeros_like(params.user_rel_emb),
-        "prod_rating_emb": np.zeros_like(params.prod_rating_emb),
-        "prod_rel_emb": np.zeros_like(params.prod_rel_emb),
-        "fusion_w_user": np.zeros_like(params.fusion_w_user),
-        "fusion_b_user": np.zeros_like(params.fusion_b_user),
-        "fusion_w_prod": np.zeros_like(params.fusion_w_prod),
-        "fusion_b_prod": np.zeros_like(params.fusion_b_prod),
-        "head": np.zeros_like(params.head),
-        "reg_w": np.zeros_like(params.reg_w),
-        "reg_b": np.zeros(1),
-    }
-    for l, (w, b) in enumerate(zip(params.tower_w, params.tower_b)):
-        grads[f"tower_w_{l}"] = np.zeros_like(w)
-        grads[f"tower_b_{l}"] = np.zeros_like(b)
-    return grads
+    return {name: np.zeros_like(w) for name, w in param_dict(params).items()}
 
 
 def _backward_from_theta(params: MlpParams, cache: dict, d_theta, grads: dict) -> None:
@@ -254,25 +255,6 @@ def mlp_backward(params: MlpParams, i: int, j: int, loss_grad: float) -> dict:
     return _backward_batch(params, cache, np.array([float(loss_grad)]))
 
 
-def _param_dict(params: MlpParams) -> dict:
-    out = {
-        "user_rating_emb": params.user_rating_emb,
-        "user_rel_emb": params.user_rel_emb,
-        "prod_rating_emb": params.prod_rating_emb,
-        "prod_rel_emb": params.prod_rel_emb,
-        "fusion_w_user": params.fusion_w_user,
-        "fusion_b_user": params.fusion_b_user,
-        "fusion_w_prod": params.fusion_w_prod,
-        "fusion_b_prod": params.fusion_b_prod,
-        "head": params.head,
-        "reg_w": params.reg_w,
-    }
-    for l, (w, b) in enumerate(zip(params.tower_w, params.tower_b)):
-        out[f"tower_w_{l}"] = w
-        out[f"tower_b_{l}"] = b
-    return out
-
-
 def train_mlp(
     store: InteractionStore,
     hyper: MlpHyperparams,
@@ -302,9 +284,6 @@ def train_mlp(
         params.prod_rel_emb = f.T.copy()
 
     idx_u, idx_p, _, raw = store.rated_arrays
-    weights = _param_dict(params)
-    reg_b = np.array([params.reg_b])
-    weights["reg_b"] = reg_b
 
     def batch_grads(batch):
         _, cache = _forward_batch(params, idx_u[batch], idx_p[batch])
@@ -315,43 +294,21 @@ def train_mlp(
         theta, _ = _forward_batch(params, bu, bp)
         return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
 
-    def sync():
-        params.reg_b = float(reg_b[0])
-
-    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
+    fit(param_dict(params), batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
         idx_u.size, hyper, np.random.default_rng(hyper.seed), "mlp",
-        val_loss=val_mae(predict, val_store), on_epoch=on_epoch, sync=sync)
+        val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
     return params
 
 
-_FIXED_SECTIONS = [
-    "user_rating_emb", "user_rel_emb", "prod_rating_emb", "prod_rel_emb",
-    "fusion_w_user", "fusion_b_user", "fusion_w_prod", "fusion_b_prod",
-]
-
-
-def mlp_sections(params: MlpParams, prefix: str = ""):
-    """(name, array) list in a fixed order, tower layers numbered."""
-    out = [(prefix + name, getattr(params, name)) for name in _FIXED_SECTIONS]
-    for l, (w, b) in enumerate(zip(params.tower_w, params.tower_b)):
-        out.append((f"{prefix}tower_w_{l}", w))
-        out.append((f"{prefix}tower_b_{l}", b))
-    out.append((prefix + "head", params.head))
-    out.append((prefix + "reg_w", params.reg_w))
-    out.append((prefix + "reg_b", np.array([params.reg_b])))
-    return out
-
-
 def params_from_sections(arrays: dict, n_layers: int, prefix: str = "") -> MlpParams:
-    fields = {name: arrays[prefix + name] for name in _FIXED_SECTIONS}
-    return MlpParams(
-        tower_w=[arrays[f"{prefix}tower_w_{l}"] for l in range(n_layers)],
-        tower_b=[arrays[f"{prefix}tower_b_{l}"] for l in range(n_layers)],
-        head=arrays[prefix + "head"],
-        reg_w=arrays[prefix + "reg_w"],
-        reg_b=float(arrays[prefix + "reg_b"][0]),
-        **fields,
-    )
+    """Inverse of :func:`param_dict` over sections named ``prefix + name``."""
+    kwargs = {}
+    for f in fields(MlpParams):
+        if f.name in ("tower_w", "tower_b"):
+            kwargs[f.name] = [arrays[f"{prefix}{f.name}_{l}"] for l in range(n_layers)]
+        else:
+            kwargs[f.name] = arrays[prefix + f.name]
+    return MlpParams(**kwargs)
 
 
 def save_mlp(params: MlpParams, path) -> None:
@@ -362,7 +319,7 @@ def save_mlp(params: MlpParams, path) -> None:
         "tower": list(params.tower_widths),
         "predictive_dim": params.predictive_dim,
     }
-    checkpoint.save_sections(path, "mlp", meta, mlp_sections(params))
+    checkpoint.save_sections(path, "mlp", meta, param_dict(params).items())
 
 
 def load_mlp(path) -> MlpParams:

@@ -37,7 +37,7 @@ def val_mae(predict, val_store: InteractionStore | None):
 
 
 def fit(weights: dict, batch_grads, full_loss, n: int, hyper, rng, phase: str,
-        val_loss=None, on_epoch=None, sync=None) -> None:
+        val_loss=None, on_epoch=None) -> None:
     """Mini-batch Adam over ``n`` examples, updating ``weights`` in place.
 
     Epoch e runs at learning rate ``hyper.lr * hyper.lr_decay**e`` and
@@ -47,8 +47,7 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper, rng, phase: str,
     ``on_epoch(phase, epoch, loss, seconds)``. With ``val_loss`` and a
     non-zero ``hyper.patience``, training stops once ``val_loss()`` has
     not improved for ``patience`` epochs, and the weights of the best
-    epoch are copied back before returning. ``sync()`` runs after every
-    change to ``weights`` so a model can re-read scalars mirrored there.
+    epoch are copied back before returning.
     """
     state = AdamState(lr=hyper.lr)
     best_val = np.inf
@@ -60,8 +59,6 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper, rng, phase: str,
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             adam_step(weights, batch_grads(order[start : start + hyper.batch_size]), state)
-            if sync is not None:
-                sync()
         loss = full_loss()
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"{phase} training diverged at epoch {epoch}: loss={loss}")
@@ -81,5 +78,3 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper, rng, phase: str,
     if best is not None:
         for name, w in weights.items():
             w[...] = best[name]
-        if sync is not None:
-            sync()

@@ -213,7 +213,6 @@ def test_c04_gradient_correctness():
         checked += 1
         grads = _grads_batch(model, cache, d_raw, freeze_branches=False)
         weights = _param_dict(model, freeze_branches=False)
-        weights["reg_b"] = np.array([model.reg_b])
         for name, grad in grads.items():
             base = weights[name].copy()
             shape = base.shape
@@ -221,9 +220,7 @@ def test_c04_gradient_correctness():
             def value(x, name=name, shape=shape):
                 clone = model.copy()
                 wdict = _param_dict(clone, freeze_branches=False)
-                wdict["reg_b"] = np.array([clone.reg_b])
                 wdict[name][...] = x.reshape(shape)
-                clone.reg_b = float(wdict["reg_b"][0])
                 raw, _ = fused_forward_batch(clone, idx_u, idx_p)
                 return float(np.dot(d_raw, raw))
 

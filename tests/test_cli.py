@@ -156,6 +156,13 @@ class TestReliability:
               "--threads", "4"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deterministic_flag_is_gone(self, tmp_path, reviews_file):
+        store_path = tmp_path / "store.json"
+        main(["ingest", "--input", str(reviews_file), "--out", str(store_path)])
+        code = main(["reliability", "--store", str(store_path),
+                     "--out", str(tmp_path / "r.tsv"), "--deterministic"])
+        assert code == 2
+
     def test_bad_alpha_rejected(self, tmp_path, reviews_file):
         store_path = tmp_path / "store.json"
         main(["ingest", "--input", str(reviews_file), "--out", str(store_path)])

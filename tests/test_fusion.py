@@ -141,10 +141,10 @@ class TestForward:
 
     def test_linear_in_concat_weights(self):
         model = small_model(seed=7)
-        base = fused_predict(model, 1, 2) - 5 * model.reg_b
+        base = fused_predict(model, 1, 2) - 5 * model.reg_b[0]
         doubled = model.copy()
         doubled.concat_w = 2.0 * model.concat_w
-        scaled = fused_predict(doubled, 1, 2) - 5 * model.reg_b
+        scaled = fused_predict(doubled, 1, 2) - 5 * model.reg_b[0]
         assert math.isclose(scaled, 2.0 * base, rel_tol=1e-9)
 
     def test_out_of_range_index(self):
@@ -207,7 +207,6 @@ class TestFusedGradients:
             checked += 1
             grads = _grads_batch(model, cache, d_raw, freeze_branches=False)
             weights = _param_dict(model, freeze_branches=False)
-            weights["reg_b"] = np.array([model.reg_b])
 
             for name, grad in grads.items():
                 if name not in weights or not np.any(np.isfinite(grad)):
@@ -218,9 +217,7 @@ class TestFusedGradients:
                 def value(x):
                     clone = model.copy()
                     wdict = _param_dict(clone, freeze_branches=False)
-                    wdict["reg_b"] = np.array([clone.reg_b])
                     wdict[name][...] = x.reshape(shape)
-                    clone.reg_b = float(wdict["reg_b"][0])
                     raw, _ = _forward_batch(clone, idx_u, idx_p)
                     return float(np.dot(d_raw, raw))
 

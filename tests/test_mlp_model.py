@@ -15,6 +15,7 @@ from dualrec.mlp_model import (
     mlp_backward,
     mlp_embedding,
     mlp_predict,
+    param_dict,
     save_mlp,
     train_mlp,
 )
@@ -23,24 +24,11 @@ from conftest import random_store
 
 
 def get_field(params, name):
-    if name.startswith("tower_w_"):
-        return params.tower_w[int(name.rsplit("_", 1)[1])]
-    if name.startswith("tower_b_"):
-        return params.tower_b[int(name.rsplit("_", 1)[1])]
-    if name == "reg_b":
-        return np.array([params.reg_b])
-    return getattr(params, name)
+    return param_dict(params)[name]
 
 
 def set_field(params, name, value):
-    if name.startswith("tower_w_"):
-        params.tower_w[int(name.rsplit("_", 1)[1])] = value
-    elif name.startswith("tower_b_"):
-        params.tower_b[int(name.rsplit("_", 1)[1])] = value
-    elif name == "reg_b":
-        params.reg_b = float(value[0])
-    else:
-        setattr(params, name, value)
+    param_dict(params)[name][...] = value
 
 
 class TestInit:

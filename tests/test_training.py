@@ -5,7 +5,7 @@ from dualrec.fusion import FusionHyperparams, fused_predict, init_fusion_random,
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import _make_store
 from dualrec.linalg import TrainingDivergedError
-from dualrec.mlp_model import MlpHyperparams, mlp_predict, mlp_sections, train_mlp
+from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
 from dualrec.training import fit, mean_abs_error
 
 
@@ -15,7 +15,7 @@ class Hyper:
         self.lr, self.lr_decay, self.batch_size = lr, lr_decay, batch_size
 
 
-def run_fit(val_scores, hyper, synced=None):
+def run_fit(val_scores, hyper):
     """fit on one weight vector with a constant gradient; returns
     (weights, per-epoch weight copies, validation calls)."""
     weights = {"w": np.zeros(3)}
@@ -30,8 +30,7 @@ def run_fit(val_scores, hyper, synced=None):
         seen.append(weights["w"].copy())
 
     fit(weights, lambda batch: {"w": np.ones(3)}, lambda: 0.0, 4, hyper,
-        np.random.default_rng(0), "toy", val_loss=val_mae, on_epoch=on_epoch,
-        sync=None if synced is None else lambda: synced.append(weights["w"].copy()))
+        np.random.default_rng(0), "toy", val_loss=val_mae, on_epoch=on_epoch)
     return weights["w"], seen, calls
 
 
@@ -46,12 +45,6 @@ class TestFit:
     def test_restores_when_the_last_epochs_are_worse_without_stopping(self):
         w, seen, _ = run_fit([3.0, 1.0, 2.0, 2.5], Hyper(epochs=4, patience=5))
         assert np.array_equal(w, seen[1])
-
-    def test_sync_sees_the_restored_weights(self):
-        synced = []
-        w, seen, _ = run_fit([2.0, 1.0, 3.0, 4.0], Hyper(epochs=4, patience=2), synced)
-        assert len(synced) == 4 * 2 + 1  # two batches per epoch, then the restore
-        assert np.array_equal(synced[-1], w)
 
     def test_without_patience_keeps_the_last_weights(self):
         w, seen, calls = run_fit([3.0, 1.0, 2.0, 2.5], Hyper(epochs=4, patience=0))
@@ -105,7 +98,7 @@ def test_train_mlp_returns_the_best_validation_epoch(mirrored):
     best = best_epoch(lambda e: train_mlp(store, hyper(e)), mlp_predict, val, 10, 3)
     got = train_mlp(store, hyper(10, patience=3), val_store=val)
     want = train_mlp(store, hyper(best + 1))
-    for (name, a), (_, b) in zip(mlp_sections(got), mlp_sections(want)):
+    for (name, a), (_, b) in zip(param_dict(got).items(), param_dict(want).items()):
         assert np.array_equal(a, b), name
 
 
