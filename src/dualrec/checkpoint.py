@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["save_sections", "load_sections"]
+__all__ = ["save_sections", "load_sections", "load_model_sections"]
 
 MAGIC = b"DUALREC\x00"
 VERSION = 1
@@ -106,3 +106,26 @@ def load_sections(path):
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last section")
     return header["kind"], header["meta"], arrays
+
+
+def load_model_sections(path, kind: str, section_shapes):
+    """Read a ``kind`` container whose sections are exactly ``section_shapes(meta)``.
+
+    ``section_shapes`` maps the meta object to a dict name -> shape.
+    Returns (meta, arrays). Raises ValueError for another kind, a meta
+    that ``section_shapes`` cannot read, and a missing section, an extra
+    one or a shape other than the one meta implies.
+    """
+    found, meta, arrays = load_sections(path)
+    if found != kind:
+        raise ValueError(f"{path}: expected a checkpoint of kind {kind!r}, found {found!r}")
+    try:
+        want = {name: tuple(shape) for name, shape in section_shapes(meta).items()}
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad {kind} checkpoint meta: {exc!r}") from exc
+    got = {name: array.shape for name, array in arrays.items()}
+    if got != want:
+        bad = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+        raise ValueError(f"{path}: sections {bad} have shapes {[got.get(n) for n in bad]}, "
+                         f"meta implies {[want.get(n) for n in bad]} (None: no section)")
+    return meta, arrays

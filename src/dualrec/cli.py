@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8, help="latent dimension")
     p.add_argument("--tower", default="16,8", help="comma-separated layer widths")
     p.add_argument("--init-from-factors", action="store_true",
-                   help="initialize embedding tables from the SVD factors")
+                   help="initialize each embedding table from the sum of the rating "
+                        "and reliability SVD factors")
     common_train_flags(p)
     p.set_defaults(handler=cmd_pretrain_mlp)
 

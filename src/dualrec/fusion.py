@@ -290,10 +290,17 @@ def save_fusion(model: FusionModel, path) -> None:
     checkpoint.save_sections(path, "fusion", meta, sections)
 
 
+def _section_shapes(meta: dict) -> dict:
+    """Name -> shape of every section that checkpoint ``meta`` implies."""
+    shapes = {"mf/" + name: s for name, s in mf_model.section_shapes(meta).items()}
+    shapes.update({"mlp/" + name: s for name, s in mlp_model.section_shapes(meta).items()})
+    k, p = meta["latent_dim"], shapes["mlp/reg_w"][0]
+    shapes.update(concat_w=(p, k + p), reg_w=(p,), reg_b=(1,))
+    return shapes
+
+
 def load_fusion(path) -> FusionModel:
-    kind, meta, arrays = checkpoint.load_sections(path)
-    if kind != "fusion":
-        raise ValueError(f"{path}: expected a fusion checkpoint, found {kind!r}")
+    meta, arrays = checkpoint.load_model_sections(path, "fusion", _section_shapes)
     return FusionModel(
         mf=mf_model.params_from_sections(arrays, prefix="mf/"),
         mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), prefix="mlp/"),

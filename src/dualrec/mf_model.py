@@ -397,6 +397,15 @@ def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.
     return np.clip(MAX_RATING * sigmoid(dots), 1.0, float(MAX_RATING))
 
 
+def section_shapes(meta: dict) -> dict:
+    """Name -> shape of every section that checkpoint ``meta`` implies."""
+    n, m = meta["n_users"], meta["n_products"]
+    k, p = meta["latent_dim"], meta["predictive_dim"]
+    return {"user_rating": (k, n), "prod_rating": (k, m), "user_joint": (k, n),
+            "prod_joint": (k, m), "prod_rel": (k, m), "proj_rating": (k, k),
+            "proj_joint": (k, k), "head": (k, p), "reg_w": (p,), "reg_b": (1,)}
+
+
 def params_from_sections(arrays: dict, prefix: str = "") -> MfParams:
     return MfParams(**{f.name: arrays[prefix + f.name] for f in fields(MfParams)})
 
@@ -412,7 +421,5 @@ def save_mf(params: MfParams, path) -> None:
 
 
 def load_mf(path) -> MfParams:
-    kind, _, arrays = checkpoint.load_sections(path)
-    if kind != "mf":
-        raise ValueError(f"{path}: expected an mf checkpoint, found {kind!r}")
+    _, arrays = checkpoint.load_model_sections(path, "mf", section_shapes)
     return params_from_sections(arrays)

@@ -1,12 +1,13 @@
 """Non-linear branch: embedding tables, fusion layer and ReLU tower.
 
-Each user owns two K-dim embedding rows (one shaped by rating behaviour,
-one by reliability), and likewise each product. The fusion layer adds a
-user's two rows, applies a KxK fully-connected map and ReLU, and the same
-for the product; the two fused vectors are concatenated into a 2K input
-that a tower of shrinking ReLU layers maps down to the p-dim pair
-embedding. A pxp output projection plus linear regression produce the
-rating. Forward and reverse passes are hand-written numpy; ReLU's
+Each user owns one K-dim embedding row, and likewise each product. With
+``init_from_factors`` the tables start from the sum of the rating and
+reliability SVD factors, the one place reliability enters this branch.
+The fusion layer applies a KxK fully-connected map and ReLU to a user's
+row, and the same to a product's; the two fused vectors are concatenated
+into a 2K input that a tower of shrinking ReLU layers maps down to the
+p-dim pair embedding. A pxp output projection plus linear regression
+produce the rating. Forward and reverse passes are hand-written numpy; ReLU's
 subgradient at exactly 0 is 0, and embedding gradients only touch the
 rows a batch looked up.
 """
@@ -44,10 +45,8 @@ class MlpParams:
     interleaved per layer: ``tower_w_0``, ``tower_b_0``, ``tower_w_1``, ...
     """
 
-    user_rating_emb: np.ndarray  # n x K
-    user_rel_emb: np.ndarray  # n x K
-    prod_rating_emb: np.ndarray  # m x K
-    prod_rel_emb: np.ndarray  # m x K
+    user_emb: np.ndarray  # n x K, one row per user
+    prod_emb: np.ndarray  # m x K, one row per product
     fusion_w_user: np.ndarray  # K x K
     fusion_b_user: np.ndarray  # K
     fusion_w_prod: np.ndarray  # K x K
@@ -60,7 +59,7 @@ class MlpParams:
 
     @property
     def latent_dim(self) -> int:
-        return self.user_rating_emb.shape[1]
+        return self.user_emb.shape[1]
 
     @property
     def tower_widths(self) -> tuple[int, ...]:
@@ -72,11 +71,11 @@ class MlpParams:
 
     @property
     def n_users(self) -> int:
-        return self.user_rating_emb.shape[0]
+        return self.user_emb.shape[0]
 
     @property
     def n_products(self) -> int:
-        return self.prod_rating_emb.shape[0]
+        return self.prod_emb.shape[0]
 
     def copy(self) -> "MlpParams":
         return copy.deepcopy(self)
@@ -104,10 +103,11 @@ def init_mlp(
     seed: int,
     scale: float = 0.01,
 ) -> MlpParams:
-    """Gaussian(0, scale) weights, zero biases, deterministic under seed.
+    """Gaussian(0, scale) weights, two summed per embedding entry; zero biases.
 
-    Tower widths must be positive and non-increasing starting from the
-    2K concatenation width; the last width is the predictive dimension.
+    Deterministic under ``seed``. Tower widths must be positive and
+    non-increasing starting from the 2K concatenation width; the last
+    width is the predictive dimension.
     """
     widths = [int(w) for w in tower_widths]
     if not widths:
@@ -122,10 +122,9 @@ def init_mlp(
     k = latent_dim
     p = widths[-1]
     return MlpParams(
-        user_rating_emb=rng.normal(0.0, scale, (n_users, k)),
-        user_rel_emb=rng.normal(0.0, scale, (n_users, k)),
-        prod_rating_emb=rng.normal(0.0, scale, (n_products, k)),
-        prod_rel_emb=rng.normal(0.0, scale, (n_products, k)),
+        # two draws per table keep the init function and every later parameter's RNG stream
+        user_emb=rng.normal(0.0, scale, (n_users, k)) + rng.normal(0.0, scale, (n_users, k)),
+        prod_emb=rng.normal(0.0, scale, (n_products, k)) + rng.normal(0.0, scale, (n_products, k)),
         fusion_w_user=rng.normal(0.0, scale, (k, k)),
         fusion_b_user=np.zeros(k),
         fusion_w_prod=rng.normal(0.0, scale, (k, k)),
@@ -140,10 +139,10 @@ def init_mlp(
 
 def _forward_batch(params: MlpParams, idx_u, idx_p):
     """Forward pass for index arrays; returns (theta, cache)."""
-    user_sum = params.user_rating_emb[idx_u] + params.user_rel_emb[idx_u]
-    prod_sum = params.prod_rating_emb[idx_p] + params.prod_rel_emb[idx_p]
-    a_pre = user_sum @ params.fusion_w_user.T + params.fusion_b_user
-    b_pre = prod_sum @ params.fusion_w_prod.T + params.fusion_b_prod
+    user = params.user_emb[idx_u]
+    prod = params.prod_emb[idx_p]
+    a_pre = user @ params.fusion_w_user.T + params.fusion_b_user
+    b_pre = prod @ params.fusion_w_prod.T + params.fusion_b_prod
     a = relu(a_pre)
     b = relu(b_pre)
     hidden = [np.concatenate([a, b], axis=1)]
@@ -152,16 +151,8 @@ def _forward_batch(params: MlpParams, idx_u, idx_p):
         pre = hidden[-1] @ w + bias
         pres.append(pre)
         hidden.append(relu(pre))
-    cache = {
-        "idx_u": idx_u,
-        "idx_p": idx_p,
-        "user_sum": user_sum,
-        "prod_sum": prod_sum,
-        "a_pre": a_pre,
-        "b_pre": b_pre,
-        "hidden": hidden,
-        "pres": pres,
-    }
+    cache = {"idx_u": idx_u, "idx_p": idx_p, "user": user, "prod": prod,
+             "a_pre": a_pre, "b_pre": b_pre, "hidden": hidden, "pres": pres}
     return hidden[-1], cache
 
 
@@ -193,16 +184,12 @@ def _backward_from_theta(params: MlpParams, cache: dict, d_theta, grads: dict) -
     k = params.latent_dim
     d_a = d_h[:, :k] * (cache["a_pre"] > 0)
     d_b = d_h[:, k:] * (cache["b_pre"] > 0)
-    grads["fusion_w_user"] += d_a.T @ cache["user_sum"]
+    grads["fusion_w_user"] += d_a.T @ cache["user"]
     grads["fusion_b_user"] += d_a.sum(axis=0)
-    grads["fusion_w_prod"] += d_b.T @ cache["prod_sum"]
+    grads["fusion_w_prod"] += d_b.T @ cache["prod"]
     grads["fusion_b_prod"] += d_b.sum(axis=0)
-    d_user = d_a @ params.fusion_w_user
-    d_prod = d_b @ params.fusion_w_prod
-    np.add.at(grads["user_rating_emb"], cache["idx_u"], d_user)
-    np.add.at(grads["user_rel_emb"], cache["idx_u"], d_user)
-    np.add.at(grads["prod_rating_emb"], cache["idx_p"], d_prod)
-    np.add.at(grads["prod_rel_emb"], cache["idx_p"], d_prod)
+    np.add.at(grads["user_emb"], cache["idx_u"], d_a @ params.fusion_w_user)
+    np.add.at(grads["prod_emb"], cache["idx_p"], d_b @ params.fusion_w_prod)
 
 
 def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
@@ -278,10 +265,8 @@ def train_mlp(
         from .mf_model import svd_init
 
         (w, z), (e, f) = svd_init(store, hyper.latent_dim)
-        params.user_rating_emb = w.T.copy()
-        params.prod_rating_emb = z.T.copy()
-        params.user_rel_emb = e.T.copy()
-        params.prod_rel_emb = f.T.copy()
+        params.user_emb = (w + e).T.copy()
+        params.prod_emb = (z + f).T.copy()
 
     idx_u, idx_p, _, raw = store.rated_arrays
 
@@ -298,6 +283,19 @@ def train_mlp(
         idx_u.size, hyper, np.random.default_rng(hyper.seed), "mlp",
         val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
     return params
+
+
+def section_shapes(meta: dict) -> dict:
+    """Name -> shape of every section that checkpoint ``meta`` implies."""
+    k = meta["latent_dim"]
+    dims = [2 * k] + list(meta["tower"])
+    shapes = {"user_emb": (meta["n_users"], k), "prod_emb": (meta["n_products"], k),
+              "fusion_w_user": (k, k), "fusion_b_user": (k,), "fusion_w_prod": (k, k),
+              "fusion_b_prod": (k,), "head": (dims[-1], dims[-1]), "reg_w": (dims[-1],),
+              "reg_b": (1,)}
+    for l in range(len(dims) - 1):
+        shapes[f"tower_w_{l}"], shapes[f"tower_b_{l}"] = (dims[l], dims[l + 1]), (dims[l + 1],)
+    return shapes
 
 
 def params_from_sections(arrays: dict, n_layers: int, prefix: str = "") -> MlpParams:
@@ -323,7 +321,5 @@ def save_mlp(params: MlpParams, path) -> None:
 
 
 def load_mlp(path) -> MlpParams:
-    kind, meta, arrays = checkpoint.load_sections(path)
-    if kind != "mlp":
-        raise ValueError(f"{path}: expected an mlp checkpoint, found {kind!r}")
+    meta, arrays = checkpoint.load_model_sections(path, "mlp", section_shapes)
     return params_from_sections(arrays, len(meta["tower"]))

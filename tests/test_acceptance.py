@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dualrec import mf_model, mlp_model
 from dualrec.fusion import (
     FusionHyperparams,
     fused_predict,
@@ -265,22 +266,14 @@ def test_c06_block_init_identity():
     solo_mf = init_fusion(base.mf, base.mlp, gamma=1.0)
     before = [fused_predict(solo_mf, i, j) for i, j in pairs]
     noisy = solo_mf.copy()
-    for table in ("user_rating_emb", "user_rel_emb", "prod_rating_emb", "prod_rel_emb",
-                  "fusion_w_user", "fusion_b_user", "fusion_w_prod", "fusion_b_prod",
-                  "head", "reg_w"):
-        arr = getattr(noisy.mlp, table)
+    for arr in mlp_model.param_dict(noisy.mlp).values():  # every table, the tower included
         arr += rng.normal(size=arr.shape)
-    for l in range(len(noisy.mlp.tower_w)):
-        noisy.mlp.tower_w[l] += rng.normal(size=noisy.mlp.tower_w[l].shape)
-        noisy.mlp.tower_b[l] += rng.normal(size=noisy.mlp.tower_b[l].shape)
     assert [fused_predict(noisy, i, j) for i, j in pairs] == before  # bitwise
 
     solo_mlp = init_fusion(base.mf, base.mlp, gamma=0.0)
     before = [fused_predict(solo_mlp, i, j) for i, j in pairs]
     noisy = solo_mlp.copy()
-    for field in ("user_rating", "prod_rating", "user_joint", "prod_joint",
-                  "prod_rel", "proj_rating", "proj_joint", "head", "reg_w"):
-        arr = getattr(noisy.mf, field)
+    for arr in mf_model.param_dict(noisy.mf).values():
         arr += rng.normal(size=arr.shape)
     assert [fused_predict(noisy, i, j) for i, j in pairs] == before  # bitwise
     elapsed = time.perf_counter() - started

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from dualrec.checkpoint import MAGIC, VERSION, load_sections, save_sections
+from dualrec.fusion import load_fusion, save_fusion
+from dualrec.mf_model import load_mf, save_mf
+from dualrec.mlp_model import load_mlp, save_mlp
 
 
 def container(header, payload=b"", header_bytes=None):
@@ -90,8 +93,7 @@ def hand_built_models():
         reg_w=filled(8.0, (2,)), reg_b=np.array([0.25]),
     )
     mlp = MlpParams(
-        user_rating_emb=filled(-1.0, (3, 2)), user_rel_emb=filled(-2.0, (3, 2)),
-        prod_rating_emb=filled(-3.0, (2, 2)), prod_rel_emb=filled(-4.0, (2, 2)),
+        user_emb=filled(-1.0, (3, 2)), prod_emb=filled(-3.0, (2, 2)),
         fusion_w_user=filled(-5.0, (2, 2)), fusion_b_user=filled(-6.0, (2,)),
         fusion_w_prod=filled(-7.0, (2, 2)), fusion_b_prod=filled(-8.0, (2,)),
         tower_w=[filled(-9.0, (4, 3)), filled(-10.0, (3, 2))],
@@ -104,8 +106,8 @@ def hand_built_models():
 # sha256 of each container; the format must not drift with model refactors
 GOLDEN = {
     "mf": "e549cc1a54a91370f9642d050e0498bc735afcda8ee3d8723fbcde47cef60de8",
-    "mlp": "4bc87294384603538dab3ca192ace53f5e487f05cb99f6f09e7efb3990df8b0c",
-    "fusion": "312d61f362c733ee6fb1af781cdcca6917ff0b000a920ff17cbf9a9a8f459101",
+    "mlp": "cb49fb65abfb37ff0de5d0721d2e86552ac8906b2c705366f4cc925c9da9227c",
+    "fusion": "7e7d45920dc2ec294bdc369cd06097d740fa5e66ab08332c482c8a356c2784ee",
 }
 
 
@@ -113,13 +115,77 @@ GOLDEN = {
 def test_model_checkpoints_keep_their_bytes(tmp_path, kind):
     import hashlib
 
-    from dualrec.fusion import save_fusion
-    from dualrec.mf_model import save_mf
-    from dualrec.mlp_model import save_mlp
-
     mf, mlp, fused = hand_built_models()
     save, model = {"mf": (save_mf, mf), "mlp": (save_mlp, mlp),
                    "fusion": (save_fusion, fused)}[kind]
     path = tmp_path / f"{kind}.ckpt"
     save(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[kind]
+
+
+def split_tables(path):
+    """Rewrite an MLP or fusion checkpoint in place into the layout where
+    each side kept a rating table and a reliability table, summed by the
+    forward pass: the rating part holds the table, the reliability part 0."""
+    kind, meta, arrays = load_sections(path)
+    sections = []
+    for name, array in arrays.items():
+        if name.endswith(("user_emb", "prod_emb")):
+            stem = name[: -len("emb")]
+            sections += [(f"{stem}{part}_emb", array if part == "rating" else 0 * array)
+                         for part in ("rating", "rel")]
+        else:
+            sections.append((name, array))
+    save_sections(path, kind, meta, sections)
+
+
+def edited(path, edit):
+    """Rewrite a checkpoint in place after ``edit(meta, arrays)``."""
+    kind, meta, arrays = load_sections(path)
+    edit(meta, arrays)
+    save_sections(path, kind, meta, arrays.items())
+
+
+def set_section(name, array):
+    return lambda meta, arrays: arrays.update({name: array})
+
+
+LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
+           "fusion": (save_fusion, load_fusion, 2)}
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("fusion", set_section("reg_b", np.array([0.0, 1.0, -1.0]))),
+    ("mlp", set_section("extra", np.zeros(2))),
+    ("mf", lambda meta, arrays: arrays.pop("prod_rel")),
+    ("fusion", lambda meta, arrays: arrays.pop("mlp/tower_b_1")),
+    ("mf", lambda meta, arrays: arrays.update(user_rating=arrays["user_rating"].T)),
+    ("mlp", set_section("tower_w_0", np.zeros((4, 2)))),
+    ("fusion", set_section("concat_w", np.zeros((2, 5)))),
+    ("mlp", lambda meta, arrays: meta.update(tower=[3])),
+    ("mf", lambda meta, arrays: meta.update(n_users=4)),
+    ("fusion", lambda meta, arrays: meta.pop("latent_dim")),
+    ("mlp", lambda meta, arrays: meta.update(tower=[])),
+    ("mlp", lambda meta, arrays: meta.update(tower=None)),
+], ids=["fused-reg_b-shape-3", "mlp-extra-section", "mf-missing-section",
+        "fusion-missing-tower-bias", "mf-transposed-table", "mlp-narrow-tower",
+        "fusion-wide-concat", "mlp-meta-tower-differs", "mf-meta-users-differ",
+        "fusion-meta-without-latent-dim", "mlp-meta-empty-tower", "mlp-meta-tower-null"])
+def test_loaders_check_sections_against_meta(tmp_path, kind, edit):
+    save, load, which = LOADERS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save(hand_built_models()[which], path)
+    edited(path, edit)
+    with pytest.raises(ValueError, match=f"{kind}.ckpt"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "fusion"])
+def test_split_table_layout_is_rejected(tmp_path, kind):
+    save, load, which = LOADERS[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save(hand_built_models()[which], path)
+    split_tables(path)
+    with pytest.raises(ValueError, match=r"sections \[.*'(mlp/)?user_emb'"):
+        load(path)
+

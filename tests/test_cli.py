@@ -264,6 +264,23 @@ class TestPipeline:
         assert code == 1
         assert "bad-store" in err and "Traceback" not in err
 
+    def test_split_table_checkpoints_are_bad_store(self, tmp_path, capsys):
+        from test_checkpoint import split_tables
+
+        run_pipeline(tmp_path)
+        scored, mf, mlp, fused = (str(tmp_path / name) for name in
+                                  ("scored.json", "mf.ckpt", "mlp.ckpt", "fused.ckpt"))
+        split_tables(mlp)
+        split_tables(fused)
+        capsys.readouterr()
+        for argv in (["train", "--store", scored, "--mf", mf, "--mlp", mlp,
+                      "--out", str(tmp_path / "again.ckpt")],
+                     ["evaluate", "--store", scored, "--model", fused,
+                      "--out", str(tmp_path / "again.txt")]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error [bad-store]") and "Traceback" not in err, err
+
 
 class TestDeterminismAndSmoke:
     def test_help_exits_zero(self):

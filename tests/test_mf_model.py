@@ -39,7 +39,7 @@ def random_params(rng, n, m, k=2, p=3, scale=0.5):
         proj_joint=rng.normal(0, scale, (k, k)),
         head=rng.normal(0, scale, (k, p)),
         reg_w=rng.normal(0, scale, p),
-        reg_b=float(rng.normal()),
+        reg_b=np.array([rng.normal()]),
     )
 
 

@@ -35,7 +35,7 @@ class TestInit:
     def test_deterministic_under_seed(self):
         a = init_mlp(5, 6, 3, (6, 3), seed=9)
         b = init_mlp(5, 6, 3, (6, 3), seed=9)
-        np.testing.assert_array_equal(a.user_rating_emb, b.user_rating_emb)
+        np.testing.assert_array_equal(a.user_emb, b.user_emb)
         np.testing.assert_array_equal(a.tower_w[0], b.tower_w[0])
         np.testing.assert_array_equal(a.head, b.head)
 
@@ -59,21 +59,49 @@ class TestInit:
 
     def test_initializer_standard_deviation(self):
         params = init_mlp(100, 100, 100, (200, 100), seed=1)
+        tables = np.concatenate([params.user_emb.ravel(), params.prod_emb.ravel()])
         draws = np.concatenate([
-            params.user_rating_emb.ravel(), params.user_rel_emb.ravel(),
-            params.prod_rating_emb.ravel(), params.prod_rel_emb.ravel(),
+            params.fusion_w_user.ravel(), params.fusion_w_prod.ravel(),
             params.tower_w[0].ravel(), params.tower_w[1].ravel(),
         ])
-        assert draws.size >= 1e5
+        assert tables.size >= 2e4 and draws.size >= 8e4
+        # each table entry sums two draws
+        assert math.sqrt(2) * 0.009 <= float(tables.std()) <= math.sqrt(2) * 0.011
         assert 0.009 <= float(draws.std()) <= 0.011
         assert not np.any(params.fusion_b_user)
         assert not np.any(params.tower_b[0])
 
 
+def predictions_digest(params):
+    """sha256 of the raw-scale predictions over every (user, product) pair."""
+    import hashlib
+
+    preds = [mlp_predict(params, i, j)
+             for i in range(params.n_users) for j in range(params.n_products)]
+    return hashlib.sha256(np.array(preds).tobytes()).hexdigest()
+
+
+class TestInitGolden:
+    # Recorded while each side still had a rating table and a reliability
+    # table that the forward pass summed; one table holding that sum must
+    # give the same function bit for bit.
+    def test_random_init_predictions(self):
+        params = init_mlp(6, 5, 3, (6, 3), seed=5, scale=0.3)
+        assert predictions_digest(params) == (
+            "c2b02f6bc01960d27cc46afaec335838de60e604a36057c4d0f323a23ba43aaf")
+
+    def test_init_from_factors_predictions(self):
+        store = random_store(np.random.default_rng(13), 5, 5)
+        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), epochs=0,
+                               init_from_factors=True, init_scale=0.3)
+        assert predictions_digest(train_mlp(store, hyper)) == (
+            "297314a3d61669b8a71b18eca6a24fd661327bce6f0881f13abe92cf2b2eed95")
+
+
 class TestFusionLayer:
     def test_all_zero_inputs(self):
         params = init_mlp(3, 3, 2, (4, 2), seed=0)
-        for table in ("user_rating_emb", "user_rel_emb", "prod_rating_emb", "prod_rel_emb"):
+        for table in ("user_emb", "prod_emb"):
             get_field(params, table)[:] = 0.0
         params.fusion_b_user[:] = 0.0
         params.fusion_b_prod[:] = 0.0
@@ -81,10 +109,9 @@ class TestFusionLayer:
         np.testing.assert_array_equal(a, np.zeros(2))
         np.testing.assert_array_equal(b, np.zeros(2))
 
-    def test_identity_weights_pass_positive_sums(self):
+    def test_identity_weights_pass_positive_rows(self):
         params = init_mlp(2, 2, 2, (4, 2), seed=0)
-        params.user_rating_emb = np.array([[0.2, 0.3], [0.1, 0.4]])
-        params.user_rel_emb = np.array([[0.5, 0.1], [0.2, 0.2]])
+        params.user_emb = np.array([[0.7, 0.4], [0.3, 0.6]])
         params.fusion_w_user = np.eye(2)
         params.fusion_b_user[:] = 0.0
         a, _ = fusion_layer(params, 1, 0)
@@ -92,8 +119,7 @@ class TestFusionLayer:
 
     def test_negative_preactivation_clamped_to_zero(self):
         params = init_mlp(2, 2, 1, (2, 1), seed=0)
-        params.user_rating_emb = np.array([[1.0], [1.0]])
-        params.user_rel_emb = np.array([[0.0], [0.0]])
+        params.user_emb = np.array([[1.0], [1.0]])
         params.fusion_w_user = np.array([[-2.0]])
         params.fusion_b_user[:] = 0.0
         a, _ = fusion_layer(params, 0, 0)
@@ -108,8 +134,8 @@ class TestFusionLayer:
 def step_by_step_oracle(params: MlpParams, i: int, j: int):
     """Independent scalar-loop evaluation of the tower output."""
     k = params.latent_dim
-    user = params.user_rating_emb[i] + params.user_rel_emb[i]
-    prod = params.prod_rating_emb[j] + params.prod_rel_emb[j]
+    user = params.user_emb[i]
+    prod = params.prod_emb[j]
     a = [max(0.0, sum(params.fusion_w_user[r, c] * user[c] for c in range(k))
              + params.fusion_b_user[r]) for r in range(k)]
     b = [max(0.0, sum(params.fusion_w_prod[r, c] * prod[c] for c in range(k))
@@ -132,8 +158,7 @@ class TestEmbedding:
 
     def test_constructed_pass_through_selects_user_vector(self):
         params = init_mlp(2, 2, 2, (2,), seed=0)
-        params.user_rating_emb = np.array([[0.4, 0.7], [0.3, 0.9]])
-        params.user_rel_emb[:] = 0.0
+        params.user_emb = np.array([[0.4, 0.7], [0.3, 0.9]])
         params.fusion_w_user = np.eye(2)
         params.fusion_b_user[:] = 0.0
         # single layer selecting the user half of the concatenation
@@ -173,19 +198,19 @@ class TestBackward:
     def test_untouched_rows_get_zero_gradient(self):
         params = init_mlp(4, 4, 2, (4, 2), seed=0, scale=0.5)
         # make every ReLU unit alive so gradient reaches the looked-up rows
-        for name in ("user_rating_emb", "user_rel_emb", "prod_rating_emb",
-                     "prod_rel_emb", "fusion_w_user", "fusion_w_prod", "head",
+        for name in ("user_emb", "prod_emb", "fusion_w_user", "fusion_w_prod", "head",
                      "reg_w"):
             field = get_field(params, name)
             field[:] = np.abs(field)
         for l in range(len(params.tower_w)):
             params.tower_w[l][:] = np.abs(params.tower_w[l])
         grads = mlp_backward(params, 1, 2, 1.0)
-        assert not np.any(grads["user_rating_emb"][0])
-        assert not np.any(grads["user_rating_emb"][3])
-        assert not np.any(grads["prod_rel_emb"][0])
-        # the looked-up product row must receive something
-        assert np.any(grads["prod_rating_emb"][2])
+        assert not np.any(grads["user_emb"][0])
+        assert not np.any(grads["user_emb"][3])
+        assert not np.any(grads["prod_emb"][0])
+        # the looked-up rows must receive something
+        assert np.any(grads["user_emb"][1])
+        assert np.any(grads["prod_emb"][2])
 
     def test_gradients_match_finite_differences(self):
         # random tiny nets over 20 seeds; ReLU kinks are avoided by
@@ -253,9 +278,9 @@ class TestPredictAndTrain:
     def test_prediction_ignores_other_users_rows(self):
         params = init_mlp(4, 4, 2, (4, 2), seed=2, scale=0.5)
         before = mlp_predict(params, 1, 1)
-        params.user_rating_emb[3] += 100.0
-        params.user_rel_emb[0] -= 50.0
-        params.prod_rating_emb[2] += 10.0
+        params.user_emb[3] += 100.0
+        params.user_emb[0] -= 50.0
+        params.prod_emb[2] += 10.0
         assert mlp_predict(params, 1, 1) == before
 
     def test_capacity_overfits_small_toy(self):
@@ -278,7 +303,7 @@ class TestPredictAndTrain:
         hyper = MlpHyperparams(latent_dim=4, tower=(8, 4), batch_size=8, epochs=3, seed=5)
         a = train_mlp(store, hyper)
         b = train_mlp(store, hyper)
-        np.testing.assert_array_equal(a.user_rating_emb, b.user_rating_emb)
+        np.testing.assert_array_equal(a.user_emb, b.user_emb)
         np.testing.assert_array_equal(a.tower_w[1], b.tower_w[1])
         assert a.reg_b == b.reg_b
 
@@ -290,8 +315,8 @@ class TestPredictAndTrain:
         from dualrec.mf_model import svd_init
 
         (w, z), (e, f) = svd_init(store, 3)
-        np.testing.assert_array_equal(params.user_rating_emb, w.T)
-        np.testing.assert_array_equal(params.prod_rel_emb, f.T)
+        np.testing.assert_array_equal(params.user_emb, w.T + e.T)
+        np.testing.assert_array_equal(params.prod_emb, z.T + f.T)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
@@ -305,11 +330,11 @@ class TestPredictAndTrain:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_mlp(4, 5, 3, (6, 4), seed=21, scale=0.3)
-        params.reg_b = -0.25
+        params.reg_b[0] = -0.25
         path = tmp_path / "mlp.ckpt"
         save_mlp(params, path)
         loaded = load_mlp(path)
-        np.testing.assert_array_equal(loaded.user_rel_emb, params.user_rel_emb)
+        np.testing.assert_array_equal(loaded.user_emb, params.user_emb)
         np.testing.assert_array_equal(loaded.tower_w[1], params.tower_w[1])
         np.testing.assert_array_equal(loaded.head, params.head)
         assert loaded.reg_b == params.reg_b

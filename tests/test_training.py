@@ -93,7 +93,7 @@ def test_train_mlp_returns_the_best_validation_epoch(mirrored):
 
     def hyper(epochs, patience=0):
         return MlpHyperparams(latent_dim=2, tower=(4, 2), batch_size=32, epochs=epochs,
-                              lr=0.05, seed=1, patience=patience)
+                              lr=0.03, seed=2, patience=patience)
 
     best = best_epoch(lambda e: train_mlp(store, hyper(e)), mlp_predict, val, 10, 3)
     got = train_mlp(store, hyper(10, patience=3), val_store=val)
@@ -117,5 +117,5 @@ def test_train_fusion_returns_the_best_validation_epoch(mirrored):
     assert got.reg_b == want.reg_b
     for a, b in ((got.concat_w, want.concat_w), (got.reg_w, want.reg_w),
                  (got.mf.user_joint, want.mf.user_joint),
-                 (got.mlp.user_rating_emb, want.mlp.user_rating_emb)):
+                 (got.mlp.user_emb, want.mlp.user_emb)):
         assert np.array_equal(a, b)
