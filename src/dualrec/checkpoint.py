@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["save_sections", "load_sections", "load_model_sections"]
+__all__ = ["save_sections", "load_sections", "save_model_sections", "load_model_sections"]
 
 MAGIC = b"DUALREC\x00"
 VERSION = 1
@@ -108,6 +108,26 @@ def load_sections(path):
     return header["kind"], header["meta"], arrays
 
 
+def _check_shapes(path, kind: str, meta: dict, arrays: dict, section_shapes) -> None:
+    """Raise ValueError unless ``arrays`` has exactly the shapes ``section_shapes(meta)``."""
+    try:
+        want = {name: tuple(shape) for name, shape in section_shapes(meta).items()}
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad {kind} checkpoint meta: {exc!r}") from exc
+    got = {name: np.shape(array) for name, array in arrays.items()}
+    if got != want:
+        bad = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+        raise ValueError(f"{path}: sections {bad} have shapes {[got.get(n) for n in bad]}, "
+                         f"meta implies {[want.get(n) for n in bad]} (None: no section)")
+
+
+def save_model_sections(path, kind: str, meta: dict, sections: dict, section_shapes) -> None:
+    """Save name -> array ``sections`` that :func:`load_model_sections` will
+    accept; anything else raises ValueError before the file is opened."""
+    _check_shapes(path, kind, meta, sections, section_shapes)
+    save_sections(path, kind, meta, sections.items())
+
+
 def load_model_sections(path, kind: str, section_shapes):
     """Read a ``kind`` container whose sections are exactly ``section_shapes(meta)``.
 
@@ -119,13 +139,5 @@ def load_model_sections(path, kind: str, section_shapes):
     found, meta, arrays = load_sections(path)
     if found != kind:
         raise ValueError(f"{path}: expected a checkpoint of kind {kind!r}, found {found!r}")
-    try:
-        want = {name: tuple(shape) for name, shape in section_shapes(meta).items()}
-    except (LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad {kind} checkpoint meta: {exc!r}") from exc
-    got = {name: array.shape for name, array in arrays.items()}
-    if got != want:
-        bad = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
-        raise ValueError(f"{path}: sections {bad} have shapes {[got.get(n) for n in bad]}, "
-                         f"meta implies {[want.get(n) for n in bad]} (None: no section)")
+    _check_shapes(path, kind, meta, arrays, section_shapes)
     return meta, arrays

@@ -253,10 +253,8 @@ def train_fusion(
     once validation MAE has not improved for ``hyper.patience`` epochs,
     and the returned model has the weights of the best validation epoch.
     """
-    if not store.omega:
-        raise ValueError("store has no ratings to train on")
     model = model.copy()
-    model.global_mean = store.global_mean_raw()
+    model.global_mean = store.global_mean_raw()  # ValueError for a store without ratings
 
     idx_u, idx_p, _, raw = store.rated_arrays
 
@@ -275,9 +273,9 @@ def train_fusion(
 
 
 def save_fusion(model: FusionModel, path) -> None:
-    sections = [("mf/" + name, a) for name, a in mf_model.param_dict(model.mf).items()]
-    sections += [("mlp/" + name, a) for name, a in mlp_model.param_dict(model.mlp).items()]
-    sections += [("concat_w", model.concat_w), ("reg_w", model.reg_w), ("reg_b", model.reg_b)]
+    sections = {"mf/" + name: a for name, a in mf_model.param_dict(model.mf).items()}
+    sections.update({"mlp/" + name: a for name, a in mlp_model.param_dict(model.mlp).items()})
+    sections.update(concat_w=model.concat_w, reg_w=model.reg_w, reg_b=model.reg_b)
     meta = {
         "n_users": model.mf.n_users,
         "n_products": model.mf.n_products,
@@ -287,7 +285,7 @@ def save_fusion(model: FusionModel, path) -> None:
         "gamma": model.gamma,
         "global_mean": model.global_mean,
     }
-    checkpoint.save_sections(path, "fusion", meta, sections)
+    checkpoint.save_model_sections(path, "fusion", meta, sections, _section_shapes)
 
 
 def _section_shapes(meta: dict) -> dict:
@@ -301,6 +299,9 @@ def _section_shapes(meta: dict) -> dict:
 
 def load_fusion(path) -> FusionModel:
     meta, arrays = checkpoint.load_model_sections(path, "fusion", _section_shapes)
+    scalars = [meta.get("gamma"), meta.get("global_mean")]
+    if set(map(type, scalars)) - {int, float}:
+        raise ValueError(f"{path}: fusion meta needs a numeric gamma and global_mean: {scalars}")
     return FusionModel(
         mf=mf_model.params_from_sections(arrays, prefix="mf/"),
         mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), prefix="mlp/"),

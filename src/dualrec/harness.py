@@ -75,7 +75,7 @@ def split(store: InteractionStore, spec: SplitSpec):
     seed. Returns a list of (train, val, test) stores whose rated pairs
     partition the full store exactly.
     """
-    pairs = sorted(store.omega)
+    pairs = np.column_stack(store.rated_arrays[:2])  # sorted by pair
     n = len(pairs)
     n_train = int(round(spec.train_frac * n))
     n_val = int(round(spec.val_frac * n))
@@ -88,11 +88,8 @@ def split(store: InteractionStore, spec: SplitSpec):
     folds = []
     for fold in range(spec.folds):
         rng = np.random.default_rng([spec.seed, fold])
-        order = rng.permutation(n)
-        train = [pairs[k] for k in order[:n_train]]
-        val = [pairs[k] for k in order[n_train : n_train + n_val]]
-        test = [pairs[k] for k in order[n_train + n_val :]]
-        folds.append((restrict(store, train), restrict(store, val), restrict(store, test)))
+        parts = np.split(rng.permutation(n), [n_train, n_train + n_val])
+        folds.append(tuple(restrict(store, pairs[part]) for part in parts))
     return folds
 
 
@@ -152,17 +149,14 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     rows, cols = np.nonzero(mask)  # row-major: the k-th observed pair gets time k
     observed = raw[rows, cols]
     values = (np.rint(observed).astype(int) if spec.quantize else observed).tolist()
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    entries = [(i, j, value, 0, 0, when) for when, ((i, j), value) in enumerate(zip(pairs, values))]
-    rel_map = dict(zip(pairs, rel[rows, cols].tolist()))
-    store = _make_store(
-        [f"u{i}" for i in range(n)],
-        [f"p{j}" for j in range(m)],
-        entries,
-        rel_map,
-    )
+    users, prods, zeros = rows.tolist(), cols.tolist(), [0] * len(observed)
     return SyntheticData(
-        store=store,
+        store=_make_store(
+            [f"u{i}" for i in range(n)],
+            [f"p{j}" for j in range(m)],
+            list(zip(users, prods, values, zeros, zeros, range(len(observed)))),
+            list(zip(users, prods, rel[rows, cols].tolist())),
+        ),
         rating_user_factors=u,
         rating_prod_factors=v,
         rel_user_factors=ru,
@@ -297,7 +291,7 @@ def load_experiment_store(config: ExperimentConfig) -> InteractionStore:
 
 
 def _ensure_reliability(store: InteractionStore, config: ExperimentConfig) -> InteractionStore:
-    if store.psi:
+    if not np.isnan(store.reliability).all():
         return store
     breakdowns = reliability_mod.score_store(
         store, alpha=config.rel_alpha, fallback_max=config.rel_fallback_max

@@ -1,4 +1,4 @@
-"""Review-stream parsing and the sparse interaction store.
+"""Review-stream parsing and the columnar interaction store.
 
 Input is the line-delimited JSON used by the large public product-review
 dumps: one object per line with at least ``reviewerID``, ``asin``,
@@ -7,14 +7,11 @@ dumps: one object per line with at least ``reviewerID``, ``asin``,
 skipped, counted and reported with their line number -- but strict about
 the fields it does accept.
 
-The :class:`InteractionStore` built from parsed records keeps the
-deduplicated entry rows ``(i, j, raw, helpful_yes, votes_total,
-unix_time)`` in input order as its record, the rating and reliability
-matrices in sparse dict form, and the string<->index maps needed to get
-back to the original keys. Per-product review timelines are a lazy view
-of the entry rows, built only when the reliability stage asks for them.
-Every store operation is linear in the number of entries. Stores are
-immutable once built and safe to share across threads.
+An :class:`InteractionStore` holds the deduplicated reviews once, as
+read-only numpy columns, plus the string<->index maps. The rating and
+reliability matrices, their index arrays and the per-product review
+timelines all derive from the columns. Stores are immutable and safe to
+share across threads.
 """
 
 import json
@@ -25,18 +22,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "ReviewRecord",
-    "ParseResult",
-    "TimelineEntry",
-    "PairArrays",
-    "InteractionStore",
-    "parse_reviews",
-    "normalize_rating",
-    "build_store",
-    "with_reliability",
-    "restrict",
-    "save_store",
-    "load_store",
+    "ReviewRecord", "ParseResult", "PairArrays", "InteractionStore", "parse_reviews",
+    "normalize_rating", "build_store", "with_reliability", "restrict", "save_store", "load_store",
 ]
 
 MAX_RATING = 5
@@ -77,15 +64,6 @@ class ParseResult:
         return len(self.warnings)
 
 
-class TimelineEntry(NamedTuple):
-    """One review inside a product's time-ordered review list."""
-
-    user: int
-    helpful_yes: int
-    votes_total: int
-    unix_time: int
-
-
 class PairArrays(NamedTuple):
     """Column arrays of one sparse matrix's pairs in sorted-pair order."""
 
@@ -95,40 +73,37 @@ class PairArrays(NamedTuple):
     raw: np.ndarray  # raw 1..5 rating of the pair
 
 
-def _sorted_pair_arrays(values: dict, raw_ratings: dict) -> PairArrays:
-    pairs = sorted(values)
-    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    out = PairArrays(
-        idx[:, 0].copy(),
-        idx[:, 1].copy(),
-        np.array([values[p] for p in pairs], dtype=np.float64),
-        np.array([raw_ratings[p] for p in pairs], dtype=np.float64),
-    )
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+_COLUMNS = ("user", "product", "raw", "raw_is_int", "helpful_yes", "votes_total",
+            "unix_time", "reliability")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionStore:
-    """Entry rows, sparse rating and reliability matrices, index maps.
+    """Entry columns plus the index maps; build one with ``_make_store``.
 
-    ``entries`` is the record: one ``(i, j, raw, helpful_yes,
-    votes_total, unix_time)`` row per rated pair, in deduplicated input
-    order, which fixes timeline tie-breaks and the on-disk layout.
-    ``ratings`` maps (user_idx, product_idx) to the normalized rating in
-    (0, 1]; ``raw_ratings`` keeps the original 1..5 value so downstream
-    error metrics never re-derive it. ``reliability`` is independent of
-    ``ratings``: its key set (``psi``) may be empty or any subset of the
-    rated pairs. ``timelines`` is derived from ``entries`` on first use.
+    One row per rated pair, in deduplicated input order, which fixes
+    timeline tie-breaks and the on-disk layout. The columns are the
+    ``user``/``product`` indices, the ``raw`` 1..5 rating (float64;
+    ``raw_is_int`` says whether it arrived as an int), ``helpful_yes``,
+    ``votes_total``, ``unix_time`` (int64) and the ``reliability`` score
+    in [0, 1], NaN where a row is unscored. Everything else is derived
+    from them on first use.
     """
 
     user_ids: tuple[str, ...]
     product_ids: tuple[str, ...]
-    raw_ratings: dict
-    ratings: dict
-    reliability: dict
-    entries: tuple
+    user: np.ndarray
+    product: np.ndarray
+    raw: np.ndarray
+    raw_is_int: np.ndarray
+    helpful_yes: np.ndarray
+    votes_total: np.ndarray
+    unix_time: np.ndarray
+    reliability: np.ndarray
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            getattr(self, name).flags.writeable = False
 
     @property
     def n_users(self) -> int:
@@ -138,16 +113,6 @@ class InteractionStore:
     def n_products(self) -> int:
         return len(self.product_ids)
 
-    @property
-    def omega(self):
-        """Observed rating pairs (keys of the rating matrix)."""
-        return self.ratings.keys()
-
-    @property
-    def psi(self):
-        """Observed reliability pairs (keys of the reliability matrix)."""
-        return self.reliability.keys()
-
     @cached_property
     def user_index(self) -> dict:
         return {key: idx for idx, key in enumerate(self.user_ids)}
@@ -156,30 +121,60 @@ class InteractionStore:
     def product_index(self) -> dict:
         return {key: idx for idx, key in enumerate(self.product_ids)}
 
+    @property
+    def ratings(self) -> np.ndarray:
+        """Normalized rating of each row: raw / MAX_RATING, in (0, 1]."""
+        return self.raw / MAX_RATING
+
     @cached_property
     def timelines(self) -> dict:
-        """Product index -> its reviews ordered by (unix_time, entry position)."""
-        by_product: dict = {}
-        for pos, (i, j, _, yes, total, when) in enumerate(self.entries):
-            by_product.setdefault(j, []).append((when, pos, TimelineEntry(i, yes, total, when)))
-        # (when, pos) is unique, so the sort never compares the entries
-        return {j: tuple(row[2] for row in sorted(rows)) for j, rows in by_product.items()}
+        """Product index -> its rows ordered by (unix_time, row)."""
+        order = np.lexsort((self.unix_time, self.product))  # stable: ties keep row order
+        order.flags.writeable = False
+        products = self.product[order]
+        starts = np.flatnonzero(np.diff(products, prepend=-1))
+        return dict(zip(products[starts].tolist(), np.split(order, starts[1:])))
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Rows in sorted (user, product) order."""
+        return np.argsort(self.user * self.n_products + self.product, kind="stable")
+
+    def _pair_arrays(self, rows: np.ndarray, values: np.ndarray) -> PairArrays:
+        out = PairArrays(self.user[rows], self.product[rows], values[rows], self.raw[rows])
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     @cached_property
     def rated_arrays(self) -> PairArrays:
         """Rated pairs as index and value columns, built once per store."""
-        return _sorted_pair_arrays(self.ratings, self.raw_ratings)
+        return self._pair_arrays(self._order, self.ratings)
 
     @cached_property
     def scored_arrays(self) -> PairArrays:
         """Reliability pairs as index and value columns, built once per store."""
-        return _sorted_pair_arrays(self.reliability, self.raw_ratings)
+        order = self._order
+        return self._pair_arrays(order[~np.isnan(self.reliability[order])], self.reliability)
+
+    def _rows_of(self, users, products) -> np.ndarray:
+        """Row of each (user, product) pair by binary search; -1 where unrated."""
+        if not (len(users) and self.raw.size):
+            return np.full(len(users), -1)
+        order = self._order
+        keys = (self.user * self.n_products + self.product)[order]
+        inside = (0 <= users) & (users < self.n_users)
+        inside &= (0 <= products) & (products < self.n_products)
+        query = np.where(inside, users * self.n_products + products, -1)
+        pos = np.searchsorted(keys, query).clip(max=order.size - 1)
+        return np.where(inside & (keys[pos] == query), order[pos], -1)
 
     def global_mean_raw(self) -> float:
         """Mean raw rating over all observed pairs."""
-        if not self.raw_ratings:
+        if not self.raw.size:
             raise ValueError("store has no ratings")
-        return float(sum(self.raw_ratings.values()) / len(self.raw_ratings))
+        # Python's left-to-right sum: np.sum adds pairwise and can round differently
+        return float(sum(self.raw.tolist()) / self.raw.size)
 
 
 def normalize_rating(raw) -> float:
@@ -192,8 +187,7 @@ def normalize_rating(raw) -> float:
 
 def _clean_line(obj: dict) -> ReviewRecord:
     """Validate one decoded line; raises ValueError with a short reason."""
-    user = obj.get("reviewerID")
-    prod = obj.get("asin")
+    user, prod = obj.get("reviewerID"), obj.get("asin")
     if not isinstance(user, str) or not user:
         raise ValueError("missing or empty reviewerID")
     if not isinstance(prod, str) or not prod:
@@ -207,11 +201,7 @@ def _clean_line(obj: dict) -> ReviewRecord:
         raise ValueError(f"overall must be an integer in [1, {MAX_RATING}]")
 
     helpful = obj.get("helpful", [0, 0])
-    if (
-        not isinstance(helpful, (list, tuple))
-        or len(helpful) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in helpful)
-    ):
+    if type(helpful) is not list or len(helpful) != 2 or set(map(type, helpful)) - {int}:
         raise ValueError("helpful must be a pair of integers")
     yes, total = helpful
     if yes < 0 or total < 0:
@@ -223,14 +213,7 @@ def _clean_line(obj: dict) -> ReviewRecord:
     if not isinstance(when, int) or isinstance(when, bool):
         raise ValueError("missing or non-integer unixReviewTime")
 
-    return ReviewRecord(
-        user_id=user,
-        product_id=prod,
-        rating=int(overall),
-        helpful_yes=yes,
-        votes_total=total,
-        unix_time=when,
-    )
+    return ReviewRecord(user, prod, int(overall), yes, total, when)
 
 
 def parse_reviews(stream: Iterable[str]) -> ParseResult:
@@ -260,127 +243,138 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
     return result
 
 
-def _make_store(user_ids, product_ids, entries, reliability) -> InteractionStore:
-    """Assemble a store from deduplicated entries.
+def _typed_columns(rows, kinds: tuple):
+    """Numpy columns (int64 for kind ``{int}``, else float64) of ``rows``, a
+    list of lists or tuples with one value per kind, or None unless every
+    value's exact type is in its kind (a bool is no int) and fits its column."""
+    if (type(rows) not in (list, tuple) or set(map(type, rows)) - {list, tuple}
+            or set(map(len, rows)) - {len(kinds)}):
+        return None
+    cols = list(zip(*rows)) or [()] * len(kinds)
+    if any(set(map(type, col)) - kind for col, kind in zip(cols, kinds)):
+        return None
+    try:
+        return [np.array(col, np.int64 if kind == {int} else np.float64)
+                for col, kind in zip(cols, kinds)]
+    except OverflowError:
+        return None
 
-    ``entries`` is a sequence of (i, j, raw, helpful_yes, votes_total,
-    unix_time) in input order; raw ratings may be non-integral for
-    synthetic data but must lie in (0, 5]. Indices, vote counts and times
-    must be integers, vote counts non-negative with helpful_yes <=
-    votes_total. Every pair must lie inside the index maps and appear
-    once. Reliability keys must be rated pairs.
-    """
-    n_users, n_products = len(user_ids), len(product_ids)
-    raw: dict = {}
-    norm: dict = {}
-    rows = []
+
+def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
+    """Why the first malformed entry row is malformed, found row by row."""
+    if type(entries) not in (list, tuple):
+        return "entries must be a list of rows"
+    seen: dict = {}  # pair -> its first row
     for pos, row in enumerate(entries):
-        if not isinstance(row, (list, tuple)) or len(row) != 6:
-            raise ValueError(f"entry {pos}: expected 6 fields, got {row!r}")
+        if type(row) not in (list, tuple) or len(row) != 6:
+            return f"entry {pos}: expected 6 fields, got {row!r}"
         i, j, raw_rating, yes, total, when = row
-        # exact type tests: fast, and they leave out bool
-        if not (type(i) is int and type(j) is int and type(yes) is int
-                and type(total) is int and type(when) is int):
-            raise ValueError(f"entry {pos}: index, vote or time field is not an integer: {row!r}")
+        if not all(type(v) is int and -(2**63) <= v < 2**63 for v in (i, j, yes, total, when)):
+            return f"entry {pos}: index, vote or time field is not an int64 integer: {row!r}"
         if not (type(raw_rating) in (int, float) and 0 < raw_rating <= MAX_RATING):
-            raise ValueError(
-                f"entry {pos}: raw rating must be a number in (0, {MAX_RATING}], got {raw_rating!r}"
-            )
+            return (f"entry {pos}: raw rating must be a number in (0, {MAX_RATING}], "
+                    f"got {raw_rating!r}")
         if not 0 <= yes <= total:
-            raise ValueError(f"entry {pos}: need 0 <= helpful_yes <= votes_total, got {row!r}")
-        pair = (i, j)
+            return f"entry {pos}: need 0 <= helpful_yes <= votes_total, got {row!r}"
         if not (0 <= i < n_users and 0 <= j < n_products):
-            raise ValueError(f"entry {pos}: pair {pair} outside the {n_users} x {n_products} store")
-        if pair in raw:
-            raise ValueError(f"entry {pos}: duplicate pair {pair}")
-        raw[pair] = raw_rating
-        norm[pair] = raw_rating / MAX_RATING
-        rows.append((i, j, raw_rating, yes, total, when))
-
-    return InteractionStore(
-        user_ids=tuple(user_ids),
-        product_ids=tuple(product_ids),
-        raw_ratings=raw,
-        ratings=norm,
-        reliability=_checked_reliability(reliability, raw),
-        entries=tuple(rows),
-    )
+            return f"entry {pos}: pair {(i, j)} outside the {n_users} x {n_products} store"
+        if seen.setdefault((i, j), pos) != pos:
+            return f"entry {pos}: duplicate pair {(i, j)}"
+    return "malformed entries"
 
 
-def _checked_reliability(reliability: dict, raw_ratings: dict) -> dict:
-    """Reliability map with int pairs and float scores in [0, 1] on rated pairs."""
-    rel = {}
-    for pair, value in reliability.items():
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in raw_ratings:
-            raise ValueError(f"reliability key {pair} is not a rated pair")
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"reliability score {value} outside [0, 1]")
-        rel[pair] = value
-    return rel
+def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionStore:
+    """The checked constructor: a store from index maps, entry rows and scores.
+
+    ``entries`` lists (i, j, raw, helpful_yes, votes_total, unix_time) rows
+    in input order: raw ratings in (0, 5], int64 ints elsewhere with 0 <=
+    helpful_yes <= votes_total, each pair inside the maps and only once.
+    ``reliability`` is as for :func:`with_reliability`; ValueError names a bad row.
+    """
+    for ids in (user_ids, product_ids):
+        if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
+                or len(set(ids)) < len(ids)):
+            raise ValueError("user and product ids must be lists of distinct strings")
+    n_users, n_products = len(user_ids), len(product_ids)
+    cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}))
+    if cols is not None:  # then check values and duplicate pairs with numpy
+        i, j, raw, yes, total, when = cols
+        ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products)
+        ok &= (0 < raw) & (raw <= MAX_RATING) & (0 <= yes) & (yes <= total)
+    if cols is None or not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
+        raise ValueError(_first_bad_entry(entries, n_users, n_products))
+    is_int = np.array([type(row[2]) is int for row in entries], dtype=bool)
+    store = InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
+                             when, np.full(i.size, np.nan))
+    return with_reliability(store, reliability)
 
 
 def build_store(records: list[ReviewRecord], reliability: dict | None = None) -> InteractionStore:
     """Index records and build the immutable interaction store.
 
     Users and products get contiguous indices in first-appearance order.
-    Duplicate (user, product) reviews keep the one with the latest
-    ``unix_time`` (later input position wins a timestamp tie). The
-    optional ``reliability`` map is keyed by (user_idx, product_idx)
-    under that same indexing.
+    Of one (user, product) pair's reviews, the one with the latest
+    ``unix_time`` is kept, the later input winning a tie. ``reliability``
+    is as for :func:`with_reliability`, under that indexing.
     """
-    user_ids: list[str] = []
-    product_ids: list[str] = []
-    user_index: dict = {}
-    product_index: dict = {}
-    kept: dict = {}
-
-    for pos, rec in enumerate(records):
-        if rec.user_id not in user_index:
-            user_index[rec.user_id] = len(user_ids)
-            user_ids.append(rec.user_id)
-        if rec.product_id not in product_index:
-            product_index[rec.product_id] = len(product_ids)
-            product_ids.append(rec.product_id)
-        pair = (user_index[rec.user_id], product_index[rec.product_id])
-        if pair in kept:
-            _, old_time, old_pos = kept[pair]
-            if rec.unix_time >= old_time:
-                kept[pair] = (rec, rec.unix_time, pos)
-        else:
-            kept[pair] = (rec, rec.unix_time, pos)
-
-    ordered = sorted(kept.items(), key=lambda item: item[1][2])
-    entries = [
-        (pair[0], pair[1], rec.rating, rec.helpful_yes, rec.votes_total, rec.unix_time)
-        for pair, (rec, _, _) in ordered
-    ]
-    return _make_store(user_ids, product_ids, entries, reliability or {})
+    users: dict = {}
+    products: dict = {}
+    kept: dict = {}  # pair -> record, in the input order of the kept records
+    for rec in records:
+        pair = (users.setdefault(rec.user_id, len(users)),
+                products.setdefault(rec.product_id, len(products)))
+        if pair not in kept or rec.unix_time >= kept[pair].unix_time:
+            kept.pop(pair, None)
+            kept[pair] = rec
+    entries = [(i, j, rec.rating, rec.helpful_yes, rec.votes_total, rec.unix_time)
+               for (i, j), rec in kept.items()]
+    return _make_store(list(users), list(products), entries, reliability or ())
 
 
-def with_reliability(store: InteractionStore, reliability: dict) -> InteractionStore:
-    """Return a copy of the store with the reliability matrix replaced."""
-    return replace(store, reliability=_checked_reliability(reliability, store.raw_ratings))
+def with_reliability(store: InteractionStore, reliability) -> InteractionStore:
+    """Copy of the store whose scores are exactly ``reliability``: a map
+    (user_idx, product_idx) -> score, or (user_idx, product_idx, score)
+    triples as a saved store lists them. Each pair must be rated and
+    appear once; each score must lie in [0, 1]."""
+    if isinstance(reliability, dict):
+        reliability = [(*pair, v) for pair, v in reliability.items()]
+    cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
+    if cols is None:
+        raise ValueError("reliability must list (int user, int product, number score) triples")
+    i, j, values = cols
+    rows = store._rows_of(i, j)
+    if (rows < 0).any():
+        k = int(np.argmax(rows < 0))
+        raise ValueError(f"reliability key {(int(i[k]), int(j[k]))} is not a rated pair")
+    bad = ~((0.0 <= values) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(f"reliability score {values[bad][0]} outside [0, 1]")
+    if (np.diff(np.sort(rows)) == 0).any():
+        raise ValueError("a reliability pair appears twice")
+    column = np.full(store.raw.size, np.nan)
+    column[rows] = values
+    return replace(store, reliability=column)
 
 
 def restrict(store: InteractionStore, pairs) -> InteractionStore:
-    """Sub-store containing only the given rated pairs.
+    """Sub-store of the rows of the given rated pairs, in input order.
 
-    Index maps keep their original size so factor matrices built against
-    the full store stay aligned; only the sparse contents shrink.
+    ``pairs`` is an iterable of (user_idx, product_idx) or a (k, 2) array.
+    Index maps keep their size, so factor matrices built against the full
+    store stay aligned.
     """
-    keep = set(pairs)
-    unknown = keep - store.raw_ratings.keys()
-    if unknown:
-        raise ValueError(f"{len(unknown)} pairs are not rated in this store")
-    entries = [row for row in store.entries if (row[0], row[1]) in keep]
-    rel = {pair: v for pair, v in store.reliability.items() if pair in keep}
-    return _make_store(store.user_ids, store.product_ids, entries, rel)
+    pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), np.int64)
+    rows = store._rows_of(*pairs.reshape(-1, 2).T)
+    if (rows < 0).any():
+        raise ValueError(f"{np.count_nonzero(rows < 0)} pairs are not rated in this store")
+    keep = np.unique(rows)  # sorted rows: input order
+    return replace(store, **{name: getattr(store, name)[keep] for name in _COLUMNS})
 
 
 def save_store(store: InteractionStore, path) -> None:
     """Write the store as canonical JSON (stable bytes for a given store)."""
+    # a raw rating is written as an int exactly when it arrived as one
+    raw = [int(v) if k else v for v, k in zip(store.raw.tolist(), store.raw_is_int.tolist())]
     doc = {
         "format": STORE_FORMAT,
         "version": STORE_VERSION,
@@ -388,8 +382,10 @@ def save_store(store: InteractionStore, path) -> None:
         "n_products": store.n_products,
         "users": list(store.user_ids),
         "products": list(store.product_ids),
-        "entries": store.entries,
-        "reliability": [[i, j, v] for (i, j), v in sorted(store.reliability.items())],
+        "entries": list(zip(store.user.tolist(), store.product.tolist(), raw,
+                            store.helpful_yes.tolist(), store.votes_total.tolist(),
+                            store.unix_time.tolist())),
+        "reliability": list(zip(*(column.tolist() for column in store.scored_arrays[:3]))),
     }
     with open(path, "w", encoding="utf-8") as fh:
         # json.dumps uses the C encoder; json.dump streams through the
@@ -399,17 +395,19 @@ def save_store(store: InteractionStore, path) -> None:
 
 
 def load_store(path) -> InteractionStore:
-    """Read a store written by :func:`save_store`."""
+    """Read a store written by :func:`save_store`; ValueError for anything else."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # nested deeper than the parser's stack
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
+    if type(doc) is not dict or doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{path}: not a {STORE_FORMAT} file")
-    if doc.get("version") != STORE_VERSION:
-        raise ValueError(f"{path}: unsupported store version {doc.get('version')}")
-    if len(doc["users"]) != doc["n_users"] or len(doc["products"]) != doc["n_products"]:
+    if type(doc.get("version")) is not int or doc["version"] != STORE_VERSION:
+        raise ValueError(f"{path}: unsupported store version {doc.get('version')!r}")
+    store = _make_store(doc.get("users"), doc.get("products"), doc.get("entries"),
+                        doc.get("reliability", []))
+    counts = [doc.get("n_users"), doc.get("n_products")]
+    if set(map(type, counts)) != {int} or counts != [store.n_users, store.n_products]:
         raise ValueError(f"{path}: dimension counts do not match index maps")
-    try:
-        reliability = {(int(i), int(j)): float(v) for i, j, v in doc.get("reliability", [])}
-        return _make_store(doc["users"], doc["products"], doc["entries"], reliability)
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"{path}: malformed store: {exc}") from exc
+    return store

@@ -187,8 +187,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
                 f"gradient shape {np.shape(g)} does not match parameter "
                 f"{name!r} shape {p.shape}"
             )
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:  # allocate the moments on a name's first step only
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

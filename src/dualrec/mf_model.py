@@ -130,9 +130,7 @@ def svd_init(store: InteractionStore, latent_dim: int):
         root = np.sqrt(s)
         return (u * root).T, root[:, None] * vt
 
-    w, z = decompose(store.rated_arrays)
-    e, f = decompose(store.scored_arrays)
-    return (w, z), (e, f)
+    return decompose(store.rated_arrays), decompose(store.scored_arrays)
 
 
 def _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets):
@@ -337,7 +335,7 @@ def train_mf(
     weights of its best validation epoch. Deterministic for a fixed
     seed. Raises :class:`TrainingDivergedError` on NaN/inf losses.
     """
-    if not store.omega:
+    if not len(store.ratings):
         raise ValueError("store has no ratings to train on")
     rng = np.random.default_rng(hyper.seed)
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)
@@ -417,7 +415,7 @@ def save_mf(params: MfParams, path) -> None:
         "latent_dim": params.latent_dim,
         "predictive_dim": params.predictive_dim,
     }
-    checkpoint.save_sections(path, "mf", meta, param_dict(params).items())
+    checkpoint.save_model_sections(path, "mf", meta, param_dict(params), section_shapes)
 
 
 def load_mf(path) -> MfParams:

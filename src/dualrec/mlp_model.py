@@ -255,7 +255,7 @@ def train_mlp(
     improved for ``hyper.patience`` epochs, and the returned weights are
     those of the best validation epoch.
     """
-    if not store.omega:
+    if not len(store.ratings):
         raise ValueError("store has no ratings to train on")
     params = init_mlp(
         store.n_users, store.n_products, hyper.latent_dim, hyper.tower,
@@ -317,7 +317,7 @@ def save_mlp(params: MlpParams, path) -> None:
         "tower": list(params.tower_widths),
         "predictive_dim": params.predictive_dim,
     }
-    checkpoint.save_sections(path, "mlp", meta, param_dict(params).items())
+    checkpoint.save_model_sections(path, "mlp", meta, param_dict(params), section_shapes)
 
 
 def load_mlp(path) -> MlpParams:

@@ -87,23 +87,19 @@ def build_timeline(
     store: InteractionStore, product: int, fallback_max: bool = False
 ) -> ProductTimeline:
     """Assemble one product's timeline from a store, assigning ranks."""
-    entries = store.timelines.get(product)
-    if not entries:
+    rows = store.timelines.get(product)
+    if rows is None:
         raise ValueError(f"product {product} has no reviews")
-    yes = tuple(e.helpful_yes for e in entries)
-    total = tuple(e.votes_total for e in entries)
-    times = tuple(e.unix_time for e in entries)
+    users, yes, total, times = (tuple(column[rows].tolist()) for column in (
+        store.user, store.helpful_yes, store.votes_total, store.unix_time))
     weights = _raw_helpfulness(yes, total, fallback_max)
-    order = sorted(
-        range(len(entries)),
-        key=lambda k: (-weights[k], times[k], entries[k].user),
-    )
-    ranks = [0] * len(entries)
+    order = sorted(range(len(users)), key=lambda k: (-weights[k], times[k], users[k]))
+    ranks = [0] * len(users)
     for rank, k in enumerate(order, start=1):
         ranks[k] = rank
     return ProductTimeline(
         product=product,
-        reviewers=tuple(e.user for e in entries),
+        reviewers=users,
         helpful_yes=yes,
         votes_total=total,
         unix_times=times,
@@ -236,11 +232,7 @@ def score_store(
     else:
         scored = [one(p) for p in products]
 
-    out = {}
-    for product, per_user in scored:
-        for user, breakdown in per_user.items():
-            out[(user, product)] = breakdown
-    return out
+    return {(user, product): b for product, per_user in scored for user, b in per_user.items()}
 
 
 def attach_scores(store: InteractionStore, breakdowns: dict) -> InteractionStore:

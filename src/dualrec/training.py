@@ -31,7 +31,7 @@ def mean_abs_error(predict, arrays: PairArrays) -> float:
 
 def val_mae(predict, val_store: InteractionStore | None):
     """Validation MAE as a ``val_loss`` for :func:`fit`; None without pairs."""
-    if val_store is None or not val_store.omega:
+    if val_store is None or not len(val_store.ratings):
         return None
     return lambda: mean_abs_error(predict, val_store.rated_arrays)
 

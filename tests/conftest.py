@@ -3,6 +3,17 @@ import pytest
 from dualrec.ingest import ReviewRecord, build_store
 
 
+def rated(store) -> dict:
+    """(user, product) -> raw rating of every rated pair, in row order."""
+    return dict(zip(zip(store.user.tolist(), store.product.tolist()), store.raw.tolist()))
+
+
+def scored(store) -> dict:
+    """(user, product) -> reliability score of every scored pair."""
+    idx_u, idx_p, values, _ = store.scored_arrays
+    return dict(zip(zip(idx_u.tolist(), idx_p.tolist()), values.tolist()))
+
+
 def record(user, prod, rating=3, yes=0, total=0, when=0):
     return ReviewRecord(
         user_id=user, product_id=prod, rating=rating,
@@ -43,6 +54,6 @@ def random_store(rng, n_users=4, n_products=4, density=0.8, with_reliability=Tru
                 when += 1
     store = store_from(rows)
     if with_reliability:
-        rel = {pair: float(rng.uniform(0.05, 0.95)) for pair in store.omega}
+        rel = {pair: float(rng.uniform(0.05, 0.95)) for pair in rated(store)}
         store = store_from(rows, rel)
     return store

@@ -63,7 +63,7 @@ from test_cli import run_pipeline
 from test_fusion import small_model
 from test_mf_model import assert_grad_close, flat_objective, random_params
 from test_mlp_model import get_field, set_field
-from conftest import random_store
+from conftest import random_store, rated
 
 
 def criterion(name):
@@ -242,11 +242,8 @@ def test_c05_synthetic_recovery():
     hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.001,
                           batch_size=512, epochs=200, lr=0.05, seed=0, patience=0)
     params = train_mf(train_store, hyper)
-    pairs = sorted(test_store.omega)
-    idx_u = np.array([p[0] for p in pairs])
-    idx_p = np.array([p[1] for p in pairs])
+    idx_u, idx_p, _, truth = test_store.rated_arrays
     preds = factor_predict(params, idx_u, idx_p, branch="joint")
-    truth = np.array([test_store.raw_ratings[p] for p in pairs], dtype=np.float64)
     model_rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
     baseline = float(np.sqrt(np.mean((train_store.global_mean_raw() - truth) ** 2)))
     elapsed = time.perf_counter() - started
@@ -281,9 +278,10 @@ def test_c06_block_init_identity():
 
 
 def _test_mae(model, test_store):
-    pairs = sorted(test_store.omega)
+    ratings = rated(test_store)
+    pairs = sorted(ratings)
     preds = predict_batch(model, pairs)
-    truth = np.array([test_store.raw_ratings[p] for p in pairs], dtype=np.float64)
+    truth = np.array([ratings[p] for p in pairs], dtype=np.float64)
     return float(np.mean(np.abs(np.array(preds) - truth)))
 
 
@@ -369,7 +367,7 @@ def test_c08_metric_oracles():
 def test_c09_linear_scaling():
     small = gen_synthetic(SyntheticSpec(200, 150, 2, 0.4, 0.05, seed=9)).store
     large = gen_synthetic(SyntheticSpec(200, 150, 2, 0.8, 0.05, seed=9)).store
-    count_ratio = len(large.omega) / len(small.omega)
+    count_ratio = len(large.ratings) / len(small.ratings)
     assert 1.9 <= count_ratio <= 2.1  # the doubling itself
 
     def per_epoch_seconds(store):

@@ -167,10 +167,13 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
     ("fusion", lambda meta, arrays: meta.pop("latent_dim")),
     ("mlp", lambda meta, arrays: meta.update(tower=[])),
     ("mlp", lambda meta, arrays: meta.update(tower=None)),
+    ("fusion", lambda meta, arrays: meta.update(gamma=None)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean="3.5")),
 ], ids=["fused-reg_b-shape-3", "mlp-extra-section", "mf-missing-section",
         "fusion-missing-tower-bias", "mf-transposed-table", "mlp-narrow-tower",
         "fusion-wide-concat", "mlp-meta-tower-differs", "mf-meta-users-differ",
-        "fusion-meta-without-latent-dim", "mlp-meta-empty-tower", "mlp-meta-tower-null"])
+        "fusion-meta-without-latent-dim", "mlp-meta-empty-tower", "mlp-meta-tower-null",
+        "fusion-meta-gamma-null", "fusion-meta-global-mean-string"])
 def test_loaders_check_sections_against_meta(tmp_path, kind, edit):
     save, load, which = LOADERS[kind]
     path = tmp_path / f"{kind}.ckpt"
@@ -189,3 +192,14 @@ def test_split_table_layout_is_rejected(tmp_path, kind):
     with pytest.raises(ValueError, match=r"sections \[.*'(mlp/)?user_emb'"):
         load(path)
 
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_savers_refuse_sections_their_loader_refuses(tmp_path, kind):
+    save, _, which = LOADERS[kind]
+    model = hand_built_models()[which]
+    model.reg_b = 0.6  # a 0-d section where meta implies shape (1,)
+    path = tmp_path / f"{kind}.ckpt"
+    with pytest.raises(ValueError, match=r"\['reg_b'\] have shapes \[\(\)\]"):
+        save(model, path)
+    assert not path.exists()

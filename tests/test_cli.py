@@ -7,6 +7,8 @@ from dualrec.checkpoint import save_sections
 from dualrec.cli import main
 from dualrec.ingest import load_store
 
+from conftest import rated, scored
+
 
 def write_reviews(path, n_users=15, n_products=10, n_reviews=120, seed=0):
     """Synthesize a plausible line-delimited review file."""
@@ -98,7 +100,7 @@ class TestIngest:
         out = tmp_path / "store.json"
         assert main(["ingest", "--input", str(reviews_file), "--out", str(out)]) == 0
         store = load_store(out)
-        assert len(store.omega) == 120
+        assert len(store.ratings) == 120
 
     def test_min_votes_filter(self, tmp_path, reviews_file):
         all_out = tmp_path / "all.json"
@@ -106,7 +108,7 @@ class TestIngest:
         main(["ingest", "--input", str(reviews_file), "--out", str(all_out)])
         main(["ingest", "--input", str(reviews_file), "--min-votes", "3",
               "--out", str(some_out)])
-        assert len(load_store(some_out).omega) < len(load_store(all_out).omega)
+        assert len(load_store(some_out).ratings) < len(load_store(all_out).ratings)
 
     def test_missing_input(self, tmp_path):
         code = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
@@ -124,6 +126,17 @@ class TestIngest:
         assert code == 1
         assert "bad-store" in capsys.readouterr().err
 
+    def test_store_without_entries_is_bad_store(self, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "reliability": [],
+        }))
+        code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-store]") and "Traceback" not in err, err
+
     def test_input_file_not_mutated(self, tmp_path, reviews_file):
         before = reviews_file.read_bytes()
         main(["ingest", "--input", str(reviews_file), "--out", str(tmp_path / "s.json")])
@@ -134,18 +147,18 @@ class TestReliability:
     def test_rows_and_store_out(self, tmp_path, reviews_file):
         store_path = tmp_path / "store.json"
         rows = tmp_path / "rel.tsv"
-        scored = tmp_path / "scored.json"
+        scored_path = tmp_path / "scored.json"
         main(["ingest", "--input", str(reviews_file), "--out", str(store_path)])
         code = main(["reliability", "--store", str(store_path), "--out", str(rows),
-                     "--store-out", str(scored)])
+                     "--store-out", str(scored_path)])
         assert code == 0
         lines = rows.read_text().strip().split("\n")
         header, body = lines[0], lines[1:]
         assert header.split("\t") == ["user", "product", "h", "most", "top", "d", "rel", "label"]
         assert len(body) == 120
         assert all(line.split("\t")[-1] in ("reliable", "not-reliable") for line in body)
-        scored_store = load_store(scored)
-        assert set(scored_store.psi) == set(scored_store.omega)
+        scored_store = load_store(scored_path)
+        assert set(scored(scored_store)) == set(rated(scored_store))
 
     def test_threads_do_not_change_output(self, tmp_path, reviews_file):
         store_path = tmp_path / "store.json"
@@ -280,6 +293,20 @@ class TestPipeline:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error [bad-store]") and "Traceback" not in err, err
+
+
+    def test_fused_meta_without_gamma_is_bad_store(self, tmp_path, capsys):
+        from test_checkpoint import edited
+
+        run_pipeline(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        edited(fused, lambda meta, arrays: meta.update(gamma=None))
+        capsys.readouterr()
+        code = main(["evaluate", "--store", str(tmp_path / "scored.json"), "--model",
+                     str(fused), "--out", str(tmp_path / "again.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad-store]") and "Traceback" not in err, err
 
 
 class TestDeterminismAndSmoke:

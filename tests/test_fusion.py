@@ -101,7 +101,7 @@ class TestForward:
     def test_bias_only(self):
         model = small_model()
         model.concat_w[:] = 0.0
-        model.reg_b = 0.6
+        model.reg_b[0] = 0.6
         for i in range(2):
             for j in range(2):
                 assert math.isclose(fused_predict(model, i, j), 3.0, rel_tol=1e-12)
@@ -120,7 +120,7 @@ class TestForward:
         # overwrite the fused head with the hand-set values
         model.concat_w = np.array([[1.0, 1.0]])
         model.reg_w = np.array([1.0])
-        model.reg_b = 0.0
+        model.reg_b[0] = 0.0
         # craft the MLP branch to emit exactly 0.4
         model.mlp.user_emb = np.array([[0.4]])
         model.mlp.fusion_w_user = np.array([[1.0]])
@@ -160,10 +160,10 @@ class TestPredictBatch:
 
     def test_reported_predictions_clamped(self):
         model = small_model(seed=11)
-        model.reg_b = 100.0  # push raw predictions far above 5
+        model.reg_b[0] = 100.0  # push raw predictions far above 5
         out = predict_batch(model, [(i, j) for i in range(4) for j in range(4)])
         assert all(v == 5.0 for v in out)
-        model.reg_b = -100.0
+        model.reg_b[0] = -100.0
         out = predict_batch(model, [(0, 0)])
         assert out == [1.0]
 

@@ -16,7 +16,7 @@ from dualrec.harness import (
 )
 from dualrec.mf_model import MfHyperparams, factor_predict, train_mf
 
-from conftest import random_store
+from conftest import random_store, rated, scored
 
 
 class TestSplitSpec:
@@ -33,9 +33,9 @@ class TestSplit:
     def make_store(self, n_pairs=100):
         rng = np.random.default_rng(1)
         store = random_store(rng, 20, 20, density=0.5, with_reliability=True)
-        while len(store.omega) < n_pairs:
+        while len(store.ratings) < n_pairs:
             store = random_store(rng, 25, 25, density=0.5, with_reliability=True)
-        pairs = sorted(store.omega)[:n_pairs]
+        pairs = sorted(rated(store))[:n_pairs]
         from dualrec.ingest import restrict
 
         return restrict(store, pairs)
@@ -43,28 +43,28 @@ class TestSplit:
     def test_sizes_70_15_15(self):
         store = self.make_store(100)
         train, val, test = split(store, SplitSpec(0.7, 0.15, 0.15, seed=3))[0]
-        assert (len(train.omega), len(val.omega), len(test.omega)) == (70, 15, 15)
+        assert (len(train.ratings), len(val.ratings), len(test.ratings)) == (70, 15, 15)
 
     def test_deterministic(self):
         store = self.make_store(60)
         spec = SplitSpec(0.7, 0.15, 0.15, seed=9)
         a = split(store, spec)[0]
         b = split(store, spec)[0]
-        assert sorted(a[0].omega) == sorted(b[0].omega)
-        assert sorted(a[2].omega) == sorted(b[2].omega)
+        assert sorted(rated(a[0])) == sorted(rated(b[0]))
+        assert sorted(rated(a[2])) == sorted(rated(b[2]))
 
     def test_partition_property(self):
         store = self.make_store(87)
         for fold in split(store, SplitSpec(0.6, 0.2, 0.2, folds=3, seed=5)):
             train, val, test = fold
-            tr, va, te = set(train.omega), set(val.omega), set(test.omega)
+            tr, va, te = set(rated(train)), set(rated(val)), set(rated(test))
             assert not (tr & va) and not (tr & te) and not (va & te)
-            assert tr | va | te == set(store.omega)
+            assert tr | va | te == set(rated(store))
 
     def test_folds_re_randomize(self):
         store = self.make_store(80)
         folds = split(store, SplitSpec(0.7, 0.15, 0.15, folds=2, seed=0))
-        assert sorted(folds[0][0].omega) != sorted(folds[1][0].omega)
+        assert sorted(rated(folds[0][0])) != sorted(rated(folds[1][0]))
 
     def test_insufficient_data_rejected(self):
         rng = np.random.default_rng(2)
@@ -75,7 +75,7 @@ class TestSplit:
     def test_reliability_follows_pairs(self):
         store = self.make_store(60)
         train, _, _ = split(store, SplitSpec(0.7, 0.15, 0.15, seed=1))[0]
-        assert set(train.psi) == set(train.omega) & set(store.psi)
+        assert set(scored(train)) == set(rated(train)) & set(scored(store))
 
 
 class TestSynthetic:
@@ -89,29 +89,29 @@ class TestSynthetic:
         spec = SyntheticSpec(12, 10, 2, 0.5, 0.1, seed=4)
         a = gen_synthetic(spec).store
         b = gen_synthetic(spec).store
-        assert a.raw_ratings == b.raw_ratings
-        assert a.reliability == b.reliability
+        assert rated(a) == rated(b)
+        assert scored(a) == scored(b)
 
     def test_density_within_binomial_spread(self):
         n, m, density = 50, 40, 0.01
         spec = SyntheticSpec(n, m, 2, density, 0.0, seed=8)
-        observed = len(gen_synthetic(spec).store.omega)
+        observed = len(gen_synthetic(spec).store.ratings)
         expected = n * m * density
         spread = math.sqrt(n * m * density * (1 - density))
         assert abs(observed - expected) <= 3 * spread
 
     def test_quantized_ratings_are_whole_stars(self):
         store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2)).store
-        assert all(v == int(v) and 1 <= v <= 5 for v in store.raw_ratings.values())
+        assert all(v == int(v) and 1 <= v <= 5 for v in rated(store).values())
 
     def test_continuous_ratings_stay_in_range(self):
         store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2, quantize=False)).store
-        assert all(1.0 <= v <= 5.0 for v in store.raw_ratings.values())
+        assert all(1.0 <= v <= 5.0 for v in rated(store).values())
 
     def test_reliability_in_open_unit_interval(self):
         store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=3)).store
-        assert set(store.psi) == set(store.omega)
-        assert all(0.0 < v < 1.0 for v in store.reliability.values())
+        assert set(scored(store)) == set(rated(store))
+        assert all(0.0 < v < 1.0 for v in scored(store).values())
 
     def test_recoverability_oracle(self):
         # noiseless, fully observed, continuous ratings: a matching-rank
@@ -121,11 +121,8 @@ class TestSynthetic:
         hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.0,
                               batch_size=512, epochs=200, lr=0.05, seed=0, patience=0)
         params = train_mf(store, hyper)
-        pairs = sorted(store.omega)
-        idx_u = np.array([p[0] for p in pairs])
-        idx_p = np.array([p[1] for p in pairs])
+        idx_u, idx_p, _, truth = store.rated_arrays
         preds = factor_predict(params, idx_u, idx_p, branch="rating")
-        truth = np.array([store.raw_ratings[p] for p in pairs])
         assert float(np.sqrt(np.mean((preds - truth) ** 2))) < 0.05
 
 

@@ -2,12 +2,14 @@ import json
 import statistics
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import (
+    _COLUMNS,
     ReviewRecord,
     build_store,
     load_store,
@@ -18,7 +20,7 @@ from dualrec.ingest import (
     with_reliability,
 )
 
-from conftest import record, store_from
+from conftest import rated, record, scored, store_from
 
 
 def line(user="A2SUAM1J3GNN3B", asin="0000013714", overall=3.0, helpful=(3, 5), when=126472000, **extra):
@@ -33,6 +35,18 @@ def line(user="A2SUAM1J3GNN3B", asin="0000013714", overall=3.0, helpful=(3, 5), 
     }
     doc.update(extra)
     return json.dumps(doc)
+
+
+def valid_store_doc() -> dict:
+    return {"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[0, 0, 5, 0, 0, 1]],
+            "reliability": [[0, 0, 0.5]]}
+
+
+def store_text(**changes) -> str:
+    """A valid one-entry store document with some fields replaced; None drops one."""
+    doc = valid_store_doc() | changes
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
 
 
 class TestParse:
@@ -103,26 +117,26 @@ class TestBuildStore:
         ])
         assert store.n_users == 2
         assert store.n_products == 2
-        assert len(store.omega) == 3
+        assert len(store.ratings) == 3
 
     def test_duplicate_keeps_latest_time(self):
         store = store_from([
             ("u1", "p1", 2, 0, 0, 10),
             ("u1", "p1", 5, 0, 0, 20),
         ])
-        assert store.raw_ratings[(0, 0)] == 5
+        assert rated(store)[(0, 0)] == 5
 
     def test_duplicate_timestamp_tie_keeps_later_input(self):
         store = store_from([
             ("u1", "p1", 2, 0, 0, 10),
             ("u1", "p1", 4, 0, 0, 10),
         ])
-        assert store.raw_ratings[(0, 0)] == 4
+        assert rated(store)[(0, 0)] == 4
 
     def test_no_reliability_means_empty_psi(self):
         store = store_from([("u1", "p1", 4, 0, 0, 1)])
-        assert len(store.psi) == 0
-        assert len(store.omega) == 1
+        assert len(scored(store)) == 0
+        assert len(store.ratings) == 1
 
     def test_reliability_key_must_be_rated(self):
         with pytest.raises(ValueError):
@@ -130,13 +144,13 @@ class TestBuildStore:
 
     def test_normalized_is_exactly_raw_over_five(self):
         store = store_from([("u1", "p1", r, 0, 0, r) for r in [1]])
-        for pair, value in store.ratings.items():
-            assert value == store.raw_ratings[pair] / 5
+        for value, raw in zip(store.ratings.tolist(), store.raw.tolist()):
+            assert value == raw / 5
 
     def test_timeline_sorted_by_time_then_input_order(self, tiny_store):
         timeline = tiny_store.timelines[0]
-        assert [e.user for e in timeline] == [0, 1, 2]
-        assert [e.unix_time for e in timeline] == [100, 200, 300]
+        assert tiny_store.user[timeline].tolist() == [0, 1, 2]
+        assert tiny_store.unix_time[timeline].tolist() == [100, 200, 300]
 
     def test_index_maps_are_bijections(self, tiny_store):
         for key, idx in tiny_store.user_index.items():
@@ -167,32 +181,35 @@ def test_store_invariants_hold_for_random_inputs(rows):
     ]
     store = build_store(records)
     # omega matches the deduplicated record count
-    assert len(store.omega) == len({(r.user_id, r.product_id) for r in records})
+    assert len(store.ratings) == len({(r.user_id, r.product_id) for r in records})
     # every timeline is a permutation of the product's reviewer set,
     # non-decreasing in time
     for j, timeline in store.timelines.items():
-        reviewers = [e.user for e in timeline]
-        expected = {i for (i, jj) in store.omega if jj == j}
+        reviewers = store.user[timeline].tolist()
+        expected = {i for (i, jj) in rated(store) if jj == j}
         assert sorted(reviewers) == sorted(expected)
-        times = [e.unix_time for e in timeline]
+        times = store.unix_time[timeline].tolist()
         assert all(a <= b for a, b in zip(times, times[1:]))
     # normalization is exact
-    for pair, value in store.ratings.items():
-        assert value == store.raw_ratings[pair] / 5
+    for value, raw in zip(store.ratings.tolist(), store.raw.tolist()):
+        assert value == raw / 5
 
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path, tiny_store):
-        rel = {pair: 0.25 for pair in list(tiny_store.omega)[:3]}
+        rel = {pair: 0.25 for pair in list(rated(tiny_store))[:3]}
         store = with_reliability(tiny_store, rel)
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.user_ids == store.user_ids
         assert loaded.product_ids == store.product_ids
-        assert loaded.raw_ratings == store.raw_ratings
-        assert loaded.reliability == store.reliability
-        assert loaded.timelines == store.timelines
+        assert rated(loaded) == rated(store)
+        assert scored(loaded) == scored(store)
+        assert ({j: t.tolist() for j, t in loaded.timelines.items()}
+                == {j: t.tolist() for j, t in store.timelines.items()})
+        for name in _COLUMNS:
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(store, name))
 
     def test_save_is_byte_stable(self, tmp_path, tiny_store):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -238,10 +255,10 @@ class TestRoundTrip:
 
     def test_non_integral_synthetic_ratings_round_trip(self, tmp_path):
         store = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4, quantize=False)).store
-        assert any(v != int(v) for v in store.raw_ratings.values())
+        assert any(v != int(v) for v in rated(store).values())
         path = tmp_path / "store.json"
         save_store(store, path)
-        assert load_store(path).raw_ratings == store.raw_ratings
+        assert rated(load_store(path)) == rated(store)
 
     @pytest.mark.parametrize("row", [
         [0.7, 0, 3, 0, 0, 1],
@@ -268,7 +285,22 @@ class TestRoundTrip:
         ' "users": ["u"], "products": ["p"], "entries": [[null, 0, 5, 0, 0, 1]]}',
         '{"format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,'
         ' "users": ["u"], "products": ["p"], "entries": [[0, 0, "5", 0, 0, 1]]}',
-    ], ids=["not-an-object", "null-index", "string-rating"])
+        store_text(entries=None),
+        store_text(users=5),
+        store_text(version=True),
+        store_text(n_users=True),
+        store_text(n_products=1.0),
+        store_text(reliability=[["0", "0", 0.5]]),
+        store_text(reliability=[[False, 0, 0.5]]),
+        store_text(reliability=[[0, 0, True]]),
+        store_text(reliability=[[0, 0, float("nan")]]),
+        store_text(users=["u", "u"], n_users=2),
+        store_text(entries=[[0, 0, 5, 0, 0, 2**63]]),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["not-an-object", "null-index", "string-rating", "no-entries", "int-users",
+            "bool-version", "bool-count", "float-count", "string-score-index",
+            "bool-score-index", "bool-score", "nan-score", "repeated-user-id", "int64-overflow",
+            "nested-too-deep"])
     def test_load_rejects_wrongly_typed_fields(self, tmp_path, text):
         path = tmp_path / "store.json"
         path.write_text(text)
@@ -282,14 +314,45 @@ class TestRoundTrip:
             load_store(path)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_returns_a_store_or_raises_value_error(tmp_path_factory, data):
+    doc = valid_store_doc() | {
+        "n_users": 2, "users": ["u", "v"],
+        "entries": [[0, 0, 5, 0, 0, 1], [1, 0, 2.5, 1, 3, 1]],
+        "reliability": [[0, 0, 0.5], [1, 0, 1.0]],
+    }
+    value = data.draw(JSON_VALUES, label="value")
+    where = data.draw(st.sampled_from(["top", "entries", "reliability"]), label="where")
+    if where == "top":
+        doc[data.draw(st.sampled_from(sorted(doc)), label="key")] = value
+    else:
+        row = data.draw(st.sampled_from(doc[where]), label="row")
+        row[data.draw(st.integers(0, len(row) - 1), label="field")] = value
+    path = tmp_path_factory.mktemp("fuzz") / "store.json"
+    path.write_text(json.dumps(doc))
+    try:
+        store = load_store(path)
+    except ValueError:
+        return
+    assert store.n_users == len(doc["users"])
+
+
 class TestRestrict:
     def test_partition_preserves_contents(self, tiny_store):
-        pairs = sorted(tiny_store.omega)
+        pairs = sorted(rated(tiny_store))
         sub = restrict(tiny_store, pairs[:2])
-        assert sorted(sub.omega) == pairs[:2]
+        assert sorted(rated(sub)) == pairs[:2]
         assert sub.n_users == tiny_store.n_users
         for pair in pairs[:2]:
-            assert sub.raw_ratings[pair] == tiny_store.raw_ratings[pair]
+            assert rated(sub)[pair] == rated(tiny_store)[pair]
 
     def test_unknown_pair_rejected(self, tiny_store):
         with pytest.raises(ValueError):
@@ -321,10 +384,11 @@ def test_store_io_is_linear_in_one_products_reviews(tmp_path):
 class TestPairArrays:
     def test_rated_arrays_follow_sorted_pairs(self, tiny_store):
         idx_u, idx_p, values, raw = tiny_store.rated_arrays
-        pairs = sorted(tiny_store.omega)
+        ratings = rated(tiny_store)
+        pairs = sorted(ratings)
         assert list(zip(idx_u.tolist(), idx_p.tolist())) == pairs
-        assert values.tolist() == [tiny_store.ratings[p] for p in pairs]
-        assert raw.tolist() == [tiny_store.raw_ratings[p] for p in pairs]
+        assert values.tolist() == [ratings[p] / 5 for p in pairs]
+        assert raw.tolist() == [ratings[p] for p in pairs]
 
     def test_scored_arrays_follow_sorted_reliability_pairs(self, tiny_store):
         assert tiny_store.scored_arrays.idx_u.shape == (0,)

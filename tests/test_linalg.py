@@ -180,6 +180,17 @@ class TestAdam:
             adam_step(params, {"w": rng.normal(size=4)}, state)
         np.testing.assert_array_equal(params["w"], before)
 
+    def test_moments_are_allocated_once_per_name(self, monkeypatch):
+        from dualrec import linalg
+
+        calls = []
+        monkeypatch.setattr(linalg.np, "zeros_like", lambda p: calls.append(p) or np.zeros(p.shape))
+        params = {"w": np.zeros(3), "b": np.zeros(1)}
+        state = AdamState(lr=0.1)
+        for _ in range(4):
+            adam_step(params, {"w": np.ones(3), "b": np.ones(1)}, state)
+        assert len(calls) == 4  # m and v of each name, on its first step
+
     def test_shape_mismatch_rejected(self):
         state = AdamState()
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualrec.harness import SyntheticSpec, gen_synthetic
+from dualrec.ingest import restrict
 from dualrec.linalg import TrainingDivergedError, finite_diff_grad, sigmoid
 from dualrec.mf_model import (
     MfHyperparams,
@@ -25,7 +26,7 @@ from dualrec.mf_model import (
     train_mf,
 )
 
-from conftest import random_store, store_from
+from conftest import random_store, rated, scored, store_from
 
 
 def random_params(rng, n, m, k=2, p=3, scale=0.5):
@@ -77,8 +78,7 @@ class TestSvdInit:
         )
         (w, z), _ = svd_init(store, 3)
         dense = np.zeros((3, 3))
-        for (i, j), v in store.ratings.items():
-            dense[i, j] = v
+        dense[store.user, store.product] = store.ratings
         np.testing.assert_allclose(w.T @ z, dense, atol=1e-8)
 
     def test_zero_matrix_gives_zero_factors(self):
@@ -141,20 +141,16 @@ class TestLossValues:
         store = random_store(rng, 3, 3)
         params = random_params(rng, 3, 3, k=2)
         # overwrite ratings so the current factors fit exactly
-        ratings = {}
-        raws = {}
-        for (i, j) in store.omega:
-            value = sigmoid(float(params.user_rating[:, i] @ params.prod_rating[:, j]))
-            ratings[(i, j)] = value
-            raws[(i, j)] = 5 * value
-        fitted = replace(store, raw_ratings=raws, ratings=ratings)
+        raws = [5 * sigmoid(float(params.user_rating[:, i] @ params.prod_rating[:, j]))
+                for (i, j) in rated(store)]
+        fitted = replace(store, raw=np.array(raws))
         assert rating_loss(params, fitted, 0.0) < 1e-24
 
     def test_zero_factors_predict_half(self, tiny_store):
         params = random_params(np.random.default_rng(2), 3, 3)
         params.user_rating[:] = 0
         params.prod_rating[:] = 0
-        expected = sum((v - 0.5) ** 2 for v in tiny_store.ratings.values())
+        expected = sum((v - 0.5) ** 2 for v in tiny_store.ratings.tolist())
         assert math.isclose(rating_loss(params, tiny_store, 0.0), expected, rel_tol=1e-12)
 
     def test_reliability_zero_factors(self):
@@ -163,7 +159,7 @@ class TestLossValues:
         params = random_params(rng, 3, 3)
         params.user_joint[:] = 0
         params.prod_rel[:] = 0
-        expected = sum((v - 0.5) ** 2 for v in store.reliability.values())
+        expected = sum((v - 0.5) ** 2 for v in scored(store).values())
         assert math.isclose(reliability_loss(params, store, 0.0), expected, rel_tol=1e-12)
 
     def test_spreadsheet_style_two_by_two(self):
@@ -178,7 +174,7 @@ class TestLossValues:
         params.prod_rating = np.array([[1.0, 2.0]])
         lam = 0.1
         expected = 0.0
-        for (i, j), r in store.ratings.items():
+        for i, j, r in zip(store.user, store.product, store.ratings):
             expected += (r - sigmoid(params.user_rating[0, i] * params.prod_rating[0, j])) ** 2
         counts_u = {0: 2, 1: 1}
         counts_p = {0: 2, 1: 1}
@@ -192,15 +188,14 @@ class TestLossValues:
         rng = np.random.default_rng(6)
         store = random_store(rng, 3, 3)
         params = random_params(rng, 3, 3, k=2)
-        ratings = {}
-        raws = {}
-        rel = {}
-        for (i, j) in store.omega:
-            fit = sigmoid(float(params.user_joint[:, i] @ params.prod_joint[:, j]))
-            ratings[(i, j)] = fit
-            raws[(i, j)] = 5 * fit
-            rel[(i, j)] = sigmoid(float(params.user_joint[:, i] @ params.prod_rel[:, j]))
-        fitted = replace(store, raw_ratings=raws, ratings=ratings, reliability=rel)
+        fits = {(i, j): sigmoid(float(params.user_joint[:, i] @ params.prod_joint[:, j]))
+                for (i, j) in rated(store)}
+        # a store's rating is raw / 5: keep the pairs whose fit that can equal exactly
+        store = restrict(store, [pair for pair, fit in fits.items() if 5 * fit / 5 == fit])
+        raws = [5 * fits[pair] for pair in rated(store)]
+        rel = [sigmoid(float(params.user_joint[:, i] @ params.prod_rel[:, j]))
+               for (i, j) in rated(store)]
+        fitted = replace(store, raw=np.array(raws), reliability=np.array(rel))
         assert joint_loss(params, fitted, 0.0) == 0.0
 
     def test_joint_with_empty_psi_reduces_to_rating_form(self):
@@ -309,7 +304,7 @@ class TestEmbeddingAndHead:
     def test_bias_only_head_predicts_scaled_bias(self):
         params = random_params(np.random.default_rng(10), 2, 2)
         params.head[:] = 0.0
-        params.reg_b = 0.6
+        params.reg_b[0] = 0.6
         assert math.isclose(mf_predict(params, 0, 1), 3.0, rel_tol=1e-12)
 
     def test_one_dim_pass_through(self):
@@ -322,7 +317,7 @@ class TestEmbeddingAndHead:
         params.proj_joint = np.array([[1.0]])
         params.head = np.array([[1.0]])
         params.reg_w = np.array([1.0])
-        params.reg_b = 0.0
+        params.reg_b[0] = 0.0
         assert math.isclose(mf_predict(params, 0, 0), 4.0, rel_tol=1e-12)
 
     def test_index_out_of_range(self):
@@ -352,11 +347,8 @@ class TestTraining:
         data = gen_synthetic(SyntheticSpec(30, 25, 2, 0.6, 0.0, seed=1, quantize=False))
         store = data.store
         params = train_mf(store, hyper(epochs=150, reg_lambda=0.0))
-        pairs = sorted(store.omega)
-        idx_u = np.array([p[0] for p in pairs])
-        idx_p = np.array([p[1] for p in pairs])
+        idx_u, idx_p, _, truth = store.rated_arrays
         preds = factor_predict(params, idx_u, idx_p, branch="rating")
-        truth = np.array([store.raw_ratings[p] for p in pairs])
         rmse_norm = float(np.sqrt(np.mean(((preds - truth) / 5.0) ** 2)))
         assert rmse_norm < 0.05
 

@@ -20,7 +20,7 @@ from dualrec.mlp_model import (
     train_mlp,
 )
 
-from conftest import random_store
+from conftest import random_store, rated
 
 
 def get_field(params, name):
@@ -272,7 +272,7 @@ class TestPredictAndTrain:
     def test_bias_only_head(self):
         params = init_mlp(3, 3, 2, (4, 2), seed=0)
         params.head[:] = 0.0
-        params.reg_b = 0.6
+        params.reg_b[0] = 0.6
         assert math.isclose(mlp_predict(params, 0, 0), 3.0, rel_tol=1e-12)
 
     def test_prediction_ignores_other_users_rows(self):
@@ -286,15 +286,16 @@ class TestPredictAndTrain:
     def test_capacity_overfits_small_toy(self):
         data = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=2, quantize=False))
         store = data.store
-        assert len(store.omega) == 50
+        assert len(store.ratings) == 50
         hyper = MlpHyperparams(
             latent_dim=8, tower=(16, 8), batch_size=4, epochs=200, lr=0.02,
             lr_decay=0.99, seed=0, patience=0, init_scale=0.3,
         )
         params = train_mlp(store, hyper)
-        pairs = sorted(store.omega)
+        ratings = rated(store)
+        pairs = sorted(ratings)
         preds = np.array([mlp_predict(params, i, j) for i, j in pairs])
-        truth = np.array([store.raw_ratings[p] for p in pairs])
+        truth = np.array([ratings[p] for p in pairs])
         assert float(np.mean(np.abs(preds - truth))) < 0.1
 
     def test_training_deterministic(self):

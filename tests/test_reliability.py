@@ -19,7 +19,7 @@ from dualrec.reliability import (
     top_ranking_scores,
 )
 
-from conftest import store_from
+from conftest import rated, store_from
 
 
 def timeline_of(rows):
@@ -198,7 +198,7 @@ class TestProperties:
 class TestScoreStore:
     def test_store_level_scores_keyed_by_pair(self, tiny_store):
         breakdowns = score_store(tiny_store)
-        assert set(breakdowns) == set(tiny_store.omega)
+        assert set(breakdowns) == set(rated(tiny_store))
 
     def test_thread_pool_matches_sequential(self, tiny_store):
         sequential = score_store(tiny_store, threads=1)

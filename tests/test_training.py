@@ -8,6 +8,8 @@ from dualrec.linalg import TrainingDivergedError
 from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
 from dualrec.training import fit, mean_abs_error
 
+from conftest import rated
+
 
 class Hyper:
     def __init__(self, epochs=10, patience=2, lr=0.1, lr_decay=1.0, batch_size=2):
@@ -69,8 +71,7 @@ def mirrored():
     mirrored ratings: fitting the training ratings first helps, then
     hurts validation MAE."""
     store = gen_synthetic(SyntheticSpec(20, 16, 2, 0.6, 0.05, seed=3)).store
-    entries = [(i, j, 6 - store.raw_ratings[(i, j)], 0, 0, k)
-               for k, (i, j) in enumerate(sorted(store.omega))]
+    entries = [(i, j, 6 - r, 0, 0, k) for k, ((i, j), r) in enumerate(sorted(rated(store).items()))]
     return store, _make_store(store.user_ids, store.product_ids, entries, {})
 
 
