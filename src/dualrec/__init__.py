@@ -9,7 +9,6 @@ initialized from the pre-trained branches with a trade-off constant.
 """
 
 from .fusion import (
-    FusionHyperparams,
     FusionModel,
     fused_predict,
     init_fusion,
@@ -95,5 +94,6 @@ from .reliability import (
     score_store,
     top_ranking_scores,
 )
+from .training import FitHyperparams
 
 __version__ = "0.1.0"

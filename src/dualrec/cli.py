@@ -34,7 +34,7 @@ class CliError(Exception):
 
 
 def _load_store(path) -> ingest.InteractionStore:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError("input-not-found", f"store not found: {path}")
     try:
         return ingest.load_store(path)
@@ -47,7 +47,7 @@ def _epoch_logger(phase, epoch, loss, seconds):
 
 
 def cmd_ingest(args) -> int:
-    if not os.path.exists(args.input):
+    if not os.path.isfile(args.input):
         raise CliError("input-not-found", f"input not found: {args.input}")
     with open(args.input, "r", encoding="utf-8") as fh:
         result = ingest.parse_reviews(fh)
@@ -68,13 +68,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_reliability(args) -> int:
     store = _load_store(args.store)
-    try:
-        breakdowns = reliability_mod.score_store(
-            store, alpha=args.alpha, fallback_max=args.fallback_helpful_max,
-            threads=max(1, args.threads),
-        )
-    except ValueError as exc:
-        raise CliError("bad-args", str(exc)) from exc
+    breakdowns = reliability_mod.score_store(
+        store, alpha=args.alpha, fallback_max=args.fallback_helpful_max,
+        threads=max(1, args.threads),
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in reliability_mod.breakdown_rows(store, breakdowns, args.threshold):
             fh.write(row + "\n")
@@ -83,17 +80,23 @@ def cmd_reliability(args) -> int:
     return 0
 
 
+def _train_stores(args):
+    """The ``--store`` and the optional ``--val-store`` of a training command."""
+    return _load_store(args.store), _load_store(args.val_store) if args.val_store else None
+
+
+def _branch_config(args, **fields) -> harness.ExperimentConfig:
+    """Config of a ``pretrain-*`` command: its flags over the defaults."""
+    return harness.ExperimentConfig(latent_dim=args.k, batch_size=args.batch_size, lr=args.lr,
+                                    seed=args.seed, **fields)
+
+
 def cmd_pretrain_mf(args) -> int:
-    store = _load_store(args.store)
-    val_store = _load_store(args.val_store) if args.val_store else None
-    hyper = mf_model.MfHyperparams(
-        latent_dim=args.k, predictive_dim=args.p, reg_lambda=args.reg_lambda,
-        batch_size=args.batch_size, epochs=args.epochs, lr=args.lr, seed=args.seed,
-    )
-    try:
-        params = mf_model.train_mf(store, hyper, val_store=val_store, on_epoch=_epoch_logger)
-    except TrainingDivergedError as exc:
-        raise CliError("training-diverged", str(exc)) from exc
+    stores = _train_stores(args)
+    # the branch's head width is the last tower width, as in the full pipeline
+    config = _branch_config(args, tower=(args.p,), reg_lambda=args.reg_lambda,
+                            epochs_mf=args.epochs)
+    params = harness.pretrain_mf(config, *stores, on_epoch=_epoch_logger)
     mf_model.save_mf(params, args.out)
     return 0
 
@@ -109,18 +112,10 @@ def _parse_tower(text: str) -> tuple:
 
 
 def cmd_pretrain_mlp(args) -> int:
-    store = _load_store(args.store)
-    val_store = _load_store(args.val_store) if args.val_store else None
-    hyper = mlp_model.MlpHyperparams(
-        latent_dim=args.k, tower=_parse_tower(args.tower), batch_size=args.batch_size,
-        epochs=args.epochs, lr=args.lr, seed=args.seed,
-        init_from_factors=args.init_from_factors,
-    )
-    try:
-        params = mlp_model.train_mlp(store, hyper, val_store=val_store, on_epoch=_epoch_logger)
-    except (TrainingDivergedError, ValueError) as exc:
-        category = "training-diverged" if isinstance(exc, TrainingDivergedError) else "bad-args"
-        raise CliError(category, str(exc)) from exc
+    stores = _train_stores(args)
+    config = _branch_config(args, tower=_parse_tower(args.tower), epochs_mlp=args.epochs,
+                            init_tables_from_factors=args.init_from_factors)
+    params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
     return 0
 
@@ -129,7 +124,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         raise CliError("bad-config", "no config given (flag --config or env DUALREC_CONFIG)")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError("config-not-found", f"config not found: {path}")
     try:
         return harness.ExperimentConfig.from_json(path)
@@ -138,8 +133,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    store = _load_store(args.store)
-    val_store = _load_store(args.val_store) if args.val_store else None
+    store, val_store = _train_stores(args)
     if args.config or os.environ.get(CONFIG_ENV_VAR):
         config = _experiment_config(args)
     else:
@@ -155,33 +149,22 @@ def cmd_train(args) -> int:
     if args.freeze_branches:
         config.freeze_branches = True
 
-    try:
-        if args.mf and args.mlp:
-            branches = (_load_model(mf_model.load_mf, args.mf),
-                        _load_model(mlp_model.load_mlp, args.mlp))
-            model = fusion_mod.init_fusion(*branches, config.gamma)
-            model = fusion_mod.train_fusion(
-                model, store,
-                fusion_mod.FusionHyperparams(
-                    batch_size=config.batch_size, epochs=config.epochs_fusion,
-                    lr=config.lr, seed=config.seed, patience=config.patience,
-                ),
-                val_store=val_store, freeze_branches=config.freeze_branches,
-                on_epoch=_epoch_logger,
-            )
-        elif args.mf or args.mlp:
-            raise CliError("bad-args", "--mf and --mlp must be given together")
-        else:
-            model, _ = harness.train_pipeline(config, store, val_store, on_epoch=_epoch_logger)
-    except TrainingDivergedError as exc:
-        raise CliError("training-diverged", str(exc)) from exc
+    if args.mf and args.mlp:
+        branches = (_load_model(mf_model.load_mf, args.mf),
+                    _load_model(mlp_model.load_mlp, args.mlp))
+        model = fusion_mod.init_fusion(*branches, config.gamma)
+        model = harness.fine_tune(config, model, store, val_store, on_epoch=_epoch_logger)
+    elif args.mf or args.mlp:
+        raise CliError("bad-args", "--mf and --mlp must be given together")
+    else:
+        model, _ = harness.train_pipeline(config, store, val_store, on_epoch=_epoch_logger)
     fusion_mod.save_fusion(model, args.out)
     return 0
 
 
 def _load_model(load, path):
     """Run a checkpoint loader, mapping its failures to CLI categories."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise CliError("input-not-found", f"model not found: {path}")
     try:
         return load(path)
@@ -207,7 +190,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     store = _load_store(args.store)
     model = _load_model(fusion_mod.load_fusion, args.model)
-    if not os.path.exists(args.pairs):
+    if not os.path.isfile(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
     keys = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
@@ -230,14 +213,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = harness.SyntheticSpec(
-            n_users=args.users, n_products=args.products, true_rank=args.rank,
-            observation_density=args.density, noise_std=args.noise, seed=args.seed,
-            quantize=not args.no_quantize,
-        )
-    except ValueError as exc:
-        raise CliError("bad-args", str(exc)) from exc
+    spec = harness.SyntheticSpec(
+        n_users=args.users, n_products=args.products, true_rank=args.rank,
+        observation_density=args.density, noise_std=args.noise, seed=args.seed,
+        quantize=not args.no_quantize,
+    )
     ingest.save_store(harness.gen_synthetic(spec).store, args.out)
     return 0
 

@@ -18,13 +18,12 @@ import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, InteractionStore
-from .training import fit, head_forward, mean_abs_error, val_mae
+from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 from .mf_model import MfParams
 from .mlp_model import MlpParams
 
 __all__ = [
     "FusionModel",
-    "FusionHyperparams",
     "init_fusion",
     "init_fusion_random",
     "fused_predict",
@@ -57,16 +56,6 @@ class FusionModel:
 
     def copy(self) -> "FusionModel":
         return copy.deepcopy(self)
-
-
-@dataclass
-class FusionHyperparams:
-    batch_size: int = 512
-    epochs: int = 12
-    lr: float = 0.001
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
-    seed: int = 0
-    patience: int = 3
 
 
 def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = 0.5) -> FusionModel:
@@ -240,7 +229,7 @@ def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) 
 def train_fusion(
     model: FusionModel,
     store: InteractionStore,
-    hyper: FusionHyperparams,
+    hyper: FitHyperparams,
     val_store: InteractionStore | None = None,
     freeze_branches: bool = False,
     on_epoch=None,

@@ -15,19 +15,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import reliability as reliability_mod
-from .fusion import (
-    FusionHyperparams,
-    FusionModel,
-    init_fusion,
-    init_fusion_random,
-    predict_batch,
-    train_fusion,
-)
+from .fusion import FusionModel, init_fusion, init_fusion_random, predict_batch, train_fusion
 from .ingest import MAX_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
 from .metrics import EvalReport, evaluate_predictions
-from .mf_model import MfHyperparams, train_mf
-from .mlp_model import MlpHyperparams, train_mlp
+from .mf_model import MfHyperparams, MfParams, train_mf
+from .mlp_model import MlpHyperparams, MlpParams, train_mlp
+from .training import FitHyperparams
 
 __all__ = [
     "SplitSpec",
@@ -38,6 +32,9 @@ __all__ = [
     "ExperimentResult",
     "split",
     "gen_synthetic",
+    "pretrain_mf",
+    "pretrain_mlp",
+    "fine_tune",
     "evaluate_model",
     "run_experiment",
     "sweep_train_sizes",
@@ -236,6 +233,11 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
+    def fit(self, epochs: int) -> FitHyperparams:
+        """Loop settings of a training phase that runs ``epochs`` epochs."""
+        return FitHyperparams(batch_size=self.batch_size, epochs=epochs, lr=self.lr,
+                              seed=self.seed, patience=self.patience)
+
 
 @dataclass
 class FoldOutcome:
@@ -299,6 +301,30 @@ def _ensure_reliability(store: InteractionStore, config: ExperimentConfig) -> In
     return reliability_mod.attach_scores(store, breakdowns)
 
 
+def pretrain_mf(config: ExperimentConfig, store: InteractionStore,
+                val_store: InteractionStore | None = None, on_epoch=None) -> MfParams:
+    """The linear branch, with the head width ``tower[-1]`` that fusion needs."""
+    hyper = MfHyperparams(latent_dim=config.latent_dim, predictive_dim=int(config.tower[-1]),
+                          reg_lambda=config.reg_lambda, fit=config.fit(config.epochs_mf))
+    return train_mf(store, hyper, val_store=val_store, on_epoch=on_epoch)
+
+
+def pretrain_mlp(config: ExperimentConfig, store: InteractionStore,
+                 val_store: InteractionStore | None = None, on_epoch=None) -> MlpParams:
+    """The non-linear branch."""
+    hyper = MlpHyperparams(latent_dim=config.latent_dim, tower=config.tower,
+                           init_from_factors=config.init_tables_from_factors,
+                           fit=config.fit(config.epochs_mlp))
+    return train_mlp(store, hyper, val_store=val_store, on_epoch=on_epoch)
+
+
+def fine_tune(config: ExperimentConfig, model: FusionModel, store: InteractionStore,
+              val_store: InteractionStore | None = None, on_epoch=None) -> FusionModel:
+    """A fine-tuned copy of the fused model."""
+    return train_fusion(model, store, config.fit(config.epochs_fusion), val_store=val_store,
+                        freeze_branches=config.freeze_branches, on_epoch=on_epoch)
+
+
 def train_pipeline(
     config: ExperimentConfig,
     train_store: InteractionStore,
@@ -309,47 +335,17 @@ def train_pipeline(
 
     Returns (model, phase_seconds).
     """
-    timings = {}
+    timings = {"pretrain_mf": 0.0, "pretrain_mlp": 0.0}
     if config.pretrain:
         started = time.perf_counter()
-        mf_params = train_mf(
-            train_store,
-            MfHyperparams(
-                latent_dim=config.latent_dim,
-                predictive_dim=int(config.tower[-1]),
-                reg_lambda=config.reg_lambda,
-                batch_size=config.batch_size,
-                epochs=config.epochs_mf,
-                lr=config.lr,
-                seed=config.seed,
-                patience=config.patience,
-            ),
-            val_store=val_store,
-            on_epoch=on_epoch,
-        )
+        mf_params = pretrain_mf(config, train_store, val_store, on_epoch)
         timings["pretrain_mf"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        mlp_params = train_mlp(
-            train_store,
-            MlpHyperparams(
-                latent_dim=config.latent_dim,
-                tower=config.tower,
-                batch_size=config.batch_size,
-                epochs=config.epochs_mlp,
-                lr=config.lr,
-                seed=config.seed,
-                patience=config.patience,
-                init_from_factors=config.init_tables_from_factors,
-            ),
-            val_store=val_store,
-            on_epoch=on_epoch,
-        )
+        mlp_params = pretrain_mlp(config, train_store, val_store, on_epoch)
         timings["pretrain_mlp"] = time.perf_counter() - started
         model = init_fusion(mf_params, mlp_params, config.gamma)
     else:
-        timings["pretrain_mf"] = 0.0
-        timings["pretrain_mlp"] = 0.0
         model = init_fusion_random(
             train_store.n_users,
             train_store.n_products,
@@ -360,20 +356,7 @@ def train_pipeline(
         )
 
     started = time.perf_counter()
-    model = train_fusion(
-        model,
-        train_store,
-        FusionHyperparams(
-            batch_size=config.batch_size,
-            epochs=config.epochs_fusion,
-            lr=config.lr,
-            seed=config.seed,
-            patience=config.patience,
-        ),
-        val_store=val_store,
-        freeze_branches=config.freeze_branches,
-        on_epoch=on_epoch,
-    )
+    model = fine_tune(config, model, train_store, val_store, on_epoch)
     timings["fusion"] = time.perf_counter() - started
     return model, timings
 

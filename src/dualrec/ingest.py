@@ -31,6 +31,8 @@ MAX_RATING = 5
 STORE_FORMAT = "dualrec-store"
 STORE_VERSION = 1
 
+_INT64 = range(-(2**63), 2**63)
+
 
 @dataclass(frozen=True)
 class ReviewRecord:
@@ -208,10 +210,14 @@ def _clean_line(obj: dict) -> ReviewRecord:
         raise ValueError("negative vote count")
     if yes > total:
         raise ValueError("helpful_yes > votes_total")
+    if total not in _INT64:
+        raise ValueError("vote count outside int64")
 
     when = obj.get("unixReviewTime")
     if not isinstance(when, int) or isinstance(when, bool):
         raise ValueError("missing or non-integer unixReviewTime")
+    if when not in _INT64:
+        raise ValueError("unixReviewTime outside int64")
 
     return ReviewRecord(user, prod, int(overall), yes, total, when)
 
@@ -269,7 +275,7 @@ def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
         if type(row) not in (list, tuple) or len(row) != 6:
             return f"entry {pos}: expected 6 fields, got {row!r}"
         i, j, raw_rating, yes, total, when = row
-        if not all(type(v) is int and -(2**63) <= v < 2**63 for v in (i, j, yes, total, when)):
+        if not all(type(v) is int and v in _INT64 for v in (i, j, yes, total, when)):
             return f"entry {pos}: index, vote or time field is not an int64 integer: {row!r}"
         if not (type(raw_rating) in (int, float) and 0 < raw_rating <= MAX_RATING):
             return (f"entry {pos}: raw rating must be a number in (0, {MAX_RATING}], "
@@ -353,7 +359,10 @@ def with_reliability(store: InteractionStore, reliability) -> InteractionStore:
         raise ValueError("a reliability pair appears twice")
     column = np.full(store.raw.size, np.nan)
     column[rows] = values
-    return replace(store, reliability=column)
+    out = replace(store, reliability=column)
+    if "_order" in vars(store):  # same user and product columns, so the same pair order
+        vars(out)["_order"] = store._order
+    return out
 
 
 def restrict(store: InteractionStore, pairs) -> InteractionStore:

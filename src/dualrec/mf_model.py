@@ -24,7 +24,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import PairMatrix, sigmoid, truncated_svd
-from .training import fit, head_forward, mean_abs_error, val_mae
+from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
     "MfParams",
@@ -94,13 +94,8 @@ class MfHyperparams:
     latent_dim: int
     predictive_dim: int = 8
     reg_lambda: float = 0.1
-    batch_size: int = 512
-    epochs: int = 12
-    lr: float = 0.001
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
-    seed: int = 0
-    patience: int = 3
     init_scale: float = 0.01
+    fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -277,7 +272,7 @@ def _fit_factors(params: MfParams, terms, hyper, rng, phase, val_store, on_epoch
     def predict(idx_u, idx_p):
         return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p]))
 
-    fit(weights, batch_grads, full_loss, all_u.size, hyper, rng, phase,
+    fit(weights, batch_grads, full_loss, all_u.size, hyper.fit, rng, phase,
         val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
 
 
@@ -316,7 +311,7 @@ def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
 
     predict = functools.partial(_predict_batch, params)
     fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
-        idx_u.size, hyper, rng, "mf-head", val_loss=val_mae(predict, val_store),
+        idx_u.size, hyper.fit, rng, "mf-head", val_loss=val_mae(predict, val_store),
         on_epoch=on_epoch)
 
 
@@ -331,13 +326,13 @@ def train_mf(
     Runs the rating objective, then the joint objective, then the MAE
     head, each with mini-batch Adam. With a ``val_store``, any phase
     stops early once its validation MAE has not improved for
-    ``hyper.patience`` consecutive epochs, and each phase ends on the
+    ``hyper.fit.patience`` consecutive epochs, and each phase ends on the
     weights of its best validation epoch. Deterministic for a fixed
     seed. Raises :class:`TrainingDivergedError` on NaN/inf losses.
     """
     if not len(store.ratings):
         raise ValueError("store has no ratings to train on")
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(hyper.fit.seed)
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)
     k, p = hyper.latent_dim, hyper.predictive_dim
     params = MfParams(

@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import relu
-from .training import fit, head_forward, mean_abs_error, val_mae
+from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
     "MlpParams",
@@ -85,14 +85,9 @@ class MlpParams:
 class MlpHyperparams:
     latent_dim: int
     tower: tuple = (16, 8)
-    batch_size: int = 512
-    epochs: int = 12
-    lr: float = 0.001
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
-    seed: int = 0
-    patience: int = 3
     init_scale: float = 0.01
     init_from_factors: bool = False
+    fit: FitHyperparams = FitHyperparams()
 
 
 def init_mlp(
@@ -252,14 +247,14 @@ def train_mlp(
 
     Per-example gradients are summed, not averaged, within a batch.
     With a ``val_store``, training stops once validation MAE has not
-    improved for ``hyper.patience`` epochs, and the returned weights are
+    improved for ``hyper.fit.patience`` epochs, and the returned weights are
     those of the best validation epoch.
     """
     if not len(store.ratings):
         raise ValueError("store has no ratings to train on")
     params = init_mlp(
         store.n_users, store.n_products, hyper.latent_dim, hyper.tower,
-        hyper.seed, hyper.init_scale,
+        hyper.fit.seed, hyper.init_scale,
     )
     if hyper.init_from_factors:
         from .mf_model import svd_init
@@ -280,7 +275,7 @@ def train_mlp(
         return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
 
     fit(param_dict(params), batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
-        idx_u.size, hyper, np.random.default_rng(hyper.seed), "mlp",
+        idx_u.size, hyper.fit, np.random.default_rng(hyper.fit.seed), "mlp",
         val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
     return params
 

@@ -9,13 +9,27 @@ raw-scale linear regression.
 """
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["fit", "head_forward", "mean_abs_error", "val_mae"]
+__all__ = ["FitHyperparams", "fit", "head_forward", "mean_abs_error", "val_mae"]
+
+
+@dataclass(frozen=True)
+class FitHyperparams:
+    """Settings of one training phase: the loop in :func:`fit`, plus the
+    ``seed`` of the generator its caller passes in."""
+
+    batch_size: int = 512
+    epochs: int = 12
+    lr: float = 0.001
+    lr_decay: float = 1.0  # per-epoch multiplicative factor
+    seed: int = 0
+    patience: int = 3
 
 
 def head_forward(theta, head, reg_w, reg_b):
@@ -36,8 +50,8 @@ def val_mae(predict, val_store: InteractionStore | None):
     return lambda: mean_abs_error(predict, val_store.rated_arrays)
 
 
-def fit(weights: dict, batch_grads, full_loss, n: int, hyper, rng, phase: str,
-        val_loss=None, on_epoch=None) -> None:
+def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rng,
+        phase: str, val_loss=None, on_epoch=None) -> None:
     """Mini-batch Adam over ``n`` examples, updating ``weights`` in place.
 
     Epoch e runs at learning rate ``hyper.lr * hyper.lr_decay**e`` and

@@ -21,7 +21,6 @@ import numpy as np
 
 from dualrec import mf_model, mlp_model
 from dualrec.fusion import (
-    FusionHyperparams,
     fused_predict,
     init_fusion,
     init_fusion_random,
@@ -58,6 +57,7 @@ from dualrec.reliability import (
     score_product,
     top_ranking_scores,
 )
+from dualrec.training import FitHyperparams
 
 from test_cli import run_pipeline
 from test_fusion import small_model
@@ -240,7 +240,8 @@ def test_c05_synthetic_recovery():
         data.store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=0)
     )[0]
     hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.001,
-                          batch_size=512, epochs=200, lr=0.05, seed=0, patience=0)
+                          fit=FitHyperparams(batch_size=512, epochs=200, lr=0.05, seed=0,
+                                             patience=0))
     params = train_mf(train_store, hyper)
     idx_u, idx_p, _, truth = test_store.rated_arrays
     preds = factor_predict(params, idx_u, idx_p, branch="joint")
@@ -293,18 +294,20 @@ def test_c07_pretraining_direction():
         train_store, val_store, test_store = split(
             data.store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=seed)
         )[0]
-        fine_tune = FusionHyperparams(batch_size=64, epochs=30, lr=0.01,
-                                      lr_decay=0.98, seed=seed, patience=5)
+        fine_tune = FitHyperparams(batch_size=64, epochs=30, lr=0.01,
+                                   lr_decay=0.98, seed=seed, patience=5)
         mf = train_mf(
             train_store,
             MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.01,
-                          batch_size=64, epochs=200, lr=0.05, seed=seed, patience=5),
+                          fit=FitHyperparams(batch_size=64, epochs=200, lr=0.05, seed=seed,
+                                             patience=5)),
             val_store=val_store,
         )
         mlp = train_mlp(
             train_store,
-            MlpHyperparams(latent_dim=2, tower=(4, 4), batch_size=64, epochs=50,
-                           lr=0.02, seed=seed, patience=5),
+            MlpHyperparams(latent_dim=2, tower=(4, 4),
+                           fit=FitHyperparams(batch_size=64, epochs=50, lr=0.02, seed=seed,
+                                              patience=5)),
             val_store=val_store,
         )
         warm = train_fusion(init_fusion(mf, mlp, 0.5), train_store, fine_tune,
@@ -377,7 +380,8 @@ def test_c09_linear_scaling():
             phase_times.setdefault(phase, []).append(seconds)
 
         hyper = MfHyperparams(latent_dim=8, predictive_dim=8, reg_lambda=0.01,
-                              batch_size=512, epochs=6, lr=0.01, seed=0, patience=0)
+                              fit=FitHyperparams(batch_size=512, epochs=6, lr=0.01, seed=0,
+                                                 patience=0))
         train_mf(store, hyper, on_epoch=on_epoch)
         return sum(statistics.median(v) for v in phase_times.values())
 

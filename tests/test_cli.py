@@ -357,3 +357,67 @@ class TestDeterminismAndSmoke:
         elapsed = time.perf_counter() - started
         assert report.exists()
         assert elapsed < 60.0, f"pipeline took {elapsed:.1f}s"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Directory with a synthetic store, default-shaped branch checkpoints,
+    an MF checkpoint of head width 6 and a fused checkpoint."""
+    d = tmp_path_factory.mktemp("trained")
+    for argv in ("synth --users 12 --products 10 --seed 4 --out {d}/store.json",
+                 "pretrain-mf --store {d}/store.json --out {d}/mf.ckpt --epochs 1",
+                 "pretrain-mf --store {d}/store.json --out {d}/mf6.ckpt --epochs 1 --p 6",
+                 "pretrain-mlp --store {d}/store.json --out {d}/mlp.ckpt --epochs 1",
+                 "train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt "
+                 "--epochs 1 --out {d}/fused.ckpt"):
+        assert main(argv.format(d=d).split()) == 0, argv
+    return d
+
+
+def error_line(capsys, argv) -> str:
+    """The one line a failing command prints to stderr, after its exit code 1."""
+    capsys.readouterr()
+    assert main(argv) == 1, argv
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, err
+    (line,) = [line for line in err.splitlines() if line.startswith("error [")]
+    return line
+
+
+class TestErrorCategories:
+    @pytest.mark.parametrize("argv, want", [
+        ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --lr 1e200",
+         "error [training-diverged]: mf-rating training diverged at epoch 0: loss=nan"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --lr 1e200",
+         "error [training-diverged]: mlp training diverged at epoch 0: loss=nan"),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt --lr 1e200 "
+         "--out {d}/x.ckpt",
+         "error [training-diverged]: fusion training diverged at epoch 0: loss=nan"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --tower 40,8",
+         "error [bad-args]: tower widths must be non-increasing from 16, got [40, 8]"),
+        ("train --store {d}/store.json --mf {d}/mf6.ckpt --mlp {d}/mlp.ckpt --out {d}/x.ckpt",
+         "error [bad-args]: branch head widths differ: mf=6, mlp=8"),
+        ("synth --users 5 --products 5 --rank 9 --out {d}/x.json",
+         "error [bad-args]: true_rank exceeds the smaller dimension"),
+        ("reliability --store {d}/store.json --out {d}/x.tsv --alpha 2",
+         "error [bad-args]: alpha must be in [0, 1], got 2.0"),
+    ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "widening-tower",
+            "head-widths-differ", "rank-too-large", "alpha-too-large"])
+    def test_command_error_line(self, trained, capsys, argv, want):
+        assert error_line(capsys, argv.format(d=trained).split()) == want
+        assert not (trained / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("argv, category", [
+        ("reliability --store {d} --out {d}/x.tsv", "input-not-found"),
+        ("pretrain-mf --store {d} --out {d}/x.ckpt", "input-not-found"),
+        ("train --store {d}/store.json --val-store {d} --out {d}/x.ckpt", "input-not-found"),
+        ("evaluate --store {d}/store.json --model {d} --out {d}/x.txt", "input-not-found"),
+        ("train --store {d}/store.json --config {d} --out {d}/x.ckpt", "config-not-found"),
+        ("ingest --input {d} --out {d}/x.json", "input-not-found"),
+        ("predict --store {d}/store.json --model {d}/fused.ckpt --pairs {d} --out {d}/x.tsv",
+         "input-not-found"),
+    ], ids=["reliability-store", "pretrain-store", "train-val-store", "evaluate-model",
+            "train-config", "ingest-input", "predict-pairs"])
+    def test_directory_input_is_categorized(self, trained, capsys, argv, category):
+        line = error_line(capsys, argv.format(d=trained).split())
+        assert line.startswith(f"error [{category}]: "), line

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dualrec.fusion import (
-    FusionHyperparams,
     FusionModel,
     fused_predict,
     init_fusion,
@@ -17,6 +16,7 @@ from dualrec.fusion import (
 )
 from dualrec.linalg import finite_diff_grad
 from dualrec.mlp_model import init_mlp, param_dict as mlp_param_dict
+from dualrec.training import FitHyperparams
 
 from conftest import random_store
 from test_mf_model import random_params
@@ -222,7 +222,7 @@ class TestTraining:
         rng = np.random.default_rng(15)
         store = random_store(rng, 4, 4)
         model = small_model(seed=15)
-        trained = train_fusion(model, store, FusionHyperparams(epochs=3, lr=0.0, patience=0))
+        trained = train_fusion(model, store, FitHyperparams(epochs=3, lr=0.0, patience=0))
         pairs = [(i, j) for i in range(4) for j in range(4)]
         assert predict_batch(trained, pairs) == predict_batch(model, pairs)
         np.testing.assert_array_equal(trained.concat_w, model.concat_w)
@@ -237,7 +237,7 @@ class TestTraining:
         store = random_store(rng, 4, 4)
         model = small_model(seed=17)
         snapshot = copy.deepcopy(model)
-        train_fusion(model, store, FusionHyperparams(epochs=2, lr=0.01, patience=0))
+        train_fusion(model, store, FitHyperparams(epochs=2, lr=0.01, patience=0))
         np.testing.assert_array_equal(model.concat_w, snapshot.concat_w)
         np.testing.assert_array_equal(model.mf.user_joint, snapshot.mf.user_joint)
 
@@ -248,7 +248,7 @@ class TestTraining:
         losses = []
         train_fusion(
             model, store,
-            FusionHyperparams(epochs=5, lr=0.01, batch_size=16, patience=0),
+            FitHyperparams(epochs=5, lr=0.01, batch_size=16, patience=0),
             on_epoch=lambda ph, ep, loss, s: losses.append(loss),
         )
         assert len(losses) == 5
@@ -260,7 +260,7 @@ class TestTraining:
         store = random_store(rng, 4, 4)
         model = small_model(seed=21)
         trained = train_fusion(
-            model, store, FusionHyperparams(epochs=3, lr=0.05, patience=0),
+            model, store, FitHyperparams(epochs=3, lr=0.05, patience=0),
             freeze_branches=True,
         )
         np.testing.assert_array_equal(trained.mf.user_rating, model.mf.user_rating)
@@ -272,13 +272,13 @@ class TestTraining:
     def test_global_mean_recorded(self):
         rng = np.random.default_rng(23)
         store = random_store(rng, 4, 4)
-        model = train_fusion(small_model(23), store, FusionHyperparams(epochs=1, patience=0))
+        model = train_fusion(small_model(23), store, FitHyperparams(epochs=1, patience=0))
         assert model.global_mean == store.global_mean_raw()
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
         store = random_store(rng, 5, 5)
-        hyper = FusionHyperparams(epochs=3, lr=0.02, seed=4, patience=0)
+        hyper = FitHyperparams(epochs=3, lr=0.02, seed=4, patience=0)
         a = train_fusion(small_model(25, n=5, m=5), store, hyper)
         b = train_fusion(small_model(25, n=5, m=5), store, hyper)
         np.testing.assert_array_equal(a.concat_w, b.concat_w)

@@ -15,6 +15,7 @@ from dualrec.harness import (
     sweep_train_sizes,
 )
 from dualrec.mf_model import MfHyperparams, factor_predict, train_mf
+from dualrec.training import FitHyperparams
 
 from conftest import random_store, rated, scored
 
@@ -119,7 +120,8 @@ class TestSynthetic:
         data = gen_synthetic(SyntheticSpec(50, 40, 2, 1.0, 0.0, seed=3, quantize=False))
         store = data.store
         hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.0,
-                              batch_size=512, epochs=200, lr=0.05, seed=0, patience=0)
+                              fit=FitHyperparams(batch_size=512, epochs=200, lr=0.05, seed=0,
+                                                 patience=0))
         params = train_mf(store, hyper)
         idx_u, idx_p, _, truth = store.rated_arrays
         preds = factor_predict(params, idx_u, idx_p, branch="rating")

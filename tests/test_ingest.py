@@ -88,6 +88,15 @@ class TestParse:
         assert len(result.records) == 1
         assert result.warnings == ["line 2: overall must be an integer in [1, 5]"]
 
+    @pytest.mark.parametrize("field", [{"when": 10**20}, {"when": -(2**63) - 1},
+                                       {"helpful": (0, 2**63)}],
+                             ids=["late-time", "early-time", "votes"])
+    def test_int64_overflow_skipped(self, field):
+        result = parse_reviews([line(user="other"), line(**field)])
+        assert len(result.records) == 1 and result.n_skipped == 1
+        assert result.warnings[0].startswith("line 2: ") and "int64" in result.warnings[0]
+        assert build_store(result.records).n_users == 1
+
     def test_unreadable_stream_is_fatal(self):
         def boom():
             yield line()
@@ -345,6 +354,21 @@ def test_load_returns_a_store_or_raises_value_error(tmp_path_factory, data):
     assert store.n_users == len(doc["users"])
 
 
+INT64_EDGES = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**20])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(key=st.sampled_from(["reviewerID", "asin", "overall", "helpful", "unixReviewTime"]),
+       value=JSON_VALUES | INT64_EDGES
+       | st.lists(st.integers() | INT64_EDGES, min_size=2, max_size=2))
+def test_review_line_becomes_a_record_or_a_warning(key, value):
+    doc = json.loads(line())
+    doc[key] = value
+    result = parse_reviews([line(user="other"), json.dumps(doc)])
+    assert len(result.records) + result.n_skipped == 2
+    build_store(result.records)
+
+
 class TestRestrict:
     def test_partition_preserves_contents(self, tiny_store):
         pairs = sorted(rated(tiny_store))
@@ -397,6 +421,13 @@ class TestPairArrays:
         assert list(zip(idx_u.tolist(), idx_p.tolist())) == [(0, 0), (2, 0)]
         assert values.tolist() == [0.75, 0.25]
         assert raw.tolist() == [5.0, 1.0]
+
+    def test_scored_store_sorts_its_pairs_once(self, tiny_store, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
+        with_reliability(tiny_store, {(0, 0): 0.75, (2, 0): 0.25}).rated_arrays
+        assert len(calls) == 1
 
     def test_built_once_and_read_only(self, tiny_store):
         arrays = tiny_store.rated_arrays

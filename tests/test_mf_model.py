@@ -25,6 +25,7 @@ from dualrec.mf_model import (
     svd_init,
     train_mf,
 )
+from dualrec.training import FitHyperparams
 
 from conftest import random_store, rated, scored, store_from
 
@@ -327,10 +328,11 @@ class TestEmbeddingAndHead:
 
 
 def hyper(**kw):
-    defaults = dict(latent_dim=2, predictive_dim=3, reg_lambda=0.01,
-                    batch_size=64, epochs=8, lr=0.05, seed=0, patience=0)
-    defaults.update(kw)
-    return MfHyperparams(**defaults)
+    model = dict(latent_dim=2, predictive_dim=3, reg_lambda=0.01)
+    loop = dict(batch_size=64, epochs=8, lr=0.05, seed=0, patience=0)
+    for key, value in kw.items():
+        (model if key in model else loop)[key] = value
+    return MfHyperparams(**model, fit=FitHyperparams(**loop))
 
 
 class TestTraining:

@@ -19,6 +19,7 @@ from dualrec.mlp_model import (
     save_mlp,
     train_mlp,
 )
+from dualrec.training import FitHyperparams
 
 from conftest import random_store, rated
 
@@ -92,7 +93,7 @@ class TestInitGolden:
 
     def test_init_from_factors_predictions(self):
         store = random_store(np.random.default_rng(13), 5, 5)
-        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), epochs=0,
+        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), fit=FitHyperparams(epochs=0),
                                init_from_factors=True, init_scale=0.3)
         assert predictions_digest(train_mlp(store, hyper)) == (
             "297314a3d61669b8a71b18eca6a24fd661327bce6f0881f13abe92cf2b2eed95")
@@ -288,8 +289,9 @@ class TestPredictAndTrain:
         store = data.store
         assert len(store.ratings) == 50
         hyper = MlpHyperparams(
-            latent_dim=8, tower=(16, 8), batch_size=4, epochs=200, lr=0.02,
-            lr_decay=0.99, seed=0, patience=0, init_scale=0.3,
+            latent_dim=8, tower=(16, 8), init_scale=0.3,
+            fit=FitHyperparams(batch_size=4, epochs=200, lr=0.02, lr_decay=0.99, seed=0,
+                               patience=0),
         )
         params = train_mlp(store, hyper)
         ratings = rated(store)
@@ -301,7 +303,8 @@ class TestPredictAndTrain:
     def test_training_deterministic(self):
         rng = np.random.default_rng(11)
         store = random_store(rng, 5, 5, with_reliability=False)
-        hyper = MlpHyperparams(latent_dim=4, tower=(8, 4), batch_size=8, epochs=3, seed=5)
+        hyper = MlpHyperparams(latent_dim=4, tower=(8, 4),
+                               fit=FitHyperparams(batch_size=8, epochs=3, seed=5))
         a = train_mlp(store, hyper)
         b = train_mlp(store, hyper)
         np.testing.assert_array_equal(a.user_emb, b.user_emb)
@@ -311,7 +314,8 @@ class TestPredictAndTrain:
     def test_init_from_factors_option(self):
         rng = np.random.default_rng(13)
         store = random_store(rng, 5, 5)
-        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), epochs=0, init_from_factors=True)
+        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), fit=FitHyperparams(epochs=0),
+                               init_from_factors=True)
         params = train_mlp(store, hyper)
         from dualrec.mf_model import svd_init
 
@@ -323,7 +327,8 @@ class TestPredictAndTrain:
     def test_divergence_raises(self):
         rng = np.random.default_rng(17)
         store = random_store(rng, 4, 4, with_reliability=False)
-        hyper = MlpHyperparams(latent_dim=2, tower=(4, 2), epochs=4, lr=1e200, seed=0)
+        hyper = MlpHyperparams(latent_dim=2, tower=(4, 2),
+                               fit=FitHyperparams(epochs=4, lr=1e200, seed=0))
         with pytest.raises(TrainingDivergedError):
             train_mlp(store, hyper)
 

@@ -1,20 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
-from dualrec.fusion import FusionHyperparams, fused_predict, init_fusion_random, train_fusion
+from dualrec.fusion import fused_predict, init_fusion_random, train_fusion
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import _make_store
 from dualrec.linalg import TrainingDivergedError
 from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
-from dualrec.training import fit, mean_abs_error
+from dualrec.training import FitHyperparams, fit, mean_abs_error
 
 from conftest import rated
 
 
-class Hyper:
-    def __init__(self, epochs=10, patience=2, lr=0.1, lr_decay=1.0, batch_size=2):
-        self.epochs, self.patience = epochs, patience
-        self.lr, self.lr_decay, self.batch_size = lr, lr_decay, batch_size
+Hyper = functools.partial(FitHyperparams, epochs=10, patience=2, lr=0.1, batch_size=2)
 
 
 def run_fit(val_scores, hyper):
@@ -93,8 +92,9 @@ def test_train_mlp_returns_the_best_validation_epoch(mirrored):
     store, val = mirrored
 
     def hyper(epochs, patience=0):
-        return MlpHyperparams(latent_dim=2, tower=(4, 2), batch_size=32, epochs=epochs,
-                              lr=0.03, seed=2, patience=patience)
+        return MlpHyperparams(latent_dim=2, tower=(4, 2),
+                              fit=FitHyperparams(batch_size=32, epochs=epochs, lr=0.03, seed=2,
+                                                 patience=patience))
 
     best = best_epoch(lambda e: train_mlp(store, hyper(e)), mlp_predict, val, 10, 3)
     got = train_mlp(store, hyper(10, patience=3), val_store=val)
@@ -108,8 +108,8 @@ def test_train_fusion_returns_the_best_validation_epoch(mirrored):
     start = init_fusion_random(store.n_users, store.n_products, 2, (4, 2), seed=2)
 
     def hyper(epochs, patience=0):
-        return FusionHyperparams(batch_size=32, epochs=epochs, lr=0.02, seed=1,
-                                 patience=patience)
+        return FitHyperparams(batch_size=32, epochs=epochs, lr=0.02, seed=1,
+                              patience=patience)
 
     best = best_epoch(lambda e: train_fusion(start, store, hyper(e)), fused_predict,
                       val, 10, 3)
