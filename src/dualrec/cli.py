@@ -42,6 +42,14 @@ def _load_store(path) -> ingest.InteractionStore:
         raise CliError("bad-store", f"cannot read store {path}: {exc}") from exc
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output path that names a directory, before any work starts."""
+    for flag in ("out", "store_out", "tsv"):
+        path = getattr(args, flag, None)
+        if path and os.path.isdir(path):
+            raise CliError("bad-args", f"--{flag.replace('_', '-')} names a directory: {path}")
+
+
 def _epoch_logger(phase, epoch, loss, seconds):
     log.info("%s epoch %d: loss=%.6f (%.3fs)", phase, epoch, loss, seconds)
 
@@ -364,6 +372,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
     )
     try:
+        _check_outputs(args)
         return args.handler(args)
     except CliError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)

@@ -6,9 +6,12 @@ initialization the weight matrix is assembled blockwise from the two
 pre-trained branch heads, scaled by ``gamma`` and ``1 - gamma``, so the
 blend constant decides how much each branch contributes before
 fine-tuning; the regression head starts from the average of the two
-branch regression heads. Fine-tuning backpropagates raw-scale MAE
-through everything (both branches included) unless the branches are
-frozen.
+branch regression heads. Fine-tuning backpropagates raw-scale MAE into
+the fused head and each branch's dense layers (the MF projections, the
+MLP fusion layers and tower), unless the branches are frozen. The
+pre-trained user and product embedding tables stay fixed: no gradient
+is computed for them. Only a model built from random noise
+(:func:`init_fusion_random`) trains its tables as well.
 """
 
 import copy
@@ -45,6 +48,7 @@ class FusionModel:
     reg_b: np.ndarray  # (1,)
     gamma: float
     global_mean: float = 3.0  # raw-scale fallback for unknown indices
+    train_tables: bool = False  # fine-tuning updates the embedding tables too
 
     @property
     def latent_dim(self) -> int:
@@ -64,7 +68,8 @@ def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = 0.5) -> FusionModel
     ``concat_w`` gets the MF head (transposed) times gamma on the left
     and the MLP head times (1 - gamma) on the right; the regression head
     is the average of the branch regression heads. Branch parameters are
-    deep-copied so later fine-tuning cannot disturb the inputs.
+    deep-copied so later fine-tuning cannot disturb the inputs; the
+    pre-trained embedding tables do not train.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -95,7 +100,8 @@ def init_fusion_random(
     """Fused model with every parameter freshly Gaussian-initialized.
 
     The no-pre-training baseline: factor matrices, both branch stacks and
-    the fused head all start from Gaussian(0, scale) noise.
+    the fused head all start from Gaussian(0, scale) noise, and
+    fine-tuning trains the embedding tables with everything else.
     """
     rng = np.random.default_rng(seed)
     k = latent_dim
@@ -120,6 +126,7 @@ def init_fusion_random(
         reg_w=rng.normal(0.0, scale, p),
         reg_b=np.zeros(1),
         gamma=gamma,
+        train_tables=True,
     )
 
 
@@ -172,25 +179,30 @@ def predict_batch(model: FusionModel, pairs) -> list[float]:
 # Branch parameters the fused forward pass never reads: each branch's own
 # head, which the fused head bypasses, and the reliability-only factors.
 _UNREAD = ("head", "reg_w", "reg_b", "prod_rel")
-
-
-def _branch_entries(prefix: str, table: dict) -> dict:
-    """``prefix + name`` -> array for the branch entries the fused forward pass reads."""
-    return {prefix + name: a for name, a in table.items() if name not in _UNREAD}
+# The per-user and per-product embedding tables of both branches.
+_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint", "user_emb", "prod_emb")
 
 
 def _param_dict(model: FusionModel, freeze_branches: bool) -> dict:
-    """The arrays fine-tuning trains: the fused head, and unless the
-    branches are frozen, every branch parameter the forward pass reads."""
+    """The arrays fine-tuning trains: the fused head; unless the branches
+    are frozen, each branch's dense layers; and with ``model.train_tables``
+    the embedding tables too."""
     out = {"concat_w": model.concat_w, "reg_w": model.reg_w, "reg_b": model.reg_b}
     if not freeze_branches:
-        out.update(_branch_entries("mf/", mf_model.param_dict(model.mf)))
-        out.update(_branch_entries("mlp/", mlp_model.param_dict(model.mlp)))
+        skip = _UNREAD if model.train_tables else _UNREAD + _TABLES
+        for prefix, table in (("mf/", mf_model.param_dict(model.mf)),
+                              ("mlp/", mlp_model.param_dict(model.mlp))):
+            out.update({prefix + name: a for name, a in table.items() if name not in skip})
     return out
 
 
 def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) -> dict:
-    """Gradients of sum(d_raw * raw) for the trainable parameter dict."""
+    """Gradients of sum(d_raw * raw) for exactly the arrays of :func:`_param_dict`.
+
+    Gradients of arrays that do not train are never computed: a frozen
+    branch stops the backward pass at the fused head, and fixed tables
+    get no scatter.
+    """
     d_norm = MAX_RATING * d_raw
     d_hidden = d_norm[:, None] * model.reg_w[None, :]
     grads = {
@@ -204,25 +216,21 @@ def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) 
     k = model.latent_dim
     d_theta_mf = d_concat[:, :k]
 
-    mf = model.mf
-    idx_u, idx_p = cache["idx_u"], cache["idx_p"]
-    d_rating = d_theta_mf @ mf.proj_rating
-    d_joint = d_theta_mf @ mf.proj_joint
-    mf_grads = {
-        "proj_rating": d_theta_mf.T @ cache["rating"],
-        "proj_joint": d_theta_mf.T @ cache["joint"],
-    }
-    for user, prod, d_prod in (("user_rating", "prod_rating", d_rating),
-                               ("user_joint", "prod_joint", d_joint)):
-        u_cols = getattr(mf, user)[:, idx_u].T
-        v_cols = getattr(mf, prod)[:, idx_p].T
-        mf_grads[user] = mf_model._scatter_cols(mf.n_users, k, idx_u, d_prod * v_cols)
-        mf_grads[prod] = mf_model._scatter_cols(mf.n_products, k, idx_p, d_prod * u_cols)
-    grads.update(_branch_entries("mf/", mf_grads))
+    grads["mf/proj_rating"] = d_theta_mf.T @ cache["rating"]
+    grads["mf/proj_joint"] = d_theta_mf.T @ cache["joint"]
+    if model.train_tables:
+        mf, idx_u, idx_p = model.mf, cache["idx_u"], cache["idx_p"]
+        for user, prod, proj in (("user_rating", "prod_rating", mf.proj_rating),
+                                 ("user_joint", "prod_joint", mf.proj_joint)):
+            d_prod = d_theta_mf @ proj
+            u_cols = getattr(mf, user)[:, idx_u].T
+            v_cols = getattr(mf, prod)[:, idx_p].T
+            grads["mf/" + user] = mf_model._scatter_cols(mf.n_users, idx_u, d_prod * v_cols)
+            grads["mf/" + prod] = mf_model._scatter_cols(mf.n_products, idx_p, d_prod * u_cols)
 
-    mlp_grads = mlp_model._zero_grads(model.mlp)
-    mlp_model._backward_from_theta(model.mlp, cache["mlp_cache"], d_concat[:, k:], mlp_grads)
-    grads.update(_branch_entries("mlp/", mlp_grads))
+    mlp_grads = mlp_model._backward_from_theta(model.mlp, cache["mlp_cache"], d_concat[:, k:],
+                                               tables=model.train_tables)
+    grads.update({"mlp/" + name: g for name, g in mlp_grads.items()})
     return grads
 
 
@@ -234,13 +242,18 @@ def train_fusion(
     freeze_branches: bool = False,
     on_epoch=None,
 ) -> FusionModel:
-    """Fine-tune a copy of the model end to end with raw-scale MAE.
+    """Fine-tune a copy of the model with raw-scale MAE.
 
-    The input model is left untouched. With ``freeze_branches`` only the
-    fused head (concat weights plus regression) trains. Early stopping
-    mirrors the branch trainers: with a ``val_store``, training stops
-    once validation MAE has not improved for ``hyper.patience`` epochs,
-    and the returned model has the weights of the best validation epoch.
+    The input model is left untouched. The fused head (concat weights
+    plus regression) always trains. Unless ``freeze_branches``, so do
+    the branches' dense layers: the MF projections ``proj_rating`` and
+    ``proj_joint``, and the MLP fusion layers and tower. The embedding
+    tables train only when ``model.train_tables`` is set, as
+    :func:`init_fusion_random` does; the pre-trained tables of an
+    :func:`init_fusion` model stay as they are. Early stopping mirrors
+    the branch trainers: with a ``val_store``, training stops once
+    validation MAE has not improved for ``hyper.patience`` epochs, and
+    the returned model has the weights of the best validation epoch.
     """
     model = model.copy()
     model.global_mean = store.global_mean_raw()  # ValueError for a store without ratings

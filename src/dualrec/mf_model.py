@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import PairMatrix, sigmoid, truncated_svd
+from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
 from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
@@ -143,11 +143,9 @@ def _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets):
     return float(np.sum(resid**2)), coef
 
 
-def _scatter_cols(n_cols: int, latent_dim: int, idx, contrib):
-    """Accumulate per-pair K-vectors into the indexed columns."""
-    out = np.zeros((n_cols, latent_dim))
-    np.add.at(out, idx, contrib)
-    return out.T
+def _scatter_cols(n_cols: int, idx, contrib):
+    """Accumulate per-pair K-vectors into the indexed columns of a K x n_cols table."""
+    return scatter_rows(n_cols, idx, contrib).T
 
 
 def rating_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
@@ -172,13 +170,12 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     lambda (|u_i|^2 + |v_j|^2), which is the form used here so that
     mini-batches of pairs sum exactly to the full objective.
     """
-    k = u_mat.shape[0]
     term, coef = _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets)
     u_cols = u_mat[:, idx_u].T
     v_cols = v_mat[:, idx_p].T
     reg = reg_lambda * float(np.sum(u_cols**2) + np.sum(v_cols**2))
-    du = _scatter_cols(u_mat.shape[1], k, idx_u, coef[:, None] * v_cols + 2.0 * reg_lambda * u_cols)
-    dv = _scatter_cols(v_mat.shape[1], k, idx_p, coef[:, None] * u_cols + 2.0 * reg_lambda * v_cols)
+    du = _scatter_cols(u_mat.shape[1], idx_u, coef[:, None] * v_cols + 2.0 * reg_lambda * u_cols)
+    dv = _scatter_cols(v_mat.shape[1], idx_p, coef[:, None] * u_cols + 2.0 * reg_lambda * v_cols)
     return term + reg, (du, dv)
 
 

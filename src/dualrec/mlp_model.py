@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
-from .linalg import relu
+from .linalg import relu, scatter_rows
 from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
@@ -163,41 +163,46 @@ def param_dict(params: MlpParams) -> dict:
     return out
 
 
-def _zero_grads(params: MlpParams) -> dict:
-    return {name: np.zeros_like(w) for name, w in param_dict(params).items()}
+def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool = True) -> dict:
+    """Gradients of every parameter below the pair embedding.
 
-
-def _backward_from_theta(params: MlpParams, cache: dict, d_theta, grads: dict) -> None:
-    """Accumulate gradients below the pair embedding into `grads`."""
+    With ``tables`` false the two embedding tables get no gradient at
+    all: their scatter is skipped, not computed and dropped.
+    """
+    grads = {}
     hidden, pres = cache["hidden"], cache["pres"]
     d_h = d_theta
     for l in range(len(params.tower_w) - 1, -1, -1):
         d_pre = d_h * (pres[l] > 0)
-        grads[f"tower_w_{l}"] += hidden[l].T @ d_pre
-        grads[f"tower_b_{l}"] += d_pre.sum(axis=0)
+        grads[f"tower_w_{l}"] = hidden[l].T @ d_pre
+        grads[f"tower_b_{l}"] = d_pre.sum(axis=0)
         d_h = d_pre @ params.tower_w[l].T
     k = params.latent_dim
     d_a = d_h[:, :k] * (cache["a_pre"] > 0)
     d_b = d_h[:, k:] * (cache["b_pre"] > 0)
-    grads["fusion_w_user"] += d_a.T @ cache["user"]
-    grads["fusion_b_user"] += d_a.sum(axis=0)
-    grads["fusion_w_prod"] += d_b.T @ cache["prod"]
-    grads["fusion_b_prod"] += d_b.sum(axis=0)
-    np.add.at(grads["user_emb"], cache["idx_u"], d_a @ params.fusion_w_user)
-    np.add.at(grads["prod_emb"], cache["idx_p"], d_b @ params.fusion_w_prod)
+    grads["fusion_w_user"] = d_a.T @ cache["user"]
+    grads["fusion_b_user"] = d_a.sum(axis=0)
+    grads["fusion_w_prod"] = d_b.T @ cache["prod"]
+    grads["fusion_b_prod"] = d_b.sum(axis=0)
+    if tables:
+        grads["user_emb"] = scatter_rows(params.n_users, cache["idx_u"],
+                                         d_a @ params.fusion_w_user)
+        grads["prod_emb"] = scatter_rows(params.n_products, cache["idx_p"],
+                                         d_b @ params.fusion_w_prod)
+    return grads
 
 
 def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
     """Gradients of sum(d_raw * raw_prediction) for every parameter."""
     theta = cache["hidden"][-1]
-    head_hidden = theta @ params.head
-    d_hidden = (MAX_RATING * d_raw)[:, None] * params.reg_w[None, :]
-    grads = _zero_grads(params)
-    grads["head"] += theta.T @ d_hidden
-    grads["reg_w"] += head_hidden.T @ (MAX_RATING * d_raw)
-    grads["reg_b"] += np.sum(MAX_RATING * d_raw)
-    d_theta = d_hidden @ params.head.T
-    _backward_from_theta(params, cache, d_theta, grads)
+    d_norm = MAX_RATING * d_raw
+    d_hidden = d_norm[:, None] * params.reg_w[None, :]
+    grads = {
+        "head": theta.T @ d_hidden,
+        "reg_w": (theta @ params.head).T @ d_norm,
+        "reg_b": np.array([np.sum(d_norm)]),
+    }
+    grads.update(_backward_from_theta(params, cache, d_hidden @ params.head.T))
     return grads
 
 

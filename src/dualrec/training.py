@@ -67,28 +67,32 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rn
     best_val = np.inf
     best = None
     stall = 0
-    for epoch in range(hyper.epochs):
-        started = time.perf_counter()
-        state.lr = hyper.lr * hyper.lr_decay**epoch
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            adam_step(weights, batch_grads(order[start : start + hyper.batch_size]), state)
-        loss = full_loss()
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"{phase} training diverged at epoch {epoch}: loss={loss}")
-        if on_epoch is not None:
-            on_epoch(phase, epoch, loss, time.perf_counter() - started)
-        if val_loss is None or not hyper.patience:
-            continue
-        val = val_loss()
-        if val < best_val - 1e-12:
-            best_val = val
-            best = {name: w.copy() for name, w in weights.items()}
-            stall = 0
-        else:
-            stall += 1
-            if stall >= hyper.patience:
-                break
+    # a diverging run overflows on its way to the non-finite loss that the
+    # check below reports; numpy's warnings about it would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            started = time.perf_counter()
+            state.lr = hyper.lr * hyper.lr_decay**epoch
+            order = rng.permutation(n)
+            for start in range(0, n, hyper.batch_size):
+                adam_step(weights, batch_grads(order[start : start + hyper.batch_size]), state)
+            loss = full_loss()
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"{phase} training diverged at epoch {epoch}: loss={loss}")
+            if on_epoch is not None:
+                on_epoch(phase, epoch, loss, time.perf_counter() - started)
+            if val_loss is None or not hyper.patience:
+                continue
+            val = val_loss()
+            if val < best_val - 1e-12:
+                best_val = val
+                best = {name: w.copy() for name, w in weights.items()}
+                stall = 0
+            else:
+                stall += 1
+                if stall >= hyper.patience:
+                    break
     if best is not None:
         for name, w in weights.items():
             w[...] = best[name]

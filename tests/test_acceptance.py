@@ -60,7 +60,7 @@ from dualrec.reliability import (
 from dualrec.training import FitHyperparams
 
 from test_cli import run_pipeline
-from test_fusion import small_model
+from test_fusion import FUSED_NAMES, check_fused_gradients, small_model
 from test_mf_model import assert_grad_close, flat_objective, random_params
 from test_mlp_model import get_field, set_field
 from conftest import random_store, rated
@@ -177,6 +177,7 @@ def test_c04_gradient_correctness():
             continue
         checked += 1
         grads = mlp_backward(params, i, j, 1.0)
+        assert set(grads) == set(mlp_model.param_dict(params))
         for name, grad in grads.items():
             base = get_field(params, name).copy()
             shape = base.shape
@@ -191,9 +192,9 @@ def test_c04_gradient_correctness():
             numeric = finite_diff_grad(value, base.ravel(), step=1e-6).reshape(shape)
             assert_grad_close(grad.ravel(), numeric.ravel())
 
-    # the fused model end to end
+    # the fused model end to end, on the path that trains the tables and on
+    # the tables-fixed path an init_fusion model takes
     from dualrec.fusion import _forward_batch as fused_forward_batch
-    from dualrec.fusion import _grads_batch, _param_dict
 
     checked = 0
     seed = 0
@@ -212,21 +213,9 @@ def test_c04_gradient_correctness():
         if np.any(np.abs(pres) < 1e-4):
             continue
         checked += 1
-        grads = _grads_batch(model, cache, d_raw, freeze_branches=False)
-        weights = _param_dict(model, freeze_branches=False)
-        for name, grad in grads.items():
-            base = weights[name].copy()
-            shape = base.shape
-
-            def value(x, name=name, shape=shape):
-                clone = model.copy()
-                wdict = _param_dict(clone, freeze_branches=False)
-                wdict[name][...] = x.reshape(shape)
-                raw, _ = fused_forward_batch(clone, idx_u, idx_p)
-                return float(np.dot(d_raw, raw))
-
-            numeric = finite_diff_grad(value, base.ravel(), step=1e-6).reshape(shape)
-            assert_grad_close(grad.ravel(), numeric.ravel())
+        names = check_fused_gradients(
+            model, cache, d_raw, lambda name, g, n: assert_grad_close(g.ravel(), n.ravel()))
+        assert names == FUSED_NAMES
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient battery took {elapsed:.2f}s"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,12 @@ class TestErrorCategories:
     def test_command_error_line(self, trained, capsys, argv, want):
         assert error_line(capsys, argv.format(d=trained).split()) == want
         assert not (trained / "x.ckpt").exists()
+        # the error line is all a failing command prints: no numpy warnings
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(argv.format(d=trained).split()) == 1
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err == want + "\n"
 
     @pytest.mark.parametrize("argv, category", [
         ("reliability --store {d} --out {d}/x.tsv", "input-not-found"),
@@ -421,3 +428,25 @@ class TestErrorCategories:
     def test_directory_input_is_categorized(self, trained, capsys, argv, category):
         line = error_line(capsys, argv.format(d=trained).split())
         assert line.startswith(f"error [{category}]: "), line
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("ingest --input {d}/reviews.jsonl --out {d}", "--out"),
+        ("reliability --store {d}/store.json --out {d}", "--out"),
+        ("reliability --store {d}/store.json --out {t}/x.tsv --store-out {d}", "--store-out"),
+        ("pretrain-mf --store {d}/store.json --out {d} --epochs 1", "--out"),
+        ("pretrain-mlp --store {d}/store.json --out {d} --epochs 1", "--out"),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt --out {d}", "--out"),
+        ("evaluate --store {d}/store.json --model {d}/fused.ckpt --out {d}", "--out"),
+        ("evaluate --store {d}/store.json --model {d}/fused.ckpt --out {t}/x.txt --tsv {d}",
+         "--tsv"),
+        ("predict --store {d}/store.json --model {d}/fused.ckpt --pairs {t}/pairs.tsv "
+         "--out {d}", "--out"),
+        ("synth --users 5 --products 5 --out {d}", "--out"),
+    ], ids=["ingest", "reliability", "reliability-store-out", "pretrain-mf", "pretrain-mlp",
+            "train", "evaluate", "evaluate-tsv", "predict", "synth"])
+    def test_directory_output_is_categorized(self, trained, tmp_path, capsys, argv, flag):
+        write_reviews(trained / "reviews.jsonl")
+        (tmp_path / "pairs.tsv").write_text("U0000\tP00000\n")
+        line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
+        assert line == f"error [bad-args]: {flag} names a directory: {trained}"
+        assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing else written

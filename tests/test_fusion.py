@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dualrec import mf_model, mlp_model, training
 from dualrec.fusion import (
     FusionModel,
     fused_predict,
@@ -14,12 +16,49 @@ from dualrec.fusion import (
     save_fusion,
     train_fusion,
 )
-from dualrec.linalg import finite_diff_grad
+from dualrec.linalg import adam_step, finite_diff_grad
 from dualrec.mlp_model import init_mlp, param_dict as mlp_param_dict
 from dualrec.training import FitHyperparams
 
 from conftest import random_store
 from test_mf_model import random_params
+
+
+# The embedding tables of both branches, as fine-tuning names them.
+TABLES = {"mf/user_rating", "mf/prod_rating", "mf/user_joint", "mf/prod_joint",
+          "mlp/user_emb", "mlp/prod_emb"}
+# Every array a small_model trains when its tables train too.
+FUSED_NAMES = TABLES | {
+    "concat_w", "reg_w", "reg_b", "mf/proj_rating", "mf/proj_joint",
+    "mlp/fusion_w_user", "mlp/fusion_b_user", "mlp/fusion_w_prod", "mlp/fusion_b_prod",
+    "mlp/tower_w_0", "mlp/tower_b_0", "mlp/tower_w_1", "mlp/tower_b_1",
+}
+
+
+def check_fused_gradients(model, cache, d_raw, assert_close) -> set:
+    """Finite-difference check of every gradient on the path that trains
+    the tables; the tables-fixed path of ``model`` must return the same
+    gradient for every name but the tables. Returns the names checked."""
+    from dualrec.fusion import _forward_batch, _grads_batch, _param_dict
+
+    full_model = dataclasses.replace(model, train_tables=True)
+    full = _grads_batch(full_model, cache, d_raw, freeze_branches=False)
+    fixed = _grads_batch(model, cache, d_raw, freeze_branches=False)
+    weights = _param_dict(full_model, freeze_branches=False)
+    assert set(full) == set(weights)
+    assert set(fixed) == set(_param_dict(model, freeze_branches=False)) == set(full) - TABLES
+    for name, grad in fixed.items():
+        np.testing.assert_array_equal(grad, full[name], err_msg=name)
+    for name, grad in full.items():
+        def value(x, name=name):
+            clone = full_model.copy()
+            _param_dict(clone, freeze_branches=False)[name][...] = x.reshape(grad.shape)
+            raw, _ = _forward_batch(clone, cache["idx_u"], cache["idx_p"])
+            return float(np.dot(d_raw, raw))
+
+        numeric = finite_diff_grad(value, weights[name].ravel(), step=1e-6)
+        assert_close(name, grad, numeric.reshape(grad.shape))
+    return set(full)
 
 
 def small_model(seed=0, n=4, m=4, k=2, p=3, scale=0.5) -> FusionModel:
@@ -176,7 +215,12 @@ class TestPredictBatch:
 
 class TestFusedGradients:
     def test_full_model_gradcheck(self):
-        from dualrec.fusion import _forward_batch, _grads_batch, _param_dict
+        from dualrec.fusion import _forward_batch
+
+        def assert_close(name, grad, numeric):
+            scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
+            worst = float(np.max(np.abs(grad - numeric) / scale))
+            assert worst < 1e-4, f"seed {seed} field {name}: {worst}"
 
         checked = 0
         seed = 0
@@ -195,26 +239,7 @@ class TestFusedGradients:
             if np.any(np.abs(pres) < 1e-4):
                 continue
             checked += 1
-            grads = _grads_batch(model, cache, d_raw, freeze_branches=False)
-            weights = _param_dict(model, freeze_branches=False)
-
-            for name, grad in grads.items():
-                if name not in weights or not np.any(np.isfinite(grad)):
-                    continue
-                base = weights[name].copy()
-                shape = base.shape
-
-                def value(x):
-                    clone = model.copy()
-                    wdict = _param_dict(clone, freeze_branches=False)
-                    wdict[name][...] = x.reshape(shape)
-                    raw, _ = _forward_batch(clone, idx_u, idx_p)
-                    return float(np.dot(d_raw, raw))
-
-                numeric = finite_diff_grad(value, base.ravel(), step=1e-6).reshape(shape)
-                scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
-                worst = float(np.max(np.abs(grad - numeric) / scale))
-                assert worst < 1e-4, f"seed {seed} field {name}: {worst}"
+            assert check_fused_gradients(model, cache, d_raw, assert_close) == FUSED_NAMES
 
 
 class TestTraining:
@@ -283,6 +308,71 @@ class TestTraining:
         b = train_fusion(small_model(25, n=5, m=5), store, hyper)
         np.testing.assert_array_equal(a.concat_w, b.concat_w)
         np.testing.assert_array_equal(a.mlp.user_emb, b.mlp.user_emb)
+
+
+class TestTableTraining:
+    def test_pretrained_tables_stay_fixed(self):
+        rng = np.random.default_rng(29)
+        store = random_store(rng, 4, 4)
+        model = small_model(seed=29)
+        assert not model.train_tables
+        trained = train_fusion(model, store, FitHyperparams(epochs=3, lr=0.05, patience=0))
+        for name in ("user_rating", "prod_rating", "user_joint", "prod_joint"):
+            np.testing.assert_array_equal(getattr(trained.mf, name), getattr(model.mf, name))
+        np.testing.assert_array_equal(trained.mlp.user_emb, model.mlp.user_emb)
+        np.testing.assert_array_equal(trained.mlp.prod_emb, model.mlp.prod_emb)
+        for before, after in ((model.mf.proj_rating, trained.mf.proj_rating),
+                              (model.mf.proj_joint, trained.mf.proj_joint),
+                              (model.mlp.fusion_w_user, trained.mlp.fusion_w_user),
+                              (model.mlp.fusion_w_prod, trained.mlp.fusion_w_prod),
+                              (model.mlp.tower_w[0], trained.mlp.tower_w[0]),
+                              (model.concat_w, trained.concat_w)):
+            assert np.any(before != after)
+
+    def test_random_model_trains_its_tables(self):
+        rng = np.random.default_rng(31)
+        store = random_store(rng, 4, 5, density=0.9)
+        model = init_fusion_random(4, 5, 3, (6, 3), seed=1, scale=0.3)
+        assert model.train_tables
+        trained = train_fusion(model, store, FitHyperparams(epochs=3, lr=0.05, patience=0))
+        for name in ("user_rating", "prod_rating", "user_joint", "prod_joint"):
+            assert np.any(getattr(trained.mf, name) != getattr(model.mf, name)), name
+        assert np.any(trained.mlp.user_emb != model.mlp.user_emb)
+        assert np.any(trained.mlp.prod_emb != model.mlp.prod_emb)
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["pretrained", "random"])
+    def test_fixed_tables_are_skipped_not_filtered(self, monkeypatch, cold):
+        calls = []
+        states = []
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        def recording_step(params, grads, state):
+            states.append(state)
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(mf_model, "_scatter_cols",
+                            counting("mf", mf_model._scatter_cols))
+        monkeypatch.setattr(mlp_model, "scatter_rows",
+                            counting("mlp", mlp_model.scatter_rows))
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        rng = np.random.default_rng(33)
+        store = random_store(rng, 4, 4)
+        model = (init_fusion_random(4, 4, 2, (4, 3), seed=2) if cold
+                 else small_model(seed=33))
+        train_fusion(model, store, FitHyperparams(epochs=2, lr=0.01, patience=0))
+        state = states[0]
+        assert all(s is state for s in states)
+        if cold:
+            assert set(state.m) == set(state.v) == FUSED_NAMES
+            assert calls.count("mf") == 4 * len(states) and calls.count("mlp") == 2 * len(states)
+        else:
+            assert set(state.m) == set(state.v) == FUSED_NAMES - TABLES
+            assert calls == []
 
 
 class TestCheckpoint:

@@ -10,6 +10,7 @@ from dualrec.linalg import (
     as_matrix,
     finite_diff_grad,
     relu,
+    scatter_rows,
     sigmoid,
     truncated_svd,
 )
@@ -141,6 +142,29 @@ class TestSigmoid:
 
     def test_relu_clamps_negative(self):
         np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("n_rows, batch, k", [(1000, 512, 8), (5, 40, 3), (4, 0, 2)])
+    def test_bitwise_equal_to_add_at(self, n_rows, batch, k):
+        # repeated indices, mixed signs and magnitudes: each row must sum in
+        # input order from 0.0, exactly as np.add.at does
+        rng = np.random.default_rng(batch)
+        idx = rng.integers(0, min(n_rows, max(batch // 4, 1)), size=batch)
+        contrib = rng.normal(size=(batch, k)) * 10.0 ** rng.integers(-8, 8, size=(batch, k))
+        want = np.zeros((n_rows, k))
+        np.add.at(want, idx, contrib)
+        np.testing.assert_array_equal(scatter_rows(n_rows, idx, contrib), want)
+
+    def test_column_scatter_is_its_transpose(self):
+        from dualrec.mf_model import _scatter_cols
+
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, 6, size=30)
+        contrib = rng.normal(size=(30, 4))
+        want = np.zeros((9, 4))
+        np.add.at(want, idx, contrib)
+        np.testing.assert_array_equal(_scatter_cols(9, idx, contrib), want.T)
 
 
 class TestAdam:
