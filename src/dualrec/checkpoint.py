@@ -11,6 +11,7 @@ identical bytes.
 import json
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -24,7 +25,8 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
     """Write named float64 arrays in the given order.
 
     ``sections`` is a sequence of (name, array); the order is recorded in
-    the header and preserved on load.
+    the header and preserved on load. A repeated name raises ValueError
+    before the file is opened.
     """
     entries = []
     payloads = []
@@ -32,6 +34,7 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
         arr = np.asarray(array, dtype="<f8")  # keeps 0-d; tobytes() is C order
         entries.append({"name": name, "shape": list(arr.shape)})
         payloads.append(arr.tobytes())
+    _check_unique(path, entries)
     header = json.dumps(
         {"kind": kind, "meta": meta, "sections": entries},
         separators=(",", ":"),
@@ -51,6 +54,13 @@ def _is_shape(shape) -> bool:
     )
 
 
+def _check_unique(path, entries) -> None:
+    counts = Counter(entry["name"] for entry in entries)
+    repeated = sorted(name for name, count in counts.items() if count > 1)
+    if repeated:
+        raise ValueError(f"{path}: repeated checkpoint section names {repeated}")
+
+
 def _checked_header(path, raw: bytes) -> dict:
     """Decoded JSON header, checked for the fields the reader relies on."""
     try:
@@ -68,6 +78,7 @@ def _checked_header(path, raw: bytes) -> dict:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and _is_shape(entry.get("shape"))):
             raise ValueError(f"{path}: bad checkpoint section entry {entry!r}")
+    _check_unique(path, header["sections"])
     return header
 
 
@@ -77,7 +88,8 @@ def load_sections(path):
     Raises ValueError for anything but one complete container: a wrong
     magic or version, a short fixed header, a header that is not a JSON
     object with a kind, a meta object and (name, shape) sections, a
-    truncated section, or bytes after the last section.
+    repeated section name, a truncated section, or bytes after the last
+    section.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, InteractionStore
-from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
+from .training import FitHyperparams, fit, head_forward, mean_abs_error, predict_chunked, val_mae
 from .mf_model import MfParams
 from .mlp_model import MlpParams
 
@@ -158,22 +158,19 @@ def fused_predict(model: FusionModel, i: int, j: int) -> float:
 def predict_batch(model: FusionModel, pairs) -> list[float]:
     """Raw predictions clamped to [1, 5], in input order.
 
-    Pairs with an out-of-range user or product index fall back to the
-    model's global training mean.
+    ``pairs`` is a sequence of (user, product) indices or an (n, 2)
+    integer array. Pairs with an out-of-range user or product index fall
+    back to the model's global training mean. Known pairs are scored
+    ``CHUNK_PAIRS`` at a time, and each chunk's forward cache is dropped
+    before the next.
     """
-    pairs = list(pairs)
-    out = [model.global_mean] * len(pairs)
-    known = [
-        k for k, (i, j) in enumerate(pairs)
-        if 0 <= i < model.mf.n_users and 0 <= j < model.mf.n_products
-    ]
-    if known:
-        idx_u = np.array([pairs[k][0] for k in known], dtype=np.intp)
-        idx_p = np.array([pairs[k][1] for k in known], dtype=np.intp)
-        raw, _ = _forward_batch(model, idx_u, idx_p)
-        for k, value in zip(known, raw):
-            out[k] = float(value)
-    return [min(max(v, MIN_RATING), float(MAX_RATING)) for v in out]
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    idx_u, idx_p = pairs[:, 0], pairs[:, 1]
+    known = (idx_u >= 0) & (idx_u < model.mf.n_users) & (idx_p >= 0) & (idx_p < model.mf.n_products)
+    out = np.full(len(pairs), model.global_mean)
+    out[known] = predict_chunked(lambda bu, bp: _forward_batch(model, bu, bp)[0],
+                                 idx_u[known], idx_p[known])
+    return np.clip(out, MIN_RATING, MAX_RATING).tolist()
 
 
 # Branch parameters the fused forward pass never reads: each branch's own

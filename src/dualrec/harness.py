@@ -277,9 +277,9 @@ def evaluate_model(
 ) -> EvalReport:
     """Score the fused model on every rated pair of the test store."""
     idx_u, idx_p, _, raw = test_store.rated_arrays
-    pairs = list(zip(idx_u.tolist(), idx_p.tolist()))
+    preds = predict_batch(model, np.column_stack((idx_u, idx_p)))
     users: dict = {}
-    for (i, j), pred, truth in zip(pairs, predict_batch(model, pairs), raw.tolist()):
+    for i, j, pred, truth in zip(idx_u.tolist(), idx_p.tolist(), preds, raw.tolist()):
         users.setdefault(i, []).append((j, pred, truth))
     return evaluate_predictions(users, cutoffs=cutoffs, threshold=threshold)
 

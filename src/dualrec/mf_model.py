@@ -24,7 +24,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
+from .training import CHUNK_PAIRS, FitHyperparams, fit, head_forward, mean_abs_error, val_mae
 
 __all__ = [
     "MfParams",
@@ -179,15 +179,15 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     return term + reg, (du, dv)
 
 
-def _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda, chunk=4096):
+def _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     """Loss of one squared data term with per-pair L2, no gradients.
 
-    Evaluated in fixed-size chunks so the gathered column blocks stay
-    cache-resident regardless of how many pairs are observed.
+    Evaluated ``CHUNK_PAIRS`` pairs at a time so the gathered column
+    blocks stay cache-resident regardless of how many pairs are observed.
     """
     total = 0.0
-    for start in range(0, idx_u.size, chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, idx_u.size, CHUNK_PAIRS):
+        sl = slice(start, start + CHUNK_PAIRS)
         term, _ = _sq_data_term(u_mat, v_mat, idx_u[sl], idx_p[sl], targets[sl])
         total += term + reg_lambda * float(
             np.sum(u_mat[:, idx_u[sl]] ** 2) + np.sum(v_mat[:, idx_p[sl]] ** 2)

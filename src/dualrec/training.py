@@ -6,6 +6,11 @@ one permutation of the training examples per epoch, with a per-epoch
 learning-rate decay, a divergence check on the full-data loss and
 optional early stopping on validation MAE. All of them end in the same
 raw-scale linear regression.
+
+Full-data and validation losses are computed chunk by chunk:
+:func:`predict_chunked` runs the forward pass over ``CHUNK_PAIRS`` pairs
+at a time, so the cache one pass builds is dropped before the next and
+scoring memory does not grow with the number of pairs.
 """
 
 import time
@@ -16,7 +21,10 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["FitHyperparams", "fit", "head_forward", "mean_abs_error", "val_mae"]
+__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "head_forward", "mean_abs_error",
+           "predict_chunked", "val_mae"]
+
+CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 
 
 @dataclass(frozen=True)
@@ -38,9 +46,30 @@ def head_forward(theta, head, reg_w, reg_b):
     return hidden, MAX_RATING * (hidden @ reg_w + reg_b)
 
 
+def predict_chunked(predict, idx_u, idx_p) -> np.ndarray:
+    """``predict(idx_u, idx_p)`` as one float64 array, filled slice by slice
+    so that only one slice's forward pass is alive at once.
+
+    Slices start at multiples of ``CHUNK_PAIRS`` and are that long, except
+    the last, which takes in a remainder shorter than half a chunk. No
+    slice is then a matrix of one row or a few dozen, which BLAS multiplies
+    with other kernels (gemv, small-matrix kernels) whose rounding differs
+    from that of one pass over all pairs.
+    """
+    n = len(idx_u)
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        stop = start + CHUNK_PAIRS if n - start >= CHUNK_PAIRS + CHUNK_PAIRS // 2 else n
+        out[start:stop] = predict(idx_u[start:stop], idx_p[start:stop])
+        start = stop
+    return out
+
+
 def mean_abs_error(predict, arrays: PairArrays) -> float:
     """MAE of ``predict(idx_u, idx_p)`` against the raw ratings."""
-    return float(np.mean(np.abs(predict(arrays.idx_u, arrays.idx_p) - arrays.raw)))
+    preds = predict_chunked(predict, arrays.idx_u, arrays.idx_p)
+    return float(np.mean(np.abs(preds - arrays.raw)))
 
 
 def val_mae(predict, val_store: InteractionStore | None):

@@ -1,13 +1,18 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrec.checkpoint import MAGIC, VERSION, load_sections, save_sections
 from dualrec.fusion import load_fusion, save_fusion
 from dualrec.mf_model import load_mf, save_mf
 from dualrec.mlp_model import load_mlp, save_mlp
+
+from test_ingest import JSON_VALUES
 
 
 def container(header, payload=b"", header_bytes=None):
@@ -61,16 +66,79 @@ def test_round_trip_keeps_zero_dim_and_strided_arrays(tmp_path):
     container(good_header([2]), bytes(15)),
     container(good_header([2 ** 40, 2 ** 40]), bytes(16)),
     container(good_header([2]), bytes(17)),
+    container({"kind": "mf", "meta": {}, "sections": [{"name": "a", "shape": [1]}] * 2},
+              bytes(16)),
 ], ids=["empty", "wrong-magic", "short-fixed-header", "short-json-header", "wrong-version",
         "header-not-utf8", "header-not-json", "header-not-object", "no-kind", "no-sections",
         "meta-not-object", "sections-not-list", "section-not-object", "negative-dim",
         "float-dim", "bool-dim", "shape-not-list", "truncated-section", "huge-section",
-        "trailing-bytes"])
+        "trailing-bytes", "repeated-name"])
 def test_malformed_containers_raise_value_error(tmp_path, data):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(data)
     with pytest.raises(ValueError, match="bad.ckpt"):
         load_sections(path)
+
+
+def test_save_refuses_a_repeated_name(tmp_path):
+    path = tmp_path / "a.ckpt"
+    with pytest.raises(ValueError, match=r"repeated checkpoint section names \['a'\]"):
+        save_sections(path, "mf", {}, [("a", [0.0]), ("b", [1.0]), ("a", [2.0])])
+    assert not path.exists()
+
+
+def split_container(blob: bytes):
+    """(header object, payload bytes) of a well-formed container."""
+    start = len(MAGIC) + struct.calcsize("<IQ")
+    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
+    return json.loads(blob[start:start + header_len]), blob[start + header_len:]
+
+
+VALID = container({"kind": "mf", "meta": {"k": 2},
+                   "sections": [{"name": "w", "shape": [2, 3]}, {"name": "b", "shape": [2]},
+                                {"name": "s", "shape": []}]},
+                  np.arange(9.0).tobytes())
+
+
+def mutated(data) -> bytes:
+    """VALID after one drawn change: truncated, one byte flipped, one
+    header field set to any JSON value, or one section entry repeated."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "field", "repeat"]), label="how")
+    if how == "truncate":
+        return VALID[: data.draw(st.integers(0, len(VALID) - 1), label="length")]
+    if how == "flip":
+        at = data.draw(st.integers(0, len(VALID) - 1), label="at")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        return VALID[:at] + bytes([VALID[at] ^ mask]) + VALID[at + 1:]
+    header, payload = split_container(VALID)
+    k = data.draw(st.integers(0, len(header["sections"]) - 1), label="section")
+    entry = header["sections"][k]
+    if how == "field":
+        value = data.draw(JSON_VALUES, label="value")
+        where = data.draw(st.sampled_from(["kind", "meta", "name", "shape"]), label="field")
+        (header if where in ("kind", "meta") else entry)[where] = value
+    else:
+        header["sections"].append(dict(entry))
+        if data.draw(st.booleans(), label="with payload"):
+            start = 8 * sum(math.prod(e["shape"]) for e in header["sections"][:k])
+            payload += payload[start:start + 8 * math.prod(entry["shape"])]
+    return container(header, payload)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_returns_a_container_or_raises_value_error(tmp_path_factory, data):
+    blob = mutated(data)
+    path = tmp_path_factory.mktemp("fuzz") / "c.ckpt"
+    path.write_bytes(blob)
+    try:
+        kind, meta, arrays = load_sections(path)
+    except ValueError:
+        return
+    assert isinstance(kind, str) and isinstance(meta, dict)
+    assert all(a.dtype == np.float64 for a in arrays.values())
+    # every payload byte belongs to exactly one returned array
+    assert sum(8 * a.size for a in arrays.values()) == len(split_container(blob)[1])
 
 
 def filled(start, shape):

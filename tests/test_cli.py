@@ -450,3 +450,27 @@ class TestErrorCategories:
         line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
         assert line == f"error [bad-args]: {flag} names a directory: {trained}"
         assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing else written
+
+    def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):
+        import math
+
+        from test_checkpoint import container, split_container
+
+        header, payload = split_container((trained / "fused.ckpt").read_bytes())
+        last = header["sections"][-1]
+        header["sections"].append(last)  # the last section again, payload and all
+        model = tmp_path / "fused.ckpt"
+        model.write_bytes(container(header, payload + payload[-8 * math.prod(last["shape"]):]))
+        line = error_line(capsys, ["evaluate", "--store", str(trained / "store.json"),
+                                   "--model", str(model), "--out", str(tmp_path / "x.txt")])
+        assert line.startswith("error [bad-store]: "), line
+        assert "repeated checkpoint section names" in line, line
+
+
+def test_predict_with_an_empty_pairs_file(trained, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("")
+    out = tmp_path / "preds.tsv"
+    assert main(["predict", "--store", str(trained / "store.json"), "--model",
+                 str(trained / "fused.ckpt"), "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert out.read_text() == ""

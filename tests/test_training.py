@@ -1,14 +1,17 @@
 import functools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dualrec.fusion import fused_predict, init_fusion_random, train_fusion
+from dualrec.fusion import (_forward_batch, fused_predict, init_fusion_random, predict_batch,
+                            train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
-from dualrec.ingest import _make_store
+from dualrec.ingest import PairArrays, _make_store
 from dualrec.linalg import TrainingDivergedError
 from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
-from dualrec.training import FitHyperparams, fit, mean_abs_error
+from dualrec.training import CHUNK_PAIRS, FitHyperparams, fit, mean_abs_error, predict_chunked
 
 from conftest import rated
 
@@ -120,3 +123,92 @@ def test_train_fusion_returns_the_best_validation_epoch(mirrored):
                  (got.mf.user_joint, want.mf.user_joint),
                  (got.mlp.user_emb, want.mlp.user_emb)):
         assert np.array_equal(a, b)
+
+
+N_USERS, N_PRODUCTS = 300, 200
+COUNTS = [0, 1, CHUNK_PAIRS - 1, CHUNK_PAIRS, CHUNK_PAIRS + 1, 2 * CHUNK_PAIRS + 3]
+
+
+@pytest.fixture(scope="module")
+def scorer():
+    """A fused model with spread-out weights, and its one-pass forward."""
+    model = init_fusion_random(N_USERS, N_PRODUCTS, 8, (16, 8), seed=5, scale=0.5)
+    model.global_mean = 3.25
+    return model, lambda u, p: _forward_batch(model, u, p)[0]
+
+
+def known_pairs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, N_USERS, n), rng.integers(0, N_PRODUCTS, n)
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("n, sizes", [
+        (0, []),
+        (5, [5]),
+        (CHUNK_PAIRS + CHUNK_PAIRS // 2 - 1, [CHUNK_PAIRS + CHUNK_PAIRS // 2 - 1]),
+        (CHUNK_PAIRS + CHUNK_PAIRS // 2, [CHUNK_PAIRS, CHUNK_PAIRS // 2]),
+        (2 * CHUNK_PAIRS + 3, [CHUNK_PAIRS, CHUNK_PAIRS + 3]),
+    ])
+    def test_slices_are_chunks_and_a_last_slice_of_at_least_half_a_chunk(self, n, sizes):
+        seen = []
+
+        def predict(u, p):
+            seen.append(len(u))
+            return u + 0.5 * p
+
+        u, p = known_pairs(n)
+        np.testing.assert_array_equal(predict_chunked(predict, u, p), u + 0.5 * p)
+        assert seen == sizes
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_mean_abs_error_equals_one_pass(self, scorer, n):
+        _, predict = scorer
+        u, p = known_pairs(n)
+        raw = np.random.default_rng(1).integers(1, 6, n).astype(np.float64)
+        with warnings.catch_warnings():  # the mean of no pairs is nan, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = mean_abs_error(predict, PairArrays(u, p, raw / 5, raw))
+            want = np.mean(np.abs(predict(u, p) - raw))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_predict_batch_equals_one_pass(self, scorer, n):
+        model, predict = scorer
+        u, p = known_pairs(n)
+        # unknown pairs at drawn positions: a negative index, or one past either table
+        unknown = [(-1, 0), (0, -3), (N_USERS, 0), (0, N_PRODUCTS), (N_USERS + 5, -1)]
+        where = np.sort(np.random.default_rng(2).integers(0, n + 1, len(unknown)))
+        pairs = list(zip(u.tolist(), p.tolist()))
+        for k, pair in sorted(zip(where.tolist(), unknown), reverse=True):
+            pairs.insert(k, pair)
+        got = predict_batch(model, pairs)
+        assert all(type(v) is float for v in got)
+        want = np.full(len(pairs), model.global_mean)
+        known = np.ones(len(pairs), bool)
+        known[where + np.arange(len(unknown))] = False
+        want[known] = predict(u, p)
+        np.testing.assert_array_equal(got, np.clip(want, 1.0, 5.0))
+        assert got.count(model.global_mean) >= len(unknown)
+
+    def test_scoring_memory_does_not_grow_with_the_pairs(self, scorer):
+        model, predict = scorer
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = {}
+        for n in (4_000, 40_000):
+            u, p = known_pairs(n)
+            pairs = list(zip(u.tolist(), p.tolist()))
+            arrays = PairArrays(u, p, np.zeros(n), np.full(n, 3.0))
+            peaks[n] = (peak(lambda: predict_batch(model, pairs)),
+                        peak(lambda: mean_abs_error(predict, arrays)))
+        # one forward pass over every pair keeps ten times the cache at 40,000
+        for small, large in zip(peaks[4_000], peaks[40_000]):
+            assert large < 2 * small, peaks
