@@ -75,16 +75,16 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_reliability(args) -> int:
+    for name in ("alpha", "threshold"):
+        reliability_mod.check_unit(name, getattr(args, name))
     store = _load_store(args.store)
-    breakdowns = reliability_mod.score_store(
-        store, alpha=args.alpha, fallback_max=args.fallback_helpful_max,
-        threads=max(1, args.threads),
-    )
+    scores = reliability_mod.score_store(
+        store, alpha=args.alpha, fallback_max=args.fallback_helpful_max)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in reliability_mod.breakdown_rows(store, breakdowns, args.threshold):
+        for row in reliability_mod.breakdown_rows(store, scores, args.threshold):
             fh.write(row + "\n")
     if args.store_out:
-        ingest.save_store(reliability_mod.attach_scores(store, breakdowns), args.store_out)
+        ingest.save_store(reliability_mod.attach_scores(store, scores), args.store_out)
     return 0
 
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback-helpful-max", action="store_true",
                    help="divide by the product's max helpful votes (vote-less datasets)")
     p.add_argument("--store-out", help="also write a store with reliability attached")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="no effect; scoring is vectorized")
     p.set_defaults(handler=cmd_reliability)
 
     p = sub.add_parser("pretrain-mf", help="train the linear branch")

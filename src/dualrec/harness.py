@@ -295,10 +295,10 @@ def load_experiment_store(config: ExperimentConfig) -> InteractionStore:
 def _ensure_reliability(store: InteractionStore, config: ExperimentConfig) -> InteractionStore:
     if not np.isnan(store.reliability).all():
         return store
-    breakdowns = reliability_mod.score_store(
+    scores = reliability_mod.score_store(
         store, alpha=config.rel_alpha, fallback_max=config.rel_fallback_max
     )
-    return reliability_mod.attach_scores(store, breakdowns)
+    return reliability_mod.attach_scores(store, scores)
 
 
 def pretrain_mf(config: ExperimentConfig, store: InteractionStore,

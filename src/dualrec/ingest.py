@@ -339,12 +339,15 @@ def build_store(records: list[ReviewRecord], reliability: dict | None = None) ->
 
 def with_reliability(store: InteractionStore, reliability) -> InteractionStore:
     """Copy of the store whose scores are exactly ``reliability``: a map
-    (user_idx, product_idx) -> score, or (user_idx, product_idx, score)
-    triples as a saved store lists them. Each pair must be rated and
-    appear once; each score must lie in [0, 1]."""
+    (user_idx, product_idx) -> score, (user_idx, product_idx, score) triples
+    as a saved store lists them, or an array of one score per row. Each pair
+    must be rated and appear once; each score must lie in [0, 1]."""
     if isinstance(reliability, dict):
         reliability = [(*pair, v) for pair, v in reliability.items()]
-    cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
+    if isinstance(reliability, np.ndarray) and reliability.shape == store.raw.shape:
+        cols = [store.user, store.product, reliability.astype(np.float64)]
+    else:
+        cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
     if cols is None:
         raise ValueError("reliability must list (int user, int product, number score) triples")
     i, j, values = cols

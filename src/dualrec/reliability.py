@@ -15,30 +15,22 @@ timeline:
 The two readership weights blend with a configurable ``alpha`` and the
 blend averages with the helpfulness weight to give the final reliability
 score in [0, 1]. Degenerate products (a single reviewer, or no votes at
-all) score 0 instead of dividing by zero.
+all) score 0 instead of dividing by zero. Each product's timeline is one
+contiguous segment of rows, and all segments are scored at once.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .ingest import InteractionStore, with_reliability
 
 __all__ = [
-    "RELIABLE",
-    "NOT_RELIABLE",
-    "ProductTimeline",
-    "ReliabilityBreakdown",
-    "helpfulness_scores",
-    "recency_weights",
-    "most_recent_scores",
-    "top_ranking_scores",
-    "combined_score",
-    "reliability_score",
-    "classify_reviewer",
-    "score_product",
-    "score_store",
-    "attach_scores",
-    "breakdown_rows",
+    "RELIABLE", "NOT_RELIABLE", "ProductTimeline", "ReliabilityBreakdown", "build_timeline",
+    "helpfulness_scores", "recency_weights", "most_recent_scores", "top_ranking_scores",
+    "check_unit", "combined_score", "reliability_score", "classify_reviewer", "score_product",
+    "score_store", "attach_scores", "breakdown_rows",
 ]
 
 RELIABLE = "reliable"
@@ -69,7 +61,34 @@ class ProductTimeline:
         return len(self.reviewers)
 
 
-def _raw_helpfulness(yes: tuple, total: tuple, fallback_max: bool) -> list[float]:
+class ReliabilityBreakdown(NamedTuple):
+    """The intermediate scores behind reliability values: floats for one
+    review, or float64 columns with one entry per store row."""
+
+    h: float
+    most: float
+    top: float
+    d: float
+    rel: float
+
+
+class _Segments(NamedTuple):
+    """Rows in contiguous segments, one per product timeline."""
+
+    starts: np.ndarray  # first row of each segment
+    lengths: np.ndarray  # rows in each segment
+    position: np.ndarray  # per row: its 1-based place i in its segment
+    length: np.ndarray  # per row: its segment's length n'
+
+
+def _segments(starts: np.ndarray, n_rows: int) -> _Segments:
+    lengths = np.diff(starts, append=n_rows)
+    position = np.arange(1, n_rows + 1) - np.repeat(starts, lengths)
+    return _Segments(starts, lengths, position, np.repeat(lengths, lengths))
+
+
+def _helpfulness_weights(yes: np.ndarray, total: np.ndarray, seg: _Segments,
+                         fallback_max: bool) -> np.ndarray:
     """Unnormalized helpfulness weights yes^2 / total per review.
 
     ``fallback_max`` switches the denominator to the product's maximum
@@ -77,59 +96,73 @@ def _raw_helpfulness(yes: tuple, total: tuple, fallback_max: bool) -> list[float
     (encode those with votes_total equal to helpful_yes). Zero
     denominators yield 0 -- no evidence of helpfulness.
     """
-    if fallback_max:
-        denom = max(yes, default=0)
-        return [y * y / denom if denom else 0.0 for y in yes]
-    return [y * y / t if t else 0.0 for y, t in zip(yes, total)]
+    denom = np.repeat(np.maximum.reduceat(yes, seg.starts), seg.lengths) if fallback_max else total
+    weights = np.zeros(yes.size)
+    # below these bounds yes^2 and denom are exact float64s, so the quotient
+    # is the correctly rounded one of Python's int division
+    exact = (yes < 2**26) & (denom < 2**53)
+    fast = exact & (denom > 0)
+    weights[fast] = yes[fast] * yes[fast] / denom[fast]
+    for k in np.flatnonzero(~exact).tolist():  # denom >= yes >= 2**26 here
+        weights[k] = int(yes[k]) ** 2 / int(denom[k])
+    return weights
 
 
-def build_timeline(
-    store: InteractionStore, product: int, fallback_max: bool = False
-) -> ProductTimeline:
+def _ranks(weights: np.ndarray, times: np.ndarray, users: np.ndarray,
+           seg: _Segments) -> np.ndarray:
+    """Helpfulness rank of each row in its segment: 1 is the largest
+    weight, ties broken by earlier time then lower user index."""
+    segment = np.repeat(np.arange(seg.starts.size), seg.lengths)
+    order = np.lexsort((users, times, -weights, segment))
+    ranks = np.empty_like(order)
+    ranks[order] = seg.position  # each segment keeps its rows in ``order``
+    return ranks
+
+
+def _recency_weights(seg: _Segments) -> np.ndarray:
+    """Position i of n' collects prefix[n' - i], the sum of 1/s^2 for s = 1..n'-i."""
+    s = np.arange(1, seg.length.max(initial=1))
+    prefix = np.concatenate(([0.0], np.cumsum(1.0 / (s * s))))  # adds in ascending s
+    return prefix[seg.length - seg.position]
+
+
+def _normalize(weights: np.ndarray, seg: _Segments) -> np.ndarray:
+    """Each row of weights over its segment's total; 0 where that is 0. A
+    total adds left to right from 0, as Python 3.11's float ``sum`` does;
+    ``np.add.reduceat`` can round differently."""
+    bounds = np.append(seg.starts, weights.shape[1]).tolist()
+    totals = np.empty((weights.shape[0], seg.starts.size))
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        totals[:, k] = np.cumsum(weights[:, a:b], axis=1)[:, -1]
+    totals = np.repeat(totals, seg.lengths, axis=1)
+    return np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0.0)
+
+
+def _scores(weights: np.ndarray, ranks: np.ndarray, seg: _Segments,
+            alpha: float) -> ReliabilityBreakdown:
+    """All five score columns from the raw helpfulness weights and ranks."""
+    read_by_rank = (seg.length - seg.position) / (ranks * ranks)
+    h, most, top = _normalize(np.stack([weights, _recency_weights(seg), read_by_rank]), seg)
+    d = combined_score(top, most, alpha)
+    return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d))
+
+
+def build_timeline(store: InteractionStore, product: int,
+                   fallback_max: bool = False) -> ProductTimeline:
     """Assemble one product's timeline from a store, assigning ranks."""
     rows = store.timelines.get(product)
     if rows is None:
         raise ValueError(f"product {product} has no reviews")
-    users, yes, total, times = (tuple(column[rows].tolist()) for column in (
+    users, yes, total, times = (column[rows] for column in (
         store.user, store.helpful_yes, store.votes_total, store.unix_time))
-    weights = _raw_helpfulness(yes, total, fallback_max)
-    order = sorted(range(len(users)), key=lambda k: (-weights[k], times[k], users[k]))
-    ranks = [0] * len(users)
-    for rank, k in enumerate(order, start=1):
-        ranks[k] = rank
-    return ProductTimeline(
-        product=product,
-        reviewers=users,
-        helpful_yes=yes,
-        votes_total=total,
-        unix_times=times,
-        ranks=tuple(ranks),
-    )
-
-
-@dataclass(frozen=True)
-class ReliabilityBreakdown:
-    """All intermediate scores behind one review's reliability value."""
-
-    h: float
-    most: float
-    top: float
-    d: float
-    rel: float
-    alpha: float
-
-
-def _normalize(weights: list[float]) -> list[float]:
-    total = sum(weights)
-    if total <= 0.0:
-        return [0.0] * len(weights)
-    return [w / total for w in weights]
+    seg = _segments(np.zeros(1, np.int64), rows.size)
+    ranks = _ranks(_helpfulness_weights(yes, total, seg, fallback_max), times, users, seg)
+    return ProductTimeline(product, *(tuple(c.tolist()) for c in (users, yes, total, times, ranks)))
 
 
 def helpfulness_scores(timeline: ProductTimeline, fallback_max: bool = False) -> dict:
     """Normalized helpfulness weight per reviewer; all 0 when voteless."""
-    weights = _raw_helpfulness(timeline.helpful_yes, timeline.votes_total, fallback_max)
-    return dict(zip(timeline.reviewers, _normalize(weights)))
+    return {user: b.h for user, b in score_product(timeline, fallback_max=fallback_max).items()}
 
 
 def recency_weights(timeline: ProductTimeline) -> list[float]:
@@ -139,14 +172,7 @@ def recency_weights(timeline: ProductTimeline) -> list[float]:
     s-th most recent review for s = 1..n'-i; the last reviewer collects
     nothing.
     """
-    n = timeline.n_reviews
-    # prefix[k] = sum of 1/s^2 for s = 1..k, accumulated in ascending s
-    prefix = [0.0] * n
-    acc = 0.0
-    for s in range(1, n):
-        acc += 1.0 / (s * s)
-        prefix[s] = acc
-    return [prefix[n - i] for i in range(1, n + 1)]
+    return _recency_weights(_segments(np.zeros(1, np.int64), timeline.n_reviews)).tolist()
 
 
 def most_recent_scores(timeline: ProductTimeline) -> dict:
@@ -154,28 +180,27 @@ def most_recent_scores(timeline: ProductTimeline) -> dict:
 
     A singleton timeline scores 0 (nobody reads after the only review).
     """
-    weights = recency_weights(timeline)
-    return dict(zip(timeline.reviewers, _normalize(weights)))
+    return {user: b.most for user, b in score_product(timeline).items()}
 
 
 def top_ranking_scores(timeline: ProductTimeline) -> dict:
     """Rank readership weight per reviewer: (n' - i) / rank^2, normalized."""
-    n = timeline.n_reviews
-    weights = [
-        (n - i) / (rank * rank)
-        for i, rank in zip(range(1, n + 1), timeline.ranks)
-    ]
-    return dict(zip(timeline.reviewers, _normalize(weights)))
+    return {user: b.top for user, b in score_product(timeline).items()}
 
 
-def combined_score(top: float, most: float, alpha: float = DEFAULT_ALPHA) -> float:
+def check_unit(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def combined_score(top, most, alpha: float = DEFAULT_ALPHA):
     """Blend of the two readership weights; alpha weights the rank side."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_unit("alpha", alpha)
     return alpha * top + (1.0 - alpha) * most
 
 
-def reliability_score(h: float, d: float) -> float:
+def reliability_score(h, d):
     """Average of the helpfulness and readership components."""
     return (h + d) / 2.0
 
@@ -185,71 +210,42 @@ def classify_reviewer(rel: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     return RELIABLE if rel >= threshold else NOT_RELIABLE
 
 
-def score_product(
-    timeline: ProductTimeline,
-    alpha: float = DEFAULT_ALPHA,
-    fallback_max: bool = False,
-) -> dict:
+def score_product(timeline: ProductTimeline, alpha: float = DEFAULT_ALPHA,
+                  fallback_max: bool = False) -> dict:
     """Reliability breakdown per reviewer of one product."""
-    h = helpfulness_scores(timeline, fallback_max)
-    most = most_recent_scores(timeline)
-    top = top_ranking_scores(timeline)
-    out = {}
-    for user in timeline.reviewers:
-        d = combined_score(top[user], most[user], alpha)
-        out[user] = ReliabilityBreakdown(
-            h=h[user],
-            most=most[user],
-            top=top[user],
-            d=d,
-            rel=reliability_score(h[user], d),
-            alpha=alpha,
-        )
-    return out
+    yes, total, ranks = map(np.array, (timeline.helpful_yes, timeline.votes_total, timeline.ranks))
+    seg = _segments(np.zeros(1, np.int64), timeline.n_reviews)
+    columns = _scores(_helpfulness_weights(yes, total, seg, fallback_max), ranks, seg, alpha)
+    return {user: ReliabilityBreakdown(*values)
+            for user, *values in zip(timeline.reviewers, *(c.tolist() for c in columns))}
 
 
-def score_store(
-    store: InteractionStore,
-    alpha: float = DEFAULT_ALPHA,
-    fallback_max: bool = False,
-    threads: int = 1,
-) -> dict:
-    """Reliability breakdowns for every rated (user, product) pair.
-
-    Products are independent, so scoring optionally fans out over a
-    thread pool; results are merged in product order either way, keeping
-    the output deterministic.
-    """
-    products = sorted(store.timelines)
-
-    def one(product):
-        timeline = build_timeline(store, product, fallback_max)
-        return product, score_product(timeline, alpha, fallback_max)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(one, products))
-    else:
-        scored = [one(p) for p in products]
-
-    return {(user, product): b for product, per_user in scored for user, b in per_user.items()}
+def score_store(store: InteractionStore, alpha: float = DEFAULT_ALPHA,
+                fallback_max: bool = False) -> ReliabilityBreakdown:
+    """Breakdown columns with one entry per store row, in row order."""
+    order = np.lexsort((store.unix_time, store.product))  # timelines, as store.timelines
+    seg = _segments(np.flatnonzero(np.diff(store.product[order], prepend=-1)), order.size)
+    users, yes, total, times = (column[order] for column in (
+        store.user, store.helpful_yes, store.votes_total, store.unix_time))
+    weights = _helpfulness_weights(yes, total, seg, fallback_max)
+    columns = np.empty((len(ReliabilityBreakdown._fields), order.size))
+    columns[:, order] = _scores(weights, _ranks(weights, times, users, seg), seg, alpha)
+    return ReliabilityBreakdown(*columns)
 
 
-def attach_scores(store: InteractionStore, breakdowns: dict) -> InteractionStore:
-    """Store copy whose reliability matrix holds the given rel scores."""
-    return with_reliability(store, {pair: b.rel for pair, b in breakdowns.items()})
+def attach_scores(store: InteractionStore, scores: ReliabilityBreakdown) -> InteractionStore:
+    """Store copy whose reliability column holds the given rel scores."""
+    return with_reliability(store, scores.rel)
 
 
-def breakdown_rows(
-    store: InteractionStore,
-    breakdowns: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-):
+def breakdown_rows(store: InteractionStore, scores: ReliabilityBreakdown,
+                   threshold: float = DEFAULT_THRESHOLD):
     """Tab-separated breakdown rows (with header), sorted by index pair."""
+    order = store._order
+    users = map(store.user_ids.__getitem__, store.user[order].tolist())
+    products = map(store.product_ids.__getitem__, store.product[order].tolist())
     yield "user\tproduct\th\tmost\ttop\td\trel\tlabel"
-    for (i, j), b in sorted(breakdowns.items()):
-        label = classify_reviewer(b.rel, threshold)
-        yield (
-            f"{store.user_ids[i]}\t{store.product_ids[j]}\t"
-            f"{b.h!r}\t{b.most!r}\t{b.top!r}\t{b.d!r}\t{b.rel!r}\t{label}"
-        )
+    for user, product, h, most, top, d, rel in zip(
+            users, products, *(column[order].tolist() for column in scores)):
+        yield (f"{user}\t{product}\t{h!r}\t{most!r}\t{top!r}\t{d!r}\t{rel!r}\t"
+               f"{classify_reviewer(rel, threshold)}")

@@ -6,7 +6,7 @@ import pytest
 
 from dualrec.checkpoint import save_sections
 from dualrec.cli import main
-from dualrec.ingest import load_store
+from dualrec.ingest import _make_store, load_store, save_store
 
 from conftest import rated, scored
 
@@ -183,6 +183,17 @@ class TestReliability:
         code = main(["reliability", "--store", str(store_path),
                      "--out", str(tmp_path / "r.tsv"), "--alpha", "2.0"])
         assert code == 1
+
+    @pytest.mark.parametrize("store", ["empty.json", "missing.json"])
+    @pytest.mark.parametrize("flag, value", [("alpha", "7"), ("threshold", "nan")])
+    def test_settings_checked_before_the_store_is_read(self, tmp_path, capsys, store, flag,
+                                                       value):
+        save_store(_make_store([], [], []), tmp_path / "empty.json")
+        argv = ["reliability", "--store", str(tmp_path / store), "--out", str(tmp_path / "r.tsv"),
+                f"--{flag}", value]
+        assert error_line(capsys, argv) == (
+            f"error [bad-args]: {flag} must be in [0, 1], got {float(value)}")
+        assert not (tmp_path / "r.tsv").exists()
 
 
 def run_pipeline(tmp_path, seed="7", epochs="2"):

@@ -25,6 +25,18 @@ GOLDEN = {
     "synth-continuous.json": "ff323a7ce74c1e443ccfadf3780fdc3588ec93dbdb15a25143c76a2ccea5e937",
 }
 
+# The same store scored under the non-default reliability flags.
+GOLDEN_SCORED = {
+    "--fallback-helpful-max": {
+        "rel.tsv": "bd75775c160f6a5bab6a4103bbcec82541b5fc759875dacef6ca63cf98359496",
+        "scored.json": "d57c44a2123eb2ac77c8cf57fec893b9360a1555863150726fdf77b4f17410ac",
+    },
+    "--alpha 0.3 --threshold 0.2": {
+        "rel.tsv": "1413e8679e6c151f5633f1f38db4b42565eeecbf41940093c993d1f166c16814",
+        "scored.json": "69bb9252a621e79e171f65562987b41108b0092b828b024a3f7c6b8670716075",
+    },
+}
+
 
 def write_rereviewed(path, n_lines=90, seed=3):
     """Review file whose pairs are often re-reviewed and whose times often tie."""
@@ -60,3 +72,15 @@ def test_store_files_keep_their_bytes(tmp_path):
     assert main(synth + [str(p("synth.json"))]) == 0
     assert main(synth + [str(p("synth-continuous.json")), "--no-quantize"]) == 0
     assert {name: sha256(p(name)) for name in GOLDEN} == GOLDEN
+
+
+def test_scores_keep_their_bytes_under_every_flag(tmp_path):
+    p = lambda name: tmp_path / name  # noqa: E731
+    reviews = write_rereviewed(p("reviews.jsonl"))
+    assert main(["ingest", "--input", str(reviews), "--out", str(p("store.json"))]) == 0
+    got = {}
+    for flags in GOLDEN_SCORED:
+        assert main(["reliability", "--store", str(p("store.json")), "--out", str(p("rel.tsv")),
+                     "--store-out", str(p("scored.json"))] + flags.split()) == 0
+        got[flags] = {name: sha256(p(name)) for name in ("rel.tsv", "scored.json")}
+    assert got == GOLDEN_SCORED

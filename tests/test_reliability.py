@@ -1,13 +1,18 @@
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualrec.ingest import _make_store
 from dualrec.reliability import (
     NOT_RELIABLE,
     RELIABLE,
+    ReliabilityBreakdown,
+    attach_scores,
     build_timeline,
     classify_reviewer,
     combined_score,
@@ -19,7 +24,7 @@ from dualrec.reliability import (
     top_ranking_scores,
 )
 
-from conftest import rated, store_from
+from conftest import rated, scored, store_from
 
 
 def timeline_of(rows):
@@ -195,12 +200,118 @@ class TestProperties:
             assert b1 == b2
 
 
-class TestScoreStore:
-    def test_store_level_scores_keyed_by_pair(self, tiny_store):
-        breakdowns = score_store(tiny_store)
-        assert set(breakdowns) == set(rated(tiny_store))
+def oracle_columns(entries, alpha=0.5, fallback_max=False) -> dict:
+    """Score name -> per-row scores of (i, j, raw, yes, total, when) entries,
+    computed product by product in plain Python: int quotients, ``sorted``
+    ranks, the 1/s^2 loop and left-to-right ``sum``."""
+    names = ("h", "most", "top", "d", "rel")
+    out = {name: [None] * len(entries) for name in names}
+    products = {}
+    for row, (i, j, _, yes, total, when) in enumerate(entries):
+        products.setdefault(j, []).append((when, row, i, yes, total))
+    for reviews in products.values():
+        reviews.sort()  # time order, ties in row order
+        n = len(reviews)
+        times, rows, users, yes, total = zip(*reviews)
+        if fallback_max:
+            total = [max(yes)] * n
+        weights = [y * y / t if t else 0.0 for y, t in zip(yes, total)]
+        ranks = [0] * n
+        by_rank = sorted(range(n), key=lambda k: (-weights[k], times[k], users[k]))
+        for rank, k in enumerate(by_rank, start=1):
+            ranks[k] = rank
+        prefix = [0.0] * n
+        acc = 0.0
+        for step in range(1, n):
+            acc += 1.0 / (step * step)
+            prefix[step] = acc
 
-    def test_thread_pool_matches_sequential(self, tiny_store):
-        sequential = score_store(tiny_store, threads=1)
-        threaded = score_store(tiny_store, threads=4)
-        assert sequential == threaded
+        def normalize(values):
+            values = list(values)
+            total_weight = sum(values)
+            return [v / total_weight if total_weight > 0.0 else 0.0 for v in values]
+
+        h = normalize(weights)
+        most = normalize(prefix[n - i] for i in range(1, n + 1))
+        top = normalize((n - i) / (rank * rank) for i, rank in zip(range(1, n + 1), ranks))
+        for k, row in enumerate(rows):
+            d = alpha * top[k] + (1.0 - alpha) * most[k]
+            for name, value in zip(names, (h[k], most[k], top[k], d, (h[k] + d) / 2.0)):
+                out[name][row] = value
+    return out
+
+
+def oracle_store():
+    """Seeded store with single-review, vote-less and tied products, one
+    product of 3,000 reviews and a few vote counts of 2**27 and more."""
+    rng = np.random.default_rng(11)
+    n_users, n_products = 3200, 240
+    entries = [(int(i), 0, 4, int(rng.integers(0, 4)), 3, int(rng.integers(0, 50)))
+               for i in rng.permutation(3000)]
+    for j in range(1, n_products):
+        size = 1 if j % 7 == 0 else int(rng.integers(2, 40))
+        for i in rng.choice(n_users, size, replace=False):
+            total = 0 if j % 5 == 0 else int(rng.integers(0, 5))
+            entries.append((int(i), j, int(rng.integers(1, 6)), int(rng.integers(0, total + 1)),
+                            total, int(rng.integers(0, 8))))
+    huge = {10: (2**27 + 1, 2**27 + 5), 3100: (2**40 + 3, 2**41 + 7), 3101: (3, 2**60 + 1),
+            3102: (2**61 + 9, 2**62 + 11), 3250: (2**31, 2**31)}
+    for row, votes in huge.items():
+        i, j, raw, _, _, when = entries[row]
+        entries[row] = (i, j, raw, *votes, when)
+    return _make_store([f"u{i}" for i in range(n_users)], [f"p{j}" for j in range(n_products)],
+                       entries), entries
+
+
+class TestScoreStore:
+    def test_store_columns_score_every_row(self, tiny_store):
+        scores = score_store(tiny_store)
+        assert ReliabilityBreakdown._fields == ("h", "most", "top", "d", "rel")
+        for column in scores:
+            assert column.dtype == np.float64 and column.shape == tiny_store.raw.shape
+            assert not np.isnan(column).any()
+        scored_store = attach_scores(tiny_store, scores)
+        assert set(scored(scored_store)) == set(rated(tiny_store))
+        assert np.array_equal(scored_store.reliability, scores.rel)
+        with pytest.raises(ValueError, match="outside"):
+            attach_scores(tiny_store, scores._replace(rel=scores.rel + 1.5))
+
+    @pytest.mark.parametrize("settings", [{}, {"alpha": 0.3}, {"fallback_max": True}],
+                             ids=["default", "alpha", "fallback"])
+    def test_columns_equal_the_python_oracle_bit_for_bit(self, settings):
+        store, entries = oracle_store()
+        sizes = np.bincount(store.product)
+        assert sizes.size >= 200 and sizes.max() >= 3000 and (sizes == 1).any()
+        assert store.helpful_yes.max() >= 2**27
+        want = oracle_columns(entries, **settings)
+        got = score_store(store, **settings)
+        for name in ReliabilityBreakdown._fields:
+            assert np.array_equal(getattr(got, name), np.array(want[name])), name
+
+    def test_empty_store_scores_to_empty_columns(self):
+        scores = score_store(_make_store([], [], []))
+        assert [column.shape for column in scores] == [(0,)] * 5
+
+
+def one_product_store(n_reviews, rng):
+    entries = [(i, 0, 3, int(rng.integers(0, 3)), 3, int(rng.integers(0, 100)))
+               for i in range(n_reviews)]
+    return _make_store([f"u{i}" for i in range(n_reviews)], ["p0"], entries)
+
+
+def test_one_product_scoring_stays_linear_in_its_reviews():
+    """Four times the reviews of one product must not cost 16 times as much."""
+    rng = np.random.default_rng(5)
+    small, large = one_product_store(4000, rng), one_product_store(16000, rng)
+
+    def seconds(store):  # best of 5: one call takes milliseconds, so noise dominates
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            score_store(store)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    ratios = [seconds(large) / seconds(small) for _ in range(5)]
+    ratio = statistics.median(ratios)
+    assert ratio < 8, f"scaling ratio {ratio:.2f} (all: {ratios})"
