@@ -21,7 +21,8 @@ import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, InteractionStore
-from .training import FitHyperparams, fit, head_forward, mean_abs_error, predict_chunked, val_mae
+from .training import (FitHyperparams, _check_pair, fit, head_backward, head_forward,
+                       mean_abs_error, predict_chunked, val_mae)
 from .mf_model import MfParams
 from .mlp_model import MlpParams
 
@@ -106,18 +107,12 @@ def init_fusion_random(
     rng = np.random.default_rng(seed)
     k = latent_dim
     p = int(tower_widths[-1])
-    mf = MfParams(
-        user_rating=rng.normal(0.0, scale, (k, n_users)),
-        prod_rating=rng.normal(0.0, scale, (k, n_products)),
-        user_joint=rng.normal(0.0, scale, (k, n_users)),
-        prod_joint=rng.normal(0.0, scale, (k, n_products)),
-        prod_rel=rng.normal(0.0, scale, (k, n_products)),
-        proj_rating=rng.normal(0.0, scale, (k, k)),
-        proj_joint=rng.normal(0.0, scale, (k, k)),
-        head=rng.normal(0.0, scale, (k, p)),
-        reg_w=rng.normal(0.0, scale, p),
-        reg_b=np.zeros(1),
-    )
+    shapes = mf_model.section_shapes({"n_users": n_users, "n_products": n_products,
+                                      "latent_dim": k, "predictive_dim": p})
+    # one draw per section, in section order; the regression bias starts at 0
+    mf = mf_model.params_from_sections({name: np.zeros(shape) if name == "reg_b"
+                                        else rng.normal(0.0, scale, shape)
+                                        for name, shape in shapes.items()})
     mlp = mlp_model.init_mlp(n_users, n_products, k, tower_widths, seed + 1, scale)
     return FusionModel(
         mf=mf,
@@ -131,26 +126,18 @@ def init_fusion_random(
 
 
 def _forward_batch(model: FusionModel, idx_u, idx_p):
-    theta_mf, rating, joint = mf_model._embedding_batch(model.mf, idx_u, idx_p)
+    theta_mf, mf_cache = mf_model._embedding_batch(model.mf, idx_u, idx_p)
     theta_mlp, mlp_cache = mlp_model._forward_batch(model.mlp, idx_u, idx_p)
     concat = np.concatenate([theta_mf, theta_mlp], axis=1)
     hidden, raw = head_forward(concat, model.concat_w.T, model.reg_w, model.reg_b)
-    cache = {
-        "rating": rating,
-        "joint": joint,
-        "mlp_cache": mlp_cache,
-        "concat": concat,
-        "hidden": hidden,
-        "idx_u": idx_u,
-        "idx_p": idx_p,
-    }
+    cache = {"mf_cache": mf_cache, "mlp_cache": mlp_cache, "concat": concat,
+             "hidden": hidden, "idx_u": idx_u, "idx_p": idx_p}
     return raw, cache
 
 
 def fused_predict(model: FusionModel, i: int, j: int) -> float:
     """Unclamped raw-scale prediction for one known index pair."""
-    if not (0 <= i < model.mf.n_users and 0 <= j < model.mf.n_products):
-        raise IndexError(f"pair ({i}, {j}) out of range")
+    _check_pair(model.mf, i, j)
     raw, _ = _forward_batch(model, np.array([i]), np.array([j]))
     return float(raw[0])
 
@@ -173,23 +160,15 @@ def predict_batch(model: FusionModel, pairs) -> list[float]:
     return np.clip(out, MIN_RATING, MAX_RATING).tolist()
 
 
-# Branch parameters the fused forward pass never reads: each branch's own
-# head, which the fused head bypasses, and the reliability-only factors.
-_UNREAD = ("head", "reg_w", "reg_b", "prod_rel")
-# The per-user and per-product embedding tables of both branches.
-_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint", "user_emb", "prod_emb")
-
-
 def _param_dict(model: FusionModel, freeze_branches: bool) -> dict:
     """The arrays fine-tuning trains: the fused head; unless the branches
     are frozen, each branch's dense layers; and with ``model.train_tables``
     the embedding tables too."""
     out = {"concat_w": model.concat_w, "reg_w": model.reg_w, "reg_b": model.reg_b}
     if not freeze_branches:
-        skip = _UNREAD if model.train_tables else _UNREAD + _TABLES
-        for prefix, table in (("mf/", mf_model.param_dict(model.mf)),
-                              ("mlp/", mlp_model.param_dict(model.mlp))):
-            out.update({prefix + name: a for name, a in table.items() if name not in skip})
+        for prefix, branch, params in (("mf", mf_model, model.mf), ("mlp", mlp_model, model.mlp)):
+            table = branch._embedding_params(params, model.train_tables)
+            out.update({f"{prefix}/{name}": a for name, a in table.items()})
     return out
 
 
@@ -200,34 +179,18 @@ def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) 
     branch stops the backward pass at the fused head, and fixed tables
     get no scatter.
     """
-    d_norm = MAX_RATING * d_raw
-    d_hidden = d_norm[:, None] * model.reg_w[None, :]
-    grads = {
-        "concat_w": d_hidden.T @ cache["concat"],
-        "reg_w": cache["hidden"].T @ d_norm,
-        "reg_b": np.array([np.sum(d_norm)]),
-    }
+    head_grads, d_concat = head_backward(cache["concat"], cache["hidden"], model.concat_w.T,
+                                         model.reg_w, d_raw)
+    grads = {"concat_w": head_grads.pop("head").T, **head_grads}
     if freeze_branches:
         return grads
-    d_concat = d_hidden @ model.concat_w
     k = model.latent_dim
-    d_theta_mf = d_concat[:, :k]
-
-    grads["mf/proj_rating"] = d_theta_mf.T @ cache["rating"]
-    grads["mf/proj_joint"] = d_theta_mf.T @ cache["joint"]
-    if model.train_tables:
-        mf, idx_u, idx_p = model.mf, cache["idx_u"], cache["idx_p"]
-        for user, prod, proj in (("user_rating", "prod_rating", mf.proj_rating),
-                                 ("user_joint", "prod_joint", mf.proj_joint)):
-            d_prod = d_theta_mf @ proj
-            u_cols = getattr(mf, user)[:, idx_u].T
-            v_cols = getattr(mf, prod)[:, idx_p].T
-            grads["mf/" + user] = mf_model._scatter_cols(mf.n_users, idx_u, d_prod * v_cols)
-            grads["mf/" + prod] = mf_model._scatter_cols(mf.n_products, idx_p, d_prod * u_cols)
-
-    mlp_grads = mlp_model._backward_from_theta(model.mlp, cache["mlp_cache"], d_concat[:, k:],
-                                               tables=model.train_tables)
-    grads.update({"mlp/" + name: g for name, g in mlp_grads.items()})
+    for prefix, branch, params, d_theta in (
+            ("mf", mf_model, model.mf, d_concat[:, :k]),
+            ("mlp", mlp_model, model.mlp, d_concat[:, k:])):
+        branch_grads = branch._backward_from_theta(params, cache[prefix + "_cache"], d_theta,
+                                                   model.train_tables)
+        grads.update({f"{prefix}/{name}": g for name, g in branch_grads.items()})
     return grads
 
 

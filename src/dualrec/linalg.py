@@ -18,7 +18,6 @@ __all__ = [
     "PairMatrix",
     "truncated_svd",
     "sigmoid",
-    "sigmoid_grad",
     "relu",
     "scatter_rows",
     "AdamState",
@@ -147,11 +146,6 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def sigmoid_grad(s):
-    """Derivative of the sigmoid expressed in terms of its output s."""
-    return s * (1.0 - s)
 
 
 def relu(x):

@@ -57,6 +57,22 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _precision_recall(users: dict, threshold: float, cutoff=None):
+    """Per-user precision and recall of the recommended set, averaged over
+    users. The recommended set is every item predicted >= threshold among
+    the user's top-``cutoff`` rows, or among all rows without a cutoff."""
+    precision_sum = 0.0
+    recall_sum = 0.0
+    for rows in users.values():
+        top = rows if cutoff is None else _ranked(rows)[:cutoff]
+        recommended = {item for item, pred, _ in top if pred >= threshold}
+        preferred = {item for item, _, true in rows if true >= threshold}
+        hits = len(recommended & preferred)
+        precision_sum += hits / len(recommended) if recommended else 0.0
+        recall_sum += hits / len(preferred) if preferred else 0.0
+    return precision_sum / len(users), recall_sum / len(users)
+
+
 def classification_metrics(users: dict, threshold: float = RELEVANCE_THRESHOLD):
     """(precision, recall, f1) of the recommended-vs-preferred item sets.
 
@@ -67,16 +83,7 @@ def classification_metrics(users: dict, threshold: float = RELEVANCE_THRESHOLD):
     """
     if not users:
         raise ValueError("no users to evaluate")
-    precision_sum = 0.0
-    recall_sum = 0.0
-    for rows in users.values():
-        recommended = {item for item, pred, _ in rows if pred >= threshold}
-        preferred = {item for item, _, true in rows if true >= threshold}
-        hits = len(recommended & preferred)
-        precision_sum += hits / len(recommended) if recommended else 0.0
-        recall_sum += hits / len(preferred) if preferred else 0.0
-    precision = precision_sum / len(users)
-    recall = recall_sum / len(users)
+    precision, recall = _precision_recall(users, threshold)
     return precision, recall, _f1(precision, recall)
 
 
@@ -137,16 +144,7 @@ def f1_at_cutoff(users: dict, cutoff: int, threshold: float = RELEVANCE_THRESHOL
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if not users:
         raise ValueError("no users to evaluate")
-    precision_sum = 0.0
-    recall_sum = 0.0
-    for rows in users.values():
-        top = _ranked(rows)[:cutoff]
-        recommended = {item for item, pred, _ in top if pred >= threshold}
-        preferred = {item for item, _, true in rows if true >= threshold}
-        hits = len(recommended & preferred)
-        precision_sum += hits / len(recommended) if recommended else 0.0
-        recall_sum += hits / len(preferred) if preferred else 0.0
-    return _f1(precision_sum / len(users), recall_sum / len(users))
+    return _f1(*_precision_recall(users, threshold, cutoff))
 
 
 @dataclass

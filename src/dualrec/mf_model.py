@@ -24,7 +24,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .training import CHUNK_PAIRS, FitHyperparams, fit, head_forward, mean_abs_error, val_mae
+from .training import (CHUNK_PAIRS, FitHyperparams, _check_pair, fit, head_backward,
+                       head_forward, mean_abs_error, val_mae)
 
 __all__ = [
     "MfParams",
@@ -148,19 +149,12 @@ def _scatter_cols(n_cols: int, idx, contrib):
     return scatter_rows(n_cols, idx, contrib).T
 
 
-def rating_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
-    """Rating objective over the observed ratings."""
-    return _pair_loss_value(
-        params.user_rating, params.prod_rating, *store.rated_arrays[:3], reg_lambda
-    )
-
-
-def rating_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    """Rating objective value plus gradients for its two factor blocks."""
-    loss, grads = _pair_loss_grads(
-        params.user_rating, params.prod_rating, *store.rated_arrays[:3], reg_lambda
-    )
-    return loss, {"user_rating": grads[0], "prod_rating": grads[1]}
+# Each factor objective is a table of squared pair terms: (user factor,
+# product factor, the store's pairs the two fit). A factor that appears
+# in several terms is regularized once per term it appears in.
+_RATING = (("user_rating", "prod_rating", "rated_arrays"),)
+_RELIABILITY = (("user_joint", "prod_rel", "scored_arrays"),)
+_JOINT = (("user_joint", "prod_joint", "rated_arrays"),) + _RELIABILITY
 
 
 def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
@@ -195,18 +189,49 @@ def _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     return total
 
 
+def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) -> float:
+    """Value of the objective ``terms`` over the store's pairs."""
+    return sum(_pair_loss_value(getattr(params, u), getattr(params, v),
+                                *getattr(store, view)[:3], reg_lambda)
+               for u, v, view in terms)
+
+
+def _terms_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, rows=None):
+    """Value and factor gradients of the objective ``terms``.
+
+    With ``rows``, term t sums over only its pairs at positions
+    ``rows[t]``. A factor in several terms gets the sum of their gradients.
+    """
+    loss, grads = 0.0, {}
+    for t, (u, v, view) in enumerate(terms):
+        pairs = getattr(store, view)[:3]
+        if rows is not None:
+            pairs = [a[rows[t]] for a in pairs]
+        term, (du, dv) = _pair_loss_grads(getattr(params, u), getattr(params, v), *pairs,
+                                          reg_lambda)
+        loss += term
+        for name, g in ((u, du), (v, dv)):
+            grads[name] = grads[name] + g if name in grads else g
+    return loss, grads
+
+
+def rating_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
+    """Rating objective over the observed ratings."""
+    return _terms_loss(params, store, _RATING, reg_lambda)
+
+
+def rating_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
+    """Rating objective value plus gradients for its two factor blocks."""
+    return _terms_grads(params, store, _RATING, reg_lambda)
+
+
 def reliability_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
     """Reliability-only objective over the scored pairs."""
-    return _pair_loss_value(
-        params.user_joint, params.prod_rel, *store.scored_arrays[:3], reg_lambda
-    )
+    return _terms_loss(params, store, _RELIABILITY, reg_lambda)
 
 
 def reliability_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    loss, grads = _pair_loss_grads(
-        params.user_joint, params.prod_rel, *store.scored_arrays[:3], reg_lambda
-    )
-    return loss, {"user_joint": grads[0], "prod_rel": grads[1]}
+    return _terms_grads(params, store, _RELIABILITY, reg_lambda)
 
 
 def joint_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
@@ -216,72 +241,77 @@ def joint_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> 
     it appears in, so the shared user factors are weighted by their
     rating count plus their reliability count.
     """
-    return _pair_loss_value(
-        params.user_joint, params.prod_joint, *store.rated_arrays[:3], reg_lambda
-    ) + reliability_loss(params, store, reg_lambda)
+    return _terms_loss(params, store, _JOINT, reg_lambda)
 
 
 def joint_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    loss_r, (de_r, dz) = _pair_loss_grads(
-        params.user_joint, params.prod_joint, *store.rated_arrays[:3], reg_lambda
-    )
-    loss_s, rel = reliability_loss_grads(params, store, reg_lambda)
-    grads = {"user_joint": de_r + rel["user_joint"], "prod_joint": dz, "prod_rel": rel["prod_rel"]}
-    return loss_r + loss_s, grads
+    return _terms_grads(params, store, _JOINT, reg_lambda)
 
 
-def _fit_factors(params: MfParams, terms, hyper, rng, phase, val_store, on_epoch):
-    """Mini-batch Adam over a sum of squared pair terms, in place.
+def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, on_epoch):
+    """Mini-batch Adam over the objective ``terms``, in place.
 
-    ``terms`` lists (user factor name, product factor name, PairArrays);
-    each epoch permutes the pairs of all terms together. Validation MAE
+    Each epoch permutes the pairs of all terms together. Validation MAE
     reads the first term's factors.
     """
-    weights = {}
-    for u_name, v_name, _ in terms:
-        weights[u_name] = getattr(params, u_name)
-        weights[v_name] = getattr(params, v_name)
-    kinds = np.concatenate([np.full(a.idx_u.size, t) for t, (_, _, a) in enumerate(terms)])
-    all_u = np.concatenate([a.idx_u for _, _, a in terms])
-    all_p = np.concatenate([a.idx_p for _, _, a in terms])
-    all_vals = np.concatenate([a.values for _, _, a in terms])
+    weights = {name: getattr(params, name) for u, v, _ in terms for name in (u, v)}
+    sizes = [getattr(store, view).idx_u.size for *_, view in terms]
+    kinds = np.repeat(np.arange(len(terms)), sizes)
+    starts = np.cumsum(sizes) - sizes
 
     def batch_grads(batch):
-        grads = {}
-        for t, (u_name, v_name, _) in enumerate(terms):
-            rows = batch[kinds[batch] == t]
-            _, (du, dv) = _pair_loss_grads(
-                weights[u_name], weights[v_name],
-                all_u[rows], all_p[rows], all_vals[rows], hyper.reg_lambda,
-            )
-            for name, g in ((u_name, du), (v_name, dv)):
-                grads[name] = grads[name] + g if name in grads else g
-        return grads
-
-    def full_loss():
-        return sum(
-            _pair_loss_value(weights[u], weights[v], *a[:3], hyper.reg_lambda)
-            for u, v, a in terms
-        )
+        kind = kinds[batch]
+        rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
+        return _terms_grads(params, store, terms, hyper.reg_lambda, rows)[1]
 
     u_mat, v_mat = weights[terms[0][0]], weights[terms[0][1]]
 
     def predict(idx_u, idx_p):
         return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p]))
 
-    fit(weights, batch_grads, full_loss, all_u.size, hyper.fit, rng, phase,
-        val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
+    fit(weights, batch_grads, lambda: _terms_loss(params, store, terms, hyper.reg_lambda),
+        kinds.size, hyper.fit, rng, phase, val_loss=val_mae(predict, val_store),
+        on_epoch=on_epoch)
+
+
+# The factor tables the pair embedding reads; ``prod_rel`` is not one of them.
+_EMBEDDING_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint")
 
 
 def _embedding_batch(params: MfParams, idx_u, idx_p):
-    """Pair embeddings for index arrays; shape (batch, K)."""
+    """Pair embeddings for index arrays, shape (batch, K), and the cache
+    that :func:`_backward_from_theta` reads."""
     rating = (params.user_rating[:, idx_u] * params.prod_rating[:, idx_p]).T
     joint = (params.user_joint[:, idx_u] * params.prod_joint[:, idx_p]).T
-    return rating @ params.proj_rating.T + joint @ params.proj_joint.T, rating, joint
+    theta = rating @ params.proj_rating.T + joint @ params.proj_joint.T
+    return theta, {"idx_u": idx_u, "idx_p": idx_p, "rating": rating, "joint": joint}
+
+
+def _embedding_params(params: MfParams, tables: bool) -> dict:
+    """The arrays :func:`_backward_from_theta` gives gradients for."""
+    names = ("proj_rating", "proj_joint") + (_EMBEDDING_TABLES if tables else ())
+    return {name: getattr(params, name) for name in names}
+
+
+def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -> dict:
+    """Gradients of the two projections under the pair embedding and, with
+    ``tables``, of the four factor tables they mix; without ``tables`` the
+    tables get no gradient at all: their scatter is skipped."""
+    grads = {"proj_rating": d_theta.T @ cache["rating"], "proj_joint": d_theta.T @ cache["joint"]}
+    if tables:
+        idx_u, idx_p = cache["idx_u"], cache["idx_p"]
+        for user, prod, proj in (("user_rating", "prod_rating", params.proj_rating),
+                                 ("user_joint", "prod_joint", params.proj_joint)):
+            d_prod = d_theta @ proj
+            u_cols = getattr(params, user)[:, idx_u].T
+            v_cols = getattr(params, prod)[:, idx_p].T
+            grads[user] = _scatter_cols(params.n_users, idx_u, d_prod * v_cols)
+            grads[prod] = _scatter_cols(params.n_products, idx_p, d_prod * u_cols)
+    return grads
 
 
 def _predict_batch(params: MfParams, idx_u, idx_p):
-    theta, _, _ = _embedding_batch(params, idx_u, idx_p)
+    theta, _ = _embedding_batch(params, idx_u, idx_p)
     return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
 
 
@@ -292,19 +322,12 @@ def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
                if not name.startswith(("user_", "prod_"))}
 
     def batch_grads(batch):
-        bu, bp, target = idx_u[batch], idx_p[batch], raw[batch]
-        theta, rating, joint = _embedding_batch(params, bu, bp)
+        theta, cache = _embedding_batch(params, idx_u[batch], idx_p[batch])
         hidden, preds = head_forward(theta, params.head, params.reg_w, params.reg_b)
-        sign = np.sign(preds - target) * MAX_RATING
-        d_hidden = sign[:, None] * params.reg_w[None, :]
-        d_theta = d_hidden @ params.head.T
-        return {
-            "proj_rating": d_theta.T @ rating,
-            "proj_joint": d_theta.T @ joint,
-            "head": theta.T @ d_hidden,
-            "reg_w": hidden.T @ sign,
-            "reg_b": np.array([np.sum(sign)]),
-        }
+        grads, d_theta = head_backward(theta, hidden, params.head, params.reg_w,
+                                       np.sign(preds - raw[batch]))
+        grads.update(_backward_from_theta(params, cache, d_theta, tables=False))
+        return grads
 
     predict = functools.partial(_predict_batch, params)
     fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
@@ -345,20 +368,16 @@ def train_mf(
         reg_b=np.zeros(1),
     )
 
-    rated, scored = store.rated_arrays, store.scored_arrays
-    _fit_factors(params, [("user_rating", "prod_rating", rated)],
-                 hyper, rng, "mf-rating", val_store, on_epoch)
-    _fit_factors(params, [("user_joint", "prod_joint", rated), ("user_joint", "prod_rel", scored)],
-                 hyper, rng, "mf-joint", val_store, on_epoch)
+    _fit_factors(params, store, _RATING, hyper, rng, "mf-rating", val_store, on_epoch)
+    _fit_factors(params, store, _JOINT, hyper, rng, "mf-joint", val_store, on_epoch)
     _fit_head(params, store, hyper, rng, val_store, on_epoch)
     return params
 
 
 def mf_embedding(params: MfParams, i: int, j: int) -> np.ndarray:
     """K-dim pair embedding mixing both factor models' interactions."""
-    if not (0 <= i < params.n_users and 0 <= j < params.n_products):
-        raise IndexError(f"pair ({i}, {j}) out of range")
-    theta, _, _ = _embedding_batch(params, np.array([i]), np.array([j]))
+    _check_pair(params, i, j)
+    theta, _ = _embedding_batch(params, np.array([i]), np.array([j]))
     return theta[0]
 
 
@@ -383,6 +402,9 @@ def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.
         raise ValueError(f"unknown branch {branch!r}")
     idx_u = np.asarray(idx_u, dtype=np.intp)
     idx_p = np.asarray(idx_p, dtype=np.intp)
+    for idx, n in ((idx_u, params.n_users), (idx_p, params.n_products)):
+        if np.any((idx < 0) | (idx >= n)):
+            raise IndexError(f"index outside a factor table of {n} columns")
     dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
     return np.clip(MAX_RATING * sigmoid(dots), 1.0, float(MAX_RATING))
 

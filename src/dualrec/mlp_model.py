@@ -18,9 +18,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checkpoint
-from .ingest import MAX_RATING, InteractionStore
+from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
-from .training import FitHyperparams, fit, head_forward, mean_abs_error, val_mae
+from .training import (FitHyperparams, _check_pair, fit, head_backward, head_forward,
+                       mean_abs_error, val_mae)
 
 __all__ = [
     "MlpParams",
@@ -163,6 +164,12 @@ def param_dict(params: MlpParams) -> dict:
     return out
 
 
+def _embedding_params(params: MlpParams, tables: bool) -> dict:
+    """The arrays :func:`_backward_from_theta` gives gradients for."""
+    skip = ("head", "reg_w", "reg_b") + (() if tables else ("user_emb", "prod_emb"))
+    return {name: a for name, a in param_dict(params).items() if name not in skip}
+
+
 def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool = True) -> dict:
     """Gradients of every parameter below the pair embedding.
 
@@ -195,21 +202,14 @@ def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool =
 def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
     """Gradients of sum(d_raw * raw_prediction) for every parameter."""
     theta = cache["hidden"][-1]
-    d_norm = MAX_RATING * d_raw
-    d_hidden = d_norm[:, None] * params.reg_w[None, :]
-    grads = {
-        "head": theta.T @ d_hidden,
-        "reg_w": (theta @ params.head).T @ d_norm,
-        "reg_b": np.array([np.sum(d_norm)]),
-    }
-    grads.update(_backward_from_theta(params, cache, d_hidden @ params.head.T))
+    grads, d_theta = head_backward(theta, theta @ params.head, params.head, params.reg_w, d_raw)
+    grads.update(_backward_from_theta(params, cache, d_theta))
     return grads
 
 
 def fusion_layer(params: MlpParams, i: int, j: int):
     """Fused user and product vectors (a_i, b_j) for one pair."""
-    if not (0 <= i < params.n_users and 0 <= j < params.n_products):
-        raise IndexError(f"pair ({i}, {j}) out of range")
+    _check_pair(params, i, j)
     _, cache = _forward_batch(params, np.array([i]), np.array([j]))
     k = params.latent_dim
     v = cache["hidden"][0][0]
@@ -218,8 +218,7 @@ def fusion_layer(params: MlpParams, i: int, j: int):
 
 def mlp_embedding(params: MlpParams, i: int, j: int) -> np.ndarray:
     """p-dim pair embedding out of the ReLU tower."""
-    if not (0 <= i < params.n_users and 0 <= j < params.n_products):
-        raise IndexError(f"pair ({i}, {j}) out of range")
+    _check_pair(params, i, j)
     theta, _ = _forward_batch(params, np.array([i]), np.array([j]))
     return theta[0]
 
@@ -238,6 +237,7 @@ def mlp_backward(params: MlpParams, i: int, j: int, loss_grad: float) -> dict:
     prediction. Embedding gradients come back as full tables with only
     the looked-up rows non-zero.
     """
+    _check_pair(params, i, j)
     _, cache = _forward_batch(params, np.array([i]), np.array([j]))
     return _backward_batch(params, cache, np.array([float(loss_grad)]))
 

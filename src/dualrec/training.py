@@ -21,8 +21,8 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "head_forward", "mean_abs_error",
-           "predict_chunked", "val_mae"]
+__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "head_backward", "head_forward",
+           "mean_abs_error", "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 
@@ -40,10 +40,31 @@ class FitHyperparams:
     patience: int = 3
 
 
+def _check_pair(params, i: int, j: int) -> None:
+    """IndexError unless (i, j) indexes a user and a product of ``params``."""
+    if not (0 <= i < params.n_users and 0 <= j < params.n_products):
+        raise IndexError(f"pair ({i}, {j}) out of range")
+
+
 def head_forward(theta, head, reg_w, reg_b):
     """Projection ``theta @ head``, then the raw-scale regression."""
     hidden = theta @ head  # (batch, p)
     return hidden, MAX_RATING * (hidden @ reg_w + reg_b)
+
+
+def head_backward(theta, hidden, head, reg_w, d_raw):
+    """Backward pass of :func:`head_forward` for ``d_raw``, the upstream
+    derivative of each pair's raw prediction.
+
+    Returns the gradients of ``sum(d_raw * raw)`` with respect to ``head``,
+    ``reg_w`` and ``reg_b`` as a dict under those names, and ``d_theta``,
+    the derivative with respect to ``theta`` that the branch below takes.
+    """
+    d_norm = MAX_RATING * d_raw
+    d_hidden = d_norm[:, None] * reg_w[None, :]
+    grads = {"head": theta.T @ d_hidden, "reg_w": hidden.T @ d_norm,
+             "reg_b": np.array([np.sum(d_norm)])}
+    return grads, d_hidden @ head.T
 
 
 def predict_chunked(predict, idx_u, idx_p) -> np.ndarray:

@@ -326,6 +326,14 @@ class TestEmbeddingAndHead:
         with pytest.raises(IndexError):
             mf_embedding(params, 2, 0)
 
+    @pytest.mark.parametrize("branch", ["joint", "rating"])
+    @pytest.mark.parametrize("idx_u, idx_p", [([-1], [0]), ([3], [0]), ([0, 1], [0, -1]),
+                                              ([0], [4])])
+    def test_factor_predict_index_out_of_range(self, branch, idx_u, idx_p):
+        params = random_params(np.random.default_rng(13), 3, 4)
+        with pytest.raises(IndexError):
+            factor_predict(params, idx_u, idx_p, branch=branch)
+
 
 def hyper(**kw):
     model = dict(latent_dim=2, predictive_dim=3, reg_lambda=0.01)

@@ -190,6 +190,12 @@ class TestEmbedding:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("i, j", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_pair_out_of_range(self, i, j):
+        params = init_mlp(3, 3, 2, (4, 2), seed=0)
+        with pytest.raises(IndexError, match="out of range"):
+            mlp_backward(params, i, j, 1.0)
+
     def test_zero_loss_grad_zero_gradients(self):
         params = init_mlp(3, 3, 2, (4, 2), seed=0, scale=0.5)
         grads = mlp_backward(params, 1, 1, 0.0)

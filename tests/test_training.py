@@ -9,9 +9,10 @@ from dualrec.fusion import (_forward_batch, fused_predict, init_fusion_random, p
                             train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import PairArrays, _make_store
-from dualrec.linalg import TrainingDivergedError
+from dualrec.linalg import TrainingDivergedError, finite_diff_grad
 from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
-from dualrec.training import CHUNK_PAIRS, FitHyperparams, fit, mean_abs_error, predict_chunked
+from dualrec.training import (CHUNK_PAIRS, FitHyperparams, fit, head_backward, head_forward,
+                              mean_abs_error, predict_chunked)
 
 from conftest import rated
 
@@ -65,6 +66,27 @@ class TestFit:
         with pytest.raises(TrainingDivergedError, match="toy training diverged at epoch 0"):
             fit({"w": np.zeros(1)}, lambda batch: {"w": np.ones(1)}, lambda: float("nan"),
                 1, Hyper(), np.random.default_rng(0), "toy")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_head_backward_matches_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    arrays = {"theta": rng.normal(size=(5, 4)), "head": rng.normal(size=(4, 3)),
+              "reg_w": rng.normal(size=3), "reg_b": rng.normal(size=1)}
+    d_raw = rng.normal(size=5)
+    hidden, _ = head_forward(arrays["theta"], arrays["head"], arrays["reg_w"], arrays["reg_b"])
+    grads, d_theta = head_backward(arrays["theta"], hidden, arrays["head"], arrays["reg_w"], d_raw)
+    assert set(grads) == {"head", "reg_w", "reg_b"}
+    grads["theta"] = d_theta
+    for name, grad in grads.items():
+        def value(x, name=name):
+            moved = dict(arrays, **{name: x.reshape(grad.shape)})
+            _, raw = head_forward(moved["theta"], moved["head"], moved["reg_w"], moved["reg_b"])
+            return float(np.dot(d_raw, raw))
+
+        numeric = finite_diff_grad(value, arrays[name].ravel(), step=1e-6)
+        np.testing.assert_allclose(grad, numeric.reshape(grad.shape), rtol=1e-6, atol=1e-8,
+                                   err_msg=name)
 
 
 @pytest.fixture(scope="module")
