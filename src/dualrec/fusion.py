@@ -222,7 +222,8 @@ def train_fusion(
 
     def batch_grads(batch):
         preds, cache = _forward_batch(model, idx_u[batch], idx_p[batch])
-        return _grads_batch(model, cache, np.sign(preds - raw[batch]), freeze_branches)
+        resid = preds - raw[batch]
+        return np.abs(resid).sum(), _grads_batch(model, cache, np.sign(resid), freeze_branches)
 
     def predict(bu, bp):
         return _forward_batch(model, bu, bp)[0]

@@ -243,7 +243,7 @@ class ExperimentConfig:
 class FoldOutcome:
     report: EvalReport
     phase_seconds: dict
-    epoch_log: list  # (phase, epoch, loss, seconds) tuples
+    epoch_log: list  # (phase, epoch, loss, seconds); loss: mean batch loss seen in the epoch
 
 
 @dataclass

@@ -262,7 +262,7 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
     def batch_grads(batch):
         kind = kinds[batch]
         rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
-        return _terms_grads(params, store, terms, hyper.reg_lambda, rows)[1]
+        return _terms_grads(params, store, terms, hyper.reg_lambda, rows)
 
     u_mat, v_mat = weights[terms[0][0]], weights[terms[0][1]]
 
@@ -324,10 +324,10 @@ def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
     def batch_grads(batch):
         theta, cache = _embedding_batch(params, idx_u[batch], idx_p[batch])
         hidden, preds = head_forward(theta, params.head, params.reg_w, params.reg_b)
-        grads, d_theta = head_backward(theta, hidden, params.head, params.reg_w,
-                                       np.sign(preds - raw[batch]))
+        resid = preds - raw[batch]
+        grads, d_theta = head_backward(theta, hidden, params.head, params.reg_w, np.sign(resid))
         grads.update(_backward_from_theta(params, cache, d_theta, tables=False))
-        return grads
+        return np.abs(resid).sum(), grads
 
     predict = functools.partial(_predict_batch, params)
     fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),

@@ -273,7 +273,8 @@ def train_mlp(
     def batch_grads(batch):
         _, cache = _forward_batch(params, idx_u[batch], idx_p[batch])
         _, preds = head_forward(cache["hidden"][-1], params.head, params.reg_w, params.reg_b)
-        return _backward_batch(params, cache, np.sign(preds - raw[batch]))
+        resid = preds - raw[batch]
+        return np.abs(resid).sum(), _backward_batch(params, cache, np.sign(resid))
 
     def predict(bu, bp):
         theta, _ = _forward_batch(params, bu, bp)

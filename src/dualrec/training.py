@@ -3,9 +3,9 @@
 The linear branch (rating, joint and head phases), the non-linear
 branch and the fused head all train the same way: mini-batch Adam over
 one permutation of the training examples per epoch, with a per-epoch
-learning-rate decay, a divergence check on the full-data loss and
-optional early stopping on validation MAE. All of them end in the same
-raw-scale linear regression.
+learning-rate decay, a divergence check on each epoch's batch losses
+and on the returned weights, and optional early stopping on validation
+MAE. All of them end in the same raw-scale linear regression.
 
 Full-data and validation losses are computed chunk by chunk:
 :func:`predict_chunked` runs the forward pass over ``CHUNK_PAIRS`` pairs
@@ -100,36 +100,42 @@ def val_mae(predict, val_store: InteractionStore | None):
     return lambda: mean_abs_error(predict, val_store.rated_arrays)
 
 
+def _check_loss(phase: str, epoch: int, loss: float) -> None:
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(f"{phase} training diverged at epoch {epoch}: loss={loss}")
+
+
 def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rng,
         phase: str, val_loss=None, on_epoch=None) -> None:
     """Mini-batch Adam over ``n`` examples, updating ``weights`` in place.
 
-    Epoch e runs at learning rate ``hyper.lr * hyper.lr_decay**e`` and
-    visits the examples in one permutation drawn from ``rng``, applying
-    ``batch_grads(batch)`` per ``hyper.batch_size`` slice. ``full_loss()``
-    must then be finite (else :class:`TrainingDivergedError`) and goes to
-    ``on_epoch(phase, epoch, loss, seconds)``. With ``val_loss`` and a
-    non-zero ``hyper.patience``, training stops once ``val_loss()`` has
-    not improved for ``patience`` epochs, and the weights of the best
-    epoch are copied back before returning.
+    Epoch e runs at learning rate ``hyper.lr * hyper.lr_decay**e`` and visits
+    the examples in one permutation drawn from ``rng``. Per ``hyper.batch_size``
+    slice, ``batch_grads(batch)`` gives its summed loss before the step and the
+    step's gradients; the losses' total over ``n`` goes to ``on_epoch(phase,
+    epoch, loss, seconds)``. With ``val_loss`` and a non-zero ``hyper.patience``,
+    training stops once ``val_loss()`` has not improved for ``patience`` epochs,
+    and the best epoch's weights are copied back. A non-finite epoch loss or
+    ``full_loss()`` of the returned weights raises :class:`TrainingDivergedError`.
     """
     state = AdamState(lr=hyper.lr)
     best_val = np.inf
     best = None
     stall = 0
     # a diverging run overflows on its way to the non-finite loss that the
-    # check below reports; numpy's warnings about it would only be noise
+    # checks below report; numpy's warnings about it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hyper.epochs):
             started = time.perf_counter()
             state.lr = hyper.lr * hyper.lr_decay**epoch
             order = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, hyper.batch_size):
-                adam_step(weights, batch_grads(order[start : start + hyper.batch_size]), state)
-            loss = full_loss()
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"{phase} training diverged at epoch {epoch}: loss={loss}")
+                batch_loss, grads = batch_grads(order[start : start + hyper.batch_size])
+                total += batch_loss
+                adam_step(weights, grads, state)
+            loss = total / n
+            _check_loss(phase, epoch, loss)
             if on_epoch is not None:
                 on_epoch(phase, epoch, loss, time.perf_counter() - started)
             if val_loss is None or not hyper.patience:
@@ -143,6 +149,8 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rn
                 stall += 1
                 if stall >= hyper.patience:
                     break
-    if best is not None:
-        for name, w in weights.items():
-            w[...] = best[name]
+        if best is not None:
+            for name, w in weights.items():
+                w[...] = best[name]
+        if hyper.epochs > 0:  # ``epoch`` is the last epoch run
+            _check_loss(phase, epoch, full_loss())

@@ -399,12 +399,16 @@ def error_line(capsys, argv) -> str:
 class TestErrorCategories:
     @pytest.mark.parametrize("argv, want", [
         ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --lr 1e200",
-         "error [training-diverged]: mf-rating training diverged at epoch 0: loss=nan"),
+         "error [training-diverged]: mf-rating training diverged at epoch 1: loss=nan"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --lr 1e200",
-         "error [training-diverged]: mlp training diverged at epoch 0: loss=nan"),
+         "error [training-diverged]: mlp training diverged at epoch 1: loss=nan"),
         ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt --lr 1e200 "
          "--out {d}/x.ckpt",
-         "error [training-diverged]: fusion training diverged at epoch 0: loss=nan"),
+         "error [training-diverged]: fusion training diverged at epoch 1: loss=nan"),
+        ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --epochs 1 --lr 1e200",
+         "error [training-diverged]: mf-rating training diverged at epoch 0: loss=nan"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --epochs 1 --lr 1e200",
+         "error [training-diverged]: mlp training diverged at epoch 0: loss=nan"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --tower 40,8",
          "error [bad-args]: tower widths must be non-increasing from 16, got [40, 8]"),
         ("train --store {d}/store.json --mf {d}/mf6.ckpt --mlp {d}/mlp.ckpt --out {d}/x.ckpt",
@@ -413,7 +417,8 @@ class TestErrorCategories:
          "error [bad-args]: true_rank exceeds the smaller dimension"),
         ("reliability --store {d}/store.json --out {d}/x.tsv --alpha 2",
          "error [bad-args]: alpha must be in [0, 1], got 2.0"),
-    ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "widening-tower",
+    ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
+            "mlp-diverges-last-epoch", "widening-tower",
             "head-widths-differ", "rank-too-large", "alpha-too-large"])
     def test_command_error_line(self, trained, capsys, argv, want):
         assert error_line(capsys, argv.format(d=trained).split()) == want

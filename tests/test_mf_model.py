@@ -391,7 +391,6 @@ class TestTraining:
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, tiny_store):
         with pytest.raises(TrainingDivergedError):
             train_mf(tiny_store, hyper(lr=1e160, reg_lambda=0.1, epochs=3))

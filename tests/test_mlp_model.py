@@ -329,7 +329,6 @@ class TestPredictAndTrain:
         np.testing.assert_array_equal(params.user_emb, w.T + e.T)
         np.testing.assert_array_equal(params.prod_emb, z.T + f.T)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         rng = np.random.default_rng(17)
         store = random_store(rng, 4, 4, with_reliability=False)

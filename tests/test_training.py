@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dualrec import mf_model, training
 from dualrec.fusion import (_forward_batch, fused_predict, init_fusion_random, predict_batch,
                             train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
@@ -34,7 +35,7 @@ def run_fit(val_scores, hyper):
     def on_epoch(phase, epoch, loss, seconds):
         seen.append(weights["w"].copy())
 
-    fit(weights, lambda batch: {"w": np.ones(3)}, lambda: 0.0, 4, hyper,
+    fit(weights, lambda batch: (0.0, {"w": np.ones(3)}), lambda: 0.0, 4, hyper,
         np.random.default_rng(0), "toy", val_loss=val_mae, on_epoch=on_epoch)
     return weights["w"], seen, calls
 
@@ -64,8 +65,34 @@ class TestFit:
 
     def test_divergence_names_phase_and_epoch(self):
         with pytest.raises(TrainingDivergedError, match="toy training diverged at epoch 0"):
-            fit({"w": np.zeros(1)}, lambda batch: {"w": np.ones(1)}, lambda: float("nan"),
-                1, Hyper(), np.random.default_rng(0), "toy")
+            fit({"w": np.zeros(1)}, lambda batch: (float("nan"), {"w": np.ones(1)}),
+                lambda: float("nan"), 1, Hyper(), np.random.default_rng(0), "toy")
+
+    @pytest.mark.parametrize("patience, last", [(0, 9), (2, 4)])
+    def test_divergence_after_the_last_epoch_is_caught(self, patience, last):
+        # finite batch losses, but the returned weights score nan; with
+        # patience the run stops (and restores) after epoch 4
+        val = iter([3.0, 2.0, 1.0, 1.5, 2.5])
+        with pytest.raises(TrainingDivergedError,
+                           match=f"toy training diverged at epoch {last}: loss=nan"):
+            fit({"w": np.zeros(1)}, lambda batch: (0.0, {"w": np.ones(1)}),
+                lambda: float("nan"), 4, Hyper(patience=patience), np.random.default_rng(0),
+                "toy", val_loss=lambda: next(val))
+
+    def test_epoch_loss_is_the_batch_losses_over_n(self):
+        rng = np.random.default_rng(3)
+        returned, reported = [], []
+
+        def batch_grads(batch):
+            returned.append(float(rng.random()) * len(batch))
+            return returned[-1], {"w": np.ones(1)}
+
+        fit({"w": np.zeros(1)}, batch_grads, lambda: 0.0, 5, Hyper(epochs=3, patience=0),
+            np.random.default_rng(0), "toy",
+            on_epoch=lambda phase, epoch, loss, seconds: reported.append(loss))
+        # 5 examples in batches of 2: three batches per epoch
+        assert len(returned) == 9
+        assert reported == [sum(returned[3 * e : 3 * e + 3]) / 5 for e in range(3)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -145,6 +172,29 @@ def test_train_fusion_returns_the_best_validation_epoch(mirrored):
                  (got.mf.user_joint, want.mf.user_joint),
                  (got.mlp.user_emb, want.mlp.user_emb)):
         assert np.array_equal(a, b)
+
+
+def test_each_phase_scores_the_training_set_once(mirrored, monkeypatch):
+    """Without a validation store, every phase runs one full-data loss,
+    after its last epoch, whatever the epoch count."""
+    store, _ = mirrored
+    calls = []
+    for module, name in ((training, "predict_chunked"), (mf_model, "_terms_loss")):
+        def spy(*args, _wrapped=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _wrapped(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    hyper = FitHyperparams(batch_size=32, epochs=5, lr=0.01)
+    mf_model.train_mf(store, mf_model.MfHyperparams(latent_dim=2, fit=hyper))
+    assert sorted(calls) == ["_terms_loss", "_terms_loss", "predict_chunked"]  # rating, joint, head
+    calls.clear()
+    train_mlp(store, MlpHyperparams(latent_dim=2, tower=(4, 2), fit=hyper))
+    assert calls == ["predict_chunked"]
+    calls.clear()
+    train_fusion(init_fusion_random(store.n_users, store.n_products, 2, (4, 2), seed=2), store,
+                 hyper)
+    assert calls == ["predict_chunked"]
 
 
 N_USERS, N_PRODUCTS = 300, 200
