@@ -9,6 +9,7 @@ output.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -146,16 +147,9 @@ def cmd_train(args) -> int:
         config = _experiment_config(args)
     else:
         config = harness.ExperimentConfig()
-    if args.gamma is not None:
-        config.gamma = args.gamma
-    if args.epochs is not None:
-        config.epochs_fusion = args.epochs
-    if args.lr is not None:
-        config.lr = args.lr
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.freeze_branches:
-        config.freeze_branches = True
+    flags = {"gamma": args.gamma, "epochs_fusion": args.epochs, "lr": args.lr,
+             "seed": args.seed, "freeze_branches": True if args.freeze_branches else None}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
     if args.mf and args.mlp:
         branches = (_load_model(mf_model.load_mf, args.mf),

@@ -15,14 +15,15 @@ is computed for them. Only a model built from random noise
 """
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, InteractionStore
-from .training import (FitHyperparams, _check_pair, fit, head_backward, head_forward,
-                       mean_abs_error, predict_chunked, val_mae)
+from .training import (FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward,
+                       predict_chunked)
 from .mf_model import MfParams
 from .mlp_model import MlpParams
 
@@ -126,8 +127,10 @@ def init_fusion_random(
 
 
 def _forward_batch(model: FusionModel, idx_u, idx_p):
+    """Raw predictions for index arrays from each branch's pair embedding,
+    never a branch's own head, and the cache :func:`_grads_batch` reads."""
     theta_mf, mf_cache = mf_model._embedding_batch(model.mf, idx_u, idx_p)
-    theta_mlp, mlp_cache = mlp_model._forward_batch(model.mlp, idx_u, idx_p)
+    theta_mlp, mlp_cache = mlp_model._embedding_batch(model.mlp, idx_u, idx_p)
     concat = np.concatenate([theta_mf, theta_mlp], axis=1)
     hidden, raw = head_forward(concat, model.concat_w.T, model.reg_w, model.reg_b)
     cache = {"mf_cache": mf_cache, "mlp_cache": mlp_cache, "concat": concat,
@@ -137,9 +140,7 @@ def _forward_batch(model: FusionModel, idx_u, idx_p):
 
 def fused_predict(model: FusionModel, i: int, j: int) -> float:
     """Unclamped raw-scale prediction for one known index pair."""
-    _check_pair(model.mf, i, j)
-    raw, _ = _forward_batch(model, np.array([i]), np.array([j]))
-    return float(raw[0])
+    return float(_forward_batch(model, *_pair_arrays(model.mf, i, j))[0][0])
 
 
 def predict_batch(model: FusionModel, pairs) -> list[float]:
@@ -217,21 +218,9 @@ def train_fusion(
     """
     model = model.copy()
     model.global_mean = store.global_mean_raw()  # ValueError for a store without ratings
-
-    idx_u, idx_p, _, raw = store.rated_arrays
-
-    def batch_grads(batch):
-        preds, cache = _forward_batch(model, idx_u[batch], idx_p[batch])
-        resid = preds - raw[batch]
-        return np.abs(resid).sum(), _grads_batch(model, cache, np.sign(resid), freeze_branches)
-
-    def predict(bu, bp):
-        return _forward_batch(model, bu, bp)[0]
-
-    fit(_param_dict(model, freeze_branches), batch_grads,
-        lambda: mean_abs_error(predict, store.rated_arrays), idx_u.size, hyper,
-        np.random.default_rng(hyper.seed), "fusion", val_loss=val_mae(predict, val_store),
-        on_epoch=on_epoch)
+    fit_mae(_param_dict(model, freeze_branches), functools.partial(_forward_batch, model),
+            lambda cache, d_raw: _grads_batch(model, cache, d_raw, freeze_branches), store,
+            hyper, np.random.default_rng(hyper.seed), "fusion", val_store, on_epoch)
     return model
 
 

@@ -200,13 +200,20 @@ class ExperimentConfig:
     cutoffs: tuple = (5, 10)
     relevance_threshold: float = 3.0
 
+    def __post_init__(self):
+        for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
+            self.fit(epochs)  # ValueError naming a bad loop setting
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Config from the nested JSON layout; absent keys keep their defaults.
 
         An unknown section or key raises ValueError naming it, so a typo
-        cannot silently fall back to the default.
+        cannot silently fall back to the default; so does a document or a
+        section that is no JSON object, and a bad loop setting.
         """
+        if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
+            raise ValueError("a config is a JSON object of sections, each a JSON object")
         split_keys = {f.name for f in fields(SplitSpec)}
         for section, values in doc.items():
             keys = split_keys if section == "split" else _JSON_KEYS.get(section)
@@ -253,20 +260,12 @@ class ExperimentResult:
 
 
 def _mean_reports(reports: list[EvalReport]) -> EvalReport:
+    """The mean of each field over the reports; of ``f1_at``, per cutoff."""
     n = len(reports)
-    cutoffs = sorted(reports[0].f1_at)
-    return EvalReport(
-        rmse=sum(r.rmse for r in reports) / n,
-        mae=sum(r.mae for r in reports) / n,
-        precision=sum(r.precision for r in reports) / n,
-        recall=sum(r.recall for r in reports) / n,
-        f1=sum(r.f1 for r in reports) / n,
-        mean_ap=sum(r.mean_ap for r in reports) / n,
-        ndcg=sum(r.ndcg for r in reports) / n,
-        f1_at={c: sum(r.f1_at[c] for r in reports) / n for c in cutoffs},
-        n_users=sum(r.n_users for r in reports) / n,
-        n_pairs=sum(r.n_pairs for r in reports) / n,
-    )
+    mean = {f.name: sum(getattr(r, f.name) for r in reports) / n
+            for f in fields(EvalReport) if f.name != "f1_at"}
+    return EvalReport(**mean, f1_at={c: sum(r.f1_at[c] for r in reports) / n
+                                     for c in sorted(reports[0].f1_at)})
 
 
 def evaluate_model(
@@ -346,14 +345,8 @@ def train_pipeline(
         timings["pretrain_mlp"] = time.perf_counter() - started
         model = init_fusion(mf_params, mlp_params, config.gamma)
     else:
-        model = init_fusion_random(
-            train_store.n_users,
-            train_store.n_products,
-            config.latent_dim,
-            config.tower,
-            config.seed,
-            config.gamma,
-        )
+        model = init_fusion_random(train_store.n_users, train_store.n_products,
+                                   config.latent_dim, config.tower, config.seed, config.gamma)
 
     started = time.perf_counter()
     model = fine_tune(config, model, train_store, val_store, on_epoch)
@@ -366,12 +359,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     store = _ensure_reliability(load_experiment_store(config), config)
     outcomes = []
     for train_store, val_store, test_store in split(store, config.split):
-        epoch_log = []
-
-        def on_epoch(phase, epoch, loss, seconds):
-            epoch_log.append((phase, epoch, loss, seconds))
-
-        model, timings = train_pipeline(config, train_store, val_store, on_epoch)
+        epoch_log = []  # (phase, epoch, loss, seconds) per on_epoch call
+        model, timings = train_pipeline(config, train_store, val_store,
+                                        lambda *event: epoch_log.append(event))
         started = time.perf_counter()
         report = evaluate_model(
             model, test_store, cutoffs=config.cutoffs, threshold=config.relevance_threshold

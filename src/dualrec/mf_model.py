@@ -12,7 +12,9 @@ On top of the trained factors sits a small head: two KxK projections mix
 the elementwise products of the rating-branch and joint-branch factors
 into one K-dim pair embedding, which a Kxp output projection and a linear
 regression turn into a rating. The head is trained with MAE against the
-raw ratings, factors frozen.
+raw ratings, factors frozen, through the branch's forward and backward
+pass (:func:`_forward_batch`, :func:`_backward_batch`) and
+:func:`training.fit_mae`.
 """
 
 import copy
@@ -24,8 +26,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .training import (CHUNK_PAIRS, FitHyperparams, _check_pair, fit, head_backward,
-                       head_forward, mean_abs_error, val_mae)
+from .training import (CHUNK_PAIRS, FitHyperparams, _pair_arrays, fit, fit_mae, head_backward,
+                       head_forward, val_mae)
 
 __all__ = [
     "MfParams",
@@ -101,6 +103,8 @@ class MfHyperparams:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if self.predictive_dim < 1:
+            raise ValueError("predictive_dim must be >= 1")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be >= 0")
 
@@ -135,8 +139,6 @@ def _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets):
     The coefficient is d(term)/d(u_i . v_j), i.e. 2 (pred - target)
     pred (1 - pred) with pred = sigmoid(u_i . v_j).
     """
-    if idx_u.size == 0:
-        return 0.0, np.zeros(0)
     dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
     preds = sigmoid(dots)
     resid = preds - targets
@@ -173,27 +175,16 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     return term + reg, (du, dv)
 
 
-def _pair_loss_value(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
-    """Loss of one squared data term with per-pair L2, no gradients.
-
-    Evaluated ``CHUNK_PAIRS`` pairs at a time so the gathered column
-    blocks stay cache-resident regardless of how many pairs are observed.
-    """
-    total = 0.0
-    for start in range(0, idx_u.size, CHUNK_PAIRS):
-        sl = slice(start, start + CHUNK_PAIRS)
-        term, _ = _sq_data_term(u_mat, v_mat, idx_u[sl], idx_p[sl], targets[sl])
-        total += term + reg_lambda * float(
-            np.sum(u_mat[:, idx_u[sl]] ** 2) + np.sum(v_mat[:, idx_p[sl]] ** 2)
-        )
-    return total
-
-
 def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) -> float:
-    """Value of the objective ``terms`` over the store's pairs."""
-    return sum(_pair_loss_value(getattr(params, u), getattr(params, v),
-                                *getattr(store, view)[:3], reg_lambda)
-               for u, v, view in terms)
+    """Value of the objective ``terms`` over the store's pairs, summed
+    ``CHUNK_PAIRS`` pairs at a time so that the gathered blocks stay small."""
+    total = 0.0
+    for u, v, view in terms:
+        pairs = getattr(store, view)[:3]
+        total += sum(_pair_loss_grads(getattr(params, u), getattr(params, v),
+                                      *(a[s : s + CHUNK_PAIRS] for a in pairs), reg_lambda)[0]
+                     for s in range(0, pairs[0].size, CHUNK_PAIRS))
+    return total
 
 
 def _terms_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, rows=None):
@@ -310,29 +301,31 @@ def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -
     return grads
 
 
-def _predict_batch(params: MfParams, idx_u, idx_p):
-    theta, _ = _embedding_batch(params, idx_u, idx_p)
-    return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
+def _forward_batch(params: MfParams, idx_u, idx_p):
+    """Raw predictions of the branch's own head for index arrays, and the
+    cache that :func:`_backward_batch` reads."""
+    theta, cache = _embedding_batch(params, idx_u, idx_p)
+    cache["head_hidden"], raw = head_forward(theta, params.head, params.reg_w, params.reg_b)
+    cache["theta"] = theta
+    return raw, cache
+
+
+def _backward_batch(params: MfParams, cache: dict, d_raw) -> dict:
+    """Gradients of sum(d_raw * raw_prediction) for the head and the two
+    projections; the factor tables stay frozen and get none."""
+    grads, d_theta = head_backward(cache["theta"], cache["head_hidden"], params.head,
+                                   params.reg_w, d_raw)
+    grads.update(_backward_from_theta(params, cache, d_theta, tables=False))
+    return grads
 
 
 def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
     """MAE head training with frozen factors (the ``user_*``/``prod_*`` tables)."""
-    idx_u, idx_p, _, raw = store.rated_arrays
     weights = {name: w for name, w in param_dict(params).items()
                if not name.startswith(("user_", "prod_"))}
-
-    def batch_grads(batch):
-        theta, cache = _embedding_batch(params, idx_u[batch], idx_p[batch])
-        hidden, preds = head_forward(theta, params.head, params.reg_w, params.reg_b)
-        resid = preds - raw[batch]
-        grads, d_theta = head_backward(theta, hidden, params.head, params.reg_w, np.sign(resid))
-        grads.update(_backward_from_theta(params, cache, d_theta, tables=False))
-        return np.abs(resid).sum(), grads
-
-    predict = functools.partial(_predict_batch, params)
-    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
-        idx_u.size, hyper.fit, rng, "mf-head", val_loss=val_mae(predict, val_store),
-        on_epoch=on_epoch)
+    fit_mae(weights, functools.partial(_forward_batch, params),
+            functools.partial(_backward_batch, params), store, hyper.fit, rng, "mf-head",
+            val_store, on_epoch)
 
 
 def train_mf(
@@ -376,16 +369,12 @@ def train_mf(
 
 def mf_embedding(params: MfParams, i: int, j: int) -> np.ndarray:
     """K-dim pair embedding mixing both factor models' interactions."""
-    _check_pair(params, i, j)
-    theta, _ = _embedding_batch(params, np.array([i]), np.array([j]))
-    return theta[0]
+    return _embedding_batch(params, *_pair_arrays(params, i, j))[0][0]
 
 
 def mf_predict(params: MfParams, i: int, j: int) -> float:
     """Raw-scale rating prediction from the linear branch's own head."""
-    theta = mf_embedding(params, i, j)
-    _, pred = head_forward(theta[None, :], params.head, params.reg_w, params.reg_b)
-    return float(pred[0])
+    return float(_forward_batch(params, *_pair_arrays(params, i, j))[0][0])
 
 
 def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.ndarray:

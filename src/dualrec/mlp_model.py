@@ -7,12 +7,15 @@ The fusion layer applies a KxK fully-connected map and ReLU to a user's
 row, and the same to a product's; the two fused vectors are concatenated
 into a 2K input that a tower of shrinking ReLU layers maps down to the
 p-dim pair embedding. A pxp output projection plus linear regression
-produce the rating. Forward and reverse passes are hand-written numpy; ReLU's
-subgradient at exactly 0 is 0, and embedding gradients only touch the
-rows a batch looked up.
+produce the rating, trained on raw-scale MAE by :func:`training.fit_mae`
+through :func:`_forward_batch` and :func:`_backward_batch`; the fused
+model reads only :func:`_embedding_batch`, below the head. Forward and
+reverse passes are hand-written numpy; ReLU's subgradient at exactly 0
+is 0, and embedding gradients only touch the rows a batch looked up.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,8 +23,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
-from .training import (FitHyperparams, _check_pair, fit, head_backward, head_forward,
-                       mean_abs_error, val_mae)
+from .training import FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward
 
 __all__ = [
     "MlpParams",
@@ -90,6 +92,10 @@ class MlpHyperparams:
     init_from_factors: bool = False
     fit: FitHyperparams = FitHyperparams()
 
+    def __post_init__(self):
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
+
 
 def init_mlp(
     n_users: int,
@@ -133,8 +139,9 @@ def init_mlp(
     )
 
 
-def _forward_batch(params: MlpParams, idx_u, idx_p):
-    """Forward pass for index arrays; returns (theta, cache)."""
+def _embedding_batch(params: MlpParams, idx_u, idx_p):
+    """Pair embeddings for index arrays, shape (batch, p), and the cache
+    that :func:`_backward_from_theta` reads."""
     user = params.user_emb[idx_u]
     prod = params.prod_emb[idx_p]
     a_pre = user @ params.fusion_w_user.T + params.fusion_b_user
@@ -150,6 +157,14 @@ def _forward_batch(params: MlpParams, idx_u, idx_p):
     cache = {"idx_u": idx_u, "idx_p": idx_p, "user": user, "prod": prod,
              "a_pre": a_pre, "b_pre": b_pre, "hidden": hidden, "pres": pres}
     return hidden[-1], cache
+
+
+def _forward_batch(params: MlpParams, idx_u, idx_p):
+    """Raw predictions of the branch's own head for index arrays, and the
+    cache that :func:`_backward_batch` reads."""
+    theta, cache = _embedding_batch(params, idx_u, idx_p)
+    cache["head_hidden"], raw = head_forward(theta, params.head, params.reg_w, params.reg_b)
+    return raw, cache
 
 
 def param_dict(params: MlpParams) -> dict:
@@ -201,16 +216,15 @@ def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool =
 
 def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
     """Gradients of sum(d_raw * raw_prediction) for every parameter."""
-    theta = cache["hidden"][-1]
-    grads, d_theta = head_backward(theta, theta @ params.head, params.head, params.reg_w, d_raw)
+    grads, d_theta = head_backward(cache["hidden"][-1], cache["head_hidden"], params.head,
+                                   params.reg_w, d_raw)
     grads.update(_backward_from_theta(params, cache, d_theta))
     return grads
 
 
 def fusion_layer(params: MlpParams, i: int, j: int):
     """Fused user and product vectors (a_i, b_j) for one pair."""
-    _check_pair(params, i, j)
-    _, cache = _forward_batch(params, np.array([i]), np.array([j]))
+    _, cache = _embedding_batch(params, *_pair_arrays(params, i, j))
     k = params.latent_dim
     v = cache["hidden"][0][0]
     return v[:k], v[k:]
@@ -218,16 +232,12 @@ def fusion_layer(params: MlpParams, i: int, j: int):
 
 def mlp_embedding(params: MlpParams, i: int, j: int) -> np.ndarray:
     """p-dim pair embedding out of the ReLU tower."""
-    _check_pair(params, i, j)
-    theta, _ = _forward_batch(params, np.array([i]), np.array([j]))
-    return theta[0]
+    return _embedding_batch(params, *_pair_arrays(params, i, j))[0][0]
 
 
 def mlp_predict(params: MlpParams, i: int, j: int) -> float:
     """Raw-scale rating prediction from the branch's own head."""
-    theta = mlp_embedding(params, i, j)
-    _, pred = head_forward(theta[None, :], params.head, params.reg_w, params.reg_b)
-    return float(pred[0])
+    return float(_forward_batch(params, *_pair_arrays(params, i, j))[0][0])
 
 
 def mlp_backward(params: MlpParams, i: int, j: int, loss_grad: float) -> dict:
@@ -237,8 +247,7 @@ def mlp_backward(params: MlpParams, i: int, j: int, loss_grad: float) -> dict:
     prediction. Embedding gradients come back as full tables with only
     the looked-up rows non-zero.
     """
-    _check_pair(params, i, j)
-    _, cache = _forward_batch(params, np.array([i]), np.array([j]))
+    _, cache = _forward_batch(params, *_pair_arrays(params, i, j))
     return _backward_batch(params, cache, np.array([float(loss_grad)]))
 
 
@@ -268,21 +277,9 @@ def train_mlp(
         params.user_emb = (w + e).T.copy()
         params.prod_emb = (z + f).T.copy()
 
-    idx_u, idx_p, _, raw = store.rated_arrays
-
-    def batch_grads(batch):
-        _, cache = _forward_batch(params, idx_u[batch], idx_p[batch])
-        _, preds = head_forward(cache["hidden"][-1], params.head, params.reg_w, params.reg_b)
-        resid = preds - raw[batch]
-        return np.abs(resid).sum(), _backward_batch(params, cache, np.sign(resid))
-
-    def predict(bu, bp):
-        theta, _ = _forward_batch(params, bu, bp)
-        return head_forward(theta, params.head, params.reg_w, params.reg_b)[1]
-
-    fit(param_dict(params), batch_grads, lambda: mean_abs_error(predict, store.rated_arrays),
-        idx_u.size, hyper.fit, np.random.default_rng(hyper.fit.seed), "mlp",
-        val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
+    fit_mae(param_dict(params), functools.partial(_forward_batch, params),
+            functools.partial(_backward_batch, params), store, hyper.fit,
+            np.random.default_rng(hyper.fit.seed), "mlp", val_store, on_epoch)
     return params
 
 

@@ -1,11 +1,13 @@
 """The training loop and regression head shared by every model.
 
-The linear branch (rating, joint and head phases), the non-linear
-branch and the fused head all train the same way: mini-batch Adam over
-one permutation of the training examples per epoch, with a per-epoch
-learning-rate decay, a divergence check on each epoch's batch losses
-and on the returned weights, and optional early stopping on validation
-MAE. All of them end in the same raw-scale linear regression.
+Every phase (MF rating, joint and head; MLP; fusion) runs :func:`fit`:
+mini-batch Adam over one permutation of the training examples per epoch,
+with a per-epoch learning-rate decay, a divergence check on each epoch's
+batch losses and on the returned weights, and optional early stopping on
+validation MAE. The MF head, the MLP branch and the fused model end in the
+same raw-scale linear regression and minimise its MAE in one phase,
+:func:`fit_mae`, from a model's forward pass ``(idx_u, idx_p) -> (raw,
+cache)`` and backward pass ``(cache, d_raw) -> grads``.
 
 Full-data and validation losses are computed chunk by chunk:
 :func:`predict_chunked` runs the forward pass over ``CHUNK_PAIRS`` pairs
@@ -13,6 +15,8 @@ at a time, so the cache one pass builds is dropped before the next and
 scoring memory does not grow with the number of pairs.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -21,7 +25,7 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "head_backward", "head_forward",
+__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "fit_mae", "head_backward", "head_forward",
            "mean_abs_error", "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
@@ -39,11 +43,23 @@ class FitHyperparams:
     seed: int = 0
     patience: int = 3
 
+    def __post_init__(self):
+        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (isinstance(self.lr, numbers.Real) and 0 <= self.lr < math.inf):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        if not (isinstance(self.lr_decay, numbers.Real) and 0 < self.lr_decay < math.inf):
+            raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")
 
-def _check_pair(params, i: int, j: int) -> None:
-    """IndexError unless (i, j) indexes a user and a product of ``params``."""
+
+def _pair_arrays(params, i: int, j: int):
+    """Index arrays of the one pair (i, j); IndexError unless it indexes a
+    user and a product of ``params``."""
     if not (0 <= i < params.n_users and 0 <= j < params.n_products):
         raise IndexError(f"pair ({i}, {j}) out of range")
+    return np.array([i]), np.array([j])
 
 
 def head_forward(theta, head, reg_w, reg_b):
@@ -154,3 +170,26 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rn
                 w[...] = best[name]
         if hyper.epochs > 0:  # ``epoch`` is the last epoch run
             _check_loss(phase, epoch, full_loss())
+
+
+def fit_mae(weights: dict, forward, backward, store: InteractionStore, hyper: FitHyperparams,
+            rng, phase: str, val_store: InteractionStore | None = None, on_epoch=None) -> None:
+    """:func:`fit` on raw-scale MAE over the store's rated pairs.
+
+    ``forward(idx_u, idx_p)`` gives the pairs' raw predictions and a cache;
+    ``backward(cache, d_raw)`` gives the gradients of ``sum(d_raw * raw)`` for
+    ``weights``. A batch's loss is its ``|preds - raw|`` sum and its ``d_raw``
+    is ``sign(preds - raw)``.
+    """
+    idx_u, idx_p, _, raw = store.rated_arrays
+
+    def batch_grads(batch):
+        preds, cache = forward(idx_u[batch], idx_p[batch])
+        resid = preds - raw[batch]
+        return np.abs(resid).sum(), backward(cache, np.sign(resid))
+
+    def predict(bu, bp):
+        return forward(bu, bp)[0]
+
+    fit(weights, batch_grads, lambda: mean_abs_error(predict, store.rated_arrays), idx_u.size,
+        hyper, rng, phase, val_loss=val_mae(predict, val_store), on_epoch=on_epoch)

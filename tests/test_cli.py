@@ -85,6 +85,18 @@ class TestBasics:
         err = capsys.readouterr().err
         assert "bad-config" in err and "epoch_mf" in err
 
+    @pytest.mark.parametrize("doc, want", [
+        ([1, 2], "a config is a JSON object of sections, each a JSON object"),
+        ("model", "a config is a JSON object of sections, each a JSON object"),
+        ({"model": {"lr": "a"}}, "lr must be a finite number >= 0, got 'a'"),
+    ], ids=["array", "string", "lr-not-a-number"])
+    def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        line = error_line(capsys, ["sweep", "--config", str(config),
+                                   "--out-dir", str(tmp_path / "out")])
+        assert line == f"error [bad-config]: cannot parse config {config}: {want}"
+
     def test_train_freeze_branches_without_checkpoints(self, tmp_path):
         store = tmp_path / "store.json"
         main(["synth", "--users", "12", "--products", "10", "--seed", "4",
@@ -417,9 +429,23 @@ class TestErrorCategories:
          "error [bad-args]: true_rank exceeds the smaller dimension"),
         ("reliability --store {d}/store.json --out {d}/x.tsv --alpha 2",
          "error [bad-args]: alpha must be in [0, 1], got 2.0"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --batch-size -5",
+         "error [bad-args]: batch_size must be an integer >= 1, got -5"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --batch-size 0",
+         "error [bad-args]: batch_size must be an integer >= 1, got 0"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --epochs -3",
+         "error [bad-args]: epochs must be an integer >= 0, got -3"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --lr -1",
+         "error [bad-args]: lr must be a finite number >= 0, got -1.0"),
+        ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --p 0",
+         "error [bad-args]: predictive_dim must be >= 1"),
+        ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --k 0",
+         "error [bad-args]: latent_dim must be >= 1"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
             "mlp-diverges-last-epoch", "widening-tower",
-            "head-widths-differ", "rank-too-large", "alpha-too-large"])
+            "head-widths-differ", "rank-too-large", "alpha-too-large", "negative-batch-size",
+            "zero-batch-size", "negative-epochs", "negative-lr", "zero-head-width",
+            "zero-latent-dim"])
     def test_command_error_line(self, trained, capsys, argv, want):
         assert error_line(capsys, argv.format(d=trained).split()) == want
         assert not (trained / "x.ckpt").exists()

@@ -246,6 +246,13 @@ class TestConfigParsing:
         ({"model": {"epoch_mf": 1}}, "epoch_mf"),
         ({"split": {"train_fraction": 0.5}}, "train_fraction"),
         ({"modle": {"epochs_mf": 1}}, "modle"),
+        ([{"model": {}}], "JSON object"),
+        ("model", "JSON object"),
+        ({"model": 3}, "JSON object"),
+        ({"model": {"lr": "a"}}, "lr"),
+        ({"model": {"batch_size": 0}}, "batch_size"),
+        ({"model": {"epochs_mlp": -1}}, "epochs"),
+        ({"model": {"patience": 1.5}}, "patience"),
     ])
     def test_unknown_section_or_key_rejected(self, doc, name):
         with pytest.raises(ValueError, match=name):

@@ -264,6 +264,27 @@ class TestGradients:
             assert_grad_close(analytic, numeric)
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_head_backward_batch_matches_finite_differences(self, seed):
+        from dualrec.mf_model import _backward_batch, _forward_batch
+
+        rng = np.random.default_rng(300 + seed)
+        params = random_params(rng, 3, 4, k=2, p=3)
+        idx_u, idx_p = rng.integers(0, 3, 6), rng.integers(0, 4, 6)
+        d_raw = rng.normal(size=6)
+        grads = _backward_batch(params, _forward_batch(params, idx_u, idx_p)[1], d_raw)
+        # the head trains with the factor tables frozen: none of them gets a gradient
+        assert set(grads) == {"head", "reg_w", "reg_b", "proj_rating", "proj_joint"}
+        for name, grad in grads.items():
+            def value(x, name=name):
+                clone = params.copy()
+                setattr(clone, name, x.reshape(grad.shape))
+                return float(np.dot(d_raw, _forward_batch(clone, idx_u, idx_p)[0]))
+
+            numeric = finite_diff_grad(value, getattr(params, name).ravel(), step=1e-6)
+            assert_grad_close(grad.ravel(), numeric)
+
+
 class TestEmbeddingAndHead:
     def test_identity_projections_add_interactions(self):
         rng = np.random.default_rng(6)

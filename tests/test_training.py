@@ -95,6 +95,22 @@ class TestFit:
         assert reported == [sum(returned[3 * e : 3 * e + 3]) / 5 for e in range(3)]
 
 
+class TestFitHyperparams:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -5), ("batch_size", 2.0), ("epochs", -3),
+        ("epochs", "1"), ("patience", -1), ("lr", -1.0), ("lr", float("nan")),
+        ("lr", float("inf")), ("lr", "a"), ("lr_decay", 0.0), ("lr_decay", -0.5),
+        ("lr_decay", float("nan")), ("lr_decay", float("inf")),
+    ])
+    def test_bad_setting_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FitHyperparams(**{field: value})
+
+    def test_zero_lr_zero_epochs_and_numpy_integers_are_accepted(self):
+        assert FitHyperparams(lr=0.0, epochs=0, patience=0).lr == 0.0
+        assert FitHyperparams(batch_size=np.int64(3)).batch_size == 3
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_head_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -152,6 +168,31 @@ def test_train_mlp_returns_the_best_validation_epoch(mirrored):
     got = train_mlp(store, hyper(10, patience=3), val_store=val)
     want = train_mlp(store, hyper(best + 1))
     for (name, a), (_, b) in zip(param_dict(got).items(), param_dict(want).items()):
+        assert np.array_equal(a, b), name
+
+
+def test_train_mf_head_returns_the_best_validation_epoch(mirrored):
+    store, val = mirrored
+
+    def hyper(epochs, patience=0):
+        return mf_model.MfHyperparams(
+            latent_dim=2, predictive_dim=2,
+            fit=FitHyperparams(batch_size=32, epochs=epochs, lr=0.01, seed=2,
+                               patience=patience))
+
+    start = mf_model.train_mf(store, hyper(0))  # SVD factors, an untrained head
+
+    def train(epochs, patience=0, val_store=None):
+        params = start.copy()
+        mf_model._fit_head(params, store, hyper(epochs, patience), np.random.default_rng(2),
+                           val_store, None)
+        return params
+
+    best = best_epoch(train, mf_model.mf_predict, val, 10, 3)
+    got = train(10, patience=3, val_store=val)
+    want = train(best + 1)
+    for (name, a), (_, b) in zip(mf_model.param_dict(got).items(),
+                                 mf_model.param_dict(want).items()):
         assert np.array_equal(a, b), name
 
 
