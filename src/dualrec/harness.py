@@ -9,6 +9,7 @@ be checked against ground truth.
 """
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -174,6 +175,20 @@ _JSON_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# JSON type check and its description, per ExperimentConfig field type
+_FIELD_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool), "a number"),
+    bool: (lambda x: isinstance(x, bool), "true or false"),
+    tuple: (lambda x: isinstance(x, tuple) and all(map(_is_int, x)), "a list of integers"),
+    str | None: (lambda x: x is None or isinstance(x, str), "a string or null"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one pipeline run needs, loadable from nested JSON."""
@@ -203,6 +218,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
+        for f in fields(self):
+            check = _FIELD_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if check is not None and not check[0](value):
+                raise ValueError(f"{f.name} must be {check[1]}, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -210,7 +230,9 @@ class ExperimentConfig:
 
         An unknown section or key raises ValueError naming it, so a typo
         cannot silently fall back to the default; so does a document or a
-        section that is no JSON object, and a bad loop setting.
+        section that is no JSON object, a bad loop setting, and a value of
+        the wrong JSON type: an integer field takes an integer (not true or
+        false), a number field any number, a flag true or false.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -231,7 +253,7 @@ class ExperimentConfig:
             kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
         kwargs["split"] = SplitSpec(**doc.get("split", {}))
         for name in ("tower", "cutoffs"):
-            if name in kwargs:
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 

@@ -8,6 +8,8 @@ central-difference gradient estimator used to cross-check analytic
 gradients.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,9 +167,37 @@ def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
     return np.bincount(cells, weights=contrib.ravel(), minlength=n_rows * k).reshape(n_rows, k)
 
 
+class _FlatAdam:
+    """The buffers of one name set: gradients, both moments and two scratch
+    arrays, each one flat array laid out over the names in order, with a
+    view per name shaped like its parameter."""
+
+    def __init__(self, names: tuple, params: dict, state: "AdamState"):
+        self.names = names
+        shapes = [params[name].shape for name in names]
+        sizes = [math.prod(shape) for shape in shapes]
+        starts = [0, *itertools.accumulate(sizes)]
+        self.g, self.m, self.v, self.step, self.denom = np.zeros((5, starts[-1]))
+
+        def views(flat):
+            return [flat[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
+
+        self.g_views, self.step_views = views(self.g), views(self.step)
+        for moments, flat in ((state.m, self.m), (state.v, self.v)):
+            for name, view in zip(names, views(flat)):
+                if name in moments:  # a name stepped in an earlier name set keeps its moments
+                    view[...] = moments[name]
+                moments[name] = view
+
+
 @dataclass
 class AdamState:
-    """Adam moment accumulators plus hyperparameters and step count."""
+    """Adam hyperparameters, step count and moment accumulators.
+
+    ``m`` and ``v`` map each name ever stepped to its moments; the names of
+    the latest step's name set are views into one flat buffer each, which
+    :func:`adam_step` keeps until a step brings another name set.
+    """
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -176,6 +206,7 @@ class AdamState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _flat: _FlatAdam | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
@@ -184,25 +215,44 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     Only names present in `grads` are updated, which lets callers freeze
     parameter groups by omitting them. The step count increments once per
     call regardless of which names are present.
+
+    The gradients are copied into one flat buffer laid out over the names,
+    and the update runs once over it, in place, in the per-element order
+    ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g**2``, ``(lr*(m/bc1)) / (sqrt(v/bc2)
+    + eps)``; each parameter then subtracts its slice. Moments are allocated
+    on a name set's first step only.
     """
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
     for name, g in grads.items():
-        p = params[name]
-        if p.shape != np.shape(g):
+        if params[name].shape != np.shape(g):
             raise ValueError(
                 f"gradient shape {np.shape(g)} does not match parameter "
-                f"{name!r} shape {p.shape}"
+                f"{name!r} shape {params[name].shape}"
             )
-        if name not in state.m:  # allocate the moments on a name's first step only
-            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    names = tuple(grads)
+    flat = state._flat
+    if flat is None or flat.names != names:
+        flat = state._flat = _FlatAdam(names, params, state)
+    for dst, g in zip(flat.g_views, grads.values()):
+        dst[...] = g
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    g, m, v, step, denom = flat.g, flat.m, flat.v, flat.step, flat.denom
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.square(g, out=step)
+    step *= 1.0 - b2
+    v += step
+    np.divide(m, 1.0 - b1**state.t, out=step)
+    step *= state.lr
+    np.divide(v, 1.0 - b2**state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    for name, delta in zip(names, flat.step_views):
+        p = params[name]
+        p -= delta
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -133,13 +133,14 @@ def svd_init(store: InteractionStore, latent_dim: int):
     return decompose(store.rated_arrays), decompose(store.scored_arrays)
 
 
-def _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets):
-    """Squared-error data term and the per-pair residual coefficient.
+def _sq_data_term(u_blk, v_blk, targets):
+    """Squared-error data term and the per-pair residual coefficient of
+    the pairs' gathered K x batch factor blocks.
 
     The coefficient is d(term)/d(u_i . v_j), i.e. 2 (pred - target)
     pred (1 - pred) with pred = sigmoid(u_i . v_j).
     """
-    dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
+    dots = np.einsum("kb,kb->b", u_blk, v_blk)
     preds = sigmoid(dots)
     resid = preds - targets
     coef = 2.0 * resid * preds * (1.0 - preds)
@@ -166,9 +167,9 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     lambda (|u_i|^2 + |v_j|^2), which is the form used here so that
     mini-batches of pairs sum exactly to the full objective.
     """
-    term, coef = _sq_data_term(u_mat, v_mat, idx_u, idx_p, targets)
-    u_cols = u_mat[:, idx_u].T
-    v_cols = v_mat[:, idx_p].T
+    u_blk, v_blk = u_mat[:, idx_u], v_mat[:, idx_p]
+    term, coef = _sq_data_term(u_blk, v_blk, targets)
+    u_cols, v_cols = u_blk.T, v_blk.T
     reg = reg_lambda * float(np.sum(u_cols**2) + np.sum(v_cols**2))
     du = _scatter_cols(u_mat.shape[1], idx_u, coef[:, None] * v_cols + 2.0 * reg_lambda * u_cols)
     dv = _scatter_cols(v_mat.shape[1], idx_p, coef[:, None] * u_cols + 2.0 * reg_lambda * v_cols)

@@ -89,8 +89,25 @@ class TestBasics:
         ([1, 2], "a config is a JSON object of sections, each a JSON object"),
         ("model", "a config is a JSON object of sections, each a JSON object"),
         ({"model": {"lr": "a"}}, "lr must be a finite number >= 0, got 'a'"),
-    ], ids=["array", "string", "lr-not-a-number"])
+        ({"model": {"latent_dim": "a"}}, "latent_dim must be an integer, got 'a'"),
+        ({"model": {"latent_dim": True}}, "latent_dim must be an integer, got True"),
+        ({"model": {"reg_lambda": "x"}}, "reg_lambda must be a number, got 'x'"),
+        ({"model": {"gamma": "x"}}, "gamma must be a number, got 'x'"),
+        ({"model": {"seed": "a"}}, "seed must be an integer, got 'a'"),
+        ({"model": {"pretrain": "no"}}, "pretrain must be true or false, got 'no'"),
+        ({"model": {"freeze_branches": 1}}, "freeze_branches must be true or false, got 1"),
+        ({"model": {"tower": 5}}, "tower must be a list of integers, got 5"),
+        ({"eval": {"cutoffs": ["5"]}}, "cutoffs must be a list of integers, got ('5',)"),
+        ({"data": {"store": 5}}, "store_path must be a string or null, got 5"),
+    ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
+            "reg_lambda-string", "gamma-string", "seed-string", "pretrain-string",
+            "freeze_branches-int", "tower-int", "cutoffs-strings", "store-int"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
+        if isinstance(doc, dict):  # a runnable config but for the one bad value
+            doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
+                                          "observation_density": 0.5, "noise_std": 0.1,
+                                          "seed": 5}},
+                   "split": {"folds": 1}, **doc}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         line = error_line(capsys, ["sweep", "--config", str(config),

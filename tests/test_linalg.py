@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,16 +205,56 @@ class TestAdam:
             adam_step(params, {"w": rng.normal(size=4)}, state)
         np.testing.assert_array_equal(params["w"], before)
 
-    def test_moments_are_allocated_once_per_name(self, monkeypatch):
-        from dualrec import linalg
-
-        calls = []
-        monkeypatch.setattr(linalg.np, "zeros_like", lambda p: calls.append(p) or np.zeros(p.shape))
-        params = {"w": np.zeros(3), "b": np.zeros(1)}
+    def test_moments_are_allocated_on_the_first_step_only(self):
+        params = {"w": np.zeros((400, 8)), "b": np.zeros(1)}
+        grads = {"w": np.ones((8, 400)).T, "b": np.ones(1)}
         state = AdamState(lr=0.1)
-        for _ in range(4):
-            adam_step(params, {"w": np.ones(3), "b": np.ones(1)}, state)
-        assert len(calls) == 4  # m and v of each name, on its first step
+
+        def moments():
+            return [held[name] for held in (state.m, state.v) for name in params]
+
+        adam_step(params, grads, state)
+        first = moments()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a is b for a, b in zip(moments(), first))
+        assert peak < params["w"].nbytes  # no buffer of a parameter's size
+
+    def test_matches_the_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        shapes = {"table": (4, 6), "w": (5,), "b": (1,), "cube": (2, 3, 2)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: p.copy() for name, p in params.items()}
+        want_m, want_v = {}, {}
+        state = AdamState()
+        for t in range(1, 11):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            # an F-order view, as ``_scatter_cols`` returns
+            grads["table"] = rng.normal(size=(6, 4)).T
+            if t == 6:
+                del grads["w"]  # a name left out is not updated
+            if t == 8:
+                grads = dict(reversed(grads.items()))
+            state.lr = 0.05 * 0.9**t  # as ``fit`` sets it per epoch
+            adam_step(params, grads, state)
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for name, g in grads.items():
+                m = want_m.get(name, np.zeros(shapes[name]))
+                v = want_v.get(name, np.zeros(shapes[name]))
+                want_m[name] = m * 0.9 + (1.0 - 0.9) * g
+                want_v[name] = v * 0.999 + (1.0 - 0.999) * g**2
+                want[name] = want[name] - (state.lr * (want_m[name] / bc1)) / (
+                    np.sqrt(want_v[name] / bc2) + 1e-8)
+            for name in shapes:
+                assert np.array_equal(params[name], want[name]), (t, name)
+                assert np.array_equal(state.m[name], want_m[name]), (t, name)
+                assert np.array_equal(state.v[name], want_v[name]), (t, name)
+        assert state.t == 10
 
     def test_shape_mismatch_rejected(self):
         state = AdamState()

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 import warnings
 
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from dualrec import mf_model, training
-from dualrec.fusion import (_forward_batch, fused_predict, init_fusion_random, predict_batch,
-                            train_fusion)
+from dualrec.fusion import (_forward_batch, fused_predict, init_fusion, init_fusion_random,
+                            predict_batch, train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import PairArrays, _make_store
-from dualrec.linalg import TrainingDivergedError, finite_diff_grad
+from dualrec.linalg import TrainingDivergedError, adam_step, finite_diff_grad
 from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
 from dualrec.training import (CHUNK_PAIRS, FitHyperparams, fit, head_backward, head_forward,
                               mean_abs_error, predict_chunked)
@@ -236,6 +237,35 @@ def test_each_phase_scores_the_training_set_once(mirrored, monkeypatch):
     train_fusion(init_fusion_random(store.n_users, store.n_products, 2, (4, 2), seed=2), store,
                  hyper)
     assert calls == ["predict_chunked"]
+
+
+def test_each_phase_steps_once_per_batch_over_every_trained_name(mirrored, monkeypatch):
+    """Every phase takes ceil(n / batch_size) Adam steps an epoch, each over
+    every name it trains; the benchmark's ``linalg.adam_step_calls`` and
+    ``adam_elems_per_step`` count these steps."""
+    store, _ = mirrored
+    steps = []
+
+    def recording_step(params, grads, state):
+        steps.append((state, set(params), set(grads)))
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(training, "adam_step", recording_step)
+    hyper = FitHyperparams(batch_size=32, epochs=3, lr=0.01, patience=0)
+    mf = mf_model.train_mf(store, mf_model.MfHyperparams(latent_dim=2, predictive_dim=2,
+                                                         fit=hyper))
+    mlp = train_mlp(store, MlpHyperparams(latent_dim=2, tower=(4, 2), fit=hyper))
+    train_fusion(init_fusion(mf, mlp), store, hyper)
+    phases = []  # the steps of each phase, which has its own AdamState
+    for state, params, names in steps:
+        if not phases or phases[-1][0] is not state:
+            phases.append((state, []))
+        phases[-1][1].append((params, names))
+    rated, scored = store.rated_arrays.idx_u.size, store.scored_arrays.idx_u.size
+    sizes = [rated, rated + scored, rated, rated, rated]  # mf-rating, mf-joint, mf-head, mlp, fusion
+    assert [len(calls) for _, calls in phases] == [3 * math.ceil(n / 32) for n in sizes]
+    for _, calls in phases:
+        assert all(names == params for params, names in calls)
 
 
 N_USERS, N_PRODUCTS = 300, 200
