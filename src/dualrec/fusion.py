@@ -31,6 +31,7 @@ __all__ = [
     "FusionModel",
     "init_fusion",
     "init_fusion_random",
+    "param_dict",
     "fused_predict",
     "train_fusion",
     "predict_batch",
@@ -161,20 +162,19 @@ def predict_batch(model: FusionModel, pairs) -> list[float]:
     return np.clip(out, MIN_RATING, MAX_RATING).tolist()
 
 
-def _param_dict(model: FusionModel, freeze_branches: bool) -> dict:
-    """The arrays fine-tuning trains: the fused head; unless the branches
-    are frozen, each branch's dense layers; and with ``model.train_tables``
-    the embedding tables too."""
-    out = {"concat_w": model.concat_w, "reg_w": model.reg_w, "reg_b": model.reg_b}
-    if not freeze_branches:
-        for prefix, branch, params in (("mf", mf_model, model.mf), ("mlp", mlp_model, model.mlp)):
-            table = branch._embedding_params(params, model.train_tables)
-            out.update({f"{prefix}/{name}": a for name, a in table.items()})
+def param_dict(model: FusionModel) -> dict:
+    """Name -> array of every parameter, in checkpoint section order: each
+    branch's under ``mf/`` and ``mlp/``, then the fused head's."""
+    out = {"mf/" + name: a for name, a in mf_model.param_dict(model.mf).items()}
+    out.update({"mlp/" + name: a for name, a in mlp_model.param_dict(model.mlp).items()})
+    out.update(concat_w=model.concat_w, reg_w=model.reg_w, reg_b=model.reg_b)
     return out
 
 
 def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) -> dict:
-    """Gradients of sum(d_raw * raw) for exactly the arrays of :func:`_param_dict`.
+    """Gradients of sum(d_raw * raw) for the arrays fine-tuning trains: the
+    fused head; unless the branches are frozen, each branch's dense layers;
+    and with ``model.train_tables`` the embedding tables too.
 
     Gradients of arrays that do not train are never computed: a frozen
     branch stops the backward pass at the fused head, and fixed tables
@@ -218,16 +218,13 @@ def train_fusion(
     """
     model = model.copy()
     model.global_mean = store.global_mean_raw()  # ValueError for a store without ratings
-    fit_mae(_param_dict(model, freeze_branches), functools.partial(_forward_batch, model),
+    fit_mae(param_dict(model), functools.partial(_forward_batch, model),
             lambda cache, d_raw: _grads_batch(model, cache, d_raw, freeze_branches), store,
             hyper, np.random.default_rng(hyper.seed), "fusion", val_store, on_epoch)
     return model
 
 
 def save_fusion(model: FusionModel, path) -> None:
-    sections = {"mf/" + name: a for name, a in mf_model.param_dict(model.mf).items()}
-    sections.update({"mlp/" + name: a for name, a in mlp_model.param_dict(model.mlp).items()})
-    sections.update(concat_w=model.concat_w, reg_w=model.reg_w, reg_b=model.reg_b)
     meta = {
         "n_users": model.mf.n_users,
         "n_products": model.mf.n_products,
@@ -237,7 +234,7 @@ def save_fusion(model: FusionModel, path) -> None:
         "gamma": model.gamma,
         "global_mean": model.global_mean,
     }
-    checkpoint.save_model_sections(path, "fusion", meta, sections, _section_shapes)
+    checkpoint.save_model_sections(path, "fusion", meta, param_dict(model), _section_shapes)
 
 
 def _section_shapes(meta: dict) -> dict:

@@ -57,6 +57,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if any(not 0.0 < f < 1.0 for f in fracs):
             raise ValueError(f"fractions must be in (0, 1), got {fracs}")
@@ -102,6 +103,7 @@ class SyntheticSpec:
     quantize: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         if self.true_rank > min(self.n_users, self.n_products):
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
@@ -179,7 +181,8 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# JSON type check and its description, per ExperimentConfig field type
+# JSON type check and its description, per config field type (the fields
+# of ExperimentConfig, SplitSpec and SyntheticSpec)
 _FIELD_TYPES = {
     int: (_is_int, "an integer"),
     float: (lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool), "a number"),
@@ -187,6 +190,16 @@ _FIELD_TYPES = {
     tuple: (lambda x: isinstance(x, tuple) and all(map(_is_int, x)), "a list of integers"),
     str | None: (lambda x: x is None or isinstance(x, str), "a string or null"),
 }
+
+
+def _check_types(spec) -> None:
+    """ValueError naming the first field of dataclass ``spec`` whose value
+    is not of its declared JSON type."""
+    for f in fields(spec):
+        check = _FIELD_TYPES.get(f.type)
+        value = getattr(spec, f.name)
+        if check is not None and not check[0](value):
+            raise ValueError(f"{f.name} must be {check[1]}, got {value!r}")
 
 
 @dataclass
@@ -218,11 +231,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
-        for f in fields(self):
-            check = _FIELD_TYPES.get(f.type)
-            value = getattr(self, f.name)
-            if check is not None and not check[0](value):
-                raise ValueError(f"{f.name} must be {check[1]}, got {value!r}")
+        _check_types(self)
+        reliability_mod.check_unit("rel_alpha", self.rel_alpha)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -231,8 +241,9 @@ class ExperimentConfig:
         An unknown section or key raises ValueError naming it, so a typo
         cannot silently fall back to the default; so does a document or a
         section that is no JSON object, a bad loop setting, and a value of
-        the wrong JSON type: an integer field takes an integer (not true or
-        false), a number field any number, a flag true or false.
+        the wrong JSON type in any section: an integer field takes an integer
+        (not true or false), a number field any number, a flag true or false.
+        So does a ``reliability.alpha`` outside [0, 1].
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")

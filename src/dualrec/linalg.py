@@ -140,11 +140,8 @@ def sigmoid(x):
     so even saturated inputs never return exactly 0 or 1.
     """
     arr = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos = 1.0 / (1.0 + np.exp(-arr))
-        ex = np.exp(arr)
-        neg = ex / (1.0 + ex)
-    out = np.clip(np.where(arr >= 0, pos, neg), _SIG_LO, _SIG_HI)
+    e = np.exp(-np.abs(arr))  # e^-x for x >= 0, e^x below: never overflows
+    out = np.clip(np.where(arr >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
     if out.ndim == 0:
         return float(out)
     return out

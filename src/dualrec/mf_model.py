@@ -241,12 +241,12 @@ def joint_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: floa
 
 
 def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, on_epoch):
-    """Mini-batch Adam over the objective ``terms``, in place.
+    """Mini-batch Adam over the objective ``terms``, in place: the factors
+    the terms name train, and every other array keeps its values.
 
     Each epoch permutes the pairs of all terms together. Validation MAE
     reads the first term's factors.
     """
-    weights = {name: getattr(params, name) for u, v, _ in terms for name in (u, v)}
     sizes = [getattr(store, view).idx_u.size for *_, view in terms]
     kinds = np.repeat(np.arange(len(terms)), sizes)
     starts = np.cumsum(sizes) - sizes
@@ -256,18 +256,14 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
         rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
         return _terms_grads(params, store, terms, hyper.reg_lambda, rows)
 
-    u_mat, v_mat = weights[terms[0][0]], weights[terms[0][1]]
+    u_mat, v_mat = getattr(params, terms[0][0]), getattr(params, terms[0][1])
 
     def predict(idx_u, idx_p):
         return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p]))
 
-    fit(weights, batch_grads, lambda: _terms_loss(params, store, terms, hyper.reg_lambda),
-        kinds.size, hyper.fit, rng, phase, val_loss=val_mae(predict, val_store),
-        on_epoch=on_epoch)
-
-
-# The factor tables the pair embedding reads; ``prod_rel`` is not one of them.
-_EMBEDDING_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint")
+    fit(param_dict(params), batch_grads,
+        lambda: _terms_loss(params, store, terms, hyper.reg_lambda), kinds.size, hyper.fit, rng,
+        phase, val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
 
 
 def _embedding_batch(params: MfParams, idx_u, idx_p):
@@ -277,12 +273,6 @@ def _embedding_batch(params: MfParams, idx_u, idx_p):
     joint = (params.user_joint[:, idx_u] * params.prod_joint[:, idx_p]).T
     theta = rating @ params.proj_rating.T + joint @ params.proj_joint.T
     return theta, {"idx_u": idx_u, "idx_p": idx_p, "rating": rating, "joint": joint}
-
-
-def _embedding_params(params: MfParams, tables: bool) -> dict:
-    """The arrays :func:`_backward_from_theta` gives gradients for."""
-    names = ("proj_rating", "proj_joint") + (_EMBEDDING_TABLES if tables else ())
-    return {name: getattr(params, name) for name in names}
 
 
 def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -> dict:
@@ -320,15 +310,6 @@ def _backward_batch(params: MfParams, cache: dict, d_raw) -> dict:
     return grads
 
 
-def _fit_head(params: MfParams, store, hyper, rng, val_store, on_epoch):
-    """MAE head training with frozen factors (the ``user_*``/``prod_*`` tables)."""
-    weights = {name: w for name, w in param_dict(params).items()
-               if not name.startswith(("user_", "prod_"))}
-    fit_mae(weights, functools.partial(_forward_batch, params),
-            functools.partial(_backward_batch, params), store, hyper.fit, rng, "mf-head",
-            val_store, on_epoch)
-
-
 def train_mf(
     store: InteractionStore,
     hyper: MfHyperparams,
@@ -364,7 +345,9 @@ def train_mf(
 
     _fit_factors(params, store, _RATING, hyper, rng, "mf-rating", val_store, on_epoch)
     _fit_factors(params, store, _JOINT, hyper, rng, "mf-joint", val_store, on_epoch)
-    _fit_head(params, store, hyper, rng, val_store, on_epoch)
+    fit_mae(param_dict(params), functools.partial(_forward_batch, params),
+            functools.partial(_backward_batch, params), store, hyper.fit, rng, "mf-head",
+            val_store, on_epoch)
     return params
 
 

@@ -179,12 +179,6 @@ def param_dict(params: MlpParams) -> dict:
     return out
 
 
-def _embedding_params(params: MlpParams, tables: bool) -> dict:
-    """The arrays :func:`_backward_from_theta` gives gradients for."""
-    skip = ("head", "reg_w", "reg_b") + (() if tables else ("user_emb", "prod_emb"))
-    return {name: a for name, a in param_dict(params).items() if name not in skip}
-
-
 def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool = True) -> dict:
     """Gradients of every parameter below the pair embedding.
 

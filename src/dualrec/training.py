@@ -125,14 +125,16 @@ def fit(weights: dict, batch_grads, full_loss, n: int, hyper: FitHyperparams, rn
         phase: str, val_loss=None, on_epoch=None) -> None:
     """Mini-batch Adam over ``n`` examples, updating ``weights`` in place.
 
-    Epoch e runs at learning rate ``hyper.lr * hyper.lr_decay**e`` and visits
-    the examples in one permutation drawn from ``rng``. Per ``hyper.batch_size``
-    slice, ``batch_grads(batch)`` gives its summed loss before the step and the
-    step's gradients; the losses' total over ``n`` goes to ``on_epoch(phase,
-    epoch, loss, seconds)``. With ``val_loss`` and a non-zero ``hyper.patience``,
-    training stops once ``val_loss()`` has not improved for ``patience`` epochs,
-    and the best epoch's weights are copied back. A non-finite epoch loss or
-    ``full_loss()`` of the returned weights raises :class:`TrainingDivergedError`.
+    ``weights`` is a model's whole parameter table. Epoch e runs at learning
+    rate ``hyper.lr * hyper.lr_decay**e`` and visits the examples in one
+    permutation drawn from ``rng``. Per ``hyper.batch_size`` slice,
+    ``batch_grads(batch)`` gives its summed loss before the step and the
+    step's gradients, whose names are the arrays that train; the losses'
+    total over ``n`` goes to ``on_epoch(phase, epoch, loss, seconds)``. With
+    ``val_loss`` and a non-zero ``hyper.patience``, training stops once
+    ``val_loss()`` has not improved for ``patience`` epochs, and the best
+    epoch's weights are copied back. A non-finite epoch loss or ``full_loss()``
+    of the returned weights raises :class:`TrainingDivergedError`.
     """
     state = AdamState(lr=hyper.lr)
     best_val = np.inf
@@ -178,8 +180,8 @@ def fit_mae(weights: dict, forward, backward, store: InteractionStore, hyper: Fi
 
     ``forward(idx_u, idx_p)`` gives the pairs' raw predictions and a cache;
     ``backward(cache, d_raw)`` gives the gradients of ``sum(d_raw * raw)`` for
-    ``weights``. A batch's loss is its ``|preds - raw|`` sum and its ``d_raw``
-    is ``sign(preds - raw)``.
+    the arrays of ``weights`` that train. A batch's loss is its
+    ``|preds - raw|`` sum and its ``d_raw`` is ``sign(preds - raw)``.
     """
     idx_u, idx_p, _, raw = store.rated_arrays
 

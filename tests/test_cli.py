@@ -99,9 +99,17 @@ class TestBasics:
         ({"model": {"tower": 5}}, "tower must be a list of integers, got 5"),
         ({"eval": {"cutoffs": ["5"]}}, "cutoffs must be a list of integers, got ('5',)"),
         ({"data": {"store": 5}}, "store_path must be a string or null, got 5"),
+        ({"split": {"seed": "a"}}, "seed must be an integer, got 'a'"),
+        ({"split": {"folds": "a"}}, "folds must be an integer, got 'a'"),
+        ({"data": {"synthetic": {"n_users": "9", "n_products": 8, "true_rank": 2,
+                                 "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
+         "n_users must be an integer, got '9'"),
+        ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
             "reg_lambda-string", "gamma-string", "seed-string", "pretrain-string",
-            "freeze_branches-int", "tower-int", "cutoffs-strings", "store-int"])
+            "freeze_branches-int", "tower-int", "cutoffs-strings", "store-int",
+            "split-seed-string", "split-folds-string", "synthetic-n_users-string",
+            "reliability-alpha-out-of-range"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,

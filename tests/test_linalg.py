@@ -136,6 +136,21 @@ class TestSigmoid:
             value = sigmoid(x)
             assert 0.0 < value < 1.0
 
+    def test_edge_values_raise_no_warning(self):
+        # the suite turns a RuntimeWarning into an error, so an overflow or
+        # an invalid operation on any of these fails the test
+        xs = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e308, -1e308, np.nan])
+        hi, lo = np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)
+        np.testing.assert_array_equal(sigmoid(xs), [0.5, 0.5, hi, lo, hi, lo, hi, lo, np.nan])
+
+    def test_equals_the_two_branch_formula(self):
+        xs = np.linspace(-750.0, 750.0, 20001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = 1.0 / (1.0 + np.exp(-xs))
+            neg = np.exp(xs) / (1.0 + np.exp(xs))
+        want = np.clip(np.where(xs >= 0, pos, neg), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(sigmoid(xs), want)
+
     def test_symmetry_and_monotonicity(self):
         xs = np.linspace(-30, 30, 2001)
         np.testing.assert_allclose(sigmoid(xs) + sigmoid(-xs), 1.0, atol=1e-12)

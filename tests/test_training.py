@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualrec import mf_model, training
+from dualrec import fusion, mf_model, training
 from dualrec.fusion import (_forward_batch, fused_predict, init_fusion, init_fusion_random,
                             predict_batch, train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
@@ -17,6 +17,7 @@ from dualrec.training import (CHUNK_PAIRS, FitHyperparams, fit, head_backward, h
                               mean_abs_error, predict_chunked)
 
 from conftest import rated
+from test_fusion import FUSED_NAMES, TABLES
 
 
 Hyper = functools.partial(FitHyperparams, epochs=10, patience=2, lr=0.1, batch_size=2)
@@ -183,10 +184,13 @@ def test_train_mf_head_returns_the_best_validation_epoch(mirrored):
 
     start = mf_model.train_mf(store, hyper(0))  # SVD factors, an untrained head
 
-    def train(epochs, patience=0, val_store=None):
+    def train(epochs, patience=0, val_store=None):  # the head phase of train_mf
         params = start.copy()
-        mf_model._fit_head(params, store, hyper(epochs, patience), np.random.default_rng(2),
-                           val_store, None)
+        training.fit_mae(mf_model.param_dict(params),
+                         functools.partial(mf_model._forward_batch, params),
+                         functools.partial(mf_model._backward_batch, params), store,
+                         hyper(epochs, patience).fit, np.random.default_rng(2), "mf-head",
+                         val_store)
         return params
 
     best = best_epoch(train, mf_model.mf_predict, val, 10, 3)
@@ -239,10 +243,29 @@ def test_each_phase_scores_the_training_set_once(mirrored, monkeypatch):
     assert calls == ["predict_chunked"]
 
 
+def test_train_fusion_keeps_the_pretrained_tables_through_early_stopping(mirrored):
+    """Early stopping copies the best epoch's whole parameter table back;
+    the arrays an init_fusion model does not train keep their input bits."""
+    store, val = mirrored
+    hyper = FitHyperparams(batch_size=32, epochs=2, lr=0.01, seed=2)
+    mf = mf_model.train_mf(store, mf_model.MfHyperparams(latent_dim=2, predictive_dim=2,
+                                                         fit=hyper))
+    mlp = train_mlp(store, MlpHyperparams(latent_dim=2, tower=(4, 2), fit=hyper))
+    start = init_fusion(mf, mlp)
+    trained = train_fusion(start, store, FitHyperparams(batch_size=32, epochs=10, lr=0.05,
+                                                        patience=2), val_store=val)
+    before, after = fusion.param_dict(start), fusion.param_dict(trained)
+    assert set(before) > FUSED_NAMES
+    for name in set(before) - (FUSED_NAMES - TABLES):
+        assert np.array_equal(after[name], before[name]), name
+    assert not np.array_equal(after["concat_w"], before["concat_w"])  # the head trained
+
+
 def test_each_phase_steps_once_per_batch_over_every_trained_name(mirrored, monkeypatch):
     """Every phase takes ceil(n / batch_size) Adam steps an epoch, each over
-    every name it trains; the benchmark's ``linalg.adam_step_calls`` and
-    ``adam_elems_per_step`` count these steps."""
+    exactly the names it trains, out of the model's whole parameter table;
+    the benchmark's ``linalg.adam_step_calls`` and ``adam_elems_per_step``
+    count these steps."""
     store, _ = mirrored
     steps = []
 
@@ -264,8 +287,14 @@ def test_each_phase_steps_once_per_batch_over_every_trained_name(mirrored, monke
     rated, scored = store.rated_arrays.idx_u.size, store.scored_arrays.idx_u.size
     sizes = [rated, rated + scored, rated, rated, rated]  # mf-rating, mf-joint, mf-head, mlp, fusion
     assert [len(calls) for _, calls in phases] == [3 * math.ceil(n / 32) for n in sizes]
-    for _, calls in phases:
-        assert all(names == params for params, names in calls)
+    trained = [{"user_rating", "prod_rating"},  # mf-rating
+               {"user_joint", "prod_joint", "prod_rel"},  # mf-joint
+               {"proj_rating", "proj_joint", "head", "reg_w", "reg_b"},  # mf-head
+               set(param_dict(mlp)),  # mlp: every section
+               FUSED_NAMES - TABLES]  # fusion
+    for (_, calls), want in zip(phases, trained, strict=True):
+        for params, names in calls:
+            assert names == want and params >= names
 
 
 N_USERS, N_PRODUCTS = 300, 200
