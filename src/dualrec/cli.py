@@ -20,6 +20,7 @@ from . import harness, ingest
 from . import mf_model, mlp_model
 from . import reliability as reliability_mod
 from .linalg import TrainingDivergedError
+from .metrics import check_cutoff
 
 log = logging.getLogger("dualrec")
 
@@ -49,6 +50,32 @@ def _check_outputs(args) -> None:
         path = getattr(args, flag, None)
         if path and os.path.isdir(path):
             raise CliError("bad-args", f"--{flag.replace('_', '-')} names a directory: {path}")
+
+
+# comma-separated flag -> (type of each value, its name, check of each value)
+_LIST_FLAGS = {"tower": (int, "integers", None), "cutoffs": (int, "integers", check_cutoff),
+               "train_fracs": (float, "numbers", None)}
+
+
+def _parse_lists(args) -> None:
+    """Turn each comma-separated flag into a tuple of values, before any work starts."""
+    for dest, (kind, noun, check) in _LIST_FLAGS.items():
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        flag = f"--{dest.replace('_', '-')}"
+        try:
+            values = tuple(kind(part) for part in text.split(",") if part)
+        except ValueError:
+            values = ()
+        if not values:
+            raise CliError("bad-args", f"{flag} takes comma-separated {noun}, got {text!r}")
+        try:
+            for value in values if check else ():
+                check(value)
+        except ValueError as exc:
+            raise CliError("bad-args", f"{flag}: {exc}") from exc
+        setattr(args, dest, values)
 
 
 def _epoch_logger(phase, epoch, loss, seconds):
@@ -110,19 +137,9 @@ def cmd_pretrain_mf(args) -> int:
     return 0
 
 
-def _parse_tower(text: str) -> tuple:
-    try:
-        widths = tuple(int(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise CliError("bad-args", f"invalid tower spec {text!r}") from exc
-    if not widths:
-        raise CliError("bad-args", "tower spec is empty")
-    return widths
-
-
 def cmd_pretrain_mlp(args) -> int:
     stores = _train_stores(args)
-    config = _branch_config(args, tower=_parse_tower(args.tower), epochs_mlp=args.epochs,
+    config = _branch_config(args, tower=args.tower, epochs_mlp=args.epochs,
                             init_tables_from_factors=args.init_from_factors)
     params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
@@ -142,7 +159,6 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    store, val_store = _train_stores(args)
     if args.config or os.environ.get(CONFIG_ENV_VAR):
         config = _experiment_config(args)
     else:
@@ -150,6 +166,7 @@ def cmd_train(args) -> int:
     flags = {"gamma": args.gamma, "epochs_fusion": args.epochs, "lr": args.lr,
              "seed": args.seed, "freeze_branches": True if args.freeze_branches else None}
     config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    store, val_store = _train_stores(args)
 
     if args.mf and args.mlp:
         branches = (_load_model(mf_model.load_mf, args.mf),
@@ -179,8 +196,7 @@ def _load_model(load, path):
 def cmd_evaluate(args) -> int:
     store = _load_store(args.store)
     model = _load_model(fusion_mod.load_fusion, args.model)
-    cutoffs = tuple(int(c) for c in args.cutoffs.split(",") if c)
-    report = harness.evaluate_model(model, store, cutoffs=cutoffs, threshold=args.threshold)
+    report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.as_kv_text())
     if args.tsv:
@@ -226,15 +242,12 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _experiment_config(args)
-    fracs = [float(part) for part in args.train_fracs.split(",") if part]
-    if not fracs:
-        raise CliError("bad-args", "no training fractions given")
     os.makedirs(args.out_dir, exist_ok=True)
-    results = harness.sweep_train_sizes(config, fracs)
+    results = harness.sweep_train_sizes(config, args.train_fracs)
     summary_path = os.path.join(args.out_dir, "summary.tsv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("train_frac\trmse\tmae\tf1\tndcg\tmap\n")
-        for frac in fracs:
+        for frac in args.train_fracs:
             mean = results[frac].mean_report
             fh.write(
                 f"{frac!r}\t{mean.rmse!r}\t{mean.mae!r}\t{mean.f1!r}\t"
@@ -367,6 +380,7 @@ def main(argv=None) -> int:
     )
     try:
         _check_outputs(args)
+        _parse_lists(args)
         return args.handler(args)
     except CliError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from . import reliability as reliability_mod
 from .fusion import FusionModel, init_fusion, init_fusion_random, predict_batch, train_fusion
 from .ingest import MAX_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
-from .metrics import EvalReport, evaluate_predictions
+from .metrics import EvalReport, check_cutoff, evaluate_predictions
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, train_mlp
 from .training import FitHyperparams
@@ -233,6 +233,8 @@ class ExperimentConfig:
             self.fit(epochs)  # ValueError naming a bad loop setting
         _check_types(self)
         reliability_mod.check_unit("rel_alpha", self.rel_alpha)
+        for cutoff in self.cutoffs:
+            check_cutoff(cutoff)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -243,7 +245,8 @@ class ExperimentConfig:
         section that is no JSON object, a bad loop setting, and a value of
         the wrong JSON type in any section: an integer field takes an integer
         (not true or false), a number field any number, a flag true or false.
-        So does a ``reliability.alpha`` outside [0, 1].
+        So does a ``reliability.alpha`` outside [0, 1], and an ``eval.cutoffs``
+        entry below 1.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -409,12 +412,12 @@ def sweep_train_sizes(config: ExperimentConfig, train_fracs) -> dict:
     """Re-run the experiment over training sizes.
 
     For a training fraction x the remainder splits evenly between
-    validation and test. Returns {fraction: ExperimentResult}.
+    validation and test. Every fraction's split is checked before the
+    first run. Returns {fraction: ExperimentResult}.
     """
-    out = {}
+    configs = {}
     for frac in train_fracs:
         rest = (1.0 - frac) / 2.0
         spec = replace(config.split, train_frac=frac, val_frac=rest, test_frac=rest)
-        cfg = replace(config, split=spec)
-        out[frac] = run_experiment(cfg)
-    return out
+        configs[frac] = replace(config, split=spec)
+    return {frac: run_experiment(cfg) for frac, cfg in configs.items()}

@@ -129,13 +129,18 @@ class InteractionStore:
         return self.raw / MAX_RATING
 
     @cached_property
+    def timeline_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows by (product, unix_time, row), and where each product's run starts."""
+        order = np.lexsort((self.unix_time, self.product))  # stable: ties keep row order
+        starts = np.flatnonzero(np.diff(self.product[order], prepend=-1))
+        order.flags.writeable = starts.flags.writeable = False
+        return order, starts
+
+    @cached_property
     def timelines(self) -> dict:
         """Product index -> its rows ordered by (unix_time, row)."""
-        order = np.lexsort((self.unix_time, self.product))  # stable: ties keep row order
-        order.flags.writeable = False
-        products = self.product[order]
-        starts = np.flatnonzero(np.diff(products, prepend=-1))
-        return dict(zip(products[starts].tolist(), np.split(order, starts[1:])))
+        order, starts = self.timeline_order
+        return dict(zip(self.product[order[starts]].tolist(), np.split(order, starts[1:])))
 
     @cached_property
     def _order(self) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "classification_metrics",
     "mean_average_precision",
     "ndcg",
+    "check_cutoff",
     "f1_at_cutoff",
     "evaluate_predictions",
 ]
@@ -138,10 +139,15 @@ def ndcg(users: dict, predicted_gains: bool = False) -> float:
     return total / len(users)
 
 
-def f1_at_cutoff(users: dict, cutoff: int, threshold: float = RELEVANCE_THRESHOLD) -> float:
-    """F1 with the recommended set restricted to each user's top-`cutoff`."""
+def check_cutoff(cutoff: int) -> None:
+    """Raise ValueError unless a top-t cutoff is at least 1."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+
+
+def f1_at_cutoff(users: dict, cutoff: int, threshold: float = RELEVANCE_THRESHOLD) -> float:
+    """F1 with the recommended set restricted to each user's top-`cutoff`."""
+    check_cutoff(cutoff)
     if not users:
         raise ValueError("no users to evaluate")
     return _f1(*_precision_recall(users, threshold, cutoff))

@@ -48,6 +48,8 @@ __all__ = [
     "load_mf",
 ]
 
+_INIT_SCALE = 0.01  # standard deviation of the random projection and head weights
+
 
 @dataclass
 class MfParams:
@@ -97,7 +99,6 @@ class MfHyperparams:
     latent_dim: int
     predictive_dim: int = 8
     reg_lambda: float = 0.1
-    init_scale: float = 0.01
     fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
@@ -336,10 +337,10 @@ def train_mf(
         user_joint=e.copy(),
         prod_joint=z.copy(),
         prod_rel=f.copy(),
-        proj_rating=rng.normal(0.0, hyper.init_scale, (k, k)),
-        proj_joint=rng.normal(0.0, hyper.init_scale, (k, k)),
-        head=rng.normal(0.0, hyper.init_scale, (k, p)),
-        reg_w=rng.normal(0.0, hyper.init_scale, p),
+        proj_rating=rng.normal(0.0, _INIT_SCALE, (k, k)),
+        proj_joint=rng.normal(0.0, _INIT_SCALE, (k, k)),
+        head=rng.normal(0.0, _INIT_SCALE, (k, p)),
+        reg_w=rng.normal(0.0, _INIT_SCALE, p),
         reg_b=np.zeros(1),
     )
 

@@ -138,13 +138,15 @@ def _normalize(weights: np.ndarray, seg: _Segments) -> np.ndarray:
     return np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0.0)
 
 
-def _scores(weights: np.ndarray, ranks: np.ndarray, seg: _Segments,
-            alpha: float) -> ReliabilityBreakdown:
-    """All five score columns from the raw helpfulness weights and ranks."""
+def _score_timelines(users, yes, total, times, starts, alpha: float, fallback_max: bool):
+    """Score columns and helpfulness ranks of timelines that begin at ``starts``."""
+    seg = _segments(starts, users.size)
+    weights = _helpfulness_weights(yes, total, seg, fallback_max)
+    ranks = _ranks(weights, times, users, seg)
     read_by_rank = (seg.length - seg.position) / (ranks * ranks)
     h, most, top = _normalize(np.stack([weights, _recency_weights(seg), read_by_rank]), seg)
     d = combined_score(top, most, alpha)
-    return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d))
+    return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d)), ranks
 
 
 def build_timeline(store: InteractionStore, product: int,
@@ -153,11 +155,10 @@ def build_timeline(store: InteractionStore, product: int,
     rows = store.timelines.get(product)
     if rows is None:
         raise ValueError(f"product {product} has no reviews")
-    users, yes, total, times = (column[rows] for column in (
-        store.user, store.helpful_yes, store.votes_total, store.unix_time))
-    seg = _segments(np.zeros(1, np.int64), rows.size)
-    ranks = _ranks(_helpfulness_weights(yes, total, seg, fallback_max), times, users, seg)
-    return ProductTimeline(product, *(tuple(c.tolist()) for c in (users, yes, total, times, ranks)))
+    columns = [column[rows] for column in (
+        store.user, store.helpful_yes, store.votes_total, store.unix_time)]
+    _, ranks = _score_timelines(*columns, np.zeros(1, np.int64), DEFAULT_ALPHA, fallback_max)
+    return ProductTimeline(product, *(tuple(c.tolist()) for c in (*columns, ranks)))
 
 
 def helpfulness_scores(timeline: ProductTimeline, fallback_max: bool = False) -> dict:
@@ -212,25 +213,23 @@ def classify_reviewer(rel: float, threshold: float = DEFAULT_THRESHOLD) -> str:
 
 def score_product(timeline: ProductTimeline, alpha: float = DEFAULT_ALPHA,
                   fallback_max: bool = False) -> dict:
-    """Reliability breakdown per reviewer of one product."""
-    yes, total, ranks = map(np.array, (timeline.helpful_yes, timeline.votes_total, timeline.ranks))
-    seg = _segments(np.zeros(1, np.int64), timeline.n_reviews)
-    columns = _scores(_helpfulness_weights(yes, total, seg, fallback_max), ranks, seg, alpha)
+    """Reliability breakdown per reviewer of one product, as ``score_store`` scores it."""
+    columns = map(np.array, (timeline.reviewers, timeline.helpful_yes, timeline.votes_total,
+                             timeline.unix_times))
+    scores, _ = _score_timelines(*columns, np.zeros(1, np.int64), alpha, fallback_max)
     return {user: ReliabilityBreakdown(*values)
-            for user, *values in zip(timeline.reviewers, *(c.tolist() for c in columns))}
+            for user, *values in zip(timeline.reviewers, *(c.tolist() for c in scores))}
 
 
 def score_store(store: InteractionStore, alpha: float = DEFAULT_ALPHA,
                 fallback_max: bool = False) -> ReliabilityBreakdown:
     """Breakdown columns with one entry per store row, in row order."""
-    order = np.lexsort((store.unix_time, store.product))  # timelines, as store.timelines
-    seg = _segments(np.flatnonzero(np.diff(store.product[order], prepend=-1)), order.size)
-    users, yes, total, times = (column[order] for column in (
+    order, starts = store.timeline_order
+    columns = (column[order] for column in (
         store.user, store.helpful_yes, store.votes_total, store.unix_time))
-    weights = _helpfulness_weights(yes, total, seg, fallback_max)
-    columns = np.empty((len(ReliabilityBreakdown._fields), order.size))
-    columns[:, order] = _scores(weights, _ranks(weights, times, users, seg), seg, alpha)
-    return ReliabilityBreakdown(*columns)
+    scores = np.empty((len(ReliabilityBreakdown._fields), order.size))
+    scores[:, order] = _score_timelines(*columns, starts, alpha, fallback_max)[0]
+    return ReliabilityBreakdown(*scores)
 
 
 def attach_scores(store: InteractionStore, scores: ReliabilityBreakdown) -> InteractionStore:

@@ -105,11 +105,12 @@ class TestBasics:
                                  "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
          "n_users must be an integer, got '9'"),
         ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
+        ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be >= 1, got 0"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
             "reg_lambda-string", "gamma-string", "seed-string", "pretrain-string",
             "freeze_branches-int", "tower-int", "cutoffs-strings", "store-int",
             "split-seed-string", "split-folds-string", "synthetic-n_users-string",
-            "reliability-alpha-out-of-range"])
+            "reliability-alpha-out-of-range", "eval-cutoff-zero"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
@@ -121,6 +122,19 @@ class TestBasics:
         line = error_line(capsys, ["sweep", "--config", str(config),
                                    "--out-dir", str(tmp_path / "out")])
         assert line == f"error [bad-config]: cannot parse config {config}: {want}"
+
+    @pytest.mark.parametrize("doc, want", [
+        (None, "error [config-not-found]: config not found: {config}"),
+        ({"eval": {"cutoffs": [0]}},
+         "error [bad-config]: cannot parse config {config}: cutoff must be >= 1, got 0"),
+    ], ids=["missing", "bad-cutoff"])
+    def test_train_reads_the_config_before_the_stores(self, tmp_path, capsys, doc, want):
+        config = tmp_path / "config.json"
+        if doc is not None:
+            config.write_text(json.dumps(doc))
+        line = error_line(capsys, ["train", "--store", str(tmp_path / "missing.json"),
+                                   "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert line == want.format(config=config)
 
     def test_train_freeze_branches_without_checkpoints(self, tmp_path):
         store = tmp_path / "store.json"
@@ -517,6 +531,23 @@ class TestErrorCategories:
         line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
         assert line == f"error [bad-args]: {flag} names a directory: {trained}"
         assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing else written
+
+    @pytest.mark.parametrize("argv, want", [
+        ("pretrain-mlp --tower 8,x", "--tower takes comma-separated integers, got '8,x'"),
+        ("pretrain-mlp --tower ,", "--tower takes comma-separated integers, got ','"),
+        ("evaluate --model {t}/missing.ckpt --cutoffs 5,x",
+         "--cutoffs takes comma-separated integers, got '5,x'"),
+        ("evaluate --model {t}/missing.ckpt --cutoffs 0", "--cutoffs: cutoff must be >= 1, got 0"),
+        ("sweep --config {t}/missing.json --train-fracs 0.5,a",
+         "--train-fracs takes comma-separated numbers, got '0.5,a'"),
+    ], ids=["tower-word", "tower-empty", "cutoffs-word", "cutoffs-zero", "train-fracs-word"])
+    def test_list_flag_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv, want):
+        command, *flags = argv.format(t=tmp_path).split()
+        files = {"pretrain-mlp": "--store {t}/missing.json --out {t}/x.ckpt",
+                 "evaluate": "--store {t}/missing.json --out {t}/x.txt",
+                 "sweep": "--out-dir {t}/out"}[command].format(t=tmp_path).split()
+        assert error_line(capsys, [command, *files, *flags]) == f"error [bad-args]: {want}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):
         import math

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dualrec import harness
 from dualrec.harness import (
     ExperimentConfig,
     SplitSpec,
@@ -188,6 +189,13 @@ class TestSweep:
         assert set(results) == {0.4, 0.6}
         for result in results.values():
             assert result.mean_report.n_pairs > 0
+
+    def test_every_split_is_checked_before_the_first_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        with pytest.raises(ValueError, match=r"fractions must be in \(0, 1\)"):
+            sweep_train_sizes(tiny_config(), [0.5, 1.0])
+        assert runs == []
 
 
 class TestConfigParsing:

@@ -113,6 +113,20 @@ class TestTopRanking:
         assert tl.ranks == (1, 2)
 
 
+    def test_ranks_follow_the_scoring_fallback(self):
+        # votes (3, 3), (4, 10), (1, 1) over the max helpful count 4 weigh
+        # (9/4, 16/4, 1/4): ranks (2, 1, 3), q = (2/4, 1, 0) -> (1/3, 2/3, 0)
+        rows = [("a", 3, 3, 3, 1), ("b", 3, 4, 10, 2), ("c", 3, 1, 1, 3)]
+        tl = timeline_of(rows)
+        assert tl.ranks == (1, 2, 3)  # the timeline ranks by yes^2 / total
+        top = [b.top for b in score_product(tl, fallback_max=True).values()]
+        assert math.isclose(top[0], 1 / 3, rel_tol=1e-12)
+        assert math.isclose(top[1], 2 / 3, rel_tol=1e-12)
+        assert top[2] == 0.0
+        store = store_from([(u, "p0", r, y, t, w) for u, r, y, t, w in rows])
+        assert top == score_store(store, fallback_max=True).top.tolist()
+
+
 class TestCombinedAndFinal:
     def test_symmetric_average(self):
         assert combined_score(0.4, 0.6, 0.5) == 0.5
@@ -287,6 +301,29 @@ class TestScoreStore:
         got = score_store(store, **settings)
         for name in ReliabilityBreakdown._fields:
             assert np.array_equal(getattr(got, name), np.array(want[name])), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 4),
+                      st.integers(0, 4), st.integers(0, 3)),
+            min_size=1, max_size=24, unique_by=lambda e: e[:2]),
+        alpha=st.floats(0.0, 1.0),
+        fallback_max=st.booleans(),
+        timeline_fallback=st.booleans(),
+    )
+    def test_per_product_scores_equal_the_store_rows_bit_for_bit(
+            self, entries, alpha, fallback_max, timeline_fallback):
+        # (user, product, yes, votes beyond yes, time): few times, so ties
+        store = _make_store([f"u{i}" for i in range(6)], [f"p{j}" for j in range(4)],
+                            [(i, j, 3, yes, yes + more, when)
+                             for i, j, yes, more, when in entries])
+        columns = np.stack(score_store(store, alpha, fallback_max))
+        for product, rows in store.timelines.items():
+            tl = build_timeline(store, product, timeline_fallback)
+            got = score_product(tl, alpha, fallback_max)
+            assert list(got) == store.user[rows].tolist()
+            assert np.array(list(got.values())).tobytes() == columns[:, rows].T.tobytes()
 
     def test_empty_store_scores_to_empty_columns(self):
         scores = score_store(_make_store([], [], []))
