@@ -20,7 +20,7 @@ from . import harness, ingest
 from . import mf_model, mlp_model
 from . import reliability as reliability_mod
 from .linalg import TrainingDivergedError
-from .metrics import check_cutoff
+from .metrics import RELEVANCE_THRESHOLD, check_cutoff
 
 log = logging.getLogger("dualrec")
 
@@ -116,9 +116,23 @@ def cmd_reliability(args) -> int:
     return 0
 
 
+def _check_fits(what: str, item, store_path, store) -> None:
+    """Refuse ``what``, a model or a validation store, unless its users x
+    products are those of the store at ``store_path``, before any work."""
+    have, want = (item.n_users, item.n_products), (store.n_users, store.n_products)
+    if have != want:
+        raise CliError("bad-store", f"{what} has {have[0]} users x {have[1]} products, "
+                                    f"store {store_path} has {want[0]} x {want[1]}")
+
+
 def _train_stores(args):
     """The ``--store`` and the optional ``--val-store`` of a training command."""
-    return _load_store(args.store), _load_store(args.val_store) if args.val_store else None
+    store = _load_store(args.store)
+    if not args.val_store:
+        return store, None
+    val_store = _load_store(args.val_store)
+    _check_fits(f"--val-store {args.val_store}", val_store, args.store, store)
+    return store, val_store
 
 
 def _branch_config(args, **fields) -> harness.ExperimentConfig:
@@ -171,6 +185,8 @@ def cmd_train(args) -> int:
     if args.mf and args.mlp:
         branches = (_load_model(mf_model.load_mf, args.mf),
                     _load_model(mlp_model.load_mlp, args.mlp))
+        for path, branch in zip((args.mf, args.mlp), branches):
+            _check_fits(f"model {path}", branch, args.store, store)
         model = fusion_mod.init_fusion(*branches, config.gamma)
         model = harness.fine_tune(config, model, store, val_store, on_epoch=_epoch_logger)
     elif args.mf or args.mlp:
@@ -193,9 +209,16 @@ def _load_model(load, path):
         raise CliError("bad-store", f"cannot read model {path}: missing {exc}") from exc
 
 
-def cmd_evaluate(args) -> int:
+def _load_fused(args):
+    """The ``--store`` and the fused ``--model`` of ``evaluate`` or ``predict``."""
     store = _load_store(args.store)
     model = _load_model(fusion_mod.load_fusion, args.model)
+    _check_fits(f"model {args.model}", model.mf, args.store, store)
+    return store, model
+
+
+def cmd_evaluate(args) -> int:
+    store, model = _load_fused(args)
     report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.as_kv_text())
@@ -206,8 +229,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    store = _load_store(args.store)
-    model = _load_model(fusion_mod.load_fusion, args.model)
+    store, model = _load_fused(args)
     if not os.path.isfile(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
     keys = []
@@ -241,20 +263,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    reports = {}  # report file name -> the one fraction that writes it
+    for frac in args.train_fracs:
+        name = f"report_{int(round(frac * 100))}.txt"
+        if name in reports:
+            raise CliError("bad-args", f"--train-fracs {reports[name]!r} and {frac!r} "
+                                       f"would both write {name}")
+        reports[name] = frac
     config = _experiment_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     results = harness.sweep_train_sizes(config, args.train_fracs)
     summary_path = os.path.join(args.out_dir, "summary.tsv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("train_frac\trmse\tmae\tf1\tndcg\tmap\n")
-        for frac in args.train_fracs:
+        for name, frac in reports.items():
             mean = results[frac].mean_report
             fh.write(
                 f"{frac!r}\t{mean.rmse!r}\t{mean.mae!r}\t{mean.f1!r}\t"
                 f"{mean.ndcg!r}\t{mean.mean_ap!r}\n"
             )
-            report_path = os.path.join(args.out_dir, f"report_{int(round(frac * 100))}.txt")
-            with open(report_path, "w", encoding="utf-8") as rfh:
+            with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as rfh:
                 rfh.write(mean.as_kv_text())
     return 0
 
@@ -336,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="key-value report file")
     p.add_argument("--tsv", help="also write a single-row TSV report")
     p.add_argument("--cutoffs", default="5,10", help="top-t cutoffs, comma-separated")
-    p.add_argument("--threshold", type=float, default=3.0, help="relevance threshold")
+    p.add_argument("--threshold", type=float, default=RELEVANCE_THRESHOLD,
+                   help="relevance threshold")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("predict", help="predict ratings for user/product key pairs")

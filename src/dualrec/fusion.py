@@ -72,7 +72,8 @@ def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = 0.5) -> FusionModel
     and the MLP head times (1 - gamma) on the right; the regression head
     is the average of the branch regression heads. Branch parameters are
     deep-copied so later fine-tuning cannot disturb the inputs; the
-    pre-trained embedding tables do not train.
+    pre-trained embedding tables do not train. ValueError unless the two
+    branches agree on head width and on users x products.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -80,6 +81,9 @@ def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = 0.5) -> FusionModel
         raise ValueError(
             f"branch head widths differ: mf={mf.predictive_dim}, mlp={mlp.predictive_dim}"
         )
+    if (mf.n_users, mf.n_products) != (mlp.n_users, mlp.n_products):
+        raise ValueError(f"branch tables differ: mf has {mf.n_users} users x {mf.n_products} "
+                         f"products, mlp {mlp.n_users} x {mlp.n_products}")
     concat_w = np.hstack([gamma * mf.head.T, (1.0 - gamma) * mlp.head.T])
     return FusionModel(
         mf=mf.copy(),

@@ -19,7 +19,7 @@ from . import reliability as reliability_mod
 from .fusion import FusionModel, init_fusion, init_fusion_random, predict_batch, train_fusion
 from .ingest import MAX_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
-from .metrics import EvalReport, check_cutoff, evaluate_predictions
+from .metrics import RELEVANCE_THRESHOLD, EvalReport, check_cutoff, evaluate_predictions
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, train_mlp
 from .training import FitHyperparams
@@ -27,10 +27,7 @@ from .training import FitHyperparams
 __all__ = [
     "SplitSpec",
     "SyntheticSpec",
-    "SyntheticData",
     "ExperimentConfig",
-    "FoldOutcome",
-    "ExperimentResult",
     "split",
     "gen_synthetic",
     "pretrain_mf",
@@ -226,7 +223,7 @@ class ExperimentConfig:
     rel_alpha: float = 0.5
     rel_fallback_max: bool = False
     cutoffs: tuple = (5, 10)
-    relevance_threshold: float = 3.0
+    relevance_threshold: float = RELEVANCE_THRESHOLD
 
     def __post_init__(self):
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
@@ -308,7 +305,7 @@ def evaluate_model(
     model: FusionModel,
     test_store: InteractionStore,
     cutoffs=(5, 10),
-    threshold: float = 3.0,
+    threshold: float = RELEVANCE_THRESHOLD,
 ) -> EvalReport:
     """Score the fused model on every rated pair of the test store."""
     idx_u, idx_p, _, raw = test_store.rated_arrays

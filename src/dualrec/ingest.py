@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "ReviewRecord", "ParseResult", "PairArrays", "InteractionStore", "parse_reviews",
-    "normalize_rating", "build_store", "with_reliability", "restrict", "save_store", "load_store",
+    "ReviewRecord", "PairArrays", "InteractionStore", "parse_reviews", "build_store",
+    "with_reliability", "restrict", "save_store", "load_store",
 ]
 
 MAX_RATING = 5
@@ -182,14 +182,6 @@ class InteractionStore:
             raise ValueError("store has no ratings")
         # Python's left-to-right sum: np.sum adds pairwise and can round differently
         return float(sum(self.raw.tolist()) / self.raw.size)
-
-
-def normalize_rating(raw) -> float:
-    """Map a raw 1..5 rating onto (0, 1] by dividing by the maximum."""
-    value = float(raw)
-    if value != int(value) or not 1 <= value <= MAX_RATING:
-        raise ValueError(f"rating must be an integer in [1, {MAX_RATING}], got {raw!r}")
-    return value / MAX_RATING
 
 
 def _clean_line(obj: dict) -> ReviewRecord:

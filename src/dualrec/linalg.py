@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "TrainingDivergedError",
-    "as_matrix",
     "PairMatrix",
     "truncated_svd",
     "sigmoid",

@@ -21,7 +21,6 @@ __all__ = [
     "mean_average_precision",
     "ndcg",
     "check_cutoff",
-    "f1_at_cutoff",
     "evaluate_predictions",
 ]
 
@@ -116,24 +115,18 @@ def _dcg(true_ratings) -> float:
     )
 
 
-def ndcg(users: dict, predicted_gains: bool = False) -> float:
+def ndcg(users: dict) -> float:
     """Mean normalized discounted cumulative gain over users.
 
-    Gains default to the true ratings placed in predicted order, with
-    the normalizer being the same gains in true-rating order, so the
-    result lives in (0, 1]. ``predicted_gains`` switches the numerator
-    gains to the predicted ratings (the normalizer is unchanged), which
-    is no longer bounded by 1.
+    Gains are the true ratings placed in predicted order, with the
+    normalizer being the same gains in true-rating order, so the result
+    lives in (0, 1].
     """
     if not users:
         raise ValueError("no users to evaluate")
     total = 0.0
     for rows in users.values():
-        ranked = _ranked(rows)
-        if predicted_gains:
-            dcg = _dcg([pred for _, pred, _ in ranked])
-        else:
-            dcg = _dcg([true for _, _, true in ranked])
+        dcg = _dcg([true for _, _, true in _ranked(rows)])
         ideal = _dcg(sorted((true for _, _, true in rows), reverse=True))
         total += dcg / ideal
     return total / len(users)

@@ -26,8 +26,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .training import (CHUNK_PAIRS, FitHyperparams, _pair_arrays, fit, fit_mae, head_backward,
-                       head_forward, val_mae)
+from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
+                       val_mae)
 
 __all__ = [
     "MfParams",
@@ -41,8 +41,6 @@ __all__ = [
     "joint_loss",
     "joint_loss_grads",
     "train_mf",
-    "mf_embedding",
-    "mf_predict",
     "factor_predict",
     "save_mf",
     "load_mf",
@@ -350,16 +348,6 @@ def train_mf(
             functools.partial(_backward_batch, params), store, hyper.fit, rng, "mf-head",
             val_store, on_epoch)
     return params
-
-
-def mf_embedding(params: MfParams, i: int, j: int) -> np.ndarray:
-    """K-dim pair embedding mixing both factor models' interactions."""
-    return _embedding_batch(params, *_pair_arrays(params, i, j))[0][0]
-
-
-def mf_predict(params: MfParams, i: int, j: int) -> float:
-    """Raw-scale rating prediction from the linear branch's own head."""
-    return float(_forward_batch(params, *_pair_arrays(params, i, j))[0][0])
 
 
 def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "MlpHyperparams",
     "param_dict",
     "init_mlp",
-    "fusion_layer",
-    "mlp_embedding",
     "mlp_backward",
     "mlp_predict",
     "train_mlp",
@@ -214,19 +212,6 @@ def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
                                    params.reg_w, d_raw)
     grads.update(_backward_from_theta(params, cache, d_theta))
     return grads
-
-
-def fusion_layer(params: MlpParams, i: int, j: int):
-    """Fused user and product vectors (a_i, b_j) for one pair."""
-    _, cache = _embedding_batch(params, *_pair_arrays(params, i, j))
-    k = params.latent_dim
-    v = cache["hidden"][0][0]
-    return v[:k], v[k:]
-
-
-def mlp_embedding(params: MlpParams, i: int, j: int) -> np.ndarray:
-    """p-dim pair embedding out of the ReLU tower."""
-    return _embedding_batch(params, *_pair_arrays(params, i, j))[0][0]
 
 
 def mlp_predict(params: MlpParams, i: int, j: int) -> float:

@@ -27,10 +27,9 @@ import numpy as np
 from .ingest import InteractionStore, with_reliability
 
 __all__ = [
-    "RELIABLE", "NOT_RELIABLE", "ProductTimeline", "ReliabilityBreakdown", "build_timeline",
-    "helpfulness_scores", "recency_weights", "most_recent_scores", "top_ranking_scores",
-    "check_unit", "combined_score", "reliability_score", "classify_reviewer", "score_product",
-    "score_store", "attach_scores", "breakdown_rows",
+    "RELIABLE", "NOT_RELIABLE", "build_timeline", "helpfulness_scores", "recency_weights",
+    "most_recent_scores", "top_ranking_scores", "check_unit", "score_product", "score_store",
+    "attach_scores", "breakdown_rows",
 ]
 
 RELIABLE = "reliable"

@@ -26,7 +26,7 @@ from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
 __all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "fit_mae", "head_backward", "head_forward",
-           "mean_abs_error", "predict_chunked", "val_mae"]
+           "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 

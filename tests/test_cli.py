@@ -277,6 +277,22 @@ def run_pipeline(tmp_path, seed="7", epochs="2"):
              "fused.ckpt", "report.txt", "report.tsv")]
 
 
+def sweep_config(tmp_path):
+    """A small synthetic sweep config, written to ``tmp_path``."""
+    config = {
+        "data": {"synthetic": {
+            "n_users": 12, "n_products": 10, "true_rank": 2,
+            "observation_density": 0.6, "noise_std": 0.05, "seed": 3,
+        }},
+        "split": {"folds": 1, "seed": 0},
+        "model": {"latent_dim": 2, "tower": [4, 2], "epochs_mf": 1,
+                  "epochs_mlp": 1, "epochs_fusion": 1, "batch_size": 32},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
 class TestPipeline:
     def test_full_pipeline_and_reports(self, tmp_path):
         files = run_pipeline(tmp_path)
@@ -303,19 +319,8 @@ class TestPipeline:
         assert abs(ghost - store.global_mean_raw()) < 1e-9
 
     def test_sweep_writes_summary(self, tmp_path):
-        config = {
-            "data": {"synthetic": {
-                "n_users": 12, "n_products": 10, "true_rank": 2,
-                "observation_density": 0.6, "noise_std": 0.05, "seed": 3,
-            }},
-            "split": {"folds": 1, "seed": 0},
-            "model": {"latent_dim": 2, "tower": [4, 2], "epochs_mf": 1,
-                      "epochs_mlp": 1, "epochs_fusion": 1, "batch_size": 32},
-        }
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
         out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg), "--train-fracs", "0.5,0.7",
+        code = main(["sweep", "--config", str(sweep_config(tmp_path)), "--train-fracs", "0.5,0.7",
                      "--out-dir", str(out_dir)])
         assert code == 0
         summary = (out_dir / "summary.tsv").read_text().strip().split("\n")
@@ -323,6 +328,17 @@ class TestPipeline:
         assert len(summary) == 3
         assert (out_dir / "report_50.txt").exists()
         assert (out_dir / "report_70.txt").exists()
+
+    @pytest.mark.parametrize("fracs, want", [
+        ("0.5,0.5", "0.5 and 0.5 would both write report_50.txt"),
+        ("0.5,0.7,0.504", "0.5 and 0.504 would both write report_50.txt"),
+    ], ids=["repeated", "same-report-name"])
+    def test_sweep_refuses_fractions_that_share_a_report(self, tmp_path, capsys, fracs, want):
+        cfg = sweep_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--train-fracs", fracs,
+                "--out-dir", str(tmp_path / "sweep")]
+        assert error_line(capsys, argv) == f"error [bad-args]: --train-fracs {want}"
+        assert list(tmp_path.iterdir()) == [cfg]  # refused before the first run
 
     @pytest.mark.parametrize("write", [
         lambda path: path.write_bytes(b"DUALREC\x00" + bytes(7)),  # 15 bytes: no fixed header
@@ -425,9 +441,12 @@ class TestDeterminismAndSmoke:
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """Directory with a synthetic store, default-shaped branch checkpoints,
-    an MF checkpoint of head width 6 and a fused checkpoint."""
+    an MF checkpoint of head width 6 and a fused checkpoint; and a store of
+    16 users with an MLP checkpoint of its own."""
     d = tmp_path_factory.mktemp("trained")
     for argv in ("synth --users 12 --products 10 --seed 4 --out {d}/store.json",
+                 "synth --users 16 --products 10 --seed 5 --out {d}/store16.json",
+                 "pretrain-mlp --store {d}/store16.json --out {d}/mlp16.ckpt --epochs 1",
                  "pretrain-mf --store {d}/store.json --out {d}/mf.ckpt --epochs 1",
                  "pretrain-mf --store {d}/store.json --out {d}/mf6.ckpt --epochs 1 --p 6",
                  "pretrain-mlp --store {d}/store.json --out {d}/mlp.ckpt --epochs 1",
@@ -548,6 +567,27 @@ class TestErrorCategories:
                  "sweep": "--out-dir {t}/out"}[command].format(t=tmp_path).split()
         assert error_line(capsys, [command, *files, *flags]) == f"error [bad-args]: {want}"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        ("train --store {d}/store16.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt --out {t}/x",
+         "model {d}/mf.ckpt has 12 users x 10 products, store {d}/store16.json has 16 x 10"),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp16.ckpt --out {t}/x",
+         "model {d}/mlp16.ckpt has 16 users x 10 products, store {d}/store.json has 12 x 10"),
+        ("evaluate --store {d}/store16.json --model {d}/fused.ckpt --out {t}/x",
+         "model {d}/fused.ckpt has 12 users x 10 products, store {d}/store16.json has 16 x 10"),
+        ("predict --store {d}/store16.json --model {d}/fused.ckpt --pairs {t}/pairs.tsv "
+         "--out {t}/x",
+         "model {d}/fused.ckpt has 12 users x 10 products, store {d}/store16.json has 16 x 10"),
+        ("pretrain-mf --store {d}/store.json --val-store {d}/store16.json --out {t}/x",
+         "--val-store {d}/store16.json has 16 users x 10 products, store {d}/store.json has "
+         "12 x 10"),
+    ], ids=["train-both-branches", "train-one-branch", "evaluate", "predict", "val-store"])
+    def test_model_that_does_not_fit_the_store_is_refused_first(self, trained, tmp_path,
+                                                                 capsys, argv, want):
+        (tmp_path / "pairs.tsv").write_text("u0\tp0\n")
+        line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
+        assert line == "error [bad-store]: " + want.format(d=trained)
+        assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing written
 
     def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):
         import math

@@ -101,6 +101,13 @@ class TestInit:
         with pytest.raises(ValueError):
             init_fusion(mf, mlp, 0.5)
 
+    @pytest.mark.parametrize("n, m", [(4, 3), (3, 4)], ids=["users", "products"])
+    def test_table_mismatch_rejected(self, n, m):
+        mf = random_params(np.random.default_rng(1), 3, 3, k=2, p=2)
+        mlp = init_mlp(n, m, 2, (4, 2), seed=0)
+        with pytest.raises(ValueError, match="branch tables differ"):
+            init_fusion(mf, mlp, 0.5)
+
     def test_branches_are_copies(self):
         rng = np.random.default_rng(2)
         mf = random_params(rng, 3, 3, k=2, p=3)

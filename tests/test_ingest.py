@@ -13,7 +13,6 @@ from dualrec.ingest import (
     ReviewRecord,
     build_store,
     load_store,
-    normalize_rating,
     parse_reviews,
     restrict,
     save_store,
@@ -107,14 +106,18 @@ class TestParse:
 
 
 class TestNormalizeRating:
+    """A line's ``overall`` enters the store divided by 5; a line whose
+    ``overall`` is no integer in [1, 5] is skipped."""
+
     @pytest.mark.parametrize("raw,expected", [(5, 1.0), (1, 0.2), (3, 0.6)])
     def test_values(self, raw, expected):
-        assert normalize_rating(raw) == expected
+        store = build_store(parse_reviews([line(overall=raw)]).records)
+        assert store.ratings.tolist() == [expected]
 
     @pytest.mark.parametrize("raw", [0, 6, 2.5, -1])
     def test_out_of_range_rejected(self, raw):
-        with pytest.raises(ValueError):
-            normalize_rating(raw)
+        result = parse_reviews([line(overall=raw)])
+        assert not result.records and result.n_skipped == 1
 
 
 class TestBuildStore:

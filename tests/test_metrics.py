@@ -172,10 +172,6 @@ class TestNdcg:
             }
             assert math.isclose(ndcg(users), ndcg_oracle(users), abs_tol=1e-12)
 
-    def test_predicted_gain_mode_can_exceed_one(self):
-        users = {0: [(0, 5.0, 1.0), (1, 1.0, 1.0)]}
-        assert ndcg(users, predicted_gains=True) > 1.0
-
 
 class TestTopCutoff:
     def test_no_truncation_equals_plain_f1(self):

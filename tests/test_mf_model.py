@@ -11,12 +11,12 @@ from dualrec.linalg import TrainingDivergedError, finite_diff_grad, sigmoid
 from dualrec.mf_model import (
     MfHyperparams,
     MfParams,
+    _embedding_batch,
+    _forward_batch,
     factor_predict,
     joint_loss,
     joint_loss_grads,
     load_mf,
-    mf_embedding,
-    mf_predict,
     rating_loss,
     rating_loss_grads,
     reliability_loss,
@@ -266,7 +266,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_head_backward_batch_matches_finite_differences(self, seed):
-        from dualrec.mf_model import _backward_batch, _forward_batch
+        from dualrec.mf_model import _backward_batch
 
         rng = np.random.default_rng(300 + seed)
         params = random_params(rng, 3, 4, k=2, p=3)
@@ -285,6 +285,11 @@ class TestGradients:
             assert_grad_close(grad.ravel(), numeric)
 
 
+def pair(i, j):
+    """One-element index arrays of the pair (i, j)."""
+    return np.array([i]), np.array([j])
+
+
 class TestEmbeddingAndHead:
     def test_identity_projections_add_interactions(self):
         rng = np.random.default_rng(6)
@@ -296,13 +301,14 @@ class TestEmbeddingAndHead:
             params.user_rating[:, i] * params.prod_rating[:, j]
             + params.user_joint[:, i] * params.prod_joint[:, j]
         )
-        np.testing.assert_allclose(mf_embedding(params, i, j), expected, atol=1e-12)
+        np.testing.assert_allclose(_embedding_batch(params, *pair(i, j))[0][0], expected,
+                                   atol=1e-12)
 
     def test_zero_factors_zero_embedding(self):
         params = random_params(np.random.default_rng(7), 2, 2)
         for name in ("user_rating", "prod_rating", "user_joint", "prod_joint"):
             getattr(params, name)[:] = 0
-        np.testing.assert_array_equal(mf_embedding(params, 0, 0), np.zeros(2))
+        np.testing.assert_array_equal(_embedding_batch(params, *pair(0, 0))[0][0], np.zeros(2))
 
     def test_hand_case_with_scaled_projections(self):
         params = random_params(np.random.default_rng(8), 1, 1, k=2)
@@ -312,22 +318,24 @@ class TestEmbeddingAndHead:
         params.prod_joint = np.array([[1.0], [1.0]])
         params.proj_rating = 2 * np.eye(2)
         params.proj_joint = np.eye(2)
-        np.testing.assert_allclose(mf_embedding(params, 0, 0), [5.0, 8.0], atol=1e-12)
+        np.testing.assert_allclose(_embedding_batch(params, *pair(0, 0))[0][0], [5.0, 8.0],
+                                   atol=1e-12)
 
     def test_embedding_linear_in_projections(self):
         rng = np.random.default_rng(9)
         params = random_params(rng, 3, 3, k=2)
-        base = mf_embedding(params, 1, 2)
+        base = _embedding_batch(params, *pair(1, 2))[0][0]
         scaled = params.copy()
         scaled.proj_rating = 3.0 * params.proj_rating
         scaled.proj_joint = 3.0 * params.proj_joint
-        np.testing.assert_allclose(mf_embedding(scaled, 1, 2), 3.0 * base, rtol=1e-12)
+        np.testing.assert_allclose(_embedding_batch(scaled, *pair(1, 2))[0][0], 3.0 * base,
+                                   rtol=1e-12)
 
     def test_bias_only_head_predicts_scaled_bias(self):
         params = random_params(np.random.default_rng(10), 2, 2)
         params.head[:] = 0.0
         params.reg_b[0] = 0.6
-        assert math.isclose(mf_predict(params, 0, 1), 3.0, rel_tol=1e-12)
+        assert math.isclose(_forward_batch(params, *pair(0, 1))[0][0], 3.0, rel_tol=1e-12)
 
     def test_one_dim_pass_through(self):
         params = random_params(np.random.default_rng(11), 1, 1, k=1, p=1)
@@ -340,12 +348,7 @@ class TestEmbeddingAndHead:
         params.head = np.array([[1.0]])
         params.reg_w = np.array([1.0])
         params.reg_b[0] = 0.0
-        assert math.isclose(mf_predict(params, 0, 0), 4.0, rel_tol=1e-12)
-
-    def test_index_out_of_range(self):
-        params = random_params(np.random.default_rng(12), 2, 2)
-        with pytest.raises(IndexError):
-            mf_embedding(params, 2, 0)
+        assert math.isclose(_forward_batch(params, *pair(0, 0))[0][0], 4.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("branch", ["joint", "rating"])
     @pytest.mark.parametrize("idx_u, idx_p", [([-1], [0]), ([3], [0]), ([0, 1], [0, -1]),

@@ -9,11 +9,10 @@ from dualrec.linalg import TrainingDivergedError, finite_diff_grad
 from dualrec.mlp_model import (
     MlpHyperparams,
     MlpParams,
-    fusion_layer,
+    _embedding_batch,
     init_mlp,
     load_mlp,
     mlp_backward,
-    mlp_embedding,
     mlp_predict,
     param_dict,
     save_mlp,
@@ -30,6 +29,17 @@ def get_field(params, name):
 
 def set_field(params, name, value):
     param_dict(params)[name][...] = value
+
+
+def embedding(params, i, j):
+    """The tower output of the pair (i, j), from one-element index arrays."""
+    return _embedding_batch(params, np.array([i]), np.array([j]))[0][0]
+
+
+def fused_rows(params, i, j):
+    """The fusion layer's user and product vectors (a_i, b_j) of the pair (i, j)."""
+    v = _embedding_batch(params, np.array([i]), np.array([j]))[1]["hidden"][0][0]
+    return v[:params.latent_dim], v[params.latent_dim:]
 
 
 class TestInit:
@@ -106,7 +116,7 @@ class TestFusionLayer:
             get_field(params, table)[:] = 0.0
         params.fusion_b_user[:] = 0.0
         params.fusion_b_prod[:] = 0.0
-        a, b = fusion_layer(params, 0, 0)
+        a, b = fused_rows(params, 0, 0)
         np.testing.assert_array_equal(a, np.zeros(2))
         np.testing.assert_array_equal(b, np.zeros(2))
 
@@ -115,7 +125,7 @@ class TestFusionLayer:
         params.user_emb = np.array([[0.7, 0.4], [0.3, 0.6]])
         params.fusion_w_user = np.eye(2)
         params.fusion_b_user[:] = 0.0
-        a, _ = fusion_layer(params, 1, 0)
+        a, _ = fused_rows(params, 1, 0)
         np.testing.assert_allclose(a, [0.3, 0.6], atol=1e-12)
 
     def test_negative_preactivation_clamped_to_zero(self):
@@ -123,13 +133,8 @@ class TestFusionLayer:
         params.user_emb = np.array([[1.0], [1.0]])
         params.fusion_w_user = np.array([[-2.0]])
         params.fusion_b_user[:] = 0.0
-        a, _ = fusion_layer(params, 0, 0)
+        a, _ = fused_rows(params, 0, 0)
         assert a[0] == 0.0
-
-    def test_index_out_of_range(self):
-        params = init_mlp(2, 2, 2, (4, 2), seed=0)
-        with pytest.raises(IndexError):
-            fusion_layer(params, 0, 5)
 
 
 def step_by_step_oracle(params: MlpParams, i: int, j: int):
@@ -155,7 +160,7 @@ class TestEmbedding:
         params = init_mlp(3, 3, 2, (4, 2), seed=0)
         for l in range(len(params.tower_w)):
             params.tower_w[l][:] = 0.0
-        np.testing.assert_array_equal(mlp_embedding(params, 0, 0), np.zeros(2))
+        np.testing.assert_array_equal(embedding(params, 0, 0), np.zeros(2))
 
     def test_constructed_pass_through_selects_user_vector(self):
         params = init_mlp(2, 2, 2, (2,), seed=0)
@@ -165,14 +170,14 @@ class TestEmbedding:
         # single layer selecting the user half of the concatenation
         params.tower_w[0] = np.vstack([np.eye(2), np.zeros((2, 2))])
         params.tower_b[0][:] = 0.0
-        np.testing.assert_allclose(mlp_embedding(params, 1, 0), [0.3, 0.9], atol=1e-12)
+        np.testing.assert_allclose(embedding(params, 1, 0), [0.3, 0.9], atol=1e-12)
 
     def test_matches_independent_oracle(self):
         for seed in range(10):
             params = init_mlp(3, 4, 2, (4, 2), seed=seed, scale=0.5)
             i, j = seed % 3, seed % 4
             np.testing.assert_allclose(
-                mlp_embedding(params, i, j), step_by_step_oracle(params, i, j), atol=1e-12
+                embedding(params, i, j), step_by_step_oracle(params, i, j), atol=1e-12
             )
 
     def test_tower_output_nonnegative(self):
@@ -180,12 +185,12 @@ class TestEmbedding:
         params = init_mlp(5, 5, 3, (6, 3), seed=7, scale=0.8)
         for i in range(5):
             for j in range(5):
-                assert np.all(mlp_embedding(params, i, j) >= 0.0)
+                assert np.all(embedding(params, i, j) >= 0.0)
 
     def test_forward_deterministic(self):
         params = init_mlp(3, 3, 2, (4, 2), seed=1, scale=0.4)
-        first = mlp_embedding(params, 1, 2)
-        second = mlp_embedding(params, 1, 2)
+        first = embedding(params, 1, 2)
+        second = embedding(params, 1, 2)
         np.testing.assert_array_equal(first, second)
 
 

@@ -193,7 +193,8 @@ def test_train_mf_head_returns_the_best_validation_epoch(mirrored):
                          val_store)
         return params
 
-    best = best_epoch(train, mf_model.mf_predict, val, 10, 3)
+    best = best_epoch(train, lambda params, i, j: mf_model._forward_batch(
+        params, np.array([i]), np.array([j]))[0][0], val, 10, 3)
     got = train(10, patience=3, val_store=val)
     want = train(best + 1)
     for (name, a), (_, b) in zip(mf_model.param_dict(got).items(),
