@@ -24,8 +24,6 @@ from .metrics import RELEVANCE_THRESHOLD, check_cutoff
 
 log = logging.getLogger("dualrec")
 
-CONFIG_ENV_VAR = "DUALREC_CONFIG"
-
 
 class CliError(Exception):
     """Data-level failure with a machine-readable category."""
@@ -160,10 +158,7 @@ def cmd_pretrain_mlp(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> harness.ExperimentConfig:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        raise CliError("bad-config", "no config given (flag --config or env DUALREC_CONFIG)")
+def _experiment_config(path) -> harness.ExperimentConfig:
     if not os.path.isfile(path):
         raise CliError("config-not-found", f"config not found: {path}")
     try:
@@ -173,10 +168,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    if args.config or os.environ.get(CONFIG_ENV_VAR):
-        config = _experiment_config(args)
-    else:
-        config = harness.ExperimentConfig()
+    config = _experiment_config(args.config) if args.config else harness.ExperimentConfig()
     flags = {"gamma": args.gamma, "epochs_fusion": args.epochs, "lr": args.lr,
              "seed": args.seed, "freeze_branches": True if args.freeze_branches else None}
     config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
@@ -270,7 +262,7 @@ def cmd_sweep(args) -> int:
             raise CliError("bad-args", f"--train-fracs {reports[name]!r} and {frac!r} "
                                        f"would both write {name}")
         reports[name] = frac
-    config = _experiment_config(args)
+    config = _experiment_config(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     results = harness.sweep_train_sizes(config, args.train_fracs)
     summary_path = os.path.join(args.out_dir, "summary.tsv")
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-store", help="validation store for early stopping")
     p.add_argument("--mf", help="pre-trained linear-branch checkpoint")
     p.add_argument("--mlp", help="pre-trained non-linear-branch checkpoint")
-    p.add_argument("--config", help=f"experiment config JSON (or ${CONFIG_ENV_VAR})")
+    p.add_argument("--config", help="experiment config JSON; without it, the defaults")
     p.add_argument("--out", required=True, help="fused checkpoint to write")
     p.add_argument("--gamma", type=float, default=None,
                    help="blend weight of the linear branch at initialization")
@@ -387,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("sweep", help="run the pipeline over several training sizes")
-    p.add_argument("--config", help=f"experiment config JSON (or ${CONFIG_ENV_VAR})")
+    p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--train-fracs", default="0.4,0.5,0.6,0.7",
                    help="training fractions; the rest splits evenly into val/test")
     p.add_argument("--out-dir", required=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
-from .ingest import MAX_RATING, InteractionStore
+from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .training import (FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward,
                        predict_chunked)
 from .mf_model import MfParams
@@ -38,8 +38,6 @@ __all__ = [
     "save_fusion",
     "load_fusion",
 ]
-
-MIN_RATING = 1.0
 
 
 @dataclass

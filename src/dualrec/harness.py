@@ -4,8 +4,7 @@ A run goes: load or generate a store, make sure reliability scores are
 attached, split into train/validation/test per fold, pre-train both
 branches, fine-tune the fused model, and evaluate on the held-out pairs.
 Per-phase wall-clock and per-epoch losses are collected along the way.
-Synthetic stores come from known low-rank factor models so recovery can
-be checked against ground truth.
+Synthetic stores come from seeded low-rank factor models.
 """
 
 import json
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import reliability as reliability_mod
 from .fusion import FusionModel, init_fusion, init_fusion_random, predict_batch, train_fusion
-from .ingest import MAX_RATING, InteractionStore, _make_store, load_store, restrict
+from .ingest import MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
 from .metrics import RELEVANCE_THRESHOLD, EvalReport, check_cutoff, evaluate_predictions
 from .mf_model import MfHyperparams, MfParams, train_mf
@@ -109,17 +108,13 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """Synthetic store plus the ground-truth factors that produced it."""
+    """A synthetic store."""
 
     store: InteractionStore
-    rating_user_factors: np.ndarray
-    rating_prod_factors: np.ndarray
-    rel_user_factors: np.ndarray
-    rel_prod_factors: np.ndarray
 
 
 def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
-    """Low-rank synthetic store with known ground truth.
+    """Low-rank synthetic store.
 
     Ratings are sigmoid(u_i . v_j) scaled to the 1..5 range, plus
     Gaussian noise on the normalized scale, clamped and (by default)
@@ -133,32 +128,25 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     n, m, r = spec.n_users, spec.n_products, spec.true_rank
     u = rng.normal(_FACTOR_LOC, _FACTOR_SCALE, (n, r))
     v = rng.normal(_FACTOR_LOC, _FACTOR_SCALE, (m, r))
-    ru = u
     rv = rng.normal(_FACTOR_LOC, _FACTOR_SCALE, (m, r))
     mask = rng.random((n, m)) < spec.observation_density
 
     norm = sigmoid(u @ v.T)
     if spec.noise_std > 0:
         norm = norm + rng.normal(0.0, spec.noise_std, (n, m))
-    raw = np.clip(MAX_RATING * norm, 1.0, float(MAX_RATING))
-    rel = sigmoid(ru @ rv.T)
+    raw = np.clip(MAX_RATING * norm, float(MIN_RATING), float(MAX_RATING))
+    rel = sigmoid(u @ rv.T)
 
     rows, cols = np.nonzero(mask)  # row-major: the k-th observed pair gets time k
     observed = raw[rows, cols]
     values = (np.rint(observed).astype(int) if spec.quantize else observed).tolist()
     users, prods, zeros = rows.tolist(), cols.tolist(), [0] * len(observed)
-    return SyntheticData(
-        store=_make_store(
-            [f"u{i}" for i in range(n)],
-            [f"p{j}" for j in range(m)],
-            list(zip(users, prods, values, zeros, zeros, range(len(observed)))),
-            list(zip(users, prods, rel[rows, cols].tolist())),
-        ),
-        rating_user_factors=u,
-        rating_prod_factors=v,
-        rel_user_factors=ru,
-        rel_prod_factors=rv,
-    )
+    return SyntheticData(_make_store(
+        [f"u{i}" for i in range(n)],
+        [f"p{j}" for j in range(m)],
+        list(zip(users, prods, values, zeros, zeros, range(len(observed)))),
+        list(zip(users, prods, rel[rows, cols].tolist())),
+    ))
 
 
 # JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.
@@ -410,10 +398,13 @@ def sweep_train_sizes(config: ExperimentConfig, train_fracs) -> dict:
 
     For a training fraction x the remainder splits evenly between
     validation and test. Every fraction's split is checked before the
-    first run. Returns {fraction: ExperimentResult}.
+    first run, and a fraction given twice is refused then too. Returns
+    {fraction: ExperimentResult}.
     """
     configs = {}
     for frac in train_fracs:
+        if frac in configs:
+            raise ValueError(f"train fraction {frac!r} is given twice")
         rest = (1.0 - frac) / 2.0
         spec = replace(config.split, train_frac=frac, val_frac=rest, test_frac=rest)
         configs[frac] = replace(config, split=spec)

@@ -26,6 +26,7 @@ __all__ = [
     "with_reliability", "restrict", "save_store", "load_store",
 ]
 
+MIN_RATING = 1
 MAX_RATING = 5
 
 STORE_FORMAT = "dualrec-store"
@@ -44,14 +45,6 @@ class ReviewRecord:
     helpful_yes: int
     votes_total: int
     unix_time: int
-
-    def __post_init__(self):
-        if not 1 <= self.rating <= MAX_RATING:
-            raise ValueError(f"rating must be in [1, {MAX_RATING}], got {self.rating}")
-        if self.helpful_yes < 0 or self.votes_total < 0:
-            raise ValueError("vote counts must be non-negative")
-        if self.helpful_yes > self.votes_total:
-            raise ValueError("helpful_yes > votes_total")
 
 
 @dataclass
@@ -196,8 +189,8 @@ def _clean_line(obj: dict) -> ReviewRecord:
     if not isinstance(overall, (int, float)) or isinstance(overall, bool):
         raise ValueError("missing or non-numeric overall")
     # range first: int() of an infinite value raises OverflowError
-    if not 1 <= overall <= MAX_RATING or float(overall) != int(overall):
-        raise ValueError(f"overall must be an integer in [1, {MAX_RATING}]")
+    if not MIN_RATING <= overall <= MAX_RATING or float(overall) != int(overall):
+        raise ValueError(f"overall must be an integer in [{MIN_RATING}, {MAX_RATING}]")
 
     helpful = obj.get("helpful", [0, 0])
     if type(helpful) is not list or len(helpful) != 2 or set(map(type, helpful)) - {int}:
@@ -312,13 +305,14 @@ def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionSt
     return with_reliability(store, reliability)
 
 
-def build_store(records: list[ReviewRecord], reliability: dict | None = None) -> InteractionStore:
-    """Index records and build the immutable interaction store.
+def build_store(records: list[ReviewRecord]) -> InteractionStore:
+    """Index records and build the immutable, unscored interaction store.
 
     Users and products get contiguous indices in first-appearance order.
     Of one (user, product) pair's reviews, the one with the latest
-    ``unix_time`` is kept, the later input winning a tie. ``reliability``
-    is as for :func:`with_reliability`, under that indexing.
+    ``unix_time`` is kept, the later input winning a tie. A record's
+    values are checked here, with the rest of its row: ValueError names
+    the first bad one.
     """
     users: dict = {}
     products: dict = {}
@@ -331,7 +325,7 @@ def build_store(records: list[ReviewRecord], reliability: dict | None = None) ->
             kept[pair] = rec
     entries = [(i, j, rec.rating, rec.helpful_yes, rec.votes_total, rec.unix_time)
                for (i, j), rec in kept.items()]
-    return _make_store(list(users), list(products), entries, reliability or ())
+    return _make_store(list(users), list(products), entries)
 
 
 def with_reliability(store: InteractionStore, reliability) -> InteractionStore:

@@ -1,7 +1,7 @@
 """Numerical kernels shared by the factor and neural models.
 
 Everything operates on plain float64 numpy arrays: a randomized
-truncated SVD that takes a dense matrix or a sparse :class:`PairMatrix`,
+truncated SVD of a sparse :class:`PairMatrix`,
 a numerically stable sigmoid, ReLU, a row scatter-add for embedding
 gradients, a minimal Adam optimizer over named parameter dicts, and a
 central-difference gradient estimator used to cross-check analytic
@@ -34,16 +34,6 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss becomes NaN or infinite."""
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a finite 2-D float64 array."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
 
 
 class PairMatrix:
@@ -91,8 +81,8 @@ _OVERSAMPLES = 10
 _POWER_ITERS = 7
 
 
-def truncated_svd(a, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-`rank` singular triplets of a dense matrix or a PairMatrix.
+def truncated_svd(a: PairMatrix, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-`rank` singular triplets of a PairMatrix.
 
     Returns (u, s, vt) with u of shape (n, rank), s non-negative and
     non-increasing, vt of shape (rank, m). Randomized range finder with
@@ -100,15 +90,13 @@ def truncated_svd(a, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and 5.1): ``min(rank + 10, n, m)`` Gaussian test vectors, 7 power
     iterations re-orthonormalized after every product, then a small
     dense SVD of the projected block. The matrix is touched only through
-    ``a @ x`` and ``a.T @ y``, so a PairMatrix is never densified. The
+    ``a @ x`` and ``a.T @ y``, so it is never densified. The
     test vectors come from a private fixed-seed generator, so the result
     is deterministic and no caller's random stream moves. When
     ``rank + 10 >= min(n, m)`` the range is the whole space and the
     result is the exact SVD up to rounding. Each singular pair's sign is
     fixed so that the largest-magnitude entry of its u column is positive.
     """
-    if not isinstance(a, PairMatrix):
-        a = as_matrix(a)
     n, m = a.shape
     if not 1 <= rank <= min(n, m):
         raise ValueError(f"rank must be in [1, {min(n, m)}], got {rank}")
@@ -186,9 +174,15 @@ class _FlatAdam:
                 moments[name] = view
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015's defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam hyperparameters, step count and moment accumulators.
+    """Adam's learning rate, step count and moment accumulators.
 
     ``m`` and ``v`` map each name ever stepped to its moments; the names of
     the latest step's name set are views into one flat buffer each, which
@@ -196,9 +190,6 @@ class AdamState:
     """
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -231,7 +222,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     for dst, g in zip(flat.g_views, grads.values()):
         dst[...] = g
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     g, m, v, step, denom = flat.g, flat.m, flat.v, flat.step, flat.denom
     m *= b1
     np.multiply(g, 1.0 - b1, out=step)
@@ -244,7 +235,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     step *= state.lr
     np.divide(v, 1.0 - b2**state.t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += _EPS
     step /= denom
     for name, delta in zip(names, flat.step_views):
         p = params[name]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checkpoint
-from .ingest import MAX_RATING, InteractionStore
+from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
 from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
                        val_mae)
@@ -368,7 +368,7 @@ def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.
         if np.any((idx < 0) | (idx >= n)):
             raise IndexError(f"index outside a factor table of {n} columns")
     dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
-    return np.clip(MAX_RATING * sigmoid(dots), 1.0, float(MAX_RATING))
+    return np.clip(MAX_RATING * sigmoid(dots), float(MIN_RATING), float(MAX_RATING))
 
 
 def section_shapes(meta: dict) -> dict:

@@ -41,19 +41,14 @@ DEFAULT_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class ProductTimeline:
-    """Time-ordered reviews of one product with their helpfulness ranks.
-
-    Position ``i`` (1-based) is the i-th review in time. ``ranks`` holds
-    the helpfulness rank of each position: 1 is the most helpful review,
-    ties broken by earlier timestamp then lower reviewer index.
-    """
+    """Time-ordered reviews of one product: position ``i`` (1-based) is
+    the i-th review in time."""
 
     product: int
     reviewers: tuple[int, ...]
     helpful_yes: tuple[int, ...]
     votes_total: tuple[int, ...]
     unix_times: tuple[int, ...]
-    ranks: tuple[int, ...]
 
     @property
     def n_reviews(self) -> int:
@@ -137,27 +132,25 @@ def _normalize(weights: np.ndarray, seg: _Segments) -> np.ndarray:
     return np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0.0)
 
 
-def _score_timelines(users, yes, total, times, starts, alpha: float, fallback_max: bool):
-    """Score columns and helpfulness ranks of timelines that begin at ``starts``."""
+def _score_timelines(users, yes, total, times, starts, alpha: float,
+                     fallback_max: bool) -> ReliabilityBreakdown:
+    """Score columns of timelines that begin at ``starts``."""
     seg = _segments(starts, users.size)
     weights = _helpfulness_weights(yes, total, seg, fallback_max)
     ranks = _ranks(weights, times, users, seg)
     read_by_rank = (seg.length - seg.position) / (ranks * ranks)
     h, most, top = _normalize(np.stack([weights, _recency_weights(seg), read_by_rank]), seg)
     d = combined_score(top, most, alpha)
-    return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d)), ranks
+    return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d))
 
 
-def build_timeline(store: InteractionStore, product: int,
-                   fallback_max: bool = False) -> ProductTimeline:
-    """Assemble one product's timeline from a store, assigning ranks."""
+def build_timeline(store: InteractionStore, product: int) -> ProductTimeline:
+    """Assemble one product's timeline from a store."""
     rows = store.timelines.get(product)
     if rows is None:
         raise ValueError(f"product {product} has no reviews")
-    columns = [column[rows] for column in (
-        store.user, store.helpful_yes, store.votes_total, store.unix_time)]
-    _, ranks = _score_timelines(*columns, np.zeros(1, np.int64), DEFAULT_ALPHA, fallback_max)
-    return ProductTimeline(product, *(tuple(c.tolist()) for c in (*columns, ranks)))
+    return ProductTimeline(product, *(tuple(column[rows].tolist()) for column in (
+        store.user, store.helpful_yes, store.votes_total, store.unix_time)))
 
 
 def helpfulness_scores(timeline: ProductTimeline, fallback_max: bool = False) -> dict:
@@ -215,7 +208,7 @@ def score_product(timeline: ProductTimeline, alpha: float = DEFAULT_ALPHA,
     """Reliability breakdown per reviewer of one product, as ``score_store`` scores it."""
     columns = map(np.array, (timeline.reviewers, timeline.helpful_yes, timeline.votes_total,
                              timeline.unix_times))
-    scores, _ = _score_timelines(*columns, np.zeros(1, np.int64), alpha, fallback_max)
+    scores = _score_timelines(*columns, np.zeros(1, np.int64), alpha, fallback_max)
     return {user: ReliabilityBreakdown(*values)
             for user, *values in zip(timeline.reviewers, *(c.tolist() for c in scores))}
 
@@ -227,7 +220,7 @@ def score_store(store: InteractionStore, alpha: float = DEFAULT_ALPHA,
     columns = (column[order] for column in (
         store.user, store.helpful_yes, store.votes_total, store.unix_time))
     scores = np.empty((len(ReliabilityBreakdown._fields), order.size))
-    scores[:, order] = _score_timelines(*columns, starts, alpha, fallback_max)[0]
+    scores[:, order] = _score_timelines(*columns, starts, alpha, fallback_max)
     return ReliabilityBreakdown(*scores)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from dualrec.ingest import ReviewRecord, build_store
+from dualrec.ingest import ReviewRecord, build_store, with_reliability
 
 
 def rated(store) -> dict:
@@ -22,8 +22,9 @@ def record(user, prod, rating=3, yes=0, total=0, when=0):
 
 
 def store_from(rows, reliability=None):
-    """Store out of (user, prod, rating, yes, total, when) tuples."""
-    return build_store([record(*row) for row in rows], reliability)
+    """Store out of (user, prod, rating, yes, total, when) tuples, scored
+    with ``reliability`` as for ``with_reliability`` when it is given."""
+    return with_reliability(build_store([record(*row) for row in rows]), reliability or {})
 
 
 @pytest.fixture

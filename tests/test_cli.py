@@ -1,4 +1,5 @@
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -146,6 +147,23 @@ class TestBasics:
         assert main(argv + [str(frozen), "--freeze-branches"]) == 0
         assert plain.read_bytes() != frozen.read_bytes()
 
+    def test_train_reads_no_config_from_the_environment(self, tmp_path, monkeypatch):
+        store, config = tmp_path / "store.json", tmp_path / "config.json"
+        main(["synth", "--users", "12", "--products", "10", "--seed", "4",
+              "--out", str(store)])
+        config.write_text(json.dumps({"model": {"batch_size": 7, "freeze_branches": True}}))
+        plain, under_env = tmp_path / "plain.ckpt", tmp_path / "env.ckpt"
+        argv = ["train", "--store", str(store), "--epochs", "1", "--seed", "4", "--out"]
+        assert main(argv + [str(plain)]) == 0
+        monkeypatch.setenv("DUALREC_CONFIG", str(config))
+        assert main(argv + [str(under_env)]) == 0
+        assert under_env.read_bytes() == plain.read_bytes()
+
+    def test_sweep_without_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["sweep", "--out-dir", str(tmp_path / "sweep")]) == 2
+        assert "--config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIngest:
     def test_ingest_writes_store(self, tmp_path, reviews_file):
@@ -161,6 +179,20 @@ class TestIngest:
         main(["ingest", "--input", str(reviews_file), "--min-votes", "3",
               "--out", str(some_out)])
         assert len(load_store(some_out).ratings) < len(load_store(all_out).ratings)
+
+    def test_malformed_lines_are_logged_and_counted(self, tmp_path, reviews_file, caplog):
+        with reviews_file.open("a") as fh:
+            fh.write('{"reviewerID": "U0001"\n')
+            fh.write(json.dumps({"reviewerID": "U0001", "asin": "P00001", "overall": 7,
+                                 "unixReviewTime": 1}) + "\n")
+        caplog.set_level(logging.INFO, logger="dualrec")
+        out = tmp_path / "store.json"
+        assert main(["ingest", "--input", str(reviews_file), "--out", str(out)]) == 0
+        assert len(load_store(out).ratings) == 120
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[:2] == ["line 121: invalid JSON",
+                                "line 122: overall must be an integer in [1, 5]"]
+        assert messages[2].startswith("ingested 120 records (2 skipped) -> ")
 
     def test_missing_input(self, tmp_path):
         code = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
@@ -340,6 +372,28 @@ class TestPipeline:
         assert error_line(capsys, argv) == f"error [bad-args]: --train-fracs {want}"
         assert list(tmp_path.iterdir()) == [cfg]  # refused before the first run
 
+    def test_sweep_scores_an_unscored_store_with_the_config_alpha(self, tmp_path,
+                                                                  reviews_file):
+        store, scored_store = tmp_path / "store.json", tmp_path / "scored.json"
+        assert main(["ingest", "--input", str(reviews_file), "--out", str(store)]) == 0
+        assert main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv"),
+                     "--alpha", "0.3", "--store-out", str(scored_store)]) == 0
+        summaries = {}
+        for name, path, alpha in (("unscored", store, 0.3), ("scored", scored_store, 0.5),
+                                  ("default", store, 0.5)):
+            config = tmp_path / f"{name}-config.json"
+            config.write_text(json.dumps({
+                "data": {"store": str(path)}, "split": {"folds": 1, "seed": 0},
+                "model": {"latent_dim": 2, "tower": [4, 2], "epochs_mf": 3, "epochs_mlp": 1,
+                          "epochs_fusion": 1, "batch_size": 32, "lr": 0.05},
+                "reliability": {"alpha": alpha}}))
+            out_dir = tmp_path / name
+            assert main(["sweep", "--config", str(config), "--train-fracs", "0.6",
+                         "--out-dir", str(out_dir)]) == 0
+            summaries[name] = (out_dir / "summary.tsv").read_bytes()
+        # a scored store keeps its scores; an unscored one is scored at the config's alpha
+        assert summaries["unscored"] == summaries["scored"] != summaries["default"]
+
     @pytest.mark.parametrize("write", [
         lambda path: path.write_bytes(b"DUALREC\x00" + bytes(7)),  # 15 bytes: no fixed header
         lambda path: save_sections(path, "fusion", {}, [("w", [1.0])]),  # no model sections
@@ -483,6 +537,8 @@ class TestErrorCategories:
          "error [bad-args]: tower widths must be non-increasing from 16, got [40, 8]"),
         ("train --store {d}/store.json --mf {d}/mf6.ckpt --mlp {d}/mlp.ckpt --out {d}/x.ckpt",
          "error [bad-args]: branch head widths differ: mf=6, mlp=8"),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --out {d}/x.ckpt",
+         "error [bad-args]: --mf and --mlp must be given together"),
         ("synth --users 5 --products 5 --rank 9 --out {d}/x.json",
          "error [bad-args]: true_rank exceeds the smaller dimension"),
         ("reliability --store {d}/store.json --out {d}/x.tsv --alpha 2",
@@ -500,8 +556,8 @@ class TestErrorCategories:
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --k 0",
          "error [bad-args]: latent_dim must be >= 1"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
-            "mlp-diverges-last-epoch", "widening-tower",
-            "head-widths-differ", "rank-too-large", "alpha-too-large", "negative-batch-size",
+            "mlp-diverges-last-epoch", "widening-tower", "head-widths-differ",
+            "mf-without-mlp", "rank-too-large", "alpha-too-large", "negative-batch-size",
             "zero-batch-size", "negative-epochs", "negative-lr", "zero-head-width",
             "zero-latent-dim"])
     def test_command_error_line(self, trained, capsys, argv, want):
@@ -612,3 +668,36 @@ def test_predict_with_an_empty_pairs_file(trained, tmp_path):
     assert main(["predict", "--store", str(trained / "store.json"), "--model",
                  str(trained / "fused.ckpt"), "--pairs", str(pairs), "--out", str(out)]) == 0
     assert out.read_text() == ""
+
+
+def test_predict_skips_blank_lines(trained, tmp_path):
+    pairs, out = tmp_path / "pairs.tsv", tmp_path / "preds.tsv"
+    pairs.write_text("u0\tp1\n\n   \nu2\tp3\n")
+    assert main(["predict", "--store", str(trained / "store.json"), "--model",
+                 str(trained / "fused.ckpt"), "--pairs", str(pairs), "--out", str(out)]) == 0
+    assert [line.split("\t")[:2] for line in out.read_text().splitlines()] == [
+        ["u0", "p1"], ["u2", "p3"]]
+
+
+def test_predict_refuses_a_malformed_pairs_line(trained, tmp_path, capsys):
+    pairs, out = tmp_path / "pairs.tsv", tmp_path / "preds.tsv"
+    pairs.write_text("u0\tp1\nu2 p3\n")
+    line = error_line(capsys, ["predict", "--store", str(trained / "store.json"), "--model",
+                               str(trained / "fused.ckpt"), "--pairs", str(pairs),
+                               "--out", str(out)])
+    assert line == "error [bad-args]: pairs lines must be 'user<TAB>product', got 'u2 p3'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain-mf", "pretrain-mlp", "train"])
+def test_val_store_that_fits_changes_training(trained, tmp_path, command):
+    val = tmp_path / "val.json"
+    assert main(["synth", "--users", "12", "--products", "10", "--seed", "9",
+                 "--out", str(val)]) == 0
+    argv = [command, "--store", str(trained / "store.json"), "--epochs", "12", "--lr", "0.05"]
+    if command == "train":
+        argv += ["--mf", str(trained / "mf.ckpt"), "--mlp", str(trained / "mlp.ckpt")]
+    plain, validated = tmp_path / "plain.ckpt", tmp_path / "validated.ckpt"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--val-store", str(val), "--out", str(validated)]) == 0
+    assert validated.read_bytes() != plain.read_bytes()  # early stopping on the val MAE

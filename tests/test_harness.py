@@ -197,6 +197,13 @@ class TestSweep:
             sweep_train_sizes(tiny_config(), [0.5, 1.0])
         assert runs == []
 
+    def test_repeated_fraction_refused_before_the_first_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        with pytest.raises(ValueError, match="train fraction 0.5 is given twice"):
+            sweep_train_sizes(tiny_config(), (0.5, 0.5, 0.7))
+        assert runs == []
+
 
 class TestConfigParsing:
     def test_from_json_round_trip(self, tmp_path):

@@ -154,6 +154,10 @@ class TestBuildStore:
         with pytest.raises(ValueError):
             store_from([("u1", "p1", 4, 0, 0, 1)], {(0, 1): 0.5})
 
+    def test_reliability_pair_given_twice_is_refused(self, tiny_store):
+        with pytest.raises(ValueError, match="a reliability pair appears twice"):
+            with_reliability(tiny_store, [(0, 0, 0.5), (1, 1, 0.5), (0, 0, 0.25)])
+
     def test_normalized_is_exactly_raw_over_five(self):
         store = store_from([("u1", "p1", r, 0, 0, r) for r in [1]])
         for value, raw in zip(store.ratings.tolist(), store.raw.tolist()):
@@ -441,9 +445,11 @@ class TestPairArrays:
 
 class TestRecordValidation:
     def test_rating_range_enforced(self):
-        with pytest.raises(ValueError):
-            ReviewRecord("u", "p", 6, 0, 0, 0)
+        for rating in (6, 0):
+            with pytest.raises(ValueError, match="entry 0: raw rating"):
+                build_store([ReviewRecord("u", "p", rating, 0, 0, 0)])
 
     def test_vote_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ReviewRecord("u", "p", 3, 4, 2, 0)
+        for yes, total in ((4, 2), (-1, 2), (-2, -1)):
+            with pytest.raises(ValueError, match="entry 0: need 0 <= helpful_yes"):
+                build_store([ReviewRecord("u", "p", 3, yes, total, 0)])

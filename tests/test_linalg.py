@@ -8,7 +8,6 @@ from dualrec.linalg import (
     AdamState,
     PairMatrix,
     adam_step,
-    as_matrix,
     finite_diff_grad,
     relu,
     scatter_rows,
@@ -17,26 +16,33 @@ from dualrec.linalg import (
 )
 
 
+def pairs_of(dense) -> PairMatrix:
+    """PairMatrix with one triplet per entry of a dense 2-D array, zeros too."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.indices(dense.shape)
+    return PairMatrix(rows.ravel(), cols.ravel(), dense.ravel(), dense.shape)
+
+
 class TestTruncatedSvd:
     def test_diagonal_singular_values(self):
-        u, s, vt = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+        u, s, vt = truncated_svd(pairs_of(np.diag([3.0, 2.0, 1.0])), 2)
         np.testing.assert_allclose(s, [3.0, 2.0], atol=1e-12)
 
     def test_rank_one_exact(self):
         a = np.outer([1.0, 2.0, -1.0], [0.5, 1.5])
-        u, s, vt = truncated_svd(a, 1)
+        u, s, vt = truncated_svd(pairs_of(a), 1)
         np.testing.assert_allclose(u * s @ vt, a, atol=1e-10)
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(8, 6))
-        u, s, vt = truncated_svd(a, 6)
+        u, s, vt = truncated_svd(pairs_of(a), 6)
         np.testing.assert_allclose((u * s) @ vt, a, atol=1e-8)
 
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(7, 5))
-        u, s, vt = truncated_svd(a, 4)
+        u, s, vt = truncated_svd(pairs_of(a), 4)
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-8)
         np.testing.assert_allclose(vt @ vt.T, np.eye(4), atol=1e-8)
         assert np.all(np.diff(s) <= 1e-12) and np.all(s >= 0)
@@ -45,21 +51,17 @@ class TestTruncatedSvd:
         # truncated SVD must beat a deliberately bad rank-2 reconstruction
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 6))
-        u, s, vt = truncated_svd(a, 2)
+        u, s, vt = truncated_svd(pairs_of(a), 2)
         best = np.linalg.norm(a - (u * s) @ vt)
-        uf, sf, vtf = truncated_svd(a, 6)
+        uf, sf, vtf = truncated_svd(pairs_of(a), 6)
         worse = np.linalg.norm(a - (uf[:, 4:] * sf[4:]) @ vtf[4:, :])
         assert best <= worse + 1e-12
 
     def test_rejects_bad_rank_and_nonfinite(self):
         with pytest.raises(ValueError):
-            truncated_svd(np.eye(3), 4)
+            truncated_svd(pairs_of(np.eye(3)), 4)
         with pytest.raises(ValueError):
-            truncated_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
-
-    def test_as_matrix_requires_2d(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.zeros(3))
+            pairs_of([[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestPairMatrix:
@@ -88,11 +90,12 @@ class TestPairMatrix:
             self.a @ np.zeros((6, 2))
 
     def test_svd_matches_dense_input(self):
+        # rank 2 + 10 test vectors span all of the 4 columns: an exact SVD
         u, s, vt = truncated_svd(self.a, 2)
-        du, ds, dvt = truncated_svd(self.dense, 2)
-        np.testing.assert_allclose(s, ds, rtol=1e-12)
-        np.testing.assert_allclose(u, du, atol=1e-12)
-        np.testing.assert_allclose(vt, dvt, atol=1e-12)
+        eu, es, evt = np.linalg.svd(self.dense, full_matrices=False)
+        np.testing.assert_allclose(s, es[:2], rtol=1e-12)
+        np.testing.assert_allclose(u @ u.T, eu[:, :2] @ eu[:, :2].T, atol=1e-12)
+        np.testing.assert_allclose(vt.T @ vt, evt[:2].T @ evt[:2], atol=1e-12)
 
 
 class TestRandomizedSvd:
@@ -104,7 +107,7 @@ class TestRandomizedSvd:
         right, _ = np.linalg.qr(rng.normal(size=(200, 5)))
         a = (left * [100.0, 80.0, 60.0, 40.0, 20.0]) @ right.T
         a += rng.normal(scale=0.03, size=a.shape)
-        u, s, vt = truncated_svd(a, 5)
+        u, s, vt = truncated_svd(pairs_of(a), 5)
         eu, es, evt = np.linalg.svd(a, full_matrices=False)
         np.testing.assert_allclose(s, es[:5], rtol=1e-10)
         np.testing.assert_allclose(u @ u.T, eu[:, :5] @ eu[:, :5].T, atol=1e-10)
@@ -114,12 +117,12 @@ class TestRandomizedSvd:
         np.random.seed(3)
         expected = np.random.random()
         np.random.seed(3)
-        truncated_svd(np.arange(12.0).reshape(4, 3), 1)
+        truncated_svd(pairs_of(np.arange(12.0).reshape(4, 3)), 1)
         assert np.random.random() == expected
 
     def test_sign_convention(self):
         a = -np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
-        u, s, vt = truncated_svd(a, 1)
+        u, s, vt = truncated_svd(pairs_of(a), 1)
         assert u[np.argmax(np.abs(u[:, 0])), 0] > 0
         np.testing.assert_allclose(u * s @ vt, a, atol=1e-12)
 

@@ -93,7 +93,6 @@ class TestTopRanking:
         # time order a, b, c with helpfulness ranks (2, 1, 3):
         # q = (1/4 * 2, 1 * 1, 1/9 * 0) = (0.5, 1, 0) -> (1/3, 2/3, 0)
         tl = timeline_of([("a", 3, 1, 2, 1), ("b", 3, 2, 2, 2), ("c", 3, 0, 2, 3)])
-        assert tl.ranks == (2, 1, 3)
         top = top_ranking_scores(tl)
         assert math.isclose(top[0], 1 / 3, rel_tol=1e-12)
         assert math.isclose(top[1], 2 / 3, rel_tol=1e-12)
@@ -108,17 +107,20 @@ class TestTopRanking:
         assert top_ranking_scores(tl) == {0: 0.0}
 
     def test_rank_ties_broken_by_earlier_time(self):
-        # equal weights: earlier review must take rank 1
-        tl = timeline_of([("a", 3, 2, 4, 5), ("b", 3, 2, 4, 9)])
-        assert tl.ranks == (1, 2)
-
+        # a and b weigh 1 each, c weighs 0. The earlier a takes rank 1:
+        # q = (2/1, 1/4, 0) -> (8/9, 1/9, 0); the other way round would
+        # give q = (2/4, 1/1, 0) -> (1/3, 2/3, 0)
+        tl = timeline_of([("a", 3, 2, 4, 5), ("b", 3, 2, 4, 9), ("c", 3, 0, 4, 12)])
+        top = top_ranking_scores(tl)
+        assert math.isclose(top[0], 8 / 9, rel_tol=1e-12)
+        assert math.isclose(top[1], 1 / 9, rel_tol=1e-12)
+        assert top[2] == 0.0
 
     def test_ranks_follow_the_scoring_fallback(self):
         # votes (3, 3), (4, 10), (1, 1) over the max helpful count 4 weigh
         # (9/4, 16/4, 1/4): ranks (2, 1, 3), q = (2/4, 1, 0) -> (1/3, 2/3, 0)
         rows = [("a", 3, 3, 3, 1), ("b", 3, 4, 10, 2), ("c", 3, 1, 1, 3)]
         tl = timeline_of(rows)
-        assert tl.ranks == (1, 2, 3)  # the timeline ranks by yes^2 / total
         top = [b.top for b in score_product(tl, fallback_max=True).values()]
         assert math.isclose(top[0], 1 / 3, rel_tol=1e-12)
         assert math.isclose(top[1], 2 / 3, rel_tol=1e-12)
@@ -310,17 +312,16 @@ class TestScoreStore:
             min_size=1, max_size=24, unique_by=lambda e: e[:2]),
         alpha=st.floats(0.0, 1.0),
         fallback_max=st.booleans(),
-        timeline_fallback=st.booleans(),
     )
     def test_per_product_scores_equal_the_store_rows_bit_for_bit(
-            self, entries, alpha, fallback_max, timeline_fallback):
+            self, entries, alpha, fallback_max):
         # (user, product, yes, votes beyond yes, time): few times, so ties
         store = _make_store([f"u{i}" for i in range(6)], [f"p{j}" for j in range(4)],
                             [(i, j, 3, yes, yes + more, when)
                              for i, j, yes, more, when in entries])
         columns = np.stack(score_store(store, alpha, fallback_max))
         for product, rows in store.timelines.items():
-            tl = build_timeline(store, product, timeline_fallback)
+            tl = build_timeline(store, product)
             got = score_product(tl, alpha, fallback_max)
             assert list(got) == store.user[rows].tolist()
             assert np.array(list(got.values())).tobytes() == columns[:, rows].T.tobytes()
