@@ -65,7 +65,7 @@ def _checked_header(path, raw: bytes) -> dict:
     """Decoded JSON header, checked for the fields the reader relies on."""
     try:
         header = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deeply
         raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from exc
     if not (
         isinstance(header, dict)

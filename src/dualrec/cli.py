@@ -20,7 +20,7 @@ from . import harness, ingest
 from . import mf_model, mlp_model
 from . import reliability as reliability_mod
 from .linalg import TrainingDivergedError
-from .metrics import RELEVANCE_THRESHOLD, check_cutoff
+from .metrics import DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, check_cutoff
 
 log = logging.getLogger("dualrec")
 
@@ -59,7 +59,7 @@ def _parse_lists(args) -> None:
     """Turn each comma-separated flag into a tuple of values, before any work starts."""
     for dest, (kind, noun, check) in _LIST_FLAGS.items():
         text = getattr(args, dest, None)
-        if text is None:
+        if not isinstance(text, str):  # not given, or a default that is already a tuple
             continue
         flag = f"--{dest.replace('_', '-')}"
         try:
@@ -133,26 +133,28 @@ def _train_stores(args):
     return store, val_store
 
 
-def _branch_config(args, **fields) -> harness.ExperimentConfig:
-    """Config of a ``pretrain-*`` command: its flags over the defaults."""
-    return harness.ExperimentConfig(latent_dim=args.k, batch_size=args.batch_size, lr=args.lr,
-                                    seed=args.seed, **fields)
+def _config(base: harness.ExperimentConfig, **flags) -> harness.ExperimentConfig:
+    """``base`` with each field whose training flag was given set to its value;
+    a flag that was not given is None and keeps the base value."""
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_pretrain_mf(args) -> int:
-    stores = _train_stores(args)
     # the branch's head width is the last tower width, as in the full pipeline
-    config = _branch_config(args, tower=(args.p,), reg_lambda=args.reg_lambda,
-                            epochs_mf=args.epochs)
+    config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
+                     lr=args.lr, seed=args.seed, epochs_mf=args.epochs, reg_lambda=args.reg_lambda,
+                     tower=None if args.p is None else (args.p,))
+    stores = _train_stores(args)
     params = harness.pretrain_mf(config, *stores, on_epoch=_epoch_logger)
     mf_model.save_mf(params, args.out)
     return 0
 
 
 def cmd_pretrain_mlp(args) -> int:
+    config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
+                     lr=args.lr, seed=args.seed, epochs_mlp=args.epochs, tower=args.tower,
+                     init_tables_from_factors=args.init_from_factors)
     stores = _train_stores(args)
-    config = _branch_config(args, tower=args.tower, epochs_mlp=args.epochs,
-                            init_tables_from_factors=args.init_from_factors)
     params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
     return 0
@@ -168,10 +170,9 @@ def _experiment_config(path) -> harness.ExperimentConfig:
 
 
 def cmd_train(args) -> int:
-    config = _experiment_config(args.config) if args.config else harness.ExperimentConfig()
-    flags = {"gamma": args.gamma, "epochs_fusion": args.epochs, "lr": args.lr,
-             "seed": args.seed, "freeze_branches": True if args.freeze_branches else None}
-    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    base = _experiment_config(args.config) if args.config else harness.ExperimentConfig()
+    config = _config(base, gamma=args.gamma, epochs_fusion=args.epochs, lr=args.lr,
+                     seed=args.seed, freeze_branches=args.freeze_branches)
     store, val_store = _train_stores(args)
 
     if args.mf and args.mlp:
@@ -197,8 +198,6 @@ def _load_model(load, path):
         return load(path)
     except ValueError as exc:
         raise CliError("bad-store", f"cannot read model {path}: {exc}") from exc
-    except KeyError as exc:  # a well-formed container without a section or meta key
-        raise CliError("bad-store", f"cannot read model {path}: missing {exc}") from exc
 
 
 def _load_fused(args):
@@ -287,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A training flag left out is None and keeps the config's value.
     def common_train_flags(p):
-        p.add_argument("--batch-size", type=int, default=512)
-        p.add_argument("--epochs", type=int, default=12)
-        p.add_argument("--lr", type=float, default=0.001)
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        p.add_argument("--k", type=int, help="latent dimension")
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--seed", type=int, help="seed for all randomness")
 
     p = sub.add_parser("ingest", help="parse line-delimited reviews into a store file")
     p.add_argument("--input", required=True, help="line-delimited review JSON")
@@ -303,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reliability", help="score review reliability over a store")
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="TSV breakdown rows")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--alpha", type=float, default=reliability_mod.DEFAULT_ALPHA,
                    help="weight of the rank readership score in the blend")
-    p.add_argument("--threshold", type=float, default=0.5, help="reliable/not-reliable cut")
+    p.add_argument("--threshold", type=float, default=reliability_mod.DEFAULT_THRESHOLD,
+                   help="reliable/not-reliable cut")
     p.add_argument("--fallback-helpful-max", action="store_true",
                    help="divide by the product's max helpful votes (vote-less datasets)")
     p.add_argument("--store-out", help="also write a store with reliability attached")
@@ -316,9 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--val-store", help="validation store for early stopping")
-    p.add_argument("--k", type=int, default=8, help="latent dimension")
-    p.add_argument("--p", type=int, default=8, help="predictive dimension")
-    p.add_argument("--reg-lambda", type=float, default=0.1)
+    p.add_argument("--p", type=int, help="predictive dimension (default: the last tower width)")
+    p.add_argument("--reg-lambda", type=float)
     common_train_flags(p)
     p.set_defaults(handler=cmd_pretrain_mf)
 
@@ -326,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--val-store", help="validation store for early stopping")
-    p.add_argument("--k", type=int, default=8, help="latent dimension")
-    p.add_argument("--tower", default="16,8", help="comma-separated layer widths")
-    p.add_argument("--init-from-factors", action="store_true",
+    p.add_argument("--tower", help="comma-separated layer widths")
+    p.add_argument("--init-from-factors", action="store_true", default=None,
                    help="initialize each embedding table from the sum of the rating "
                         "and reliability SVD factors")
     common_train_flags(p)
@@ -341,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp", help="pre-trained non-linear-branch checkpoint")
     p.add_argument("--config", help="experiment config JSON; without it, the defaults")
     p.add_argument("--out", required=True, help="fused checkpoint to write")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=float,
                    help="blend weight of the linear branch at initialization")
-    p.add_argument("--freeze-branches", action="store_true",
+    p.add_argument("--freeze-branches", action="store_true", default=None,
                    help="train only the fused head")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a fused model on a store")
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fused checkpoint")
     p.add_argument("--out", required=True, help="key-value report file")
     p.add_argument("--tsv", help="also write a single-row TSV report")
-    p.add_argument("--cutoffs", default="5,10", help="top-t cutoffs, comma-separated")
+    p.add_argument("--cutoffs", default=DEFAULT_CUTOFFS, help="top-t cutoffs, comma-separated")
     p.add_argument("--threshold", type=float, default=RELEVANCE_THRESHOLD,
                    help="relevance threshold")
     p.set_defaults(handler=cmd_evaluate)

@@ -25,7 +25,7 @@ from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .training import (FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward,
                        predict_chunked)
 from .mf_model import MfParams
-from .mlp_model import MlpParams
+from .mlp_model import MlpHyperparams, MlpParams
 
 __all__ = [
     "FusionModel",
@@ -38,6 +38,8 @@ __all__ = [
     "save_fusion",
     "load_fusion",
 ]
+
+DEFAULT_GAMMA = 0.5  # the blend weight of the MF branch at initialization
 
 
 @dataclass
@@ -63,7 +65,7 @@ class FusionModel:
         return copy.deepcopy(self)
 
 
-def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = 0.5) -> FusionModel:
+def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = DEFAULT_GAMMA) -> FusionModel:
     """Assemble the fused model from two pre-trained branches.
 
     ``concat_w`` gets the MF head (transposed) times gamma on the left
@@ -99,8 +101,8 @@ def init_fusion_random(
     latent_dim: int,
     tower_widths,
     seed: int,
-    gamma: float = 0.5,
-    scale: float = 0.01,
+    gamma: float = DEFAULT_GAMMA,
+    scale: float = MlpHyperparams.init_scale,
 ) -> FusionModel:
     """Fused model with every parameter freshly Gaussian-initialized.
 
@@ -250,15 +252,17 @@ def _section_shapes(meta: dict) -> dict:
 
 def load_fusion(path) -> FusionModel:
     meta, arrays = checkpoint.load_model_sections(path, "fusion", _section_shapes)
-    scalars = [meta.get("gamma"), meta.get("global_mean")]
-    if set(map(type, scalars)) - {int, float}:
-        raise ValueError(f"{path}: fusion meta needs a numeric gamma and global_mean: {scalars}")
+    gamma, mean = meta.get("gamma"), meta.get("global_mean")
+    numeric = not set(map(type, (gamma, mean))) - {int, float}
+    if not (numeric and 0 <= gamma <= 1 and 0 < mean <= MAX_RATING):
+        raise ValueError(f"{path}: fusion meta needs a gamma in [0, 1] and a global_mean in "
+                         f"(0, {MAX_RATING}], got {gamma!r} and {mean!r}")
     return FusionModel(
         mf=mf_model.params_from_sections(arrays, prefix="mf/"),
         mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), prefix="mlp/"),
         concat_w=arrays["concat_w"],
         reg_w=arrays["reg_w"],
         reg_b=arrays["reg_b"],
-        gamma=float(meta["gamma"]),
-        global_mean=float(meta["global_mean"]),
+        gamma=float(gamma),
+        global_mean=float(mean),
     )

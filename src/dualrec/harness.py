@@ -15,10 +15,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import reliability as reliability_mod
-from .fusion import FusionModel, init_fusion, init_fusion_random, predict_batch, train_fusion
+from .fusion import (DEFAULT_GAMMA, FusionModel, init_fusion, init_fusion_random, predict_batch,
+                     train_fusion)
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict
 from .linalg import sigmoid
-from .metrics import RELEVANCE_THRESHOLD, EvalReport, check_cutoff, evaluate_predictions
+from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
+                      evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, train_mlp
 from .training import FitHyperparams
@@ -195,22 +197,22 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     split: SplitSpec = field(default_factory=SplitSpec)
     latent_dim: int = 8
-    tower: tuple = (16, 8)
-    reg_lambda: float = 0.1
-    gamma: float = 0.5
-    batch_size: int = 512
-    epochs_mf: int = 12
-    epochs_mlp: int = 12
-    epochs_fusion: int = 12
-    lr: float = 0.001
-    seed: int = 0
-    patience: int = 3
+    tower: tuple = MlpHyperparams.tower
+    reg_lambda: float = MfHyperparams.reg_lambda
+    gamma: float = DEFAULT_GAMMA
+    batch_size: int = FitHyperparams.batch_size
+    epochs_mf: int = FitHyperparams.epochs
+    epochs_mlp: int = FitHyperparams.epochs
+    epochs_fusion: int = FitHyperparams.epochs
+    lr: float = FitHyperparams.lr
+    seed: int = FitHyperparams.seed
+    patience: int = FitHyperparams.patience
     pretrain: bool = True
     freeze_branches: bool = False
     init_tables_from_factors: bool = False
-    rel_alpha: float = 0.5
+    rel_alpha: float = reliability_mod.DEFAULT_ALPHA
     rel_fallback_max: bool = False
-    cutoffs: tuple = (5, 10)
+    cutoffs: tuple = DEFAULT_CUTOFFS
     relevance_threshold: float = RELEVANCE_THRESHOLD
 
     def __post_init__(self):
@@ -259,7 +261,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:  # nested deeper than the parser's stack
+                raise ValueError("JSON nested too deeply") from exc
+        return cls.from_dict(doc)
 
     def fit(self, epochs: int) -> FitHyperparams:
         """Loop settings of a training phase that runs ``epochs`` epochs."""
@@ -289,12 +295,8 @@ def _mean_reports(reports: list[EvalReport]) -> EvalReport:
                                      for c in sorted(reports[0].f1_at)})
 
 
-def evaluate_model(
-    model: FusionModel,
-    test_store: InteractionStore,
-    cutoffs=(5, 10),
-    threshold: float = RELEVANCE_THRESHOLD,
-) -> EvalReport:
+def evaluate_model(model: FusionModel, test_store: InteractionStore, cutoffs,
+                   threshold: float) -> EvalReport:
     """Score the fused model on every rated pair of the test store."""
     idx_u, idx_p, _, raw = test_store.rated_arrays
     preds = predict_batch(model, np.column_stack((idx_u, idx_p)))
@@ -384,9 +386,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         model, timings = train_pipeline(config, train_store, val_store,
                                         lambda *event: epoch_log.append(event))
         started = time.perf_counter()
-        report = evaluate_model(
-            model, test_store, cutoffs=config.cutoffs, threshold=config.relevance_threshold
-        )
+        report = evaluate_model(model, test_store, config.cutoffs, config.relevance_threshold)
         timings["evaluate"] = time.perf_counter() - started
         outcomes.append(FoldOutcome(report=report, phase_seconds=timings, epoch_log=epoch_log))
     mean_report = _mean_reports([o.report for o in outcomes])

@@ -226,7 +226,7 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
             result.warnings.append(f"line {lineno}: invalid JSON")
             continue
         if not isinstance(obj, dict):

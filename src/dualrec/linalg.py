@@ -157,21 +157,17 @@ class _FlatAdam:
     view per name shaped like its parameter."""
 
     def __init__(self, names: tuple, params: dict, state: "AdamState"):
-        self.names = names
         shapes = [params[name].shape for name in names]
         sizes = [math.prod(shape) for shape in shapes]
         starts = [0, *itertools.accumulate(sizes)]
         self.g, self.m, self.v, self.step, self.denom = np.zeros((5, starts[-1]))
 
         def views(flat):
-            return [flat[a : a + n].reshape(shape) for a, n, shape in zip(starts, sizes, shapes)]
+            return {name: flat[a : a + n].reshape(shape)
+                    for name, a, n, shape in zip(names, starts, sizes, shapes)}
 
         self.g_views, self.step_views = views(self.g), views(self.step)
-        for moments, flat in ((state.m, self.m), (state.v, self.v)):
-            for name, view in zip(names, views(flat)):
-                if name in moments:  # a name stepped in an earlier name set keeps its moments
-                    view[...] = moments[name]
-                moments[name] = view
+        state.m, state.v = views(self.m), views(self.v)
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015's defaults).
@@ -184,15 +180,14 @@ _EPS = 1e-8
 class AdamState:
     """Adam's learning rate, step count and moment accumulators.
 
-    ``m`` and ``v`` map each name ever stepped to its moments; the names of
-    the latest step's name set are views into one flat buffer each, which
-    :func:`adam_step` keeps until a step brings another name set.
+    The first :func:`adam_step` fixes the names the state steps; ``m`` and
+    ``v`` map each of them to its view into one flat buffer each.
     """
 
-    lr: float = 0.001
+    lr: float
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
     _flat: _FlatAdam | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -200,14 +195,14 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One Adam update over a dict of named float64 arrays, in place.
 
     Only names present in `grads` are updated, which lets callers freeze
-    parameter groups by omitting them. The step count increments once per
-    call regardless of which names are present.
+    parameter groups by leaving them out. Every step brings the set of names
+    of the state's first step, in any order, or raises ValueError.
 
-    The gradients are copied into one flat buffer laid out over the names,
-    and the update runs once over it, in place, in the per-element order
-    ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g**2``, ``(lr*(m/bc1)) / (sqrt(v/bc2)
-    + eps)``; each parameter then subtracts its slice. Moments are allocated
-    on a name set's first step only.
+    The gradients are copied by name into one flat buffer laid out over the
+    names, and the update runs once over it, in place, in the per-element
+    order ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g**2``, ``(lr*(m/bc1)) /
+    (sqrt(v/bc2) + eps)``; each parameter then subtracts its slice. Buffers
+    are allocated on the first step only.
     """
     for name, g in grads.items():
         if params[name].shape != np.shape(g):
@@ -215,12 +210,14 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
                 f"gradient shape {np.shape(g)} does not match parameter "
                 f"{name!r} shape {params[name].shape}"
             )
-    names = tuple(grads)
     flat = state._flat
-    if flat is None or flat.names != names:
-        flat = state._flat = _FlatAdam(names, params, state)
-    for dst, g in zip(flat.g_views, grads.values()):
-        dst[...] = g
+    if flat is None:
+        flat = state._flat = _FlatAdam(tuple(grads), params, state)
+    elif grads.keys() != flat.g_views.keys():
+        raise ValueError(f"an Adam state steps the names {sorted(flat.g_views)} on every "
+                         f"step, got {sorted(grads)}")
+    for name, dst in flat.g_views.items():
+        dst[...] = grads[name]
     state.t += 1
     b1, b2 = _BETA1, _BETA2
     g, m, v, step, denom = flat.g, flat.m, flat.v, flat.step, flat.denom
@@ -237,7 +234,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     np.sqrt(denom, out=denom)
     denom += _EPS
     step /= denom
-    for name, delta in zip(names, flat.step_views):
+    for name, delta in flat.step_views.items():
         p = params[name]
         p -= delta
 

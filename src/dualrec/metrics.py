@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 RELEVANCE_THRESHOLD = 3.0
+DEFAULT_CUTOFFS = (5, 10)  # the t of each F1@t in a report
 
 
 def _check_flat(pred, truth):
@@ -190,7 +191,7 @@ class EvalReport:
 
 def evaluate_predictions(
     users: dict,
-    cutoffs=(5, 10),
+    cutoffs=DEFAULT_CUTOFFS,
     threshold: float = RELEVANCE_THRESHOLD,
 ) -> EvalReport:
     """Full report from per-user (item, predicted, true) triples."""

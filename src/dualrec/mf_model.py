@@ -26,6 +26,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
+from .mlp_model import MlpHyperparams
 from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
                        val_mae)
 
@@ -95,7 +96,7 @@ class MfParams:
 @dataclass
 class MfHyperparams:
     latent_dim: int
-    predictive_dim: int = 8
+    predictive_dim: int = MlpHyperparams.tower[-1]  # the MLP branch's, as fusion needs
     reg_lambda: float = 0.1
     fit: FitHyperparams = FitHyperparams()
 

@@ -101,7 +101,7 @@ def init_mlp(
     latent_dim: int,
     tower_widths,
     seed: int,
-    scale: float = 0.01,
+    scale: float = MlpHyperparams.init_scale,
 ) -> MlpParams:
     """Gaussian(0, scale) weights, two summed per embedding entry; zero biases.
 
@@ -264,12 +264,11 @@ def train_mlp(
 
 def section_shapes(meta: dict) -> dict:
     """Name -> shape of every section that checkpoint ``meta`` implies."""
-    k = meta["latent_dim"]
+    k, p = meta["latent_dim"], meta["predictive_dim"]
     dims = [2 * k] + list(meta["tower"])
     shapes = {"user_emb": (meta["n_users"], k), "prod_emb": (meta["n_products"], k),
               "fusion_w_user": (k, k), "fusion_b_user": (k,), "fusion_w_prod": (k, k),
-              "fusion_b_prod": (k,), "head": (dims[-1], dims[-1]), "reg_w": (dims[-1],),
-              "reg_b": (1,)}
+              "fusion_b_prod": (k,), "head": (p, p), "reg_w": (p,), "reg_b": (1,)}
     for l in range(len(dims) - 1):
         shapes[f"tower_w_{l}"], shapes[f"tower_b_{l}"] = (dims[l], dims[l + 1]), (dims[l + 1],)
     return shapes

@@ -53,6 +53,7 @@ def test_round_trip_keeps_zero_dim_and_strided_arrays(tmp_path):
     MAGIC + struct.pack("<IQ", VERSION + 1, 0),
     container(None, header_bytes=b"\xff\xfe"),
     container(None, header_bytes=b"{not json"),
+    container(None, header_bytes=b"[" * 100_000 + b"]" * 100_000),
     container(["kind", "sections"]),
     container({"meta": {}, "sections": []}),
     container({"kind": "mf", "meta": {}}),
@@ -69,10 +70,10 @@ def test_round_trip_keeps_zero_dim_and_strided_arrays(tmp_path):
     container({"kind": "mf", "meta": {}, "sections": [{"name": "a", "shape": [1]}] * 2},
               bytes(16)),
 ], ids=["empty", "wrong-magic", "short-fixed-header", "short-json-header", "wrong-version",
-        "header-not-utf8", "header-not-json", "header-not-object", "no-kind", "no-sections",
-        "meta-not-object", "sections-not-list", "section-not-object", "negative-dim",
-        "float-dim", "bool-dim", "shape-not-list", "truncated-section", "huge-section",
-        "trailing-bytes", "repeated-name"])
+        "header-not-utf8", "header-not-json", "header-nested-too-deeply", "header-not-object",
+        "no-kind", "no-sections", "meta-not-object", "sections-not-list", "section-not-object",
+        "negative-dim", "float-dim", "bool-dim", "shape-not-list", "truncated-section",
+        "huge-section", "trailing-bytes", "repeated-name"])
 def test_malformed_containers_raise_value_error(tmp_path, data):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(data)
@@ -237,11 +238,28 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
     ("mlp", lambda meta, arrays: meta.update(tower=None)),
     ("fusion", lambda meta, arrays: meta.update(gamma=None)),
     ("fusion", lambda meta, arrays: meta.update(global_mean="3.5")),
+    ("fusion", lambda meta, arrays: meta.update(gamma=math.inf)),
+    ("fusion", lambda meta, arrays: meta.update(gamma=1.5)),
+    ("fusion", lambda meta, arrays: meta.update(gamma=-0.25)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean=math.nan)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean=-7)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean=0)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean=5.5)),
+    ("mlp", lambda meta, arrays: meta.pop("predictive_dim")),
+    ("mlp", lambda meta, arrays: meta.update(predictive_dim=3)),
+    ("mlp", lambda meta, arrays: meta.update(predictive_dim="x")),
+    ("mlp", lambda meta, arrays: meta.update(predictive_dim=2.5)),
+    ("mlp", lambda meta, arrays: meta.update(predictive_dim=[2])),
 ], ids=["fused-reg_b-shape-3", "mlp-extra-section", "mf-missing-section",
         "fusion-missing-tower-bias", "mf-transposed-table", "mlp-narrow-tower",
         "fusion-wide-concat", "mlp-meta-tower-differs", "mf-meta-users-differ",
         "fusion-meta-without-latent-dim", "mlp-meta-empty-tower", "mlp-meta-tower-null",
-        "fusion-meta-gamma-null", "fusion-meta-global-mean-string"])
+        "fusion-meta-gamma-null", "fusion-meta-global-mean-string", "fusion-meta-gamma-inf",
+        "fusion-meta-gamma-above-1", "fusion-meta-gamma-below-0", "fusion-meta-global-mean-nan",
+        "fusion-meta-global-mean-negative", "fusion-meta-global-mean-zero",
+        "fusion-meta-global-mean-above-5", "mlp-meta-without-predictive-dim",
+        "mlp-meta-predictive-dim-differs", "mlp-meta-predictive-dim-string",
+        "mlp-meta-predictive-dim-fraction", "mlp-meta-predictive-dim-list"])
 def test_loaders_check_sections_against_meta(tmp_path, kind, edit):
     save, load, which = LOADERS[kind]
     path = tmp_path / f"{kind}.ckpt"

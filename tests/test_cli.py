@@ -10,6 +10,7 @@ from dualrec.cli import main
 from dualrec.ingest import _make_store, load_store, save_store
 
 from conftest import rated, scored
+from test_checkpoint import container
 
 
 def write_reviews(path, n_users=15, n_products=10, n_reviews=120, seed=0):
@@ -136,6 +137,18 @@ class TestBasics:
         line = error_line(capsys, ["train", "--store", str(tmp_path / "missing.json"),
                                    "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
         assert line == want.format(config=config)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--store", "{t}/missing.json", "--out", "{t}/m.ckpt"],
+        ["sweep", "--out-dir", "{t}/out"],
+    ], ids=["train", "sweep"])
+    def test_config_nested_too_deeply_is_one_bad_config_line(self, tmp_path, capsys, argv):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [arg.format(t=tmp_path) for arg in argv] + ["--config", str(config)]
+        line = error_line(capsys, argv)
+        assert line == f"error [bad-config]: cannot parse config {config}: JSON nested too deeply"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_train_freeze_branches_without_checkpoints(self, tmp_path):
         store = tmp_path / "store.json"
@@ -397,7 +410,8 @@ class TestPipeline:
     @pytest.mark.parametrize("write", [
         lambda path: path.write_bytes(b"DUALREC\x00" + bytes(7)),  # 15 bytes: no fixed header
         lambda path: save_sections(path, "fusion", {}, [("w", [1.0])]),  # no model sections
-    ], ids=["truncated", "missing-sections"])
+        lambda path: path.write_bytes(container(None, b"", b"[" * 100_000 + b"]" * 100_000)),
+    ], ids=["truncated", "missing-sections", "header-nested-too-deeply"])
     def test_malformed_checkpoint_is_bad_store(self, tmp_path, reviews_file, capsys, write):
         store = tmp_path / "store.json"
         model = tmp_path / "fused.ckpt"
@@ -659,6 +673,31 @@ class TestErrorCategories:
                                    "--model", str(model), "--out", str(tmp_path / "x.txt")])
         assert line.startswith("error [bad-store]: "), line
         assert "repeated checkpoint section names" in line, line
+
+
+def test_training_commands_hold_no_defaults_of_their_own(tmp_path):
+    """``pretrain-mf``, ``pretrain-mlp`` and ``train --mf --mlp``, each given only
+    its required flags, write the bytes the library's phases write under the
+    default ``ExperimentConfig()``."""
+    from dualrec import fusion, harness, mf_model, mlp_model
+
+    store = str(tmp_path / "store.json")
+    assert main(["synth", "--users", "12", "--products", "10", "--seed", "4",
+                 "--out", store]) == 0
+    mf_path, mlp_path, fused_path = (tmp_path / f"{n}.ckpt" for n in ("mf", "mlp", "fused"))
+    for argv in (["pretrain-mf", "--store", store, "--out", str(mf_path)],
+                 ["pretrain-mlp", "--store", store, "--out", str(mlp_path)],
+                 ["train", "--store", store, "--mf", str(mf_path), "--mlp", str(mlp_path),
+                  "--out", str(fused_path)]):
+        assert main(argv) == 0, argv
+    config, data = harness.ExperimentConfig(), load_store(store)
+    mf, mlp = harness.pretrain_mf(config, data), harness.pretrain_mlp(config, data)
+    fused = harness.fine_tune(config, fusion.init_fusion(mf, mlp, config.gamma), data)
+    want = tmp_path / "want.ckpt"
+    for save, model, path in ((mf_model.save_mf, mf, mf_path), (mlp_model.save_mlp, mlp, mlp_path),
+                              (fusion.save_fusion, fused, fused_path)):
+        save(model, want)
+        assert path.read_bytes() == want.read_bytes(), path.name
 
 
 def test_predict_with_an_empty_pairs_file(trained, tmp_path):

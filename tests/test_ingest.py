@@ -96,6 +96,11 @@ class TestParse:
         assert result.warnings[0].startswith("line 2: ") and "int64" in result.warnings[0]
         assert build_store(result.records).n_users == 1
 
+    def test_line_nested_too_deeply_is_skipped_and_counted(self):
+        result = parse_reviews([line(), "[" * 100_000 + "]" * 100_000, line(user="other")])
+        assert len(result.records) == 2 and result.n_skipped == 1
+        assert result.warnings == ["line 2: invalid JSON"]
+
     def test_unreadable_stream_is_fatal(self):
         def boom():
             yield line()

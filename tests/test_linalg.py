@@ -249,13 +249,11 @@ class TestAdam:
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         want = {name: p.copy() for name, p in params.items()}
         want_m, want_v = {}, {}
-        state = AdamState()
+        state = AdamState(lr=0.001)
         for t in range(1, 11):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             # an F-order view, as ``_scatter_cols`` returns
             grads["table"] = rng.normal(size=(6, 4)).T
-            if t == 6:
-                del grads["w"]  # a name left out is not updated
             if t == 8:
                 grads = dict(reversed(grads.items()))
             state.lr = 0.05 * 0.9**t  # as ``fit`` sets it per epoch
@@ -275,9 +273,21 @@ class TestAdam:
         assert state.t == 10
 
     def test_shape_mismatch_rejected(self):
-        state = AdamState()
+        state = AdamState(lr=0.001)
         with pytest.raises(ValueError):
             adam_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, state)
+
+    @pytest.mark.parametrize("names", [("w",), ("w", "b", "c")], ids=["fewer", "more"])
+    def test_a_later_step_with_other_names_is_refused(self, names):
+        params = {"w": np.zeros(2), "b": np.zeros(1), "c": np.zeros(3)}
+        state = AdamState(lr=0.1)
+        adam_step(params, {"w": np.ones(2), "b": np.ones(1)}, state)
+        before = {name: p.copy() for name, p in params.items()}
+        with pytest.raises(ValueError, match="steps the names"):
+            adam_step(params, {name: np.ones_like(params[name]) for name in names}, state)
+        assert state.t == 1
+        for name, p in params.items():
+            np.testing.assert_array_equal(p, before[name])
 
 
 class TestFiniteDiff:

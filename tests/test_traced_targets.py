@@ -75,8 +75,8 @@ def counter_cases(tmp_path) -> dict:
         "ingest.save_store": ((store, store_path), {"bytes": lambda: os.path.getsize(store_path)}),
         "linalg.truncated_svd": ((PairMatrix([0, 2], [1, 3], [1.0, 2.0], (3, 4)), 1),
                                  {"dense_bytes": 3 * 4 * 8}),
-        "linalg.adam_step": (({"w": np.zeros(3)}, {"w": np.array([0.0, 1.0, 2.0])}, AdamState()),
-                             {"elems": 3, "nonzero": 2}),
+        "linalg.adam_step": (({"w": np.zeros(3)}, {"w": np.array([0.0, 1.0, 2.0])},
+                              AdamState(lr=0.001)), {"elems": 3, "nonzero": 2}),
         "fusion.predict_batch": ((model, [(0, 0), (2, 1), (-1, 0)]), {"pairs": 3}),
         "checkpoint.save_sections": ((ckpt_path, "fusion", {}, [("w", [1.0, 2.0])]),
                                      {"bytes": lambda: os.path.getsize(ckpt_path)}),
