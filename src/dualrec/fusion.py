@@ -22,6 +22,7 @@ import numpy as np
 
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
+from .reliability import check_unit
 from .training import (FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward,
                        predict_chunked)
 from .mf_model import MfParams
@@ -72,15 +73,17 @@ def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = DEFAULT_GAMMA) -> F
     and the MLP head times (1 - gamma) on the right; the regression head
     is the average of the branch regression heads. Branch parameters are
     deep-copied so later fine-tuning cannot disturb the inputs; the
-    pre-trained embedding tables do not train. ValueError unless the two
-    branches agree on head width and on users x products.
+    pre-trained embedding tables do not train. ValueError unless gamma is
+    in [0, 1] and the two branches agree on head width, on latent size and
+    on users x products.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    check_unit("gamma", gamma)
     if mf.predictive_dim != mlp.predictive_dim:
         raise ValueError(
             f"branch head widths differ: mf={mf.predictive_dim}, mlp={mlp.predictive_dim}"
         )
+    if mf.latent_dim != mlp.latent_dim:  # the checkpoint meta holds one latent_dim
+        raise ValueError(f"branch latent sizes differ: mf={mf.latent_dim}, mlp={mlp.latent_dim}")
     if (mf.n_users, mf.n_products) != (mlp.n_users, mlp.n_products):
         raise ValueError(f"branch tables differ: mf has {mf.n_users} users x {mf.n_products} "
                          f"products, mlp {mlp.n_users} x {mlp.n_products}")
@@ -109,7 +112,9 @@ def init_fusion_random(
     The no-pre-training baseline: factor matrices, both branch stacks and
     the fused head all start from Gaussian(0, scale) noise, and
     fine-tuning trains the embedding tables with everything else.
+    ValueError unless gamma is in [0, 1].
     """
+    check_unit("gamma", gamma)
     rng = np.random.default_rng(seed)
     k = latent_dim
     p = int(tower_widths[-1])

@@ -17,12 +17,13 @@ import numpy as np
 from . import reliability as reliability_mod
 from .fusion import (DEFAULT_GAMMA, FusionModel, init_fusion, init_fusion_random, predict_batch,
                      train_fusion)
-from .ingest import MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict
+from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict,
+                     with_reliability)
 from .linalg import sigmoid
 from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
                       evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
-from .mlp_model import MlpHyperparams, MlpParams, train_mlp
+from .mlp_model import MlpHyperparams, MlpParams, check_tower, train_mlp
 from .training import FitHyperparams
 
 __all__ = [
@@ -72,8 +73,8 @@ def split(store: InteractionStore, spec: SplitSpec):
     seed. Returns a list of (train, val, test) stores whose rated pairs
     partition the full store exactly.
     """
-    pairs = np.column_stack(store.rated_arrays[:2])  # sorted by pair
-    n = len(pairs)
+    order = store.pair_order
+    n = order.size
     n_train = int(round(spec.train_frac * n))
     n_val = int(round(spec.val_frac * n))
     n_test = n - n_train - n_val
@@ -86,7 +87,7 @@ def split(store: InteractionStore, spec: SplitSpec):
     for fold in range(spec.folds):
         rng = np.random.default_rng([spec.seed, fold])
         parts = np.split(rng.permutation(n), [n_train, n_train + n_val])
-        folds.append(tuple(restrict(store, pairs[part]) for part in parts))
+        folds.append(tuple(restrict(store, order[part]) for part in parts))
     return folds
 
 
@@ -142,13 +143,11 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     rows, cols = np.nonzero(mask)  # row-major: the k-th observed pair gets time k
     observed = raw[rows, cols]
     values = (np.rint(observed).astype(int) if spec.quantize else observed).tolist()
-    users, prods, zeros = rows.tolist(), cols.tolist(), [0] * len(observed)
-    return SyntheticData(_make_store(
-        [f"u{i}" for i in range(n)],
-        [f"p{j}" for j in range(m)],
-        list(zip(users, prods, values, zeros, zeros, range(len(observed)))),
-        list(zip(users, prods, rel[rows, cols].tolist())),
-    ))
+    zeros = [0] * len(observed)
+    store = _make_store([f"u{i}" for i in range(n)], [f"p{j}" for j in range(m)],
+                        list(zip(rows.tolist(), cols.tolist(), values, zeros, zeros,
+                                 range(len(observed)))))
+    return SyntheticData(with_reliability(store, rel[rows, cols]))  # entry order is row order
 
 
 # JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.
@@ -219,7 +218,8 @@ class ExperimentConfig:
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
         _check_types(self)
-        reliability_mod.check_unit("rel_alpha", self.rel_alpha)
+        for name in ("rel_alpha", "gamma"):
+            reliability_mod.check_unit(name, getattr(self, name))
         for cutoff in self.cutoffs:
             check_cutoff(cutoff)
 
@@ -232,8 +232,8 @@ class ExperimentConfig:
         section that is no JSON object, a bad loop setting, and a value of
         the wrong JSON type in any section: an integer field takes an integer
         (not true or false), a number field any number, a flag true or false.
-        So does a ``reliability.alpha`` outside [0, 1], and an ``eval.cutoffs``
-        entry below 1.
+        So does a ``reliability.alpha`` or a ``model.gamma`` outside [0, 1], and
+        an ``eval.cutoffs`` entry below 1.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -355,8 +355,9 @@ def train_pipeline(
 ):
     """Pre-train both branches (unless disabled) and fine-tune the head.
 
-    Returns (model, phase_seconds).
+    Returns (model, phase_seconds). A bad tower is refused before any training.
     """
+    check_tower(config.latent_dim, config.tower)
     timings = {"pretrain_mf": 0.0, "pretrain_mlp": 0.0}
     if config.pretrain:
         started = time.perf_counter()

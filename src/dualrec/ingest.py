@@ -136,7 +136,7 @@ class InteractionStore:
         return dict(zip(self.product[order[starts]].tolist(), np.split(order, starts[1:])))
 
     @cached_property
-    def _order(self) -> np.ndarray:
+    def pair_order(self) -> np.ndarray:
         """Rows in sorted (user, product) order."""
         return np.argsort(self.user * self.n_products + self.product, kind="stable")
 
@@ -149,25 +149,13 @@ class InteractionStore:
     @cached_property
     def rated_arrays(self) -> PairArrays:
         """Rated pairs as index and value columns, built once per store."""
-        return self._pair_arrays(self._order, self.ratings)
+        return self._pair_arrays(self.pair_order, self.ratings)
 
     @cached_property
     def scored_arrays(self) -> PairArrays:
         """Reliability pairs as index and value columns, built once per store."""
-        order = self._order
+        order = self.pair_order
         return self._pair_arrays(order[~np.isnan(self.reliability[order])], self.reliability)
-
-    def _rows_of(self, users, products) -> np.ndarray:
-        """Row of each (user, product) pair by binary search; -1 where unrated."""
-        if not (len(users) and self.raw.size):
-            return np.full(len(users), -1)
-        order = self._order
-        keys = (self.user * self.n_products + self.product)[order]
-        inside = (0 <= users) & (users < self.n_users)
-        inside &= (0 <= products) & (products < self.n_products)
-        query = np.where(inside, users * self.n_products + products, -1)
-        pos = np.searchsorted(keys, query).clip(max=order.size - 1)
-        return np.where(inside & (keys[pos] == query), order[pos], -1)
 
     def global_mean_raw(self) -> float:
         """Mean raw rating over all observed pairs."""
@@ -285,7 +273,7 @@ def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionSt
     ``entries`` lists (i, j, raw, helpful_yes, votes_total, unix_time) rows
     in input order: raw ratings in (0, 5], int64 ints elsewhere with 0 <=
     helpful_yes <= votes_total, each pair inside the maps and only once.
-    ``reliability`` is as for :func:`with_reliability`; ValueError names a bad row.
+    ``reliability`` is as for :func:`_score_column`; ValueError names a bad row.
     """
     for ids in (user_ids, product_ids):
         if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
@@ -302,7 +290,7 @@ def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionSt
     is_int = np.array([type(row[2]) is int for row in entries], dtype=bool)
     store = InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
                              when, np.full(i.size, np.nan))
-    return with_reliability(store, reliability)
+    return with_reliability(store, _score_column(store, reliability))
 
 
 def build_store(records: list[ReviewRecord]) -> InteractionStore:
@@ -328,24 +316,28 @@ def build_store(records: list[ReviewRecord]) -> InteractionStore:
     return _make_store(list(users), list(products), entries)
 
 
-def with_reliability(store: InteractionStore, reliability) -> InteractionStore:
-    """Copy of the store whose scores are exactly ``reliability``: a map
-    (user_idx, product_idx) -> score, (user_idx, product_idx, score) triples
-    as a saved store lists them, or an array of one score per row. Each pair
-    must be rated and appear once; each score must lie in [0, 1]."""
+def _score_column(store: InteractionStore, reliability) -> np.ndarray:
+    """Row-aligned score column, NaN where unscored, of pair-keyed scores: a
+    map (user_idx, product_idx) -> score or (user_idx, product_idx, score)
+    triples as a saved store lists them. Each pair must be rated and appear
+    once; each score must lie in [0, 1]."""
     if isinstance(reliability, dict):
         reliability = [(*pair, v) for pair, v in reliability.items()]
-    if isinstance(reliability, np.ndarray) and reliability.shape == store.raw.shape:
-        cols = [store.user, store.product, reliability.astype(np.float64)]
-    else:
-        cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
+    cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
     if cols is None:
         raise ValueError("reliability must list (int user, int product, number score) triples")
-    i, j, values = cols
-    rows = store._rows_of(i, j)
+    users, products, values = cols
+    rows = np.full(users.size, -1)
+    if users.size and store.raw.size:  # binary search of each pair's key
+        order, n_products = store.pair_order, store.n_products
+        keys = (store.user * n_products + store.product)[order]
+        inside = (0 <= users) & (users < store.n_users) & (0 <= products) & (products < n_products)
+        query = np.where(inside, users * n_products + products, -1)
+        pos = np.searchsorted(keys, query).clip(max=order.size - 1)
+        rows = np.where(inside & (keys[pos] == query), order[pos], -1)
     if (rows < 0).any():
         k = int(np.argmax(rows < 0))
-        raise ValueError(f"reliability key {(int(i[k]), int(j[k]))} is not a rated pair")
+        raise ValueError(f"reliability key {(int(users[k]), int(products[k]))} is not a rated pair")
     bad = ~((0.0 <= values) & (values <= 1.0))
     if bad.any():
         raise ValueError(f"reliability score {values[bad][0]} outside [0, 1]")
@@ -353,23 +345,30 @@ def with_reliability(store: InteractionStore, reliability) -> InteractionStore:
         raise ValueError("a reliability pair appears twice")
     column = np.full(store.raw.size, np.nan)
     column[rows] = values
+    return column
+
+
+def with_reliability(store: InteractionStore, column) -> InteractionStore:
+    """Copy of the store whose reliability column is ``column``: one float
+    per row, NaN where a row is unscored and in [0, 1] everywhere else."""
+    column = np.array(column, np.float64)  # a copy: the store makes it read-only
+    if column.shape != store.raw.shape:
+        raise ValueError(f"reliability needs one score per row, got shape {column.shape}")
+    bad = ~((0.0 <= column) & (column <= 1.0) | np.isnan(column))
+    if bad.any():
+        raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
     out = replace(store, reliability=column)
-    if "_order" in vars(store):  # same user and product columns, so the same pair order
-        vars(out)["_order"] = store._order
+    if "pair_order" in vars(store):  # same user and product columns, so the same pair order
+        vars(out)["pair_order"] = store.pair_order
     return out
 
 
-def restrict(store: InteractionStore, pairs) -> InteractionStore:
-    """Sub-store of the rows of the given rated pairs, in input order.
-
-    ``pairs`` is an iterable of (user_idx, product_idx) or a (k, 2) array.
-    Index maps keep their size, so factor matrices built against the full
-    store stay aligned.
-    """
-    pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), np.int64)
-    rows = store._rows_of(*pairs.reshape(-1, 2).T)
-    if (rows < 0).any():
-        raise ValueError(f"{np.count_nonzero(rows < 0)} pairs are not rated in this store")
+def restrict(store: InteractionStore, rows) -> InteractionStore:
+    """Sub-store of the given rows, in input order. Index maps keep their
+    size, so factor matrices built against the full store stay aligned."""
+    rows = np.asarray(rows, np.int64)
+    if rows.ndim != 1 or ((rows < 0) | (rows >= store.raw.size)).any():
+        raise ValueError(f"rows must be a list of row indices in [0, {store.raw.size})")
     keep = np.unique(rows)  # sorted rows: input order
     return replace(store, **{name: getattr(store, name)[keep] for name in _COLUMNS})
 

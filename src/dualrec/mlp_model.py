@@ -29,6 +29,7 @@ __all__ = [
     "MlpParams",
     "MlpHyperparams",
     "param_dict",
+    "check_tower",
     "init_mlp",
     "mlp_backward",
     "mlp_predict",
@@ -91,8 +92,24 @@ class MlpHyperparams:
     fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        check_tower(self.latent_dim, self.tower)
+
+
+def check_tower(latent_dim: int, tower_widths) -> list[int]:
+    """The tower widths as ints; ValueError unless latent_dim K is at least 1
+    and the widths, at least one, are positive and non-increasing from the
+    2K concatenation width."""
+    if latent_dim < 1:
+        raise ValueError("latent_dim must be >= 1")
+    widths = [int(w) for w in tower_widths]
+    if not widths:
+        raise ValueError("tower must have at least one layer")
+    if any(w < 1 for w in widths):
+        raise ValueError(f"tower widths must be >= 1, got {widths}")
+    dims = [2 * latent_dim] + widths
+    if any(dims[l + 1] > dims[l] for l in range(len(widths))):
+        raise ValueError(f"tower widths must be non-increasing from {2 * latent_dim}, got {widths}")
+    return widths
 
 
 def init_mlp(
@@ -105,22 +122,13 @@ def init_mlp(
 ) -> MlpParams:
     """Gaussian(0, scale) weights, two summed per embedding entry; zero biases.
 
-    Deterministic under ``seed``. Tower widths must be positive and
-    non-increasing starting from the 2K concatenation width; the last
-    width is the predictive dimension.
+    Deterministic under ``seed``. The tower is as :func:`check_tower`
+    allows; its last width is the predictive dimension.
     """
-    widths = [int(w) for w in tower_widths]
-    if not widths:
-        raise ValueError("tower must have at least one layer")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"tower widths must be >= 1, got {widths}")
-    dims = [2 * latent_dim] + widths
-    if any(dims[l + 1] > dims[l] for l in range(len(widths))):
-        raise ValueError(f"tower widths must be non-increasing from {2 * latent_dim}, got {widths}")
-
+    dims = [2 * latent_dim] + check_tower(latent_dim, tower_widths)
     rng = np.random.default_rng(seed)
     k = latent_dim
-    p = widths[-1]
+    p = dims[-1]
     return MlpParams(
         # two draws per table keep the init function and every later parameter's RNG stream
         user_emb=rng.normal(0.0, scale, (n_users, k)) + rng.normal(0.0, scale, (n_users, k)),
@@ -129,8 +137,8 @@ def init_mlp(
         fusion_b_user=np.zeros(k),
         fusion_w_prod=rng.normal(0.0, scale, (k, k)),
         fusion_b_prod=np.zeros(k),
-        tower_w=[rng.normal(0.0, scale, (dims[l], dims[l + 1])) for l in range(len(widths))],
-        tower_b=[np.zeros(w) for w in widths],
+        tower_w=[rng.normal(0.0, scale, shape) for shape in zip(dims, dims[1:])],
+        tower_b=[np.zeros(w) for w in dims[1:]],
         head=rng.normal(0.0, scale, (p, p)),
         reg_w=rng.normal(0.0, scale, p),
         reg_b=np.zeros(1),

@@ -232,7 +232,7 @@ def attach_scores(store: InteractionStore, scores: ReliabilityBreakdown) -> Inte
 def breakdown_rows(store: InteractionStore, scores: ReliabilityBreakdown,
                    threshold: float = DEFAULT_THRESHOLD):
     """Tab-separated breakdown rows (with header), sorted by index pair."""
-    order = store._order
+    order = store.pair_order
     users = map(store.user_ids.__getitem__, store.user[order].tolist())
     products = map(store.product_ids.__getitem__, store.product[order].tolist())
     yield "user\tproduct\th\tmost\ttop\td\trel\tlabel"

@@ -1,6 +1,6 @@
 import pytest
 
-from dualrec.ingest import ReviewRecord, build_store, with_reliability
+from dualrec.ingest import ReviewRecord, _score_column, build_store, with_reliability
 
 
 def rated(store) -> dict:
@@ -23,8 +23,9 @@ def record(user, prod, rating=3, yes=0, total=0, when=0):
 
 def store_from(rows, reliability=None):
     """Store out of (user, prod, rating, yes, total, when) tuples, scored
-    with ``reliability`` as for ``with_reliability`` when it is given."""
-    return with_reliability(build_store([record(*row) for row in rows]), reliability or {})
+    with ``reliability``, a map (user_idx, product_idx) -> score, when it is given."""
+    store = build_store([record(*row) for row in rows])
+    return with_reliability(store, _score_column(store, reliability or {}))
 
 
 @pytest.fixture

@@ -129,7 +129,9 @@ class TestBasics:
         (None, "error [config-not-found]: config not found: {config}"),
         ({"eval": {"cutoffs": [0]}},
          "error [bad-config]: cannot parse config {config}: cutoff must be >= 1, got 0"),
-    ], ids=["missing", "bad-cutoff"])
+        ({"model": {"pretrain": False, "gamma": 2, "epochs_fusion": 2}},
+         "error [bad-config]: cannot parse config {config}: gamma must be in [0, 1], got 2"),
+    ], ids=["missing", "bad-cutoff", "gamma-too-large"])
     def test_train_reads_the_config_before_the_stores(self, tmp_path, capsys, doc, want):
         config = tmp_path / "config.json"
         if doc is not None:
@@ -509,14 +511,15 @@ class TestDeterminismAndSmoke:
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """Directory with a synthetic store, default-shaped branch checkpoints,
-    an MF checkpoint of head width 6 and a fused checkpoint; and a store of
-    16 users with an MLP checkpoint of its own."""
+    MF checkpoints of head width 6 and of latent size 4 and a fused
+    checkpoint; and a store of 16 users with an MLP checkpoint of its own."""
     d = tmp_path_factory.mktemp("trained")
     for argv in ("synth --users 12 --products 10 --seed 4 --out {d}/store.json",
                  "synth --users 16 --products 10 --seed 5 --out {d}/store16.json",
                  "pretrain-mlp --store {d}/store16.json --out {d}/mlp16.ckpt --epochs 1",
                  "pretrain-mf --store {d}/store.json --out {d}/mf.ckpt --epochs 1",
                  "pretrain-mf --store {d}/store.json --out {d}/mf6.ckpt --epochs 1 --p 6",
+                 "pretrain-mf --store {d}/store.json --out {d}/mf4.ckpt --epochs 1 --k 4",
                  "pretrain-mlp --store {d}/store.json --out {d}/mlp.ckpt --epochs 1",
                  "train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt "
                  "--epochs 1 --out {d}/fused.ckpt"):
@@ -551,6 +554,8 @@ class TestErrorCategories:
          "error [bad-args]: tower widths must be non-increasing from 16, got [40, 8]"),
         ("train --store {d}/store.json --mf {d}/mf6.ckpt --mlp {d}/mlp.ckpt --out {d}/x.ckpt",
          "error [bad-args]: branch head widths differ: mf=6, mlp=8"),
+        ("train --store {d}/store.json --mf {d}/mf4.ckpt --mlp {d}/mlp.ckpt --out {d}/x.ckpt",
+         "error [bad-args]: branch latent sizes differ: mf=4, mlp=8"),
         ("train --store {d}/store.json --mf {d}/mf.ckpt --out {d}/x.ckpt",
          "error [bad-args]: --mf and --mlp must be given together"),
         ("synth --users 5 --products 5 --rank 9 --out {d}/x.json",
@@ -571,9 +576,9 @@ class TestErrorCategories:
          "error [bad-args]: latent_dim must be >= 1"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
             "mlp-diverges-last-epoch", "widening-tower", "head-widths-differ",
-            "mf-without-mlp", "rank-too-large", "alpha-too-large", "negative-batch-size",
-            "zero-batch-size", "negative-epochs", "negative-lr", "zero-head-width",
-            "zero-latent-dim"])
+            "latent-sizes-differ", "mf-without-mlp", "rank-too-large", "alpha-too-large",
+            "negative-batch-size", "zero-batch-size", "negative-epochs", "negative-lr",
+            "zero-head-width", "zero-latent-dim"])
     def test_command_error_line(self, trained, capsys, argv, want):
         assert error_line(capsys, argv.format(d=trained).split()) == want
         assert not (trained / "x.ckpt").exists()

@@ -101,6 +101,17 @@ class TestInit:
         with pytest.raises(ValueError):
             init_fusion(mf, mlp, 0.5)
 
+    def test_latent_size_mismatch_rejected(self):
+        mf = random_params(np.random.default_rng(1), 3, 3, k=2, p=2)
+        mlp = init_mlp(3, 3, 3, (4, 2), seed=0)
+        with pytest.raises(ValueError, match="branch latent sizes differ: mf=2, mlp=3"):
+            init_fusion(mf, mlp, 0.5)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 2, float("nan")])
+    def test_random_init_refuses_a_gamma_outside_the_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=rf"gamma must be in \[0, 1\], got {gamma}"):
+            init_fusion_random(4, 5, 3, (6, 3), seed=1, gamma=gamma)
+
     @pytest.mark.parametrize("n, m", [(4, 3), (3, 4)], ids=["users", "products"])
     def test_table_mismatch_rejected(self, n, m):
         mf = random_params(np.random.default_rng(1), 3, 3, k=2, p=2)

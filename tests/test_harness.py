@@ -37,10 +37,9 @@ class TestSplit:
         store = random_store(rng, 20, 20, density=0.5, with_reliability=True)
         while len(store.ratings) < n_pairs:
             store = random_store(rng, 25, 25, density=0.5, with_reliability=True)
-        pairs = sorted(rated(store))[:n_pairs]
         from dualrec.ingest import restrict
 
-        return restrict(store, pairs)
+        return restrict(store, store.pair_order[:n_pairs])
 
     def test_sizes_70_15_15(self):
         store = self.make_store(100)
@@ -181,6 +180,13 @@ class TestRunExperiment:
         result = run_experiment(tiny_config(pretrain=False))
         assert result.folds[0].phase_seconds["pretrain_mf"] == 0.0
         assert result.mean_report.n_pairs > 0
+
+    def test_a_bad_tower_is_refused_before_any_branch_trains(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "train_mf", lambda *args, **kw: trained.append(args))
+        with pytest.raises(ValueError, match=r"non-increasing from 4, got \[6, 2\]"):
+            run_experiment(tiny_config(tower=(6, 2)))
+        assert trained == []
 
 
 class TestSweep:

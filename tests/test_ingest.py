@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrec.harness import SyntheticSpec, gen_synthetic
+from dualrec.harness import SplitSpec, SyntheticSpec, gen_synthetic, split
 from dualrec.ingest import (
     _COLUMNS,
+    _score_column,
     ReviewRecord,
     build_store,
     load_store,
@@ -18,6 +19,7 @@ from dualrec.ingest import (
     save_store,
     with_reliability,
 )
+from dualrec.reliability import attach_scores, score_store
 
 from conftest import rated, record, scored, store_from
 
@@ -161,7 +163,7 @@ class TestBuildStore:
 
     def test_reliability_pair_given_twice_is_refused(self, tiny_store):
         with pytest.raises(ValueError, match="a reliability pair appears twice"):
-            with_reliability(tiny_store, [(0, 0, 0.5), (1, 1, 0.5), (0, 0, 0.25)])
+            _score_column(tiny_store, [(0, 0, 0.5), (1, 1, 0.5), (0, 0, 0.25)])
 
     def test_normalized_is_exactly_raw_over_five(self):
         store = store_from([("u1", "p1", r, 0, 0, r) for r in [1]])
@@ -219,7 +221,7 @@ def test_store_invariants_hold_for_random_inputs(rows):
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path, tiny_store):
         rel = {pair: 0.25 for pair in list(rated(tiny_store))[:3]}
-        store = with_reliability(tiny_store, rel)
+        store = with_reliability(tiny_store, _score_column(tiny_store, rel))
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
@@ -248,7 +250,8 @@ class TestRoundTrip:
             ("carol", "p2", 1, 0, 2, 90),
             ("alice", "p1", 3, 2, 4, 150),
         ])
-        store = with_reliability(store, {(0, 0): 0.25, (1, 0): 1 / 3, (2, 1): 1.0})
+        store = with_reliability(store, _score_column(store, {(0, 0): 0.25, (1, 0): 1 / 3,
+                                                              (2, 1): 1.0}))
         path = tmp_path / "store.json"
         save_store(store, path)
         assert path.read_bytes() == (
@@ -384,7 +387,7 @@ def test_review_line_becomes_a_record_or_a_warning(key, value):
 class TestRestrict:
     def test_partition_preserves_contents(self, tiny_store):
         pairs = sorted(rated(tiny_store))
-        sub = restrict(tiny_store, pairs[:2])
+        sub = restrict(tiny_store, tiny_store.pair_order[:2])
         assert sorted(rated(sub)) == pairs[:2]
         assert sub.n_users == tiny_store.n_users
         for pair in pairs[:2]:
@@ -392,7 +395,38 @@ class TestRestrict:
 
     def test_unknown_pair_rejected(self, tiny_store):
         with pytest.raises(ValueError):
-            restrict(tiny_store, [(99, 99)])
+            restrict(tiny_store, [99])
+
+    @pytest.mark.parametrize("rows", [[-1], [[0, 1]]], ids=["negative", "pairs"])
+    def test_a_row_outside_the_store_is_refused(self, tiny_store, rows):
+        with pytest.raises(ValueError, match=r"rows must be a list of row indices in \[0, 6\)"):
+            restrict(tiny_store, rows)
+
+
+class TestScoreColumn:
+    def test_nan_marks_an_unscored_row(self, tiny_store):
+        store = with_reliability(tiny_store, [0.25, np.nan, 1.0, np.nan, np.nan, 0.0])
+        assert scored(store) == {(0, 0): 0.25, (2, 0): 1.0, (2, 2): 0.0}
+
+    @pytest.mark.parametrize("column, match", [
+        (np.full(5, 0.5), r"one score per row, got shape \(5,\)"),
+        (np.full((6, 1), 0.5), r"one score per row, got shape \(6, 1\)"),
+        ([0.5, 0.5, 1.5, 0.5, 0.5, 0.5], r"score 1.5 outside \[0, 1\]"),
+        ([0.5, 0.5, 0.5, 0.5, 0.5, -np.inf], r"score -inf outside \[0, 1\]"),
+    ], ids=["short", "two-dimensional", "above-one", "minus-infinity"])
+    def test_a_bad_column_is_refused(self, tiny_store, column, match):
+        with pytest.raises(ValueError, match=match):
+            with_reliability(tiny_store, column)
+
+    def test_rows_in_hand_are_not_searched_for(self, tiny_store, monkeypatch):
+        scores = score_store(tiny_store)
+        calls = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: calls.append(args) or searchsorted(*args, **kw))
+        store = attach_scores(tiny_store, scores)
+        split(store, SplitSpec(0.5, 0.25, 0.25))
+        assert calls == []
 
 
 def test_store_io_is_linear_in_one_products_reviews(tmp_path):
@@ -404,7 +438,7 @@ def test_store_io_is_linear_in_one_products_reviews(tmp_path):
         return store_from([(f"u{i}", "p", 1 + i % 5, i % 3, 3, i // 2) for i in range(n)])
 
     def seconds(store):
-        half = [(i, 0) for i in range(0, store.n_users, 2)]
+        half = range(0, store.n_users, 2)  # user i's review is row i
         path = tmp_path / "store.json"
         started = time.perf_counter()
         save_store(store, path)
@@ -429,7 +463,8 @@ class TestPairArrays:
     def test_scored_arrays_follow_sorted_reliability_pairs(self, tiny_store):
         assert tiny_store.scored_arrays.idx_u.shape == (0,)
         scores = {(2, 0): 0.25, (0, 0): 0.75}
-        idx_u, idx_p, values, raw = with_reliability(tiny_store, scores).scored_arrays
+        store = with_reliability(tiny_store, _score_column(tiny_store, scores))
+        idx_u, idx_p, values, raw = store.scored_arrays
         assert list(zip(idx_u.tolist(), idx_p.tolist())) == [(0, 0), (2, 0)]
         assert values.tolist() == [0.75, 0.25]
         assert raw.tolist() == [5.0, 1.0]
@@ -438,7 +473,8 @@ class TestPairArrays:
         calls = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
-        with_reliability(tiny_store, {(0, 0): 0.75, (2, 0): 0.25}).rated_arrays
+        scores = _score_column(tiny_store, {(0, 0): 0.75, (2, 0): 0.25})
+        with_reliability(tiny_store, scores).rated_arrays
         assert len(calls) == 1
 
     def test_built_once_and_read_only(self, tiny_store):

@@ -192,7 +192,8 @@ class TestLossValues:
         fits = {(i, j): sigmoid(float(params.user_joint[:, i] @ params.prod_joint[:, j]))
                 for (i, j) in rated(store)}
         # a store's rating is raw / 5: keep the pairs whose fit that can equal exactly
-        store = restrict(store, [pair for pair, fit in fits.items() if 5 * fit / 5 == fit])
+        store = restrict(store, [row for row, fit in enumerate(fits.values())
+                                 if 5 * fit / 5 == fit])
         raws = [5 * fits[pair] for pair in rated(store)]
         rel = [sigmoid(float(params.user_joint[:, i] @ params.prod_rel[:, j]))
                for (i, j) in rated(store)]

@@ -17,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run  # noqa: E402
 import traced_stage  # noqa: E402
 from dualrec.fusion import init_fusion, init_fusion_random, train_fusion  # noqa: E402
 from dualrec.harness import SyntheticSpec, gen_synthetic  # noqa: E402
@@ -24,6 +25,7 @@ from dualrec.linalg import AdamState, PairMatrix  # noqa: E402
 from dualrec.mf_model import MfHyperparams, train_mf  # noqa: E402
 from dualrec.mlp_model import MlpHyperparams, train_mlp  # noqa: E402
 from dualrec.training import FitHyperparams  # noqa: E402
+from gen_reviews import Shape  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 from conftest import record, store_from  # noqa: E402
@@ -95,3 +97,21 @@ def test_every_counter_reads_a_real_call_of_its_target(label, tmp_path):
     (span,) = tracer.spans
     want = {key: value() if callable(value) else value for key, value in want.items()}
     assert {key: span.get(key) for key in want} == want
+
+
+def test_a_traced_benchmark_run_is_correct(monkeypatch, tmp_path):
+    """Every stage of a small workload runs under ``traced_stage.py``: a
+    stage or output check that fails, a layer without spans or a per-layer
+    metric that cannot be computed makes the run incorrect."""
+    shape = Shape(150, 60, 2400, hot_counts=(80, 40), predict_users=10, predict_per_user=5)
+    monkeypatch.setitem(run.WORKLOADS, "tiny", run.Workload(shape, 12))
+    monkeypatch.setattr(run, "CALIBRATION_UNITS", 1)
+    monkeypatch.setattr(run, "WORK", str(tmp_path))
+    cpus = os.sched_getaffinity(0)
+    try:  # the run pins this process to one CPU
+        result = run.run_workload("tiny", 1, 0.0, trace=True)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert result["correct"], result["problems"]
+    assert result["problems"] == []
+    assert set(result["metrics"]) == set(run.declared_metrics(True))
