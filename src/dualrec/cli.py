@@ -10,7 +10,6 @@ output.
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -38,7 +37,7 @@ def _load_store(path) -> ingest.InteractionStore:
         raise CliError("input-not-found", f"store not found: {path}")
     try:
         return ingest.load_store(path)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise CliError("bad-store", f"cannot read store {path}: {exc}") from exc
 
 
@@ -152,8 +151,7 @@ def cmd_pretrain_mf(args) -> int:
 
 def cmd_pretrain_mlp(args) -> int:
     config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
-                     lr=args.lr, seed=args.seed, epochs_mlp=args.epochs, tower=args.tower,
-                     init_tables_from_factors=args.init_from_factors)
+                     lr=args.lr, seed=args.seed, epochs_mlp=args.epochs, tower=args.tower)
     stores = _train_stores(args)
     params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
@@ -165,14 +163,13 @@ def _experiment_config(path) -> harness.ExperimentConfig:
         raise CliError("config-not-found", f"config not found: {path}")
     try:
         return harness.ExperimentConfig.from_json(path)
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise CliError("bad-config", f"cannot parse config {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
     base = _experiment_config(args.config) if args.config else harness.ExperimentConfig()
-    config = _config(base, gamma=args.gamma, epochs_fusion=args.epochs, lr=args.lr,
-                     seed=args.seed, freeze_branches=args.freeze_branches)
+    config = _config(base, gamma=args.gamma, epochs_fusion=args.epochs, lr=args.lr, seed=args.seed)
     store, val_store = _train_stores(args)
 
     if args.mf and args.mlp:
@@ -249,7 +246,7 @@ def cmd_synth(args) -> int:
         observation_density=args.density, noise_std=args.noise, seed=args.seed,
         quantize=not args.no_quantize,
     )
-    ingest.save_store(harness.gen_synthetic(spec).store, args.out)
+    ingest.save_store(harness.gen_synthetic(spec), args.out)
     return 0
 
 
@@ -328,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--val-store", help="validation store for early stopping")
     p.add_argument("--tower", help="comma-separated layer widths")
-    p.add_argument("--init-from-factors", action="store_true", default=None,
-                   help="initialize each embedding table from the sum of the rating "
-                        "and reliability SVD factors")
     common_train_flags(p)
     p.set_defaults(handler=cmd_pretrain_mlp)
 
@@ -343,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="fused checkpoint to write")
     p.add_argument("--gamma", type=float,
                    help="blend weight of the linear branch at initialization")
-    p.add_argument("--freeze-branches", action="store_true", default=None,
-                   help="train only the fused head")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)

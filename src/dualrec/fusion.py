@@ -8,10 +8,10 @@ blend constant decides how much each branch contributes before
 fine-tuning; the regression head starts from the average of the two
 branch regression heads. Fine-tuning backpropagates raw-scale MAE into
 the fused head and each branch's dense layers (the MF projections, the
-MLP fusion layers and tower), unless the branches are frozen. The
-pre-trained user and product embedding tables stay fixed: no gradient
-is computed for them. Only a model built from random noise
-(:func:`init_fusion_random`) trains its tables as well.
+MLP fusion layers and tower). The pre-trained user and product embedding
+tables stay fixed: no gradient is computed for them. Only a model built
+from random noise (:func:`init_fusion_random`, a library-only baseline)
+trains its tables as well.
 """
 
 import copy
@@ -180,20 +180,15 @@ def param_dict(model: FusionModel) -> dict:
     return out
 
 
-def _grads_batch(model: FusionModel, cache: dict, d_raw, freeze_branches: bool) -> dict:
+def _grads_batch(model: FusionModel, cache: dict, d_raw) -> dict:
     """Gradients of sum(d_raw * raw) for the arrays fine-tuning trains: the
-    fused head; unless the branches are frozen, each branch's dense layers;
-    and with ``model.train_tables`` the embedding tables too.
-
-    Gradients of arrays that do not train are never computed: a frozen
-    branch stops the backward pass at the fused head, and fixed tables
-    get no scatter.
+    fused head, each branch's dense layers, and with ``model.train_tables``
+    the embedding tables too. Fixed tables get no scatter: their gradients
+    are never computed.
     """
     head_grads, d_concat = head_backward(cache["concat"], cache["hidden"], model.concat_w.T,
                                          model.reg_w, d_raw)
     grads = {"concat_w": head_grads.pop("head").T, **head_grads}
-    if freeze_branches:
-        return grads
     k = model.latent_dim
     for prefix, branch, params, d_theta in (
             ("mf", mf_model, model.mf, d_concat[:, :k]),
@@ -209,18 +204,17 @@ def train_fusion(
     store: InteractionStore,
     hyper: FitHyperparams,
     val_store: InteractionStore | None = None,
-    freeze_branches: bool = False,
     on_epoch=None,
 ) -> FusionModel:
     """Fine-tune a copy of the model with raw-scale MAE.
 
     The input model is left untouched. The fused head (concat weights
-    plus regression) always trains. Unless ``freeze_branches``, so do
-    the branches' dense layers: the MF projections ``proj_rating`` and
-    ``proj_joint``, and the MLP fusion layers and tower. The embedding
-    tables train only when ``model.train_tables`` is set, as
-    :func:`init_fusion_random` does; the pre-trained tables of an
-    :func:`init_fusion` model stay as they are. Early stopping mirrors
+    plus regression) trains, and so do the branches' dense layers: the
+    MF projections ``proj_rating`` and ``proj_joint``, and the MLP fusion
+    layers and tower. The embedding tables train only when
+    ``model.train_tables`` is set, as :func:`init_fusion_random` does;
+    the pre-trained tables of an :func:`init_fusion` model stay as they
+    are. Early stopping mirrors
     the branch trainers: with a ``val_store``, training stops once
     validation MAE has not improved for ``hyper.patience`` epochs, and
     the returned model has the weights of the best validation epoch.
@@ -228,8 +222,8 @@ def train_fusion(
     model = model.copy()
     model.global_mean = store.global_mean_raw()  # ValueError for a store without ratings
     fit_mae(param_dict(model), functools.partial(_forward_batch, model),
-            lambda cache, d_raw: _grads_batch(model, cache, d_raw, freeze_branches), store,
-            hyper, np.random.default_rng(hyper.seed), "fusion", val_store, on_epoch)
+            functools.partial(_grads_batch, model), store, hyper,
+            np.random.default_rng(hyper.seed), "fusion", val_store, on_epoch)
     return model
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import reliability as reliability_mod
-from .fusion import (DEFAULT_GAMMA, FusionModel, init_fusion, init_fusion_random, predict_batch,
-                     train_fusion)
+from .fusion import DEFAULT_GAMMA, FusionModel, init_fusion, predict_batch, train_fusion
 from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict,
                      with_reliability)
 from .linalg import sigmoid
@@ -107,16 +106,11 @@ class SyntheticSpec:
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
             raise ValueError("observation_density must be in (0, 1]")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std!r}")
 
 
-@dataclass(frozen=True)
-class SyntheticData:
-    """A synthetic store."""
-
-    store: InteractionStore
-
-
-def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
+def gen_synthetic(spec: SyntheticSpec) -> InteractionStore:
     """Low-rank synthetic store.
 
     Ratings are sigmoid(u_i . v_j) scaled to the 1..5 range, plus
@@ -147,7 +141,7 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     store = _make_store([f"u{i}" for i in range(n)], [f"p{j}" for j in range(m)],
                         list(zip(rows.tolist(), cols.tolist(), values, zeros, zeros,
                                  range(len(observed)))))
-    return SyntheticData(with_reliability(store, rel[rows, cols]))  # entry order is row order
+    return with_reliability(store, rel[rows, cols])  # entry order is row order
 
 
 # JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.
@@ -155,8 +149,7 @@ _JSON_KEYS = {
     "data": {"store": "store_path", "synthetic": "synthetic"},
     "model": {name: name for name in (
         "latent_dim", "tower", "reg_lambda", "gamma", "batch_size", "epochs_mf",
-        "epochs_mlp", "epochs_fusion", "lr", "seed", "patience", "pretrain",
-        "freeze_branches", "init_tables_from_factors",
+        "epochs_mlp", "epochs_fusion", "lr", "seed", "patience",
     )},
     "reliability": {"alpha": "rel_alpha", "fallback_max": "rel_fallback_max"},
     "eval": {"cutoffs": "cutoffs", "threshold": "relevance_threshold"},
@@ -206,9 +199,6 @@ class ExperimentConfig:
     lr: float = FitHyperparams.lr
     seed: int = FitHyperparams.seed
     patience: int = FitHyperparams.patience
-    pretrain: bool = True
-    freeze_branches: bool = False
-    init_tables_from_factors: bool = False
     rel_alpha: float = reliability_mod.DEFAULT_ALPHA
     rel_fallback_max: bool = False
     cutoffs: tuple = DEFAULT_CUTOFFS
@@ -308,7 +298,7 @@ def evaluate_model(model: FusionModel, test_store: InteractionStore, cutoffs,
 
 def load_experiment_store(config: ExperimentConfig) -> InteractionStore:
     if config.synthetic is not None:
-        return gen_synthetic(config.synthetic).store
+        return gen_synthetic(config.synthetic)
     if config.store_path is None:
         raise ValueError("config names neither a store nor a synthetic spec")
     return load_store(config.store_path)
@@ -335,7 +325,6 @@ def pretrain_mlp(config: ExperimentConfig, store: InteractionStore,
                  val_store: InteractionStore | None = None, on_epoch=None) -> MlpParams:
     """The non-linear branch."""
     hyper = MlpHyperparams(latent_dim=config.latent_dim, tower=config.tower,
-                           init_from_factors=config.init_tables_from_factors,
                            fit=config.fit(config.epochs_mlp))
     return train_mlp(store, hyper, val_store=val_store, on_epoch=on_epoch)
 
@@ -344,7 +333,7 @@ def fine_tune(config: ExperimentConfig, model: FusionModel, store: InteractionSt
               val_store: InteractionStore | None = None, on_epoch=None) -> FusionModel:
     """A fine-tuned copy of the fused model."""
     return train_fusion(model, store, config.fit(config.epochs_fusion), val_store=val_store,
-                        freeze_branches=config.freeze_branches, on_epoch=on_epoch)
+                        on_epoch=on_epoch)
 
 
 def train_pipeline(
@@ -353,24 +342,20 @@ def train_pipeline(
     val_store: InteractionStore | None = None,
     on_epoch=None,
 ):
-    """Pre-train both branches (unless disabled) and fine-tune the head.
+    """Pre-train both branches, fuse them and fine-tune the fused model.
 
     Returns (model, phase_seconds). A bad tower is refused before any training.
     """
     check_tower(config.latent_dim, config.tower)
-    timings = {"pretrain_mf": 0.0, "pretrain_mlp": 0.0}
-    if config.pretrain:
-        started = time.perf_counter()
-        mf_params = pretrain_mf(config, train_store, val_store, on_epoch)
-        timings["pretrain_mf"] = time.perf_counter() - started
+    timings = {}
+    started = time.perf_counter()
+    mf_params = pretrain_mf(config, train_store, val_store, on_epoch)
+    timings["pretrain_mf"] = time.perf_counter() - started
 
-        started = time.perf_counter()
-        mlp_params = pretrain_mlp(config, train_store, val_store, on_epoch)
-        timings["pretrain_mlp"] = time.perf_counter() - started
-        model = init_fusion(mf_params, mlp_params, config.gamma)
-    else:
-        model = init_fusion_random(train_store.n_users, train_store.n_products,
-                                   config.latent_dim, config.tower, config.seed, config.gamma)
+    started = time.perf_counter()
+    mlp_params = pretrain_mlp(config, train_store, val_store, on_epoch)
+    timings["pretrain_mlp"] = time.perf_counter() - started
+    model = init_fusion(mf_params, mlp_params, config.gamma)
 
     started = time.perf_counter()
     model = fine_tune(config, model, train_store, val_store, on_epoch)

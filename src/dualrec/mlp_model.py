@@ -1,8 +1,7 @@
 """Non-linear branch: embedding tables, fusion layer and ReLU tower.
 
-Each user owns one K-dim embedding row, and likewise each product. With
-``init_from_factors`` the tables start from the sum of the rating and
-reliability SVD factors, the one place reliability enters this branch.
+Each user owns one K-dim embedding row, and likewise each product, both
+started from Gaussian noise; reliability does not enter this branch.
 The fusion layer applies a KxK fully-connected map and ReLU to a user's
 row, and the same to a product's; the two fused vectors are concatenated
 into a 2K input that a tower of shrinking ReLU layers maps down to the
@@ -88,7 +87,6 @@ class MlpHyperparams:
     latent_dim: int
     tower: tuple = (16, 8)
     init_scale: float = 0.01
-    init_from_factors: bool = False
     fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
@@ -257,13 +255,6 @@ def train_mlp(
         store.n_users, store.n_products, hyper.latent_dim, hyper.tower,
         hyper.fit.seed, hyper.init_scale,
     )
-    if hyper.init_from_factors:
-        from .mf_model import svd_init
-
-        (w, z), (e, f) = svd_init(store, hyper.latent_dim)
-        params.user_emb = (w + e).T.copy()
-        params.prod_emb = (z + f).T.copy()
-
     fit_mae(param_dict(params), functools.partial(_forward_batch, params),
             functools.partial(_backward_batch, params), store, hyper.fit,
             np.random.default_rng(hyper.fit.seed), "mlp", val_store, on_epoch)

@@ -224,9 +224,9 @@ def test_c04_gradient_correctness():
 @criterion("synthetic recovery: joint factors beat the global-mean baseline by >= 40%")
 def test_c05_synthetic_recovery():
     started = time.perf_counter()
-    data = gen_synthetic(SyntheticSpec(50, 40, 2, 0.3, 0.05, seed=7))
+    store = gen_synthetic(SyntheticSpec(50, 40, 2, 0.3, 0.05, seed=7))
     train_store, _, test_store = split(
-        data.store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=0)
+        store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=0)
     )[0]
     hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.001,
                           fit=FitHyperparams(batch_size=512, epochs=200, lr=0.05, seed=0,
@@ -279,9 +279,9 @@ def _test_mae(model, test_store):
 def test_c07_pretraining_direction():
     wins = 0
     for seed in range(5):
-        data = gen_synthetic(SyntheticSpec(30, 24, 2, 0.5, 0.05, seed=100 + seed))
+        store = gen_synthetic(SyntheticSpec(30, 24, 2, 0.5, 0.05, seed=100 + seed))
         train_store, val_store, test_store = split(
-            data.store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=seed)
+            store, SplitSpec(0.7, 0.15, 0.15, folds=1, seed=seed)
         )[0]
         fine_tune = FitHyperparams(batch_size=64, epochs=30, lr=0.01,
                                    lr_decay=0.98, seed=seed, patience=5)
@@ -357,8 +357,8 @@ def test_c08_metric_oracles():
 
 @criterion("linear scaling: doubling observed ratings doubles per-epoch time (+-30%)")
 def test_c09_linear_scaling():
-    small = gen_synthetic(SyntheticSpec(200, 150, 2, 0.4, 0.05, seed=9)).store
-    large = gen_synthetic(SyntheticSpec(200, 150, 2, 0.8, 0.05, seed=9)).store
+    small = gen_synthetic(SyntheticSpec(200, 150, 2, 0.4, 0.05, seed=9))
+    large = gen_synthetic(SyntheticSpec(200, 150, 2, 0.8, 0.05, seed=9))
     count_ratio = len(large.ratings) / len(small.ratings)
     assert 1.9 <= count_ratio <= 2.1  # the doubling itself
 

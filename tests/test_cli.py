@@ -1,12 +1,15 @@
+import argparse
 import json
 import logging
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualrec.checkpoint import save_sections
-from dualrec.cli import main
+from dualrec.cli import build_parser, main
 from dualrec.ingest import _make_store, load_store, save_store
 
 from conftest import rated, scored
@@ -96,8 +99,11 @@ class TestBasics:
         ({"model": {"reg_lambda": "x"}}, "reg_lambda must be a number, got 'x'"),
         ({"model": {"gamma": "x"}}, "gamma must be a number, got 'x'"),
         ({"model": {"seed": "a"}}, "seed must be an integer, got 'a'"),
-        ({"model": {"pretrain": "no"}}, "pretrain must be true or false, got 'no'"),
-        ({"model": {"freeze_branches": 1}}, "freeze_branches must be true or false, got 1"),
+        ({"model": {"pretrain": False}}, "unknown key(s) in config section 'model': pretrain"),
+        ({"model": {"freeze_branches": True}},
+         "unknown key(s) in config section 'model': freeze_branches"),
+        ({"model": {"init_tables_from_factors": True}},
+         "unknown key(s) in config section 'model': init_tables_from_factors"),
         ({"model": {"tower": 5}}, "tower must be a list of integers, got 5"),
         ({"eval": {"cutoffs": ["5"]}}, "cutoffs must be a list of integers, got ('5',)"),
         ({"data": {"store": 5}}, "store_path must be a string or null, got 5"),
@@ -106,13 +112,21 @@ class TestBasics:
         ({"data": {"synthetic": {"n_users": "9", "n_products": 8, "true_rank": 2,
                                  "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
          "n_users must be an integer, got '9'"),
+        ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
+                                 "observation_density": 0.5, "noise_std": -0.5, "seed": 5}}},
+         "noise_std must be a finite number >= 0, got -0.5"),
+        ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
+                                 "observation_density": 0.5, "noise_std": float("nan"),
+                                 "seed": 5}}},
+         "noise_std must be a finite number >= 0, got nan"),
         ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
         ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be >= 1, got 0"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
-            "reg_lambda-string", "gamma-string", "seed-string", "pretrain-string",
-            "freeze_branches-int", "tower-int", "cutoffs-strings", "store-int",
-            "split-seed-string", "split-folds-string", "synthetic-n_users-string",
-            "reliability-alpha-out-of-range", "eval-cutoff-zero"])
+            "reg_lambda-string", "gamma-string", "seed-string", "pretrain-removed",
+            "freeze_branches-removed", "init_tables_from_factors-removed", "tower-int",
+            "cutoffs-strings", "store-int", "split-seed-string", "split-folds-string",
+            "synthetic-n_users-string", "synthetic-noise_std-negative",
+            "synthetic-noise_std-nan", "reliability-alpha-out-of-range", "eval-cutoff-zero"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
@@ -129,9 +143,19 @@ class TestBasics:
         (None, "error [config-not-found]: config not found: {config}"),
         ({"eval": {"cutoffs": [0]}},
          "error [bad-config]: cannot parse config {config}: cutoff must be >= 1, got 0"),
-        ({"model": {"pretrain": False, "gamma": 2, "epochs_fusion": 2}},
+        ({"model": {"gamma": 2, "epochs_fusion": 2}},
          "error [bad-config]: cannot parse config {config}: gamma must be in [0, 1], got 2"),
-    ], ids=["missing", "bad-cutoff", "gamma-too-large"])
+        ({"model": {"pretrain": False, "epochs_fusion": 2}},
+         "error [bad-config]: cannot parse config {config}: "
+         "unknown key(s) in config section 'model': pretrain"),
+        ({"model": {"freeze_branches": True, "epochs_fusion": 2}},
+         "error [bad-config]: cannot parse config {config}: "
+         "unknown key(s) in config section 'model': freeze_branches"),
+        ({"model": {"init_tables_from_factors": True, "epochs_fusion": 2}},
+         "error [bad-config]: cannot parse config {config}: "
+         "unknown key(s) in config section 'model': init_tables_from_factors"),
+    ], ids=["missing", "bad-cutoff", "gamma-too-large", "removed-pretrain",
+            "removed-freeze_branches", "removed-init_tables_from_factors"])
     def test_train_reads_the_config_before_the_stores(self, tmp_path, capsys, doc, want):
         config = tmp_path / "config.json"
         if doc is not None:
@@ -152,21 +176,24 @@ class TestBasics:
         assert line == f"error [bad-config]: cannot parse config {config}: JSON nested too deeply"
         assert list(tmp_path.iterdir()) == [config]
 
-    def test_train_freeze_branches_without_checkpoints(self, tmp_path):
-        store = tmp_path / "store.json"
-        main(["synth", "--users", "12", "--products", "10", "--seed", "4",
-              "--out", str(store)])
-        plain, frozen = tmp_path / "plain.ckpt", tmp_path / "frozen.ckpt"
-        argv = ["train", "--store", str(store), "--epochs", "1", "--seed", "4", "--out"]
-        assert main(argv + [str(plain)]) == 0
-        assert main(argv + [str(frozen), "--freeze-branches"]) == 0
-        assert plain.read_bytes() != frozen.read_bytes()
+    @pytest.mark.parametrize("argv", [
+        "pretrain-mlp --store {t}/store.json --out {t}/x.ckpt --init-from-factors",
+        "train --store {t}/store.json --out {t}/x.ckpt --freeze-branches",
+    ], ids=["init-from-factors", "freeze-branches"])
+    def test_a_removed_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        assert main(["synth", "--users", "12", "--products", "10",
+                     "--out", str(tmp_path / "store.json")]) == 0
+        capsys.readouterr()
+        assert main(argv.format(t=tmp_path).split()) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + argv.split()[-1] in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
 
     def test_train_reads_no_config_from_the_environment(self, tmp_path, monkeypatch):
         store, config = tmp_path / "store.json", tmp_path / "config.json"
         main(["synth", "--users", "12", "--products", "10", "--seed", "4",
               "--out", str(store)])
-        config.write_text(json.dumps({"model": {"batch_size": 7, "freeze_branches": True}}))
+        config.write_text(json.dumps({"model": {"batch_size": 7, "epochs_fusion": 3}}))
         plain, under_env = tmp_path / "plain.ckpt", tmp_path / "env.ckpt"
         argv = ["train", "--store", str(store), "--epochs", "1", "--seed", "4", "--out"]
         assert main(argv + [str(plain)]) == 0
@@ -178,6 +205,22 @@ class TestBasics:
         assert main(["sweep", "--out-dir", str(tmp_path / "sweep")]) == 2
         assert "--config" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_synopsis_names_only_parser_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    unknown = {}  # subcommand -> the flags its synopsis names that its parser lacks
+    for line in block.replace("\\\n", " ").splitlines():  # a continued line is one command
+        code = line.split("#")[0]
+        if code.startswith("dualrec "):
+            command = code.split()[1]
+            options = subparsers.choices[command]._option_string_actions
+            unknown[command] = [f for f in re.findall(r"--[a-z-]+", code) if f not in options]
+    assert set(unknown) == set(subparsers.choices)
+    assert unknown == {command: [] for command in unknown}
 
 
 class TestIngest:
@@ -560,6 +603,12 @@ class TestErrorCategories:
          "error [bad-args]: --mf and --mlp must be given together"),
         ("synth --users 5 --products 5 --rank 9 --out {d}/x.json",
          "error [bad-args]: true_rank exceeds the smaller dimension"),
+        ("synth --users 20 --products 15 --noise -0.5 --out {d}/x.json",
+         "error [bad-args]: noise_std must be a finite number >= 0, got -0.5"),
+        ("synth --users 20 --products 15 --noise nan --out {d}/x.json",
+         "error [bad-args]: noise_std must be a finite number >= 0, got nan"),
+        ("synth --users 20 --products 15 --noise inf --out {d}/x.json",
+         "error [bad-args]: noise_std must be a finite number >= 0, got inf"),
         ("reliability --store {d}/store.json --out {d}/x.tsv --alpha 2",
          "error [bad-args]: alpha must be in [0, 1], got 2.0"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --batch-size -5",
@@ -576,7 +625,8 @@ class TestErrorCategories:
          "error [bad-args]: latent_dim must be >= 1"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
             "mlp-diverges-last-epoch", "widening-tower", "head-widths-differ",
-            "latent-sizes-differ", "mf-without-mlp", "rank-too-large", "alpha-too-large",
+            "latent-sizes-differ", "mf-without-mlp", "rank-too-large", "negative-noise",
+            "nan-noise", "infinite-noise", "alpha-too-large",
             "negative-batch-size", "zero-batch-size", "negative-epochs", "negative-lr",
             "zero-head-width", "zero-latent-dim"])
     def test_command_error_line(self, trained, capsys, argv, want):

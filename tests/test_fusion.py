@@ -42,8 +42,8 @@ def check_fused_gradients(model, cache, d_raw, assert_close) -> set:
     from dualrec.fusion import _forward_batch, _grads_batch, param_dict
 
     full_model = dataclasses.replace(model, train_tables=True)
-    full = _grads_batch(full_model, cache, d_raw, freeze_branches=False)
-    fixed = _grads_batch(model, cache, d_raw, freeze_branches=False)
+    full = _grads_batch(full_model, cache, d_raw)
+    fixed = _grads_batch(model, cache, d_raw)
     weights = param_dict(full_model)
     assert set(full) <= set(weights)
     assert set(fixed) == set(full) - TABLES
@@ -297,20 +297,6 @@ class TestTraining:
         assert len(losses) == 5
         for a, b in zip(losses, losses[1:]):
             assert b <= a * 1.05  # non-increasing within 5% noise
-
-    def test_freeze_branches_only_updates_head(self):
-        rng = np.random.default_rng(21)
-        store = random_store(rng, 4, 4)
-        model = small_model(seed=21)
-        trained = train_fusion(
-            model, store, FitHyperparams(epochs=3, lr=0.05, patience=0),
-            freeze_branches=True,
-        )
-        np.testing.assert_array_equal(trained.mf.user_rating, model.mf.user_rating)
-        np.testing.assert_array_equal(trained.mf.proj_joint, model.mf.proj_joint)
-        np.testing.assert_array_equal(trained.mlp.tower_w[0], model.mlp.tower_w[0])
-        np.testing.assert_array_equal(trained.mlp.user_emb, model.mlp.user_emb)
-        assert np.any(trained.concat_w != model.concat_w)
 
     def test_global_mean_recorded(self):
         rng = np.random.default_rng(23)

@@ -88,37 +88,36 @@ class TestSynthetic:
 
     def test_deterministic(self):
         spec = SyntheticSpec(12, 10, 2, 0.5, 0.1, seed=4)
-        a = gen_synthetic(spec).store
-        b = gen_synthetic(spec).store
+        a = gen_synthetic(spec)
+        b = gen_synthetic(spec)
         assert rated(a) == rated(b)
         assert scored(a) == scored(b)
 
     def test_density_within_binomial_spread(self):
         n, m, density = 50, 40, 0.01
         spec = SyntheticSpec(n, m, 2, density, 0.0, seed=8)
-        observed = len(gen_synthetic(spec).store.ratings)
+        observed = len(gen_synthetic(spec).ratings)
         expected = n * m * density
         spread = math.sqrt(n * m * density * (1 - density))
         assert abs(observed - expected) <= 3 * spread
 
     def test_quantized_ratings_are_whole_stars(self):
-        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2)).store
+        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2))
         assert all(v == int(v) and 1 <= v <= 5 for v in rated(store).values())
 
     def test_continuous_ratings_stay_in_range(self):
-        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2, quantize=False)).store
+        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.1, seed=2, quantize=False))
         assert all(1.0 <= v <= 5.0 for v in rated(store).values())
 
     def test_reliability_in_open_unit_interval(self):
-        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=3)).store
+        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=3))
         assert set(scored(store)) == set(rated(store))
         assert all(0.0 < v < 1.0 for v in scored(store).values())
 
     def test_recoverability_oracle(self):
         # noiseless, fully observed, continuous ratings: a matching-rank
         # factor model must reproduce the training data almost exactly
-        data = gen_synthetic(SyntheticSpec(50, 40, 2, 1.0, 0.0, seed=3, quantize=False))
-        store = data.store
+        store = gen_synthetic(SyntheticSpec(50, 40, 2, 1.0, 0.0, seed=3, quantize=False))
         hyper = MfHyperparams(latent_dim=2, predictive_dim=4, reg_lambda=0.0,
                               fit=FitHyperparams(batch_size=512, epochs=200, lr=0.05, seed=0,
                                                  patience=0))
@@ -175,11 +174,6 @@ class TestRunExperiment:
         assert all(v >= 0 for v in timings.values())
         phases = {entry[0] for entry in result.folds[0].epoch_log}
         assert "fusion" in phases and "mlp" in phases and "mf-rating" in phases
-
-    def test_no_pretrain_mode(self):
-        result = run_experiment(tiny_config(pretrain=False))
-        assert result.folds[0].phase_seconds["pretrain_mf"] == 0.0
-        assert result.mean_report.n_pairs > 0
 
     def test_a_bad_tower_is_refused_before_any_branch_trains(self, monkeypatch):
         trained = []
@@ -244,8 +238,7 @@ class TestConfigParsing:
                      "folds": 3, "seed": 4}
         model = {"latent_dim": 5, "tower": [10, 4], "reg_lambda": 0.2, "gamma": 0.7,
                  "batch_size": 64, "epochs_mf": 2, "epochs_mlp": 3, "epochs_fusion": 4,
-                 "lr": 0.01, "seed": 9, "patience": 6, "pretrain": False,
-                 "freeze_branches": True, "init_tables_from_factors": True}
+                 "lr": 0.01, "seed": 9, "patience": 6}
         doc = {
             "data": {"store": "s.json", "synthetic": synthetic},
             "split": split_doc,

@@ -278,7 +278,7 @@ class TestRoundTrip:
             load_store(path)
 
     def test_non_integral_synthetic_ratings_round_trip(self, tmp_path):
-        store = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4, quantize=False)).store
+        store = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4, quantize=False))
         assert any(v != int(v) for v in rated(store).values())
         path = tmp_path / "store.json"
         save_store(store, path)

@@ -379,8 +379,7 @@ class TestTraining:
         np.testing.assert_array_equal(params.prod_rel, f)
 
     def test_synthetic_rank2_recovery(self):
-        data = gen_synthetic(SyntheticSpec(30, 25, 2, 0.6, 0.0, seed=1, quantize=False))
-        store = data.store
+        store = gen_synthetic(SyntheticSpec(30, 25, 2, 0.6, 0.0, seed=1, quantize=False))
         params = train_mf(store, hyper(epochs=150, reg_lambda=0.0))
         idx_u, idx_p, _, truth = store.rated_arrays
         preds = factor_predict(params, idx_u, idx_p, branch="rating")

@@ -101,13 +101,6 @@ class TestInitGolden:
         assert predictions_digest(params) == (
             "c2b02f6bc01960d27cc46afaec335838de60e604a36057c4d0f323a23ba43aaf")
 
-    def test_init_from_factors_predictions(self):
-        store = random_store(np.random.default_rng(13), 5, 5)
-        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), fit=FitHyperparams(epochs=0),
-                               init_from_factors=True, init_scale=0.3)
-        assert predictions_digest(train_mlp(store, hyper)) == (
-            "297314a3d61669b8a71b18eca6a24fd661327bce6f0881f13abe92cf2b2eed95")
-
 
 class TestFusionLayer:
     def test_all_zero_inputs(self):
@@ -296,8 +289,7 @@ class TestPredictAndTrain:
         assert mlp_predict(params, 1, 1) == before
 
     def test_capacity_overfits_small_toy(self):
-        data = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=2, quantize=False))
-        store = data.store
+        store = gen_synthetic(SyntheticSpec(10, 10, 2, 0.5, 0.0, seed=2, quantize=False))
         assert len(store.ratings) == 50
         hyper = MlpHyperparams(
             latent_dim=8, tower=(16, 8), init_scale=0.3,
@@ -321,18 +313,6 @@ class TestPredictAndTrain:
         np.testing.assert_array_equal(a.user_emb, b.user_emb)
         np.testing.assert_array_equal(a.tower_w[1], b.tower_w[1])
         assert a.reg_b == b.reg_b
-
-    def test_init_from_factors_option(self):
-        rng = np.random.default_rng(13)
-        store = random_store(rng, 5, 5)
-        hyper = MlpHyperparams(latent_dim=3, tower=(6, 3), fit=FitHyperparams(epochs=0),
-                               init_from_factors=True)
-        params = train_mlp(store, hyper)
-        from dualrec.mf_model import svd_init
-
-        (w, z), (e, f) = svd_init(store, 3)
-        np.testing.assert_array_equal(params.user_emb, w.T + e.T)
-        np.testing.assert_array_equal(params.prod_emb, z.T + f.T)
 
     def test_divergence_raises(self):
         rng = np.random.default_rng(17)

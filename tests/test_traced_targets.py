@@ -46,7 +46,7 @@ def test_every_epoch_hooked_trainer_takes_on_epoch(label):
 
 
 def test_training_reports_the_five_benchmark_phases():
-    store = gen_synthetic(SyntheticSpec(12, 10, 2, 0.6, 0.05, seed=1)).store
+    store = gen_synthetic(SyntheticSpec(12, 10, 2, 0.6, 0.05, seed=1))
     fit = FitHyperparams(batch_size=16, epochs=2, lr=0.01, patience=0)
     seen = []
 

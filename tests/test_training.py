@@ -139,7 +139,7 @@ def mirrored():
     """A training store and a validation store of the same pairs with
     mirrored ratings: fitting the training ratings first helps, then
     hurts validation MAE."""
-    store = gen_synthetic(SyntheticSpec(20, 16, 2, 0.6, 0.05, seed=3)).store
+    store = gen_synthetic(SyntheticSpec(20, 16, 2, 0.6, 0.05, seed=3))
     entries = [(i, j, 6 - r, 0, 0, k) for k, ((i, j), r) in enumerate(sorted(rated(store).items()))]
     return store, _make_store(store.user_ids, store.product_ids, entries, {})
 
