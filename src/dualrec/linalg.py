@@ -124,19 +124,27 @@ def sigmoid(x):
     """Logistic function 1 / (1 + e^-x), stable for large |x|.
 
     Output is clamped to the open interval (0, 1) at float64 resolution,
-    so even saturated inputs never return exactly 0 or 1.
+    so even saturated inputs never return exactly 0 or 1. A 0-d input
+    gives a float.
     """
     arr = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(arr))  # e^-x for x >= 0, e^x below: never overflows
-    out = np.clip(np.where(arr >= 0, 1.0, e) / (1.0 + e), _SIG_LO, _SIG_HI)
+    e = np.abs(arr, out=np.empty(arr.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # e^-x for x >= 0, e^x below: never overflows
+    out = np.where(arr >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    np.maximum(out, _SIG_LO, out=out)
+    np.minimum(out, _SIG_HI, out=out)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def relu(x):
-    """max(x, 0); the subgradient used elsewhere is 0 at x = 0."""
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """max(x, 0), into ``out`` when given; the subgradient used elsewhere is
+    0 at x = 0."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
@@ -144,11 +152,13 @@ def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
 
     Bit-identical to ``np.add.at`` into zeros: ``np.bincount`` adds each
     bin's weights in input order starting from 0.0, over the flattened
-    ``idx * K + k`` cells, and is several times faster.
+    ``idx * K + k`` cells, and is several times faster. The cells are
+    listed column by column, which numpy builds faster than row by row;
+    each cell still receives its weights in batch order.
     """
     k = contrib.shape[1]
-    cells = (np.asarray(idx)[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(cells, weights=contrib.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+    cells = (np.arange(k)[:, None] + np.asarray(idx) * k).ravel()
+    return np.bincount(cells, weights=contrib.T.ravel(), minlength=n_rows * k).reshape(n_rows, k)
 
 
 class _FlatAdam:
@@ -156,7 +166,7 @@ class _FlatAdam:
     arrays, each one flat array laid out over the names in order, with a
     view per name shaped like its parameter."""
 
-    def __init__(self, names: tuple, params: dict, state: "AdamState"):
+    def __init__(self, names: tuple, params: dict):
         shapes = [params[name].shape for name in names]
         sizes = [math.prod(shape) for shape in shapes]
         starts = [0, *itertools.accumulate(sizes)]
@@ -167,7 +177,7 @@ class _FlatAdam:
                     for name, a, n, shape in zip(names, starts, sizes, shapes)}
 
         self.g_views, self.step_views = views(self.g), views(self.step)
-        state.m, state.v = views(self.m), views(self.v)
+        self.m_views, self.v_views = views(self.m), views(self.v)
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015's defaults).
@@ -204,20 +214,19 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     (sqrt(v/bc2) + eps)``; each parameter then subtracts its slice. Buffers
     are allocated on the first step only.
     """
-    for name, g in grads.items():
-        if params[name].shape != np.shape(g):
-            raise ValueError(
-                f"gradient shape {np.shape(g)} does not match parameter "
-                f"{name!r} shape {params[name].shape}"
-            )
-    flat = state._flat
-    if flat is None:
-        flat = state._flat = _FlatAdam(tuple(grads), params, state)
-    elif grads.keys() != flat.g_views.keys():
+    flat = state._flat or _FlatAdam(tuple(grads), params)
+    if grads.keys() != flat.g_views.keys():
         raise ValueError(f"an Adam state steps the names {sorted(flat.g_views)} on every "
                          f"step, got {sorted(grads)}")
     for name, dst in flat.g_views.items():
-        dst[...] = grads[name]
+        g = grads[name]
+        if dst.shape != np.shape(g):
+            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
+                             f"{name!r} shape {dst.shape}")
+        dst[...] = g
+    if state._flat is None:
+        state._flat = flat
+        state.m, state.v = flat.m_views, flat.v_views
     state.t += 1
     b1, b2 = _BETA1, _BETA2
     g, m, v, step, denom = flat.g, flat.m, flat.v, flat.step, flat.denom

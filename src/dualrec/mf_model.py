@@ -6,7 +6,10 @@ shares one user matrix between the ratings and the reliability scores,
 fitting sigmoid(e_i . z_j) to ratings and sigmoid(e_i . f_j) to
 reliability simultaneously. Both use squared error over the observed
 entries plus count-weighted L2 regularization, minimized with mini-batch
-Adam from an SVD warm start computed over the observed pairs only.
+Adam from an SVD warm start computed over the observed pairs only. The
+factor tables are C-ordered K x n arrays, one column per user or product,
+and so are their gradient tables (:func:`_scatter_cols`), so that Adam
+copies each into its flat buffer in one contiguous pass.
 
 On top of the trained factors sits a small head: two KxK projections mix
 the elementwise products of the rating-branch and joint-branch factors
@@ -133,23 +136,20 @@ def svd_init(store: InteractionStore, latent_dim: int):
     return decompose(store.rated_arrays), decompose(store.scored_arrays)
 
 
-def _sq_data_term(u_blk, v_blk, targets):
-    """Squared-error data term and the per-pair residual coefficient of
-    the pairs' gathered K x batch factor blocks.
-
-    The coefficient is d(term)/d(u_i . v_j), i.e. 2 (pred - target)
-    pred (1 - pred) with pred = sigmoid(u_i . v_j).
-    """
-    dots = np.einsum("kb,kb->b", u_blk, v_blk)
-    preds = sigmoid(dots)
-    resid = preds - targets
-    coef = 2.0 * resid * preds * (1.0 - preds)
-    return float(np.sum(resid**2)), coef
-
-
 def _scatter_cols(n_cols: int, idx, contrib):
-    """Accumulate per-pair K-vectors into the indexed columns of a K x n_cols table."""
-    return scatter_rows(n_cols, idx, contrib).T
+    """C-ordered (K, n_cols) table whose column c sums the columns of the
+    (K, batch) block ``contrib`` with ``idx == c``.
+
+    Bit-identical to ``np.add.at`` into zeros: ``np.bincount`` adds each
+    cell's weights in batch order starting from 0.0, over the flattened
+    ``k * n_cols + idx`` cells. The table has the layout of the factor
+    tables and of Adam's buffer, so the optimizer copies it contiguously.
+    It is float64 for an empty batch too, where ``np.bincount`` gives int64.
+    """
+    k = contrib.shape[0]
+    cells = (np.arange(0, k * n_cols, n_cols)[:, None] + idx).ravel()
+    table = np.bincount(cells, weights=contrib.ravel(), minlength=k * n_cols)
+    return table.astype(np.float64, copy=False).reshape(k, n_cols)
 
 
 # Each factor objective is a table of squared pair terms: (user factor,
@@ -160,20 +160,40 @@ _RELIABILITY = (("user_joint", "prod_rel", "scored_arrays"),)
 _JOINT = (("user_joint", "prod_joint", "rated_arrays"),) + _RELIABILITY
 
 
-def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
-    """Loss and gradients of one squared data term with per-pair L2.
+def _pair_loss(u_blk, v_blk, targets, reg_lambda):
+    """Value of one squared data term with per-pair L2 over the pairs'
+    gathered K x batch factor blocks, with the pairs' predictions
+    sigmoid(u_i . v_j) and residuals.
 
     The count-weighted regularizer equals a per-observed-pair penalty
     lambda (|u_i|^2 + |v_j|^2), which is the form used here so that
     mini-batches of pairs sum exactly to the full objective.
     """
+    preds = sigmoid(np.einsum("kb,kb->b", u_blk, v_blk))
+    resid = preds - targets
+    reg = reg_lambda * float(np.sum(u_blk**2) + np.sum(v_blk**2))
+    return float(np.sum(resid**2)) + reg, preds, resid
+
+
+def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
+    """Value of :func:`_pair_loss` and its gradients for the two factor tables.
+
+    The per-pair coefficient is d(term)/d(u_i . v_j), i.e. 2 (pred - target)
+    pred (1 - pred).
+    """
     u_blk, v_blk = u_mat[:, idx_u], v_mat[:, idx_p]
-    term, coef = _sq_data_term(u_blk, v_blk, targets)
-    u_cols, v_cols = u_blk.T, v_blk.T
-    reg = reg_lambda * float(np.sum(u_cols**2) + np.sum(v_cols**2))
-    du = _scatter_cols(u_mat.shape[1], idx_u, coef[:, None] * v_cols + 2.0 * reg_lambda * u_cols)
-    dv = _scatter_cols(v_mat.shape[1], idx_p, coef[:, None] * u_cols + 2.0 * reg_lambda * v_cols)
-    return term + reg, (du, dv)
+    loss, preds, resid = _pair_loss(u_blk, v_blk, targets, reg_lambda)
+    coef = 2.0 * resid
+    coef *= preds
+    np.subtract(1.0, preds, out=preds)
+    coef *= preds
+    reg2 = 2.0 * reg_lambda
+    du = coef * v_blk
+    du += reg2 * u_blk
+    dv = coef * u_blk
+    dv += reg2 * v_blk
+    return loss, (_scatter_cols(u_mat.shape[1], idx_u, du),
+                  _scatter_cols(v_mat.shape[1], idx_p, dv))
 
 
 def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) -> float:
@@ -181,10 +201,12 @@ def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) ->
     ``CHUNK_PAIRS`` pairs at a time so that the gathered blocks stay small."""
     total = 0.0
     for u, v, view in terms:
-        pairs = getattr(store, view)[:3]
-        total += sum(_pair_loss_grads(getattr(params, u), getattr(params, v),
-                                      *(a[s : s + CHUNK_PAIRS] for a in pairs), reg_lambda)[0]
-                     for s in range(0, pairs[0].size, CHUNK_PAIRS))
+        u_mat, v_mat = getattr(params, u), getattr(params, v)
+        idx_u, idx_p, targets = getattr(store, view)[:3]
+        total += sum(_pair_loss(u_mat[:, idx_u[s : s + CHUNK_PAIRS]],
+                                v_mat[:, idx_p[s : s + CHUNK_PAIRS]],
+                                targets[s : s + CHUNK_PAIRS], reg_lambda)[0]
+                     for s in range(0, idx_u.size, CHUNK_PAIRS))
     return total
 
 
@@ -203,7 +225,10 @@ def _terms_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, r
                                           reg_lambda)
         loss += term
         for name, g in ((u, du), (v, dv)):
-            grads[name] = grads[name] + g if name in grads else g
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
     return loss, grads
 
 
@@ -252,8 +277,11 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
     starts = np.cumsum(sizes) - sizes
 
     def batch_grads(batch):
-        kind = kinds[batch]
-        rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
+        if len(terms) == 1:  # every pair is the one term's
+            rows = [batch]
+        else:
+            kind = kinds[batch]
+            rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
         return _terms_grads(params, store, terms, hyper.reg_lambda, rows)
 
     u_mat, v_mat = getattr(params, terms[0][0]), getattr(params, terms[0][1])
@@ -266,11 +294,18 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
         phase, val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
 
 
+def _pair_products(u_mat, v_mat, idx_u, idx_p):
+    """C-ordered (batch, K) elementwise products of the pairs' factor columns."""
+    out = np.empty((len(idx_u), u_mat.shape[0]))
+    np.multiply(u_mat.take(idx_u, axis=1), v_mat.take(idx_p, axis=1), out=out.T)
+    return out
+
+
 def _embedding_batch(params: MfParams, idx_u, idx_p):
     """Pair embeddings for index arrays, shape (batch, K), and the cache
     that :func:`_backward_from_theta` reads."""
-    rating = (params.user_rating[:, idx_u] * params.prod_rating[:, idx_p]).T
-    joint = (params.user_joint[:, idx_u] * params.prod_joint[:, idx_p]).T
+    rating = _pair_products(params.user_rating, params.prod_rating, idx_u, idx_p)
+    joint = _pair_products(params.user_joint, params.prod_joint, idx_u, idx_p)
     theta = rating @ params.proj_rating.T + joint @ params.proj_joint.T
     return theta, {"idx_u": idx_u, "idx_p": idx_p, "rating": rating, "joint": joint}
 
@@ -284,11 +319,11 @@ def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -
         idx_u, idx_p = cache["idx_u"], cache["idx_p"]
         for user, prod, proj in (("user_rating", "prod_rating", params.proj_rating),
                                  ("user_joint", "prod_joint", params.proj_joint)):
-            d_prod = d_theta @ proj
-            u_cols = getattr(params, user)[:, idx_u].T
-            v_cols = getattr(params, prod)[:, idx_p].T
-            grads[user] = _scatter_cols(params.n_users, idx_u, d_prod * v_cols)
-            grads[prod] = _scatter_cols(params.n_products, idx_p, d_prod * u_cols)
+            d_prod = (d_theta @ proj).T
+            u_blk = getattr(params, user)[:, idx_u]
+            v_blk = getattr(params, prod)[:, idx_p]
+            grads[user] = _scatter_cols(params.n_users, idx_u, d_prod * v_blk)
+            grads[prod] = _scatter_cols(params.n_products, idx_p, d_prod * u_blk)
     return grads
 
 

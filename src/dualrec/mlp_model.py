@@ -146,16 +146,21 @@ def init_mlp(
 def _embedding_batch(params: MlpParams, idx_u, idx_p):
     """Pair embeddings for index arrays, shape (batch, p), and the cache
     that :func:`_backward_from_theta` reads."""
-    user = params.user_emb[idx_u]
-    prod = params.prod_emb[idx_p]
-    a_pre = user @ params.fusion_w_user.T + params.fusion_b_user
-    b_pre = prod @ params.fusion_w_prod.T + params.fusion_b_prod
-    a = relu(a_pre)
-    b = relu(b_pre)
-    hidden = [np.concatenate([a, b], axis=1)]
+    k = params.latent_dim
+    user = params.user_emb.take(idx_u, axis=0)
+    prod = params.prod_emb.take(idx_p, axis=0)
+    a_pre = user @ params.fusion_w_user.T
+    a_pre += params.fusion_b_user
+    b_pre = prod @ params.fusion_w_prod.T
+    b_pre += params.fusion_b_prod
+    fused = np.empty((len(a_pre), 2 * k))
+    relu(a_pre, out=fused[:, :k])
+    relu(b_pre, out=fused[:, k:])
+    hidden = [fused]
     pres = []
     for w, bias in zip(params.tower_w, params.tower_b):
-        pre = hidden[-1] @ w + bias
+        pre = hidden[-1] @ w
+        pre += bias
         pres.append(pre)
         hidden.append(relu(pre))
     cache = {"idx_u": idx_u, "idx_p": idx_p, "user": user, "prod": prod,
@@ -183,6 +188,14 @@ def param_dict(params: MlpParams) -> dict:
     return out
 
 
+def _bias_grad(d_pre):
+    """Column sums of a (batch, width) block, bit for bit ``d_pre.sum(axis=0)``:
+    with two or more columns both add each column's rows in order, which
+    ``einsum`` does in a third of the time; numpy sums a single column
+    pairwise, so that one keeps ``sum``."""
+    return np.einsum("bk->k", d_pre) if d_pre.shape[1] > 1 else d_pre.sum(axis=0)
+
+
 def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool = True) -> dict:
     """Gradients of every parameter below the pair embedding.
 
@@ -195,15 +208,15 @@ def _backward_from_theta(params: MlpParams, cache: dict, d_theta, tables: bool =
     for l in range(len(params.tower_w) - 1, -1, -1):
         d_pre = d_h * (pres[l] > 0)
         grads[f"tower_w_{l}"] = hidden[l].T @ d_pre
-        grads[f"tower_b_{l}"] = d_pre.sum(axis=0)
+        grads[f"tower_b_{l}"] = _bias_grad(d_pre)
         d_h = d_pre @ params.tower_w[l].T
     k = params.latent_dim
     d_a = d_h[:, :k] * (cache["a_pre"] > 0)
     d_b = d_h[:, k:] * (cache["b_pre"] > 0)
     grads["fusion_w_user"] = d_a.T @ cache["user"]
-    grads["fusion_b_user"] = d_a.sum(axis=0)
+    grads["fusion_b_user"] = _bias_grad(d_a)
     grads["fusion_w_prod"] = d_b.T @ cache["prod"]
-    grads["fusion_b_prod"] = d_b.sum(axis=0)
+    grads["fusion_b_prod"] = _bias_grad(d_b)
     if tables:
         grads["user_emb"] = scatter_rows(params.n_users, cache["idx_u"],
                                          d_a @ params.fusion_w_user)

@@ -65,7 +65,10 @@ def _pair_arrays(params, i: int, j: int):
 def head_forward(theta, head, reg_w, reg_b):
     """Projection ``theta @ head``, then the raw-scale regression."""
     hidden = theta @ head  # (batch, p)
-    return hidden, MAX_RATING * (hidden @ reg_w + reg_b)
+    raw = hidden @ reg_w
+    raw += reg_b
+    raw *= MAX_RATING
+    return hidden, raw
 
 
 def head_backward(theta, hidden, head, reg_w, d_raw):
@@ -79,7 +82,7 @@ def head_backward(theta, hidden, head, reg_w, d_raw):
     d_norm = MAX_RATING * d_raw
     d_hidden = d_norm[:, None] * reg_w[None, :]
     grads = {"head": theta.T @ d_hidden, "reg_w": hidden.T @ d_norm,
-             "reg_b": np.array([np.sum(d_norm)])}
+             "reg_b": np.add.reduce(d_norm, keepdims=True)}
     return grads, d_hidden @ head.T
 
 
@@ -186,8 +189,8 @@ def fit_mae(weights: dict, forward, backward, store: InteractionStore, hyper: Fi
     idx_u, idx_p, _, raw = store.rated_arrays
 
     def batch_grads(batch):
-        preds, cache = forward(idx_u[batch], idx_p[batch])
-        resid = preds - raw[batch]
+        resid, cache = forward(idx_u[batch], idx_p[batch])
+        resid -= raw[batch]
         return np.abs(resid).sum(), backward(cache, np.sign(resid))
 
     def predict(bu, bp):

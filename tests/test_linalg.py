@@ -180,10 +180,29 @@ class TestScatterRows:
 
         rng = np.random.default_rng(1)
         idx = rng.integers(0, 6, size=30)
-        contrib = rng.normal(size=(30, 4))
+        contrib = rng.normal(size=(4, 30))
         want = np.zeros((9, 4))
-        np.add.at(want, idx, contrib)
+        np.add.at(want, idx, contrib.T)
         np.testing.assert_array_equal(_scatter_cols(9, idx, contrib), want.T)
+
+    @pytest.mark.parametrize("n_cols, batch, k", [(1000, 512, 8), (5, 40, 3), (4, 0, 2)])
+    @pytest.mark.parametrize("layout", ["gathered", "C"])
+    def test_column_scatter_is_bitwise_equal_to_add_at(self, n_cols, batch, k, layout):
+        # repeated indices, mixed signs and magnitudes: each column must sum
+        # in batch order from 0.0, exactly as np.add.at does, whether the
+        # block is batch-major (gathered as ``table[:, idx]``) or not
+        from dualrec.mf_model import _scatter_cols
+
+        rng = np.random.default_rng(batch + k)
+        idx = rng.integers(0, min(n_cols, max(batch // 4, 1)), size=batch)
+        contrib = rng.normal(size=(k, batch)) * 10.0 ** rng.integers(-8, 8, size=(k, batch))
+        if layout == "gathered":
+            contrib = np.asfortranarray(contrib)
+        want = np.zeros((k, n_cols))
+        np.add.at(want, (slice(None), idx), contrib)
+        got = _scatter_cols(n_cols, idx, contrib)
+        assert got.shape == (k, n_cols) and got.flags.c_contiguous and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAdam:
@@ -252,7 +271,7 @@ class TestAdam:
         state = AdamState(lr=0.001)
         for t in range(1, 11):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-            # an F-order view, as ``_scatter_cols`` returns
+            # an F-order view: a gradient need not be C-ordered
             grads["table"] = rng.normal(size=(6, 4)).T
             if t == 8:
                 grads = dict(reversed(grads.items()))
