@@ -68,10 +68,10 @@ class PairMatrix:
         if block.ndim != 2 or block.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by shape {block.shape}")
         out = np.empty((self.shape[0], block.shape[1]))
-        for k in range(block.shape[1]):
-            out[:, k] = np.bincount(
-                self.rows, weights=self.values * block[self.cols, k], minlength=self.shape[0]
-            )
+        for k, column in enumerate(block.T.copy()):  # each column contiguous to gather from
+            weights = column.take(self.cols)
+            weights *= self.values
+            out[:, k] = np.bincount(self.rows, weights=weights, minlength=self.shape[0])
         return out
 
 

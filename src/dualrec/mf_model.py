@@ -171,8 +171,8 @@ def _pair_loss(u_blk, v_blk, targets, reg_lambda):
     """
     preds = sigmoid(np.einsum("kb,kb->b", u_blk, v_blk))
     resid = preds - targets
-    reg = reg_lambda * float(np.sum(u_blk**2) + np.sum(v_blk**2))
-    return float(np.sum(resid**2)) + reg, preds, resid
+    reg = reg_lambda * float((u_blk * u_blk).sum() + (v_blk * v_blk).sum())
+    return float((resid * resid).sum()) + reg, preds, resid
 
 
 def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
@@ -306,7 +306,8 @@ def _embedding_batch(params: MfParams, idx_u, idx_p):
     that :func:`_backward_from_theta` reads."""
     rating = _pair_products(params.user_rating, params.prod_rating, idx_u, idx_p)
     joint = _pair_products(params.user_joint, params.prod_joint, idx_u, idx_p)
-    theta = rating @ params.proj_rating.T + joint @ params.proj_joint.T
+    theta = rating @ params.proj_rating.T
+    theta += joint @ params.proj_joint.T
     return theta, {"idx_u": idx_u, "idx_p": idx_p, "rating": rating, "joint": joint}
 
 

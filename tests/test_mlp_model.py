@@ -9,6 +9,7 @@ from dualrec.linalg import TrainingDivergedError, finite_diff_grad
 from dualrec.mlp_model import (
     MlpHyperparams,
     MlpParams,
+    _bias_grad,
     _embedding_batch,
     init_mlp,
     load_mlp,
@@ -271,6 +272,15 @@ class TestBackward:
                 halves[name] = halves.get(name, 0.0) + g
         for name in full:
             np.testing.assert_allclose(full[name], halves[name], atol=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 64, 129, 512, 1000])
+    def test_bias_grad_is_the_column_sum_bit_for_bit(self, width, batch):
+        # mixed signs and magnitudes, so that any other order of additions
+        # rounds differently somewhere
+        rng = np.random.default_rng(1000 * width + batch)
+        d = rng.normal(size=(batch, width)) * 10.0 ** rng.integers(-8, 8, size=(batch, width))
+        assert _bias_grad(d).tobytes() == d.sum(axis=0).tobytes()
 
 
 class TestPredictAndTrain:
