@@ -28,7 +28,7 @@ import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
-from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
+from .linalg import PairMatrix, sigmoid, truncated_svd
 from .mlp_model import MlpHyperparams
 from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
                        val_mae)

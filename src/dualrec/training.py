@@ -181,7 +181,8 @@ def fit_mae(weights: dict, forward, backward, store: InteractionStore, hyper: Fi
             rng, phase: str, val_store: InteractionStore | None = None, on_epoch=None) -> None:
     """:func:`fit` on raw-scale MAE over the store's rated pairs.
 
-    ``forward(idx_u, idx_p)`` gives the pairs' raw predictions and a cache;
+    ``forward(idx_u, idx_p)`` gives the pairs' raw predictions, an array of
+    its own that the batch step overwrites with the residuals, and a cache;
     ``backward(cache, d_raw)`` gives the gradients of ``sum(d_raw * raw)`` for
     the arrays of ``weights`` that train. A batch's loss is its
     ``|preds - raw|`` sum and its ``d_raw`` is ``sign(preds - raw)``.
