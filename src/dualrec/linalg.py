@@ -158,23 +158,27 @@ def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
     """
     k = contrib.shape[1]
     cells = (np.arange(k)[:, None] + np.asarray(idx) * k).ravel()
-    return np.bincount(cells, weights=contrib.T.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+    table = np.bincount(cells, weights=contrib.T.ravel(), minlength=n_rows * k)
+    return table.astype(np.float64, copy=False).reshape(n_rows, k)
 
 
 class _FlatAdam:
     """The buffers of one name set: gradients, both moments and two scratch
     arrays, each one flat array laid out over the names in order, with a
-    view per name shaped like its parameter."""
+    view per name shaped and ordered like its parameter (a column-major
+    parameter gets a column-major view), so that each copy in and each
+    subtraction out runs over contiguous memory on both sides."""
 
     def __init__(self, names: tuple, params: dict):
         shapes = [params[name].shape for name in names]
         sizes = [math.prod(shape) for shape in shapes]
         starts = [0, *itertools.accumulate(sizes)]
+        orders = ["F" if np.isfortran(params[name]) else "C" for name in names]
         self.g, self.m, self.v, self.step, self.denom = np.zeros((5, starts[-1]))
 
         def views(flat):
-            return {name: flat[a : a + n].reshape(shape)
-                    for name, a, n, shape in zip(names, starts, sizes, shapes)}
+            return {name: flat[a : a + n].reshape(shape, order=order)
+                    for name, a, n, shape, order in zip(names, starts, sizes, shapes, orders)}
 
         self.g_views, self.step_views = views(self.g), views(self.step)
         self.m_views, self.v_views = views(self.m), views(self.v)

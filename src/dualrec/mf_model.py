@@ -7,9 +7,11 @@ fitting sigmoid(e_i . z_j) to ratings and sigmoid(e_i . f_j) to
 reliability simultaneously. Both use squared error over the observed
 entries plus count-weighted L2 regularization, minimized with mini-batch
 Adam from an SVD warm start computed over the observed pairs only. The
-factor tables are C-ordered K x n arrays, one column per user or product,
-and so are their gradient tables (:func:`_scatter_cols`), so that Adam
-copies each into its flat buffer in one contiguous pass.
+factor tables are K x n arrays, one column per user or product, stored
+column-major (Fortran order): a batch gathers each pair's K factors in
+one piece (:func:`_cols`). Their gradient tables have the same layout
+(:func:`_scatter_cols`), and so does Adam's view of each table, so the
+optimizer copies a gradient into its flat buffer in one contiguous pass.
 
 On top of the trained factors sits a small head: two KxK projections mix
 the elementwise products of the rating-branch and joint-branch factors
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
-from .linalg import PairMatrix, sigmoid, truncated_svd
+from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
 from .mlp_model import MlpHyperparams
 from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
                        val_mae)
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.01  # standard deviation of the random projection and head weights
+_FACTOR_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint", "prod_rel")
 
 
 @dataclass
@@ -136,20 +139,19 @@ def svd_init(store: InteractionStore, latent_dim: int):
     return decompose(store.rated_arrays), decompose(store.scored_arrays)
 
 
-def _scatter_cols(n_cols: int, idx, contrib):
-    """C-ordered (K, n_cols) table whose column c sums the columns of the
-    (K, batch) block ``contrib`` with ``idx == c``.
+def _cols(table, idx):
+    """Columns ``idx`` of a (K, n) factor table as a (K, batch) block whose
+    pairs are contiguous in memory: a row gather from the transpose, which
+    for a column-major table reads each column in one piece."""
+    return table.T.take(idx, axis=0).T
 
-    Bit-identical to ``np.add.at`` into zeros: ``np.bincount`` adds each
-    cell's weights in batch order starting from 0.0, over the flattened
-    ``k * n_cols + idx`` cells. The table has the layout of the factor
-    tables and of Adam's buffer, so the optimizer copies it contiguously.
-    It is float64 for an empty batch too, where ``np.bincount`` gives int64.
-    """
-    k = contrib.shape[0]
-    cells = (np.arange(0, k * n_cols, n_cols)[:, None] + idx).ravel()
-    table = np.bincount(cells, weights=contrib.ravel(), minlength=k * n_cols)
-    return table.astype(np.float64, copy=False).reshape(k, n_cols)
+
+def _scatter_cols(n_cols: int, idx, contrib):
+    """Column-major (K, n_cols) table whose column c sums the columns of the
+    (K, batch) block ``contrib`` with ``idx == c``: :func:`scatter_rows` of
+    the transposes, bit-identical to ``np.add.at`` into zeros, in the layout
+    of the factor tables and of Adam's view of them."""
+    return scatter_rows(n_cols, idx, contrib.T).T
 
 
 # Each factor objective is a table of squared pair terms: (user factor,
@@ -181,7 +183,7 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
     The per-pair coefficient is d(term)/d(u_i . v_j), i.e. 2 (pred - target)
     pred (1 - pred).
     """
-    u_blk, v_blk = u_mat[:, idx_u], v_mat[:, idx_p]
+    u_blk, v_blk = _cols(u_mat, idx_u), _cols(v_mat, idx_p)
     loss, preds, resid = _pair_loss(u_blk, v_blk, targets, reg_lambda)
     coef = 2.0 * resid
     coef *= preds
@@ -203,8 +205,8 @@ def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) ->
     for u, v, view in terms:
         u_mat, v_mat = getattr(params, u), getattr(params, v)
         idx_u, idx_p, targets = getattr(store, view)[:3]
-        total += sum(_pair_loss(u_mat[:, idx_u[s : s + CHUNK_PAIRS]],
-                                v_mat[:, idx_p[s : s + CHUNK_PAIRS]],
+        total += sum(_pair_loss(_cols(u_mat, idx_u[s : s + CHUNK_PAIRS]),
+                                _cols(v_mat, idx_p[s : s + CHUNK_PAIRS]),
                                 targets[s : s + CHUNK_PAIRS], reg_lambda)[0]
                      for s in range(0, idx_u.size, CHUNK_PAIRS))
     return total
@@ -287,7 +289,8 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
     u_mat, v_mat = getattr(params, terms[0][0]), getattr(params, terms[0][1])
 
     def predict(idx_u, idx_p):
-        return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p]))
+        dots = np.einsum("kb,kb->b", _cols(u_mat, idx_u), _cols(v_mat, idx_p))
+        return MAX_RATING * sigmoid(dots)
 
     fit(param_dict(params), batch_grads,
         lambda: _terms_loss(params, store, terms, hyper.reg_lambda), kinds.size, hyper.fit, rng,
@@ -295,10 +298,8 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
 
 
 def _pair_products(u_mat, v_mat, idx_u, idx_p):
-    """C-ordered (batch, K) elementwise products of the pairs' factor columns."""
-    out = np.empty((len(idx_u), u_mat.shape[0]))
-    np.multiply(u_mat.take(idx_u, axis=1), v_mat.take(idx_p, axis=1), out=out.T)
-    return out
+    """(batch, K) elementwise products of the pairs' factor columns."""
+    return (_cols(u_mat, idx_u) * _cols(v_mat, idx_p)).T
 
 
 def _embedding_batch(params: MfParams, idx_u, idx_p):
@@ -321,8 +322,8 @@ def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -
         for user, prod, proj in (("user_rating", "prod_rating", params.proj_rating),
                                  ("user_joint", "prod_joint", params.proj_joint)):
             d_prod = (d_theta @ proj).T
-            u_blk = getattr(params, user)[:, idx_u]
-            v_blk = getattr(params, prod)[:, idx_p]
+            u_blk = _cols(getattr(params, user), idx_u)
+            v_blk = _cols(getattr(params, prod), idx_p)
             grads[user] = _scatter_cols(params.n_users, idx_u, d_prod * v_blk)
             grads[prod] = _scatter_cols(params.n_products, idx_p, d_prod * u_blk)
     return grads
@@ -367,11 +368,11 @@ def train_mf(
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)
     k, p = hyper.latent_dim, hyper.predictive_dim
     params = MfParams(
-        user_rating=w.copy(),
-        prod_rating=z.copy(),
-        user_joint=e.copy(),
-        prod_joint=z.copy(),
-        prod_rel=f.copy(),
+        user_rating=w.copy(order="F"),
+        prod_rating=z.copy(order="F"),
+        user_joint=e.copy(order="F"),
+        prod_joint=z.copy(order="F"),
+        prod_rel=f.copy(order="F"),
         proj_rating=rng.normal(0.0, _INIT_SCALE, (k, k)),
         proj_joint=rng.normal(0.0, _INIT_SCALE, (k, k)),
         head=rng.normal(0.0, _INIT_SCALE, (k, p)),
@@ -404,7 +405,7 @@ def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.
     for idx, n in ((idx_u, params.n_users), (idx_p, params.n_products)):
         if np.any((idx < 0) | (idx >= n)):
             raise IndexError(f"index outside a factor table of {n} columns")
-    dots = np.einsum("kb,kb->b", u_mat[:, idx_u], v_mat[:, idx_p])
+    dots = np.einsum("kb,kb->b", _cols(u_mat, idx_u), _cols(v_mat, idx_p))
     return np.clip(MAX_RATING * sigmoid(dots), float(MIN_RATING), float(MAX_RATING))
 
 
@@ -418,7 +419,10 @@ def section_shapes(meta: dict) -> dict:
 
 
 def params_from_sections(arrays: dict, prefix: str = "") -> MfParams:
-    return MfParams(**{f.name: arrays[prefix + f.name] for f in fields(MfParams)})
+    """The branch from sections named ``prefix + name``, factor tables column-major."""
+    return MfParams(**{f.name: np.asfortranarray(arrays[prefix + f.name])
+                       if f.name in _FACTOR_TABLES else arrays[prefix + f.name]
+                       for f in fields(MfParams)})
 
 
 def save_mf(params: MfParams, path) -> None:

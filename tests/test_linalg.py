@@ -190,7 +190,8 @@ class TestScatterRows:
     def test_column_scatter_is_bitwise_equal_to_add_at(self, n_cols, batch, k, layout):
         # repeated indices, mixed signs and magnitudes: each column must sum
         # in batch order from 0.0, exactly as np.add.at does, whether the
-        # block is batch-major (gathered as ``table[:, idx]``) or not
+        # block is batch-major (as ``_cols`` gathers it) or not; the table is
+        # column-major, as the factor tables are
         from dualrec.mf_model import _scatter_cols
 
         rng = np.random.default_rng(batch + k)
@@ -201,8 +202,8 @@ class TestScatterRows:
         want = np.zeros((k, n_cols))
         np.add.at(want, (slice(None), idx), contrib)
         got = _scatter_cols(n_cols, idx, contrib)
-        assert got.shape == (k, n_cols) and got.flags.c_contiguous and got.dtype == np.float64
-        np.testing.assert_array_equal(got, want)
+        assert got.shape == (k, n_cols) and got.flags.f_contiguous and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -264,14 +265,15 @@ class TestAdam:
 
     def test_matches_the_per_array_update_bit_for_bit(self):
         rng = np.random.default_rng(7)
-        shapes = {"table": (4, 6), "w": (5,), "b": (1,), "cube": (2, 3, 2)}
+        shapes = {"table": (4, 6), "w": (5,), "b": (1,), "cube": (2, 3, 2), "columns": (3, 5)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params["columns"] = np.asfortranarray(params["columns"])  # as the factor tables are
         want = {name: p.copy() for name, p in params.items()}
         want_m, want_v = {}, {}
         state = AdamState(lr=0.001)
         for t in range(1, 11):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-            # an F-order view: a gradient need not be C-ordered
+            # an F-order view, as ``_scatter_cols`` returns
             grads["table"] = rng.normal(size=(6, 4)).T
             if t == 8:
                 grads = dict(reversed(grads.items()))
@@ -285,6 +287,7 @@ class TestAdam:
                 want_v[name] = v * 0.999 + (1.0 - 0.999) * g**2
                 want[name] = want[name] - (state.lr * (want_m[name] / bc1)) / (
                     np.sqrt(want_v[name] / bc2) + 1e-8)
+            assert np.isfortran(state.m["columns"]) and np.isfortran(params["columns"])
             for name in shapes:
                 assert np.array_equal(params[name], want[name]), (t, name)
                 assert np.array_equal(state.m[name], want_m[name]), (t, name)

@@ -439,6 +439,16 @@ class TestCheckpoint:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
         assert loaded.reg_b == params.reg_b
 
+    def test_factor_tables_are_column_major_when_trained_and_loaded(self, tmp_path):
+        # a batch gathers each pair's factors as one contiguous column
+        store = gen_synthetic(SyntheticSpec(12, 10, 2, 0.6, 0.05, seed=1))
+        params = train_mf(store, MfHyperparams(latent_dim=3, predictive_dim=2,
+                                               fit=FitHyperparams(epochs=1, batch_size=16)))
+        save_mf(params, tmp_path / "mf.ckpt")
+        for model in (params, load_mf(tmp_path / "mf.ckpt")):
+            for name in ("user_rating", "prod_rating", "user_joint", "prod_joint", "prod_rel"):
+                assert np.isfortran(getattr(model, name)), name
+
     def test_kind_mismatch_rejected(self, tmp_path):
         from dualrec.checkpoint import save_sections
 
