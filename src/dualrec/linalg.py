@@ -224,8 +224,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
                          f"step, got {sorted(grads)}")
     for name, dst in flat.g_views.items():
         g = grads[name]
-        if dst.shape != np.shape(g):
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
+        if dst.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter "
                              f"{name!r} shape {dst.shape}")
         dst[...] = g
     if state._flat is None:
