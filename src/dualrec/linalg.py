@@ -152,13 +152,12 @@ def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
 
     Bit-identical to ``np.add.at`` into zeros: ``np.bincount`` adds each
     bin's weights in input order starting from 0.0, over the flattened
-    ``idx * K + k`` cells, and is several times faster. The cells are
-    listed column by column, which numpy builds faster than row by row;
-    each cell still receives its weights in batch order.
+    ``idx * K + k`` cells, and is several times faster. The table is
+    float64 for an empty batch too, where ``np.bincount`` gives int64.
     """
     k = contrib.shape[1]
-    cells = (np.arange(k)[:, None] + np.asarray(idx) * k).ravel()
-    table = np.bincount(cells, weights=contrib.T.ravel(), minlength=n_rows * k)
+    cells = (np.asarray(idx)[:, None] * k + np.arange(k)).ravel()
+    table = np.bincount(cells, weights=contrib.ravel(), minlength=n_rows * k)
     return table.astype(np.float64, copy=False).reshape(n_rows, k)
 
 
