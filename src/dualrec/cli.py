@@ -19,7 +19,7 @@ from . import harness, ingest
 from . import mf_model, mlp_model
 from . import reliability as reliability_mod
 from .linalg import TrainingDivergedError
-from .metrics import DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, check_cutoff
+from .metrics import DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, check_cutoff, check_threshold
 
 log = logging.getLogger("dualrec")
 
@@ -206,6 +206,7 @@ def _load_fused(args):
 
 
 def cmd_evaluate(args) -> int:
+    check_threshold(args.threshold)
     store, model = _load_fused(args)
     report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:

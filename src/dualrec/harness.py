@@ -20,10 +20,10 @@ from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, load
                      with_reliability)
 from .linalg import sigmoid
 from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
-                      evaluate_predictions)
+                      check_threshold, evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, check_tower, train_mlp
-from .training import FitHyperparams
+from .training import FitHyperparams, check_nonnegative
 
 __all__ = [
     "SplitSpec",
@@ -106,8 +106,7 @@ class SyntheticSpec:
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
             raise ValueError("observation_density must be in (0, 1]")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std!r}")
+        check_nonnegative("noise_std", self.noise_std)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> InteractionStore:
@@ -208,10 +207,12 @@ class ExperimentConfig:
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
         _check_types(self)
+        check_nonnegative("reg_lambda", self.reg_lambda)
         for name in ("rel_alpha", "gamma"):
             reliability_mod.check_unit(name, getattr(self, name))
         for cutoff in self.cutoffs:
             check_cutoff(cutoff)
+        check_threshold(self.relevance_threshold)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -222,8 +223,9 @@ class ExperimentConfig:
         section that is no JSON object, a bad loop setting, and a value of
         the wrong JSON type in any section: an integer field takes an integer
         (not true or false), a number field any number, a flag true or false.
-        So does a ``reliability.alpha`` or a ``model.gamma`` outside [0, 1], and
-        an ``eval.cutoffs`` entry below 1.
+        So does a ``reliability.alpha`` or a ``model.gamma`` outside [0, 1], a
+        ``model.reg_lambda`` below 0, an ``eval.cutoffs`` entry below 1, and a
+        NaN or infinite ``model.reg_lambda`` or ``eval.threshold``.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")

@@ -161,28 +161,6 @@ def scatter_rows(n_rows: int, idx, contrib) -> np.ndarray:
     return table.astype(np.float64, copy=False).reshape(n_rows, k)
 
 
-class _FlatAdam:
-    """The buffers of one name set: gradients, both moments and two scratch
-    arrays, each one flat array laid out over the names in order, with a
-    view per name shaped and ordered like its parameter (a column-major
-    parameter gets a column-major view), so that each copy in and each
-    subtraction out runs over contiguous memory on both sides."""
-
-    def __init__(self, names: tuple, params: dict):
-        shapes = [params[name].shape for name in names]
-        sizes = [math.prod(shape) for shape in shapes]
-        starts = [0, *itertools.accumulate(sizes)]
-        orders = ["F" if np.isfortran(params[name]) else "C" for name in names]
-        self.g, self.m, self.v, self.step, self.denom = np.zeros((5, starts[-1]))
-
-        def views(flat):
-            return {name: flat[a : a + n].reshape(shape, order=order)
-                    for name, a, n, shape, order in zip(names, starts, sizes, shapes, orders)}
-
-        self.g_views, self.step_views = views(self.g), views(self.step)
-        self.m_views, self.v_views = views(self.m), views(self.v)
-
-
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015's defaults).
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -193,15 +171,37 @@ _EPS = 1e-8
 class AdamState:
     """Adam's learning rate, step count and moment accumulators.
 
-    The first :func:`adam_step` fixes the names the state steps; ``m`` and
-    ``v`` map each of them to its view into one flat buffer each.
+    The first :func:`adam_step` fixes the names the state steps and lays
+    out its buffers: gradients, both moments and two scratch arrays, each
+    one flat array over the names in order, with a view per name shaped
+    and ordered like its parameter (a column-major parameter gets a
+    column-major view), so that each copy in and each subtraction out runs
+    over contiguous memory on both sides. ``m`` and ``v`` map each name to
+    its view of the moments.
     """
 
     lr: float
     t: int = 0
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)
-    _flat: _FlatAdam | None = field(default=None, init=False, repr=False, compare=False)
+    # the flat buffers g, m, v, step and denom (rows of one array), and the
+    # per-name views of g and step
+    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _g: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _step: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _lay_out(self, names: tuple, params: dict) -> None:
+        shapes = [params[name].shape for name in names]
+        sizes = [math.prod(shape) for shape in shapes]
+        starts = [0, *itertools.accumulate(sizes)]
+        orders = ["F" if np.isfortran(params[name]) else "C" for name in names]
+        self._flat = tuple(np.zeros((5, starts[-1])))
+
+        def views(flat):
+            return {name: flat[a : a + n].reshape(shape, order=order)
+                    for name, a, n, shape, order in zip(names, starts, sizes, shapes, orders)}
+
+        self._g, self.m, self.v, self._step = map(views, self._flat[:4])
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
@@ -211,28 +211,25 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     parameter groups by leaving them out. Every step brings the set of names
     of the state's first step, in any order, or raises ValueError.
 
-    The gradients are copied by name into one flat buffer laid out over the
-    names, and the update runs once over it, in place, in the per-element
-    order ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g**2``, ``(lr*(m/bc1)) /
-    (sqrt(v/bc2) + eps)``; each parameter then subtracts its slice. Buffers
-    are allocated on the first step only.
+    The gradients are copied by name into the state's flat buffer, and the
+    update runs once over it, in place, in the per-element order ``m*b1 +
+    (1-b1)*g``, ``v*b2 + (1-b2)*g**2``, ``(lr*(m/bc1)) / (sqrt(v/bc2) +
+    eps)``; each parameter then subtracts its slice.
     """
-    flat = state._flat or _FlatAdam(tuple(grads), params)
-    if grads.keys() != flat.g_views.keys():
-        raise ValueError(f"an Adam state steps the names {sorted(flat.g_views)} on every "
+    if state._flat is None:
+        state._lay_out(tuple(grads), params)
+    if grads.keys() != state._g.keys():
+        raise ValueError(f"an Adam state steps the names {sorted(state._g)} on every "
                          f"step, got {sorted(grads)}")
-    for name, dst in flat.g_views.items():
+    for name, dst in state._g.items():
         g = grads[name]
         if dst.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "
                              f"{name!r} shape {dst.shape}")
         dst[...] = g
-    if state._flat is None:
-        state._flat = flat
-        state.m, state.v = flat.m_views, flat.v_views
     state.t += 1
     b1, b2 = _BETA1, _BETA2
-    g, m, v, step, denom = flat.g, flat.m, flat.v, flat.step, flat.denom
+    g, m, v, step, denom = state._flat
     m *= b1
     np.multiply(g, 1.0 - b1, out=step)
     m += step
@@ -246,7 +243,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     np.sqrt(denom, out=denom)
     denom += _EPS
     step /= denom
-    for name, delta in flat.step_views.items():
+    for name, delta in state._step.items():
         p = params[name]
         p -= delta
 

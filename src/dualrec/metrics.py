@@ -21,6 +21,7 @@ __all__ = [
     "mean_average_precision",
     "ndcg",
     "check_cutoff",
+    "check_threshold",
     "evaluate_predictions",
 ]
 
@@ -137,6 +138,12 @@ def check_cutoff(cutoff: int) -> None:
     """Raise ValueError unless a top-t cutoff is at least 1."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless a relevance threshold is a finite number."""
+    if not -math.inf < threshold < math.inf:
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
 
 
 def f1_at_cutoff(users: dict, cutoff: int, threshold: float = RELEVANCE_THRESHOLD) -> float:

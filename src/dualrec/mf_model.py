@@ -31,21 +31,19 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .mlp_model import MlpHyperparams
-from .training import (CHUNK_PAIRS, FitHyperparams, fit, fit_mae, head_backward, head_forward,
-                       val_mae)
+from .training import (CHUNK_PAIRS, FitHyperparams, check_nonnegative, fit, fit_mae,
+                       head_backward, head_forward, val_mae)
 
 __all__ = [
     "MfParams",
     "MfHyperparams",
     "param_dict",
     "svd_init",
-    "rating_loss",
-    "rating_loss_grads",
-    "reliability_loss",
-    "reliability_loss_grads",
-    "joint_loss",
-    "joint_loss_grads",
+    "RATING",
+    "RELIABILITY",
+    "JOINT",
+    "objective_loss",
+    "objective_grads",
     "train_mf",
     "factor_predict",
     "save_mf",
@@ -53,7 +51,6 @@ __all__ = [
 ]
 
 _INIT_SCALE = 0.01  # standard deviation of the random projection and head weights
-_FACTOR_TABLES = ("user_rating", "prod_rating", "user_joint", "prod_joint", "prod_rel")
 
 
 @dataclass
@@ -61,11 +58,8 @@ class MfParams:
     """All parameters of the linear branch.
 
     Factor matrices store one column per user/product (shape K x n or
-    K x m). ``user_rating``/``prod_rating`` come from the rating
-    objective; ``user_joint``/``prod_joint``/``prod_rel`` from the joint
-    objective, where ``user_joint`` is the shared user matrix and
-    ``prod_rel`` only ever meets the reliability data. The field order is
-    the checkpoint section order.
+    K x m); the term tables say which objective fits each. The field
+    order is the checkpoint section order.
     """
 
     user_rating: np.ndarray
@@ -102,17 +96,15 @@ class MfParams:
 @dataclass
 class MfHyperparams:
     latent_dim: int
-    predictive_dim: int = MlpHyperparams.tower[-1]  # the MLP branch's, as fusion needs
+    predictive_dim: int  # fusion needs the MLP branch's, its last tower width
     reg_lambda: float = 0.1
     fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        if self.predictive_dim < 1:
-            raise ValueError("predictive_dim must be >= 1")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
+        for name in ("latent_dim", "predictive_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        check_nonnegative("reg_lambda", self.reg_lambda)
 
 
 def param_dict(params: MfParams) -> dict:
@@ -156,10 +148,18 @@ def _scatter_cols(n_cols: int, idx, contrib):
 
 # Each factor objective is a table of squared pair terms: (user factor,
 # product factor, the store's pairs the two fit). A factor that appears
-# in several terms is regularized once per term it appears in.
-_RATING = (("user_rating", "prod_rating", "rated_arrays"),)
-_RELIABILITY = (("user_joint", "prod_rel", "scored_arrays"),)
-_JOINT = (("user_joint", "prod_joint", "rated_arrays"),) + _RELIABILITY
+# in several terms is regularized once per term it appears in. A table's
+# first term is the factor model that :func:`factor_predict` scores.
+RATING = (("user_rating", "prod_rating", "rated_arrays"),)
+RELIABILITY = (("user_joint", "prod_rel", "scored_arrays"),)
+# The shared user factors fit ratings and reliability: their regularization
+# weight is their rating count plus their reliability count.
+JOINT = (("user_joint", "prod_joint", "rated_arrays"),) + RELIABILITY
+
+# The factor tables, each once, and the head's two projections with the
+# factor pairs whose elementwise products they mix.
+_FACTOR_TABLES = tuple(dict.fromkeys(name for *pair, _ in RATING + JOINT for name in pair))
+_HEAD_PAIRS = (("proj_rating", RATING[0][:2]), ("proj_joint", JOINT[0][:2]))
 
 
 def _pair_loss(u_blk, v_blk, targets, reg_lambda):
@@ -198,7 +198,7 @@ def _pair_loss_grads(u_mat, v_mat, idx_u, idx_p, targets, reg_lambda):
                   _scatter_cols(v_mat.shape[1], idx_p, dv))
 
 
-def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) -> float:
+def objective_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) -> float:
     """Value of the objective ``terms`` over the store's pairs, summed
     ``CHUNK_PAIRS`` pairs at a time so that the gathered blocks stay small."""
     total = 0.0
@@ -212,7 +212,7 @@ def _terms_loss(params: MfParams, store: InteractionStore, terms, reg_lambda) ->
     return total
 
 
-def _terms_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, rows=None):
+def objective_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, rows=None):
     """Value and factor gradients of the objective ``terms``.
 
     With ``rows``, term t sums over only its pairs at positions
@@ -234,37 +234,12 @@ def _terms_grads(params: MfParams, store: InteractionStore, terms, reg_lambda, r
     return loss, grads
 
 
-def rating_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
-    """Rating objective over the observed ratings."""
-    return _terms_loss(params, store, _RATING, reg_lambda)
-
-
-def rating_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    """Rating objective value plus gradients for its two factor blocks."""
-    return _terms_grads(params, store, _RATING, reg_lambda)
-
-
-def reliability_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
-    """Reliability-only objective over the scored pairs."""
-    return _terms_loss(params, store, _RELIABILITY, reg_lambda)
-
-
-def reliability_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    return _terms_grads(params, store, _RELIABILITY, reg_lambda)
-
-
-def joint_loss(params: MfParams, store: InteractionStore, reg_lambda: float) -> float:
-    """Joint objective: shared user factors fit ratings and reliability.
-
-    Each factor's regularization weight is the number of residual terms
-    it appears in, so the shared user factors are weighted by their
-    rating count plus their reliability count.
-    """
-    return _terms_loss(params, store, _JOINT, reg_lambda)
-
-
-def joint_loss_grads(params: MfParams, store: InteractionStore, reg_lambda: float):
-    return _terms_grads(params, store, _JOINT, reg_lambda)
+def _factor_scores(params: MfParams, terms, idx_u, idx_p):
+    """MAX_RATING * sigmoid(u_i . v_j) of the first term's factors: the
+    raw-scale prediction of the objective ``terms``, unclamped."""
+    u, v, _ = terms[0]
+    u_blk, v_blk = _cols(getattr(params, u), idx_u), _cols(getattr(params, v), idx_p)
+    return MAX_RATING * sigmoid(np.einsum("kb,kb->b", u_blk, v_blk))
 
 
 def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, on_epoch):
@@ -284,44 +259,35 @@ def _fit_factors(params: MfParams, store, terms, hyper, rng, phase, val_store, o
         else:
             kind = kinds[batch]
             rows = [batch[kind == t] - starts[t] for t in range(len(terms))]
-        return _terms_grads(params, store, terms, hyper.reg_lambda, rows)
-
-    u_mat, v_mat = getattr(params, terms[0][0]), getattr(params, terms[0][1])
-
-    def predict(idx_u, idx_p):
-        dots = np.einsum("kb,kb->b", _cols(u_mat, idx_u), _cols(v_mat, idx_p))
-        return MAX_RATING * sigmoid(dots)
+        return objective_grads(params, store, terms, hyper.reg_lambda, rows)
 
     fit(param_dict(params), batch_grads,
-        lambda: _terms_loss(params, store, terms, hyper.reg_lambda), kinds.size, hyper.fit, rng,
-        phase, val_loss=val_mae(predict, val_store), on_epoch=on_epoch)
-
-
-def _pair_products(u_mat, v_mat, idx_u, idx_p):
-    """(batch, K) elementwise products of the pairs' factor columns."""
-    return (_cols(u_mat, idx_u) * _cols(v_mat, idx_p)).T
+        lambda: objective_loss(params, store, terms, hyper.reg_lambda), kinds.size, hyper.fit,
+        rng, phase, val_loss=val_mae(functools.partial(_factor_scores, params, terms), val_store),
+        on_epoch=on_epoch)
 
 
 def _embedding_batch(params: MfParams, idx_u, idx_p):
     """Pair embeddings for index arrays, shape (batch, K), and the cache
-    that :func:`_backward_from_theta` reads."""
-    rating = _pair_products(params.user_rating, params.prod_rating, idx_u, idx_p)
-    joint = _pair_products(params.user_joint, params.prod_joint, idx_u, idx_p)
+    that :func:`_backward_from_theta` reads. Each projection mixes the
+    (batch, K) elementwise products of its pair's factor columns."""
+    rating, joint = [(_cols(getattr(params, user), idx_u) * _cols(getattr(params, prod), idx_p)).T
+                     for _, (user, prod) in _HEAD_PAIRS]
     theta = rating @ params.proj_rating.T
     theta += joint @ params.proj_joint.T
-    return theta, {"idx_u": idx_u, "idx_p": idx_p, "rating": rating, "joint": joint}
+    return theta, {"idx_u": idx_u, "idx_p": idx_p, "products": (rating, joint)}
 
 
 def _backward_from_theta(params: MfParams, cache: dict, d_theta, tables: bool) -> dict:
     """Gradients of the two projections under the pair embedding and, with
     ``tables``, of the four factor tables they mix; without ``tables`` the
     tables get no gradient at all: their scatter is skipped."""
-    grads = {"proj_rating": d_theta.T @ cache["rating"], "proj_joint": d_theta.T @ cache["joint"]}
+    grads = {proj: d_theta.T @ products
+             for (proj, _), products in zip(_HEAD_PAIRS, cache["products"])}
     if tables:
         idx_u, idx_p = cache["idx_u"], cache["idx_p"]
-        for user, prod, proj in (("user_rating", "prod_rating", params.proj_rating),
-                                 ("user_joint", "prod_joint", params.proj_joint)):
-            d_prod = (d_theta @ proj).T
+        for proj, (user, prod) in _HEAD_PAIRS:
+            d_prod = (d_theta @ getattr(params, proj)).T
             u_blk = _cols(getattr(params, user), idx_u)
             v_blk = _cols(getattr(params, prod), idx_p)
             grads[user] = _scatter_cols(params.n_users, idx_u, d_prod * v_blk)
@@ -380,33 +346,26 @@ def train_mf(
         reg_b=np.zeros(1),
     )
 
-    _fit_factors(params, store, _RATING, hyper, rng, "mf-rating", val_store, on_epoch)
-    _fit_factors(params, store, _JOINT, hyper, rng, "mf-joint", val_store, on_epoch)
+    _fit_factors(params, store, RATING, hyper, rng, "mf-rating", val_store, on_epoch)
+    _fit_factors(params, store, JOINT, hyper, rng, "mf-joint", val_store, on_epoch)
     fit_mae(param_dict(params), functools.partial(_forward_batch, params),
             functools.partial(_backward_batch, params), store, hyper.fit, rng, "mf-head",
             val_store, on_epoch)
     return params
 
 
-def factor_predict(params: MfParams, idx_u, idx_p, branch: str = "joint") -> np.ndarray:
-    """Raw-scale predictions straight from one factor model.
-
-    ``branch="joint"`` uses sigmoid(e_i . z_j), ``branch="rating"`` uses
-    sigmoid(w_i . z_j); both are rescaled and clamped to the 1..5 range.
+def factor_predict(params: MfParams, idx_u, idx_p, terms=JOINT) -> np.ndarray:
+    """Raw-scale predictions straight from the factor model of the first
+    term of ``terms``: ``JOINT`` scores sigmoid(e_i . z_j), ``RATING``
+    sigmoid(w_i . z_j), each rescaled and clamped to the 1..5 range.
     """
-    if branch == "joint":
-        u_mat, v_mat = params.user_joint, params.prod_joint
-    elif branch == "rating":
-        u_mat, v_mat = params.user_rating, params.prod_rating
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
     idx_u = np.asarray(idx_u, dtype=np.intp)
     idx_p = np.asarray(idx_p, dtype=np.intp)
     for idx, n in ((idx_u, params.n_users), (idx_p, params.n_products)):
         if np.any((idx < 0) | (idx >= n)):
             raise IndexError(f"index outside a factor table of {n} columns")
-    dots = np.einsum("kb,kb->b", _cols(u_mat, idx_u), _cols(v_mat, idx_p))
-    return np.clip(MAX_RATING * sigmoid(dots), float(MIN_RATING), float(MAX_RATING))
+    return np.clip(_factor_scores(params, terms, idx_u, idx_p), float(MIN_RATING),
+                   float(MAX_RATING))
 
 
 def section_shapes(meta: dict) -> dict:
@@ -426,12 +385,8 @@ def params_from_sections(arrays: dict, prefix: str = "") -> MfParams:
 
 
 def save_mf(params: MfParams, path) -> None:
-    meta = {
-        "n_users": params.n_users,
-        "n_products": params.n_products,
-        "latent_dim": params.latent_dim,
-        "predictive_dim": params.predictive_dim,
-    }
+    meta = {name: getattr(params, name)
+            for name in ("n_users", "n_products", "latent_dim", "predictive_dim")}
     checkpoint.save_model_sections(path, "mf", meta, param_dict(params), section_shapes)
 
 

@@ -25,10 +25,16 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["CHUNK_PAIRS", "FitHyperparams", "fit", "fit_mae", "head_backward", "head_forward",
-           "predict_chunked", "val_mae"]
+__all__ = ["CHUNK_PAIRS", "FitHyperparams", "check_nonnegative", "fit", "fit_mae",
+           "head_backward", "head_forward", "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite number >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,7 @@ class FitHyperparams:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (isinstance(self.lr, numbers.Real) and 0 <= self.lr < math.inf):
-            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
+        check_nonnegative("lr", self.lr)
         if not (isinstance(self.lr_decay, numbers.Real) and 0 < self.lr_decay < math.inf):
             raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")
 

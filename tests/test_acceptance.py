@@ -37,17 +37,7 @@ from dualrec.metrics import (
     ndcg,
     rmse,
 )
-from dualrec.mf_model import (
-    MfHyperparams,
-    factor_predict,
-    joint_loss,
-    joint_loss_grads,
-    rating_loss,
-    rating_loss_grads,
-    reliability_loss,
-    reliability_loss_grads,
-    train_mf,
-)
+from dualrec.mf_model import JOINT, RATING, RELIABILITY, MfHyperparams, factor_predict, train_mf
 from dualrec.mlp_model import MlpHyperparams, init_mlp, mlp_backward, mlp_predict, train_mlp
 from dualrec.reliability import (
     build_timeline,
@@ -61,9 +51,9 @@ from dualrec.training import FitHyperparams
 
 from test_cli import run_pipeline
 from test_fusion import FUSED_NAMES, check_fused_gradients, small_model
-from test_mf_model import assert_grad_close, flat_objective, random_params
+from test_mf_model import assert_grad_close, check_objective_gradients
 from test_mlp_model import get_field, set_field
-from conftest import random_store, rated
+from conftest import rated
 
 
 def criterion(name):
@@ -141,23 +131,8 @@ def test_c04_gradient_correctness():
     started = time.perf_counter()
 
     # factor objectives: rating-only, reliability-only, joint
-    cases = [
-        (["user_rating", "prod_rating"], rating_loss, rating_loss_grads),
-        (["user_joint", "prod_rel"], reliability_loss, reliability_loss_grads),
-        (["user_joint", "prod_joint", "prod_rel"], joint_loss, joint_loss_grads),
-    ]
-    for offset, (fields, loss_fn, grads_fn) in enumerate(cases):
-        for seed in range(20):
-            rng = np.random.default_rng(1000 * offset + seed)
-            store = random_store(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            params = random_params(rng, store.n_users, store.n_products,
-                                   k=int(rng.integers(1, 4)))
-            lam = float(rng.uniform(0, 0.3))
-            _, grads = grads_fn(params, store, lam)
-            objective, x0 = flat_objective(params, store, lam, fields, loss_fn)
-            numeric = finite_diff_grad(objective, x0, step=1e-6)
-            analytic = np.concatenate([grads[f].ravel() for f in fields])
-            assert_grad_close(analytic, numeric)
+    for offset, terms in enumerate((RATING, RELIABILITY, JOINT)):
+        check_objective_gradients(terms, range(1000 * offset, 1000 * offset + 20))
 
     # the non-linear branch, all parameters (kink-free instances)
     checked = 0
@@ -233,7 +208,7 @@ def test_c05_synthetic_recovery():
                                              patience=0))
     params = train_mf(train_store, hyper)
     idx_u, idx_p, _, truth = test_store.rated_arrays
-    preds = factor_predict(params, idx_u, idx_p, branch="joint")
+    preds = factor_predict(params, idx_u, idx_p, JOINT)
     model_rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
     baseline = float(np.sqrt(np.mean((train_store.global_mean_raw() - truth) ** 2)))
     elapsed = time.perf_counter() - started

@@ -121,12 +121,19 @@ class TestBasics:
          "noise_std must be a finite number >= 0, got nan"),
         ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
         ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be >= 1, got 0"),
+        ({"model": {"reg_lambda": float("nan")}},
+         "reg_lambda must be a finite number >= 0, got nan"),
+        ({"model": {"reg_lambda": -0.5}}, "reg_lambda must be a finite number >= 0, got -0.5"),
+        ({"eval": {"threshold": float("nan")}}, "threshold must be a finite number, got nan"),
+        ({"eval": {"threshold": float("-inf")}}, "threshold must be a finite number, got -inf"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
             "reg_lambda-string", "gamma-string", "seed-string", "pretrain-removed",
             "freeze_branches-removed", "init_tables_from_factors-removed", "tower-int",
             "cutoffs-strings", "store-int", "split-seed-string", "split-folds-string",
             "synthetic-n_users-string", "synthetic-noise_std-negative",
-            "synthetic-noise_std-nan", "reliability-alpha-out-of-range", "eval-cutoff-zero"])
+            "synthetic-noise_std-nan", "reliability-alpha-out-of-range", "eval-cutoff-zero",
+            "reg_lambda-nan", "reg_lambda-negative", "eval-threshold-nan",
+            "eval-threshold-minus-inf"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
@@ -154,8 +161,18 @@ class TestBasics:
         ({"model": {"init_tables_from_factors": True, "epochs_fusion": 2}},
          "error [bad-config]: cannot parse config {config}: "
          "unknown key(s) in config section 'model': init_tables_from_factors"),
+        ({"model": {"reg_lambda": float("nan")}},
+         "error [bad-config]: cannot parse config {config}: "
+         "reg_lambda must be a finite number >= 0, got nan"),
+        ({"model": {"reg_lambda": float("inf")}},
+         "error [bad-config]: cannot parse config {config}: "
+         "reg_lambda must be a finite number >= 0, got inf"),
+        ({"eval": {"threshold": float("inf")}},
+         "error [bad-config]: cannot parse config {config}: "
+         "threshold must be a finite number, got inf"),
     ], ids=["missing", "bad-cutoff", "gamma-too-large", "removed-pretrain",
-            "removed-freeze_branches", "removed-init_tables_from_factors"])
+            "removed-freeze_branches", "removed-init_tables_from_factors", "reg_lambda-nan",
+            "reg_lambda-inf", "threshold-inf"])
     def test_train_reads_the_config_before_the_stores(self, tmp_path, capsys, doc, want):
         config = tmp_path / "config.json"
         if doc is not None:
@@ -691,6 +708,30 @@ class TestErrorCategories:
                  "evaluate": "--store {t}/missing.json --out {t}/x.txt",
                  "sweep": "--out-dir {t}/out"}[command].format(t=tmp_path).split()
         assert error_line(capsys, [command, *files, *flags]) == f"error [bad-args]: {want}"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --reg-lambda nan",
+         "reg_lambda must be a finite number >= 0, got nan"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --reg-lambda inf",
+         "reg_lambda must be a finite number >= 0, got inf"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --reg-lambda -1",
+         "reg_lambda must be a finite number >= 0, got -1.0"),
+        ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/x.txt "
+         "--threshold nan",
+         "threshold must be a finite number, got nan"),
+        ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/x.txt "
+         "--threshold inf",
+         "threshold must be a finite number, got inf"),
+        ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/x.txt "
+         "--threshold=-inf",
+         "threshold must be a finite number, got -inf"),
+    ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
+            "threshold-inf", "threshold-minus-inf"])
+    def test_a_number_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv,
+                                                                 want):
+        line = error_line(capsys, argv.format(t=tmp_path).split())
+        assert line == f"error [bad-args]: {want}"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, want", [

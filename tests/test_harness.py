@@ -15,7 +15,7 @@ from dualrec.harness import (
     split,
     sweep_train_sizes,
 )
-from dualrec.mf_model import MfHyperparams, factor_predict, train_mf
+from dualrec.mf_model import RATING, MfHyperparams, factor_predict, train_mf
 from dualrec.training import FitHyperparams
 
 from conftest import random_store, rated, scored
@@ -123,7 +123,7 @@ class TestSynthetic:
                                                  patience=0))
         params = train_mf(store, hyper)
         idx_u, idx_p, _, truth = store.rated_arrays
-        preds = factor_predict(params, idx_u, idx_p, branch="rating")
+        preds = factor_predict(params, idx_u, idx_p, RATING)
         assert float(np.sqrt(np.mean((preds - truth) ** 2))) < 0.05
 
 

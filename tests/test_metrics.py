@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrec.metrics import (
+    check_threshold,
     classification_metrics,
     evaluate_predictions,
     f1_at_cutoff,
@@ -203,6 +204,18 @@ class TestTopCutoff:
                 for u in range(3)
             }
             assert f1_at_cutoff(users, 5) <= 1.0
+
+
+class TestThresholdCheck:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_threshold_is_refused(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            check_threshold(threshold)
+
+    @pytest.mark.parametrize("threshold", [3.0, 4, -1.5, 10**400])
+    def test_a_finite_threshold_passes(self, threshold):
+        check_threshold(threshold)
 
 
 class TestInvariances:

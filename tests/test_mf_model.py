@@ -9,18 +9,17 @@ from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import restrict
 from dualrec.linalg import TrainingDivergedError, finite_diff_grad, sigmoid
 from dualrec.mf_model import (
+    JOINT,
+    RATING,
+    RELIABILITY,
     MfHyperparams,
     MfParams,
     _embedding_batch,
     _forward_batch,
     factor_predict,
-    joint_loss,
-    joint_loss_grads,
     load_mf,
-    rating_loss,
-    rating_loss_grads,
-    reliability_loss,
-    reliability_loss_grads,
+    objective_grads,
+    objective_loss,
     save_mf,
     svd_init,
     train_mf,
@@ -45,9 +44,15 @@ def random_params(rng, n, m, k=2, p=3, scale=0.5):
     )
 
 
-def flat_objective(params, store, lam, fields, loss_fn):
-    """Flatten chosen parameter fields into one vector-valued objective."""
-    shapes = [(f, getattr(params, f).shape) for f in fields]
+def factor_names(terms) -> list:
+    """The factor tables a term table names, each once, in order of first use."""
+    return list(dict.fromkeys(name for user, prod, _ in terms for name in (user, prod)))
+
+
+def flat_objective(params, store, lam, terms):
+    """The objective ``terms`` as a function of its factor tables, flattened
+    into one vector in :func:`factor_names` order."""
+    shapes = [(f, getattr(params, f).shape) for f in factor_names(terms)]
 
     def unpack(x):
         clone = params.copy()
@@ -59,7 +64,7 @@ def flat_objective(params, store, lam, fields, loss_fn):
         return clone
 
     def objective(x):
-        return loss_fn(unpack(x), store, lam)
+        return objective_loss(unpack(x), store, terms, lam)
 
     x0 = np.concatenate([getattr(params, name).ravel() for name, _ in shapes])
     return objective, x0
@@ -69,6 +74,21 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     worst = float(np.max(np.abs(analytic - numeric) / scale))
     assert worst < tol, f"max relative gradient error {worst}"
+
+
+def check_objective_gradients(terms, seeds):
+    """The analytic gradients of the objective ``terms`` match central
+    finite differences on a random store and factors for each seed."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        store = random_store(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+        params = random_params(rng, store.n_users, store.n_products, k=int(rng.integers(1, 4)))
+        lam = float(rng.uniform(0, 0.3))
+        _, grads = objective_grads(params, store, terms, lam)
+        objective, x0 = flat_objective(params, store, lam, terms)
+        numeric = finite_diff_grad(objective, x0, step=1e-6)
+        analytic = np.concatenate([grads[f].ravel() for f in factor_names(terms)])
+        assert_grad_close(analytic, numeric)
 
 
 class TestSvdInit:
@@ -145,14 +165,15 @@ class TestLossValues:
         raws = [5 * sigmoid(float(params.user_rating[:, i] @ params.prod_rating[:, j]))
                 for (i, j) in rated(store)]
         fitted = replace(store, raw=np.array(raws))
-        assert rating_loss(params, fitted, 0.0) < 1e-24
+        assert objective_loss(params, fitted, RATING, 0.0) < 1e-24
 
     def test_zero_factors_predict_half(self, tiny_store):
         params = random_params(np.random.default_rng(2), 3, 3)
         params.user_rating[:] = 0
         params.prod_rating[:] = 0
         expected = sum((v - 0.5) ** 2 for v in tiny_store.ratings.tolist())
-        assert math.isclose(rating_loss(params, tiny_store, 0.0), expected, rel_tol=1e-12)
+        assert math.isclose(objective_loss(params, tiny_store, RATING, 0.0), expected,
+                            rel_tol=1e-12)
 
     def test_reliability_zero_factors(self):
         rng = np.random.default_rng(3)
@@ -161,7 +182,8 @@ class TestLossValues:
         params.user_joint[:] = 0
         params.prod_rel[:] = 0
         expected = sum((v - 0.5) ** 2 for v in scored(store).values())
-        assert math.isclose(reliability_loss(params, store, 0.0), expected, rel_tol=1e-12)
+        assert math.isclose(objective_loss(params, store, RELIABILITY, 0.0), expected,
+                            rel_tol=1e-12)
 
     def test_spreadsheet_style_two_by_two(self):
         # direct formula evaluation with hand-set numbers
@@ -183,7 +205,7 @@ class TestLossValues:
             expected += lam * c * params.user_rating[0, i] ** 2
         for j, c in counts_p.items():
             expected += lam * c * params.prod_rating[0, j] ** 2
-        assert math.isclose(rating_loss(params, store, lam), expected, rel_tol=1e-12)
+        assert math.isclose(objective_loss(params, store, RATING, lam), expected, rel_tol=1e-12)
 
     def test_joint_perfect_fit_is_exactly_zero(self):
         rng = np.random.default_rng(6)
@@ -198,7 +220,7 @@ class TestLossValues:
         rel = [sigmoid(float(params.user_joint[:, i] @ params.prod_rel[:, j]))
                for (i, j) in rated(store)]
         fitted = replace(store, raw=np.array(raws), reliability=np.array(rel))
-        assert joint_loss(params, fitted, 0.0) == 0.0
+        assert objective_loss(params, fitted, JOINT, 0.0) == 0.0
 
     def test_joint_with_empty_psi_reduces_to_rating_form(self):
         rng = np.random.default_rng(5)
@@ -209,61 +231,21 @@ class TestLossValues:
         ghost.user_rating = params.user_joint
         ghost.prod_rating = params.prod_joint
         assert math.isclose(
-            joint_loss(params, store, 0.3),
-            rating_loss(ghost, store, 0.3),
+            objective_loss(params, store, JOINT, 0.3),
+            objective_loss(ghost, store, RATING, 0.3),
             rel_tol=1e-12,
         )
 
 
 class TestGradients:
     def test_rating_loss_gradients(self):
-        for seed in range(21):
-            rng = np.random.default_rng(seed)
-            store = random_store(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            params = random_params(rng, store.n_users, store.n_products,
-                                   k=int(rng.integers(1, 4)))
-            lam = float(rng.uniform(0, 0.3))
-            _, grads = rating_loss_grads(params, store, lam)
-            objective, x0 = flat_objective(
-                params, store, lam, ["user_rating", "prod_rating"], rating_loss
-            )
-            numeric = finite_diff_grad(objective, x0, step=1e-6)
-            analytic = np.concatenate([grads["user_rating"].ravel(), grads["prod_rating"].ravel()])
-            assert_grad_close(analytic, numeric)
+        check_objective_gradients(RATING, range(21))
 
     def test_reliability_loss_gradients(self):
-        for seed in range(21):
-            rng = np.random.default_rng(100 + seed)
-            store = random_store(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            params = random_params(rng, store.n_users, store.n_products,
-                                   k=int(rng.integers(1, 4)))
-            lam = float(rng.uniform(0, 0.3))
-            _, grads = reliability_loss_grads(params, store, lam)
-            objective, x0 = flat_objective(
-                params, store, lam, ["user_joint", "prod_rel"], reliability_loss
-            )
-            numeric = finite_diff_grad(objective, x0, step=1e-6)
-            analytic = np.concatenate([grads["user_joint"].ravel(), grads["prod_rel"].ravel()])
-            assert_grad_close(analytic, numeric)
+        check_objective_gradients(RELIABILITY, range(100, 121))
 
     def test_joint_loss_gradients(self):
-        for seed in range(21):
-            rng = np.random.default_rng(200 + seed)
-            store = random_store(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            params = random_params(rng, store.n_users, store.n_products,
-                                   k=int(rng.integers(1, 4)))
-            lam = float(rng.uniform(0, 0.3))
-            _, grads = joint_loss_grads(params, store, lam)
-            objective, x0 = flat_objective(
-                params, store, lam, ["user_joint", "prod_joint", "prod_rel"], joint_loss
-            )
-            numeric = finite_diff_grad(objective, x0, step=1e-6)
-            analytic = np.concatenate(
-                [grads["user_joint"].ravel(), grads["prod_joint"].ravel(),
-                 grads["prod_rel"].ravel()]
-            )
-            assert_grad_close(analytic, numeric)
-
+        check_objective_gradients(JOINT, range(200, 221))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_head_backward_batch_matches_finite_differences(self, seed):
@@ -351,13 +333,13 @@ class TestEmbeddingAndHead:
         params.reg_b[0] = 0.0
         assert math.isclose(_forward_batch(params, *pair(0, 0))[0][0], 4.0, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("branch", ["joint", "rating"])
+    @pytest.mark.parametrize("terms", [JOINT, RATING], ids=["joint", "rating"])
     @pytest.mark.parametrize("idx_u, idx_p", [([-1], [0]), ([3], [0]), ([0, 1], [0, -1]),
                                               ([0], [4])])
-    def test_factor_predict_index_out_of_range(self, branch, idx_u, idx_p):
+    def test_factor_predict_index_out_of_range(self, terms, idx_u, idx_p):
         params = random_params(np.random.default_rng(13), 3, 4)
         with pytest.raises(IndexError):
-            factor_predict(params, idx_u, idx_p, branch=branch)
+            factor_predict(params, idx_u, idx_p, terms)
 
 
 def hyper(**kw):
@@ -382,7 +364,7 @@ class TestTraining:
         store = gen_synthetic(SyntheticSpec(30, 25, 2, 0.6, 0.0, seed=1, quantize=False))
         params = train_mf(store, hyper(epochs=150, reg_lambda=0.0))
         idx_u, idx_p, _, truth = store.rated_arrays
-        preds = factor_predict(params, idx_u, idx_p, branch="rating")
+        preds = factor_predict(params, idx_u, idx_p, RATING)
         rmse_norm = float(np.sqrt(np.mean(((preds - truth) / 5.0) ** 2)))
         assert rmse_norm < 0.05
 
@@ -425,6 +407,18 @@ class TestTraining:
         empty = _make_store([], [], [], {})
         with pytest.raises(ValueError):
             train_mf(empty, hyper())
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("reg_lambda", [-0.1, float("nan"), float("inf"), -float("inf")],
+                             ids=["negative", "nan", "inf", "-inf"])
+    def test_reg_lambda_must_be_finite_and_non_negative(self, reg_lambda):
+        with pytest.raises(ValueError, match="reg_lambda must be a finite number >= 0"):
+            MfHyperparams(latent_dim=2, predictive_dim=3, reg_lambda=reg_lambda)
+
+    def test_predictive_dim_has_no_default(self):
+        with pytest.raises(TypeError):
+            MfHyperparams(latent_dim=2)
 
 
 class TestCheckpoint:

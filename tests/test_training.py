@@ -226,15 +226,16 @@ def test_each_phase_scores_the_training_set_once(mirrored, monkeypatch):
     after its last epoch, whatever the epoch count."""
     store, _ = mirrored
     calls = []
-    for module, name in ((training, "predict_chunked"), (mf_model, "_terms_loss")):
+    for module, name in ((training, "predict_chunked"), (mf_model, "objective_loss")):
         def spy(*args, _wrapped=getattr(module, name), _name=name):
             calls.append(_name)
             return _wrapped(*args)
 
         monkeypatch.setattr(module, name, spy)
     hyper = FitHyperparams(batch_size=32, epochs=5, lr=0.01)
-    mf_model.train_mf(store, mf_model.MfHyperparams(latent_dim=2, fit=hyper))
-    assert sorted(calls) == ["_terms_loss", "_terms_loss", "predict_chunked"]  # rating, joint, head
+    mf_model.train_mf(store, mf_model.MfHyperparams(latent_dim=2, predictive_dim=2, fit=hyper))
+    # rating, joint, head
+    assert sorted(calls) == ["objective_loss", "objective_loss", "predict_chunked"]
     calls.clear()
     train_mlp(store, MlpHyperparams(latent_dim=2, tower=(4, 2), fit=hyper))
     assert calls == ["predict_chunked"]
