@@ -41,6 +41,14 @@ def _load_store(path) -> ingest.InteractionStore:
         raise CliError("bad-store", f"cannot read store {path}: {exc}") from exc
 
 
+def _rated_store(path) -> ingest.InteractionStore:
+    """The store at ``path``; refused unless it holds a rating to train on or score."""
+    store = _load_store(path)
+    if not store.raw.size:
+        raise CliError("bad-store", f"store {path} has no ratings")
+    return store
+
+
 def _check_outputs(args) -> None:
     """Refuse an output path that names a directory, before any work starts."""
     for flag in ("out", "store_out", "tsv"):
@@ -124,7 +132,7 @@ def _check_fits(what: str, item, store_path, store) -> None:
 
 def _train_stores(args):
     """The ``--store`` and the optional ``--val-store`` of a training command."""
-    store = _load_store(args.store)
+    store = _rated_store(args.store)
     if not args.val_store:
         return store, None
     val_store = _load_store(args.val_store)
@@ -197,9 +205,9 @@ def _load_model(load, path):
         raise CliError("bad-store", f"cannot read model {path}: {exc}") from exc
 
 
-def _load_fused(args):
+def _load_fused(args, load_store=_load_store):
     """The ``--store`` and the fused ``--model`` of ``evaluate`` or ``predict``."""
-    store = _load_store(args.store)
+    store = load_store(args.store)
     model = _load_model(fusion_mod.load_fusion, args.model)
     _check_fits(f"model {args.model}", model.mf, args.store, store)
     return store, model
@@ -207,7 +215,7 @@ def _load_fused(args):
 
 def cmd_evaluate(args) -> int:
     check_threshold(args.threshold)
-    store, model = _load_fused(args)
+    store, model = _load_fused(args, _rated_store)
     report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.as_kv_text())

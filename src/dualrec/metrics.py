@@ -63,6 +63,7 @@ def _precision_recall(users: dict, threshold: float, cutoff=None):
     """Per-user precision and recall of the recommended set, averaged over
     users. The recommended set is every item predicted >= threshold among
     the user's top-``cutoff`` rows, or among all rows without a cutoff."""
+    check_threshold(threshold)
     precision_sum = 0.0
     recall_sum = 0.0
     for rows in users.values():
@@ -93,6 +94,7 @@ def mean_average_precision(users: dict, threshold: float = RELEVANCE_THRESHOLD) 
     """Mean over users of average precision at the relevant positions."""
     if not users:
         raise ValueError("no users to evaluate")
+    check_threshold(threshold)
     total = 0.0
     for rows in users.values():
         ranked = _ranked(rows)

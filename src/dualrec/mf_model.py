@@ -369,9 +369,12 @@ def factor_predict(params: MfParams, idx_u, idx_p, terms=JOINT) -> np.ndarray:
 
 
 def section_shapes(meta: dict) -> dict:
-    """Name -> shape of every section that checkpoint ``meta`` implies."""
+    """Name -> shape of every section that checkpoint ``meta`` implies;
+    ValueError for a latent size or head width below 1."""
     n, m = meta["n_users"], meta["n_products"]
     k, p = meta["latent_dim"], meta["predictive_dim"]
+    if k < 1 or p < 1:
+        raise ValueError(f"latent_dim and predictive_dim must be >= 1, got {k} and {p}")
     return {"user_rating": (k, n), "prod_rating": (k, m), "user_joint": (k, n),
             "prod_joint": (k, m), "prod_rel": (k, m), "proj_rating": (k, k),
             "proj_joint": (k, k), "head": (k, p), "reg_w": (p,), "reg_b": (1,)}

@@ -275,8 +275,10 @@ def train_mlp(
 
 
 def section_shapes(meta: dict) -> dict:
-    """Name -> shape of every section that checkpoint ``meta`` implies."""
+    """Name -> shape of every section that checkpoint ``meta`` implies;
+    ValueError for a tower that ``check_tower`` refuses."""
     k, p = meta["latent_dim"], meta["predictive_dim"]
+    check_tower(k, meta["tower"])
     dims = [2 * k] + list(meta["tower"])
     shapes = {"user_emb": (meta["n_users"], k), "prod_emb": (meta["n_products"], k),
               "fusion_w_user": (k, k), "fusion_b_user": (k,), "fusion_w_prod": (k, k),

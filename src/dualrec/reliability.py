@@ -19,7 +19,7 @@ all) score 0 instead of dividing by zero. Each product's timeline is one
 contiguous segment of rows, and all segments are scored at once.
 """
 
-from dataclasses import dataclass
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +27,7 @@ import numpy as np
 from .ingest import InteractionStore, with_reliability
 
 __all__ = [
-    "RELIABLE", "NOT_RELIABLE", "build_timeline", "helpfulness_scores", "recency_weights",
-    "most_recent_scores", "top_ranking_scores", "check_unit", "score_product", "score_store",
+    "RELIABLE", "NOT_RELIABLE", "recency_weights", "check_unit", "score_product", "score_store",
     "attach_scores", "breakdown_rows",
 ]
 
@@ -37,22 +36,6 @@ NOT_RELIABLE = "not-reliable"
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class ProductTimeline:
-    """Time-ordered reviews of one product: position ``i`` (1-based) is
-    the i-th review in time."""
-
-    product: int
-    reviewers: tuple[int, ...]
-    helpful_yes: tuple[int, ...]
-    votes_total: tuple[int, ...]
-    unix_times: tuple[int, ...]
-
-    @property
-    def n_reviews(self) -> int:
-        return len(self.reviewers)
 
 
 class ReliabilityBreakdown(NamedTuple):
@@ -144,41 +127,17 @@ def _score_timelines(users, yes, total, times, starts, alpha: float,
     return ReliabilityBreakdown(h, most, top, d, reliability_score(h, d))
 
 
-def build_timeline(store: InteractionStore, product: int) -> ProductTimeline:
-    """Assemble one product's timeline from a store."""
-    rows = store.timelines.get(product)
-    if rows is None:
-        raise ValueError(f"product {product} has no reviews")
-    return ProductTimeline(product, *(tuple(column[rows].tolist()) for column in (
-        store.user, store.helpful_yes, store.votes_total, store.unix_time)))
-
-
-def helpfulness_scores(timeline: ProductTimeline, fallback_max: bool = False) -> dict:
-    """Normalized helpfulness weight per reviewer; all 0 when voteless."""
-    return {user: b.h for user, b in score_product(timeline, fallback_max=fallback_max).items()}
-
-
-def recency_weights(timeline: ProductTimeline) -> list[float]:
-    """Unnormalized recency weights: position i collects sum 1/s^2.
+def recency_weights(n_reviews: int) -> list[float]:
+    """Unnormalized recency weights of a timeline of ``n_reviews``:
+    position i collects sum 1/s^2.
 
     The i-th reviewer of n' is read by the n' - i later buyers as the
     s-th most recent review for s = 1..n'-i; the last reviewer collects
     nothing.
     """
-    return _recency_weights(_segments(np.zeros(1, np.int64), timeline.n_reviews)).tolist()
-
-
-def most_recent_scores(timeline: ProductTimeline) -> dict:
-    """Normalized recency readership weight per reviewer.
-
-    A singleton timeline scores 0 (nobody reads after the only review).
-    """
-    return {user: b.most for user, b in score_product(timeline).items()}
-
-
-def top_ranking_scores(timeline: ProductTimeline) -> dict:
-    """Rank readership weight per reviewer: (n' - i) / rank^2, normalized."""
-    return {user: b.top for user, b in score_product(timeline).items()}
+    if not isinstance(n_reviews, numbers.Integral) or n_reviews < 1:
+        raise ValueError(f"n_reviews must be an integer >= 1, got {n_reviews!r}")
+    return _recency_weights(_segments(np.zeros(1, np.int64), n_reviews)).tolist()
 
 
 def check_unit(name: str, value: float) -> None:
@@ -203,24 +162,32 @@ def classify_reviewer(rel: float, threshold: float = DEFAULT_THRESHOLD) -> str:
     return RELIABLE if rel >= threshold else NOT_RELIABLE
 
 
-def score_product(timeline: ProductTimeline, alpha: float = DEFAULT_ALPHA,
+def _timeline_columns(store: InteractionStore, rows: np.ndarray) -> tuple:
+    """The columns scoring reads, over the given rows in timeline order."""
+    return tuple(column[rows] for column in (
+        store.user, store.helpful_yes, store.votes_total, store.unix_time))
+
+
+def score_product(store: InteractionStore, product: int, alpha: float = DEFAULT_ALPHA,
                   fallback_max: bool = False) -> dict:
-    """Reliability breakdown per reviewer of one product, as ``score_store`` scores it."""
-    columns = map(np.array, (timeline.reviewers, timeline.helpful_yes, timeline.votes_total,
-                             timeline.unix_times))
+    """Reliability breakdown per reviewer of one product, in time order: the
+    product's rows of ``score_store``."""
+    rows = store.timelines.get(product)
+    if rows is None:
+        raise ValueError(f"product {product} has no reviews")
+    columns = _timeline_columns(store, rows)
     scores = _score_timelines(*columns, np.zeros(1, np.int64), alpha, fallback_max)
     return {user: ReliabilityBreakdown(*values)
-            for user, *values in zip(timeline.reviewers, *(c.tolist() for c in scores))}
+            for user, *values in zip(columns[0].tolist(), *(c.tolist() for c in scores))}
 
 
 def score_store(store: InteractionStore, alpha: float = DEFAULT_ALPHA,
                 fallback_max: bool = False) -> ReliabilityBreakdown:
     """Breakdown columns with one entry per store row, in row order."""
     order, starts = store.timeline_order
-    columns = (column[order] for column in (
-        store.user, store.helpful_yes, store.votes_total, store.unix_time))
     scores = np.empty((len(ReliabilityBreakdown._fields), order.size))
-    scores[:, order] = _score_timelines(*columns, starts, alpha, fallback_max)
+    scores[:, order] = _score_timelines(*_timeline_columns(store, order), starts, alpha,
+                                        fallback_max)
     return ReliabilityBreakdown(*scores)
 
 

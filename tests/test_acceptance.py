@@ -39,14 +39,7 @@ from dualrec.metrics import (
 )
 from dualrec.mf_model import JOINT, RATING, RELIABILITY, MfHyperparams, factor_predict, train_mf
 from dualrec.mlp_model import MlpHyperparams, init_mlp, mlp_backward, mlp_predict, train_mlp
-from dualrec.reliability import (
-    build_timeline,
-    helpfulness_scores,
-    most_recent_scores,
-    recency_weights,
-    score_product,
-    top_ranking_scores,
-)
+from dualrec.reliability import recency_weights, score_product
 from dualrec.training import FitHyperparams
 
 from test_cli import run_pipeline
@@ -100,16 +93,16 @@ def test_c02_reliability_suite():
         [f"u{i}" for i in range(user)], [f"p{j}" for j in range(1000)], entries, {}
     )
     for product in range(1000):
-        timeline = build_timeline(store, product)
-        h = helpfulness_scores(timeline)
-        most = most_recent_scores(timeline)
-        top = top_ranking_scores(timeline)
-        if any(y > 0 for y in timeline.helpful_yes):
+        rows = store.timelines[product]
+        scores = score_product(store, product)
+        h, most, top = ({u: getattr(b, name) for u, b in scores.items()}
+                        for name in ("h", "most", "top"))
+        if (store.helpful_yes[rows] > 0).any():
             assert abs(sum(h.values()) - 1.0) <= 1e-12
-        if timeline.n_reviews >= 2:
+        if rows.size >= 2:
             assert abs(sum(most.values()) - 1.0) <= 1e-12
             assert abs(sum(top.values()) - 1.0) <= 1e-12
-        for breakdown in score_product(timeline).values():
+        for breakdown in scores.values():
             for value in (breakdown.h, breakdown.most, breakdown.top,
                           breakdown.d, breakdown.rel):
                 assert 0.0 <= value <= 1.0
@@ -121,8 +114,7 @@ def test_c02_reliability_suite():
 def test_c03_worked_recency_example():
     entries = [(i, 0, 3, 0, 0, i) for i in range(5)]
     store = _make_store([f"u{i}" for i in range(5)], ["p0"], entries, {})
-    timeline = build_timeline(store, 0)
-    weights = recency_weights(timeline)
+    weights = recency_weights(store.timelines[0].size)
     assert weights[0] == 1 + 1 / 4 + 1 / 9 + 1 / 16  # bitwise
 
 

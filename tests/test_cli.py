@@ -10,7 +10,7 @@ import pytest
 
 from dualrec.checkpoint import save_sections
 from dualrec.cli import build_parser, main
-from dualrec.ingest import _make_store, load_store, save_store
+from dualrec.ingest import _make_store, load_store, restrict, save_store
 
 from conftest import rated, scored
 from test_checkpoint import container
@@ -754,6 +754,33 @@ class TestErrorCategories:
         line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
         assert line == "error [bad-store]: " + want.format(d=trained)
         assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing written
+
+    @pytest.mark.parametrize("argv", [
+        "pretrain-mf --store {t}/empty.json --out {t}/x.ckpt",
+        "pretrain-mlp --store {t}/empty.json --out {t}/x.ckpt",
+        "train --store {t}/empty.json --mf {t}/missing.ckpt --mlp {t}/missing.ckpt --out {t}/x",
+        "train --store {t}/empty.json --out {t}/x.ckpt",
+        "evaluate --store {t}/empty.json --model {t}/missing.ckpt --out {t}/x.txt",
+    ], ids=["pretrain-mf", "pretrain-mlp", "train-branches", "train", "evaluate"])
+    def test_a_store_without_ratings_is_refused_before_any_model(self, trained, tmp_path,
+                                                                 capsys, argv):
+        save_store(restrict(load_store(trained / "store.json"), []), tmp_path / "empty.json")
+        line = error_line(capsys, argv.format(t=tmp_path).split())
+        assert line == f"error [bad-store]: store {tmp_path}/empty.json has no ratings"
+        assert list(tmp_path.iterdir()) == [tmp_path / "empty.json"]  # nothing written
+
+    def test_a_store_without_ratings_still_serves_where_no_rating_is_read(self, trained,
+                                                                         tmp_path):
+        empty = tmp_path / "empty.json"
+        save_store(restrict(load_store(trained / "store.json"), []), empty)
+        (tmp_path / "pairs.tsv").write_text("u0\tp0\n")
+        for argv in ("reliability --store {t}/empty.json --out {t}/rel.tsv",
+                     "predict --store {t}/empty.json --model {d}/fused.ckpt "
+                     "--pairs {t}/pairs.tsv --out {t}/preds.tsv",
+                     "pretrain-mf --store {d}/store.json --val-store {t}/empty.json "
+                     "--epochs 1 --out {t}/mf.ckpt"):
+            assert main(argv.format(d=trained, t=tmp_path).split()) == 0, argv
+        assert (tmp_path / "rel.tsv").read_text() == "user\tproduct\th\tmost\ttop\td\trel\tlabel\n"
 
     def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):
         import math

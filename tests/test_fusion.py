@@ -401,3 +401,21 @@ class TestCheckpoint:
         assert model.mlp.predictive_dim == 3
         value = fused_predict(model, 0, 0)
         assert np.isfinite(value)
+
+    def test_a_tower_training_cannot_produce_is_refused(self, tmp_path):
+        from dualrec.checkpoint import save_sections
+        from dualrec.fusion import param_dict
+        from test_mf_model import mf_sections
+        from test_mlp_model import WIDENING_TOWER_ERROR, widening_tower_sections
+
+        model = init_fusion(mf_model.MfParams(**mf_sections(3, 2, 2, 2)),
+                            mlp_model.params_from_sections(widening_tower_sections(), 2))
+        path = tmp_path / "fused.ckpt"
+        with pytest.raises(ValueError, match=WIDENING_TOWER_ERROR):
+            save_fusion(model, path)
+        assert not path.exists()
+        meta = {"n_users": 3, "n_products": 2, "latent_dim": 2, "predictive_dim": 2,
+                "tower": [8, 2], "gamma": model.gamma, "global_mean": 3.0}
+        save_sections(path, "fusion", meta, param_dict(model).items())
+        with pytest.raises(ValueError, match=WIDENING_TOWER_ERROR):
+            load_fusion(path)

@@ -183,6 +183,15 @@ class TestRunExperiment:
         assert trained == []
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_evaluate_model_refuses_a_non_finite_threshold(threshold):
+    from test_fusion import small_model
+
+    store = random_store(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="threshold must be a finite number"):
+        harness.evaluate_model(small_model(), store, cutoffs=(5,), threshold=threshold)
+
+
 class TestSweep:
     def test_remainder_splits_evenly(self):
         results = sweep_train_sizes(tiny_config(), [0.4, 0.6])

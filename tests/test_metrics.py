@@ -217,6 +217,18 @@ class TestThresholdCheck:
     def test_a_finite_threshold_passes(self, threshold):
         check_threshold(threshold)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("metric", [
+        evaluate_predictions, classification_metrics, mean_average_precision,
+        lambda users, threshold: f1_at_cutoff(users, 5, threshold),
+    ], ids=["evaluate_predictions", "classification_metrics", "mean_average_precision",
+            "f1_at_cutoff"])
+    def test_every_metric_refuses_a_non_finite_threshold(self, metric, threshold):
+        users = {0: [(0, 4.0, 5.0), (1, 2.0, 1.0)], 1: [(0, 3.5, 4.0)]}
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            metric(users, threshold=threshold)
+
 
 class TestInvariances:
     def test_monotone_transform_leaves_ranking_metrics_unchanged(self):

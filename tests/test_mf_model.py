@@ -450,3 +450,28 @@ class TestCheckpoint:
         save_sections(path, "mlp", {}, [("x", np.zeros(2))])
         with pytest.raises(ValueError):
             load_mf(path)
+
+    @pytest.mark.parametrize("k, p", [(0, 0), (0, 2), (2, 0)],
+                             ids=["both-zero", "latent-zero", "head-zero"])
+    def test_sizes_training_cannot_produce_are_refused(self, tmp_path, k, p):
+        from dualrec.checkpoint import save_sections
+
+        params = MfParams(**mf_sections(3, 2, k, p))
+        path = tmp_path / "mf.ckpt"
+        want = f"latent_dim and predictive_dim must be >= 1, got {k} and {p}"
+        with pytest.raises(ValueError, match=want):
+            save_mf(params, path)
+        assert not path.exists()
+        meta = {"n_users": 3, "n_products": 2, "latent_dim": k, "predictive_dim": p}
+        save_sections(path, "mf", meta, mf_sections(3, 2, k, p).items())
+        with pytest.raises(ValueError, match=want):
+            load_mf(path)
+
+
+def mf_sections(n, m, k, p) -> dict:
+    """Zero sections of an MF checkpoint of n users, m products, latent size
+    k and head width p, laid out by hand."""
+    shapes = {"user_rating": (k, n), "prod_rating": (k, m), "user_joint": (k, n),
+              "prod_joint": (k, m), "prod_rel": (k, m), "proj_rating": (k, k),
+              "proj_joint": (k, k), "head": (k, p), "reg_w": (p,), "reg_b": (1,)}
+    return {name: np.zeros(shape) for name, shape in shapes.items()}

@@ -16,6 +16,7 @@ from dualrec.mlp_model import (
     mlp_backward,
     mlp_predict,
     param_dict,
+    params_from_sections,
     save_mlp,
     train_mlp,
 )
@@ -345,3 +346,30 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.head, params.head)
         assert loaded.reg_b == params.reg_b
         assert loaded.tower_widths == params.tower_widths
+
+    def test_a_tower_training_cannot_produce_is_refused(self, tmp_path):
+        from dualrec.checkpoint import save_sections
+
+        arrays = widening_tower_sections()
+        path = tmp_path / "mlp.ckpt"
+        with pytest.raises(ValueError, match=WIDENING_TOWER_ERROR):
+            save_mlp(params_from_sections(arrays, 2), path)
+        assert not path.exists()
+        meta = {"n_users": 3, "n_products": 2, "latent_dim": 2, "tower": [8, 2],
+                "predictive_dim": 2}
+        save_sections(path, "mlp", meta, arrays.items())
+        with pytest.raises(ValueError, match=WIDENING_TOWER_ERROR):
+            load_mlp(path)
+
+
+WIDENING_TOWER_ERROR = r"tower widths must be non-increasing from 4, got \[8, 2\]"
+
+
+def widening_tower_sections() -> dict:
+    """Zero sections of an MLP checkpoint of 3 users, 2 products, K = 2 and
+    tower (8, 2), which widens past the 2K = 4 concatenation."""
+    shapes = {"user_emb": (3, 2), "prod_emb": (2, 2), "fusion_w_user": (2, 2),
+              "fusion_b_user": (2,), "fusion_w_prod": (2, 2), "fusion_b_prod": (2,),
+              "head": (2, 2), "reg_w": (2,), "reg_b": (1,), "tower_w_0": (4, 8),
+              "tower_b_0": (8,), "tower_w_1": (8, 2), "tower_b_1": (2,)}
+    return {name: np.zeros(shape) for name, shape in shapes.items()}

@@ -7,55 +7,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrec.ingest import _make_store
+from dualrec.ingest import _make_store, restrict
 from dualrec.reliability import (
     NOT_RELIABLE,
     RELIABLE,
     ReliabilityBreakdown,
     attach_scores,
-    build_timeline,
     classify_reviewer,
     combined_score,
-    helpfulness_scores,
-    most_recent_scores,
+    recency_weights,
     reliability_score,
     score_product,
     score_store,
-    top_ranking_scores,
 )
 
 from conftest import rated, scored, store_from
 
 
-def timeline_of(rows):
-    """Timeline of product p0 built from (user, rating, yes, total, when)."""
+def scores_of(rows, **settings):
+    """``score_product`` of product p0 built from (user, rating, yes, total, when)."""
     store = store_from([(u, "p0", r, y, t, w) for u, r, y, t, w in rows])
-    return build_timeline(store, 0)
+    return score_product(store, 0, **settings)
+
+
+def field(scores, name):
+    """Reviewer -> the ``name`` score of each of ``scores``' breakdowns."""
+    return {user: getattr(b, name) for user, b in scores.items()}
 
 
 class TestHelpfulness:
     def test_hand_worked_votes(self):
         # l = (3^2/5, 1^2/1, 0^2/2) = (1.8, 1.0, 0.0) summing to 2.8,
         # so h = (9/14, 5/14, 0)
-        tl = timeline_of([("a", 3, 3, 5, 1), ("b", 3, 1, 1, 2), ("c", 3, 0, 2, 3)])
-        h = helpfulness_scores(tl)
+        h = field(scores_of([("a", 3, 3, 5, 1), ("b", 3, 1, 1, 2), ("c", 3, 0, 2, 3)]), "h")
         assert math.isclose(h[0], 9 / 14, rel_tol=1e-12)
         assert math.isclose(h[1], 5 / 14, rel_tol=1e-12)
         assert h[2] == 0.0
 
     def test_single_review_normalizes_to_one(self):
-        tl = timeline_of([("a", 4, 4, 4, 1)])
-        assert helpfulness_scores(tl) == {0: 1.0}
+        assert field(scores_of([("a", 4, 4, 4, 1)]), "h") == {0: 1.0}
 
     def test_all_zero_votes_scores_zero(self):
-        tl = timeline_of([("a", 4, 0, 0, 1), ("b", 2, 0, 0, 2)])
-        assert set(helpfulness_scores(tl).values()) == {0.0}
+        assert set(field(scores_of([("a", 4, 0, 0, 1), ("b", 2, 0, 0, 2)]), "h").values()) == {0.0}
 
     def test_fallback_divides_by_max_helpful(self):
         # vote-less data is encoded as total == yes; fallback replaces
         # denominators with max yes = 3: l = (9/3, 1/3, 0)
-        tl = timeline_of([("a", 3, 3, 3, 1), ("b", 3, 1, 1, 2), ("c", 3, 0, 0, 3)])
-        h = helpfulness_scores(tl, fallback_max=True)
+        h = field(scores_of([("a", 3, 3, 3, 1), ("b", 3, 1, 1, 2), ("c", 3, 0, 0, 3)],
+                            fallback_max=True), "h")
         total = 3.0 + 1 / 3
         assert math.isclose(h[0], 3.0 / total, rel_tol=1e-12)
         assert math.isclose(h[1], (1 / 3) / total, rel_tol=1e-12)
@@ -65,53 +64,56 @@ class TestHelpfulness:
 class TestMostRecent:
     def test_five_reviewer_series(self):
         # c = (1 + 1/4 + 1/9 + 1/16, 1 + 1/4 + 1/9, 1.25, 1, 0)
-        tl = timeline_of([(f"u{i}", 3, 0, 0, i) for i in range(5)])
-        most = most_recent_scores(tl)
+        most = field(scores_of([(f"u{i}", 3, 0, 0, i) for i in range(5)]), "most")
         c = [205 / 144, 49 / 36, 5 / 4, 1.0, 0.0]
         total = sum(c)
         for pos in range(5):
             assert math.isclose(most[pos], c[pos] / total, rel_tol=1e-12)
 
     def test_first_of_five_matches_partial_sum(self):
-        tl = timeline_of([(f"u{i}", 3, 0, 0, i) for i in range(5)])
-        most = most_recent_scores(tl)
+        most = field(scores_of([(f"u{i}", 3, 0, 0, i) for i in range(5)]), "most")
         assert math.isclose(most[0], 0.282758620689, rel_tol=1e-9)
 
     def test_singleton_scores_zero(self):
-        tl = timeline_of([("a", 3, 0, 0, 1)])
-        assert most_recent_scores(tl) == {0: 0.0}
+        assert field(scores_of([("a", 3, 0, 0, 1)]), "most") == {0: 0.0}
 
     def test_non_increasing_in_time(self):
-        tl = timeline_of([(f"u{i}", 3, 0, 0, i) for i in range(9)])
-        most = most_recent_scores(tl)
+        most = field(scores_of([(f"u{i}", 3, 0, 0, i) for i in range(9)]), "most")
         values = [most[p] for p in range(9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_recency_weights_of_a_review_count(self):
+        assert recency_weights(1) == [0.0]
+        assert recency_weights(3) == [1 + 1 / 4, 1.0, 0.0]
+        assert recency_weights(np.int64(2)) == [1.0, 0.0]
+
+    @pytest.mark.parametrize("n_reviews", [0, -2, 2.0, "3", None])
+    def test_recency_weights_refuse_a_count_below_one_or_not_an_integer(self, n_reviews):
+        with pytest.raises(ValueError, match="n_reviews must be an integer >= 1"):
+            recency_weights(n_reviews)
 
 
 class TestTopRanking:
     def test_hand_worked_ranks(self):
         # time order a, b, c with helpfulness ranks (2, 1, 3):
         # q = (1/4 * 2, 1 * 1, 1/9 * 0) = (0.5, 1, 0) -> (1/3, 2/3, 0)
-        tl = timeline_of([("a", 3, 1, 2, 1), ("b", 3, 2, 2, 2), ("c", 3, 0, 2, 3)])
-        top = top_ranking_scores(tl)
+        top = field(scores_of([("a", 3, 1, 2, 1), ("b", 3, 2, 2, 2), ("c", 3, 0, 2, 3)]), "top")
         assert math.isclose(top[0], 1 / 3, rel_tol=1e-12)
         assert math.isclose(top[1], 2 / 3, rel_tol=1e-12)
         assert top[2] == 0.0
 
     def test_last_reviewer_always_zero(self):
-        tl = timeline_of([("a", 3, 5, 5, 1), ("b", 3, 1, 5, 2), ("c", 3, 4, 5, 3)])
-        assert top_ranking_scores(tl)[2] == 0.0
+        top = field(scores_of([("a", 3, 5, 5, 1), ("b", 3, 1, 5, 2), ("c", 3, 4, 5, 3)]), "top")
+        assert top[2] == 0.0
 
     def test_singleton_scores_zero(self):
-        tl = timeline_of([("a", 3, 4, 4, 1)])
-        assert top_ranking_scores(tl) == {0: 0.0}
+        assert field(scores_of([("a", 3, 4, 4, 1)]), "top") == {0: 0.0}
 
     def test_rank_ties_broken_by_earlier_time(self):
         # a and b weigh 1 each, c weighs 0. The earlier a takes rank 1:
         # q = (2/1, 1/4, 0) -> (8/9, 1/9, 0); the other way round would
         # give q = (2/4, 1/1, 0) -> (1/3, 2/3, 0)
-        tl = timeline_of([("a", 3, 2, 4, 5), ("b", 3, 2, 4, 9), ("c", 3, 0, 4, 12)])
-        top = top_ranking_scores(tl)
+        top = field(scores_of([("a", 3, 2, 4, 5), ("b", 3, 2, 4, 9), ("c", 3, 0, 4, 12)]), "top")
         assert math.isclose(top[0], 8 / 9, rel_tol=1e-12)
         assert math.isclose(top[1], 1 / 9, rel_tol=1e-12)
         assert top[2] == 0.0
@@ -120,8 +122,7 @@ class TestTopRanking:
         # votes (3, 3), (4, 10), (1, 1) over the max helpful count 4 weigh
         # (9/4, 16/4, 1/4): ranks (2, 1, 3), q = (2/4, 1, 0) -> (1/3, 2/3, 0)
         rows = [("a", 3, 3, 3, 1), ("b", 3, 4, 10, 2), ("c", 3, 1, 1, 3)]
-        tl = timeline_of(rows)
-        top = [b.top for b in score_product(tl, fallback_max=True).values()]
+        top = [b.top for b in scores_of(rows, fallback_max=True).values()]
         assert math.isclose(top[0], 1 / 3, rel_tol=1e-12)
         assert math.isclose(top[1], 2 / 3, rel_tol=1e-12)
         assert top[2] == 0.0
@@ -171,23 +172,21 @@ class TestProperties:
     def test_score_sums_and_ranges(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            tl = timeline_of(random_product_rows(rng, int(rng.integers(1, 12))))
-            h = helpfulness_scores(tl)
-            most = most_recent_scores(tl)
-            top = top_ranking_scores(tl)
-            if any(y > 0 for y in tl.helpful_yes):
+            rows = random_product_rows(rng, int(rng.integers(1, 12)))
+            scores = scores_of(rows)
+            h, most, top = (field(scores, name) for name in ("h", "most", "top"))
+            if any(y > 0 for _, _, y, _, _ in rows):
                 assert math.isclose(sum(h.values()), 1.0, abs_tol=1e-12)
-            if tl.n_reviews >= 2:
+            if len(rows) >= 2:
                 assert math.isclose(sum(most.values()), 1.0, abs_tol=1e-12)
                 assert math.isclose(sum(top.values()), 1.0, abs_tol=1e-12)
-            for b in score_product(tl).values():
+            for b in scores.values():
                 for value in (b.h, b.most, b.top, b.d, b.rel):
                     assert 0.0 <= value <= 1.0
 
     def test_breakdown_identities(self):
         rng = np.random.default_rng(7)
-        tl = timeline_of(random_product_rows(rng, 8))
-        for b in score_product(tl, alpha=0.3).values():
+        for b in scores_of(random_product_rows(rng, 8), alpha=0.3).values():
             assert b.d == 0.3 * b.top + (1 - 0.3) * b.most
             assert b.rel == (b.h + b.d) / 2
 
@@ -201,16 +200,14 @@ class TestProperties:
         baseline = {
             u: b for u, b in zip("abcde", [None] * 5)
         }
-        tl = timeline_of(rows)
         store = store_from([(u, "p0", r, y, t, w) for u, r, y, t, w in rows])
         id_of = store.user_index
-        base_scores = {u: score_product(tl)[id_of[u]] for u in "abcde"}
+        base_scores = {u: score_product(store, 0)[id_of[u]] for u in "abcde"}
 
         shuffled = rows[:]
         pyrng.shuffle(shuffled)
         store2 = store_from([(u, "p0", r, y, t, w) for u, r, y, t, w in shuffled])
-        tl2 = build_timeline(store2, 0)
-        scores2 = score_product(tl2)
+        scores2 = score_product(store2, 0)
         for u in "abcde":
             b1, b2 = base_scores[u], scores2[store2.user_index[u]]
             assert b1 == b2
@@ -321,10 +318,16 @@ class TestScoreStore:
                              for i, j, yes, more, when in entries])
         columns = np.stack(score_store(store, alpha, fallback_max))
         for product, rows in store.timelines.items():
-            tl = build_timeline(store, product)
-            got = score_product(tl, alpha, fallback_max)
+            got = score_product(store, product, alpha, fallback_max)
             assert list(got) == store.user[rows].tolist()
             assert np.array(list(got.values())).tobytes() == columns[:, rows].T.tobytes()
+
+    def test_a_product_without_reviews_is_refused(self, tiny_store):
+        without_p1 = restrict(tiny_store, np.flatnonzero(tiny_store.product != 0))
+        assert tiny_store.product_ids[0] == "p1" and without_p1.n_products == 3
+        for store, product in ((without_p1, 0), (tiny_store, tiny_store.n_products)):
+            with pytest.raises(ValueError, match=f"product {product} has no reviews"):
+                score_product(store, product)
 
     def test_empty_store_scores_to_empty_columns(self):
         scores = score_store(_make_store([], [], []))
