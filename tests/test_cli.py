@@ -771,8 +771,7 @@ class TestErrorCategories:
 
     def test_a_store_without_ratings_still_serves_where_no_rating_is_read(self, trained,
                                                                          tmp_path):
-        empty = tmp_path / "empty.json"
-        save_store(restrict(load_store(trained / "store.json"), []), empty)
+        save_store(restrict(load_store(trained / "store.json"), []), tmp_path / "empty.json")
         (tmp_path / "pairs.tsv").write_text("u0\tp0\n")
         for argv in ("reliability --store {t}/empty.json --out {t}/rel.tsv",
                      "predict --store {t}/empty.json --model {d}/fused.ckpt "

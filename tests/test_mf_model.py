@@ -456,14 +456,14 @@ class TestCheckpoint:
     def test_sizes_training_cannot_produce_are_refused(self, tmp_path, k, p):
         from dualrec.checkpoint import save_sections
 
-        params = MfParams(**mf_sections(3, 2, k, p))
+        sections = mf_sections(3, 2, k, p)
         path = tmp_path / "mf.ckpt"
         want = f"latent_dim and predictive_dim must be >= 1, got {k} and {p}"
         with pytest.raises(ValueError, match=want):
-            save_mf(params, path)
+            save_mf(MfParams(**sections), path)
         assert not path.exists()
         meta = {"n_users": 3, "n_products": 2, "latent_dim": k, "predictive_dim": p}
-        save_sections(path, "mf", meta, mf_sections(3, 2, k, p).items())
+        save_sections(path, "mf", meta, sections.items())
         with pytest.raises(ValueError, match=want):
             load_mf(path)
 
