@@ -354,8 +354,9 @@ class TestReliability:
         assert not (tmp_path / "r.tsv").exists()
 
 
-def run_pipeline(tmp_path, seed="7", epochs="2"):
-    """ingest -> reliability -> pretrain x2 -> train -> evaluate."""
+def run_pipeline(tmp_path, seed="7", epochs="2", flags=None):
+    """ingest -> reliability -> pretrain x2 -> train -> evaluate; ``flags``
+    maps a command to extra arguments it gets, such as training flags."""
     reviews = write_reviews(tmp_path / "reviews.jsonl", seed=int(seed))
     store = tmp_path / "store.json"
     scored = tmp_path / "scored.json"
@@ -378,6 +379,7 @@ def run_pipeline(tmp_path, seed="7", epochs="2"):
          "--out", str(report), "--tsv", str(tsv)],
     ]
     for argv in steps:
+        argv += (flags or {}).get(argv[0], [])
         assert main(argv) == 0, argv
     return [tmp_path / name for name in
             ("store.json", "rel.tsv", "scored.json", "mf.ckpt", "mlp.ckpt",
