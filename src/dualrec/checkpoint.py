@@ -121,7 +121,8 @@ def load_sections(path):
 
 
 def _check_shapes(path, kind: str, meta: dict, arrays: dict, section_shapes) -> None:
-    """Raise ValueError unless ``arrays`` has exactly the shapes ``section_shapes(meta)``."""
+    """Raise ValueError unless ``arrays`` has exactly the shapes ``section_shapes(meta)``
+    and holds only finite numbers: training never writes NaN or ±inf weights."""
     try:
         want = {name: tuple(shape) for name, shape in section_shapes(meta).items()}
     except (LookupError, TypeError, ValueError) as exc:
@@ -131,6 +132,9 @@ def _check_shapes(path, kind: str, meta: dict, arrays: dict, section_shapes) -> 
         bad = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
         raise ValueError(f"{path}: sections {bad} have shapes {[got.get(n) for n in bad]}, "
                          f"meta implies {[want.get(n) for n in bad]} (None: no section)")
+    bad = [name for name, array in arrays.items() if not np.isfinite(array).all()]
+    if bad:
+        raise ValueError(f"{path}: sections {bad} hold NaN or infinite values")
 
 
 def save_model_sections(path, kind: str, meta: dict, sections: dict, section_shapes) -> None:
@@ -145,8 +149,8 @@ def load_model_sections(path, kind: str, section_shapes):
 
     ``section_shapes`` maps the meta object to a dict name -> shape.
     Returns (meta, arrays). Raises ValueError for another kind, a meta
-    that ``section_shapes`` cannot read, and a missing section, an extra
-    one or a shape other than the one meta implies.
+    that ``section_shapes`` cannot read, a missing section, an extra one,
+    a shape other than the one meta implies, and a NaN or infinite value.
     """
     found, meta, arrays = load_sections(path)
     if found != kind:

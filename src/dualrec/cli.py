@@ -102,7 +102,7 @@ def cmd_ingest(args) -> int:
     log.info(
         "ingested %d records (%d skipped) -> %d users x %d products, %d ratings",
         len(records), result.n_skipped, store.n_users, store.n_products,
-        len(store.ratings),
+        store.raw.size,
     )
     return 0
 

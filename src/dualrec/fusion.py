@@ -23,8 +23,7 @@ import numpy as np
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .reliability import check_unit
-from .training import (FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward,
-                       predict_chunked)
+from .training import FitHyperparams, fit_mae, head_backward, head_forward, predict_chunked
 from .mf_model import MfParams
 from .mlp_model import MlpHyperparams, MlpParams
 
@@ -33,7 +32,6 @@ __all__ = [
     "init_fusion",
     "init_fusion_random",
     "param_dict",
-    "fused_predict",
     "train_fusion",
     "predict_batch",
     "save_fusion",
@@ -146,11 +144,6 @@ def _forward_batch(model: FusionModel, idx_u, idx_p):
     cache = {"mf_cache": mf_cache, "mlp_cache": mlp_cache, "concat": concat,
              "hidden": hidden, "idx_u": idx_u, "idx_p": idx_p}
     return raw, cache
-
-
-def fused_predict(model: FusionModel, i: int, j: int) -> float:
-    """Unclamped raw-scale prediction for one known index pair."""
-    return float(_forward_batch(model, *_pair_arrays(model.mf, i, j))[0][0])
 
 
 def predict_batch(model: FusionModel, pairs) -> list[float]:

@@ -35,7 +35,6 @@ __all__ = [
     "pretrain_mlp",
     "fine_tune",
     "evaluate_model",
-    "run_experiment",
     "sweep_train_sizes",
 ]
 

@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "ReviewRecord", "PairArrays", "InteractionStore", "parse_reviews", "build_store",
-    "with_reliability", "restrict", "save_store", "load_store",
+    "PairArrays", "InteractionStore", "parse_reviews", "build_store", "with_reliability",
+    "restrict", "save_store", "load_store",
 ]
 
 MIN_RATING = 1
@@ -140,7 +140,7 @@ class InteractionStore:
         """Rows in sorted (user, product) order."""
         return np.argsort(self.user * self.n_products + self.product, kind="stable")
 
-    def _pair_arrays(self, rows: np.ndarray, values: np.ndarray) -> PairArrays:
+    def _pair_columns(self, rows: np.ndarray, values: np.ndarray) -> PairArrays:
         out = PairArrays(self.user[rows], self.product[rows], values[rows], self.raw[rows])
         for arr in out:
             arr.flags.writeable = False
@@ -149,13 +149,13 @@ class InteractionStore:
     @cached_property
     def rated_arrays(self) -> PairArrays:
         """Rated pairs as index and value columns, built once per store."""
-        return self._pair_arrays(self.pair_order, self.ratings)
+        return self._pair_columns(self.pair_order, self.ratings)
 
     @cached_property
     def scored_arrays(self) -> PairArrays:
         """Reliability pairs as index and value columns, built once per store."""
         order = self.pair_order
-        return self._pair_arrays(order[~np.isnan(self.reliability[order])], self.reliability)
+        return self._pair_columns(order[~np.isnan(self.reliability[order])], self.reliability)
 
     def global_mean_raw(self) -> float:
         """Mean raw rating over all observed pairs."""
@@ -267,13 +267,13 @@ def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
     return "malformed entries"
 
 
-def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionStore:
-    """The checked constructor: a store from index maps, entry rows and scores.
+def _make_store(user_ids, product_ids, entries) -> InteractionStore:
+    """The checked constructor: an unscored store from index maps and entry rows.
 
     ``entries`` lists (i, j, raw, helpful_yes, votes_total, unix_time) rows
     in input order: raw ratings in (0, 5], int64 ints elsewhere with 0 <=
     helpful_yes <= votes_total, each pair inside the maps and only once.
-    ``reliability`` is as for :func:`_score_column`; ValueError names a bad row.
+    ValueError names a bad row.
     """
     for ids in (user_ids, product_ids):
         if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
@@ -288,9 +288,8 @@ def _make_store(user_ids, product_ids, entries, reliability=()) -> InteractionSt
     if cols is None or not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
         raise ValueError(_first_bad_entry(entries, n_users, n_products))
     is_int = np.array([type(row[2]) is int for row in entries], dtype=bool)
-    store = InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
-                             when, np.full(i.size, np.nan))
-    return with_reliability(store, _score_column(store, reliability))
+    return InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
+                            when, np.full(i.size, np.nan))
 
 
 def build_store(records: list[ReviewRecord]) -> InteractionStore:
@@ -317,12 +316,10 @@ def build_store(records: list[ReviewRecord]) -> InteractionStore:
 
 
 def _score_column(store: InteractionStore, reliability) -> np.ndarray:
-    """Row-aligned score column, NaN where unscored, of pair-keyed scores: a
-    map (user_idx, product_idx) -> score or (user_idx, product_idx, score)
-    triples as a saved store lists them. Each pair must be rated and appear
-    once; each score must lie in [0, 1]."""
-    if isinstance(reliability, dict):
-        reliability = [(*pair, v) for pair, v in reliability.items()]
+    """Row-aligned score column, NaN where unscored, of the (user_idx,
+    product_idx, score) triples a saved store lists. Each pair must be rated
+    and appear once; each score must lie in [0, 1], so NaN, which the column
+    reads as unscored, is refused."""
     cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
     if cols is None:
         raise ValueError("reliability must list (int user, int product, number score) triples")
@@ -407,8 +404,8 @@ def load_store(path) -> InteractionStore:
         raise ValueError(f"{path}: not a {STORE_FORMAT} file")
     if type(doc.get("version")) is not int or doc["version"] != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version {doc.get('version')!r}")
-    store = _make_store(doc.get("users"), doc.get("products"), doc.get("entries"),
-                        doc.get("reliability", []))
+    store = _make_store(doc.get("users"), doc.get("products"), doc.get("entries"))
+    store = with_reliability(store, _score_column(store, doc.get("reliability", [])))
     counts = [doc.get("n_users"), doc.get("n_products")]
     if set(map(type, counts)) != {int} or counts != [store.n_users, store.n_products]:
         raise ValueError(f"{path}: dimension counts do not match index maps")

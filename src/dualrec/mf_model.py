@@ -42,8 +42,6 @@ __all__ = [
     "RATING",
     "RELIABILITY",
     "JOINT",
-    "objective_loss",
-    "objective_grads",
     "train_mf",
     "factor_predict",
     "save_mf",
@@ -328,7 +326,7 @@ def train_mf(
     weights of its best validation epoch. Deterministic for a fixed
     seed. Raises :class:`TrainingDivergedError` on NaN/inf losses.
     """
-    if not len(store.ratings):
+    if not store.raw.size:
         raise ValueError("store has no ratings to train on")
     rng = np.random.default_rng(hyper.fit.seed)
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)

@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint
 from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
-from .training import FitHyperparams, _pair_arrays, fit_mae, head_backward, head_forward
+from .training import FitHyperparams, fit_mae, head_backward, head_forward
 
 __all__ = [
     "MlpParams",
@@ -30,8 +30,6 @@ __all__ = [
     "param_dict",
     "check_tower",
     "init_mlp",
-    "mlp_backward",
-    "mlp_predict",
     "train_mlp",
     "save_mlp",
     "load_mlp",
@@ -233,22 +231,6 @@ def _backward_batch(params: MlpParams, cache: dict, d_raw) -> dict:
     return grads
 
 
-def mlp_predict(params: MlpParams, i: int, j: int) -> float:
-    """Raw-scale rating prediction from the branch's own head."""
-    return float(_forward_batch(params, *_pair_arrays(params, i, j))[0][0])
-
-
-def mlp_backward(params: MlpParams, i: int, j: int, loss_grad: float) -> dict:
-    """Gradients of ``loss_grad * raw_prediction(i, j)`` for all fields.
-
-    ``loss_grad`` is the upstream derivative with respect to the raw
-    prediction. Embedding gradients come back as full tables with only
-    the looked-up rows non-zero.
-    """
-    _, cache = _forward_batch(params, *_pair_arrays(params, i, j))
-    return _backward_batch(params, cache, np.array([float(loss_grad)]))
-
-
 def train_mlp(
     store: InteractionStore,
     hyper: MlpHyperparams,
@@ -262,7 +244,7 @@ def train_mlp(
     improved for ``hyper.fit.patience`` epochs, and the returned weights are
     those of the best validation epoch.
     """
-    if not len(store.ratings):
+    if not store.raw.size:
         raise ValueError("store has no ratings to train on")
     params = init_mlp(
         store.n_users, store.n_products, hyper.latent_dim, hyper.tower,

@@ -27,8 +27,8 @@ import numpy as np
 from .ingest import InteractionStore, with_reliability
 
 __all__ = [
-    "RELIABLE", "NOT_RELIABLE", "recency_weights", "check_unit", "score_product", "score_store",
-    "attach_scores", "breakdown_rows",
+    "recency_weights", "check_unit", "score_product", "score_store", "attach_scores",
+    "breakdown_rows",
 ]
 
 RELIABLE = "reliable"

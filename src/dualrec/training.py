@@ -59,14 +59,6 @@ class FitHyperparams:
             raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")
 
 
-def _pair_arrays(params, i: int, j: int):
-    """Index arrays of the one pair (i, j); IndexError unless it indexes a
-    user and a product of ``params``."""
-    if not (0 <= i < params.n_users and 0 <= j < params.n_products):
-        raise IndexError(f"pair ({i}, {j}) out of range")
-    return np.array([i]), np.array([j])
-
-
 def head_forward(theta, head, reg_w, reg_b):
     """Projection ``theta @ head``, then the raw-scale regression."""
     hidden = theta @ head  # (batch, p)
@@ -119,7 +111,7 @@ def mean_abs_error(predict, arrays: PairArrays) -> float:
 
 def val_mae(predict, val_store: InteractionStore | None):
     """Validation MAE as a ``val_loss`` for :func:`fit`; None without pairs."""
-    if val_store is None or not len(val_store.ratings):
+    if val_store is None or not val_store.raw.size:
         return None
     return lambda: mean_abs_error(predict, val_store.rated_arrays)
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from dualrec.ingest import ReviewRecord, _score_column, build_store, with_reliability
+from dualrec.ingest import ReviewRecord, build_store, with_reliability
 
 
 def rated(store) -> dict:
@@ -21,11 +22,24 @@ def record(user, prod, rating=3, yes=0, total=0, when=0):
     )
 
 
+def with_scores(store, scores):
+    """Copy of ``store`` scored with ``scores``, a map (user_idx, product_idx)
+    -> score; a rated pair the map leaves out is unscored."""
+    return with_reliability(store, [scores.get(pair, np.nan) for pair in rated(store)])
+
+
 def store_from(rows, reliability=None):
     """Store out of (user, prod, rating, yes, total, when) tuples, scored
     with ``reliability``, a map (user_idx, product_idx) -> score, when it is given."""
     store = build_store([record(*row) for row in rows])
-    return with_reliability(store, _score_column(store, reliability or {}))
+    return with_scores(store, reliability) if reliability else store
+
+
+def pair_forward(forward, model, i, j):
+    """``forward(model, idx_u, idx_p)`` of the one pair (i, j): its raw
+    prediction as a float, and the cache its backward pass reads."""
+    raw, cache = forward(model, np.array([i]), np.array([j]))
+    return float(raw[0]), cache
 
 
 @pytest.fixture

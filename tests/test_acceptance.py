@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from dualrec import mf_model, mlp_model
-from dualrec.fusion import (
-    fused_predict,
-    init_fusion,
-    init_fusion_random,
-    predict_batch,
-    train_fusion,
-)
+from dualrec.fusion import init_fusion, init_fusion_random, predict_batch, train_fusion
 from dualrec.harness import SplitSpec, SyntheticSpec, gen_synthetic, split
 from dualrec.ingest import _make_store
 from dualrec.linalg import finite_diff_grad
@@ -38,14 +32,14 @@ from dualrec.metrics import (
     rmse,
 )
 from dualrec.mf_model import JOINT, RATING, RELIABILITY, MfHyperparams, factor_predict, train_mf
-from dualrec.mlp_model import MlpHyperparams, init_mlp, mlp_backward, mlp_predict, train_mlp
+from dualrec.mlp_model import MlpHyperparams, _backward_batch, init_mlp, train_mlp
 from dualrec.reliability import recency_weights, score_product
 from dualrec.training import FitHyperparams
 
 from test_cli import run_pipeline
-from test_fusion import FUSED_NAMES, check_fused_gradients, small_model
+from test_fusion import FUSED_NAMES, check_fused_gradients, fused_predict, small_model
 from test_mf_model import assert_grad_close, check_objective_gradients
-from test_mlp_model import get_field, set_field
+from test_mlp_model import get_field, mlp_predict, set_field
 from conftest import rated
 
 
@@ -90,7 +84,7 @@ def test_c02_reliability_suite():
                             int(rng.integers(0, 10_000))))
             user += 1
     store = _make_store(
-        [f"u{i}" for i in range(user)], [f"p{j}" for j in range(1000)], entries, {}
+        [f"u{i}" for i in range(user)], [f"p{j}" for j in range(1000)], entries
     )
     for product in range(1000):
         rows = store.timelines[product]
@@ -113,7 +107,7 @@ def test_c02_reliability_suite():
 @criterion("worked example: first-of-five recency weight is 1 + 1/4 + 1/9 + 1/16 exactly")
 def test_c03_worked_recency_example():
     entries = [(i, 0, 3, 0, 0, i) for i in range(5)]
-    store = _make_store([f"u{i}" for i in range(5)], ["p0"], entries, {})
+    store = _make_store([f"u{i}" for i in range(5)], ["p0"], entries)
     weights = recency_weights(store.timelines[0].size)
     assert weights[0] == 1 + 1 / 4 + 1 / 9 + 1 / 16  # bitwise
 
@@ -143,7 +137,7 @@ def test_c04_gradient_correctness():
         if np.any(np.abs(pres) < 1e-4):
             continue
         checked += 1
-        grads = mlp_backward(params, i, j, 1.0)
+        grads = _backward_batch(params, cache, np.ones(1))
         assert set(grads) == set(mlp_model.param_dict(params))
         for name, grad in grads.items():
             base = get_field(params, name).copy()

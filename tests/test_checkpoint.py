@@ -219,6 +219,14 @@ def set_section(name, array):
     return lambda meta, arrays: arrays.update({name: array})
 
 
+def poisoned(**values):
+    """An ``edited`` edit that sets the first entry of each named section."""
+    def edit(meta, arrays):
+        for name, value in values.items():
+            arrays[name].flat[0] = value
+    return edit
+
+
 LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
            "fusion": (save_fusion, load_fusion, 2)}
 
@@ -250,6 +258,12 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
     ("mlp", lambda meta, arrays: meta.update(predictive_dim="x")),
     ("mlp", lambda meta, arrays: meta.update(predictive_dim=2.5)),
     ("mlp", lambda meta, arrays: meta.update(predictive_dim=[2])),
+    ("mf", poisoned(user_rating=math.nan)),
+    ("mf", poisoned(reg_b=math.inf)),
+    ("mlp", poisoned(tower_w_1=-math.inf)),
+    ("mlp", poisoned(prod_emb=math.nan)),
+    ("fusion", poisoned(concat_w=math.nan)),
+    ("fusion", poisoned(**{"mlp/user_emb": math.inf})),
 ], ids=["fused-reg_b-shape-3", "mlp-extra-section", "mf-missing-section",
         "fusion-missing-tower-bias", "mf-transposed-table", "mlp-narrow-tower",
         "fusion-wide-concat", "mlp-meta-tower-differs", "mf-meta-users-differ",
@@ -259,7 +273,9 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
         "fusion-meta-global-mean-negative", "fusion-meta-global-mean-zero",
         "fusion-meta-global-mean-above-5", "mlp-meta-without-predictive-dim",
         "mlp-meta-predictive-dim-differs", "mlp-meta-predictive-dim-string",
-        "mlp-meta-predictive-dim-fraction", "mlp-meta-predictive-dim-list"])
+        "mlp-meta-predictive-dim-fraction", "mlp-meta-predictive-dim-list",
+        "mf-nan-table", "mf-inf-bias", "mlp-minus-inf-tower", "mlp-nan-table",
+        "fusion-nan-head", "fusion-inf-branch-table"])
 def test_loaders_check_sections_against_meta(tmp_path, kind, edit):
     save, load, which = LOADERS[kind]
     path = tmp_path / f"{kind}.ckpt"
@@ -287,5 +303,16 @@ def test_savers_refuse_sections_their_loader_refuses(tmp_path, kind):
     model.reg_b = 0.6  # a 0-d section where meta implies shape (1,)
     path = tmp_path / f"{kind}.ckpt"
     with pytest.raises(ValueError, match=r"\['reg_b'\] have shapes \[\(\)\]"):
+        save(model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_savers_refuse_non_finite_weights(tmp_path, kind):
+    save, _, which = LOADERS[kind]
+    model = hand_built_models()[which]
+    model.reg_w[1] = math.nan
+    path = tmp_path / f"{kind}.ckpt"
+    with pytest.raises(ValueError, match=r"sections \['reg_w'\] hold NaN or infinite values"):
         save(model, path)
     assert not path.exists()

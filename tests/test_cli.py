@@ -1,7 +1,9 @@
 import argparse
 import json
 import logging
+import math
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -782,6 +784,32 @@ class TestErrorCategories:
                      "--epochs 1 --out {t}/mf.ckpt"):
             assert main(argv.format(d=trained, t=tmp_path).split()) == 0, argv
         assert (tmp_path / "rel.tsv").read_text() == "user\tproduct\th\tmost\ttop\td\trel\tlabel\n"
+
+    @pytest.mark.parametrize("argv, model, sections", [
+        ("train --store {d}/store.json --mf {t}/mf.ckpt --mlp {d}/mlp.ckpt --out {t}/x",
+         "mf.ckpt", ["proj_joint"]),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {t}/mlp.ckpt --out {t}/x",
+         "mlp.ckpt", ["user_emb"]),
+        ("evaluate --store {d}/store.json --model {t}/fused.ckpt --out {t}/x",
+         "fused.ckpt", ["mlp/user_emb", "concat_w"]),
+        ("predict --store {d}/store.json --model {t}/fused.ckpt --pairs {t}/pairs.tsv "
+         "--out {t}/x", "fused.ckpt", ["mlp/user_emb", "concat_w"]),
+    ], ids=["train-mf-branch", "train-mlp-branch", "evaluate", "predict"])
+    def test_non_finite_weights_are_bad_store(self, trained, tmp_path, capsys, argv, model,
+                                              sections):
+        from test_checkpoint import edited, poisoned
+
+        (tmp_path / "pairs.tsv").write_text("u0\tp0\n")
+        for name, values in (("mf.ckpt", {"proj_joint": math.nan}),
+                             ("mlp.ckpt", {"user_emb": math.inf}),
+                             ("fused.ckpt", {"concat_w": math.nan, "mlp/user_emb": math.inf})):
+            shutil.copy(trained / name, tmp_path / name)
+            edited(tmp_path / name, poisoned(**values))
+        line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
+        path = tmp_path / model
+        assert line == (f"error [bad-store]: cannot read model {path}: {path}: "
+                        f"sections {sections} hold NaN or infinite values")
+        assert not (tmp_path / "x").exists()
 
     def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):
         import math

@@ -8,7 +8,7 @@ import pytest
 from dualrec import mf_model, mlp_model, training
 from dualrec.fusion import (
     FusionModel,
-    fused_predict,
+    _forward_batch,
     init_fusion,
     init_fusion_random,
     load_fusion,
@@ -20,8 +20,13 @@ from dualrec.linalg import adam_step, finite_diff_grad
 from dualrec.mlp_model import init_mlp, param_dict as mlp_param_dict
 from dualrec.training import FitHyperparams
 
-from conftest import random_store
+from conftest import pair_forward, random_store
 from test_mf_model import random_params
+
+
+def fused_predict(model, i, j) -> float:
+    """Unclamped raw prediction of the fused model for the pair (i, j)."""
+    return pair_forward(_forward_batch, model, i, j)[0]
 
 
 # The embedding tables of both branches, as fine-tuning names them.
@@ -39,7 +44,7 @@ def check_fused_gradients(model, cache, d_raw, assert_close) -> set:
     """Finite-difference check of every gradient on the path that trains
     the tables; the tables-fixed path of ``model`` must return the same
     gradient for every name but the tables. Returns the names checked."""
-    from dualrec.fusion import _forward_batch, _grads_batch, param_dict
+    from dualrec.fusion import _grads_batch, param_dict
 
     full_model = dataclasses.replace(model, train_tables=True)
     full = _grads_batch(full_model, cache, d_raw)
@@ -194,11 +199,6 @@ class TestForward:
         scaled = fused_predict(doubled, 1, 2) - 5 * model.reg_b[0]
         assert math.isclose(scaled, 2.0 * base, rel_tol=1e-9)
 
-    def test_out_of_range_index(self):
-        model = small_model()
-        with pytest.raises(IndexError):
-            fused_predict(model, 9, 0)
-
 
 class TestPredictBatch:
     def test_empty(self):
@@ -233,8 +233,6 @@ class TestPredictBatch:
 
 class TestFusedGradients:
     def test_full_model_gradcheck(self):
-        from dualrec.fusion import _forward_batch
-
         def assert_close(name, grad, numeric):
             scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
             worst = float(np.max(np.abs(grad - numeric) / scale))

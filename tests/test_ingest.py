@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualrec import ingest
 from dualrec.harness import SplitSpec, SyntheticSpec, gen_synthetic, split
 from dualrec.ingest import (
     _COLUMNS,
@@ -21,7 +22,7 @@ from dualrec.ingest import (
 )
 from dualrec.reliability import attach_scores, score_store
 
-from conftest import rated, record, scored, store_from
+from conftest import rated, record, scored, store_from, with_scores
 
 
 def line(user="A2SUAM1J3GNN3B", asin="0000013714", overall=3.0, helpful=(3, 5), when=126472000, **extra):
@@ -158,8 +159,9 @@ class TestBuildStore:
         assert len(store.ratings) == 1
 
     def test_reliability_key_must_be_rated(self):
-        with pytest.raises(ValueError):
-            store_from([("u1", "p1", 4, 0, 0, 1)], {(0, 1): 0.5})
+        store = store_from([("u1", "p1", 4, 0, 0, 1)])
+        with pytest.raises(ValueError, match=r"key \(0, 1\) is not a rated pair"):
+            _score_column(store, [(0, 1, 0.5)])
 
     def test_reliability_pair_given_twice_is_refused(self, tiny_store):
         with pytest.raises(ValueError, match="a reliability pair appears twice"):
@@ -221,7 +223,7 @@ def test_store_invariants_hold_for_random_inputs(rows):
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path, tiny_store):
         rel = {pair: 0.25 for pair in list(rated(tiny_store))[:3]}
-        store = with_reliability(tiny_store, _score_column(tiny_store, rel))
+        store = with_scores(tiny_store, rel)
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
@@ -250,8 +252,7 @@ class TestRoundTrip:
             ("carol", "p2", 1, 0, 2, 90),
             ("alice", "p1", 3, 2, 4, 150),
         ])
-        store = with_reliability(store, _score_column(store, {(0, 0): 0.25, (1, 0): 1 / 3,
-                                                              (2, 1): 1.0}))
+        store = with_scores(store, {(0, 0): 0.25, (1, 0): 1 / 3, (2, 1): 1.0})
         path = tmp_path / "store.json"
         save_store(store, path)
         assert path.read_bytes() == (
@@ -428,6 +429,32 @@ class TestScoreColumn:
         split(store, SplitSpec(0.5, 0.25, 0.25))
         assert calls == []
 
+    def test_only_a_saved_stores_triples_are_turned_into_a_column(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        store = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4))
+        save_store(store, path)
+
+        def refuse(*args):
+            raise AssertionError("_score_column called")
+
+        monkeypatch.setattr(ingest, "_score_column", refuse)
+        built = build_store([record("u1", "p1"), record("u2", "p1", 4), record("u1", "p2", 5)])
+        synthetic = gen_synthetic(SyntheticSpec(8, 6, 2, 0.5, 0.1, seed=4))
+        assert scored(synthetic) == scored(store)
+        assert restrict(synthetic, [0, 2]).raw.size == 2
+        assert scored(with_reliability(built, [0.5, np.nan, 1.0])) == {(0, 0): 0.5, (0, 1): 1.0}
+        assert len(split(synthetic, SplitSpec(0.5, 0.25, 0.25))) == 1
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _score_column(*args)
+
+        monkeypatch.setattr(ingest, "_score_column", spy)
+        assert scored(load_store(path)) == scored(store)
+        assert len(calls) == 1
+
 
 def test_store_io_is_linear_in_one_products_reviews(tmp_path):
     """save + load + restrict of a one-product store grows about 4x from N
@@ -463,7 +490,7 @@ class TestPairArrays:
     def test_scored_arrays_follow_sorted_reliability_pairs(self, tiny_store):
         assert tiny_store.scored_arrays.idx_u.shape == (0,)
         scores = {(2, 0): 0.25, (0, 0): 0.75}
-        store = with_reliability(tiny_store, _score_column(tiny_store, scores))
+        store = with_scores(tiny_store, scores)
         idx_u, idx_p, values, raw = store.scored_arrays
         assert list(zip(idx_u.tolist(), idx_p.tolist())) == [(0, 0), (2, 0)]
         assert values.tolist() == [0.75, 0.25]
@@ -473,7 +500,7 @@ class TestPairArrays:
         calls = []
         argsort = np.argsort
         monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(a) or argsort(*a, **kw))
-        scores = _score_column(tiny_store, {(0, 0): 0.75, (2, 0): 0.25})
+        scores = _score_column(tiny_store, [(0, 0, 0.75), (2, 0, 0.25)])
         with_reliability(tiny_store, scores).rated_arrays
         assert len(calls) == 1
 

@@ -26,7 +26,7 @@ from dualrec.mf_model import (
 )
 from dualrec.training import FitHyperparams
 
-from conftest import random_store, rated, scored, store_from
+from conftest import random_store, rated, scored, store_from, with_scores
 
 
 def random_params(rng, n, m, k=2, p=3, scale=0.5):
@@ -122,9 +122,7 @@ class TestSvdInit:
                 rows.append((i, j, float(5 * target[i, j]), 0, 0, i * 100 + j))
         from dualrec.ingest import _make_store
 
-        store = _make_store(
-            [f"u{i}" for i in range(20)], [f"p{j}" for j in range(15)], rows, {}
-        )
+        store = _make_store([f"u{i}" for i in range(20)], [f"p{j}" for j in range(15)], rows)
         (w, z), _ = svd_init(store, 2)
         err = np.abs(w.T @ z - target) / np.abs(target)
         assert float(err.max()) < 1e-6
@@ -145,8 +143,8 @@ class TestSvdInit:
         rel = {(i, j): 0.5 for i, j, *_ in entries[::2]}
         from dualrec.ingest import _make_store
 
-        store = _make_store([f"u{i}" for i in range(3000)], [f"p{j}" for j in range(3000)],
-                            entries, rel)
+        store = with_scores(_make_store([f"u{i}" for i in range(3000)],
+                                        [f"p{j}" for j in range(3000)], entries), rel)
         tracemalloc.start()
         try:
             svd_init(store, 8)
@@ -404,7 +402,7 @@ class TestTraining:
     def test_empty_store_rejected(self):
         from dualrec.ingest import _make_store
 
-        empty = _make_store([], [], [], {})
+        empty = _make_store([], [], [])
         with pytest.raises(ValueError):
             train_mf(empty, hyper())
 

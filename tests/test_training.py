@@ -6,17 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from dualrec import fusion, mf_model, training
-from dualrec.fusion import (_forward_batch, fused_predict, init_fusion, init_fusion_random,
-                            predict_batch, train_fusion)
+from dualrec import fusion, mf_model, mlp_model, training
+from dualrec.fusion import (_forward_batch, init_fusion, init_fusion_random, predict_batch,
+                            train_fusion)
 from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import PairArrays, _make_store
 from dualrec.linalg import TrainingDivergedError, adam_step, finite_diff_grad
-from dualrec.mlp_model import MlpHyperparams, mlp_predict, param_dict, train_mlp
+from dualrec.mlp_model import MlpHyperparams, param_dict, train_mlp
 from dualrec.training import (CHUNK_PAIRS, FitHyperparams, fit, head_backward, head_forward,
                               mean_abs_error, predict_chunked)
 
-from conftest import rated
+from conftest import pair_forward, rated
 from test_fusion import FUSED_NAMES, TABLES
 
 
@@ -141,17 +141,18 @@ def mirrored():
     hurts validation MAE."""
     store = gen_synthetic(SyntheticSpec(20, 16, 2, 0.6, 0.05, seed=3))
     entries = [(i, j, 6 - r, 0, 0, k) for k, ((i, j), r) in enumerate(sorted(rated(store).items()))]
-    return store, _make_store(store.user_ids, store.product_ids, entries, {})
+    return store, _make_store(store.user_ids, store.product_ids, entries)
 
 
-def best_epoch(train, predict, val, epochs, patience):
-    """Index of the best validation epoch of an uninterrupted run, checked
-    to lie before the last epoch and ``patience`` epochs before the end."""
+def best_epoch(train, forward, val, epochs, patience):
+    """Index of the best validation epoch of an uninterrupted run, scored
+    pair by pair through the model's ``forward``, checked to lie before the
+    last epoch and ``patience`` epochs before the end."""
     curve = []
     for e in range(1, epochs + 1):
         model = train(e)
         curve.append(mean_abs_error(
-            lambda u, p: np.array([predict(model, a, b) for a, b in zip(u, p)]),
+            lambda u, p: np.array([pair_forward(forward, model, a, b)[0] for a, b in zip(u, p)]),
             val.rated_arrays))
     best = int(np.argmin(curve))
     assert 0 < best and best + patience < epochs, curve
@@ -166,7 +167,7 @@ def test_train_mlp_returns_the_best_validation_epoch(mirrored):
                               fit=FitHyperparams(batch_size=32, epochs=epochs, lr=0.03, seed=2,
                                                  patience=patience))
 
-    best = best_epoch(lambda e: train_mlp(store, hyper(e)), mlp_predict, val, 10, 3)
+    best = best_epoch(lambda e: train_mlp(store, hyper(e)), mlp_model._forward_batch, val, 10, 3)
     got = train_mlp(store, hyper(10, patience=3), val_store=val)
     want = train_mlp(store, hyper(best + 1))
     for (name, a), (_, b) in zip(param_dict(got).items(), param_dict(want).items()):
@@ -193,8 +194,7 @@ def test_train_mf_head_returns_the_best_validation_epoch(mirrored):
                          val_store)
         return params
 
-    best = best_epoch(train, lambda params, i, j: mf_model._forward_batch(
-        params, np.array([i]), np.array([j]))[0][0], val, 10, 3)
+    best = best_epoch(train, mf_model._forward_batch, val, 10, 3)
     got = train(10, patience=3, val_store=val)
     want = train(best + 1)
     for (name, a), (_, b) in zip(mf_model.param_dict(got).items(),
@@ -210,7 +210,7 @@ def test_train_fusion_returns_the_best_validation_epoch(mirrored):
         return FitHyperparams(batch_size=32, epochs=epochs, lr=0.02, seed=1,
                               patience=patience)
 
-    best = best_epoch(lambda e: train_fusion(start, store, hyper(e)), fused_predict,
+    best = best_epoch(lambda e: train_fusion(start, store, hyper(e)), _forward_batch,
                       val, 10, 3)
     got = train_fusion(start, store, hyper(10, patience=3), val_store=val)
     want = train_fusion(start, store, hyper(best + 1))
