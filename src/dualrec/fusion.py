@@ -23,9 +23,10 @@ import numpy as np
 from . import checkpoint, mf_model, mlp_model
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .reliability import check_unit
-from .training import FitHyperparams, fit_mae, head_backward, head_forward, predict_chunked
+from .training import (INIT_SCALE, FitHyperparams, fit_mae, head_backward, head_forward,
+                       init_sections, predict_chunked)
 from .mf_model import MfParams
-from .mlp_model import MlpHyperparams, MlpParams
+from .mlp_model import MlpParams
 
 __all__ = [
     "FusionModel",
@@ -96,42 +97,22 @@ def init_fusion(mf: MfParams, mlp: MlpParams, gamma: float = DEFAULT_GAMMA) -> F
     )
 
 
-def init_fusion_random(
-    n_users: int,
-    n_products: int,
-    latent_dim: int,
-    tower_widths,
-    seed: int,
-    gamma: float = DEFAULT_GAMMA,
-    scale: float = MlpHyperparams.init_scale,
-) -> FusionModel:
+def init_fusion_random(n_users: int, n_products: int, latent_dim: int, tower_widths, seed: int,
+                       gamma: float = DEFAULT_GAMMA, scale: float = INIT_SCALE) -> FusionModel:
     """Fused model with every parameter freshly Gaussian-initialized.
 
     The no-pre-training baseline: factor matrices, both branch stacks and
     the fused head all start from Gaussian(0, scale) noise, and
-    fine-tuning trains the embedding tables with everything else.
-    ValueError unless gamma is in [0, 1].
+    fine-tuning trains the embedding tables with everything else. The MLP
+    branch is :func:`mlp_model.init_mlp` under ``seed + 1``; every other
+    section is drawn under ``seed``. ValueError unless gamma is in [0, 1].
     """
     check_unit("gamma", gamma)
-    rng = np.random.default_rng(seed)
-    k = latent_dim
-    p = int(tower_widths[-1])
-    shapes = mf_model.section_shapes({"n_users": n_users, "n_products": n_products,
-                                      "latent_dim": k, "predictive_dim": p})
-    # one draw per section, in section order; the regression bias starts at 0
-    mf = mf_model.params_from_sections({name: np.zeros(shape) if name == "reg_b"
-                                        else rng.normal(0.0, scale, shape)
-                                        for name, shape in shapes.items()})
-    mlp = mlp_model.init_mlp(n_users, n_products, k, tower_widths, seed + 1, scale)
-    return FusionModel(
-        mf=mf,
-        mlp=mlp,
-        concat_w=rng.normal(0.0, scale, (p, k + p)),
-        reg_w=rng.normal(0.0, scale, p),
-        reg_b=np.zeros(1),
-        gamma=gamma,
-        train_tables=True,
-    )
+    mlp = mlp_model.init_mlp(n_users, n_products, latent_dim, tower_widths, seed + 1, scale)
+    meta = mlp_model._meta(mlp)
+    given = {"mlp/" + name: a for name, a in mlp_model.param_dict(mlp).items()}
+    arrays = init_sections(_section_shapes(meta), np.random.default_rng(seed), scale, given)
+    return _from_sections(meta, arrays, gamma, train_tables=True)
 
 
 def _forward_batch(model: FusionModel, idx_u, idx_p):
@@ -221,15 +202,8 @@ def train_fusion(
 
 
 def save_fusion(model: FusionModel, path) -> None:
-    meta = {
-        "n_users": model.mf.n_users,
-        "n_products": model.mf.n_products,
-        "latent_dim": model.latent_dim,
-        "predictive_dim": model.predictive_dim,
-        "tower": list(model.mlp.tower_widths),
-        "gamma": model.gamma,
-        "global_mean": model.global_mean,
-    }
+    # the branches agree on every size, so the MLP's meta is the whole model's
+    meta = {**mlp_model._meta(model.mlp), "gamma": model.gamma, "global_mean": model.global_mean}
     checkpoint.save_model_sections(path, "fusion", meta, param_dict(model), _section_shapes)
 
 
@@ -249,12 +223,13 @@ def load_fusion(path) -> FusionModel:
     if not (numeric and 0 <= gamma <= 1 and 0 < mean <= MAX_RATING):
         raise ValueError(f"{path}: fusion meta needs a gamma in [0, 1] and a global_mean in "
                          f"(0, {MAX_RATING}], got {gamma!r} and {mean!r}")
-    return FusionModel(
-        mf=mf_model.params_from_sections(arrays, prefix="mf/"),
-        mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), prefix="mlp/"),
-        concat_w=arrays["concat_w"],
-        reg_w=arrays["reg_w"],
-        reg_b=arrays["reg_b"],
-        gamma=float(gamma),
-        global_mean=float(mean),
-    )
+    return _from_sections(meta, arrays, float(gamma), global_mean=float(mean))
+
+
+def _from_sections(meta: dict, arrays: dict, gamma: float, **fields) -> FusionModel:
+    """The fused model of checkpoint ``meta`` from its sections, with
+    ``gamma`` and the other :class:`FusionModel` ``fields`` given."""
+    return FusionModel(mf=mf_model.params_from_sections(arrays, prefix="mf/"),
+                       mlp=mlp_model.params_from_sections(arrays, len(meta["tower"]), "mlp/"),
+                       concat_w=arrays["concat_w"], reg_w=arrays["reg_w"], reg_b=arrays["reg_b"],
+                       gamma=gamma, **fields)

@@ -32,7 +32,7 @@ from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
 from .training import (CHUNK_PAIRS, FitHyperparams, check_nonnegative, fit, fit_mae,
-                       head_backward, head_forward, val_mae)
+                       head_backward, head_forward, init_sections, val_mae)
 
 __all__ = [
     "MfParams",
@@ -47,9 +47,6 @@ __all__ = [
     "save_mf",
     "load_mf",
 ]
-
-_INIT_SCALE = 0.01  # standard deviation of the random projection and head weights
-
 
 @dataclass
 class MfParams:
@@ -330,19 +327,12 @@ def train_mf(
         raise ValueError("store has no ratings to train on")
     rng = np.random.default_rng(hyper.fit.seed)
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)
-    k, p = hyper.latent_dim, hyper.predictive_dim
-    params = MfParams(
-        user_rating=w.copy(order="F"),
-        prod_rating=z.copy(order="F"),
-        user_joint=e.copy(order="F"),
-        prod_joint=z.copy(order="F"),
-        prod_rel=f.copy(order="F"),
-        proj_rating=rng.normal(0.0, _INIT_SCALE, (k, k)),
-        proj_joint=rng.normal(0.0, _INIT_SCALE, (k, k)),
-        head=rng.normal(0.0, _INIT_SCALE, (k, p)),
-        reg_w=rng.normal(0.0, _INIT_SCALE, p),
-        reg_b=np.zeros(1),
-    )
+    meta = {"n_users": store.n_users, "n_products": store.n_products,
+            "latent_dim": hyper.latent_dim, "predictive_dim": hyper.predictive_dim}
+    # each table its own copy of z: asfortranarray would not copy an F-ordered one
+    tables = {"user_rating": w, "prod_rating": z.copy(order="F"), "user_joint": e,
+              "prod_joint": z.copy(order="F"), "prod_rel": f}
+    params = params_from_sections(init_sections(section_shapes(meta), rng, given=tables))
 
     _fit_factors(params, store, RATING, hyper, rng, "mf-rating", val_store, on_epoch)
     _fit_factors(params, store, JOINT, hyper, rng, "mf-joint", val_store, on_epoch)

@@ -22,7 +22,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
-from .training import FitHyperparams, fit_mae, head_backward, head_forward
+from .training import (INIT_SCALE, FitHyperparams, fit_mae, head_backward, head_forward,
+                       init_sections)
 
 __all__ = [
     "MlpParams",
@@ -84,7 +85,7 @@ class MlpParams:
 class MlpHyperparams:
     latent_dim: int
     tower: tuple = (16, 8)
-    init_scale: float = 0.01
+    init_scale: float = INIT_SCALE
     fit: FitHyperparams = FitHyperparams()
 
     def __post_init__(self):
@@ -108,37 +109,22 @@ def check_tower(latent_dim: int, tower_widths) -> list[int]:
     return widths
 
 
-def init_mlp(
-    n_users: int,
-    n_products: int,
-    latent_dim: int,
-    tower_widths,
-    seed: int,
-    scale: float = MlpHyperparams.init_scale,
-) -> MlpParams:
+def init_mlp(n_users: int, n_products: int, latent_dim: int, tower_widths, seed: int,
+             scale: float = INIT_SCALE) -> MlpParams:
     """Gaussian(0, scale) weights, two summed per embedding entry; zero biases.
 
     Deterministic under ``seed``. The tower is as :func:`check_tower`
     allows; its last width is the predictive dimension.
     """
-    dims = [2 * latent_dim] + check_tower(latent_dim, tower_widths)
+    k, widths = latent_dim, check_tower(latent_dim, tower_widths)
     rng = np.random.default_rng(seed)
-    k = latent_dim
-    p = dims[-1]
-    return MlpParams(
-        # two draws per table keep the init function and every later parameter's RNG stream
-        user_emb=rng.normal(0.0, scale, (n_users, k)) + rng.normal(0.0, scale, (n_users, k)),
-        prod_emb=rng.normal(0.0, scale, (n_products, k)) + rng.normal(0.0, scale, (n_products, k)),
-        fusion_w_user=rng.normal(0.0, scale, (k, k)),
-        fusion_b_user=np.zeros(k),
-        fusion_w_prod=rng.normal(0.0, scale, (k, k)),
-        fusion_b_prod=np.zeros(k),
-        tower_w=[rng.normal(0.0, scale, shape) for shape in zip(dims, dims[1:])],
-        tower_b=[np.zeros(w) for w in dims[1:]],
-        head=rng.normal(0.0, scale, (p, p)),
-        reg_w=rng.normal(0.0, scale, p),
-        reg_b=np.zeros(1),
-    )
+    # two draws per table keep the init function and every later parameter's RNG stream
+    tables = {name: rng.normal(0.0, scale, (n, k)) + rng.normal(0.0, scale, (n, k))
+              for name, n in (("user_emb", n_users), ("prod_emb", n_products))}
+    meta = {"n_users": n_users, "n_products": n_products, "latent_dim": k, "tower": widths,
+            "predictive_dim": widths[-1]}
+    return params_from_sections(init_sections(section_shapes(meta), rng, scale, tables),
+                                len(widths))
 
 
 def _embedding_batch(params: MlpParams, idx_u, idx_p):
@@ -257,16 +243,17 @@ def train_mlp(
 
 
 def section_shapes(meta: dict) -> dict:
-    """Name -> shape of every section that checkpoint ``meta`` implies;
-    ValueError for a tower that ``check_tower`` refuses."""
+    """Name -> shape of every section that checkpoint ``meta`` implies, in
+    :func:`param_dict` order; ValueError for a tower that ``check_tower`` refuses."""
     k, p = meta["latent_dim"], meta["predictive_dim"]
     check_tower(k, meta["tower"])
     dims = [2 * k] + list(meta["tower"])
     shapes = {"user_emb": (meta["n_users"], k), "prod_emb": (meta["n_products"], k),
               "fusion_w_user": (k, k), "fusion_b_user": (k,), "fusion_w_prod": (k, k),
-              "fusion_b_prod": (k,), "head": (p, p), "reg_w": (p,), "reg_b": (1,)}
+              "fusion_b_prod": (k,)}
     for l in range(len(dims) - 1):
         shapes[f"tower_w_{l}"], shapes[f"tower_b_{l}"] = (dims[l], dims[l + 1]), (dims[l + 1],)
+    shapes.update(head=(p, p), reg_w=(p,), reg_b=(1,))
     return shapes
 
 
@@ -281,15 +268,15 @@ def params_from_sections(arrays: dict, n_layers: int, prefix: str = "") -> MlpPa
     return MlpParams(**kwargs)
 
 
+def _meta(params: MlpParams) -> dict:
+    """The checkpoint meta of ``params``, from which :func:`section_shapes` reads its layout."""
+    return {"n_users": params.n_users, "n_products": params.n_products,
+            "latent_dim": params.latent_dim, "tower": list(params.tower_widths),
+            "predictive_dim": params.predictive_dim}
+
+
 def save_mlp(params: MlpParams, path) -> None:
-    meta = {
-        "n_users": params.n_users,
-        "n_products": params.n_products,
-        "latent_dim": params.latent_dim,
-        "tower": list(params.tower_widths),
-        "predictive_dim": params.predictive_dim,
-    }
-    checkpoint.save_model_sections(path, "mlp", meta, param_dict(params), section_shapes)
+    checkpoint.save_model_sections(path, "mlp", _meta(params), param_dict(params), section_shapes)
 
 
 def load_mlp(path) -> MlpParams:

@@ -25,10 +25,11 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["CHUNK_PAIRS", "FitHyperparams", "check_nonnegative", "fit", "fit_mae",
-           "head_backward", "head_forward", "predict_chunked", "val_mae"]
+__all__ = ["CHUNK_PAIRS", "INIT_SCALE", "FitHyperparams", "check_nonnegative", "fit", "fit_mae",
+           "head_backward", "head_forward", "init_sections", "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
+INIT_SCALE = 0.01  # standard deviation of every randomly initialised weight
 
 
 def check_nonnegative(name: str, value) -> None:
@@ -57,6 +58,23 @@ class FitHyperparams:
         check_nonnegative("lr", self.lr)
         if not (isinstance(self.lr_decay, numbers.Real) and 0 < self.lr_decay < math.inf):
             raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")
+
+
+def _is_bias(name: str) -> bool:
+    name = name.rpartition("/")[2]  # a fused section's name without its branch prefix
+    return name == "reg_b" or name.startswith(("fusion_b_", "tower_b_"))
+
+
+def init_sections(shapes: dict, rng, scale: float = INIT_SCALE, given=None) -> dict:
+    """Name -> array of every section of ``shapes``, a model's name -> shape
+    in checkpoint order: ``given[name]`` where ``given`` has it, zeros for a
+    bias (``reg_b``, ``fusion_b_*``, ``tower_b_*``), and otherwise one
+    Gaussian(0, scale) draw from ``rng``, drawn in that order."""
+    given = given or {}
+    return {name: given[name] if name in given
+            else np.zeros(shape) if _is_bias(name)
+            else rng.normal(0.0, scale, shape)
+            for name, shape in shapes.items()}
 
 
 def head_forward(theta, head, reg_w, reg_b):

@@ -18,6 +18,7 @@ from dualrec.mlp_model import (
     param_dict,
     params_from_sections,
     save_mlp,
+    section_shapes,
     train_mlp,
 )
 from dualrec.training import FitHyperparams
@@ -94,6 +95,14 @@ class TestInit:
         assert 0.009 <= float(draws.std()) <= 0.011
         assert not np.any(params.fusion_b_user)
         assert not np.any(params.tower_b[0])
+
+    def test_section_shapes_list_the_sections_in_param_dict_order(self):
+        params = init_mlp(5, 6, 3, (6, 4, 2), seed=0)
+        meta = {"n_users": 5, "n_products": 6, "latent_dim": 3, "tower": [6, 4, 2],
+                "predictive_dim": 2}
+        sections = param_dict(params)
+        assert list(section_shapes(meta)) == list(sections)
+        assert section_shapes(meta) == {name: a.shape for name, a in sections.items()}
 
 
 def predictions_digest(params):

@@ -13,8 +13,8 @@ from dualrec.harness import SyntheticSpec, gen_synthetic
 from dualrec.ingest import PairArrays, _make_store
 from dualrec.linalg import TrainingDivergedError, adam_step, finite_diff_grad
 from dualrec.mlp_model import MlpHyperparams, param_dict, train_mlp
-from dualrec.training import (CHUNK_PAIRS, FitHyperparams, fit, head_backward, head_forward,
-                              mean_abs_error, predict_chunked)
+from dualrec.training import (CHUNK_PAIRS, INIT_SCALE, FitHyperparams, fit, head_backward,
+                              head_forward, init_sections, mean_abs_error, predict_chunked)
 
 from conftest import pair_forward, rated
 from test_fusion import FUSED_NAMES, TABLES
@@ -111,6 +111,24 @@ class TestFitHyperparams:
     def test_zero_lr_zero_epochs_and_numpy_integers_are_accepted(self):
         assert FitHyperparams(lr=0.0, epochs=0, patience=0).lr == 0.0
         assert FitHyperparams(batch_size=np.int64(3)).batch_size == 3
+
+
+def test_init_sections_takes_given_zeros_biases_and_draws_the_rest_in_order():
+    shapes = {"mf/head": (3, 2), "mf/reg_b": (1,), "mlp/user_emb": (4, 3),
+              "mlp/fusion_b_user": (3,), "mlp/tower_w_0": (6, 2), "mlp/tower_b_0": (2,),
+              "concat_w": (2, 5), "reg_w": (2,), "reg_b": (1,)}
+    table = np.arange(12.0).reshape(4, 3)
+    arrays = init_sections(shapes, np.random.default_rng(4), given={"mlp/user_emb": table})
+    assert list(arrays) == list(shapes)
+    assert {name: a.shape for name, a in arrays.items()} == shapes
+    assert arrays["mlp/user_emb"] is table
+    for name in ("mf/reg_b", "mlp/fusion_b_user", "mlp/tower_b_0", "reg_b"):
+        assert not np.any(arrays[name])
+    rng = np.random.default_rng(4)
+    for name in ("mf/head", "mlp/tower_w_0", "concat_w", "reg_w"):
+        np.testing.assert_array_equal(arrays[name], rng.normal(0.0, INIT_SCALE, shapes[name]))
+    scaled = init_sections({"w": (3,)}, np.random.default_rng(4), scale=0.3)
+    np.testing.assert_array_equal(scaled["w"], np.random.default_rng(4).normal(0.0, 0.3, 3))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
