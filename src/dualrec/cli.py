@@ -50,16 +50,25 @@ def _rated_store(path) -> ingest.InteractionStore:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path that names a directory, before any work starts."""
+    """Refuse an output file that names a directory, or the reverse, before any work starts."""
     for flag in ("out", "store_out", "tsv"):
         path = getattr(args, flag, None)
         if path and os.path.isdir(path):
             raise CliError("bad-args", f"--{flag.replace('_', '-')} names a directory: {path}")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise CliError("bad-args", f"--out-dir names a file: {out_dir}")
+
+
+def _check_train_frac(frac: float) -> None:
+    """Raise ValueError unless ``frac`` is in (0, 1), as a split's fractions must be."""
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"training fraction must be in (0, 1), got {frac!r}")
 
 
 # comma-separated flag -> (type of each value, its name, check of each value)
 _LIST_FLAGS = {"tower": (int, "integers", None), "cutoffs": (int, "integers", check_cutoff),
-               "train_fracs": (float, "numbers", None)}
+               "train_fracs": (float, "numbers", _check_train_frac)}
 
 
 def _parse_lists(args) -> None:

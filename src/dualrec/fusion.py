@@ -57,10 +57,6 @@ class FusionModel:
     def latent_dim(self) -> int:
         return self.mf.latent_dim
 
-    @property
-    def predictive_dim(self) -> int:
-        return self.mlp.predictive_dim
-
     def copy(self) -> "FusionModel":
         return copy.deepcopy(self)
 

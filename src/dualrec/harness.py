@@ -18,7 +18,7 @@ from . import reliability as reliability_mod
 from .fusion import DEFAULT_GAMMA, FusionModel, init_fusion, predict_batch, train_fusion
 from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict,
                      with_reliability)
-from .linalg import sigmoid
+from .linalg import sigmoid, sum_in_order
 from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
                       check_threshold, evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
@@ -206,6 +206,8 @@ class ExperimentConfig:
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
         _check_types(self)
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
         check_nonnegative("reg_lambda", self.reg_lambda)
         for name in ("rel_alpha", "gamma"):
             reliability_mod.check_unit(name, getattr(self, name))
@@ -223,8 +225,9 @@ class ExperimentConfig:
         the wrong JSON type in any section: an integer field takes an integer
         (not true or false), a number field any number, a flag true or false.
         So does a ``reliability.alpha`` or a ``model.gamma`` outside [0, 1], a
-        ``model.reg_lambda`` below 0, an ``eval.cutoffs`` entry below 1, and a
-        NaN or infinite ``model.reg_lambda`` or ``eval.threshold``.
+        ``model.latent_dim`` below 1, a ``model.reg_lambda`` below 0, an
+        ``eval.cutoffs`` entry below 1, and a NaN or infinite
+        ``model.reg_lambda`` or ``eval.threshold``.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -280,9 +283,9 @@ class ExperimentResult:
 def _mean_reports(reports: list[EvalReport]) -> EvalReport:
     """The mean of each field over the reports; of ``f1_at``, per cutoff."""
     n = len(reports)
-    mean = {f.name: sum(getattr(r, f.name) for r in reports) / n
+    mean = {f.name: sum_in_order(getattr(r, f.name) for r in reports) / n
             for f in fields(EvalReport) if f.name != "f1_at"}
-    return EvalReport(**mean, f1_at={c: sum(r.f1_at[c] for r in reports) / n
+    return EvalReport(**mean, f1_at={c: sum_in_order(r.f1_at[c] for r in reports) / n
                                      for c in sorted(reports[0].f1_at)})
 
 

@@ -21,6 +21,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .linalg import sum_in_order
+
 __all__ = [
     "PairArrays", "InteractionStore", "parse_reviews", "build_store", "with_reliability",
     "restrict", "save_store", "load_store",
@@ -161,8 +163,8 @@ class InteractionStore:
         """Mean raw rating over all observed pairs."""
         if not self.raw.size:
             raise ValueError("store has no ratings")
-        # Python's left-to-right sum: np.sum adds pairwise and can round differently
-        return float(sum(self.raw.tolist()) / self.raw.size)
+        # left to right: np.sum adds pairwise and can round differently
+        return float(sum_in_order(self.raw.tolist()) / self.raw.size)
 
 
 def _clean_line(obj: dict) -> ReviewRecord:

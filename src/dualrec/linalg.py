@@ -3,13 +3,15 @@
 Everything operates on plain float64 numpy arrays: a randomized
 truncated SVD of a sparse :class:`PairMatrix`,
 a numerically stable sigmoid, ReLU, a row scatter-add for embedding
-gradients, a minimal Adam optimizer over named parameter dicts, and a
+gradients, a minimal Adam optimizer over named parameter dicts, a
 central-difference gradient estimator used to cross-check analytic
-gradients.
+gradients, and the left-to-right float sum that every reported mean uses.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "AdamState",
     "adam_step",
     "finite_diff_grad",
+    "sum_in_order",
 ]
 
 # Nearest representable neighbours of 0 and 1; sigmoid output is clamped
@@ -270,3 +273,10 @@ def finite_diff_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         xf[k] = orig
         flat[k] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def sum_in_order(values) -> float:
+    """The values added left to right, rounding after each addition, as builtin
+    ``sum`` does up to Python 3.11; from 3.12 it compensates float rounding,
+    which would make a report's last digits depend on the Python version."""
+    return functools.reduce(operator.add, values, 0)

@@ -12,6 +12,8 @@ skipped.
 import math
 from dataclasses import dataclass, field
 
+from .linalg import sum_in_order
+
 __all__ = [
     "RELEVANCE_THRESHOLD",
     "EvalReport",
@@ -39,13 +41,13 @@ def _check_flat(pred, truth):
 def rmse(pred, truth) -> float:
     """Root mean squared error over paired lists."""
     _check_flat(pred, truth)
-    return math.sqrt(sum((p - t) ** 2 for p, t in zip(pred, truth)) / len(pred))
+    return math.sqrt(sum_in_order((p - t) ** 2 for p, t in zip(pred, truth)) / len(pred))
 
 
 def mae(pred, truth) -> float:
     """Mean absolute error over paired lists."""
     _check_flat(pred, truth)
-    return sum(abs(p - t) for p, t in zip(pred, truth)) / len(pred)
+    return sum_in_order(abs(p - t) for p, t in zip(pred, truth)) / len(pred)
 
 
 def _ranked(items):
@@ -113,10 +115,8 @@ def mean_average_precision(users: dict, threshold: float = RELEVANCE_THRESHOLD) 
 
 
 def _dcg(true_ratings) -> float:
-    return sum(
-        (2.0**t - 1.0) / math.log2(1.0 + pos)
-        for pos, t in enumerate(true_ratings, start=1)
-    )
+    return sum_in_order((2.0**t - 1.0) / math.log2(1.0 + pos)
+                        for pos, t in enumerate(true_ratings, start=1))
 
 
 def ndcg(users: dict) -> float:

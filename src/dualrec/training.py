@@ -30,6 +30,7 @@ __all__ = ["CHUNK_PAIRS", "INIT_SCALE", "FitHyperparams", "check_nonnegative", "
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 INIT_SCALE = 0.01  # standard deviation of every randomly initialised weight
+_BIASES = ("reg_b", "fusion_b_", "tower_b_")  # zero-initialised sections, by name or prefix
 
 
 def check_nonnegative(name: str, value) -> None:
@@ -60,19 +61,15 @@ class FitHyperparams:
             raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")
 
 
-def _is_bias(name: str) -> bool:
-    name = name.rpartition("/")[2]  # a fused section's name without its branch prefix
-    return name == "reg_b" or name.startswith(("fusion_b_", "tower_b_"))
-
-
 def init_sections(shapes: dict, rng, scale: float = INIT_SCALE, given=None) -> dict:
     """Name -> array of every section of ``shapes``, a model's name -> shape
     in checkpoint order: ``given[name]`` where ``given`` has it, zeros for a
     bias (``reg_b``, ``fusion_b_*``, ``tower_b_*``), and otherwise one
-    Gaussian(0, scale) draw from ``rng``, drawn in that order."""
+    Gaussian(0, scale) draw from ``rng``, drawn in that order. A fused
+    model's section is a bias by its name after the ``mf/`` or ``mlp/``."""
     given = given or {}
     return {name: given[name] if name in given
-            else np.zeros(shape) if _is_bias(name)
+            else np.zeros(shape) if name.rpartition("/")[2].startswith(_BIASES)
             else rng.normal(0.0, scale, shape)
             for name, shape in shapes.items()}
 

@@ -172,9 +172,11 @@ class TestBasics:
         ({"eval": {"threshold": float("inf")}},
          "error [bad-config]: cannot parse config {config}: "
          "threshold must be a finite number, got inf"),
+        ({"model": {"latent_dim": 0}},
+         "error [bad-config]: cannot parse config {config}: latent_dim must be >= 1"),
     ], ids=["missing", "bad-cutoff", "gamma-too-large", "removed-pretrain",
             "removed-freeze_branches", "removed-init_tables_from_factors", "reg_lambda-nan",
-            "reg_lambda-inf", "threshold-inf"])
+            "reg_lambda-inf", "threshold-inf", "latent_dim-zero"])
     def test_train_reads_the_config_before_the_stores(self, tmp_path, capsys, doc, want):
         config = tmp_path / "config.json"
         if doc is not None:
@@ -697,6 +699,16 @@ class TestErrorCategories:
         assert line == f"error [bad-args]: {flag} names a directory: {trained}"
         assert list(tmp_path.iterdir()) == [tmp_path / "pairs.tsv"]  # nothing else written
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["config-missing", "config"])
+    def test_sweep_out_dir_naming_a_file_is_refused_first(self, tmp_path, capsys, with_config):
+        config = sweep_config(tmp_path) if with_config else tmp_path / "missing.json"
+        out = tmp_path / "out"
+        out.write_text("")
+        before = sorted(tmp_path.iterdir())
+        argv = ["sweep", "--config", str(config), "--out-dir", str(out)]
+        assert error_line(capsys, argv) == f"error [bad-args]: --out-dir names a file: {out}"
+        assert sorted(tmp_path.iterdir()) == before and out.read_text() == ""
+
     @pytest.mark.parametrize("argv, want", [
         ("pretrain-mlp --tower 8,x", "--tower takes comma-separated integers, got '8,x'"),
         ("pretrain-mlp --tower ,", "--tower takes comma-separated integers, got ','"),
@@ -705,7 +717,14 @@ class TestErrorCategories:
         ("evaluate --model {t}/missing.ckpt --cutoffs 0", "--cutoffs: cutoff must be >= 1, got 0"),
         ("sweep --config {t}/missing.json --train-fracs 0.5,a",
          "--train-fracs takes comma-separated numbers, got '0.5,a'"),
-    ], ids=["tower-word", "tower-empty", "cutoffs-word", "cutoffs-zero", "train-fracs-word"])
+        ("sweep --config {t}/missing.json --train-fracs 0.5,inf",
+         "--train-fracs: training fraction must be in (0, 1), got inf"),
+        ("sweep --config {t}/missing.json --train-fracs nan",
+         "--train-fracs: training fraction must be in (0, 1), got nan"),
+        ("sweep --config {t}/missing.json --train-fracs 0.5,1",
+         "--train-fracs: training fraction must be in (0, 1), got 1.0"),
+    ], ids=["tower-word", "tower-empty", "cutoffs-word", "cutoffs-zero", "train-fracs-word",
+            "train-fracs-inf", "train-fracs-nan", "train-fracs-one"])
     def test_list_flag_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv, want):
         command, *flags = argv.format(t=tmp_path).split()
         files = {"pretrain-mlp": "--store {t}/missing.json --out {t}/x.ckpt",
@@ -730,8 +749,12 @@ class TestErrorCategories:
         ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/x.txt "
          "--threshold=-inf",
          "threshold must be a finite number, got -inf"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --k 0",
+         "latent_dim must be >= 1"),
+        ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --k 0",
+         "latent_dim must be >= 1"),
     ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
-            "threshold-inf", "threshold-minus-inf"])
+            "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp"])
     def test_a_number_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv,
                                                                  want):
         line = error_line(capsys, argv.format(t=tmp_path).split())

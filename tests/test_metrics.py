@@ -47,6 +47,13 @@ class TestErrorMetrics:
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
 
+    def test_residuals_are_added_left_to_right(self):
+        # each 1e-16 is below half an ulp of 1.0 and rounds away; a compensated
+        # sum (math.fsum, or builtin sum from Python 3.12) keeps their 1e-15
+        pred = [1.0] + [1e-16] * 10
+        assert mae(pred, [0.0] * 11) == 1.0 / 11
+        assert math.fsum(pred) / 11 != 1.0 / 11
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.tuples(st.floats(1, 5), st.floats(1, 5)), min_size=1, max_size=30)
