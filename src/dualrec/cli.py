@@ -56,7 +56,7 @@ def _check_outputs(args) -> None:
         if path and os.path.isdir(path):
             raise CliError("bad-args", f"--{flag.replace('_', '-')} names a directory: {path}")
     out_dir = getattr(args, "out_dir", None)
-    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+    if out_dir and os.path.lexists(out_dir) and not os.path.isdir(out_dir):
         raise CliError("bad-args", f"--out-dir names a file: {out_dir}")
 
 

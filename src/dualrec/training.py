@@ -62,11 +62,11 @@ class FitHyperparams:
 
 
 def init_sections(shapes: dict, rng, scale: float = INIT_SCALE, given=None) -> dict:
-    """Name -> array of every section of ``shapes``, a model's name -> shape
-    in checkpoint order: ``given[name]`` where ``given`` has it, zeros for a
-    bias (``reg_b``, ``fusion_b_*``, ``tower_b_*``), and otherwise one
-    Gaussian(0, scale) draw from ``rng``, drawn in that order. A fused
-    model's section is a bias by its name after the ``mf/`` or ``mlp/``."""
+    """Name -> array of every section of ``shapes`` (a model's name -> shape,
+    in checkpoint order): ``given[name]`` where ``given`` has it, zeros for a
+    bias (``reg_b``, ``fusion_b_*`` or ``tower_b_*``, after any ``mf/`` or
+    ``mlp/`` prefix), and otherwise one Gaussian(0, scale) draw from ``rng``,
+    drawn in that order."""
     given = given or {}
     return {name: given[name] if name in given
             else np.zeros(shape) if name.rpartition("/")[2].startswith(_BIASES)
