@@ -358,6 +358,16 @@ class TestTraining:
         np.testing.assert_array_equal(params.prod_joint, z)
         np.testing.assert_array_equal(params.prod_rel, f)
 
+    def test_factor_tables_share_no_memory(self, tiny_store):
+        # at K = 1 the rating and joint models' product factors z are one row,
+        # both C- and F-ordered, so only a copy per table keeps them apart
+        params = train_mf(tiny_store, MfHyperparams(latent_dim=1, predictive_dim=1,
+                                                    fit=FitHyperparams(epochs=0)))
+        tables = [params.user_rating, params.prod_rating, params.user_joint, params.prod_joint,
+                  params.prod_rel]
+        for i, a in enumerate(tables):
+            assert not any(np.shares_memory(a, b) for b in tables[i + 1:])
+
     def test_synthetic_rank2_recovery(self):
         store = gen_synthetic(SyntheticSpec(30, 25, 2, 0.6, 0.0, seed=1, quantize=False))
         params = train_mf(store, hyper(epochs=150, reg_lambda=0.0))
