@@ -13,6 +13,9 @@ import dataclasses
 import logging
 import os
 import sys
+from itertools import repeat
+
+import numpy as np
 
 from . import fusion as fusion_mod
 from . import harness, ingest
@@ -49,15 +52,36 @@ def _rated_store(path) -> ingest.InteractionStore:
     return store
 
 
+def _file_at_or_above(path):
+    """The first of ``path`` and its ancestors that exists and is no directory, or None."""
+    while path and not os.path.isdir(path):
+        if os.path.lexists(path):
+            return path
+        path = os.path.dirname(path)
+    return None
+
+
 def _check_outputs(args) -> None:
-    """Refuse an output file that names a directory, or the reverse, before any work starts."""
+    """Refuse, before any work starts, an output file that names a directory or
+    whose directory is missing or a file, and an ``--out-dir`` that is a file
+    or lies under one."""
     for flag in ("out", "store_out", "tsv"):
         path = getattr(args, flag, None)
-        if path and os.path.isdir(path):
-            raise CliError("bad-args", f"--{flag.replace('_', '-')} names a directory: {path}")
+        if not path:
+            continue
+        name = f"--{flag.replace('_', '-')}"
+        if os.path.isdir(path):
+            raise CliError("bad-args", f"{name} names a directory: {path}")
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            above = _file_at_or_above(folder)
+            raise CliError("bad-args", f"{name} {path} lies under a file: {above}" if above
+                           else f"{name} {path}: no such directory: {folder}")
     out_dir = getattr(args, "out_dir", None)
-    if out_dir and os.path.lexists(out_dir) and not os.path.isdir(out_dir):
-        raise CliError("bad-args", f"--out-dir names a file: {out_dir}")
+    above = _file_at_or_above(out_dir)
+    if above:
+        raise CliError("bad-args", f"--out-dir names a file: {out_dir}" if above == out_dir
+                       else f"--out-dir {out_dir} lies under a file: {above}")
 
 
 def _check_train_frac(frac: float) -> None:
@@ -238,7 +262,7 @@ def cmd_predict(args) -> int:
     store, model = _load_fused(args)
     if not os.path.isfile(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
-    keys = []
+    users, products = [], []  # the keys as two lists: no object per pair
     with open(args.pairs, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -247,14 +271,14 @@ def cmd_predict(args) -> int:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CliError("bad-args", f"pairs lines must be 'user<TAB>product', got {line!r}")
-            keys.append((parts[0], parts[1]))
-    index_pairs = [
-        (store.user_index.get(u, -1), store.product_index.get(p, -1)) for u, p in keys
-    ]
+            users.append(parts[0])
+            products.append(parts[1])
+    index_pairs = np.column_stack([  # -1 for an unknown key
+        np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+        for keys, index in ((users, store.user_index), (products, store.product_index))])
     preds = fusion_mod.predict_batch(model, index_pairs)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for (u, p), pred in zip(keys, preds):
-            fh.write(f"{u}\t{p}\t{pred!r}\n")
+        fh.writelines(f"{u}\t{p}\t{pred!r}\n" for u, p, pred in zip(users, products, preds))
     return 0
 
 

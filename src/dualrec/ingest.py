@@ -14,6 +14,7 @@ timelines all derive from the columns. Stores are immutable and safe to
 share across threads.
 """
 
+import gc
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -36,9 +37,31 @@ STORE_VERSION = 1
 
 _INT64 = range(-(2**63), 2**63)
 
+# one decoder for every review line; json.loads is this plus a refusal of data after the value
+_raw_decode = json.JSONDecoder().raw_decode
 
-@dataclass(frozen=True)
-class ReviewRecord:
+
+class _gc_paused:
+    """Context manager: cyclic garbage collection is off inside the block and
+    back to the caller's setting after it, also when the block raises.
+
+    Store IO builds tens of thousands of acyclic lists and tuples that
+    survive. Every collection it would trigger re-traverses them and the
+    whole heap, and frees nothing. A class, not a generator: its exit
+    allocates nothing, so the collection owed for the block starts after
+    the function that paused has returned.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.was_enabled:
+            gc.enable()
+
+
+class ReviewRecord(NamedTuple):
     """One parsed review."""
 
     user_id: str
@@ -210,22 +233,25 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
     form ``"line N: reason"``.
     """
     result = ParseResult()
-    for lineno, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
-            result.warnings.append(f"line {lineno}: invalid JSON")
-            continue
-        if not isinstance(obj, dict):
-            result.warnings.append(f"line {lineno}: record is not an object")
-            continue
-        try:
-            result.records.append(_clean_line(obj))
-        except ValueError as exc:
-            result.warnings.append(f"line {lineno}: {exc}")
+    with _gc_paused():
+        for lineno, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                obj, end = _raw_decode(text)
+            except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
+                end = None
+            if end != len(text):  # no value, or data after it
+                result.warnings.append(f"line {lineno}: invalid JSON")
+                continue
+            if not isinstance(obj, dict):
+                result.warnings.append(f"line {lineno}: record is not an object")
+                continue
+            try:
+                result.records.append(_clean_line(obj))
+            except ValueError as exc:
+                result.warnings.append(f"line {lineno}: {exc}")
     return result
 
 
@@ -303,18 +329,19 @@ def build_store(records: list[ReviewRecord]) -> InteractionStore:
     values are checked here, with the rest of its row: ValueError names
     the first bad one.
     """
-    users: dict = {}
-    products: dict = {}
-    kept: dict = {}  # pair -> record, in the input order of the kept records
-    for rec in records:
-        pair = (users.setdefault(rec.user_id, len(users)),
-                products.setdefault(rec.product_id, len(products)))
-        if pair not in kept or rec.unix_time >= kept[pair].unix_time:
-            kept.pop(pair, None)
-            kept[pair] = rec
-    entries = [(i, j, rec.rating, rec.helpful_yes, rec.votes_total, rec.unix_time)
-               for (i, j), rec in kept.items()]
-    return _make_store(list(users), list(products), entries)
+    with _gc_paused():
+        users: dict = {}
+        products: dict = {}
+        kept: dict = {}  # pair -> record, in the input order of the kept records
+        for rec in records:
+            pair = (users.setdefault(rec.user_id, len(users)),
+                    products.setdefault(rec.product_id, len(products)))
+            if pair not in kept or rec.unix_time >= kept[pair].unix_time:
+                kept.pop(pair, None)
+                kept[pair] = rec
+        entries = [(i, j, rec.rating, rec.helpful_yes, rec.votes_total, rec.unix_time)
+                   for (i, j), rec in kept.items()]
+        return _make_store(list(users), list(products), entries)
 
 
 def _score_column(store: InteractionStore, reliability) -> np.ndarray:
@@ -374,41 +401,43 @@ def restrict(store: InteractionStore, rows) -> InteractionStore:
 
 def save_store(store: InteractionStore, path) -> None:
     """Write the store as canonical JSON (stable bytes for a given store)."""
-    # a raw rating is written as an int exactly when it arrived as one
-    raw = [int(v) if k else v for v, k in zip(store.raw.tolist(), store.raw_is_int.tolist())]
-    doc = {
-        "format": STORE_FORMAT,
-        "version": STORE_VERSION,
-        "n_users": store.n_users,
-        "n_products": store.n_products,
-        "users": list(store.user_ids),
-        "products": list(store.product_ids),
-        "entries": list(zip(store.user.tolist(), store.product.tolist(), raw,
-                            store.helpful_yes.tolist(), store.votes_total.tolist(),
-                            store.unix_time.tolist())),
-        "reliability": list(zip(*(column.tolist() for column in store.scored_arrays[:3]))),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps uses the C encoder; json.dump streams through the
-        # pure-Python one. Both write the same bytes.
-        fh.write(json.dumps(doc, separators=(",", ":")))
-        fh.write("\n")
+    with _gc_paused():
+        # a raw rating is written as an int exactly when it arrived as one
+        raw = [int(v) if k else v for v, k in zip(store.raw.tolist(), store.raw_is_int.tolist())]
+        doc = {
+            "format": STORE_FORMAT,
+            "version": STORE_VERSION,
+            "n_users": store.n_users,
+            "n_products": store.n_products,
+            "users": list(store.user_ids),
+            "products": list(store.product_ids),
+            "entries": list(zip(store.user.tolist(), store.product.tolist(), raw,
+                                store.helpful_yes.tolist(), store.votes_total.tolist(),
+                                store.unix_time.tolist())),
+            "reliability": list(zip(*(column.tolist() for column in store.scored_arrays[:3]))),
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            # json.dumps uses the C encoder; json.dump streams through the
+            # pure-Python one. Both write the same bytes.
+            fh.write(json.dumps(doc, separators=(",", ":")))
+            fh.write("\n")
 
 
 def load_store(path) -> InteractionStore:
     """Read a store written by :func:`save_store`; ValueError for anything else."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:  # nested deeper than the parser's stack
-            raise ValueError(f"{path}: JSON nested too deeply") from exc
-    if type(doc) is not dict or doc.get("format") != STORE_FORMAT:
-        raise ValueError(f"{path}: not a {STORE_FORMAT} file")
-    if type(doc.get("version")) is not int or doc["version"] != STORE_VERSION:
-        raise ValueError(f"{path}: unsupported store version {doc.get('version')!r}")
-    store = _make_store(doc.get("users"), doc.get("products"), doc.get("entries"))
-    store = with_reliability(store, _score_column(store, doc.get("reliability", [])))
-    counts = [doc.get("n_users"), doc.get("n_products")]
-    if set(map(type, counts)) != {int} or counts != [store.n_users, store.n_products]:
-        raise ValueError(f"{path}: dimension counts do not match index maps")
-    return store
+    with _gc_paused():
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:  # nested deeper than the parser's stack
+                raise ValueError(f"{path}: JSON nested too deeply") from exc
+        if type(doc) is not dict or doc.get("format") != STORE_FORMAT:
+            raise ValueError(f"{path}: not a {STORE_FORMAT} file")
+        if type(doc.get("version")) is not int or doc["version"] != STORE_VERSION:
+            raise ValueError(f"{path}: unsupported store version {doc.get('version')!r}")
+        store = _make_store(doc.get("users"), doc.get("products"), doc.get("entries"))
+        store = with_reliability(store, _score_column(store, doc.get("reliability", [])))
+        counts = [doc.get("n_users"), doc.get("n_products")]
+        if set(map(type, counts)) != {int} or counts != [store.n_users, store.n_products]:
+            raise ValueError(f"{path}: dimension counts do not match index maps")
+        return store

@@ -709,6 +709,43 @@ class TestErrorCategories:
         assert error_line(capsys, argv) == f"error [bad-args]: --out-dir names a file: {out}"
         assert sorted(tmp_path.iterdir()) == before and out.read_text() == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("synth --users 5 --products 5 --out {f}/x.json", "--out"),
+        ("ingest --input {t}/missing.jsonl --out {f}/x.json", "--out"),
+        ("reliability --store {t}/missing.json --out {t}/b.tsv --store-out {f}/sub/s.json",
+         "--store-out"),
+        ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/r.txt "
+         "--tsv {f}/r.tsv", "--tsv"),
+        ("sweep --config {t}/missing.json --out-dir {f}/sub", "--out-dir"),
+        ("sweep --config {t}/missing.json --out-dir {f}/sub/deeper", "--out-dir"),
+    ], ids=["synth", "ingest", "reliability-store-out", "evaluate-tsv", "sweep", "sweep-deeper"])
+    def test_an_output_under_a_file_is_refused_first(self, tmp_path, capsys, argv, flag):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = argv.format(t=tmp_path, f=afile).split()
+        path = argv[argv.index(flag) + 1]
+        want = f"error [bad-args]: {flag} {path} lies under a file: {afile}"
+        assert error_line(capsys, argv) == want
+        assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("synth --users 5 --products 5 --out {t}/nodir/x.json", "--out"),
+        ("ingest --input {t}/missing.jsonl --out {t}/nodir/x.json", "--out"),
+        ("reliability --store {t}/missing.json --out {t}/nodir/b.tsv", "--out"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/nodir/mf.ckpt", "--out"),
+        ("evaluate --store {t}/missing.json --model {t}/missing.ckpt --out {t}/r.txt "
+         "--tsv {t}/nodir/r.tsv", "--tsv"),
+        ("predict --store {t}/missing.json --model {t}/missing.ckpt --pairs {t}/missing.tsv "
+         "--out {t}/nodir/p.tsv", "--out"),
+    ], ids=["synth", "ingest", "reliability", "pretrain-mf", "evaluate-tsv", "predict"])
+    def test_an_output_in_a_missing_directory_is_refused_first(self, tmp_path, capsys, argv,
+                                                               flag):
+        argv = argv.format(t=tmp_path).split()
+        path = argv[argv.index(flag) + 1]
+        want = f"error [bad-args]: {flag} {path}: no such directory: {tmp_path / 'nodir'}"
+        assert error_line(capsys, argv) == want
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, want", [
         ("pretrain-mlp --tower 8,x", "--tower takes comma-separated integers, got '8,x'"),
         ("pretrain-mlp --tower ,", "--tower takes comma-separated integers, got ','"),

@@ -1,3 +1,4 @@
+import gc
 import json
 import statistics
 import time
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from dualrec import ingest
 from dualrec.harness import SplitSpec, SyntheticSpec, gen_synthetic, split
 from dualrec.ingest import (
+    _gc_paused,
     _COLUMNS,
     _score_column,
     ReviewRecord,
@@ -102,6 +104,12 @@ class TestParse:
     def test_line_nested_too_deeply_is_skipped_and_counted(self):
         result = parse_reviews([line(), "[" * 100_000 + "]" * 100_000, line(user="other")])
         assert len(result.records) == 2 and result.n_skipped == 1
+        assert result.warnings == ["line 2: invalid JSON"]
+
+    @pytest.mark.parametrize("extra", [" " + line(), "x"], ids=["second-object", "letter"])
+    def test_data_after_the_object_is_invalid_json(self, extra):
+        result = parse_reviews([line(), line() + extra])
+        assert len(result.records) == 1
         assert result.warnings == ["line 2: invalid JSON"]
 
     def test_unreadable_stream_is_fatal(self):
@@ -383,6 +391,68 @@ def test_review_line_becomes_a_record_or_a_warning(key, value):
     result = parse_reviews([line(user="other"), json.dumps(doc)])
     assert len(result.records) + result.n_skipped == 2
     build_store(result.records)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_setting(request):
+    """Cyclic collection switched on or off for the test, and restored after it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def scored_rows(n):
+    """A store of ``n`` rows over 100 users, each row scored 0.5."""
+    store = store_from([(f"u{i % 100}", f"p{i // 100}", 1 + i % 5, i % 3, 3, i) for i in range(n)])
+    return with_reliability(store, np.full(n, 0.5))
+
+
+class TestGcPause:
+    """Store IO runs with cyclic collection paused and hands the caller back
+    its own setting, also when it raises."""
+
+    @pytest.mark.parametrize("call", ["parse_reviews", "build_store", "save_store", "load_store"])
+    def test_the_callers_setting_is_restored(self, tmp_path, tiny_store, gc_setting, call):
+        path = tmp_path / "store.json"
+        path.write_text(store_text())
+        run = {"parse_reviews": lambda: parse_reviews([line(), "{oops"]),
+               "build_store": lambda: build_store([record("u", "p")]),
+               "save_store": lambda: save_store(tiny_store, path),
+               "load_store": lambda: load_store(path)}[call]
+        run()
+        assert gc.isenabled() is gc_setting
+
+    def test_the_callers_setting_is_restored_when_load_store_raises(self, tmp_path, gc_setting):
+        path = tmp_path / "store.json"
+        path.write_text(store_text(entries=[[0, 0, 5, 0, 0]]))
+        with pytest.raises(ValueError, match="expected 6 fields"):
+            load_store(path)
+        assert gc.isenabled() is gc_setting
+
+    @pytest.mark.parametrize("gc_setting", [True], ids=["gc-on"], indirect=True)
+    @pytest.mark.parametrize("call", ["save_store", "load_store"])
+    def test_no_collection_starts_inside_store_io(self, tmp_path, gc_setting, call):
+        """The collection owed for the paused allocations starts only at the
+        caller's next allocation, after the call has returned."""
+        store, path = scored_rows(3000), tmp_path / "store.json"
+        save_store(store, path)
+        run = {"save_store": lambda: save_store(store, path),
+               "load_store": lambda: load_store(path)}[call]
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        detach = gc.callbacks.remove  # bound now: binding it after the call would allocate
+        gc.collect()  # start from an empty young generation
+        gc.callbacks.append(count)
+        try:
+            run()
+        finally:
+            detach(count)
+        assert starts == []
 
 
 class TestRestrict:
