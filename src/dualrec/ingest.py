@@ -41,6 +41,12 @@ _INT64 = range(-(2**63), 2**63)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _breaks_tsv(key: str) -> bool:
+    """Whether a user or product key holds a tab or a line break. The TSV
+    outputs split rows on them, so no store holds such a key."""
+    return "\t" in key or "\n" in key or "\r" in key
+
+
 class _gc_paused:
     """Context manager: cyclic garbage collection is off inside the block and
     back to the caller's setting after it, also when the block raises.
@@ -197,6 +203,10 @@ def _clean_line(obj: dict) -> ReviewRecord:
         raise ValueError("missing or empty reviewerID")
     if not isinstance(prod, str) or not prod:
         raise ValueError("missing or empty asin")
+    if _breaks_tsv(user):
+        raise ValueError("reviewerID holds a tab or line break")
+    if _breaks_tsv(prod):
+        raise ValueError("asin holds a tab or line break")
 
     overall = obj.get("overall")
     if not isinstance(overall, (int, float)) or isinstance(overall, bool):
@@ -240,7 +250,9 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
                 continue
             try:
                 obj, end = _raw_decode(text)
-            except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
+            # JSONDecodeError is a ValueError, and so is a number over the int-string limit;
+            # RecursionError: nested too deeply
+            except (ValueError, RecursionError):
                 end = None
             if end != len(text):  # no value, or data after it
                 result.warnings.append(f"line {lineno}: invalid JSON")
@@ -307,6 +319,8 @@ def _make_store(user_ids, product_ids, entries) -> InteractionStore:
         if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
                 or len(set(ids)) < len(ids)):
             raise ValueError("user and product ids must be lists of distinct strings")
+        if _breaks_tsv("".join(ids)):
+            raise ValueError("user and product ids must hold no tab or line break")
     n_users, n_products = len(user_ids), len(product_ids)
     cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}))
     if cols is not None:  # then check values and duplicate pairs with numpy

@@ -300,6 +300,21 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error [bad-store]") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("field, ids", [("users", ["u\t1"]), ("products", ["p\n2"])])
+    def test_store_with_a_key_that_breaks_a_tsv_row_is_bad_store(self, tmp_path, capsys,
+                                                                 field, ids):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[0, 0, 4, 0, 0, 1]],
+            "reliability": [], field: ids,
+        }))
+        code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error [bad-store]: cannot read store {store}: "
+                       "user and product ids must hold no tab or line break\n")
+
     def test_input_file_not_mutated(self, tmp_path, reviews_file):
         before = reviews_file.read_bytes()
         main(["ingest", "--input", str(reviews_file), "--out", str(tmp_path / "s.json")])
@@ -358,9 +373,10 @@ class TestReliability:
         assert not (tmp_path / "r.tsv").exists()
 
 
-def run_pipeline(tmp_path, seed="7", epochs="2", flags=None):
+def run_pipeline(tmp_path, seed="7", epochs="2", flags=None, run=main):
     """ingest -> reliability -> pretrain x2 -> train -> evaluate; ``flags``
-    maps a command to extra arguments it gets, such as training flags."""
+    maps a command to extra arguments it gets, such as training flags, and
+    ``run`` runs each command's argv and returns its exit code."""
     reviews = write_reviews(tmp_path / "reviews.jsonl", seed=int(seed))
     store = tmp_path / "store.json"
     scored = tmp_path / "scored.json"
@@ -384,7 +400,7 @@ def run_pipeline(tmp_path, seed="7", epochs="2", flags=None):
     ]
     for argv in steps:
         argv += (flags or {}).get(argv[0], [])
-        assert main(argv) == 0, argv
+        assert run(argv) == 0, argv
     return [tmp_path / name for name in
             ("store.json", "rel.tsv", "scored.json", "mf.ckpt", "mlp.ckpt",
              "fused.ckpt", "report.txt", "report.tsv")]

@@ -11,15 +11,22 @@ Training runs at a learning rate and batch size under which two epochs
 move the predictions off the rating floor: at the defaults every
 prediction of this small store clamps to 1.0, and the digests would pin
 only that.
+
+Each step runs twice over: in-process through ``cli.main``, and as one
+``python -m dualrec`` process, the path the benchmark takes. Both must
+write the same bytes.
 """
 
 import hashlib
+
+import pytest
 
 from dualrec.cli import main
 from dualrec.fusion import load_fusion, predict_batch
 from dualrec.ingest import load_store
 
 from test_cli import run_pipeline
+from test_process_entry import run_module
 
 GOLDEN = {
     "mf.ckpt": "780924cc1249ed254ecac82b7e0078248266efaa01ddca58fe342c435937770d",
@@ -35,11 +42,16 @@ FAST = ["--lr", "0.05", "--batch-size", "16"]
 FLAGS = {"pretrain-mf": FAST, "pretrain-mlp": FAST, "train": ["--lr", "0.05"]}
 
 
-def test_pipeline_outputs_keep_their_bytes(tmp_path):
-    run_pipeline(tmp_path, seed="11", epochs="2", flags=FLAGS)
+def in_subprocess(argv) -> int:
+    return run_module(argv).returncode
+
+
+@pytest.mark.parametrize("run", [main, in_subprocess], ids=["in-process", "subprocess"])
+def test_pipeline_outputs_keep_their_bytes(tmp_path, run):
+    run_pipeline(tmp_path, seed="11", epochs="2", flags=FLAGS, run=run)
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("U0001\tP00001\nU0007\tP00004\nGHOST\tP00002\nU0003\tGHOST\n")
-    assert main(["predict", "--model", str(tmp_path / "fused.ckpt"),
+    assert run(["predict", "--model", str(tmp_path / "fused.ckpt"),
                  "--store", str(tmp_path / "scored.json"), "--pairs", str(pairs),
                  "--out", str(tmp_path / "preds.tsv")]) == 0
     store = load_store(tmp_path / "scored.json")

@@ -112,6 +112,21 @@ class TestParse:
         assert len(result.records) == 1
         assert result.warnings == ["line 2: invalid JSON"]
 
+    def test_a_number_over_the_int_string_limit_is_invalid_json(self):
+        long = line().replace('"unixReviewTime": 126472000', '"unixReviewTime": ' + "9" * 5000)
+        result = parse_reviews([line(), long])
+        assert len(result.records) == 1
+        assert result.warnings == ["line 2: invalid JSON"]
+
+    @pytest.mark.parametrize("key", ["reviewerID", "asin"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    def test_a_key_that_would_break_a_tsv_row_is_skipped(self, key, char):
+        doc = json.loads(line())
+        doc[key] = f"k{char}1"
+        result = parse_reviews([line(user="other"), json.dumps(doc)])
+        assert len(result.records) == 1
+        assert result.warnings == [f"line 2: {key} holds a tab or line break"]
+
     def test_unreadable_stream_is_fatal(self):
         def boom():
             yield line()
@@ -582,6 +597,11 @@ class TestPairArrays:
 
 
 class TestRecordValidation:
+    @pytest.mark.parametrize("user, product", [("u\t1", "p"), ("u", "p\n2"), ("u", "p\r")])
+    def test_keys_that_would_break_a_tsv_row_are_refused(self, user, product):
+        with pytest.raises(ValueError, match="ids must hold no tab or line break"):
+            build_store([ReviewRecord(user, product, 3, 0, 0, 0)])
+
     def test_rating_range_enforced(self):
         for rating in (6, 0):
             with pytest.raises(ValueError, match="entry 0: raw rating"):
