@@ -248,10 +248,10 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
             text = line.strip()
             if not text:
                 continue
+            # ValueError: JSONDecodeError, or a number over the int-string limit;
+            # RecursionError: nested too deeply
             try:
                 obj, end = _raw_decode(text)
-            # JSONDecodeError is a ValueError, and so is a number over the int-string limit;
-            # RecursionError: nested too deeply
             except (ValueError, RecursionError):
                 end = None
             if end != len(text):  # no value, or data after it

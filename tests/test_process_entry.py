@@ -18,12 +18,18 @@ from test_cli import write_reviews
 SRC = pathlib.Path(dualrec.__file__).parent
 
 
-def run_module(argv, env=None) -> subprocess.CompletedProcess:
-    """``python -m dualrec ARGV`` in a fresh process, text output captured."""
+def run_python(args, env=None) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh process that imports this ``dualrec``, text
+    output captured; ``env`` defaults to this process's environment."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dualrec", *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_module(argv, env=None) -> subprocess.CompletedProcess:
+    """``python -m dualrec ARGV`` in a fresh process."""
+    return run_python(["-m", "dualrec", *argv], env)
 
 
 def gc_freezes(path) -> list:
@@ -71,10 +77,9 @@ def test_the_process_entry_freezes_then_runs_the_command():
     code = ("import gc, sys\nfrom dualrec.__main__ import run\n"
             "sys.argv = ['dualrec', '--help']\ncode = run()\n"
             "print(code, gc.get_freeze_count() > 0)")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert out.stdout.splitlines()[-1] == "0 True"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True"
 
 
 def test_a_missing_store_is_one_error_line(tmp_path):
