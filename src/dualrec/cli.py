@@ -35,18 +35,19 @@ class CliError(Exception):
         self.category = category
 
 
-def _load_store(path) -> ingest.InteractionStore:
+def _read(load, path, what: str):
+    """``load(path)`` of the store or model file the user named, failures mapped to categories."""
     if not os.path.isfile(path):
-        raise CliError("input-not-found", f"store not found: {path}")
+        raise CliError("input-not-found", f"{what} not found: {path}")
     try:
-        return ingest.load_store(path)
+        return load(path)
     except ValueError as exc:
-        raise CliError("bad-store", f"cannot read store {path}: {exc}") from exc
+        raise CliError("bad-store", f"cannot read {what} {path}: {exc}") from exc
 
 
 def _rated_store(path) -> ingest.InteractionStore:
     """The store at ``path``; refused unless it holds a rating to train on or score."""
-    store = _load_store(path)
+    store = _read(ingest.load_store, path, "store")
     if not store.raw.size:
         raise CliError("bad-store", f"store {path} has no ratings")
     return store
@@ -143,7 +144,7 @@ def cmd_ingest(args) -> int:
 def cmd_reliability(args) -> int:
     for name in ("alpha", "threshold"):
         reliability_mod.check_unit(name, getattr(args, name))
-    store = _load_store(args.store)
+    store = _read(ingest.load_store, args.store, "store")
     scores = reliability_mod.score_store(
         store, alpha=args.alpha, fallback_max=args.fallback_helpful_max)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -168,7 +169,7 @@ def _train_stores(args):
     store = _rated_store(args.store)
     if not args.val_store:
         return store, None
-    val_store = _load_store(args.val_store)
+    val_store = _read(ingest.load_store, args.val_store, "store")
     _check_fits(f"--val-store {args.val_store}", val_store, args.store, store)
     return store, val_store
 
@@ -184,6 +185,7 @@ def cmd_pretrain_mf(args) -> int:
     config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
                      lr=args.lr, seed=args.seed, epochs_mf=args.epochs, reg_lambda=args.reg_lambda,
                      tower=None if args.p is None else (args.p,))
+    mf_model.MfHyperparams(config.latent_dim, config.tower[-1])  # refuses --p below 1 first
     stores = _train_stores(args)
     params = harness.pretrain_mf(config, *stores, on_epoch=_epoch_logger)
     mf_model.save_mf(params, args.out)
@@ -193,6 +195,7 @@ def cmd_pretrain_mf(args) -> int:
 def cmd_pretrain_mlp(args) -> int:
     config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
                      lr=args.lr, seed=args.seed, epochs_mlp=args.epochs, tower=args.tower)
+    mlp_model.check_tower(config.latent_dim, config.tower)  # refuses a bad --tower first
     stores = _train_stores(args)
     params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
@@ -214,8 +217,8 @@ def cmd_train(args) -> int:
     store, val_store = _train_stores(args)
 
     if args.mf and args.mlp:
-        branches = (_load_model(mf_model.load_mf, args.mf),
-                    _load_model(mlp_model.load_mlp, args.mlp))
+        branches = (_read(mf_model.load_mf, args.mf, "model"),
+                    _read(mlp_model.load_mlp, args.mlp, "model"))
         for path, branch in zip((args.mf, args.mlp), branches):
             _check_fits(f"model {path}", branch, args.store, store)
         model = fusion_mod.init_fusion(*branches, config.gamma)
@@ -228,27 +231,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(load, path):
-    """Run a checkpoint loader, mapping its failures to CLI categories."""
-    if not os.path.isfile(path):
-        raise CliError("input-not-found", f"model not found: {path}")
-    try:
-        return load(path)
-    except ValueError as exc:
-        raise CliError("bad-store", f"cannot read model {path}: {exc}") from exc
-
-
-def _load_fused(args, load_store=_load_store):
-    """The ``--store`` and the fused ``--model`` of ``evaluate`` or ``predict``."""
-    store = load_store(args.store)
-    model = _load_model(fusion_mod.load_fusion, args.model)
-    _check_fits(f"model {args.model}", model.mf, args.store, store)
-    return store, model
-
-
 def cmd_evaluate(args) -> int:
     check_threshold(args.threshold)
-    store, model = _load_fused(args, _rated_store)
+    store = _rated_store(args.store)
+    model = _read(fusion_mod.load_fusion, args.model, "model")
+    _check_fits(f"model {args.model}", model.mf, args.store, store)
     report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.as_kv_text())
@@ -259,7 +246,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    store, model = _load_fused(args)
+    store = _read(ingest.load_store, args.store, "store")
+    model = _read(fusion_mod.load_fusion, args.model, "model")
+    _check_fits(f"model {args.model}", model.mf, args.store, store)
     if not os.path.isfile(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
     users, products = [], []  # the keys as two lists: no object per pair
@@ -301,8 +290,14 @@ def cmd_sweep(args) -> int:
                                        f"would both write {name}")
         reports[name] = frac
     config = _experiment_config(args.config)
+    if config.synthetic is not None:
+        store = harness.gen_synthetic(config.synthetic)
+    elif config.store_path is not None:
+        store = _rated_store(config.store_path)
+    else:
+        raise CliError("bad-config", f"config {args.config} names no data.store or data.synthetic")
     os.makedirs(args.out_dir, exist_ok=True)
-    results = harness.sweep_train_sizes(config, args.train_fracs)
+    results = harness.sweep_train_sizes(config, store, args.train_fracs)
     summary_path = os.path.join(args.out_dir, "summary.tsv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("train_frac\trmse\tmae\tf1\tndcg\tmap\n")

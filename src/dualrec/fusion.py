@@ -105,7 +105,7 @@ def init_fusion_random(n_users: int, n_products: int, latent_dim: int, tower_wid
     """
     check_unit("gamma", gamma)
     mlp = mlp_model.init_mlp(n_users, n_products, latent_dim, tower_widths, seed + 1, scale)
-    meta = mlp_model._meta(mlp)
+    meta = mlp_model._meta(mlp.n_users, mlp.n_products, mlp.latent_dim, mlp.tower_widths)
     given = {"mlp/" + name: a for name, a in mlp_model.param_dict(mlp).items()}
     arrays = init_sections(_section_shapes(meta), np.random.default_rng(seed), scale, given)
     return _from_sections(meta, arrays, gamma, train_tables=True)
@@ -198,8 +198,9 @@ def train_fusion(
 
 
 def save_fusion(model: FusionModel, path) -> None:
-    # the branches agree on every size, so the MLP's meta is the whole model's
-    meta = {**mlp_model._meta(model.mlp), "gamma": model.gamma, "global_mean": model.global_mean}
+    mlp = model.mlp  # the branches agree on every size, so the MLP's meta is the whole model's
+    meta = {**mlp_model._meta(mlp.n_users, mlp.n_products, mlp.latent_dim, mlp.tower_widths),
+            "gamma": model.gamma, "global_mean": model.global_mean}
     checkpoint.save_model_sections(path, "fusion", meta, param_dict(model), _section_shapes)
 
 

@@ -1,8 +1,8 @@
 """Experiment orchestration: splits, synthetic data, full pipelines.
 
-A run goes: load or generate a store, make sure reliability scores are
-attached, split into train/validation/test per fold, pre-train both
-branches, fine-tune the fused model, and evaluate on the held-out pairs.
+A run takes its store from the caller, makes sure reliability scores are
+attached, splits into train/validation/test per fold, pre-trains both
+branches, fine-tunes the fused model, and evaluates on the held-out pairs.
 Per-phase wall-clock and per-epoch losses are collected along the way.
 Synthetic stores come from seeded low-rank factor models.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reliability as reliability_mod
 from .fusion import DEFAULT_GAMMA, FusionModel, init_fusion, predict_batch, train_fusion
-from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, load_store, restrict,
+from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, restrict,
                      with_reliability)
 from .linalg import sigmoid, sum_in_order
 from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
@@ -300,14 +300,6 @@ def evaluate_model(model: FusionModel, test_store: InteractionStore, cutoffs,
     return evaluate_predictions(users, cutoffs=cutoffs, threshold=threshold)
 
 
-def load_experiment_store(config: ExperimentConfig) -> InteractionStore:
-    if config.synthetic is not None:
-        return gen_synthetic(config.synthetic)
-    if config.store_path is None:
-        raise ValueError("config names neither a store nor a synthetic spec")
-    return load_store(config.store_path)
-
-
 def _ensure_reliability(store: InteractionStore, config: ExperimentConfig) -> InteractionStore:
     if not np.isnan(store.reliability).all():
         return store
@@ -367,9 +359,10 @@ def train_pipeline(
     return model, timings
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Full pipeline per fold plus the arithmetic mean report."""
-    store = _ensure_reliability(load_experiment_store(config), config)
+def run_experiment(config: ExperimentConfig, store: InteractionStore) -> ExperimentResult:
+    """Full pipeline per fold of ``store`` plus the arithmetic mean report;
+    an unscored store is scored first, with the config's reliability settings."""
+    store = _ensure_reliability(store, config)
     outcomes = []
     for train_store, val_store, test_store in split(store, config.split):
         epoch_log = []  # (phase, epoch, loss, seconds) per on_epoch call
@@ -383,13 +376,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(folds=outcomes, mean_report=mean_report)
 
 
-def sweep_train_sizes(config: ExperimentConfig, train_fracs) -> dict:
-    """Re-run the experiment over training sizes.
+def sweep_train_sizes(config: ExperimentConfig, store: InteractionStore, train_fracs) -> dict:
+    """Re-run the experiment on ``store`` over training sizes.
 
     For a training fraction x the remainder splits evenly between
     validation and test. Every fraction's split is checked before the
-    first run, and a fraction given twice is refused then too. Returns
-    {fraction: ExperimentResult}.
+    first run, and a fraction given twice is refused then too. An unscored
+    store is then scored once, and every fraction runs on that one store.
+    Returns {fraction: ExperimentResult}.
     """
     configs = {}
     for frac in train_fracs:
@@ -398,4 +392,5 @@ def sweep_train_sizes(config: ExperimentConfig, train_fracs) -> dict:
         rest = (1.0 - frac) / 2.0
         spec = replace(config.split, train_frac=frac, val_frac=rest, test_frac=rest)
         configs[frac] = replace(config, split=spec)
-    return {frac: run_experiment(cfg) for frac, cfg in configs.items()}
+    store = _ensure_reliability(store, config)
+    return {frac: run_experiment(cfg, store) for frac, cfg in configs.items()}

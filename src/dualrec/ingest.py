@@ -41,10 +41,15 @@ _INT64 = range(-(2**63), 2**63)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _breaks_tsv(key: str) -> bool:
-    """Whether a user or product key holds a tab or a line break. The TSV
-    outputs split rows on them, so no store holds such a key."""
-    return "\t" in key or "\n" in key or "\r" in key
+def _key_fault(key: str):
+    """(The fault, the rule) that keeps ``key`` from being a user or product
+    key, or None. The TSV outputs split rows on tabs and line breaks, and
+    ``predict`` strips each pairs line, so no store key holds either or is padded."""
+    if "\t" in key or "\n" in key or "\r" in key:
+        return "holds a tab or line break", "must hold no tab or line break"
+    if key != key.strip():
+        return "has leading or trailing whitespace", "must have no leading or trailing whitespace"
+    return None
 
 
 class _gc_paused:
@@ -203,10 +208,10 @@ def _clean_line(obj: dict) -> ReviewRecord:
         raise ValueError("missing or empty reviewerID")
     if not isinstance(prod, str) or not prod:
         raise ValueError("missing or empty asin")
-    if _breaks_tsv(user):
-        raise ValueError("reviewerID holds a tab or line break")
-    if _breaks_tsv(prod):
-        raise ValueError("asin holds a tab or line break")
+    if fault := _key_fault(user):
+        raise ValueError(f"reviewerID {fault[0]}")
+    if fault := _key_fault(prod):
+        raise ValueError(f"asin {fault[0]}")
 
     overall = obj.get("overall")
     if not isinstance(overall, (int, float)) or isinstance(overall, bool):
@@ -319,8 +324,8 @@ def _make_store(user_ids, product_ids, entries) -> InteractionStore:
         if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
                 or len(set(ids)) < len(ids)):
             raise ValueError("user and product ids must be lists of distinct strings")
-        if _breaks_tsv("".join(ids)):
-            raise ValueError("user and product ids must hold no tab or line break")
+        if fault := next(filter(None, map(_key_fault, ids)), None):
+            raise ValueError(f"user and product ids {fault[1]}")
     n_users, n_products = len(user_ids), len(product_ids)
     cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}))
     if cols is not None:  # then check values and duplicate pairs with numpy

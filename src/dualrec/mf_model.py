@@ -327,8 +327,7 @@ def train_mf(
         raise ValueError("store has no ratings to train on")
     rng = np.random.default_rng(hyper.fit.seed)
     (w, z), (e, f) = svd_init(store, hyper.latent_dim)
-    meta = {"n_users": store.n_users, "n_products": store.n_products,
-            "latent_dim": hyper.latent_dim, "predictive_dim": hyper.predictive_dim}
+    meta = _meta(store.n_users, store.n_products, hyper.latent_dim, hyper.predictive_dim)
     # each table its own copy of z: asfortranarray would not copy an F-ordered one
     tables = {"user_rating": w, "prod_rating": z.copy(order="F"), "user_joint": e,
               "prod_joint": z.copy(order="F"), "prod_rel": f}
@@ -375,9 +374,14 @@ def params_from_sections(arrays: dict, prefix: str = "") -> MfParams:
                        for f in fields(MfParams)})
 
 
+def _meta(n_users: int, n_products: int, latent_dim: int, predictive_dim: int) -> dict:
+    """The checkpoint meta of a branch of these sizes, for its initializer and its saver."""
+    return {"n_users": n_users, "n_products": n_products, "latent_dim": latent_dim,
+            "predictive_dim": predictive_dim}
+
+
 def save_mf(params: MfParams, path) -> None:
-    meta = {name: getattr(params, name)
-            for name in ("n_users", "n_products", "latent_dim", "predictive_dim")}
+    meta = _meta(params.n_users, params.n_products, params.latent_dim, params.predictive_dim)
     checkpoint.save_model_sections(path, "mf", meta, param_dict(params), section_shapes)
 
 

@@ -121,10 +121,8 @@ def init_mlp(n_users: int, n_products: int, latent_dim: int, tower_widths, seed:
     # two draws per table keep the init function and every later parameter's RNG stream
     tables = {name: rng.normal(0.0, scale, (n, k)) + rng.normal(0.0, scale, (n, k))
               for name, n in (("user_emb", n_users), ("prod_emb", n_products))}
-    meta = {"n_users": n_users, "n_products": n_products, "latent_dim": k, "tower": widths,
-            "predictive_dim": widths[-1]}
-    return params_from_sections(init_sections(section_shapes(meta), rng, scale, tables),
-                                len(widths))
+    shapes = section_shapes(_meta(n_users, n_products, k, widths))
+    return params_from_sections(init_sections(shapes, rng, scale, tables), len(widths))
 
 
 def _embedding_batch(params: MlpParams, idx_u, idx_p):
@@ -268,15 +266,16 @@ def params_from_sections(arrays: dict, n_layers: int, prefix: str = "") -> MlpPa
     return MlpParams(**kwargs)
 
 
-def _meta(params: MlpParams) -> dict:
-    """The checkpoint meta of ``params``, from which :func:`section_shapes` reads its layout."""
-    return {"n_users": params.n_users, "n_products": params.n_products,
-            "latent_dim": params.latent_dim, "tower": list(params.tower_widths),
-            "predictive_dim": params.predictive_dim}
+def _meta(n_users: int, n_products: int, latent_dim: int, tower) -> dict:
+    """The checkpoint meta of a branch of these sizes, from which :func:`section_shapes`
+    reads its layout, for its initializer and every saver, the fused model's too."""
+    return {"n_users": n_users, "n_products": n_products, "latent_dim": latent_dim,
+            "tower": list(tower), "predictive_dim": tower[-1]}
 
 
 def save_mlp(params: MlpParams, path) -> None:
-    checkpoint.save_model_sections(path, "mlp", _meta(params), param_dict(params), section_shapes)
+    meta = _meta(params.n_users, params.n_products, params.latent_dim, params.tower_widths)
+    checkpoint.save_model_sections(path, "mlp", meta, param_dict(params), section_shapes)
 
 
 def load_mlp(path) -> MlpParams:

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualrec import ingest as ingest_mod
+from dualrec import reliability as reliability_mod
 from dualrec.checkpoint import save_sections
 from dualrec.cli import build_parser, main
 from dualrec.ingest import _make_store, load_store, restrict, save_store
@@ -315,6 +317,21 @@ class TestIngest:
         assert err == (f"error [bad-store]: cannot read store {store}: "
                        "user and product ids must hold no tab or line break\n")
 
+    @pytest.mark.parametrize("field, ids", [("users", [" u"]), ("products", ["p\u00a0"])])
+    def test_store_with_a_padded_key_is_bad_store(self, tmp_path, capsys, field, ids):
+        # predict strips each pairs line, so it could never name such a key
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[0, 0, 4, 0, 0, 1]],
+            "reliability": [], field: ids,
+        }))
+        code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error [bad-store]: cannot read store {store}: "
+                       "user and product ids must have no leading or trailing whitespace\n")
+
     def test_input_file_not_mutated(self, tmp_path, reviews_file):
         before = reviews_file.read_bytes()
         main(["ingest", "--input", str(reviews_file), "--out", str(tmp_path / "s.json")])
@@ -490,6 +507,48 @@ class TestPipeline:
             summaries[name] = (out_dir / "summary.tsv").read_bytes()
         # a scored store keeps its scores; an unscored one is scored at the config's alpha
         assert summaries["unscored"] == summaries["scored"] != summaries["default"]
+
+    def test_a_sweep_reads_and_scores_its_store_once(self, tmp_path, reviews_file, monkeypatch):
+        store = tmp_path / "store.json"
+        assert main(["ingest", "--input", str(reviews_file), "--out", str(store)]) == 0
+        calls = []
+        for module, name in ((ingest_mod, "load_store"), (reliability_mod, "score_store")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"store": str(store)}, "split": {"folds": 1, "seed": 0},
+            "model": {"latent_dim": 2, "tower": [4, 2], "epochs_mf": 1, "epochs_mlp": 1,
+                      "epochs_fusion": 1, "batch_size": 32}}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        assert len((out_dir / "summary.tsv").read_text().splitlines()) == 5  # four fractions
+        assert calls == ["load_store", "score_store"]
+
+    @pytest.mark.parametrize("data, want", [
+        # the category held before the CLI opened data.store; the line and order are new
+        ({"store": "{t}/missing.json"},
+         "error [input-not-found]: store not found: {t}/missing.json"),
+        ({"store": "{t}/corrupt.json"},
+         "error [bad-store]: cannot read store {t}/corrupt.json: {t}/corrupt.json: "
+         "not a dualrec-store file"),
+        ({"store": "{t}/empty.json"}, "error [bad-store]: store {t}/empty.json has no ratings"),
+        ({}, "error [bad-config]: config {t}/config.json names no data.store or data.synthetic"),
+    ], ids=["missing", "corrupt", "no-ratings", "no-data"])
+    def test_sweep_data_is_opened_as_a_store_flag_before_the_out_dir(self, tmp_path, capsys,
+                                                                     data, want):
+        (tmp_path / "corrupt.json").write_text('{"format": "x"}')
+        save_store(_make_store(["u"], ["p"], []), tmp_path / "empty.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": {k: v.format(t=tmp_path) for k, v in data.items()},
+                                      "split": {"folds": 1}}))
+        before = sorted(tmp_path.iterdir())
+        line = error_line(capsys, ["sweep", "--config", str(config),
+                                   "--out-dir", str(tmp_path / "out")])
+        assert line == want.format(t=tmp_path)
+        assert sorted(tmp_path.iterdir()) == before  # no --out-dir
 
     @pytest.mark.parametrize("write", [
         lambda path: path.write_bytes(b"DUALREC\x00" + bytes(7)),  # 15 bytes: no fixed header
@@ -806,8 +865,15 @@ class TestErrorCategories:
          "latent_dim must be >= 1"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --k 0",
          "latent_dim must be >= 1"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --p 0",
+         "predictive_dim must be >= 1"),
+        ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 0",
+         "tower widths must be >= 1, got [0]"),
+        ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 8,16",
+         "tower widths must be non-increasing from 16, got [8, 16]"),
     ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
-            "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp"])
+            "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp",
+            "head-width-zero-mf", "tower-zero-mlp", "widening-tower-mlp"])
     def test_a_number_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv,
                                                                  want):
         line = error_line(capsys, argv.format(t=tmp_path).split())

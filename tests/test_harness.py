@@ -146,9 +146,14 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def tiny_store():
+    """The store of :func:`tiny_config`'s synthetic spec."""
+    return gen_synthetic(tiny_config().synthetic)
+
+
 class TestRunExperiment:
     def test_single_fold_mean_equals_fold(self):
-        result = run_experiment(tiny_config())
+        result = run_experiment(tiny_config(), tiny_store())
         assert len(result.folds) == 1
         fold = result.folds[0].report
         mean = result.mean_report
@@ -156,19 +161,20 @@ class TestRunExperiment:
         assert mean.ndcg == fold.ndcg
 
     def test_mean_is_arithmetic_mean(self):
-        result = run_experiment(tiny_config(split=SplitSpec(0.7, 0.15, 0.15, folds=3, seed=2)))
+        result = run_experiment(tiny_config(split=SplitSpec(0.7, 0.15, 0.15, folds=3, seed=2)),
+                                tiny_store())
         reports = [f.report for f in result.folds]
         for field in ("rmse", "mae", "precision", "recall", "ndcg", "mean_ap"):
             direct = sum(getattr(r, field) for r in reports) / len(reports)
             assert math.isclose(getattr(result.mean_report, field), direct, abs_tol=1e-12)
 
     def test_deterministic_under_seed(self):
-        a = run_experiment(tiny_config())
-        b = run_experiment(tiny_config())
+        a = run_experiment(tiny_config(), tiny_store())
+        b = run_experiment(tiny_config(), tiny_store())
         assert a.mean_report == b.mean_report
 
     def test_phase_timings_recorded(self):
-        result = run_experiment(tiny_config())
+        result = run_experiment(tiny_config(), tiny_store())
         timings = result.folds[0].phase_seconds
         assert set(timings) == {"pretrain_mf", "pretrain_mlp", "fusion", "evaluate"}
         assert all(v >= 0 for v in timings.values())
@@ -179,7 +185,7 @@ class TestRunExperiment:
         trained = []
         monkeypatch.setattr(harness, "train_mf", lambda *args, **kw: trained.append(args))
         with pytest.raises(ValueError, match=r"non-increasing from 4, got \[6, 2\]"):
-            run_experiment(tiny_config(tower=(6, 2)))
+            run_experiment(tiny_config(tower=(6, 2)), tiny_store())
         assert trained == []
 
 
@@ -194,7 +200,7 @@ def test_evaluate_model_refuses_a_non_finite_threshold(threshold):
 
 class TestSweep:
     def test_remainder_splits_evenly(self):
-        results = sweep_train_sizes(tiny_config(), [0.4, 0.6])
+        results = sweep_train_sizes(tiny_config(), tiny_store(), [0.4, 0.6])
         assert set(results) == {0.4, 0.6}
         for result in results.values():
             assert result.mean_report.n_pairs > 0
@@ -203,14 +209,14 @@ class TestSweep:
         runs = []
         monkeypatch.setattr(harness, "run_experiment", runs.append)
         with pytest.raises(ValueError, match=r"fractions must be in \(0, 1\)"):
-            sweep_train_sizes(tiny_config(), [0.5, 1.0])
+            sweep_train_sizes(tiny_config(), tiny_store(), [0.5, 1.0])
         assert runs == []
 
     def test_repeated_fraction_refused_before_the_first_run(self, monkeypatch):
         runs = []
         monkeypatch.setattr(harness, "run_experiment", runs.append)
         with pytest.raises(ValueError, match="train fraction 0.5 is given twice"):
-            sweep_train_sizes(tiny_config(), (0.5, 0.5, 0.7))
+            sweep_train_sizes(tiny_config(), tiny_store(), (0.5, 0.5, 0.7))
         assert runs == []
 
 
@@ -280,8 +286,3 @@ class TestConfigParsing:
     def test_unknown_section_or_key_rejected(self, doc, name):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig.from_dict(doc)
-
-    def test_config_requires_data_source(self):
-        config = ExperimentConfig(store_path=None, synthetic=None)
-        with pytest.raises(ValueError):
-            run_experiment(config)

@@ -127,6 +127,16 @@ class TestParse:
         assert len(result.records) == 1
         assert result.warnings == [f"line 2: {key} holds a tab or line break"]
 
+    @pytest.mark.parametrize("key", ["reviewerID", "asin"])
+    @pytest.mark.parametrize("value", [" k1", "k1 ", "\u00a0k1"], ids=["lead", "trail", "nbsp"])
+    def test_a_padded_key_is_skipped(self, key, value):
+        # predict strips each pairs line, so it could never name such a key
+        doc = json.loads(line())
+        doc[key] = value
+        result = parse_reviews([line(user="other"), json.dumps(doc)])
+        assert len(result.records) == 1
+        assert result.warnings == [f"line 2: {key} has leading or trailing whitespace"]
+
     def test_unreadable_stream_is_fatal(self):
         def boom():
             yield line()
@@ -600,6 +610,11 @@ class TestRecordValidation:
     @pytest.mark.parametrize("user, product", [("u\t1", "p"), ("u", "p\n2"), ("u", "p\r")])
     def test_keys_that_would_break_a_tsv_row_are_refused(self, user, product):
         with pytest.raises(ValueError, match="ids must hold no tab or line break"):
+            build_store([ReviewRecord(user, product, 3, 0, 0, 0)])
+
+    @pytest.mark.parametrize("user, product", [(" u", "p"), ("u", "p "), ("u", "\u3000p")])
+    def test_padded_keys_are_refused(self, user, product):
+        with pytest.raises(ValueError, match="ids must have no leading or trailing whitespace"):
             build_store([ReviewRecord(user, product, 3, 0, 0, 0)])
 
     def test_rating_range_enforced(self):
