@@ -1,11 +1,13 @@
-"""Deterministic single-file container for model parameters.
+"""Deterministic single-file container for model parameters and store columns.
 
 Layout: 8-byte magic, little-endian u32 container version, u64 header
-length, UTF-8 JSON header, then the raw little-endian float64 payload of
-every section in header order. The JSON header carries the model kind,
-free-form metadata and the (name, shape) list of sections. Unlike zip
-archives there are no timestamps, so identical parameters always produce
-identical bytes.
+length, UTF-8 JSON header, then the raw little-endian 8-byte payload of
+every section in header order. The JSON header carries the kind,
+free-form metadata and the (name, shape) list of sections. A section is
+float64 unless its entry also holds ``"dtype": "<i8"`` (int64), which
+only integer sections carry, so float64-only containers, every model
+checkpoint among them, keep their bytes. Unlike zip archives there are
+no timestamps, so identical arrays always produce identical bytes.
 """
 
 import json
@@ -19,10 +21,12 @@ __all__ = ["save_sections", "load_sections", "save_model_sections", "load_model_
 
 MAGIC = b"DUALREC\x00"
 VERSION = 1
+INT_DTYPE = "<i8"  # the one dtype a section entry names; without one a section is "<f8"
 
 
 def save_sections(path, kind: str, meta: dict, sections) -> None:
-    """Write named float64 arrays in the given order.
+    """Write named arrays in the given order: integer arrays as int64,
+    everything else as float64.
 
     ``sections`` is a sequence of (name, array); the order is recorded in
     the header and preserved on load. A repeated name raises ValueError
@@ -31,9 +35,13 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
     entries = []
     payloads = []
     for name, array in sections:
-        arr = np.asarray(array, dtype="<f8")  # keeps 0-d; tobytes() is C order
+        arr = np.asarray(array)
+        is_int = arr.dtype.kind == "i"
+        arr = arr.astype(INT_DTYPE if is_int else "<f8", copy=False)  # keeps 0-d
         entries.append({"name": name, "shape": list(arr.shape)})
-        payloads.append(arr.tobytes())
+        if is_int:
+            entries[-1]["dtype"] = INT_DTYPE
+        payloads.append(arr.tobytes())  # C order
     _check_unique(path, entries)
     header = json.dumps(
         {"kind": kind, "meta": meta, "sections": entries},
@@ -76,7 +84,8 @@ def _checked_header(path, raw: bytes) -> dict:
         raise ValueError(f"{path}: checkpoint header needs a kind, a meta object and sections")
     for entry in header["sections"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and _is_shape(entry.get("shape"))):
+                and _is_shape(entry.get("shape"))
+                and ("dtype" not in entry or entry["dtype"] == INT_DTYPE)):
             raise ValueError(f"{path}: bad checkpoint section entry {entry!r}")
     _check_unique(path, header["sections"])
     return header
@@ -85,11 +94,12 @@ def _checked_header(path, raw: bytes) -> dict:
 def load_sections(path):
     """Read a container; returns (kind, meta, dict name -> array).
 
+    Each array is float64, or int64 where its entry says ``"<i8"``.
     Raises ValueError for anything but one complete container: a wrong
     magic or version, a short fixed header, a header that is not a JSON
     object with a kind, a meta object and (name, shape) sections, a
-    repeated section name, a truncated section, or bytes after the last
-    section.
+    section entry naming another dtype, a repeated section name, a
+    truncated section, or bytes after the last section.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
@@ -111,9 +121,10 @@ def load_sections(path):
         end = offset + 8 * math.prod(shape)
         if len(blob) < end:
             raise ValueError(f"{path}: truncated section {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(blob[offset:end], dtype="<f8").astype(
-            np.float64
-        ).reshape(shape)
+        is_int = "dtype" in entry
+        arrays[entry["name"]] = np.frombuffer(
+            blob[offset:end], dtype=INT_DTYPE if is_int else "<f8"
+        ).astype(np.int64 if is_int else np.float64).reshape(shape)
         offset = end
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last section")
@@ -122,7 +133,8 @@ def load_sections(path):
 
 def _check_shapes(path, kind: str, meta: dict, arrays: dict, section_shapes) -> None:
     """Raise ValueError unless ``arrays`` has exactly the shapes ``section_shapes(meta)``
-    and holds only finite numbers: training never writes NaN or ±inf weights."""
+    and holds only finite float64 numbers: training never writes NaN or ±inf
+    weights, nor integer ones."""
     try:
         want = {name: tuple(shape) for name, shape in section_shapes(meta).items()}
     except (LookupError, TypeError, ValueError) as exc:
@@ -132,6 +144,9 @@ def _check_shapes(path, kind: str, meta: dict, arrays: dict, section_shapes) -> 
         bad = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
         raise ValueError(f"{path}: sections {bad} have shapes {[got.get(n) for n in bad]}, "
                          f"meta implies {[want.get(n) for n in bad]} (None: no section)")
+    bad = [name for name, array in arrays.items() if np.asarray(array).dtype != np.float64]
+    if bad:
+        raise ValueError(f"{path}: sections {bad} are not float64")
     bad = [name for name, array in arrays.items() if not np.isfinite(array).all()]
     if bad:
         raise ValueError(f"{path}: sections {bad} hold NaN or infinite values")
@@ -150,7 +165,8 @@ def load_model_sections(path, kind: str, section_shapes):
     ``section_shapes`` maps the meta object to a dict name -> shape.
     Returns (meta, arrays). Raises ValueError for another kind, a meta
     that ``section_shapes`` cannot read, a missing section, an extra one,
-    a shape other than the one meta implies, and a NaN or infinite value.
+    a shape other than the one meta implies, a section that is not
+    float64, and a NaN or infinite value.
     """
     found, meta, arrays = load_sections(path)
     if found != kind:

@@ -296,6 +296,7 @@ def cmd_sweep(args) -> int:
         store = _rated_store(config.store_path)
     else:
         raise CliError("bad-config", f"config {args.config} names no data.store or data.synthetic")
+    harness.sweep_configs(config, store, args.train_fracs)  # refused before --out-dir is made
     os.makedirs(args.out_dir, exist_ok=True)
     results = harness.sweep_train_sizes(config, store, args.train_fracs)
     summary_path = os.path.join(args.out_dir, "summary.tsv")

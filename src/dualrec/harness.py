@@ -29,12 +29,14 @@ __all__ = [
     "SplitSpec",
     "SyntheticSpec",
     "ExperimentConfig",
+    "split_sizes",
     "split",
     "gen_synthetic",
     "pretrain_mf",
     "pretrain_mlp",
     "fine_tune",
     "evaluate_model",
+    "sweep_configs",
     "sweep_train_sizes",
 ]
 
@@ -64,6 +66,20 @@ class SplitSpec:
             raise ValueError("folds must be >= 1")
 
 
+def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
+    """The (train, validation, test) sizes :func:`split` cuts ``n``
+    interactions into; ValueError unless each part gets at least one."""
+    n_train = int(round(spec.train_frac * n))
+    n_val = int(round(spec.val_frac * n))
+    n_test = n - n_train - n_val
+    if min(n_train, n_val, n_test) < 1:
+        raise ValueError(
+            f"insufficient data: {n} interactions split as "
+            f"({n_train}, {n_val}, {n_test})"
+        )
+    return n_train, n_val, n_test
+
+
 def split(store: InteractionStore, spec: SplitSpec):
     """Random interaction-level partition per fold.
 
@@ -73,14 +89,7 @@ def split(store: InteractionStore, spec: SplitSpec):
     """
     order = store.pair_order
     n = order.size
-    n_train = int(round(spec.train_frac * n))
-    n_val = int(round(spec.val_frac * n))
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) < 1:
-        raise ValueError(
-            f"insufficient data: {n} interactions split as "
-            f"({n_train}, {n_val}, {n_test})"
-        )
+    n_train, n_val, _ = split_sizes(n, spec)
     folds = []
     for fold in range(spec.folds):
         rng = np.random.default_rng([spec.seed, fold])
@@ -376,14 +385,12 @@ def run_experiment(config: ExperimentConfig, store: InteractionStore) -> Experim
     return ExperimentResult(folds=outcomes, mean_report=mean_report)
 
 
-def sweep_train_sizes(config: ExperimentConfig, store: InteractionStore, train_fracs) -> dict:
-    """Re-run the experiment on ``store`` over training sizes.
+def sweep_configs(config: ExperimentConfig, store: InteractionStore, train_fracs) -> dict:
+    """{fraction: the config of its run} of a sweep of ``store``.
 
     For a training fraction x the remainder splits evenly between
-    validation and test. Every fraction's split is checked before the
-    first run, and a fraction given twice is refused then too. An unscored
-    store is then scored once, and every fraction runs on that one store.
-    Returns {fraction: ExperimentResult}.
+    validation and test. ValueError for a fraction given twice, and for
+    one whose split spec is refused or leaves a part of ``store`` empty.
     """
     configs = {}
     for frac in train_fracs:
@@ -391,6 +398,18 @@ def sweep_train_sizes(config: ExperimentConfig, store: InteractionStore, train_f
             raise ValueError(f"train fraction {frac!r} is given twice")
         rest = (1.0 - frac) / 2.0
         spec = replace(config.split, train_frac=frac, val_frac=rest, test_frac=rest)
+        split_sizes(store.raw.size, spec)
         configs[frac] = replace(config, split=spec)
+    return configs
+
+
+def sweep_train_sizes(config: ExperimentConfig, store: InteractionStore, train_fracs) -> dict:
+    """Re-run the experiment on ``store`` over training sizes.
+
+    Every fraction is checked by :func:`sweep_configs` before the first
+    run. An unscored store is then scored once, and every fraction runs on
+    that one store. Returns {fraction: ExperimentResult}.
+    """
+    configs = sweep_configs(config, store, train_fracs)
     store = _ensure_reliability(store, config)
     return {frac: run_experiment(cfg, store) for frac, cfg in configs.items()}

@@ -12,16 +12,26 @@ read-only numpy columns, plus the string<->index maps. The rating and
 reliability matrices, their index arrays and the per-product review
 timelines all derive from the columns. Stores are immutable and safe to
 share across threads.
+
+:func:`save_store` writes a store as canonical JSON, and beside it, at
+``<path>.cols``, a columnar copy: a :mod:`checkpoint` container of kind
+``store`` that holds the sha256 of the JSON bytes. :func:`load_store`
+reads the copy instead of decoding the JSON only when that digest
+matches the JSON it has just read and the copy's columns pass the
+store's rules; any other copy is ignored, so deleting one is harmless.
 """
 
 import gc
+import io
 import json
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import checkpoint
 from .linalg import sum_in_order
 
 __all__ = [
@@ -34,6 +44,10 @@ MAX_RATING = 5
 
 STORE_FORMAT = "dualrec-store"
 STORE_VERSION = 1
+
+COPY_SUFFIX = ".cols"  # the columnar copy of a store file sits at its path plus this
+COPY_KIND = "store"
+COPY_LAYOUT = 1
 
 _INT64 = range(-(2**63), 2**63)
 
@@ -106,6 +120,7 @@ class PairArrays(NamedTuple):
 
 _COLUMNS = ("user", "product", "raw", "raw_is_int", "helpful_yes", "votes_total",
             "unix_time", "reliability")
+_INT_COLUMNS = {"user", "product", "helpful_yes", "votes_total", "unix_time"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +327,25 @@ def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
     return "malformed entries"
 
 
+def _check_ids(user_ids, product_ids) -> None:
+    """ValueError unless both are lists of distinct strings that are valid keys."""
+    for ids in (user_ids, product_ids):
+        if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
+                or len(set(ids)) < len(ids)):
+            raise ValueError("user and product ids must be lists of distinct strings")
+        if fault := next(filter(None, map(_key_fault, ids)), None):
+            raise ValueError(f"user and product ids {fault[1]}")
+
+
+def _columns_ok(i, j, raw, yes, total, n_users: int, n_products: int) -> bool:
+    """Whether int64 and float64 entry columns keep the store's rules: each
+    pair inside the maps and only once, raw ratings in (0, 5] and 0 <=
+    helpful_yes <= votes_total."""
+    ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products)
+    ok &= (0 < raw) & (raw <= MAX_RATING) & (0 <= yes) & (yes <= total)
+    return bool(ok.all()) and not (np.diff(np.sort(i * n_products + j)) == 0).any()
+
+
 def _make_store(user_ids, product_ids, entries) -> InteractionStore:
     """The checked constructor: an unscored store from index maps and entry rows.
 
@@ -320,20 +354,12 @@ def _make_store(user_ids, product_ids, entries) -> InteractionStore:
     helpful_yes <= votes_total, each pair inside the maps and only once.
     ValueError names a bad row.
     """
-    for ids in (user_ids, product_ids):
-        if (type(ids) not in (list, tuple) or set(map(type, ids)) - {str}
-                or len(set(ids)) < len(ids)):
-            raise ValueError("user and product ids must be lists of distinct strings")
-        if fault := next(filter(None, map(_key_fault, ids)), None):
-            raise ValueError(f"user and product ids {fault[1]}")
+    _check_ids(user_ids, product_ids)
     n_users, n_products = len(user_ids), len(product_ids)
     cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}))
-    if cols is not None:  # then check values and duplicate pairs with numpy
-        i, j, raw, yes, total, when = cols
-        ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products)
-        ok &= (0 < raw) & (raw <= MAX_RATING) & (0 <= yes) & (yes <= total)
-    if cols is None or not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
+    if cols is None or not _columns_ok(*cols[:5], n_users, n_products):
         raise ValueError(_first_bad_entry(entries, n_users, n_products))
+    i, j, raw, yes, total, when = cols
     is_int = np.array([type(row[2]) is int for row in entries], dtype=bool)
     return InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
                             when, np.full(i.size, np.nan))
@@ -393,15 +419,20 @@ def _score_column(store: InteractionStore, reliability) -> np.ndarray:
     return column
 
 
+def _check_scores(column: np.ndarray) -> None:
+    """ValueError unless every score is NaN (unscored) or in [0, 1]."""
+    bad = ~((0.0 <= column) & (column <= 1.0) | np.isnan(column))
+    if bad.any():
+        raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
+
+
 def with_reliability(store: InteractionStore, column) -> InteractionStore:
     """Copy of the store whose reliability column is ``column``: one float
     per row, NaN where a row is unscored and in [0, 1] everywhere else."""
     column = np.array(column, np.float64)  # a copy: the store makes it read-only
     if column.shape != store.raw.shape:
         raise ValueError(f"reliability needs one score per row, got shape {column.shape}")
-    bad = ~((0.0 <= column) & (column <= 1.0) | np.isnan(column))
-    if bad.any():
-        raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
+    _check_scores(column)
     out = replace(store, reliability=column)
     if "pair_order" in vars(store):  # same user and product columns, so the same pair order
         vars(out)["pair_order"] = store.pair_order
@@ -418,8 +449,19 @@ def restrict(store: InteractionStore, rows) -> InteractionStore:
     return replace(store, **{name: getattr(store, name)[keep] for name in _COLUMNS})
 
 
+def _copy_path(path) -> str:
+    return os.fspath(path) + COPY_SUFFIX
+
+
+def _digest(data: bytes) -> str:
+    import hashlib  # here, not at import time: it loads OpenSSL
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def save_store(store: InteractionStore, path) -> None:
-    """Write the store as canonical JSON (stable bytes for a given store)."""
+    """Write the store as canonical JSON (stable bytes for a given store),
+    then its columnar copy; a copy that cannot be written is left out."""
     with _gc_paused():
         # a raw rating is written as an int exactly when it arrived as one
         raw = [int(v) if k else v for v, k in zip(store.raw.tolist(), store.raw_is_int.tolist())]
@@ -435,21 +477,69 @@ def save_store(store: InteractionStore, path) -> None:
                                 store.unix_time.tolist())),
             "reliability": list(zip(*(column.tolist() for column in store.scored_arrays[:3]))),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps uses the C encoder; json.dump streams through the
-            # pure-Python one. Both write the same bytes.
-            fh.write(json.dumps(doc, separators=(",", ":")))
-            fh.write("\n")
+        # json.dumps uses the C encoder; json.dump streams through the
+        # pure-Python one. Both write the same bytes.
+        data = (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        meta = {"layout": COPY_LAYOUT, "sha256": _digest(data),
+                "users": list(store.user_ids), "products": list(store.product_ids)}
+        try:
+            checkpoint.save_sections(_copy_path(path), COPY_KIND, meta,
+                                     [(name, getattr(store, name)) for name in _COLUMNS])
+        except OSError:
+            pass  # the JSON alone is the whole store
+
+
+def _load_copy(path, data: bytes) -> InteractionStore | None:
+    """The store of the columnar copy beside ``path``, or None unless the
+    copy is complete, of this layout, holds the sha256 of ``data`` (the
+    JSON bytes) and keeps every rule of a store."""
+    try:
+        kind, meta, cols = checkpoint.load_sections(_copy_path(path))
+    except (OSError, ValueError):
+        return None
+    layout, users, products = meta.get("layout"), meta.get("users"), meta.get("products")
+    if (kind != COPY_KIND or type(layout) is not int or layout != COPY_LAYOUT
+            or meta.get("sha256") != _digest(data)
+            or list(cols) != list(_COLUMNS)):
+        return None
+    shape = (cols["user"].size,)
+    if any(cols[name].shape != shape
+           or cols[name].dtype != (np.int64 if name in _INT_COLUMNS else np.float64)
+           for name in _COLUMNS):
+        return None
+    try:
+        _check_ids(users, products)
+        _check_scores(cols["reliability"])
+    except ValueError:
+        return None
+    raw, is_int = cols["raw"], cols["raw_is_int"]
+    if (not _columns_ok(cols["user"], cols["product"], raw, cols["helpful_yes"],
+                        cols["votes_total"], len(users), len(products))
+            or ((is_int != 0) & (is_int != 1)).any() or ((is_int == 1) & (raw % 1 != 0)).any()):
+        return None
+    cols["raw_is_int"] = is_int == 1
+    return InteractionStore(tuple(users), tuple(products), **cols)
 
 
 def load_store(path) -> InteractionStore:
-    """Read a store written by :func:`save_store`; ValueError for anything else."""
+    """Read a store written by :func:`save_store`; ValueError for anything else.
+
+    The store comes from the columnar copy beside the file when that copy
+    belongs to these JSON bytes and keeps the store's rules, and from the
+    JSON otherwise; both give the same store.
+    """
     with _gc_paused():
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:  # nested deeper than the parser's stack
-                raise ValueError(f"{path}: JSON nested too deeply") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
+        store = _load_copy(path, data)
+        if store is not None:
+            return store
+        try:  # decoded as a file opened in text mode would be
+            doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        except RecursionError as exc:  # nested deeper than the parser's stack
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
         if type(doc) is not dict or doc.get("format") != STORE_FORMAT:
             raise ValueError(f"{path}: not a {STORE_FORMAT} file")
         if type(doc.get("version")) is not int or doc["version"] != STORE_VERSION:

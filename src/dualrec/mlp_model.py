@@ -242,10 +242,15 @@ def train_mlp(
 
 def section_shapes(meta: dict) -> dict:
     """Name -> shape of every section that checkpoint ``meta`` implies, in
-    :func:`param_dict` order; ValueError for a tower that ``check_tower`` refuses."""
-    k, p = meta["latent_dim"], meta["predictive_dim"]
+    :func:`param_dict` order; ValueError for a tower that ``check_tower`` refuses
+    and for a ``predictive_dim`` other than the head width, the last tower width."""
+    k = meta["latent_dim"]
     check_tower(k, meta["tower"])
     dims = [2 * k] + list(meta["tower"])
+    p = dims[-1]
+    if meta["predictive_dim"] != p:
+        raise ValueError(f"predictive_dim {meta['predictive_dim']!r} differs from the last "
+                         f"tower width {p!r}")
     shapes = {"user_emb": (meta["n_users"], k), "prod_emb": (meta["n_products"], k),
               "fusion_w_user": (k, k), "fusion_b_user": (k,), "fusion_w_prod": (k, k),
               "fusion_b_prod": (k,)}

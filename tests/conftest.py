@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dualrec.ingest import ReviewRecord, build_store, with_reliability
+from dualrec.ingest import COPY_SUFFIX, ReviewRecord, build_store, with_reliability
+
+
+def copy_path(path) -> Path:
+    """Where ``save_store`` writes the columnar copy of the store file ``path``."""
+    return Path(os.fspath(path) + COPY_SUFFIX)
 
 
 def rated(store) -> dict:

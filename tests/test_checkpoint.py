@@ -69,16 +69,34 @@ def test_round_trip_keeps_zero_dim_and_strided_arrays(tmp_path):
     container(good_header([2]), bytes(17)),
     container({"kind": "mf", "meta": {}, "sections": [{"name": "a", "shape": [1]}] * 2},
               bytes(16)),
+    *(container({"kind": "mf", "meta": {}, "sections": [good_header()["sections"][0]
+                                                          | {"dtype": dtype}]}, bytes(16))
+      for dtype in ("<f8", "<f4", "<u8", None, ["<i8"])),
 ], ids=["empty", "wrong-magic", "short-fixed-header", "short-json-header", "wrong-version",
         "header-not-utf8", "header-not-json", "header-nested-too-deeply", "header-not-object",
         "no-kind", "no-sections", "meta-not-object", "sections-not-list", "section-not-object",
         "negative-dim", "float-dim", "bool-dim", "shape-not-list", "truncated-section",
-        "huge-section", "trailing-bytes", "repeated-name"])
+        "huge-section", "trailing-bytes", "repeated-name", "dtype-f8-named", "dtype-f4",
+        "dtype-u8", "dtype-null", "dtype-list"])
 def test_malformed_containers_raise_value_error(tmp_path, data):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(data)
     with pytest.raises(ValueError, match="bad.ckpt"):
         load_sections(path)
+
+
+def test_int64_sections_round_trip_and_only_they_name_a_dtype(tmp_path):
+    path = tmp_path / "a.ckpt"
+    ints = np.array([[0, -1, 2**62], [7, 2**63 - 1, -(2**63)]])
+    save_sections(path, "store", {}, [("i", ints), ("f", np.arange(3.0)),
+                                      ("b", np.array([True, False]))])
+    header, _ = split_container(path.read_bytes())
+    assert header["sections"] == [{"name": "i", "shape": [2, 3], "dtype": "<i8"},
+                                  {"name": "f", "shape": [3]}, {"name": "b", "shape": [2]}]
+    _, _, loaded = load_sections(path)
+    assert loaded["i"].dtype == np.int64 and loaded["i"].tolist() == ints.tolist()
+    assert loaded["f"].dtype == loaded["b"].dtype == np.float64
+    assert loaded["b"].tolist() == [1.0, 0.0]
 
 
 def test_save_refuses_a_repeated_name(tmp_path):
@@ -227,6 +245,21 @@ def poisoned(**values):
     return edit
 
 
+def narrowed_head(width):
+    """An ``edited`` edit of an MLP or fused checkpoint: ``predictive_dim``
+    becomes ``width`` and every head section the shape that width implies,
+    so the sections match the meta but not the last tower width."""
+    def edit(meta, arrays):
+        k = meta["latent_dim"]
+        meta["predictive_dim"] = width
+        shapes = {"head": (width, width), "mlp/head": (width, width), "mf/head": (k, width),
+                  "reg_w": (width,), "mlp/reg_w": (width,), "mf/reg_w": (width,),
+                  "concat_w": (width, k + width)}
+        for name in arrays.keys() & shapes.keys():
+            arrays[name] = np.zeros(shapes[name])
+    return edit
+
+
 LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
            "fusion": (save_fusion, load_fusion, 2)}
 
@@ -264,6 +297,11 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
     ("mlp", poisoned(prod_emb=math.nan)),
     ("fusion", poisoned(concat_w=math.nan)),
     ("fusion", poisoned(**{"mlp/user_emb": math.inf})),
+    ("mlp", narrowed_head(1)),
+    ("fusion", narrowed_head(1)),
+    ("mf", set_section("reg_b", np.array([1]))),
+    ("mlp", set_section("tower_b_1", np.array([0, 1]))),
+    ("fusion", set_section("mf/head", np.zeros((2, 2), np.int64))),
 ], ids=["fused-reg_b-shape-3", "mlp-extra-section", "mf-missing-section",
         "fusion-missing-tower-bias", "mf-transposed-table", "mlp-narrow-tower",
         "fusion-wide-concat", "mlp-meta-tower-differs", "mf-meta-users-differ",
@@ -275,7 +313,9 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
         "mlp-meta-predictive-dim-differs", "mlp-meta-predictive-dim-string",
         "mlp-meta-predictive-dim-fraction", "mlp-meta-predictive-dim-list",
         "mf-nan-table", "mf-inf-bias", "mlp-minus-inf-tower", "mlp-nan-table",
-        "fusion-nan-head", "fusion-inf-branch-table"])
+        "fusion-nan-head", "fusion-inf-branch-table", "mlp-head-narrower-than-tower",
+        "fusion-head-narrower-than-tower", "mf-int-bias", "mlp-int-tower-bias",
+        "fusion-int-branch-head"])
 def test_loaders_check_sections_against_meta(tmp_path, kind, edit):
     save, load, which = LOADERS[kind]
     path = tmp_path / f"{kind}.ckpt"

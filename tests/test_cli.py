@@ -207,10 +207,11 @@ class TestBasics:
         assert main(["synth", "--users", "12", "--products", "10",
                      "--out", str(tmp_path / "store.json")]) == 0
         capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
         assert main(argv.format(t=tmp_path).split()) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: " + argv.split()[-1] in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+        assert sorted(tmp_path.iterdir()) == before  # nothing written
 
     def test_train_reads_no_config_from_the_environment(self, tmp_path, monkeypatch):
         store, config = tmp_path / "store.json", tmp_path / "config.json"
@@ -536,11 +537,16 @@ class TestPipeline:
          "not a dualrec-store file"),
         ({"store": "{t}/empty.json"}, "error [bad-store]: store {t}/empty.json has no ratings"),
         ({}, "error [bad-config]: config {t}/config.json names no data.store or data.synthetic"),
-    ], ids=["missing", "corrupt", "no-ratings", "no-data"])
+        # the default fractions split 5 ratings at 0.4 to 0.6, not at 0.7
+        ({"store": "{t}/five.json"},
+         "error [bad-args]: insufficient data: 5 interactions split as (4, 1, 0)"),
+    ], ids=["missing", "corrupt", "no-ratings", "no-data", "too-few-for-a-fraction"])
     def test_sweep_data_is_opened_as_a_store_flag_before_the_out_dir(self, tmp_path, capsys,
                                                                      data, want):
         (tmp_path / "corrupt.json").write_text('{"format": "x"}')
         save_store(_make_store(["u"], ["p"], []), tmp_path / "empty.json")
+        save_store(_make_store([f"u{i}" for i in range(5)], ["p"],
+                               [(i, 0, 4, 0, 0, i) for i in range(5)]), tmp_path / "five.json")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": {k: v.format(t=tmp_path) for k, v in data.items()},
                                       "split": {"folds": 1}}))
@@ -584,6 +590,18 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith("error [bad-store]") and "Traceback" not in err, err
 
+
+    def test_fused_head_narrower_than_its_tower_is_one_bad_store_line(self, tmp_path, capsys):
+        from test_checkpoint import edited, narrowed_head
+
+        run_pipeline(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        edited(fused, narrowed_head(1))
+        line = error_line(capsys, ["evaluate", "--store", str(tmp_path / "scored.json"),
+                                   "--model", str(fused), "--out", str(tmp_path / "again.txt")])
+        assert line.startswith(f"error [bad-store]: cannot read model {fused}: {fused}: bad "
+                               "fusion checkpoint meta: ValueError('predictive_dim 1 differs "
+                               "from the last tower width 2')"), line
 
     def test_fused_meta_without_gamma_is_bad_store(self, tmp_path, capsys):
         from test_checkpoint import edited
@@ -911,9 +929,10 @@ class TestErrorCategories:
     def test_a_store_without_ratings_is_refused_before_any_model(self, trained, tmp_path,
                                                                  capsys, argv):
         save_store(restrict(load_store(trained / "store.json"), []), tmp_path / "empty.json")
+        before = sorted(tmp_path.iterdir())
         line = error_line(capsys, argv.format(t=tmp_path).split())
         assert line == f"error [bad-store]: store {tmp_path}/empty.json has no ratings"
-        assert list(tmp_path.iterdir()) == [tmp_path / "empty.json"]  # nothing written
+        assert sorted(tmp_path.iterdir()) == before  # nothing written
 
     def test_a_store_without_ratings_still_serves_where_no_rating_is_read(self, trained,
                                                                          tmp_path):

@@ -212,6 +212,17 @@ class TestSweep:
             sweep_train_sizes(tiny_config(), tiny_store(), [0.5, 1.0])
         assert runs == []
 
+    def test_a_fraction_the_store_cannot_split_is_refused_before_the_first_run(
+            self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        store = tiny_store()
+        n = store.raw.size
+        frac = (n - 1) / n  # leaves one rating for validation and test together
+        with pytest.raises(ValueError, match=f"insufficient data: {n} interactions split as "):
+            sweep_train_sizes(tiny_config(), store, [0.5, frac])
+        assert runs == []
+
     def test_repeated_fraction_refused_before_the_first_run(self, monkeypatch):
         runs = []
         monkeypatch.setattr(harness, "run_experiment", runs.append)

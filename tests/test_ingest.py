@@ -24,7 +24,7 @@ from dualrec.ingest import (
 )
 from dualrec.reliability import attach_scores, score_store
 
-from conftest import rated, record, scored, store_from, with_scores
+from conftest import copy_path, rated, record, scored, store_from, with_scores
 
 
 def line(user="A2SUAM1J3GNN3B", asin="0000013714", overall=3.0, helpful=(3, 5), when=126472000, **extra):
@@ -547,6 +547,9 @@ class TestScoreColumn:
             return _score_column(*args)
 
         monkeypatch.setattr(ingest, "_score_column", spy)
+        assert scored(load_store(path)) == scored(store)
+        assert calls == []  # the columnar copy holds the column
+        copy_path(path).unlink()
         assert scored(load_store(path)) == scored(store)
         assert len(calls) == 1
 
