@@ -443,7 +443,3 @@ def main(argv=None) -> int:
         category = "training-diverged" if isinstance(exc, TrainingDivergedError) else "bad-args"
         print(f"error [{category}]: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

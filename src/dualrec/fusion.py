@@ -217,9 +217,9 @@ def load_fusion(path) -> FusionModel:
     meta, arrays = checkpoint.load_model_sections(path, "fusion", _section_shapes)
     gamma, mean = meta.get("gamma"), meta.get("global_mean")
     numeric = not set(map(type, (gamma, mean))) - {int, float}
-    if not (numeric and 0 <= gamma <= 1 and 0 < mean <= MAX_RATING):
+    if not (numeric and 0 <= gamma <= 1 and MIN_RATING <= mean <= MAX_RATING):
         raise ValueError(f"{path}: fusion meta needs a gamma in [0, 1] and a global_mean in "
-                         f"(0, {MAX_RATING}], got {gamma!r} and {mean!r}")
+                         f"[{MIN_RATING}, {MAX_RATING}], got {gamma!r} and {mean!r}")
     return _from_sections(meta, arrays, float(gamma), global_mean=float(mean))
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import reliability as reliability_mod
 from .fusion import DEFAULT_GAMMA, FusionModel, init_fusion, predict_batch, train_fusion
-from .ingest import (MAX_RATING, MIN_RATING, InteractionStore, _make_store, restrict,
-                     with_reliability)
+from .ingest import MAX_RATING, MIN_RATING, InteractionStore, restrict, store_from_columns
 from .linalg import sigmoid, sum_in_order
 from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cutoff,
                       check_threshold, evaluate_predictions)
@@ -110,6 +109,9 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_types(self)
+        for name in ("n_users", "n_products", "true_rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.true_rank > min(self.n_users, self.n_products):
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
@@ -143,12 +145,12 @@ def gen_synthetic(spec: SyntheticSpec) -> InteractionStore:
 
     rows, cols = np.nonzero(mask)  # row-major: the k-th observed pair gets time k
     observed = raw[rows, cols]
-    values = (np.rint(observed).astype(int) if spec.quantize else observed).tolist()
-    zeros = [0] * len(observed)
-    store = _make_store([f"u{i}" for i in range(n)], [f"p{j}" for j in range(m)],
-                        list(zip(rows.tolist(), cols.tolist(), values, zeros, zeros,
-                                 range(len(observed)))))
-    return with_reliability(store, rel[rows, cols])  # entry order is row order
+    zeros = np.zeros(rows.size, np.int64)
+    return store_from_columns(
+        [f"u{i}" for i in range(n)], [f"p{j}" for j in range(m)], user=rows, product=cols,
+        raw=np.rint(observed) if spec.quantize else observed,
+        raw_is_int=np.full(rows.size, spec.quantize), helpful_yes=zeros, votes_total=zeros,
+        unix_time=np.arange(rows.size), reliability=rel[rows, cols])
 
 
 # JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.

@@ -35,8 +35,8 @@ from . import checkpoint
 from .linalg import sum_in_order
 
 __all__ = [
-    "PairArrays", "InteractionStore", "parse_reviews", "build_store", "with_reliability",
-    "restrict", "save_store", "load_store",
+    "PairArrays", "InteractionStore", "parse_reviews", "build_store", "store_from_columns",
+    "with_reliability", "restrict", "save_store", "load_store",
 ]
 
 MIN_RATING = 1
@@ -118,14 +118,15 @@ class PairArrays(NamedTuple):
     raw: np.ndarray  # raw 1..5 rating of the pair
 
 
-_COLUMNS = ("user", "product", "raw", "raw_is_int", "helpful_yes", "votes_total",
-            "unix_time", "reliability")
-_INT_COLUMNS = {"user", "product", "helpful_yes", "votes_total", "unix_time"}
+_INT, _FLOAT = (np.int64,), (np.float64,)
+# the store's columns, in order -> the dtypes each may come in; a container keeps bools as float64
+_COLUMNS = {"user": _INT, "product": _INT, "raw": _FLOAT, "raw_is_int": (np.bool_, np.float64),
+            "helpful_yes": _INT, "votes_total": _INT, "unix_time": _INT, "reliability": _FLOAT}
 
 
 @dataclass(frozen=True, eq=False)
 class InteractionStore:
-    """Entry columns plus the index maps; build one with ``_make_store``.
+    """Entry columns plus the index maps; :func:`store_from_columns` builds one.
 
     One row per rated pair, in deduplicated input order, which fixes
     timeline tie-breaks and the on-disk layout. The columns are the
@@ -315,8 +316,8 @@ def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
         i, j, raw_rating, yes, total, when = row
         if not all(type(v) is int and v in _INT64 for v in (i, j, yes, total, when)):
             return f"entry {pos}: index, vote or time field is not an int64 integer: {row!r}"
-        if not (type(raw_rating) in (int, float) and 0 < raw_rating <= MAX_RATING):
-            return (f"entry {pos}: raw rating must be a number in (0, {MAX_RATING}], "
+        if not (type(raw_rating) in (int, float) and MIN_RATING <= raw_rating <= MAX_RATING):
+            return (f"entry {pos}: raw rating must be a number in [{MIN_RATING}, {MAX_RATING}], "
                     f"got {raw_rating!r}")
         if not 0 <= yes <= total:
             return f"entry {pos}: need 0 <= helpful_yes <= votes_total, got {row!r}"
@@ -337,32 +338,54 @@ def _check_ids(user_ids, product_ids) -> None:
             raise ValueError(f"user and product ids {fault[1]}")
 
 
-def _columns_ok(i, j, raw, yes, total, n_users: int, n_products: int) -> bool:
-    """Whether int64 and float64 entry columns keep the store's rules: each
-    pair inside the maps and only once, raw ratings in (0, 5] and 0 <=
-    helpful_yes <= votes_total."""
-    ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products)
-    ok &= (0 < raw) & (raw <= MAX_RATING) & (0 <= yes) & (yes <= total)
-    return bool(ok.all()) and not (np.diff(np.sort(i * n_products + j)) == 0).any()
+def _check_scores(column: np.ndarray) -> None:
+    """ValueError unless every score is NaN (unscored) or in [0, 1]."""
+    bad = ~((0.0 <= column) & (column <= 1.0) | np.isnan(column))
+    if bad.any():
+        raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
+
+
+class _ColumnFault(ValueError):
+    """Store columns that break a rule of a store; ``_make_store`` names the row instead."""
+
+
+def store_from_columns(user_ids, product_ids, /, **columns) -> InteractionStore:
+    """The one checked constructor: the store of index maps and the eight
+    named columns, which it takes over. They come in order, 1-D, of one
+    length and of their dtypes (``raw_is_int`` bool, or float64 0/1 as a
+    container keeps it). ValueError unless the keys are distinct and valid,
+    each pair lies inside the maps and appears once, each rating lies in
+    [MIN_RATING, MAX_RATING], the int flag is set only on whole ratings,
+    0 <= helpful_yes <= votes_total and each score is NaN or in [0, 1]."""
+    _check_ids(user_ids, product_ids)
+    cols = list(columns.values())
+    if (list(columns) != list(_COLUMNS) or set(map(type, cols)) != {np.ndarray}
+            or {col.shape for col in cols} != {(cols[0].size,)}
+            or any(col.dtype not in _COLUMNS[name] for name, col in columns.items())):
+        raise _ColumnFault("store columns must be the eight 1-D columns of one length and dtype")
+    i, j, raw, is_int, yes, total = cols[:6]
+    n_users, n_products = len(user_ids), len(product_ids)
+    ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products) & (0 <= yes) & (yes <= total)
+    ok &= (MIN_RATING <= raw) & (raw <= MAX_RATING)
+    ok &= (is_int == 0) | (is_int == 1) & (raw == np.floor(raw))
+    if not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
+        raise _ColumnFault("store columns break the rules of a store")
+    _check_scores(columns["reliability"])
+    columns["raw_is_int"] = is_int.astype(bool, copy=False)
+    return InteractionStore(tuple(user_ids), tuple(product_ids), **columns)
 
 
 def _make_store(user_ids, product_ids, entries) -> InteractionStore:
-    """The checked constructor: an unscored store from index maps and entry rows.
-
-    ``entries`` lists (i, j, raw, helpful_yes, votes_total, unix_time) rows
-    in input order: raw ratings in (0, 5], int64 ints elsewhere with 0 <=
-    helpful_yes <= votes_total, each pair inside the maps and only once.
-    ValueError names a bad row.
-    """
-    _check_ids(user_ids, product_ids)
-    n_users, n_products = len(user_ids), len(product_ids)
-    cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}))
-    if cols is None or not _columns_ok(*cols[:5], n_users, n_products):
-        raise ValueError(_first_bad_entry(entries, n_users, n_products))
-    i, j, raw, yes, total, when = cols
-    is_int = np.array([type(row[2]) is int for row in entries], dtype=bool)
-    return InteractionStore(tuple(user_ids), tuple(product_ids), i, j, raw, is_int, yes, total,
-                            when, np.full(i.size, np.nan))
+    """An unscored store of index maps and entry rows (i, j, raw, helpful_yes,
+    votes_total, unix_time) in input order; ValueError names a bad row."""
+    cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int})) or []
+    if cols:  # else rows of the wrong types give no columns, and the column rule refuses them
+        cols.insert(3, np.array([type(row[2]) is int for row in entries], dtype=bool))
+        cols.append(np.full(len(entries), np.nan))
+    try:
+        return store_from_columns(user_ids, product_ids, **dict(zip(_COLUMNS, cols)))
+    except _ColumnFault:
+        raise ValueError(_first_bad_entry(entries, len(user_ids), len(product_ids))) from None
 
 
 def build_store(records: list[ReviewRecord]) -> InteractionStore:
@@ -417,13 +440,6 @@ def _score_column(store: InteractionStore, reliability) -> np.ndarray:
     column = np.full(store.raw.size, np.nan)
     column[rows] = values
     return column
-
-
-def _check_scores(column: np.ndarray) -> None:
-    """ValueError unless every score is NaN (unscored) or in [0, 1]."""
-    bad = ~((0.0 <= column) & (column <= 1.0) | np.isnan(column))
-    if bad.any():
-        raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
 
 
 def with_reliability(store: InteractionStore, column) -> InteractionStore:
@@ -494,33 +510,16 @@ def save_store(store: InteractionStore, path) -> None:
 def _load_copy(path, data: bytes) -> InteractionStore | None:
     """The store of the columnar copy beside ``path``, or None unless the
     copy is complete, of this layout, holds the sha256 of ``data`` (the
-    JSON bytes) and keeps every rule of a store."""
+    JSON bytes) and :func:`store_from_columns` takes its columns."""
     try:
         kind, meta, cols = checkpoint.load_sections(_copy_path(path))
+        layout = meta.get("layout")
+        if (kind == COPY_KIND and type(layout) is int and layout == COPY_LAYOUT
+                and meta.get("sha256") == _digest(data)):
+            return store_from_columns(meta.get("users"), meta.get("products"), **cols)
     except (OSError, ValueError):
-        return None
-    layout, users, products = meta.get("layout"), meta.get("users"), meta.get("products")
-    if (kind != COPY_KIND or type(layout) is not int or layout != COPY_LAYOUT
-            or meta.get("sha256") != _digest(data)
-            or list(cols) != list(_COLUMNS)):
-        return None
-    shape = (cols["user"].size,)
-    if any(cols[name].shape != shape
-           or cols[name].dtype != (np.int64 if name in _INT_COLUMNS else np.float64)
-           for name in _COLUMNS):
-        return None
-    try:
-        _check_ids(users, products)
-        _check_scores(cols["reliability"])
-    except ValueError:
-        return None
-    raw, is_int = cols["raw"], cols["raw_is_int"]
-    if (not _columns_ok(cols["user"], cols["product"], raw, cols["helpful_yes"],
-                        cols["votes_total"], len(users), len(products))
-            or ((is_int != 0) & (is_int != 1)).any() or ((is_int == 1) & (raw % 1 != 0)).any()):
-        return None
-    cols["raw_is_int"] = is_int == 1
-    return InteractionStore(tuple(users), tuple(products), **cols)
+        pass
+    return None
 
 
 def load_store(path) -> InteractionStore:

@@ -286,6 +286,7 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
     ("fusion", lambda meta, arrays: meta.update(global_mean=-7)),
     ("fusion", lambda meta, arrays: meta.update(global_mean=0)),
     ("fusion", lambda meta, arrays: meta.update(global_mean=5.5)),
+    ("fusion", lambda meta, arrays: meta.update(global_mean=0.5)),
     ("mlp", lambda meta, arrays: meta.pop("predictive_dim")),
     ("mlp", lambda meta, arrays: meta.update(predictive_dim=3)),
     ("mlp", lambda meta, arrays: meta.update(predictive_dim="x")),
@@ -309,7 +310,8 @@ LOADERS = {"mf": (save_mf, load_mf, 0), "mlp": (save_mlp, load_mlp, 1),
         "fusion-meta-gamma-null", "fusion-meta-global-mean-string", "fusion-meta-gamma-inf",
         "fusion-meta-gamma-above-1", "fusion-meta-gamma-below-0", "fusion-meta-global-mean-nan",
         "fusion-meta-global-mean-negative", "fusion-meta-global-mean-zero",
-        "fusion-meta-global-mean-above-5", "mlp-meta-without-predictive-dim",
+        "fusion-meta-global-mean-above-5", "fusion-meta-global-mean-below-1",
+        "mlp-meta-without-predictive-dim",
         "mlp-meta-predictive-dim-differs", "mlp-meta-predictive-dim-string",
         "mlp-meta-predictive-dim-fraction", "mlp-meta-predictive-dim-list",
         "mf-nan-table", "mf-inf-bias", "mlp-minus-inf-tower", "mlp-nan-table",

@@ -16,7 +16,7 @@ from dualrec.checkpoint import save_sections
 from dualrec.cli import build_parser, main
 from dualrec.ingest import _make_store, load_store, restrict, save_store
 
-from conftest import rated, scored
+from conftest import copy_path, rated, scored
 from test_checkpoint import container
 
 
@@ -66,6 +66,19 @@ class TestBasics:
         assert code == 0
         store = load_store(out)
         assert store.n_users == 50 and store.n_products == 40
+
+    @pytest.mark.parametrize("flags, want", [
+        ("--rank 0", "true_rank must be >= 1, got 0"),
+        ("--rank -1", "true_rank must be >= 1, got -1"),
+        ("--users 0", "n_users must be >= 1, got 0"),
+        ("--products -3", "n_products must be >= 1, got -3"),
+    ], ids=["rank-zero", "rank-negative", "no-users", "negative-products"])
+    def test_synth_size_below_one_is_one_bad_args_line(self, tmp_path, capsys, flags, want):
+        out = tmp_path / "store.json"
+        argv = ["synth", "--users", "5", "--products", "5", "--seed", "1", "--out", str(out)]
+        line = error_line(capsys, argv + flags.split())
+        assert line == f"error [bad-args]: {want}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_missing_config(self, tmp_path):
         store = tmp_path / "store.json"
@@ -123,6 +136,12 @@ class TestBasics:
                                  "observation_density": 0.5, "noise_std": float("nan"),
                                  "seed": 5}}},
          "noise_std must be a finite number >= 0, got nan"),
+        ({"data": {"synthetic": {"n_users": 9, "n_products": 0, "true_rank": 2,
+                                 "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
+         "n_products must be >= 1, got 0"),
+        ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 0,
+                                 "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
+         "true_rank must be >= 1, got 0"),
         ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
         ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be >= 1, got 0"),
         ({"model": {"reg_lambda": float("nan")}},
@@ -135,7 +154,8 @@ class TestBasics:
             "freeze_branches-removed", "init_tables_from_factors-removed", "tower-int",
             "cutoffs-strings", "store-int", "split-seed-string", "split-folds-string",
             "synthetic-n_users-string", "synthetic-noise_std-negative",
-            "synthetic-noise_std-nan", "reliability-alpha-out-of-range", "eval-cutoff-zero",
+            "synthetic-noise_std-nan", "synthetic-n_products-zero", "synthetic-true_rank-zero",
+            "reliability-alpha-out-of-range", "eval-cutoff-zero",
             "reg_lambda-nan", "reg_lambda-negative", "eval-threshold-nan",
             "eval-threshold-minus-inf"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
@@ -332,6 +352,29 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err == (f"error [bad-store]: cannot read store {store}: "
                        "user and product ids must have no leading or trailing whitespace\n")
+
+    @pytest.mark.parametrize("with_copy", [False, True], ids=["json", "json-and-its-copy"])
+    def test_store_rated_below_one_star_is_one_bad_store_line(self, tmp_path, capsys,
+                                                              with_copy):
+        # ingest skips such a review and predictions clamp at one star
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[0, 0, 0.5, 0, 0, 1]],
+            "reliability": [],
+        }))
+        if with_copy:  # the copy holds the JSON's digest, so only its rules can refuse it
+            meta = {"layout": ingest_mod.COPY_LAYOUT, "users": ["u"], "products": ["p"],
+                    "sha256": ingest_mod._digest(store.read_bytes())}
+            ints = np.array([0])
+            save_sections(copy_path(store), ingest_mod.COPY_KIND, meta, [
+                ("user", ints), ("product", ints), ("raw", [0.5]), ("raw_is_int", [0.0]),
+                ("helpful_yes", ints), ("votes_total", ints), ("unix_time", ints + 1),
+                ("reliability", [math.nan])])
+        line = error_line(capsys, ["reliability", "--store", str(store),
+                                   "--out", str(tmp_path / "r.tsv")])
+        assert line == (f"error [bad-store]: cannot read store {store}: "
+                        "entry 0: raw rating must be a number in [1, 5], got 0.5")
 
     def test_input_file_not_mutated(self, tmp_path, reviews_file):
         before = reviews_file.read_bytes()
@@ -602,6 +645,17 @@ class TestPipeline:
         assert line.startswith(f"error [bad-store]: cannot read model {fused}: {fused}: bad "
                                "fusion checkpoint meta: ValueError('predictive_dim 1 differs "
                                "from the last tower width 2')"), line
+
+    def test_fused_global_mean_below_one_star_is_one_bad_store_line(self, tmp_path, capsys):
+        from test_checkpoint import edited
+
+        run_pipeline(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        edited(fused, lambda meta, arrays: meta.update(global_mean=0.5))
+        line = error_line(capsys, ["evaluate", "--store", str(tmp_path / "scored.json"),
+                                   "--model", str(fused), "--out", str(tmp_path / "again.txt")])
+        assert line == (f"error [bad-store]: cannot read model {fused}: {fused}: fusion meta "
+                        "needs a gamma in [0, 1] and a global_mean in [1, 5], got 0.5 and 0.5")
 
     def test_fused_meta_without_gamma_is_bad_store(self, tmp_path, capsys):
         from test_checkpoint import edited

@@ -64,6 +64,28 @@ def test_only_the_process_entry_freezes():
     assert found == {("__main__.py", "run")}
 
 
+def main_guards(path) -> list:
+    """Line of each ``__name__ == "__main__"`` comparison in a source file, either way round."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and {ast.dump(side) for side in (node.left, *node.comparators)}
+            >= {ast.dump(ast.Name("__name__", ast.Load())), ast.dump(ast.Constant("__main__"))}]
+
+
+def test_the_guard_scan_sees_each_form(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text('if __name__ == "__main__":\n    pass\n'
+                      "def f():\n    return '__main__' == __name__\n"
+                      'name = "__main__"\nif __name__ == name:\n    pass\n')
+    assert main_guards(source) == [1, 4]
+
+
+def test_only_the_process_entry_holds_a_main_guard():
+    # a second guard, say in cli.py, would run a command without run()'s freeze
+    found = {path.name for path in sorted(SRC.glob("*.py")) if main_guards(path)}
+    assert found == {"__main__.py"}
+
+
 def test_main_in_process_freezes_nothing(tmp_path):
     before = gc.get_freeze_count()
     assert main(["synth", "--users", "6", "--products", "5", "--out",

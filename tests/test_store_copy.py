@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrec import harness, ingest
 from dualrec.checkpoint import load_sections, save_sections
@@ -22,6 +24,7 @@ from dualrec.reliability import attach_scores, score_store
 
 from conftest import copy_path
 from test_golden_store import GOLDEN, GOLDEN_SCORED, write_rereviewed
+from test_ingest import JSON_VALUES
 from test_process_entry import run_python
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -159,6 +162,7 @@ DAMAGES = {
     "score-above-one": rewrite_copy(set_entry("reliability", 1.5)),
     "score-infinite": rewrite_copy(set_entry("reliability", -np.inf)),
     "rating-zero": rewrite_copy(set_entry("raw", 0.0)),
+    "rating-half-a-star": rewrite_copy(lambda meta, cols: cols["raw"].__setitem__(1, 0.5)),
     "helpful-over-total": rewrite_copy(set_entry("helpful_yes", 3)),
     "int-flag-not-0-or-1": rewrite_copy(set_entry("raw_is_int", 0.5)),
     "int-flag-on-a-fraction": rewrite_copy(lambda meta, cols: cols["raw_is_int"].fill(1)),
@@ -187,6 +191,44 @@ def test_any_other_copy_gives_what_the_json_gives(tmp_path, damage):
     assert outcome(path) == json_outcome(path)
     if not damage.startswith("json-"):  # the JSON is untouched, so is the store
         assert outcome(path) == contents(mixed_store())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_copy_edited_under_its_digest_is_refused_or_keeps_every_rule(tmp_path_factory, data):
+    """One edit of the copy, its digest kept: a meta value, or one section's
+    value, dtype or shape. A copy that is refused gives what the JSON gives.
+    The digest is all that ties a copy to its JSON, so a copy whose edit keeps
+    every rule (another ``unix_time``, say) is read as it stands; the JSON
+    ``save_store`` writes of that store must then read back the same store."""
+    path = tmp_path_factory.mktemp("fuzz") / "store.json"
+    save_store(mixed_store(), path)
+    _, meta, cols = load_sections(copy_path(path))
+    what = data.draw(st.sampled_from(["meta", "value", "dtype", "shape"]), label="what")
+    if what == "meta":
+        key = data.draw(st.sampled_from(["layout", "users", "products"]), label="key")
+        meta[key] = data.draw(JSON_VALUES | st.lists(st.text(max_size=3), max_size=4),
+                              label="value")
+    else:
+        name = data.draw(st.sampled_from(list(cols)), label="section")
+        col = cols[name]
+        if what == "value":
+            value = st.integers(-(2**63), 2**63 - 1) if col.dtype == np.int64 else st.floats()
+            col[data.draw(st.integers(0, col.size - 1), label="row")] = data.draw(
+                value, label="value")
+        elif what == "dtype":
+            with np.errstate(invalid="ignore"):  # NaN has no int64
+                cols[name] = col.astype(np.float64 if col.dtype == np.int64 else np.int64)
+        else:
+            shape = data.draw(st.lists(st.integers(0, 5), max_size=2), label="shape")
+            cols[name] = np.resize(col, shape)
+    save_sections(copy_path(path), ingest.COPY_KIND, meta, cols.items())
+    if not copy_is_read(path):
+        assert outcome(path) == json_outcome(path)
+        return
+    store = load_store(path)
+    save_store(store, path.with_name("resaved.json"))
+    assert json_outcome(path.with_name("resaved.json")) == contents(store)
 
 
 def test_the_damages_start_from_a_copy_that_is_read(tmp_path):
