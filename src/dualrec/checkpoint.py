@@ -17,11 +17,19 @@ from collections import Counter
 
 import numpy as np
 
-__all__ = ["save_sections", "load_sections", "save_model_sections", "load_model_sections"]
+__all__ = ["as_section", "save_sections", "load_sections", "save_model_sections",
+           "load_model_sections"]
 
 MAGIC = b"DUALREC\x00"
 VERSION = 1
 INT_DTYPE = "<i8"  # the one dtype a section entry names; without one a section is "<f8"
+
+
+def as_section(array) -> np.ndarray:
+    """``array`` as a section holds it: little-endian int64 if it is an
+    integer array, else little-endian float64."""
+    arr = np.asarray(array)
+    return arr.astype(INT_DTYPE if arr.dtype.kind == "i" else "<f8", copy=False)  # keeps 0-d
 
 
 def save_sections(path, kind: str, meta: dict, sections) -> None:
@@ -35,11 +43,9 @@ def save_sections(path, kind: str, meta: dict, sections) -> None:
     entries = []
     payloads = []
     for name, array in sections:
-        arr = np.asarray(array)
-        is_int = arr.dtype.kind == "i"
-        arr = arr.astype(INT_DTYPE if is_int else "<f8", copy=False)  # keeps 0-d
+        arr = as_section(array)
         entries.append({"name": name, "shape": list(arr.shape)})
-        if is_int:
+        if arr.dtype.kind == "i":
             entries[-1]["dtype"] = INT_DTYPE
         payloads.append(arr.tobytes())  # C order
     _check_unique(path, entries)

@@ -124,7 +124,8 @@ def _epoch_logger(phase, epoch, loss, seconds):
 def cmd_ingest(args) -> int:
     if not os.path.isfile(args.input):
         raise CliError("input-not-found", f"input not found: {args.input}")
-    with open(args.input, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reaches the key rule, or the decoder as invalid JSON
+    with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as fh:
         result = ingest.parse_reviews(fh)
     for warning in result.warnings:
         log.warning("%s", warning)

@@ -15,10 +15,11 @@ share across threads.
 
 :func:`save_store` writes a store as canonical JSON, and beside it, at
 ``<path>.cols``, a columnar copy: a :mod:`checkpoint` container of kind
-``store`` that holds the sha256 of the JSON bytes. :func:`load_store`
-reads the copy instead of decoding the JSON only when that digest
-matches the JSON it has just read and the copy's columns pass the
-store's rules; any other copy is ignored, so deleting one is harmless.
+``store`` that holds one sha256 of the JSON bytes and of the store the
+copy holds. :func:`load_store` reads the copy instead of decoding the
+JSON only when the copy's columns pass the store's rules and that digest
+matches the JSON it has just read and the store the copy gives; any
+other copy is ignored, so deleting one is harmless.
 """
 
 import gc
@@ -58,11 +59,15 @@ _raw_decode = json.JSONDecoder().raw_decode
 def _key_fault(key: str):
     """(The fault, the rule) that keeps ``key`` from being a user or product
     key, or None. The TSV outputs split rows on tabs and line breaks, and
-    ``predict`` strips each pairs line, so no store key holds either or is padded."""
+    ``predict`` strips each pairs line, so no store key holds either or is padded.
+    They are written as UTF-8, so no key holds a lone surrogate: an input byte
+    that is not UTF-8, or a JSON ``\\udXXX`` escape."""
     if "\t" in key or "\n" in key or "\r" in key:
         return "holds a tab or line break", "must hold no tab or line break"
     if key != key.strip():
         return "has leading or trailing whitespace", "must have no leading or trailing whitespace"
+    if not key.isascii() and any("\ud800" <= char <= "\udfff" for char in key):
+        return "is not valid UTF-8 text", "must be valid UTF-8 text"
     return None
 
 
@@ -469,10 +474,16 @@ def _copy_path(path) -> str:
     return os.fspath(path) + COPY_SUFFIX
 
 
-def _digest(data: bytes) -> str:
+def _digest(data: bytes, store: InteractionStore) -> str:
+    """Sha256 of the JSON bytes, then the store's id lists, then its columns
+    as a copy's sections hold them, so a copy matches only the store saved."""
     import hashlib  # here, not at import time: it loads OpenSSL
 
-    return hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data)
+    digest.update(json.dumps([store.user_ids, store.product_ids]).encode("utf-8"))
+    for name in _COLUMNS:
+        digest.update(checkpoint.as_section(getattr(store, name)).tobytes())
+    return digest.hexdigest()
 
 
 def save_store(store: InteractionStore, path) -> None:
@@ -498,7 +509,7 @@ def save_store(store: InteractionStore, path) -> None:
         data = (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(data)
-        meta = {"layout": COPY_LAYOUT, "sha256": _digest(data),
+        meta = {"layout": COPY_LAYOUT, "sha256": _digest(data, store),
                 "users": list(store.user_ids), "products": list(store.product_ids)}
         try:
             checkpoint.save_sections(_copy_path(path), COPY_KIND, meta,
@@ -509,14 +520,15 @@ def save_store(store: InteractionStore, path) -> None:
 
 def _load_copy(path, data: bytes) -> InteractionStore | None:
     """The store of the columnar copy beside ``path``, or None unless the
-    copy is complete, of this layout, holds the sha256 of ``data`` (the
-    JSON bytes) and :func:`store_from_columns` takes its columns."""
+    copy is complete, of this layout, :func:`store_from_columns` takes its
+    columns and it holds the sha256 of ``data`` (the JSON bytes) and that store."""
     try:
         kind, meta, cols = checkpoint.load_sections(_copy_path(path))
         layout = meta.get("layout")
-        if (kind == COPY_KIND and type(layout) is int and layout == COPY_LAYOUT
-                and meta.get("sha256") == _digest(data)):
-            return store_from_columns(meta.get("users"), meta.get("products"), **cols)
+        if kind == COPY_KIND and type(layout) is int and layout == COPY_LAYOUT:
+            store = store_from_columns(meta.get("users"), meta.get("products"), **cols)
+            if meta.get("sha256") == _digest(data, store):
+                return store
     except (OSError, ValueError):
         pass
     return None

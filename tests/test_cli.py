@@ -296,6 +296,36 @@ class TestIngest:
                                 "line 122: overall must be an integer in [1, 5]"]
         assert messages[2].startswith("ingested 120 records (2 skipped) -> ")
 
+    @pytest.mark.parametrize("user", [b"U\xff2", b"U\\udcff2"], ids=["raw-byte", "json-escape"])
+    def test_a_key_that_is_not_utf8_is_skipped_and_counted(self, tmp_path, caplog, user):
+        # every later stage writes UTF-8, so reliability can write each row
+        reviews, store = tmp_path / "reviews.jsonl", tmp_path / "store.json"
+        reviews.write_bytes(b"".join(
+            b'{"reviewerID": "%s", "asin": "P1", "overall": 4, "unixReviewTime": %d}\n' % (u, k)
+            for k, u in enumerate([b"U1", user, b"U3"])))
+        caplog.set_level(logging.INFO, logger="dualrec")
+        assert main(["ingest", "--input", str(reviews), "--out", str(store)]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0] == "line 2: reviewerID is not valid UTF-8 text"
+        assert messages[1].startswith("ingested 2 records (1 skipped) -> 2 users x 1 products")
+        assert main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv"),
+                     "--store-out", str(tmp_path / "scored.json")]) == 0
+        assert len((tmp_path / "r.tsv").read_text(encoding="utf-8").splitlines()) == 3
+        assert load_store(tmp_path / "scored.json").user_ids == ("U1", "U3")
+
+    def test_a_byte_that_is_not_utf8_outside_a_key(self, tmp_path, caplog):
+        # a field ingest never reads keeps its review; the JSON syntax is invalid JSON
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_bytes(
+            b'{"reviewerID": "U1", "asin": "P1", "overall": 4, "unixReviewTime": 1, '
+            b'"summary": "caf\xe9 \xff"}\n'
+            b'{"reviewerID": "U2", \xff"asin": "P1", "overall": 4, "unixReviewTime": 2}\n')
+        caplog.set_level(logging.INFO, logger="dualrec")
+        assert main(["ingest", "--input", str(reviews), "--out", str(tmp_path / "s.json")]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0] == "line 2: invalid JSON"
+        assert messages[1].startswith("ingested 1 records (1 skipped) -> ")
+
     def test_missing_input(self, tmp_path):
         code = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "s.json")])
@@ -338,6 +368,19 @@ class TestIngest:
         assert err == (f"error [bad-store]: cannot read store {store}: "
                        "user and product ids must hold no tab or line break\n")
 
+    @pytest.mark.parametrize("field", ["users", "products"])
+    def test_store_with_a_key_that_is_not_utf8_is_bad_store(self, tmp_path, capsys, field):
+        store = tmp_path / "store.json"
+        store.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
+            "users": ["u"], "products": ["p"], "entries": [[0, 0, 4, 0, 0, 1]],
+            "reliability": [], field: ["k\udcff"],
+        }))
+        line = error_line(capsys, ["reliability", "--store", str(store),
+                                   "--out", str(tmp_path / "r.tsv")])
+        assert line == (f"error [bad-store]: cannot read store {store}: "
+                        "user and product ids must be valid UTF-8 text")
+
     @pytest.mark.parametrize("field, ids", [("users", [" u"]), ("products", ["p\u00a0"])])
     def test_store_with_a_padded_key_is_bad_store(self, tmp_path, capsys, field, ids):
         # predict strips each pairs line, so it could never name such a key
@@ -363,14 +406,15 @@ class TestIngest:
             "users": ["u"], "products": ["p"], "entries": [[0, 0, 0.5, 0, 0, 1]],
             "reliability": [],
         }))
-        if with_copy:  # the copy holds the JSON's digest, so only its rules can refuse it
-            meta = {"layout": ingest_mod.COPY_LAYOUT, "users": ["u"], "products": ["p"],
-                    "sha256": ingest_mod._digest(store.read_bytes())}
+        if with_copy:  # the copy holds its own digest, so only its rules can refuse it
             ints = np.array([0])
-            save_sections(copy_path(store), ingest_mod.COPY_KIND, meta, [
-                ("user", ints), ("product", ints), ("raw", [0.5]), ("raw_is_int", [0.0]),
-                ("helpful_yes", ints), ("votes_total", ints), ("unix_time", ints + 1),
-                ("reliability", [math.nan])])
+            cols = {"user": ints, "product": ints, "raw": np.array([0.5]),
+                    "raw_is_int": np.array([0.0]), "helpful_yes": ints, "votes_total": ints,
+                    "unix_time": ints + 1, "reliability": np.array([math.nan])}
+            unchecked = ingest_mod.InteractionStore(("u",), ("p",), **cols)
+            meta = {"layout": ingest_mod.COPY_LAYOUT, "users": ["u"], "products": ["p"],
+                    "sha256": ingest_mod._digest(store.read_bytes(), unchecked)}
+            save_sections(copy_path(store), ingest_mod.COPY_KIND, meta, cols.items())
         line = error_line(capsys, ["reliability", "--store", str(store),
                                    "--out", str(tmp_path / "r.tsv")])
         assert line == (f"error [bad-store]: cannot read store {store}: "

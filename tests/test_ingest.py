@@ -127,6 +127,16 @@ class TestParse:
         assert len(result.records) == 1
         assert result.warnings == [f"line 2: {key} holds a tab or line break"]
 
+    @pytest.mark.parametrize("key, fault", [
+        (b"U\xff2".decode("utf-8", "surrogateescape"), "is not valid UTF-8 text"),
+        (json.loads('"U\\udcff2"'), "is not valid UTF-8 text"),
+        (json.loads('"Zo\\u00eb\\ud83d\\ude00"'), None),
+    ], ids=["raw-byte", "json-escape", "json-escaped-pair"])
+    def test_a_key_with_a_lone_surrogate_is_not_utf8(self, key, fault):
+        # an undecodable byte read with surrogateescape, or an escape the decoder
+        # cannot pair, leaves a lone surrogate that no UTF-8 output can write
+        assert (ingest._key_fault(key) or [None])[0] == fault
+
     @pytest.mark.parametrize("key", ["reviewerID", "asin"])
     @pytest.mark.parametrize("value", [" k1", "k1 ", "\u00a0k1"], ids=["lead", "trail", "nbsp"])
     def test_a_padded_key_is_skipped(self, key, value):

@@ -3,70 +3,16 @@
 Every store built from outside data ends in it: entry rows (``build_store``,
 the JSON reader and ``_make_store``), the columnar copy and the synthetic
 generator. ``restrict`` and ``with_reliability`` derive from a store that
-was already checked. An AST scan pins that no other function calls
-``InteractionStore(``, and that ``harness`` imports no private name of
-``ingest``.
+was already checked. ``tests/test_source_rules.py`` pins that no other
+function calls ``InteractionStore(``.
 """
-
-import ast
-import pathlib
 
 import numpy as np
 import pytest
 
-import dualrec
 from dualrec.ingest import _COLUMNS, _make_store, store_from_columns
 
 from test_store_copy import contents, mixed_store
-
-SRC = pathlib.Path(dualrec.__file__).parent
-
-
-def store_constructions(path) -> list:
-    """(enclosing top-level name, line) of each call of ``InteractionStore``
-    in a source file, by name or as an attribute; None names module level."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = []
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "InteractionStore" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                found.append((owner, node.lineno))
-    return found
-
-
-def private_ingest_names(path) -> list:
-    """Each underscore name a source file imports from ``ingest`` or reads as ``ingest._x``."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.module == "ingest":
-            found += [alias.name for alias in node.names if alias.name.startswith("_")]
-        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-              and isinstance(node.value, ast.Name) and node.value.id == "ingest"):
-            found.append(node.attr)
-    return found
-
-
-def test_the_scans_see_each_form(tmp_path):
-    source = tmp_path / "mod.py"
-    source.write_text("from .ingest import (InteractionStore,\n    _make_store)\n"
-                      "a = InteractionStore((), ())\n"
-                      "def f():\n    return ingest.InteractionStore((), ())\n"
-                      "class C:\n    def m(self):\n        return ingest._load_copy(1, 2)\n"
-                      "def g(store):\n    return isinstance(store, InteractionStore)\n")
-    assert store_constructions(source) == [(None, 3), ("f", 5)]
-    assert private_ingest_names(source) == ["_make_store", "_load_copy"]
-
-
-def test_one_function_constructs_every_store():
-    found = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
-             for owner, _ in store_constructions(path)]
-    assert found == [("ingest.py", "store_from_columns")]
-
-
-def test_harness_imports_no_private_name_of_ingest():
-    assert private_ingest_names(SRC / "harness.py") == []
 
 
 def columns_of(store) -> dict:

@@ -6,9 +6,10 @@ Generates WORKLOAD's reviews at SEED as ``perfbench/run.py`` does, runs
 its stage sequence (``Bench.stage_args``: ingest, reliability, split,
 pretrain-mf, pretrain-mlp, train, evaluate, predict) once, each stage in
 a fresh process as an untraced repetition runs it, and prints one JSON
-object that maps each output file to its sha256. Two checkouts that
-print the same object write the same bytes. The work directory is made
-under ``.perfbench_work/`` and removed afterwards.
+object that maps each output file, and the ``.cols`` copy beside each
+store among them, to its sha256. Two checkouts that print the same
+object write the same bytes. The work directory is made under
+``.perfbench_work/`` and removed afterwards.
 """
 
 import argparse
@@ -23,6 +24,11 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
 sys.path.insert(0, PERFBENCH)
 
 import run  # noqa: E402
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def stage_digests(workload: str, seed: int) -> dict:
@@ -41,8 +47,10 @@ def stage_digests(workload: str, seed: int) -> dict:
                                  f"{proc.stderr}")
         digests = {}
         for name in run.OUTPUTS:
-            with open(os.path.join(out, name), "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+            digests[name] = sha256_of(os.path.join(out, name))
+            copy = name + ".cols"  # ingest.COPY_SUFFIX: a saved store's columnar copy
+            if os.path.exists(os.path.join(out, copy)):
+                digests[copy] = sha256_of(os.path.join(out, copy))
         return digests
     finally:
         bench.close()
