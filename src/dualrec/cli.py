@@ -22,7 +22,7 @@ from . import harness, ingest
 from . import mf_model, mlp_model
 from . import reliability as reliability_mod
 from .linalg import TrainingDivergedError
-from .metrics import DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, check_cutoff, check_threshold
+from .metrics import check_cutoff
 
 log = logging.getLogger("dualrec")
 
@@ -100,7 +100,7 @@ def _parse_lists(args) -> None:
     """Turn each comma-separated flag into a tuple of values, before any work starts."""
     for dest, (kind, noun, check) in _LIST_FLAGS.items():
         text = getattr(args, dest, None)
-        if not isinstance(text, str):  # not given, or a default that is already a tuple
+        if text is None:  # not given
             continue
         flag = f"--{dest.replace('_', '-')}"
         try:
@@ -176,8 +176,8 @@ def _train_stores(args):
 
 
 def _config(base: harness.ExperimentConfig, **flags) -> harness.ExperimentConfig:
-    """``base`` with each field whose training flag was given set to its value;
-    a flag that was not given is None and keeps the base value."""
+    """``base`` with each field whose flag was given set to its value, checked
+    as every config is; a flag that was not given is None and keeps the base value."""
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -185,10 +185,8 @@ def cmd_pretrain_mf(args) -> int:
     # the branch's head width is the last tower width, as in the full pipeline
     config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
                      lr=args.lr, seed=args.seed, epochs_mf=args.epochs, reg_lambda=args.reg_lambda,
-                     tower=None if args.p is None else (args.p,))
-    mf_model.MfHyperparams(config.latent_dim, config.tower[-1])  # refuses --p below 1 first
-    stores = _train_stores(args)
-    params = harness.pretrain_mf(config, *stores, on_epoch=_epoch_logger)
+                     tower=args.tower)
+    params = harness.pretrain_mf(config, *_train_stores(args), on_epoch=_epoch_logger)
     mf_model.save_mf(params, args.out)
     return 0
 
@@ -196,9 +194,7 @@ def cmd_pretrain_mf(args) -> int:
 def cmd_pretrain_mlp(args) -> int:
     config = _config(harness.ExperimentConfig(), latent_dim=args.k, batch_size=args.batch_size,
                      lr=args.lr, seed=args.seed, epochs_mlp=args.epochs, tower=args.tower)
-    mlp_model.check_tower(config.latent_dim, config.tower)  # refuses a bad --tower first
-    stores = _train_stores(args)
-    params = harness.pretrain_mlp(config, *stores, on_epoch=_epoch_logger)
+    params = harness.pretrain_mlp(config, *_train_stores(args), on_epoch=_epoch_logger)
     mlp_model.save_mlp(params, args.out)
     return 0
 
@@ -233,11 +229,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    check_threshold(args.threshold)
+    config = _config(harness.ExperimentConfig(), cutoffs=args.cutoffs,
+                     relevance_threshold=args.threshold)
     store = _rated_store(args.store)
     model = _read(fusion_mod.load_fusion, args.model, "model")
     _check_fits(f"model {args.model}", model.mf, args.store, store)
-    report = harness.evaluate_model(model, store, cutoffs=args.cutoffs, threshold=args.threshold)
+    report = harness.evaluate_model(model, store, config.cutoffs, config.relevance_threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.as_kv_text())
     if args.tsv:
@@ -325,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     # A training flag left out is None and keeps the config's value.
     def common_train_flags(p):
         p.add_argument("--k", type=int, help="latent dimension")
+        p.add_argument("--tower", help="comma-separated MLP layer widths; the last is the "
+                                       "head width of both branches")
         p.add_argument("--batch-size", type=int)
         p.add_argument("--epochs", type=int)
         p.add_argument("--lr", type=float)
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--val-store", help="validation store for early stopping")
-    p.add_argument("--p", type=int, help="predictive dimension (default: the last tower width)")
     p.add_argument("--reg-lambda", type=float)
     common_train_flags(p)
     p.set_defaults(handler=cmd_pretrain_mf)
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="checkpoint to write")
     p.add_argument("--val-store", help="validation store for early stopping")
-    p.add_argument("--tower", help="comma-separated layer widths")
     common_train_flags(p)
     p.set_defaults(handler=cmd_pretrain_mlp)
 
@@ -386,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="fused checkpoint")
     p.add_argument("--out", required=True, help="key-value report file")
     p.add_argument("--tsv", help="also write a single-row TSV report")
-    p.add_argument("--cutoffs", default=DEFAULT_CUTOFFS, help="top-t cutoffs, comma-separated")
-    p.add_argument("--threshold", type=float, default=RELEVANCE_THRESHOLD,
-                   help="relevance threshold")
+    p.add_argument("--cutoffs", help="top-t cutoffs, comma-separated")
+    p.add_argument("--threshold", type=float, help="relevance threshold")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("predict", help="predict ratings for user/product key pairs")

@@ -190,7 +190,7 @@ def _check_types(spec) -> None:
             raise ValueError(f"{f.name} must be {check[1]}, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one pipeline run needs, loadable from nested JSON."""
 
@@ -217,8 +217,7 @@ class ExperimentConfig:
         for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
             self.fit(epochs)  # ValueError naming a bad loop setting
         _check_types(self)
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        check_tower(self.latent_dim, self.tower)  # both branches' head width is tower[-1]
         check_nonnegative("reg_lambda", self.reg_lambda)
         for name in ("rel_alpha", "gamma"):
             reliability_mod.check_unit(name, getattr(self, name))
@@ -236,9 +235,9 @@ class ExperimentConfig:
         the wrong JSON type in any section: an integer field takes an integer
         (not true or false), a number field any number, a flag true or false.
         So does a ``reliability.alpha`` or a ``model.gamma`` outside [0, 1], a
-        ``model.latent_dim`` below 1, a ``model.reg_lambda`` below 0, an
-        ``eval.cutoffs`` entry below 1, and a NaN or infinite
-        ``model.reg_lambda`` or ``eval.threshold``.
+        ``model.latent_dim`` below 1, a ``model.tower`` that :func:`check_tower`
+        refuses, a ``model.reg_lambda`` below 0, an ``eval.cutoffs`` entry
+        below 1, and a NaN or infinite ``model.reg_lambda`` or ``eval.threshold``.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -351,9 +350,8 @@ def train_pipeline(
 ):
     """Pre-train both branches, fuse them and fine-tune the fused model.
 
-    Returns (model, phase_seconds). A bad tower is refused before any training.
+    Returns (model, phase_seconds).
     """
-    check_tower(config.latent_dim, config.tower)
     timings = {}
     started = time.perf_counter()
     mf_params = pretrain_mf(config, train_store, val_store, on_epoch)

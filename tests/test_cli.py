@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualrec import harness
 from dualrec import ingest as ingest_mod
 from dualrec import reliability as reliability_mod
 from dualrec.checkpoint import save_sections
@@ -207,6 +208,31 @@ class TestBasics:
                                    "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
         assert line == want.format(config=config)
 
+    @pytest.mark.parametrize("argv, data", [
+        ("train --store {t}/store.json --out {t}/m.ckpt", {}),
+        ("train --store {t}/store.json --mf {t}/mf.ckpt --mlp {t}/mlp.ckpt --out {t}/m.ckpt", {}),
+        ("sweep --out-dir {t}/out", {"store": "{t}/store.json"}),
+        ("sweep --out-dir {t}/out", {"synthetic": {
+            "n_users": 9, "n_products": 8, "true_rank": 2, "observation_density": 0.5,
+            "noise_std": 0.1, "seed": 5}}),
+    ], ids=["train", "train-branches", "sweep-store", "sweep-synthetic"])
+    def test_a_config_tower_that_does_not_fit_is_refused_before_any_store(
+            self, tmp_path, capsys, monkeypatch, argv, data):
+        assert main(["synth", "--users", "12", "--products", "10",
+                     "--out", str(tmp_path / "store.json")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": data, "model": {"tower": [64, 8]}})
+                          .replace("{t}", str(tmp_path)))
+        opened = []  # each store read or generated
+        monkeypatch.setattr(ingest_mod, "load_store", lambda *a: opened.append(a))
+        monkeypatch.setattr(harness, "gen_synthetic", lambda *a: opened.append(a))
+        before = sorted(tmp_path.iterdir())
+        line = error_line(capsys, argv.format(t=tmp_path).split() + ["--config", str(config)])
+        assert line == (f"error [bad-config]: cannot parse config {config}: "
+                        "tower widths must be non-increasing from 16, got [64, 8]")
+        assert opened == []
+        assert sorted(tmp_path.iterdir()) == before  # no --out-dir, no checkpoint
+
     @pytest.mark.parametrize("argv", [
         ["train", "--store", "{t}/missing.json", "--out", "{t}/m.ckpt"],
         ["sweep", "--out-dir", "{t}/out"],
@@ -222,7 +248,8 @@ class TestBasics:
     @pytest.mark.parametrize("argv", [
         "pretrain-mlp --store {t}/store.json --out {t}/x.ckpt --init-from-factors",
         "train --store {t}/store.json --out {t}/x.ckpt --freeze-branches",
-    ], ids=["init-from-factors", "freeze-branches"])
+        "pretrain-mf --store {t}/store.json --out {t}/x.ckpt --p 8",
+    ], ids=["init-from-factors", "freeze-branches", "predictive-dim"])
     def test_a_removed_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         assert main(["synth", "--users", "12", "--products", "10",
                      "--out", str(tmp_path / "store.json")]) == 0
@@ -230,7 +257,7 @@ class TestBasics:
         before = sorted(tmp_path.iterdir())
         assert main(argv.format(t=tmp_path).split()) == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: " + argv.split()[-1] in err
+        assert "unrecognized arguments: --" + argv.split(" --")[-1] in err
         assert sorted(tmp_path.iterdir()) == before  # nothing written
 
     def test_train_reads_no_config_from_the_environment(self, tmp_path, monkeypatch):
@@ -495,7 +522,7 @@ def run_pipeline(tmp_path, seed="7", epochs="2", flags=None, run=main):
         ["reliability", "--store", str(store), "--out", str(tmp_path / "rel.tsv"),
          "--store-out", str(scored)],
         ["pretrain-mf", "--store", str(scored), "--out", str(mf), "--k", "3",
-         "--p", "2", "--epochs", epochs, "--seed", seed],
+         "--tower", "6,2", "--epochs", epochs, "--seed", seed],
         ["pretrain-mlp", "--store", str(scored), "--out", str(mlp), "--k", "3",
          "--tower", "6,2", "--epochs", epochs, "--seed", seed],
         ["train", "--store", str(scored), "--mf", str(mf), "--mlp", str(mlp),
@@ -750,7 +777,7 @@ class TestDeterminismAndSmoke:
             ["synth", "--users", "50", "--products", "40", "--rank", "2",
              "--seed", "7", "--out", str(store)],
             ["pretrain-mf", "--store", str(store), "--out", str(mf),
-             "--k", "4", "--p", "4", "--epochs", "12", "--seed", "7"],
+             "--k", "4", "--tower", "8,4", "--epochs", "12", "--seed", "7"],
             ["pretrain-mlp", "--store", str(store), "--out", str(mlp),
              "--k", "4", "--tower", "8,4", "--epochs", "12", "--seed", "7"],
             ["train", "--store", str(store), "--mf", str(mf), "--mlp", str(mlp),
@@ -775,8 +802,8 @@ def trained(tmp_path_factory):
                  "synth --users 16 --products 10 --seed 5 --out {d}/store16.json",
                  "pretrain-mlp --store {d}/store16.json --out {d}/mlp16.ckpt --epochs 1",
                  "pretrain-mf --store {d}/store.json --out {d}/mf.ckpt --epochs 1",
-                 "pretrain-mf --store {d}/store.json --out {d}/mf6.ckpt --epochs 1 --p 6",
-                 "pretrain-mf --store {d}/store.json --out {d}/mf4.ckpt --epochs 1 --k 4",
+                 "pretrain-mf --store {d}/store.json --out {d}/mf6.ckpt --epochs 1 --tower 6",
+                 "pretrain-mf --store {d}/store.json --out {d}/mf4.ckpt --epochs 1 --k 4 --tower 8",
                  "pretrain-mlp --store {d}/store.json --out {d}/mlp.ckpt --epochs 1",
                  "train --store {d}/store.json --mf {d}/mf.ckpt --mlp {d}/mlp.ckpt "
                  "--epochs 1 --out {d}/fused.ckpt"):
@@ -833,8 +860,8 @@ class TestErrorCategories:
          "error [bad-args]: epochs must be an integer >= 0, got -3"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --lr -1",
          "error [bad-args]: lr must be a finite number >= 0, got -1.0"),
-        ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --p 0",
-         "error [bad-args]: predictive_dim must be >= 1"),
+        ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --tower 0",
+         "error [bad-args]: tower widths must be >= 1, got [0]"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --k 0",
          "error [bad-args]: latent_dim must be >= 1"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
@@ -981,15 +1008,18 @@ class TestErrorCategories:
          "latent_dim must be >= 1"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --k 0",
          "latent_dim must be >= 1"),
-        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --p 0",
-         "predictive_dim must be >= 1"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --tower 0",
+         "tower widths must be >= 1, got [0]"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 0",
          "tower widths must be >= 1, got [0]"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 8,16",
          "tower widths must be non-increasing from 16, got [8, 16]"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --k 4",
+         "tower widths must be non-increasing from 8, got [16, 8]"),
     ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
             "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp",
-            "head-width-zero-mf", "tower-zero-mlp", "widening-tower-mlp"])
+            "head-width-zero-mf", "tower-zero-mlp", "widening-tower-mlp",
+            "default-tower-too-wide-for-k-mf"])
     def test_a_number_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv,
                                                                  want):
         line = error_line(capsys, argv.format(t=tmp_path).split())

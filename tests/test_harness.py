@@ -254,6 +254,10 @@ class TestConfigParsing:
         assert config.cutoffs == (3, 7)
         assert config.relevance_threshold == 4
 
+    def test_the_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().tower = (64, 8)
+
     def test_empty_document_gives_the_defaults(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
 
@@ -293,6 +297,7 @@ class TestConfigParsing:
         ({"model": {"batch_size": 0}}, "batch_size"),
         ({"model": {"epochs_mlp": -1}}, "epochs"),
         ({"model": {"patience": 1.5}}, "patience"),
+        ({"model": {"tower": [64, 8]}}, r"non-increasing from 16, got \[64, 8\]"),
     ])
     def test_unknown_section_or_key_rejected(self, doc, name):
         with pytest.raises(ValueError, match=name):

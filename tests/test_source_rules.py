@@ -5,6 +5,9 @@
 - only ``__main__.run`` freezes the heap, and only ``__main__.py`` holds a
   ``__name__ == "__main__"`` guard, which would run a command unfrozen;
 - only ``ingest.store_from_columns`` calls ``InteractionStore(``;
+- only ``harness.ExperimentConfig`` and the library guards of ``mlp_model``
+  call ``check_tower``, so every command checks its tower once, when its
+  config is made;
 - ``harness`` takes its store from its caller, so it reads no private name
   of ``ingest`` and no ``load_store``: only the CLI opens a store file;
 - neither branch module imports the other, so each can change alone.
@@ -61,9 +64,13 @@ def main_guard(node) -> bool:
         ast.dump(side) for side in (node.left, *node.comparators)} >= MAIN_SIDES
 
 
-def store_construction(node) -> bool:
-    return isinstance(node, ast.Call) and "InteractionStore" in (
+def calls(name):
+    """Rule: a call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+store_construction = calls("InteractionStore")
 
 
 def private_ingest_name(node) -> bool:
@@ -125,6 +132,10 @@ RULES = [  # (rule, the files of src/dualrec it scans, the (file, top-level name
     pytest.param(main_guard, "*.py", [("__main__.py", None)], id="main-guard"),
     pytest.param(store_construction, "*.py", [("ingest.py", "store_from_columns")],
                  id="store-construction"),
+    pytest.param(calls("check_tower"), "*.py",
+                 [("harness.py", "ExperimentConfig"), ("mlp_model.py", "MlpHyperparams"),
+                  ("mlp_model.py", "init_mlp"), ("mlp_model.py", "section_shapes")],
+                 id="check-tower"),
     pytest.param(private_ingest_name, "harness.py", [], id="harness-private-ingest-name"),
     pytest.param(load_store_use, "harness.py", [], id="harness-load-store"),
     pytest.param(imports("mlp_model"), "mf_model.py", [], id="mf_model-imports-mlp_model"),
