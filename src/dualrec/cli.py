@@ -124,8 +124,9 @@ def _epoch_logger(phase, epoch, loss, seconds):
 def cmd_ingest(args) -> int:
     if not os.path.isfile(args.input):
         raise CliError("input-not-found", f"input not found: {args.input}")
-    # a byte that is not UTF-8 reaches the key rule, or the decoder as invalid JSON
-    with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # a leading BOM is dropped; a byte that is not UTF-8 reaches the key rule,
+    # or the decoder as invalid JSON
+    with open(args.input, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         result = ingest.parse_reviews(fh)
     for warning in result.warnings:
         log.warning("%s", warning)
@@ -250,11 +251,14 @@ def cmd_predict(args) -> int:
     if not os.path.isfile(args.pairs):
         raise CliError("input-not-found", f"pairs file not found: {args.pairs}")
     users, products = [], []  # the keys as two lists: no object per pair
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        for line in fh:
+    # a leading BOM is dropped; a byte that is not UTF-8 becomes a lone surrogate
+    with open(args.pairs, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and any("\udc80" <= char <= "\udcff" for char in line):
+                raise CliError("bad-args", f"pairs file {args.pairs} line {number} is not UTF-8")
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CliError("bad-args", f"pairs lines must be 'user<TAB>product', got {line!r}")

@@ -264,7 +264,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             try:
                 doc = json.load(fh)
             except RecursionError as exc:  # nested deeper than the parser's stack

@@ -115,8 +115,12 @@ def svd_init(store: InteractionStore, latent_dim: int):
     :class:`PairMatrix`, so no users x products array is built.
     Returns ((W, Z), (E, F)): W = (U sqrt(S))^T and Z = sqrt(S) V^T from
     the rating matrix, and the same recipe on the reliability matrix.
+    ValueError for a ``latent_dim`` above the store's users or products.
     """
     shape = (store.n_users, store.n_products)
+    if latent_dim > min(shape):
+        raise ValueError(f"latent_dim must be at most the store's {shape[0]} users and "
+                         f"{shape[1]} products, got {latent_dim}")
 
     def decompose(pairs):
         u, s, vt = truncated_svd(PairMatrix(*pairs[:3], shape), latent_dim)

@@ -353,6 +353,16 @@ class TestIngest:
         assert messages[0] == "line 2: invalid JSON"
         assert messages[1].startswith("ingested 1 records (1 skipped) -> ")
 
+    def test_a_leading_bom_is_dropped(self, tmp_path, reviews_file, caplog):
+        with_bom = tmp_path / "bom.jsonl"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + reviews_file.read_bytes())
+        caplog.set_level(logging.INFO, logger="dualrec")
+        for path, out in ((reviews_file, "plain.json"), (with_bom, "bom.json")):
+            assert main(["ingest", "--input", str(path), "--out", str(tmp_path / out)]) == 0
+        assert [r.getMessage().split(" -> ")[0] for r in caplog.records] == [
+            "ingested 120 records (0 skipped)"] * 2
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_missing_input(self, tmp_path):
         code = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "s.json")])
@@ -380,9 +390,18 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error [bad-store]") and "Traceback" not in err, err
 
-    @pytest.mark.parametrize("field, ids", [("users", ["u\t1"]), ("products", ["p\n2"])])
-    def test_store_with_a_key_that_breaks_a_tsv_row_is_bad_store(self, tmp_path, capsys,
-                                                                 field, ids):
+    @pytest.mark.parametrize("field, ids, rule", [
+        ("users", ["u\t1"], "must hold no tab or line break"),
+        ("products", ["p\n2"], "must hold no tab or line break"),
+        ("users", ["k\udcff"], "must be valid UTF-8 text"),
+        ("products", ["k\udcff"], "must be valid UTF-8 text"),
+        ("users", [" u"], "must have no leading or trailing whitespace"),
+        ("products", ["p\u00a0"], "must have no leading or trailing whitespace"),
+    ], ids=["users-tab", "products-newline", "users-not-utf8", "products-not-utf8",
+            "users-padded", "products-padded"])
+    def test_store_with_a_bad_key_is_bad_store(self, tmp_path, capsys, field, ids, rule):
+        # the TSV outputs split rows on tabs and line breaks and are written as UTF-8,
+        # and predict strips each pairs line, so it could never name a padded key
         store = tmp_path / "store.json"
         store.write_text(json.dumps({
             "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
@@ -391,37 +410,8 @@ class TestIngest:
         }))
         code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err == (f"error [bad-store]: cannot read store {store}: "
-                       "user and product ids must hold no tab or line break\n")
-
-    @pytest.mark.parametrize("field", ["users", "products"])
-    def test_store_with_a_key_that_is_not_utf8_is_bad_store(self, tmp_path, capsys, field):
-        store = tmp_path / "store.json"
-        store.write_text(json.dumps({
-            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
-            "users": ["u"], "products": ["p"], "entries": [[0, 0, 4, 0, 0, 1]],
-            "reliability": [], field: ["k\udcff"],
-        }))
-        line = error_line(capsys, ["reliability", "--store", str(store),
-                                   "--out", str(tmp_path / "r.tsv")])
-        assert line == (f"error [bad-store]: cannot read store {store}: "
-                        "user and product ids must be valid UTF-8 text")
-
-    @pytest.mark.parametrize("field, ids", [("users", [" u"]), ("products", ["p\u00a0"])])
-    def test_store_with_a_padded_key_is_bad_store(self, tmp_path, capsys, field, ids):
-        # predict strips each pairs line, so it could never name such a key
-        store = tmp_path / "store.json"
-        store.write_text(json.dumps({
-            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 1,
-            "users": ["u"], "products": ["p"], "entries": [[0, 0, 4, 0, 0, 1]],
-            "reliability": [], field: ids,
-        }))
-        code = main(["reliability", "--store", str(store), "--out", str(tmp_path / "r.tsv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == (f"error [bad-store]: cannot read store {store}: "
-                       "user and product ids must have no leading or trailing whitespace\n")
+        assert capsys.readouterr().err == (f"error [bad-store]: cannot read store {store}: "
+                                           f"user and product ids {rule}\n")
 
     @pytest.mark.parametrize("with_copy", [False, True], ids=["json", "json-and-its-copy"])
     def test_store_rated_below_one_star_is_one_bad_store_line(self, tmp_path, capsys,
@@ -1167,6 +1157,41 @@ def test_predict_refuses_a_malformed_pairs_line(trained, tmp_path, capsys):
                                "--out", str(out)])
     assert line == "error [bad-args]: pairs lines must be 'user<TAB>product', got 'u2 p3'"
     assert not out.exists()
+
+
+def test_predict_drops_a_leading_bom(trained, tmp_path):
+    outs = []
+    for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        pairs, out = tmp_path / f"{name}.tsv", tmp_path / f"{name}-preds.tsv"
+        pairs.write_bytes(head + b"u0\tp0\nu2\tp3\n")
+        assert main(["predict", "--store", str(trained / "store.json"), "--model",
+                     str(trained / "fused.ckpt"), "--pairs", str(pairs), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+    assert outs[0].startswith(b"u0\tp0\t")
+
+
+def test_predict_refuses_a_pairs_line_that_is_not_utf8(trained, tmp_path, capsys):
+    pairs, out = tmp_path / "pairs.tsv", tmp_path / "preds.tsv"
+    pairs.write_bytes(b"u0\tp1\nu\xff2\tp3\n")
+    line = error_line(capsys, ["predict", "--store", str(trained / "store.json"), "--model",
+                               str(trained / "fused.ckpt"), "--pairs", str(pairs),
+                               "--out", str(out)])
+    assert line == f"error [bad-args]: pairs file {pairs} line 2 is not UTF-8"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "pretrain-mf --store {t}/store.json --out {t}/x.ckpt --epochs 1",
+    "train --store {t}/store.json --out {t}/x.ckpt --epochs 1",
+], ids=["pretrain-mf", "train"])
+def test_a_latent_dim_above_the_store_size_is_refused(tmp_path, capsys, argv):
+    assert main(["synth", "--users", "5", "--products", "4", "--density", "0.6",
+                 "--out", str(tmp_path / "store.json")]) == 0
+    line = error_line(capsys, argv.format(t=tmp_path).split())
+    assert line == ("error [bad-args]: latent_dim must be at most the store's 5 users "
+                    "and 4 products, got 8")
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain-mf", "pretrain-mlp", "train"])

@@ -133,32 +133,6 @@ class TestInit:
         assert not np.any(model.mf.user_rating == 99.0)
 
 
-class TestBlockIdentity:
-    def test_gamma_one_ignores_mlp_bitwise(self):
-        model = init_fusion(small_model().mf, small_model().mlp, gamma=1.0)
-        pairs = [(i, j) for i in range(4) for j in range(4)]
-        before = [fused_predict(model, i, j) for i, j in pairs]
-        rng = np.random.default_rng(3)
-        noisy = model.copy()
-        for arr in mlp_param_dict(noisy.mlp).values():
-            arr += rng.normal(size=arr.shape)
-        after = [fused_predict(noisy, i, j) for i, j in pairs]
-        assert before == after  # bitwise
-
-    def test_gamma_zero_ignores_mf_bitwise(self):
-        model = init_fusion(small_model().mf, small_model().mlp, gamma=0.0)
-        pairs = [(i, j) for i in range(4) for j in range(4)]
-        before = [fused_predict(model, i, j) for i, j in pairs]
-        rng = np.random.default_rng(4)
-        noisy = model.copy()
-        for name in ("user_rating", "prod_rating", "user_joint", "prod_joint",
-                     "prod_rel", "proj_rating", "proj_joint"):
-            arr = getattr(noisy.mf, name)
-            arr += rng.normal(size=arr.shape)
-        after = [fused_predict(noisy, i, j) for i, j in pairs]
-        assert before == after
-
-
 class TestForward:
     def test_bias_only(self):
         model = small_model()

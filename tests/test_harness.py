@@ -254,6 +254,12 @@ class TestConfigParsing:
         assert config.cutoffs == (3, 7)
         assert config.relevance_threshold == 4
 
+    def test_a_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"model": {"latent_dim": 3,
+                                                                 "tower": [6, 3]}}).encode())
+        assert ExperimentConfig.from_json(path) == ExperimentConfig(latent_dim=3, tower=(6, 3))
+
     def test_the_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExperimentConfig().tower = (64, 8)
