@@ -104,11 +104,10 @@ def _parse_lists(args) -> None:
             continue
         flag = f"--{dest.replace('_', '-')}"
         try:
-            values = tuple(kind(part) for part in text.split(",") if part)
+            values = tuple(kind(part) for part in text.split(","))
         except ValueError:
-            values = ()
-        if not values:
-            raise CliError("bad-args", f"{flag} takes comma-separated {noun}, got {text!r}")
+            raise CliError("bad-args",
+                           f"{flag} takes comma-separated {noun}, got {text!r}") from None
         try:
             for value in values if check else ():
                 check(value)

@@ -61,8 +61,7 @@ class SplitSpec:
             raise ValueError(f"fractions must be in (0, 1), got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
-        if self.folds < 1:
-            raise ValueError("folds must be >= 1")
+        _check_at_least(self, folds=1, seed=0)
 
 
 def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
@@ -109,9 +108,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_types(self)
-        for name in ("n_users", "n_products", "true_rank"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_at_least(self, n_users=1, n_products=1, true_rank=1, seed=0)
         if self.true_rank > min(self.n_users, self.n_products):
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
@@ -148,9 +145,8 @@ def gen_synthetic(spec: SyntheticSpec) -> InteractionStore:
     zeros = np.zeros(rows.size, np.int64)
     return store_from_columns(
         [f"u{i}" for i in range(n)], [f"p{j}" for j in range(m)], user=rows, product=cols,
-        raw=np.rint(observed) if spec.quantize else observed,
-        raw_is_int=np.full(rows.size, spec.quantize), helpful_yes=zeros, votes_total=zeros,
-        unix_time=np.arange(rows.size), reliability=rel[rows, cols])
+        raw=np.rint(observed) if spec.quantize else observed, helpful_yes=zeros,
+        votes_total=zeros, unix_time=np.arange(rows.size), reliability=rel[rows, cols])
 
 
 # JSON section -> {key: ExperimentConfig field}; "split" holds SplitSpec's fields.
@@ -178,6 +174,13 @@ _FIELD_TYPES = {
     tuple: (lambda x: isinstance(x, tuple) and all(map(_is_int, x)), "a list of integers"),
     str | None: (lambda x: x is None or isinstance(x, str), "a string or null"),
 }
+
+
+def _check_at_least(spec, **lows) -> None:
+    """ValueError naming the first integer field of ``spec`` below its low in ``lows``."""
+    for name, low in lows.items():
+        if getattr(spec, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(spec, name)}")
 
 
 def _check_types(spec) -> None:

@@ -48,7 +48,7 @@ STORE_VERSION = 1
 
 COPY_SUFFIX = ".cols"  # the columnar copy of a store file sits at its path plus this
 COPY_KIND = "store"
-COPY_LAYOUT = 1
+COPY_LAYOUT = 2
 
 _INT64 = range(-(2**63), 2**63)
 
@@ -123,10 +123,9 @@ class PairArrays(NamedTuple):
     raw: np.ndarray  # raw 1..5 rating of the pair
 
 
-_INT, _FLOAT = (np.int64,), (np.float64,)
-# the store's columns, in order -> the dtypes each may come in; a container keeps bools as float64
-_COLUMNS = {"user": _INT, "product": _INT, "raw": _FLOAT, "raw_is_int": (np.bool_, np.float64),
-            "helpful_yes": _INT, "votes_total": _INT, "unix_time": _INT, "reliability": _FLOAT}
+# the store's columns, in order -> the dtype of each
+_COLUMNS = {"user": np.int64, "product": np.int64, "raw": np.float64, "helpful_yes": np.int64,
+            "votes_total": np.int64, "unix_time": np.int64, "reliability": np.float64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +134,10 @@ class InteractionStore:
 
     One row per rated pair, in deduplicated input order, which fixes
     timeline tie-breaks and the on-disk layout. The columns are the
-    ``user``/``product`` indices, the ``raw`` 1..5 rating (float64;
-    ``raw_is_int`` says whether it arrived as an int), ``helpful_yes``,
-    ``votes_total``, ``unix_time`` (int64) and the ``reliability`` score
-    in [0, 1], NaN where a row is unscored. Everything else is derived
-    from them on first use.
+    ``user``/``product`` indices, the ``raw`` 1..5 rating (float64),
+    ``helpful_yes``, ``votes_total``, ``unix_time`` (int64) and the
+    ``reliability`` score in [0, 1], NaN where a row is unscored.
+    Everything else is derived from them on first use.
     """
 
     user_ids: tuple[str, ...]
@@ -147,7 +145,6 @@ class InteractionStore:
     user: np.ndarray
     product: np.ndarray
     raw: np.ndarray
-    raw_is_int: np.ndarray
     helpful_yes: np.ndarray
     votes_total: np.ndarray
     unix_time: np.ndarray
@@ -355,28 +352,25 @@ class _ColumnFault(ValueError):
 
 
 def store_from_columns(user_ids, product_ids, /, **columns) -> InteractionStore:
-    """The one checked constructor: the store of index maps and the eight
+    """The one checked constructor: the store of index maps and the seven
     named columns, which it takes over. They come in order, 1-D, of one
-    length and of their dtypes (``raw_is_int`` bool, or float64 0/1 as a
-    container keeps it). ValueError unless the keys are distinct and valid,
-    each pair lies inside the maps and appears once, each rating lies in
-    [MIN_RATING, MAX_RATING], the int flag is set only on whole ratings,
-    0 <= helpful_yes <= votes_total and each score is NaN or in [0, 1]."""
+    length and of their dtypes. ValueError unless the keys are distinct and
+    valid, each pair lies inside the maps and appears once, each rating lies
+    in [MIN_RATING, MAX_RATING], 0 <= helpful_yes <= votes_total and each
+    score is NaN or in [0, 1]."""
     _check_ids(user_ids, product_ids)
     cols = list(columns.values())
     if (list(columns) != list(_COLUMNS) or set(map(type, cols)) != {np.ndarray}
             or {col.shape for col in cols} != {(cols[0].size,)}
-            or any(col.dtype not in _COLUMNS[name] for name, col in columns.items())):
-        raise _ColumnFault("store columns must be the eight 1-D columns of one length and dtype")
-    i, j, raw, is_int, yes, total = cols[:6]
+            or any(col.dtype != _COLUMNS[name] for name, col in columns.items())):
+        raise _ColumnFault("store columns must be the seven 1-D columns of one length and dtype")
+    i, j, raw, yes, total = cols[:5]
     n_users, n_products = len(user_ids), len(product_ids)
     ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products) & (0 <= yes) & (yes <= total)
     ok &= (MIN_RATING <= raw) & (raw <= MAX_RATING)
-    ok &= (is_int == 0) | (is_int == 1) & (raw == np.floor(raw))
     if not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
         raise _ColumnFault("store columns break the rules of a store")
     _check_scores(columns["reliability"])
-    columns["raw_is_int"] = is_int.astype(bool, copy=False)
     return InteractionStore(tuple(user_ids), tuple(product_ids), **columns)
 
 
@@ -385,7 +379,6 @@ def _make_store(user_ids, product_ids, entries) -> InteractionStore:
     votes_total, unix_time) in input order; ValueError names a bad row."""
     cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int})) or []
     if cols:  # else rows of the wrong types give no columns, and the column rule refuses them
-        cols.insert(3, np.array([type(row[2]) is int for row in entries], dtype=bool))
         cols.append(np.full(len(entries), np.nan))
     try:
         return store_from_columns(user_ids, product_ids, **dict(zip(_COLUMNS, cols)))
@@ -490,8 +483,8 @@ def save_store(store: InteractionStore, path) -> None:
     """Write the store as canonical JSON (stable bytes for a given store),
     then its columnar copy; a copy that cannot be written is left out."""
     with _gc_paused():
-        # a raw rating is written as an int exactly when it arrived as one
-        raw = [int(v) if k else v for v, k in zip(store.raw.tolist(), store.raw_is_int.tolist())]
+        # a whole raw rating is written as an int
+        raw = [int(v) if v.is_integer() else v for v in store.raw.tolist()]
         doc = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,

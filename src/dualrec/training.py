@@ -52,7 +52,7 @@ class FitHyperparams:
     patience: int = 3
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0), ("patience", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

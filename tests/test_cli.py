@@ -116,7 +116,7 @@ class TestBasics:
         ({"model": {"latent_dim": True}}, "latent_dim must be an integer, got True"),
         ({"model": {"reg_lambda": "x"}}, "reg_lambda must be a number, got 'x'"),
         ({"model": {"gamma": "x"}}, "gamma must be a number, got 'x'"),
-        ({"model": {"seed": "a"}}, "seed must be an integer, got 'a'"),
+        ({"model": {"seed": "a"}}, "seed must be an integer >= 0, got 'a'"),
         ({"model": {"pretrain": False}}, "unknown key(s) in config section 'model': pretrain"),
         ({"model": {"freeze_branches": True}},
          "unknown key(s) in config section 'model': freeze_branches"),
@@ -150,6 +150,11 @@ class TestBasics:
         ({"model": {"reg_lambda": -0.5}}, "reg_lambda must be a finite number >= 0, got -0.5"),
         ({"eval": {"threshold": float("nan")}}, "threshold must be a finite number, got nan"),
         ({"eval": {"threshold": float("-inf")}}, "threshold must be a finite number, got -inf"),
+        ({"split": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ({"model": {"seed": -1}}, "seed must be an integer >= 0, got -1"),
+        ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
+                                 "observation_density": 0.5, "noise_std": 0.1, "seed": -1}}},
+         "seed must be >= 0, got -1"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
             "reg_lambda-string", "gamma-string", "seed-string", "pretrain-removed",
             "freeze_branches-removed", "init_tables_from_factors-removed", "tower-int",
@@ -158,7 +163,8 @@ class TestBasics:
             "synthetic-noise_std-nan", "synthetic-n_products-zero", "synthetic-true_rank-zero",
             "reliability-alpha-out-of-range", "eval-cutoff-zero",
             "reg_lambda-nan", "reg_lambda-negative", "eval-threshold-nan",
-            "eval-threshold-minus-inf"])
+            "eval-threshold-minus-inf", "split-seed-negative", "model-seed-negative",
+            "synthetic-seed-negative"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
@@ -170,6 +176,7 @@ class TestBasics:
         line = error_line(capsys, ["sweep", "--config", str(config),
                                    "--out-dir", str(tmp_path / "out")])
         assert line == f"error [bad-config]: cannot parse config {config}: {want}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, want", [
         (None, "error [config-not-found]: config not found: {config}"),
@@ -425,9 +432,9 @@ class TestIngest:
         }))
         if with_copy:  # the copy holds its own digest, so only its rules can refuse it
             ints = np.array([0])
-            cols = {"user": ints, "product": ints, "raw": np.array([0.5]),
-                    "raw_is_int": np.array([0.0]), "helpful_yes": ints, "votes_total": ints,
-                    "unix_time": ints + 1, "reliability": np.array([math.nan])}
+            cols = {"user": ints, "product": ints, "raw": np.array([0.5]), "helpful_yes": ints,
+                    "votes_total": ints, "unix_time": ints + 1,
+                    "reliability": np.array([math.nan])}
             unchecked = ingest_mod.InteractionStore(("u",), ("p",), **cols)
             meta = {"layout": ingest_mod.COPY_LAYOUT, "users": ["u"], "products": ["p"],
                     "sha256": ingest_mod._digest(store.read_bytes(), unchecked)}
@@ -957,6 +964,8 @@ class TestErrorCategories:
     @pytest.mark.parametrize("argv, want", [
         ("pretrain-mlp --tower 8,x", "--tower takes comma-separated integers, got '8,x'"),
         ("pretrain-mlp --tower ,", "--tower takes comma-separated integers, got ','"),
+        ("pretrain-mlp --tower 16,,8", "--tower takes comma-separated integers, got '16,,8'"),
+        ("pretrain-mlp --tower 16,8,", "--tower takes comma-separated integers, got '16,8,'"),
         ("evaluate --model {t}/missing.ckpt --cutoffs 5,x",
          "--cutoffs takes comma-separated integers, got '5,x'"),
         ("evaluate --model {t}/missing.ckpt --cutoffs 0", "--cutoffs: cutoff must be >= 1, got 0"),
@@ -968,8 +977,9 @@ class TestErrorCategories:
          "--train-fracs: training fraction must be in (0, 1), got nan"),
         ("sweep --config {t}/missing.json --train-fracs 0.5,1",
          "--train-fracs: training fraction must be in (0, 1), got 1.0"),
-    ], ids=["tower-word", "tower-empty", "cutoffs-word", "cutoffs-zero", "train-fracs-word",
-            "train-fracs-inf", "train-fracs-nan", "train-fracs-one"])
+    ], ids=["tower-word", "tower-empty", "tower-empty-item", "tower-trailing-comma",
+            "cutoffs-word", "cutoffs-zero", "train-fracs-word", "train-fracs-inf",
+            "train-fracs-nan", "train-fracs-one"])
     def test_list_flag_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv, want):
         command, *flags = argv.format(t=tmp_path).split()
         files = {"pretrain-mlp": "--store {t}/missing.json --out {t}/x.ckpt",
@@ -1006,10 +1016,18 @@ class TestErrorCategories:
          "tower widths must be non-increasing from 16, got [8, 16]"),
         ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --k 4",
          "tower widths must be non-increasing from 8, got [16, 8]"),
+        ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --seed -1",
+         "seed must be an integer >= 0, got -1"),
+        ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --seed -1",
+         "seed must be an integer >= 0, got -1"),
+        ("train --store {t}/missing.json --out {t}/x.ckpt --seed -1",
+         "seed must be an integer >= 0, got -1"),
+        ("synth --users 5 --products 5 --seed -1 --out {t}/x.json", "seed must be >= 0, got -1"),
     ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
             "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp",
             "head-width-zero-mf", "tower-zero-mlp", "widening-tower-mlp",
-            "default-tower-too-wide-for-k-mf"])
+            "default-tower-too-wide-for-k-mf", "negative-seed-mf", "negative-seed-mlp",
+            "negative-seed-train", "negative-seed-synth"])
     def test_a_number_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys, argv,
                                                                  want):
         line = error_line(capsys, argv.format(t=tmp_path).split())

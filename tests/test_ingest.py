@@ -282,6 +282,25 @@ class TestRoundTrip:
         save_store(load_store(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_whole_rating_is_written_as_an_int_and_a_resave_keeps_the_bytes(self, tmp_path):
+        # clipping leaves some continuous synthetic ratings at exactly 1.0 or 5.0
+        synthetic = gen_synthetic(SyntheticSpec(50, 40, 2, 0.3, 0.05, seed=7, quantize=False))
+        assert {1.0, 5.0} & set(synthetic.raw.tolist())
+        hand = tmp_path / "hand.json"
+        hand.write_text(json.dumps({
+            "format": "dualrec-store", "version": 1, "n_users": 1, "n_products": 2,
+            "users": ["u"], "products": ["p", "q"],
+            "entries": [[0, 0, 4.0, 0, 0, 1], [0, 1, 3.5, 0, 0, 2]], "reliability": []}))
+        for name, store in (("synthetic", synthetic), ("hand", load_store(hand))):
+            first, second = tmp_path / f"{name}-1.json", tmp_path / f"{name}-2.json"
+            save_store(store, first)
+            save_store(load_store(first), second)
+            assert first.read_bytes() == second.read_bytes()
+            ratings = [entry[2] for entry in json.loads(first.read_bytes())["entries"]]
+            assert [type(v) for v in ratings] == [int if v == int(v) else float for v in ratings]
+        hand_bytes = (tmp_path / "hand-1.json").read_bytes()
+        assert b'"entries":[[0,0,4,0,0,1],[0,1,3.5,0,0,2]]' in hand_bytes
+
     def test_save_bytes_are_pinned(self, tmp_path):
         # int and float raw ratings, a re-review that moves its pair to the
         # later input position, and reliability scores

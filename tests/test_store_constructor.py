@@ -16,7 +16,7 @@ from test_store_copy import contents, mixed_store
 
 
 def columns_of(store) -> dict:
-    """Writable copies of a store's eight columns, in order."""
+    """Writable copies of a store's seven columns, in order."""
     return {name: getattr(store, name).copy() for name in _COLUMNS}
 
 
@@ -26,10 +26,9 @@ def test_a_stores_own_columns_give_the_same_store():
                                        **columns_of(store))) == contents(store)
 
 
-def test_a_float_int_flag_becomes_bool_and_every_column_read_only():
+def test_every_column_is_read_only():
     store = mixed_store()
-    cols = columns_of(store) | {"raw_is_int": store.raw_is_int.astype(np.float64)}
-    built = store_from_columns(list(store.user_ids), list(store.product_ids), **cols)
+    built = store_from_columns(list(store.user_ids), list(store.product_ids), **columns_of(store))
     assert contents(built) == contents(store)
     assert not any(getattr(built, name).flags.writeable for name in _COLUMNS)
 
@@ -50,16 +49,12 @@ EDITS = {
     "int32-index": lambda cols: cols.update(user=cols["user"].astype(np.int32)),
     "float-index": lambda cols: cols.update(product=cols["product"].astype(np.float64)),
     "int-rating": lambda cols: cols.update(raw=cols["raw"].astype(np.int64)),
-    "int-flag": lambda cols: cols.update(raw_is_int=cols["raw_is_int"].astype(np.int64)),
     "index-outside-the-maps": set_first("product", 2),
     "negative-index": set_first("user", -1),
     "duplicate-pair": lambda cols: cols["product"].__setitem__(3, 0),
-    # row 1 holds the one fractional rating, 3.5, so its int flag is off
     "rating-half-a-star": lambda cols: cols["raw"].__setitem__(1, 0.5),
     "rating-above-five": lambda cols: cols["raw"].__setitem__(1, 5.5),
     "rating-nan": lambda cols: cols["raw"].__setitem__(1, np.nan),
-    "flag-on-a-fraction": lambda cols: cols["raw_is_int"].fill(True),
-    "float-flag-not-0-or-1": lambda cols: cols.update(raw_is_int=np.array([0.5, 0, 1, 0.0])),
     "helpful-over-total": set_first("helpful_yes", 3),
     "negative-votes": lambda cols: cols["helpful_yes"].__setitem__(1, -1),
     "score-above-one": set_first("reliability", 1.5),

@@ -152,7 +152,7 @@ DAMAGES = {
     "truncated": lambda path: copy_path(path).write_bytes(copy_path(path).read_bytes()[:-9]),
     "garbage": lambda path: copy_path(path).write_bytes(bytes(range(256)) * 4),
     "another-kind": rewrite_copy(lambda meta, cols: None, kind="mf"),
-    "layout-2": rewrite_copy(lambda meta, cols: meta.update(layout=2)),
+    "layout-1": rewrite_copy(lambda meta, cols: meta.update(layout=1)),
     "layout-true": rewrite_copy(lambda meta, cols: meta.update(layout=True)),
     "digest-of-other-bytes": rewrite_copy(lambda meta, cols: meta.update(sha256="0" * 64)),
     "no-digest": rewrite_copy(lambda meta, cols: meta.pop("sha256")),
@@ -164,8 +164,6 @@ DAMAGES = {
     "rating-zero": rewrite_copy(set_entry("raw", 0.0)),
     "rating-half-a-star": rewrite_copy(lambda meta, cols: cols["raw"].__setitem__(1, 0.5)),
     "helpful-over-total": rewrite_copy(set_entry("helpful_yes", 3)),
-    "int-flag-not-0-or-1": rewrite_copy(set_entry("raw_is_int", 0.5)),
-    "int-flag-on-a-fraction": rewrite_copy(lambda meta, cols: cols["raw_is_int"].fill(1)),
     "float-index-column": rewrite_copy(
         lambda meta, cols: cols.update(user=cols["user"].astype(float))),
     "int-rating-column": rewrite_copy(
