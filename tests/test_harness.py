@@ -31,17 +31,6 @@ class TestSplitSpec:
             SplitSpec(folds=0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: SplitSpec(seed=-1),
-    lambda: SyntheticSpec(5, 5, 2, 0.5, 0.0, seed=-1),
-    lambda: FitHyperparams(seed=-1),
-    lambda: ExperimentConfig(seed=-1),
-], ids=["split", "synthetic", "fit", "config"])
-def test_a_negative_seed_is_refused_by_name(make):
-    with pytest.raises(ValueError, match=r"^seed must be .*>= 0, got -1$"):
-        make()
-
-
 class TestSplit:
     def make_store(self, n_pairs=100):
         rng = np.random.default_rng(1)
