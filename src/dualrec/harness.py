@@ -22,7 +22,7 @@ from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cu
                       check_threshold, evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, check_tower, train_mlp
-from .training import FitHyperparams, check_nonnegative
+from .training import FitHyperparams, check_nonnegative, is_int
 
 __all__ = [
     "SplitSpec",
@@ -161,17 +161,13 @@ _JSON_KEYS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 # JSON type check and its description, per config field type (the fields
 # of ExperimentConfig, SplitSpec and SyntheticSpec)
 _FIELD_TYPES = {
-    int: (_is_int, "an integer"),
+    int: (is_int, "an integer"),
     float: (lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool), "a number"),
     bool: (lambda x: isinstance(x, bool), "true or false"),
-    tuple: (lambda x: isinstance(x, tuple) and all(map(_is_int, x)), "a list of integers"),
+    tuple: (lambda x: isinstance(x, tuple) and all(map(is_int, x)), "a list of integers"),
     str | None: (lambda x: x is None or isinstance(x, str), "a string or null"),
 }
 

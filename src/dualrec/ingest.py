@@ -290,44 +290,32 @@ def parse_reviews(stream: Iterable[str]) -> ParseResult:
     return result
 
 
-def _typed_columns(rows, kinds: tuple):
+def _typed_columns(rows, kinds: tuple, noun: str) -> list:
     """Numpy columns (int64 for kind ``{int}``, else float64) of ``rows``, a
-    list of lists or tuples with one value per kind, or None unless every
-    value's exact type is in its kind (a bool is no int) and fits its column."""
-    if (type(rows) not in (list, tuple) or set(map(type, rows)) - {list, tuple}
-            or set(map(len, rows)) - {len(kinds)}):
-        return None
-    cols = list(zip(*rows)) or [()] * len(kinds)
-    if any(set(map(type, col)) - kind for col, kind in zip(cols, kinds)):
-        return None
-    try:
-        return [np.array(col, np.int64 if kind == {int} else np.float64)
-                for col, kind in zip(cols, kinds)]
-    except OverflowError:
-        return None
+    list of lists or tuples with one value per kind whose exact type is in
+    its kind (a bool is no int) and fits its column; ValueError names the
+    first row, as ``<noun> N``, that is not."""
+    def columns(rows):
+        if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {len(kinds)}:
+            return None
+        cols = list(zip(*rows)) or [()] * len(kinds)
+        if any(set(map(type, col)) - kind for col, kind in zip(cols, kinds)):
+            return None
+        try:
+            return [np.array(col, np.int64 if kind == {int} else np.float64)
+                    for col, kind in zip(cols, kinds)]
+        except OverflowError:
+            return None
 
-
-def _first_bad_entry(entries, n_users: int, n_products: int) -> str:
-    """Why the first malformed entry row is malformed, found row by row."""
-    if type(entries) not in (list, tuple):
-        return "entries must be a list of rows"
-    seen: dict = {}  # pair -> its first row
-    for pos, row in enumerate(entries):
-        if type(row) not in (list, tuple) or len(row) != 6:
-            return f"entry {pos}: expected 6 fields, got {row!r}"
-        i, j, raw_rating, yes, total, when = row
-        if not all(type(v) is int and v in _INT64 for v in (i, j, yes, total, when)):
-            return f"entry {pos}: index, vote or time field is not an int64 integer: {row!r}"
-        if not (type(raw_rating) in (int, float) and MIN_RATING <= raw_rating <= MAX_RATING):
-            return (f"entry {pos}: raw rating must be a number in [{MIN_RATING}, {MAX_RATING}], "
-                    f"got {raw_rating!r}")
-        if not 0 <= yes <= total:
-            return f"entry {pos}: need 0 <= helpful_yes <= votes_total, got {row!r}"
-        if not (0 <= i < n_users and 0 <= j < n_products):
-            return f"entry {pos}: pair {(i, j)} outside the {n_users} x {n_products} store"
-        if seen.setdefault((i, j), pos) != pos:
-            return f"entry {pos}: duplicate pair {(i, j)}"
-    return "malformed entries"
+    if type(rows) not in (list, tuple):
+        raise ValueError(f"{noun} rows must be a list")
+    out = columns(rows)
+    if out is None:  # the same check, one row at a time, finds the first bad row
+        pos = next(pos for pos, row in enumerate(rows) if columns([row]) is None)
+        fields = ", ".join("int64" if kind == {int} else "number" for kind in kinds)
+        raise ValueError(f"{noun} {pos}: expected {len(kinds)} fields ({fields}), "
+                         f"got {rows[pos]!r}")
+    return out
 
 
 def _check_ids(user_ids, product_ids) -> None:
@@ -347,29 +335,37 @@ def _check_scores(column: np.ndarray) -> None:
         raise ValueError(f"reliability score {column[bad][0]} outside [0, 1]")
 
 
-class _ColumnFault(ValueError):
-    """Store columns that break a rule of a store; ``_make_store`` names the row instead."""
-
-
 def store_from_columns(user_ids, product_ids, /, **columns) -> InteractionStore:
     """The one checked constructor: the store of index maps and the seven
     named columns, which it takes over. They come in order, 1-D, of one
     length and of their dtypes. ValueError unless the keys are distinct and
-    valid, each pair lies inside the maps and appears once, each rating lies
-    in [MIN_RATING, MAX_RATING], 0 <= helpful_yes <= votes_total and each
-    score is NaN or in [0, 1]."""
+    valid, each rating lies in [MIN_RATING, MAX_RATING], 0 <= helpful_yes <=
+    votes_total, each pair lies inside the maps and appears once, and each
+    score is NaN or in [0, 1]; a row that breaks a rule is named as ``entry N``."""
     _check_ids(user_ids, product_ids)
     cols = list(columns.values())
     if (list(columns) != list(_COLUMNS) or set(map(type, cols)) != {np.ndarray}
             or {col.shape for col in cols} != {(cols[0].size,)}
             or any(col.dtype != _COLUMNS[name] for name, col in columns.items())):
-        raise _ColumnFault("store columns must be the seven 1-D columns of one length and dtype")
+        raise ValueError("store columns must be the seven 1-D columns of one length and dtype")
     i, j, raw, yes, total = cols[:5]
     n_users, n_products = len(user_ids), len(product_ids)
-    ok = (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products) & (0 <= yes) & (yes <= total)
-    ok &= (MIN_RATING <= raw) & (raw <= MAX_RATING)
-    if not ok.all() or (np.diff(np.sort(i * n_products + j)) == 0).any():
-        raise _ColumnFault("store columns break the rules of a store")
+    masks = [(MIN_RATING <= raw) & (raw <= MAX_RATING), (0 <= yes) & (yes <= total),
+             (0 <= i) & (i < n_users) & (0 <= j) & (j < n_products)]
+    keys = i * n_products + j
+    if not np.logical_and.reduce(masks).all() or (np.diff(np.sort(keys)) == 0).any():
+        order = np.argsort(keys, kind="stable")  # of a pair's rows, the later ones repeat it
+        once = np.ones(keys.size, bool)
+        once[order[1:]] = keys[order[1:]] != keys[order[:-1]]
+        masks.append(once)
+        k = int(np.argmin(np.logical_and.reduce(masks)))
+        pair = (int(i[k]), int(j[k]))
+        faults = [f"raw rating must be a number in [{MIN_RATING}, {MAX_RATING}], "
+                  f"got {float(raw[k])!r}",
+                  f"need 0 <= helpful_yes <= votes_total, got {(int(yes[k]), int(total[k]))}",
+                  f"pair {pair} outside the {n_users} x {n_products} store",
+                  f"duplicate pair {pair}"]
+        raise ValueError(f"entry {k}: " + next(f for m, f in zip(masks, faults) if not m[k]))
     _check_scores(columns["reliability"])
     return InteractionStore(tuple(user_ids), tuple(product_ids), **columns)
 
@@ -377,13 +373,9 @@ def store_from_columns(user_ids, product_ids, /, **columns) -> InteractionStore:
 def _make_store(user_ids, product_ids, entries) -> InteractionStore:
     """An unscored store of index maps and entry rows (i, j, raw, helpful_yes,
     votes_total, unix_time) in input order; ValueError names a bad row."""
-    cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int})) or []
-    if cols:  # else rows of the wrong types give no columns, and the column rule refuses them
-        cols.append(np.full(len(entries), np.nan))
-    try:
-        return store_from_columns(user_ids, product_ids, **dict(zip(_COLUMNS, cols)))
-    except _ColumnFault:
-        raise ValueError(_first_bad_entry(entries, len(user_ids), len(product_ids))) from None
+    cols = _typed_columns(entries, ({int}, {int}, {int, float}, {int}, {int}, {int}), "entry")
+    return store_from_columns(user_ids, product_ids, **dict(zip(_COLUMNS, cols)),
+                              reliability=np.full(len(entries), np.nan))
 
 
 def build_store(records: list[ReviewRecord]) -> InteractionStore:
@@ -413,12 +405,10 @@ def build_store(records: list[ReviewRecord]) -> InteractionStore:
 def _score_column(store: InteractionStore, reliability) -> np.ndarray:
     """Row-aligned score column, NaN where unscored, of the (user_idx,
     product_idx, score) triples a saved store lists. Each pair must be rated
-    and appear once; each score must lie in [0, 1], so NaN, which the column
-    reads as unscored, is refused."""
-    cols = _typed_columns(reliability, ({int}, {int}, {int, float}))
-    if cols is None:
-        raise ValueError("reliability must list (int user, int product, number score) triples")
-    users, products, values = cols
+    and appear once, and no score may be NaN, which the column reads as
+    unscored; :func:`with_reliability` checks the column's range."""
+    users, products, values = _typed_columns(reliability, ({int}, {int}, {int, float}),
+                                             "reliability triple")
     rows = np.full(users.size, -1)
     if users.size and store.raw.size:  # binary search of each pair's key
         order, n_products = store.pair_order, store.n_products
@@ -430,9 +420,8 @@ def _score_column(store: InteractionStore, reliability) -> np.ndarray:
     if (rows < 0).any():
         k = int(np.argmax(rows < 0))
         raise ValueError(f"reliability key {(int(users[k]), int(products[k]))} is not a rated pair")
-    bad = ~((0.0 <= values) & (values <= 1.0))
-    if bad.any():
-        raise ValueError(f"reliability score {values[bad][0]} outside [0, 1]")
+    if np.isnan(values).any():
+        raise ValueError("a reliability score is NaN")
     if (np.diff(np.sort(rows)) == 0).any():
         raise ValueError("a reliability pair appears twice")
     column = np.full(store.raw.size, np.nan)
@@ -456,10 +445,11 @@ def with_reliability(store: InteractionStore, column) -> InteractionStore:
 def restrict(store: InteractionStore, rows) -> InteractionStore:
     """Sub-store of the given rows, in input order. Index maps keep their
     size, so factor matrices built against the full store stay aligned."""
-    rows = np.asarray(rows, np.int64)
-    if rows.ndim != 1 or ((rows < 0) | (rows >= store.raw.size)).any():
+    rows = np.asarray(rows)  # not cast: a bool mask or float rows would pass as indices
+    if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu"
+                                        or ((rows < 0) | (rows >= store.raw.size)).any()):
         raise ValueError(f"rows must be a list of row indices in [0, {store.raw.size})")
-    keep = np.unique(rows)  # sorted rows: input order
+    keep = np.unique(rows.astype(np.int64, copy=False))  # sorted rows: input order
     return replace(store, **{name: getattr(store, name)[keep] for name in _COLUMNS})
 
 

@@ -32,7 +32,7 @@ from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
 from .training import (CHUNK_PAIRS, FitHyperparams, check_nonnegative, fit, fit_mae,
-                       head_backward, head_forward, init_sections, val_mae)
+                       head_backward, head_forward, init_sections, is_int, val_mae)
 
 __all__ = [
     "MfParams",
@@ -97,8 +97,8 @@ class MfHyperparams:
 
     def __post_init__(self):
         for name in ("latent_dim", "predictive_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not is_int(value := getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         check_nonnegative("reg_lambda", self.reg_lambda)
 
 

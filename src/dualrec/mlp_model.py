@@ -23,7 +23,7 @@ from . import checkpoint
 from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
 from .training import (INIT_SCALE, FitHyperparams, fit_mae, head_backward, head_forward,
-                       init_sections)
+                       init_sections, is_int)
 
 __all__ = [
     "MlpParams",
@@ -93,9 +93,12 @@ class MlpHyperparams:
 
 
 def check_tower(latent_dim: int, tower_widths) -> list[int]:
-    """The tower widths as ints; ValueError unless latent_dim K is at least 1
-    and the widths, at least one, are positive and non-increasing from the
-    2K concatenation width."""
+    """The tower widths as ints; ValueError unless latent_dim K and the widths
+    are integers, K is at least 1 and the widths, at least one, are positive
+    and non-increasing from the 2K concatenation width."""
+    if not all(map(is_int, [latent_dim, *tower_widths])):
+        raise ValueError(f"latent_dim and tower widths must be integers, "
+                         f"got {latent_dim!r} and {list(tower_widths)}")
     if latent_dim < 1:
         raise ValueError("latent_dim must be >= 1")
     widths = [int(w) for w in tower_widths]

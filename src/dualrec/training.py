@@ -26,7 +26,7 @@ from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
 __all__ = ["CHUNK_PAIRS", "INIT_SCALE", "FitHyperparams", "check_nonnegative", "fit", "fit_mae",
-           "head_backward", "head_forward", "init_sections", "predict_chunked", "val_mae"]
+           "head_backward", "head_forward", "init_sections", "is_int", "predict_chunked", "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 INIT_SCALE = 0.01  # standard deviation of every randomly initialised weight
@@ -37,6 +37,11 @@ def check_nonnegative(name: str, value) -> None:
     """Raise ValueError unless ``value`` is a finite number >= 0."""
     if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def is_int(value, low=-math.inf) -> bool:
+    """Whether ``value`` is an integer (numpy's too, never a bool) of at least ``low``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class FitHyperparams:
     def __post_init__(self):
         for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0), ("patience", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_int(value, low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         check_nonnegative("lr", self.lr)
         if not (isinstance(self.lr_decay, numbers.Real) and 0 < self.lr_decay < math.inf):

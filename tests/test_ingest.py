@@ -519,7 +519,10 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(tiny_store, [99])
 
-    @pytest.mark.parametrize("rows", [[-1], [[0, 1]]], ids=["negative", "pairs"])
+    # cast to indices, a bool mask would keep rows 0 and 1 and a float row would be truncated
+    @pytest.mark.parametrize("rows", [[-1], [[0, 1]], [True, False, True, True, False, True],
+                                      [0.5, 2.7], np.array([1.0, 2.0])],
+                             ids=["negative", "pairs", "mask", "floats", "float-array"])
     def test_a_row_outside_the_store_is_refused(self, tiny_store, rows):
         with pytest.raises(ValueError, match=r"rows must be a list of row indices in \[0, 6\)"):
             restrict(tiny_store, rows)

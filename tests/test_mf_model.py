@@ -424,6 +424,12 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="reg_lambda must be a finite number >= 0"):
             MfHyperparams(latent_dim=2, predictive_dim=3, reg_lambda=reg_lambda)
 
+    @pytest.mark.parametrize("field, value", [("latent_dim", 2.5), ("latent_dim", 0),
+                                              ("predictive_dim", True), ("predictive_dim", 2.0)])
+    def test_a_size_that_is_not_a_positive_integer_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
+            MfHyperparams(**{"latent_dim": 2, "predictive_dim": 2, field: value})
+
     def test_predictive_dim_has_no_default(self):
         with pytest.raises(TypeError):
             MfHyperparams(latent_dim=2)

@@ -10,7 +10,7 @@ function calls ``InteractionStore(``.
 import numpy as np
 import pytest
 
-from dualrec.ingest import _COLUMNS, _make_store, store_from_columns
+from dualrec.ingest import _COLUMNS, _make_store, _score_column, store_from_columns
 
 from test_store_copy import contents, mixed_store
 
@@ -76,7 +76,42 @@ def test_ids_are_checked_before_the_columns():
         store_from_columns(["u", "u"], ["p"])
 
 
+# entry rows of a 1 x 2 store -> the refusal that names the first bad row
+BAD_ROWS = [
+    ([(0, 0, 4, 0, 0, 1), (0, 1, 0.5, 0, 0, 2)],
+     "entry 1: raw rating must be a number in [1, 5], got 0.5"),
+    ([(0, 0, 4, 0, 0, 1), (0, 1, 4, 3, 2, 2)],
+     "entry 1: need 0 <= helpful_yes <= votes_total, got (3, 2)"),
+    ([(0, 0, 4, 0, 0, 1), (0, 2, 4, 0, 0, 2)], "entry 1: pair (0, 2) outside the 1 x 2 store"),
+    ([(0, 1, 4, 0, 0, 1), (0, 0, 4, 0, 0, 2), (0, 1, 3, 0, 0, 3)],
+     "entry 2: duplicate pair (0, 1)"),
+    # the first bad row is named, by its first broken rule
+    ([(0, 0, 9, 3, 2, 1)], "entry 0: raw rating must be a number in [1, 5], got 9.0"),
+    ([(0, 0, 4, 0, 0, 1), (0, 3, 4, 0, 0, 2), (0, 0, 0, 0, 0, 3)],
+     "entry 1: pair (0, 3) outside the 1 x 2 store"),
+    ([(0, 2, 4, 0, 0, 1), (1, 0, 4, 0, 0, 2)], "entry 0: pair (0, 2) outside the 1 x 2 store"),
+]
+
+
 def test_rows_name_the_row_that_breaks_a_rule():
+    for rows, want in BAD_ROWS:
+        with pytest.raises(ValueError) as exc:
+            _make_store(["u"], ["p", "q"], rows)
+        assert str(exc.value) == want
+        cols = {name: np.array(col, dtype)
+                for (name, dtype), col in zip(_COLUMNS.items(), zip(*rows))}
+        with pytest.raises(ValueError) as exc:
+            store_from_columns(["u"], ["p", "q"], **cols, reliability=np.full(len(rows), np.nan))
+        assert str(exc.value) == want
+
+
+def test_a_mistyped_row_is_named_by_its_position():
     with pytest.raises(ValueError) as exc:
-        _make_store(["u"], ["p", "q"], [(0, 0, 4, 0, 0, 1), (0, 1, 0.5, 0, 0, 2)])
-    assert str(exc.value) == "entry 1: raw rating must be a number in [1, 5], got 0.5"
+        _make_store(["u"], ["p"], [(0, 0, 4, 0, 0, 1), (0, True, 4, 0, 0, 2)])
+    assert str(exc.value) == ("entry 1: expected 6 fields (int64, int64, number, int64, int64, "
+                              "int64), got (0, True, 4, 0, 0, 2)")
+    store = _make_store(["u"], ["p", "q"], [(0, 0, 4, 0, 0, 1), (0, 1, 4, 0, 0, 2)])
+    with pytest.raises(ValueError) as exc:
+        _score_column(store, [[0, 0, 0.5], [0, 1, "0.5"]])
+    assert str(exc.value) == ("reliability triple 1: expected 3 fields (int64, int64, number), "
+                              "got [0, 1, '0.5']")

@@ -102,7 +102,8 @@ class TestFitHyperparams:
         ("batch_size", 0), ("batch_size", -5), ("batch_size", 2.0), ("epochs", -3),
         ("epochs", "1"), ("patience", -1), ("lr", -1.0), ("lr", float("nan")),
         ("lr", float("inf")), ("lr", "a"), ("lr_decay", 0.0), ("lr_decay", -0.5),
-        ("lr_decay", float("nan")), ("lr_decay", float("inf")),
+        ("lr_decay", float("nan")), ("lr_decay", float("inf")), ("epochs", True),
+        ("patience", True), ("seed", True),
     ])
     def test_bad_setting_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
