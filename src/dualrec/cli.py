@@ -204,7 +204,7 @@ def _experiment_config(path) -> harness.ExperimentConfig:
         raise CliError("config-not-found", f"config not found: {path}")
     try:
         return harness.ExperimentConfig.from_json(path)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError("bad-config", f"cannot parse config {path}: {exc}") from exc
 
 

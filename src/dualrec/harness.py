@@ -10,7 +10,7 @@ Synthetic stores come from seeded low-rank factor models.
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .metrics import (DEFAULT_CUTOFFS, RELEVANCE_THRESHOLD, EvalReport, check_cu
                       check_threshold, evaluate_predictions)
 from .mf_model import MfHyperparams, MfParams, train_mf
 from .mlp_model import MlpHyperparams, MlpParams, check_tower, train_mlp
-from .training import FitHyperparams, check_nonnegative, is_int
+from .training import FitHyperparams, check_int, check_nonnegative, is_int
 
 __all__ = [
     "SplitSpec",
@@ -61,7 +61,8 @@ class SplitSpec:
             raise ValueError(f"fractions must be in (0, 1), got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {sum(fracs)}")
-        _check_at_least(self, folds=1, seed=0)
+        check_int("folds", self.folds, 1)
+        check_int("seed", self.seed, 0)
 
 
 def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
@@ -108,7 +109,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_types(self)
-        _check_at_least(self, n_users=1, n_products=1, true_rank=1, seed=0)
+        for name, low in (("n_users", 1), ("n_products", 1), ("true_rank", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         if self.true_rank > min(self.n_users, self.n_products):
             raise ValueError("true_rank exceeds the smaller dimension")
         if not 0.0 < self.observation_density <= 1.0:
@@ -172,11 +174,14 @@ _FIELD_TYPES = {
 }
 
 
-def _check_at_least(spec, **lows) -> None:
-    """ValueError naming the first integer field of ``spec`` below its low in ``lows``."""
-    for name, low in lows.items():
-        if getattr(spec, name) < low:
-            raise ValueError(f"{name} must be >= {low}, got {getattr(spec, name)}")
+def _check_keys(section: str, values: dict, keys, required=()) -> None:
+    """ValueError naming each key of config section ``section`` that is not
+    one of ``keys``, then each of the ``required`` keys that it lacks."""
+    for problem, names in (("unknown", sorted(set(values) - set(keys))),
+                           ("missing", [key for key in required if key not in values])):
+        if names:
+            raise ValueError(f"{problem} key(s) in config section {section!r}: "
+                             f"{', '.join(names)}")
 
 
 def _check_types(spec) -> None:
@@ -213,8 +218,9 @@ class ExperimentConfig:
     relevance_threshold: float = RELEVANCE_THRESHOLD
 
     def __post_init__(self):
-        for epochs in (self.epochs_mf, self.epochs_mlp, self.epochs_fusion):
-            self.fit(epochs)  # ValueError naming a bad loop setting
+        for name in ("epochs_mf", "epochs_mlp", "epochs_fusion"):
+            check_int(name, getattr(self, name), 0)
+        self.fit(self.epochs_mf)  # ValueError naming a bad loop setting
         _check_types(self)
         check_tower(self.latent_dim, self.tower)  # both branches' head width is tower[-1]
         check_nonnegative("reg_lambda", self.reg_lambda)
@@ -237,6 +243,8 @@ class ExperimentConfig:
         ``model.latent_dim`` below 1, a ``model.tower`` that :func:`check_tower`
         refuses, a ``model.reg_lambda`` below 0, an ``eval.cutoffs`` entry
         below 1, and a NaN or infinite ``model.reg_lambda`` or ``eval.threshold``.
+        A ``data.synthetic`` must be a JSON object holding each field of
+        :class:`SyntheticSpec` without a default; an unknown or missing key is named.
         """
         if not isinstance(doc, dict) or not all(isinstance(v, dict) for v in doc.values()):
             raise ValueError("a config is a JSON object of sections, each a JSON object")
@@ -245,16 +253,19 @@ class ExperimentConfig:
             keys = split_keys if section == "split" else _JSON_KEYS.get(section)
             if keys is None:
                 raise ValueError(f"unknown config section {section!r}")
-            unknown = sorted(set(values) - set(keys))
-            if unknown:
-                raise ValueError(f"unknown key(s) in config section {section!r}: "
-                                 f"{', '.join(unknown)}")
+            _check_keys(section, values, keys)
         kwargs = {}
         for section, keys in _JSON_KEYS.items():
             values = doc.get(section, {})
             kwargs.update({name: values[key] for key, name in keys.items() if key in values})
         if "synthetic" in kwargs:
-            kwargs["synthetic"] = SyntheticSpec(**kwargs["synthetic"])
+            synthetic, spec_fields = kwargs["synthetic"], fields(SyntheticSpec)
+            if not isinstance(synthetic, dict):
+                raise ValueError(f"config section 'data.synthetic' must be a JSON object, "
+                                 f"got {synthetic!r}")
+            _check_keys("data.synthetic", synthetic, [f.name for f in spec_fields],
+                        [f.name for f in spec_fields if f.default is MISSING])
+            kwargs["synthetic"] = SyntheticSpec(**synthetic)
         kwargs["split"] = SplitSpec(**doc.get("split", {}))
         for name in ("tower", "cutoffs"):
             if isinstance(kwargs.get(name), list):

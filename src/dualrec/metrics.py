@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .linalg import sum_in_order
+from .training import check_int
 
 __all__ = [
     "RELEVANCE_THRESHOLD",
@@ -137,9 +138,8 @@ def ndcg(users: dict) -> float:
 
 
 def check_cutoff(cutoff: int) -> None:
-    """Raise ValueError unless a top-t cutoff is at least 1."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    """Raise ValueError unless a top-t cutoff is an integer >= 1."""
+    check_int("cutoff", cutoff, 1)
 
 
 def check_threshold(threshold: float) -> None:

@@ -31,8 +31,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import MAX_RATING, MIN_RATING, InteractionStore
 from .linalg import PairMatrix, scatter_rows, sigmoid, truncated_svd
-from .training import (CHUNK_PAIRS, FitHyperparams, check_nonnegative, fit, fit_mae,
-                       head_backward, head_forward, init_sections, is_int, val_mae)
+from .training import (CHUNK_PAIRS, FitHyperparams, check_int, check_nonnegative, fit, fit_mae,
+                       head_backward, head_forward, init_sections, val_mae)
 
 __all__ = [
     "MfParams",
@@ -97,8 +97,7 @@ class MfHyperparams:
 
     def __post_init__(self):
         for name in ("latent_dim", "predictive_dim"):
-            if not is_int(value := getattr(self, name), 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name), 1)
         check_nonnegative("reg_lambda", self.reg_lambda)
 
 
@@ -361,11 +360,11 @@ def factor_predict(params: MfParams, idx_u, idx_p, terms=JOINT) -> np.ndarray:
 
 def section_shapes(meta: dict) -> dict:
     """Name -> shape of every section that checkpoint ``meta`` implies;
-    ValueError for a latent size or head width below 1."""
+    ValueError for a size in it that is not an integer >= 1."""
+    for name in ("n_users", "n_products", "latent_dim", "predictive_dim"):
+        check_int(name, meta[name], 1)
     n, m = meta["n_users"], meta["n_products"]
     k, p = meta["latent_dim"], meta["predictive_dim"]
-    if k < 1 or p < 1:
-        raise ValueError(f"latent_dim and predictive_dim must be >= 1, got {k} and {p}")
     return {"user_rating": (k, n), "prod_rating": (k, m), "user_joint": (k, n),
             "prod_joint": (k, m), "prod_rel": (k, m), "proj_rating": (k, k),
             "proj_joint": (k, k), "head": (k, p), "reg_w": (p,), "reg_b": (1,)}

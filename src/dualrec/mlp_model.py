@@ -22,8 +22,8 @@ import numpy as np
 from . import checkpoint
 from .ingest import InteractionStore
 from .linalg import relu, scatter_rows
-from .training import (INIT_SCALE, FitHyperparams, fit_mae, head_backward, head_forward,
-                       init_sections, is_int)
+from .training import (INIT_SCALE, FitHyperparams, check_int, fit_mae, head_backward,
+                       head_forward, init_sections)
 
 __all__ = [
     "MlpParams",
@@ -93,19 +93,15 @@ class MlpHyperparams:
 
 
 def check_tower(latent_dim: int, tower_widths) -> list[int]:
-    """The tower widths as ints; ValueError unless latent_dim K and the widths
-    are integers, K is at least 1 and the widths, at least one, are positive
-    and non-increasing from the 2K concatenation width."""
-    if not all(map(is_int, [latent_dim, *tower_widths])):
-        raise ValueError(f"latent_dim and tower widths must be integers, "
-                         f"got {latent_dim!r} and {list(tower_widths)}")
-    if latent_dim < 1:
-        raise ValueError("latent_dim must be >= 1")
+    """The tower widths as ints; ValueError unless latent_dim K and the widths,
+    at least one, are integers >= 1 and the widths are non-increasing from the
+    2K concatenation width."""
+    check_int("latent_dim", latent_dim, 1)
+    for l, width in enumerate(tower_widths):
+        check_int(f"tower[{l}]", width, 1)
     widths = [int(w) for w in tower_widths]
     if not widths:
         raise ValueError("tower must have at least one layer")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"tower widths must be >= 1, got {widths}")
     dims = [2 * latent_dim] + widths
     if any(dims[l + 1] > dims[l] for l in range(len(widths))):
         raise ValueError(f"tower widths must be non-increasing from {2 * latent_dim}, got {widths}")
@@ -245,11 +241,12 @@ def train_mlp(
 
 def section_shapes(meta: dict) -> dict:
     """Name -> shape of every section that checkpoint ``meta`` implies, in
-    :func:`param_dict` order; ValueError for a tower that ``check_tower`` refuses
-    and for a ``predictive_dim`` other than the head width, the last tower width."""
+    :func:`param_dict` order; ValueError for a size in it that is not an integer >= 1,
+    a tower that ``check_tower`` refuses and a ``predictive_dim`` other than the last width."""
+    for name in ("n_users", "n_products", "predictive_dim"):
+        check_int(name, meta[name], 1)
     k = meta["latent_dim"]
-    check_tower(k, meta["tower"])
-    dims = [2 * k] + list(meta["tower"])
+    dims = [2 * k] + check_tower(k, meta["tower"])
     p = dims[-1]
     if meta["predictive_dim"] != p:
         raise ValueError(f"predictive_dim {meta['predictive_dim']!r} differs from the last "

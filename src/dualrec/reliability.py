@@ -19,12 +19,12 @@ all) score 0 instead of dividing by zero. Each product's timeline is one
 contiguous segment of rows, and all segments are scored at once.
 """
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .ingest import InteractionStore, with_reliability
+from .training import check_int
 
 __all__ = [
     "recency_weights", "check_unit", "score_product", "score_store", "attach_scores",
@@ -135,8 +135,7 @@ def recency_weights(n_reviews: int) -> list[float]:
     s-th most recent review for s = 1..n'-i; the last reviewer collects
     nothing.
     """
-    if not isinstance(n_reviews, numbers.Integral) or n_reviews < 1:
-        raise ValueError(f"n_reviews must be an integer >= 1, got {n_reviews!r}")
+    check_int("n_reviews", n_reviews, 1)
     return _recency_weights(_segments(np.zeros(1, np.int64), n_reviews)).tolist()
 
 

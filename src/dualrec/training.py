@@ -25,8 +25,9 @@ import numpy as np
 from .ingest import MAX_RATING, InteractionStore, PairArrays
 from .linalg import AdamState, TrainingDivergedError, adam_step
 
-__all__ = ["CHUNK_PAIRS", "INIT_SCALE", "FitHyperparams", "check_nonnegative", "fit", "fit_mae",
-           "head_backward", "head_forward", "init_sections", "is_int", "predict_chunked", "val_mae"]
+__all__ = ["CHUNK_PAIRS", "INIT_SCALE", "FitHyperparams", "check_int", "check_nonnegative", "fit",
+           "fit_mae", "head_backward", "head_forward", "init_sections", "is_int", "predict_chunked",
+           "val_mae"]
 
 CHUNK_PAIRS = 4096  # pairs per scoring forward pass
 INIT_SCALE = 0.01  # standard deviation of every randomly initialised weight
@@ -44,6 +45,12 @@ def is_int(value, low=-math.inf) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
+def check_int(name: str, value, low: int) -> None:
+    """The rule of every size, count and seed: ValueError unless ``is_int(value, low)``."""
+    if not is_int(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitHyperparams:
     """Settings of one training phase: the loop in :func:`fit`, plus the
@@ -58,9 +65,7 @@ class FitHyperparams:
 
     def __post_init__(self):
         for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0), ("patience", 0)):
-            value = getattr(self, name)
-            if not is_int(value, low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), low)
         check_nonnegative("lr", self.lr)
         if not (isinstance(self.lr_decay, numbers.Real) and 0 < self.lr_decay < math.inf):
             raise ValueError(f"lr_decay must be a finite number > 0, got {self.lr_decay!r}")

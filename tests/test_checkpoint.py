@@ -4,11 +4,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualrec.checkpoint import MAGIC, VERSION, load_sections, save_sections
-from dualrec.fusion import load_fusion, save_fusion
+from dualrec.fusion import init_fusion_random, load_fusion, save_fusion
 from dualrec.mf_model import load_mf, save_mf
 from dualrec.mlp_model import load_mlp, save_mlp
 
@@ -358,3 +358,43 @@ def test_savers_refuse_non_finite_weights(tmp_path, kind):
     with pytest.raises(ValueError, match=r"sections \['reg_w'\] hold NaN or infinite values"):
         save(model, path)
     assert not path.exists()
+
+
+# A stand-in for a meta size that no loader may accept: among them each size of
+# ``small_models`` as a float, and the bool equal to its latent size 1.
+REMOVED = object()
+NOT_A_SIZE = (st.sampled_from([1.0, 2.0, 3.0, True, False, "2", None, [2], REMOVED])
+              | st.floats() | st.integers(max_value=0) | st.text(max_size=2))
+
+
+def small_models():
+    """An MF branch, an MLP branch and their fusion of 2 users, 3 products,
+    latent size 1 and tower (2,), so predictive_dim 2."""
+    fused = init_fusion_random(2, 3, 1, (2,), seed=0)
+    return fused.mf, fused.mlp, fused
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(LOADERS)),
+       sizes=st.dictionaries(st.sampled_from(["n_users", "n_products", "latent_dim",
+                                              "predictive_dim"]), NOT_A_SIZE, min_size=1))
+@example(kind="mf", sizes={"latent_dim": True})
+@example(kind="mf", sizes={"n_users": 2.0})
+@example(kind="mf", sizes={"predictive_dim": 2.0})
+@example(kind="mlp", sizes={"n_users": 2.0})
+@example(kind="fusion", sizes={"n_products": 3.0})
+def test_a_meta_size_that_is_not_an_integer_never_loads(tmp_path_factory, kind, sizes):
+    save, load, which = LOADERS[kind]
+    path = tmp_path_factory.mktemp("meta") / f"{kind}.ckpt"
+    save(small_models()[which], path)
+
+    def edit(meta, arrays):
+        for name, value in sizes.items():
+            if value is REMOVED:
+                del meta[name]
+            else:
+                meta[name] = value
+
+    edited(path, edit)
+    with pytest.raises(ValueError, match=f"{kind}.ckpt: bad {kind} checkpoint meta"):
+        load(path)

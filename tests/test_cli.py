@@ -69,10 +69,10 @@ class TestBasics:
         assert store.n_users == 50 and store.n_products == 40
 
     @pytest.mark.parametrize("flags, want", [
-        ("--rank 0", "true_rank must be >= 1, got 0"),
-        ("--rank -1", "true_rank must be >= 1, got -1"),
-        ("--users 0", "n_users must be >= 1, got 0"),
-        ("--products -3", "n_products must be >= 1, got -3"),
+        ("--rank 0", "true_rank must be an integer >= 1, got 0"),
+        ("--rank -1", "true_rank must be an integer >= 1, got -1"),
+        ("--users 0", "n_users must be an integer >= 1, got 0"),
+        ("--products -3", "n_products must be an integer >= 1, got -3"),
     ], ids=["rank-zero", "rank-negative", "no-users", "negative-products"])
     def test_synth_size_below_one_is_one_bad_args_line(self, tmp_path, capsys, flags, want):
         out = tmp_path / "store.json"
@@ -139,22 +139,29 @@ class TestBasics:
          "noise_std must be a finite number >= 0, got nan"),
         ({"data": {"synthetic": {"n_users": 9, "n_products": 0, "true_rank": 2,
                                  "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
-         "n_products must be >= 1, got 0"),
+         "n_products must be an integer >= 1, got 0"),
         ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 0,
                                  "observation_density": 0.5, "noise_std": 0.1, "seed": 5}}},
-         "true_rank must be >= 1, got 0"),
+         "true_rank must be an integer >= 1, got 0"),
         ({"reliability": {"alpha": 7}}, "rel_alpha must be in [0, 1], got 7"),
-        ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be >= 1, got 0"),
+        ({"eval": {"cutoffs": [5, 0]}}, "cutoff must be an integer >= 1, got 0"),
         ({"model": {"reg_lambda": float("nan")}},
          "reg_lambda must be a finite number >= 0, got nan"),
         ({"model": {"reg_lambda": -0.5}}, "reg_lambda must be a finite number >= 0, got -0.5"),
         ({"eval": {"threshold": float("nan")}}, "threshold must be a finite number, got nan"),
         ({"eval": {"threshold": float("-inf")}}, "threshold must be a finite number, got -inf"),
-        ({"split": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ({"split": {"seed": -1}}, "seed must be an integer >= 0, got -1"),
         ({"model": {"seed": -1}}, "seed must be an integer >= 0, got -1"),
         ({"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
                                  "observation_density": 0.5, "noise_std": 0.1, "seed": -1}}},
-         "seed must be >= 0, got -1"),
+         "seed must be an integer >= 0, got -1"),
+        ({"data": {"synthetic": None}},
+         "config section 'data.synthetic' must be a JSON object, got None"),
+        ({"data": {"synthetic": {}}},
+         "missing key(s) in config section 'data.synthetic': n_users, n_products, true_rank, "
+         "observation_density, noise_std, seed"),
+        ({"data": {"synthetic": {"n_users": 5, "bogus": 1}}},
+         "unknown key(s) in config section 'data.synthetic': bogus"),
     ], ids=["array", "string", "lr-not-a-number", "latent_dim-string", "latent_dim-bool",
             "reg_lambda-string", "gamma-string", "seed-string", "pretrain-removed",
             "freeze_branches-removed", "init_tables_from_factors-removed", "tower-int",
@@ -164,7 +171,8 @@ class TestBasics:
             "reliability-alpha-out-of-range", "eval-cutoff-zero",
             "reg_lambda-nan", "reg_lambda-negative", "eval-threshold-nan",
             "eval-threshold-minus-inf", "split-seed-negative", "model-seed-negative",
-            "synthetic-seed-negative"])
+            "synthetic-seed-negative", "synthetic-null", "synthetic-empty",
+            "synthetic-unknown-key"])
     def test_sweep_malformed_config_is_one_bad_config_line(self, tmp_path, capsys, doc, want):
         if isinstance(doc, dict):  # a runnable config but for the one bad value
             doc = {"data": {"synthetic": {"n_users": 9, "n_products": 8, "true_rank": 2,
@@ -181,7 +189,8 @@ class TestBasics:
     @pytest.mark.parametrize("doc, want", [
         (None, "error [config-not-found]: config not found: {config}"),
         ({"eval": {"cutoffs": [0]}},
-         "error [bad-config]: cannot parse config {config}: cutoff must be >= 1, got 0"),
+         "error [bad-config]: cannot parse config {config}: "
+         "cutoff must be an integer >= 1, got 0"),
         ({"model": {"gamma": 2, "epochs_fusion": 2}},
          "error [bad-config]: cannot parse config {config}: gamma must be in [0, 1], got 2"),
         ({"model": {"pretrain": False, "epochs_fusion": 2}},
@@ -203,7 +212,8 @@ class TestBasics:
          "error [bad-config]: cannot parse config {config}: "
          "threshold must be a finite number, got inf"),
         ({"model": {"latent_dim": 0}},
-         "error [bad-config]: cannot parse config {config}: latent_dim must be >= 1"),
+         "error [bad-config]: cannot parse config {config}: "
+         "latent_dim must be an integer >= 1, got 0"),
     ], ids=["missing", "bad-cutoff", "gamma-too-large", "removed-pretrain",
             "removed-freeze_branches", "removed-init_tables_from_factors", "reg_lambda-nan",
             "reg_lambda-inf", "threshold-inf", "latent_dim-zero"])
@@ -854,13 +864,13 @@ class TestErrorCategories:
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --batch-size 0",
          "error [bad-args]: batch_size must be an integer >= 1, got 0"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --epochs -3",
-         "error [bad-args]: epochs must be an integer >= 0, got -3"),
+         "error [bad-args]: epochs_mlp must be an integer >= 0, got -3"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --lr -1",
          "error [bad-args]: lr must be a finite number >= 0, got -1.0"),
         ("pretrain-mf --store {d}/store.json --out {d}/x.ckpt --tower 0",
-         "error [bad-args]: tower widths must be >= 1, got [0]"),
+         "error [bad-args]: tower[0] must be an integer >= 1, got 0"),
         ("pretrain-mlp --store {d}/store.json --out {d}/x.ckpt --k 0",
-         "error [bad-args]: latent_dim must be >= 1"),
+         "error [bad-args]: latent_dim must be an integer >= 1, got 0"),
     ], ids=["mf-diverges", "mlp-diverges", "fusion-diverges", "mf-diverges-last-epoch",
             "mlp-diverges-last-epoch", "widening-tower", "head-widths-differ",
             "latent-sizes-differ", "mf-without-mlp", "rank-too-large", "negative-noise",
@@ -968,7 +978,8 @@ class TestErrorCategories:
         ("pretrain-mlp --tower 16,8,", "--tower takes comma-separated integers, got '16,8,'"),
         ("evaluate --model {t}/missing.ckpt --cutoffs 5,x",
          "--cutoffs takes comma-separated integers, got '5,x'"),
-        ("evaluate --model {t}/missing.ckpt --cutoffs 0", "--cutoffs: cutoff must be >= 1, got 0"),
+        ("evaluate --model {t}/missing.ckpt --cutoffs 0",
+         "--cutoffs: cutoff must be an integer >= 1, got 0"),
         ("sweep --config {t}/missing.json --train-fracs 0.5,a",
          "--train-fracs takes comma-separated numbers, got '0.5,a'"),
         ("sweep --config {t}/missing.json --train-fracs 0.5,inf",
@@ -1005,13 +1016,13 @@ class TestErrorCategories:
          "--threshold=-inf",
          "threshold must be a finite number, got -inf"),
         ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --k 0",
-         "latent_dim must be >= 1"),
+         "latent_dim must be an integer >= 1, got 0"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --k 0",
-         "latent_dim must be >= 1"),
+         "latent_dim must be an integer >= 1, got 0"),
         ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --tower 0",
-         "tower widths must be >= 1, got [0]"),
+         "tower[0] must be an integer >= 1, got 0"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 0",
-         "tower widths must be >= 1, got [0]"),
+         "tower[0] must be an integer >= 1, got 0"),
         ("pretrain-mlp --store {t}/missing.json --out {t}/x.ckpt --tower 8,16",
          "tower widths must be non-increasing from 16, got [8, 16]"),
         ("pretrain-mf --store {t}/missing.json --out {t}/x.ckpt --k 4",
@@ -1022,7 +1033,8 @@ class TestErrorCategories:
          "seed must be an integer >= 0, got -1"),
         ("train --store {t}/missing.json --out {t}/x.ckpt --seed -1",
          "seed must be an integer >= 0, got -1"),
-        ("synth --users 5 --products 5 --seed -1 --out {t}/x.json", "seed must be >= 0, got -1"),
+        ("synth --users 5 --products 5 --seed -1 --out {t}/x.json",
+         "seed must be an integer >= 0, got -1"),
     ], ids=["reg-lambda-nan", "reg-lambda-inf", "reg-lambda-negative", "threshold-nan",
             "threshold-inf", "threshold-minus-inf", "latent-dim-zero-mf", "latent-dim-zero-mlp",
             "head-width-zero-mf", "tower-zero-mlp", "widening-tower-mlp",
@@ -1106,6 +1118,29 @@ class TestErrorCategories:
         path = tmp_path / model
         assert line == (f"error [bad-store]: cannot read model {path}: {path}: "
                         f"sections {sections} hold NaN or infinite values")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, model, kind", [
+        ("train --store {d}/store.json --mf {t}/mf.ckpt --mlp {d}/mlp.ckpt --out {t}/x",
+         "mf.ckpt", "mf"),
+        ("train --store {d}/store.json --mf {d}/mf.ckpt --mlp {t}/mlp.ckpt --out {t}/x",
+         "mlp.ckpt", "mlp"),
+        ("evaluate --store {d}/store.json --model {t}/fused.ckpt --out {t}/x",
+         "fused.ckpt", "fusion"),
+        ("predict --store {d}/store.json --model {t}/fused.ckpt --pairs {t}/pairs.tsv "
+         "--out {t}/x", "fused.ckpt", "fusion"),
+    ], ids=["train-mf-branch", "train-mlp-branch", "evaluate", "predict"])
+    def test_a_meta_size_that_is_not_an_integer_is_bad_store(self, trained, tmp_path, capsys,
+                                                             argv, model, kind):
+        from test_checkpoint import edited
+
+        (tmp_path / "pairs.tsv").write_text("u0\tp0\n")
+        path = tmp_path / model
+        shutil.copy(trained / model, path)
+        edited(path, lambda meta, arrays: meta.update(n_users=12.0))  # the store's 12 users
+        line = error_line(capsys, argv.format(d=trained, t=tmp_path).split())
+        assert line == (f"error [bad-store]: cannot read model {path}: {path}: bad {kind} "
+                        "checkpoint meta: ValueError('n_users must be an integer >= 1, got 12.0')")
         assert not (tmp_path / "x").exists()
 
     def test_repeated_checkpoint_section_is_bad_store(self, trained, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualrec import harness
 from dualrec.harness import (
@@ -19,6 +22,7 @@ from dualrec.mf_model import RATING, MfHyperparams, factor_predict, train_mf
 from dualrec.training import FitHyperparams
 
 from conftest import random_store, rated, scored
+from test_ingest import JSON_VALUES
 
 
 class TestSplitSpec:
@@ -308,3 +312,67 @@ class TestConfigParsing:
     def test_unknown_section_or_key_rejected(self, doc, name):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig.from_dict(doc)
+
+
+# A runnable config with every section and every data.synthetic key
+FULL_CONFIG = {
+    "data": {"store": "s.json", "synthetic": {
+        "n_users": 9, "n_products": 8, "true_rank": 2, "observation_density": 0.4,
+        "noise_std": 0.1, "seed": 5, "quantize": False}},
+    "split": {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25, "folds": 3, "seed": 4},
+    "model": {"latent_dim": 5, "tower": [10, 4], "reg_lambda": 0.2, "gamma": 0.7,
+              "batch_size": 64, "epochs_mf": 2, "epochs_mlp": 3, "epochs_fusion": 4,
+              "lr": 0.01, "seed": 9, "patience": 6},
+    "reliability": {"alpha": 0.3, "fallback_max": True},
+    "eval": {"cutoffs": [2, 4], "threshold": 3.5},
+}
+# every name a config refusal may give: sections, keys, fields and the nouns of
+# the rules over several keys (the split's fractions, each eval.cutoffs entry)
+CONFIG_NAMES = ({"data.synthetic", "fractions", "cutoff"} | set(harness._JSON_KEYS)
+                | {key for keys in harness._JSON_KEYS.values() for key in keys}
+                | {f.name for spec in (ExperimentConfig, SplitSpec, SyntheticSpec)
+                   for f in dataclasses.fields(spec)})
+
+
+@st.composite
+def config_docs(draw):
+    """FULL_CONFIG with one to three edits, each at the top, in a section or in
+    data.synthetic: a key set to a JSON value, a key removed, or an unknown key."""
+    doc = copy.deepcopy(FULL_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        target = doc
+        for key in draw(st.sampled_from([(), ("data",), ("data", "synthetic"), ("split",),
+                                         ("model",), ("reliability",), ("eval",)])):
+            target = target.get(key) if isinstance(target, dict) else None
+        if not isinstance(target, dict):  # an earlier edit replaced or removed it
+            continue
+        key = draw(st.sampled_from(sorted(target) + ["bogus"]))
+        if draw(st.booleans()):
+            target[key] = draw(JSON_VALUES)
+        else:
+            target.pop(key, None)
+    return doc
+
+
+def keys_of(doc) -> set:
+    """Every key of ``doc``'s objects, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(keys_of, doc.values()))
+    return set().union(*map(keys_of, doc)) if isinstance(doc, list) else set()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(doc=config_docs() | JSON_VALUES)
+@example(doc={"data": {"synthetic": None}})
+@example(doc={"data": {"synthetic": {}}})
+@example(doc={"data": {"synthetic": {"n_users": 5, "bogus": 1}}})
+def test_a_config_document_gives_a_config_or_a_value_error_naming_its_key(doc):
+    try:
+        config = ExperimentConfig.from_dict(doc)
+    except ValueError as exc:  # it names a config name, or an unknown key by its repr
+        message = str(exc)
+        assert (message == "a config is a JSON object of sections, each a JSON object"
+                or any(name in message for name in CONFIG_NAMES)
+                or any(repr(key) in message for key in keys_of(doc))), message
+    else:
+        assert isinstance(config, ExperimentConfig)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrec.metrics import (
+    check_cutoff,
     check_threshold,
     classification_metrics,
     evaluate_predictions,
@@ -211,6 +212,19 @@ class TestTopCutoff:
                 for u in range(3)
             }
             assert f1_at_cutoff(users, 5) <= 1.0
+
+
+class TestCutoffCheck:
+    @pytest.mark.parametrize("cutoff", [0, -3, True, 2.5, 5.0, "5", None],
+                             ids=["zero", "negative", "bool", "fraction", "float", "string",
+                                  "null"])
+    def test_a_cutoff_that_is_not_a_positive_integer_is_refused(self, cutoff):
+        with pytest.raises(ValueError, match=f"^cutoff must be an integer >= 1, got {cutoff!r}$"):
+            check_cutoff(cutoff)
+
+    @pytest.mark.parametrize("cutoff", [1, 10, np.int64(5)])
+    def test_a_positive_integer_cutoff_passes(self, cutoff):
+        check_cutoff(cutoff)
 
 
 class TestThresholdCheck:

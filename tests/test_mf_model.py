@@ -465,14 +465,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_mf(path)
 
-    @pytest.mark.parametrize("k, p", [(0, 0), (0, 2), (2, 0)],
+    @pytest.mark.parametrize("k, p, bad", [(0, 0, "latent_dim"), (0, 2, "latent_dim"),
+                                            (2, 0, "predictive_dim")],
                              ids=["both-zero", "latent-zero", "head-zero"])
-    def test_sizes_training_cannot_produce_are_refused(self, tmp_path, k, p):
+    def test_sizes_training_cannot_produce_are_refused(self, tmp_path, k, p, bad):
         from dualrec.checkpoint import save_sections
 
         sections = mf_sections(3, 2, k, p)
         path = tmp_path / "mf.ckpt"
-        want = f"latent_dim and predictive_dim must be >= 1, got {k} and {p}"
+        want = f"{bad} must be an integer >= 1, got 0"
         with pytest.raises(ValueError, match=want):
             save_mf(MfParams(**sections), path)
         assert not path.exists()

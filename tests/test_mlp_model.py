@@ -75,12 +75,14 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp(4, 4, 8, (4, 8), seed=0)
 
-    @pytest.mark.parametrize("latent_dim, tower", [(2.5, (4, 2)), (True, (2, 1)), (2, (4, 2.7)),
-                                                   (2, (4, True))],
-                             ids=["float-latent-dim", "bool-latent-dim", "float-width",
-                                  "bool-width"])
-    def test_sizes_that_are_not_integers_are_refused(self, latent_dim, tower):
-        with pytest.raises(ValueError, match="^latent_dim and tower widths must be integers"):
+    @pytest.mark.parametrize("latent_dim, tower, want", [
+        (2.5, (4, 2), "latent_dim must be an integer >= 1, got 2.5"),
+        (True, (2, 1), "latent_dim must be an integer >= 1, got True"),
+        (2, (4, 2.7), r"tower\[1\] must be an integer >= 1, got 2.7"),
+        (2, (4, True), r"tower\[1\] must be an integer >= 1, got True"),
+    ], ids=["float-latent-dim", "bool-latent-dim", "float-width", "bool-width"])
+    def test_sizes_that_are_not_integers_are_refused(self, latent_dim, tower, want):
+        with pytest.raises(ValueError, match=f"^{want}$"):
             MlpHyperparams(latent_dim=latent_dim, tower=tower)
 
     def test_empty_or_nonpositive_towers_rejected(self):

@@ -87,7 +87,7 @@ class TestMostRecent:
         assert recency_weights(3) == [1 + 1 / 4, 1.0, 0.0]
         assert recency_weights(np.int64(2)) == [1.0, 0.0]
 
-    @pytest.mark.parametrize("n_reviews", [0, -2, 2.0, "3", None])
+    @pytest.mark.parametrize("n_reviews", [0, -2, 2.0, "3", None, True])
     def test_recency_weights_refuse_a_count_below_one_or_not_an_integer(self, n_reviews):
         with pytest.raises(ValueError, match="n_reviews must be an integer >= 1"):
             recency_weights(n_reviews)

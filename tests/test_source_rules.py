@@ -10,7 +10,9 @@
   config is made;
 - ``harness`` takes its store from its caller, so it reads no private name
   of ``ingest`` and no ``load_store``: only the CLI opens a store file;
-- neither branch module imports the other, so each can change alone.
+- neither branch module imports the other, so each can change alone;
+- only ``training.check_int`` calls ``is_int``, so every size, count and
+  seed is held to one rule and refused with one message.
 """
 
 import ast
@@ -71,6 +73,7 @@ def calls(name):
 
 
 store_construction = calls("InteractionStore")
+is_int_call = calls("is_int")
 
 
 def private_ingest_name(node) -> bool:
@@ -116,6 +119,10 @@ FORMS = [  # (rule, a source holding each form it must see and some it must not,
                  "from dualrec import d\nfrom dualrec.e import y\n"
                  "def f():\n    from .g import z\nimport numpy\nfrom . import h\n",
                  [(None, 1), (None, 2), (None, 3), (None, 4), (None, 5), ("f", 7)], id="import"),
+    pytest.param(is_int_call, "from .training import is_int\nok = is_int(3, 1)\n"
+                 "def f(x):\n    return training.is_int(x)\ncheck = is_int\n"
+                 "class C:\n    def m(self, xs):\n        return all(map(is_int, xs))\n",
+                 [(None, 2), ("f", 4)], id="is-int-call"),
 ]
 
 
@@ -140,6 +147,7 @@ RULES = [  # (rule, the files of src/dualrec it scans, the (file, top-level name
     pytest.param(load_store_use, "harness.py", [], id="harness-load-store"),
     pytest.param(imports("mlp_model"), "mf_model.py", [], id="mf_model-imports-mlp_model"),
     pytest.param(imports("mf_model"), "mlp_model.py", [], id="mlp_model-imports-mf_model"),
+    pytest.param(is_int_call, "*.py", [("training.py", "check_int")], id="is-int-call"),
 ]
 
 
